@@ -479,6 +479,21 @@ def _read_specs(jobs: str) -> list[dict]:
     return specs
 
 
+def _profiling_line(metrics: dict) -> str:
+    """The one-line profiling summary of a server's metrics snapshot."""
+    executed, hits, shared, deduplicated, evicted = (
+        int(metrics.get(f"profiling_{name}", 0))
+        for name in (
+            "executed", "cache_hits", "shared_inflight", "deduplicated", "evictions"
+        )
+    )
+    return (
+        f"profiling: {executed} runs, {hits} cache hits, "
+        f"{shared} shared in-flight, "
+        f"{deduplicated} deduplicated, {evicted} evicted"
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving import NavigationRequest, NavigationServer
 
@@ -493,9 +508,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cache_dir = None
     if not args.no_store:
         cache_dir = args.cache_dir or str(default_store_dir())
-    if args.port is not None:
-        return _serve_network(args, requests, cache_dir)
-    with NavigationServer(
+    server = NavigationServer(
         workers=args.serve_workers,
         profile_workers=args.workers,
         cache_dir=cache_dir,
@@ -505,14 +518,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store_budget_bytes=args.store_budget_bytes,
         fleet_lease_ttl=args.lease_ttl,
         transfer=args.transfer,
-    ) as server:
+    )
+    where = f"{args.serve_workers} worker(s), store: {cache_dir or 'in-memory'}"
+    code = 0
+    with server:
         job_ids = server.submit_many(requests)
-        print(
-            f"serving {len(job_ids)} request(s) on {args.serve_workers} "
-            f"worker(s), store: {cache_dir or 'in-memory'}"
-        )
-        jobs = server.drain()
+        if args.port is not None:
+            if requests:
+                print(f"pre-submitted {len(job_ids)} request(s) from the job file")
+            _serve_network(server, args.host, args.port, where)
+        else:
+            print(f"serving {len(job_ids)} request(s) on {where}")
+            jobs = server.drain()
+            _print_job_table(jobs)
+            code = 0 if all(j.status.value == "done" for j in jobs) else 1
+    print(_profiling_line(server.metrics.snapshot()))
+    return code
 
+
+def _print_job_table(jobs: list) -> None:
     rows = []
     for job in jobs:
         req = job.request
@@ -530,7 +554,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 outcome,
             ]
         )
-    stats = server.stats
     print(
         render_table(
             ["job", "task", "objectives", "prio", "status", "outcome"],
@@ -538,57 +561,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             title="served navigation jobs",
         )
     )
-    print(
-        f"profiling: {stats.executed} runs, {stats.cache_hits} cache hits, "
-        f"{stats.shared_inflight} shared in-flight, "
-        f"{stats.deduplicated} deduplicated, {stats.evictions} evicted"
-    )
-    return 0 if all(j.status.value == "done" for j in jobs) else 1
 
 
-def _serve_network(
-    args: argparse.Namespace, requests: list, cache_dir: str | None
-) -> int:
+def _serve_network(server, host: str, port: int, where: str) -> None:
     """``repro serve --port``: expose the HTTP transport until interrupted."""
-    from repro.serving import NavigationServer
     from repro.serving.transport import NavigationHTTPServer
 
-    with NavigationServer(
-        workers=args.serve_workers,
-        profile_workers=args.workers,
-        cache_dir=cache_dir,
-        fairness=args.fair,
-        max_inflight=args.max_inflight_per_tenant,
-        store_budget=args.store_budget,
-        store_budget_bytes=args.store_budget_bytes,
-        fleet_lease_ttl=args.lease_ttl,
-        transfer=args.transfer,
-    ) as server:
-        if requests:
-            job_ids = server.submit_many(requests)
-            print(f"pre-submitted {len(job_ids)} request(s) from the job file")
-        transport = NavigationHTTPServer(
-            server, host=args.host, port=args.port
-        )
-        print(
-            f"serving on {transport.url} "
-            f"({args.serve_workers} worker(s), "
-            f"store: {cache_dir or 'in-memory'})",
-            flush=True,
-        )
-        try:
-            transport.serve_forever()
-        except KeyboardInterrupt:
-            print("interrupted; draining running jobs...", flush=True)
-        finally:
-            transport.stop()
-    stats = server.stats
-    print(
-        f"profiling: {stats.executed} runs, {stats.cache_hits} cache hits, "
-        f"{stats.shared_inflight} shared in-flight, "
-        f"{stats.deduplicated} deduplicated, {stats.evictions} evicted"
-    )
-    return 0
+    transport = NavigationHTTPServer(server, host=host, port=port)
+    print(f"serving on {transport.url} ({where})", flush=True)
+    try:
+        transport.serve_forever()
+    except KeyboardInterrupt:
+        print("interrupted; draining running jobs...", flush=True)
+    finally:
+        transport.stop()
 
 
 def _remote_client(args: argparse.Namespace):
@@ -710,27 +696,23 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    stats = _remote_client(args).stats()
-    p = stats.profiling
-    print(
-        f"profiling: {p['executed']} runs, {p['cache_hits']} cache hits, "
-        f"{p['shared_inflight']} shared in-flight, "
-        f"{p['deduplicated']} deduplicated, {p['evictions']} evicted"
-    )
-    s = stats.store
-    if s.get("persistent"):
-        print(
-            f"store: {s['entries']} entries, {s['bytes']} bytes, "
-            f"{s['pinned']} pinned"
+    metrics = _remote_client(args).metrics()
+    print(_profiling_line(metrics))
+    if metrics.get("store_persistent"):
+        entries, nbytes, pinned = (
+            int(metrics.get(f"store_{name}", 0))
+            for name in ("entries", "bytes", "pinned")
         )
+        print(f"store: {entries} entries, {nbytes} bytes, {pinned} pinned")
     else:
         print("store: in-memory only")
-    census = ", ".join(
-        f"{count} {status}"
-        for status, count in sorted(stats.jobs.items())
-        if status != "total"
-    )
-    print(f"jobs: {stats.jobs.get('total', 0)} total" + (f" ({census})" if census else ""))
+    counts = {
+        status: int(metrics.get(f"jobs_{status}", 0))
+        for status in ("cancelled", "done", "failed", "pending", "running")
+    }
+    census = ", ".join(f"{n} {status}" for status, n in counts.items() if n)
+    total = int(metrics.get("jobs_submitted", 0))
+    print(f"jobs: {total} total" + (f" ({census})" if census else ""))
     return 0
 
 

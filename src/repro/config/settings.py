@@ -43,7 +43,7 @@ ORDER_NAMES = ("random", "sequential", "partition")
 #: SpMM execution backends (``repro.runtime.kernels``).  Kept as a static
 #: tuple because config must not import the runtime package; the test suite
 #: asserts it matches the kernel registry.
-KERNEL_NAMES = ("reference", "fused", "parallel", "reorder")
+KERNEL_NAMES = ("reference", "fused", "parallel")
 _CACHE_POLICIES = ("none", "static", "fifo", "lru")
 
 

@@ -27,7 +27,7 @@ from repro.config.settings import TaskSpec
 from repro.config.space import DesignSpace, default_space
 from repro.config.templates import TEMPLATES
 from repro.graphs.csr import CSRGraph
-from repro.runtime.parallel import default_store_dir
+from repro.runtime.parallel import ResultStore, default_store_dir
 from repro.runtime.profiler import GroundTruthRecord, profile_configs
 
 __all__ = ["profiling_records", "exhaustive_records", "cache_dir", "clear_cache"]
@@ -45,14 +45,9 @@ def cache_dir() -> Path:
 def clear_cache() -> None:
     """Drop every cached record (memory and the shared store)."""
     _MEMORY.clear()
-    for f in cache_dir().glob("gt_*.json"):
-        f.unlink()
-    # Pre-PR-2 layout: whole record sets pickled under the repo-root
-    # ``.cache/`` — swept from that fixed location only, never from a
-    # ``REPRO_STORE_DIR`` override's parent (which this package doesn't own).
-    legacy = Path(__file__).resolve().parents[3] / ".cache"
-    for f in legacy.glob("records_*.pkl"):
-        f.unlink()
+    # Through the store, so each record goes with its ``meta_<key>.json``
+    # sidecar (a fresh instance holds no pins: everything is evictable).
+    ResultStore(cache_dir()).prune(0)
 
 
 def _recipe_key(

@@ -6,8 +6,7 @@ name through ``TrainingConfig.kernel`` / ``repro ... --kernel``:
 
 * ``reference`` — seed-era scipy product, the bit-exactness anchor;
 * ``fused`` — spmm + bias + activation in one tape node, no intermediates;
-* ``parallel`` — nnz-balanced row blocks over a GIL-free thread pool;
-* ``reorder`` — degree-renumbered matrix copies for cache locality.
+* ``parallel`` — nnz-balanced row blocks over a GIL-free thread pool.
 
 ``get_kernel(name)`` returns a shared singleton per name: kernels are
 stateless apart from caches and worker pools, and sharing means the
@@ -29,14 +28,12 @@ from repro.runtime.kernels.base import (
 from repro.runtime.kernels.fused import FusedKernel
 from repro.runtime.kernels.parallel import ParallelKernel
 from repro.runtime.kernels.reference import ReferenceKernel
-from repro.runtime.kernels.reorder import ReorderKernel
 
 __all__ = [
     "SpmmKernel",
     "ReferenceKernel",
     "FusedKernel",
     "ParallelKernel",
-    "ReorderKernel",
     "register_kernel",
     "get_kernel",
     "kernel_names",
@@ -90,6 +87,6 @@ def close_kernels() -> None:
         instance.close()
 
 
-for _cls in (ReferenceKernel, FusedKernel, ParallelKernel, ReorderKernel):
+for _cls in (ReferenceKernel, FusedKernel, ParallelKernel):
     register_kernel(_cls)
 del _cls

@@ -52,6 +52,10 @@ __all__ = ["ClaimGrant", "CommitOutcome", "FleetDispatcher"]
 #: transport's MAX_POLL_SECONDS without importing the wire layer).
 _MAX_CLAIM_POLL = 30.0
 
+#: most candidates handed out per claim.  Small batches bound how much work
+#: one executor death re-queues; large ones amortize HTTP round trips.
+_MAX_BATCH = 8
+
 #: per-executor metric families created by the dispatcher; removed again
 #: when the executor deregisters or is pruned.
 _EXECUTOR_METRICS = (
@@ -144,10 +148,6 @@ class FleetDispatcher:
         derives the heartbeat interval executors are told to use
         (``ttl / 3``), the liveness horizon (``ttl``) and the registry
         prune horizon (``5 * ttl``).
-    max_batch:
-        Most candidates handed out per claim.  Small batches bound how
-        much work one executor death re-queues; large ones amortize HTTP
-        round trips.
     metrics:
         Optional :class:`~repro.serving.metrics.MetricsRegistry` for the
         fleet counters (global and per-executor labeled).
@@ -158,16 +158,12 @@ class FleetDispatcher:
         service,
         *,
         lease_ttl: float = 10.0,
-        max_batch: int = 8,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if lease_ttl <= 0:
             raise ServingError("lease_ttl must be positive")
-        if max_batch < 1:
-            raise ServingError("max_batch must be at least 1")
         self.service = service
         self.lease_ttl = float(lease_ttl)
-        self.max_batch = max_batch
         self.metrics = metrics
         self.registry = ExecutorRegistry()
         self.leases = LeaseTable()
@@ -385,9 +381,9 @@ class FleetDispatcher:
         owns none, it steals from the queue head so capacity is never idle
         while work waits.  All keys in one grant share a task and a graph.
         """
-        limit = self.max_batch
+        limit = _MAX_BATCH
         if max_candidates is not None:
-            limit = max(1, min(max_candidates, self.max_batch))
+            limit = max(1, min(max_candidates, _MAX_BATCH))
         deadline = time.monotonic() + max(0.0, min(timeout, _MAX_CLAIM_POLL))
         poll = max(0.05, min(self.lease_ttl / 4.0, 0.5))
         while True:

@@ -1,13 +1,10 @@
 """Server metrics: named counters and gauges behind one registry.
 
-The serving stack used to assemble its observability surface ad hoc — the
-transport's ``/v1/stats`` handler reached into ``ProfilingStats`` fields,
-the store, and a hand-rolled job census dict.  :class:`MetricsRegistry`
-replaces that: the server registers *counters* (monotonic, bumped at the
-moment the thing happens) and *gauges* (callables read at scrape time, so
-they are always current and cost nothing between scrapes), and every
-consumer — ``/v1/metrics``, ``/v1/stats``, the CLI — reads one
-:meth:`snapshot`.
+The server registers *counters* (monotonic, bumped at the moment the thing
+happens) and *gauges* (callables read at scrape time, so they are always
+current and cost nothing between scrapes), and every consumer —
+``/v1/metrics``, ``client.metrics()``, the CLI's ``stats`` / ``serve``
+summaries — reads one :meth:`snapshot`.
 
 Counters and gauges share a flat namespace; registering a gauge under an
 existing counter name (or vice versa) is a programming error and raises.

@@ -207,6 +207,7 @@ class NavigationServer:
             self.metrics.gauge(
                 f"profiling_{name}", lambda n=name: getattr(stats, n)
             )
+        self.metrics.gauge("store_persistent", lambda: int(self.store is not None))
         self.metrics.gauge(
             "store_entries", lambda: 0 if self.store is None else len(self.store)
         )
@@ -375,9 +376,9 @@ class NavigationServer:
         """One consistent view of a job's observable state.
 
         Taken under the server lock, so status, error and timestamps all
-        belong to the same moment — the call handles (local and remote) use
-        this instead of separate ``status()``/``job()`` lookups that could
-        interleave with a worker's terminal transition.
+        belong to the same moment — job handles use this instead of
+        separate ``status()``/``job()`` lookups that could interleave with
+        a worker's terminal transition.
         """
         job = self._get(job_id)
         with self._lock:

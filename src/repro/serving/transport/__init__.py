@@ -7,20 +7,16 @@ Splits the in-process :class:`~repro.serving.server.NavigationServer` /
   dataclasses, typed error envelopes, tenant + idempotency headers);
 * :mod:`.server` — :class:`NavigationHTTPServer`, a stdlib
   ``ThreadingHTTPServer`` front-end over an existing navigation server;
-* :mod:`.client` — :class:`RemoteNavigationClient` /
-  :class:`RemoteJobHandle`, the in-process client surface re-implemented
-  over HTTP long-polling, raising the same typed errors.
+* :mod:`.client` — :class:`RemoteNavigationClient`, a
+  :class:`~repro.serving.client.NavigationClient` whose transport
+  primitives run over HTTP long-polling and raise the same typed errors.
 
-Callers are transport-agnostic by construction: both clients expose the
-same methods with the same semantics, so a tenant moves between
-``NavigationClient(server)`` and ``RemoteNavigationClient(url)`` by
-swapping one constructor.
+Callers are transport-agnostic by construction: the tenant surface is
+defined once, so a tenant moves between ``NavigationClient(server)`` and
+``RemoteNavigationClient(url)`` by swapping one constructor.
 """
 
-from repro.serving.transport.client import (
-    RemoteJobHandle,
-    RemoteNavigationClient,
-)
+from repro.serving.transport.client import RemoteNavigationClient
 from repro.serving.transport.protocol import (
     API_PREFIX,
     IDEMPOTENCY_HEADER,
@@ -35,6 +31,5 @@ __all__ = [
     "PROTOCOL_VERSION",
     "TENANT_HEADER",
     "NavigationHTTPServer",
-    "RemoteJobHandle",
     "RemoteNavigationClient",
 ]

@@ -1,23 +1,12 @@
-"""Remote tenant handle: the :class:`NavigationClient` surface over HTTP.
+"""The HTTP transport of :class:`~repro.serving.client.NavigationClient`.
 
-:class:`RemoteNavigationClient` speaks the :mod:`.protocol` wire format to a
-:class:`~repro.serving.transport.server.NavigationHTTPServer` using only the
-stdlib (``urllib``).  It mirrors the in-process client call for call —
-``submit`` / ``submit_many`` / ``navigate`` / ``navigate_many`` return
-:class:`RemoteJobHandle`\\ s with the same ``status`` / ``done`` /
-``result`` / ``cancel`` surface as :class:`~repro.serving.client.JobHandle`
-— so callers are transport-agnostic: swap the constructor, keep the code.
-
-Error behaviour matches too: the server ships typed error envelopes and the
-client re-raises the same :mod:`repro.errors` types the in-process path
-raises, including :class:`~repro.errors.JobFailedError` with the
-server-side traceback.
-
-Reliability: ``result`` long-polls in bounded rounds (the server never
-holds a request longer than ``MAX_POLL_SECONDS``), and ``submit`` attaches
-an idempotency key and retries connection-level failures with the *same*
-key, so a POST whose response was lost re-lands on the original job instead
-of enqueuing a duplicate.
+:class:`RemoteNavigationClient` inherits every tenant call and the
+:class:`~repro.serving.client.JobHandle` it hands out; it only answers the
+transport primitives by speaking the :mod:`.protocol` wire format to a
+:class:`~repro.serving.transport.server.NavigationHTTPServer` (stdlib
+``urllib``).  Callers swap the constructor and keep the code — typed
+errors included, since ``_call`` re-raises the server's error envelopes as
+the :mod:`repro.errors` types the in-process path raises.
 """
 
 from __future__ import annotations
@@ -27,15 +16,10 @@ import time
 import urllib.error
 import urllib.request
 import uuid
-from typing import Iterator
 
-from repro.config.settings import TaskSpec
 from repro.errors import ProtocolError, ServingError
-from repro.serving.events import (
-    EventBatch,
-    JobProgressEvent,
-    watch_events,
-)
+from repro.serving.client import NavigationClient
+from repro.serving.events import EventBatch, JobProgressEvent
 from repro.serving.transport.protocol import (
     API_PREFIX,
     IDEMPOTENCY_HEADER,
@@ -48,67 +32,24 @@ from repro.serving.transport.protocol import (
     HealthResponse,
     MetricsResponse,
     ResultResponse,
-    StatsResponse,
     SubmitRequest,
     SubmitResponse,
     decode_error,
 )
-from repro.serving.types import (
-    JobResult,
-    JobSnapshot,
-    JobStatus,
-    NavigationRequest,
-)
+from repro.serving.types import JobResult, JobSnapshot, NavigationRequest
 
-__all__ = ["RemoteJobHandle", "RemoteNavigationClient"]
+__all__ = ["RemoteNavigationClient"]
 
 
-class RemoteJobHandle:
-    """One remotely-submitted job; mirrors the in-process ``JobHandle``."""
-
-    def __init__(self, client: "RemoteNavigationClient", job_id: str) -> None:
-        self.client = client
-        self.job_id = job_id
-
-    def snapshot(self) -> JobSnapshot:
-        """Consistent point-in-time view of the job's observable state."""
-        return self.client.snapshot(self.job_id)
-
-    @property
-    def status(self) -> JobStatus:
-        return self.snapshot().status
-
-    @property
-    def done(self) -> bool:
-        return self.snapshot().done
-
-    def result(self, timeout: float | None = None) -> JobResult:
-        """Long-poll for the result; raises
-        :class:`~repro.errors.JobFailedError` on FAILED jobs."""
-        return self.client.result(self.job_id, timeout)
-
-    def events(
-        self, since: int = 0, timeout: float | None = None
-    ) -> EventBatch:
-        """One bounded read of the job's progress events (resume with the
-        returned ``next_seq``); same surface as the in-process handle."""
-        return self.client.events(self.job_id, since=since, timeout=timeout)
-
-    def watch(self, since: int = 0) -> Iterator[JobProgressEvent]:
-        """Stream progress events until the job's stream ends; survives
-        disconnects by resuming from the last delivered sequence number."""
-        return self.client.watch(self.job_id, since=since)
-
-    def cancel(self) -> bool:
-        return self.client.cancel(self.job_id)
-
-    def __repr__(self) -> str:
-        # No status here: repr must stay cheap and non-raising, and status
-        # is a network round trip on this side of the transport.
-        return f"RemoteJobHandle({self.job_id} @ {self.client.url})"
+def _snapshots(items) -> list[JobSnapshot]:
+    """Decode snapshot payloads; a malformed one is a protocol violation."""
+    try:
+        return [JobSnapshot.from_dict(item) for item in items]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed job snapshot: {exc!r}") from None
 
 
-class RemoteNavigationClient:
+class RemoteNavigationClient(NavigationClient):
     """A named tenant submitting navigation requests over the network.
 
     Parameters
@@ -206,18 +147,31 @@ class RemoteNavigationClient:
             )
         return payload
 
-    def _build(
-        self, task: TaskSpec | NavigationRequest, **kwargs
-    ) -> NavigationRequest:
-        if isinstance(task, NavigationRequest):
-            return task
-        kwargs.setdefault("tag", self.tenant)
-        kwargs.setdefault("tenant", self.tenant)
-        return NavigationRequest(task=task, **kwargs)
+    def _long_poll(self, method: str, path: str, timeout: float | None) -> dict:
+        """One round trip the server may hold open for ``timeout`` — capped
+        at ``MAX_POLL_SECONDS``, its ceiling for one request; the inherited
+        ``result`` / ``drain`` / ``watch`` chain rounds for longer waits."""
+        window = MAX_POLL_SECONDS if timeout is None else timeout
+        window = max(0.0, min(window, MAX_POLL_SECONDS))
+        return self._call(
+            method, f"{path}timeout={window:.3f}", retry=True, extra_timeout=window
+        )
 
-    def _submit_specs(self, specs: list[dict], *, batch: bool) -> list[str]:
+    def health(self) -> dict:
+        """Liveness probe; raises :class:`ServingError` when unreachable."""
+        payload = self._call("GET", "/health", retry=True)
+        HealthResponse.from_wire(payload)  # validate the wire shape
+        return payload
+
+    # ------------------------------------------------- transport primitives
+    def _submit_requests(self, requests: list[NavigationRequest]) -> list[str]:
+        """One POST and one idempotency key per call: a retry after a lost
+        response replays the same key and re-lands on the original jobs, so
+        a batch can never double-enqueue, wholly or partially."""
         request = SubmitRequest(
-            specs=specs, idempotency_key=str(uuid.uuid4()), batch=batch
+            specs=[r.to_dict() for r in requests],
+            idempotency_key=str(uuid.uuid4()),
+            batch=True,
         )
         payload = self._call(
             "POST",
@@ -228,126 +182,38 @@ class RemoteNavigationClient:
         )
         return SubmitResponse.from_wire(payload).job_ids
 
-    # ------------------------------------------------------------------ API
-    def health(self) -> dict:
-        """Liveness probe; raises :class:`ServingError` when unreachable."""
-        payload = self._call("GET", "/health", retry=True)
-        HealthResponse.from_wire(payload)  # validate the wire shape
-        return payload
+    def _poll_result(self, job_id: str, window: float | None) -> JobResult | None:
+        payload = self._long_poll("GET", f"/jobs/{job_id}/result?", window)
+        response = ResultResponse.from_wire(payload)
+        if not response.done:
+            return None
+        if response.error is not None:
+            raise decode_error(response.error)
+        if response.result is None:
+            raise ProtocolError(
+                f"terminal result response for {job_id} carries "
+                "neither result nor error"
+            )
+        return JobResult.from_dict(response.result)
 
-    def submit(
-        self, task: TaskSpec | NavigationRequest, **kwargs
-    ) -> RemoteJobHandle:
-        """Submit one request (a :class:`TaskSpec` plus request kwargs, or a
-        ready-made :class:`NavigationRequest`)."""
-        request = self._build(task, **kwargs)
-        job_ids = self._submit_specs([request.to_dict()], batch=False)
-        return RemoteJobHandle(self, job_ids[0])
-
-    def submit_many(
-        self, tasks: list[TaskSpec | NavigationRequest], **kwargs
-    ) -> list[RemoteJobHandle]:
-        """Submit a batch; one handle per task, in order.  The batch rides
-        one POST (and one idempotency key), so a retried batch can never
-        partially double-enqueue."""
-        specs = [self._build(task, **kwargs).to_dict() for task in tasks]
-        return [
-            RemoteJobHandle(self, job_id)
-            for job_id in self._submit_specs(specs, batch=True)
-        ]
-
-    def navigate(
-        self,
-        task: TaskSpec | NavigationRequest,
-        *,
-        timeout: float | None = None,
-        **kwargs,
-    ) -> JobResult:
-        """Submit and block for the result (the one-call convenience)."""
-        return self.submit(task, **kwargs).result(timeout)
-
-    def navigate_many(
-        self,
-        tasks: list[TaskSpec | NavigationRequest],
-        *,
-        timeout: float | None = None,
-        **kwargs,
-    ) -> list[JobResult]:
-        """Submit a batch and block for every result, in submission order."""
-        handles = self.submit_many(tasks, **kwargs)
-        return [handle.result(timeout) for handle in handles]
+    def _poll_drain(self, window: float | None) -> list[JobSnapshot] | None:
+        payload = self._long_poll("POST", "/drain?", window)
+        response = DrainResponse.from_wire(payload)
+        return _snapshots(response.jobs) if response.done else None
 
     def snapshot(self, job_id: str) -> JobSnapshot:
-        """One consistent view of a job's observable state."""
         payload = self._call("GET", f"/jobs/{job_id}", retry=True)
         payload.pop("protocol", None)
-        return JobSnapshot.from_dict(payload)
-
-    def status(self, job_id: str) -> JobStatus:
-        """Current lifecycle state of a job."""
-        return self.snapshot(job_id).status
-
-    def result(self, job_id: str, timeout: float | None = None) -> JobResult:
-        """Block until the job finishes and return its result.
-
-        Implemented as chained long-poll rounds: the server holds each GET
-        up to ``MAX_POLL_SECONDS``, replies "not done yet", and the client
-        re-arms until the job lands or ``timeout`` elapses.  Outcomes match
-        the in-process path: :class:`~repro.errors.JobFailedError` on
-        FAILED, :class:`ServingError` on cancellation or timeout.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            # Poll before checking the deadline: timeout=0 is the
-            # non-blocking "return it if it's ready" probe, same as the
-            # in-process Condition.wait_for(pred, 0) checking once.
-            window = (
-                MAX_POLL_SECONDS
-                if deadline is None
-                else max(
-                    0.0, min(deadline - time.monotonic(), MAX_POLL_SECONDS)
-                )
-            )
-            payload = self._call(
-                "GET",
-                f"/jobs/{job_id}/result?timeout={window:.3f}",
-                retry=True,
-                extra_timeout=window,
-            )
-            response = ResultResponse.from_wire(payload)
-            if not response.done:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise ServingError(f"timed out waiting for {job_id}")
-                continue
-            if response.error is not None:
-                raise decode_error(response.error)
-            if response.result is None:
-                raise ProtocolError(
-                    f"terminal result response for {job_id} carries "
-                    "neither result nor error"
-                )
-            return JobResult.from_dict(response.result)
+        return _snapshots([payload])[0]
 
     def events(
         self, job_id: str, since: int = 0, timeout: float | None = None
     ) -> EventBatch:
-        """One long-poll round of a job's progress-event stream.
-
-        Mirrors ``NavigationServer.events`` exactly: events with
-        ``seq >= since`` (waiting up to ``timeout`` for the first new one,
-        capped server-side at ``MAX_POLL_SECONDS``), the ``next_seq`` to
-        resume from, the ring-drop ``gap``, and ``done`` once the stream
-        has ended.  Safe to retry: reading is idempotent.
-        """
+        # Safe to retry: reading is idempotent.
         if since < 0:
             raise ServingError("since must be non-negative")
-        window = MAX_POLL_SECONDS if timeout is None else timeout
-        window = max(0.0, min(window, MAX_POLL_SECONDS))
-        payload = self._call(
-            "GET",
-            f"/jobs/{job_id}/events?since={since}&timeout={window:.3f}",
-            retry=True,
-            extra_timeout=window,
+        payload = self._long_poll(
+            "GET", f"/jobs/{job_id}/events?since={since}&", timeout
         )
         response = EventsResponse.from_wire(payload)
         return EventBatch(
@@ -357,65 +223,14 @@ class RemoteNavigationClient:
             done=response.done,
         )
 
-    def watch(self, job_id: str, since: int = 0) -> Iterator[JobProgressEvent]:
-        """Stream a job's progress events until its stream ends.
-
-        Chained ``events`` rounds: each round resumes at the previous
-        ``next_seq``, so a dropped connection (the round retries) or a
-        recreated client loses nothing the server's ring still holds —
-        and anything the ring did drop surfaces as an explicit gap-marker
-        event rather than a silent skip.
-        """
-        return watch_events(
-            lambda since, timeout: self.events(job_id, since=since, timeout=timeout),
-            job_id,
-            since=since,
-        )
-
     def cancel(self, job_id: str) -> bool:
-        """Cancel a job (PENDING drop / cooperative RUNNING cancel)."""
         payload = self._call("POST", f"/jobs/{job_id}/cancel")
         return CancelResponse.from_wire(payload).cancelled
 
-    def drain(self, timeout: float | None = None) -> list[JobSnapshot]:
-        """Block until every accepted job is terminal; returns snapshots.
-
-        Raises :class:`ServingError` on timeout, like the in-process
-        ``server.drain``.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            # As in result(): always poll once, so timeout=0 still drains an
-            # already-idle server instead of raising unconditionally.
-            window = (
-                MAX_POLL_SECONDS
-                if deadline is None
-                else max(
-                    0.0, min(deadline - time.monotonic(), MAX_POLL_SECONDS)
-                )
-            )
-            payload = self._call(
-                "POST",
-                f"/drain?timeout={window:.3f}",
-                retry=True,
-                extra_timeout=window,
-            )
-            response = DrainResponse.from_wire(payload)
-            if response.done:
-                return [JobSnapshot.from_dict(job) for job in response.jobs]
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ServingError("timed out draining the server")
-
-    def stats(self) -> StatsResponse:
-        """Server-side profiling counters, store gauges and job census."""
-        return StatsResponse.from_wire(self._call("GET", "/stats", retry=True))
-
     def metrics(self) -> dict:
-        """One flat scrape of the server's metrics registry."""
         payload = self._call("GET", "/metrics", retry=True)
         return MetricsResponse.from_wire(payload).metrics
 
     def jobs(self) -> list[JobSnapshot]:
-        """Every accepted job's snapshot, in submission order."""
         payload = self._call("GET", "/jobs", retry=True)
-        return [JobSnapshot.from_dict(job) for job in payload["jobs"]]
+        return _snapshots(payload.get("jobs"))

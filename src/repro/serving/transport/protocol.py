@@ -77,7 +77,6 @@ __all__ = [
     "DrainResponse",
     "EventsResponse",
     "MetricsResponse",
-    "StatsResponse",
     "FleetRegisterRequest",
     "FleetRegisterResponse",
     "FleetHeartbeatRequest",
@@ -519,35 +518,6 @@ class MetricsResponse:
         if "metrics" not in payload:
             raise ProtocolError("metrics response carries no 'metrics'")
         return cls(metrics=dict(payload["metrics"]))
-
-
-@dataclass(frozen=True)
-class StatsResponse:
-    """``GET /v1/stats``: profiling counters, store gauges, job census."""
-
-    profiling: dict
-    store: dict
-    jobs: dict
-
-    def to_wire(self) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "profiling": self.profiling,
-            "store": self.store,
-            "jobs": self.jobs,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "StatsResponse":
-        check_protocol(payload)
-        try:
-            return cls(
-                profiling=payload["profiling"],
-                store=payload["store"],
-                jobs=payload["jobs"],
-            )
-        except KeyError as exc:
-            raise ProtocolError(f"stats response missing {exc}") from None
 
 
 # --------------------------------------------------------- fleet dataclasses

@@ -17,7 +17,6 @@ Endpoints (all under ``/v1``)::
     GET  /v1/jobs/<id>/events?since=&timeout=  long-poll the progress stream
     POST /v1/jobs/<id>/cancel           cancel (PENDING drop / RUNNING coop)
     POST /v1/drain?timeout=             long-poll until all jobs terminal
-    GET  /v1/stats                      profiling counters + store gauges
     GET  /v1/metrics                    flat MetricsRegistry scrape
     GET  /v1/fleet                      fleet census (executors, queues)
     GET  /v1/fleet/graph/<fingerprint>  graph arrays for remote executors
@@ -47,7 +46,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.errors import (
-    JobFailedError,
     ProtocolError,
     ReproError,
     ServerStoppingError,
@@ -81,7 +79,6 @@ from repro.serving.transport.protocol import (
     HealthResponse,
     MetricsResponse,
     ResultResponse,
-    StatsResponse,
     SubmitRequest,
     SubmitResponse,
     encode_error,
@@ -90,7 +87,7 @@ from repro.serving.transport.protocol import (
     parse_json,
     task_to_wire,
 )
-from repro.serving.types import JobStatus, NavigationRequest
+from repro.serving.types import NavigationRequest
 
 __all__ = ["NavigationHTTPServer"]
 
@@ -116,8 +113,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------- plumbing
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if self.server.transport.verbose:
-            super().log_message(format, *args)
+        """Quiet: long-polling makes per-request logs pure noise."""
 
     def _reply(self, code: int, payload: dict, *, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -186,8 +182,6 @@ class _Handler(BaseHTTPRequestHandler):
                     200,
                     HealthResponse(ok=True, jobs=len(nav.jobs())).to_wire(),
                 )
-            elif parts == ["stats"]:
-                self._reply(200, self.server.transport._stats().to_wire())
             elif parts == ["metrics"]:
                 self._reply(
                     200, MetricsResponse(nav.metrics.snapshot()).to_wire()
@@ -360,9 +354,6 @@ class NavigationHTTPServer:
         stopping the transport does not stop the navigation server.
     host / port:
         Bind address; port ``0`` picks a free ephemeral port (tests).
-    verbose:
-        Log one line per request to stderr (the stdlib handler default);
-        quiet by default because long-polling makes request logs noisy.
     """
 
     def __init__(
@@ -371,10 +362,8 @@ class NavigationHTTPServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        verbose: bool = False,
     ) -> None:
         self.navigation = navigation
-        self.verbose = verbose
         self._http = _Server((host, port), _Handler)
         self._http.transport = self
         self._thread: threading.Thread | None = None
@@ -474,28 +463,18 @@ class NavigationHTTPServer:
             return response
 
     def _poll_result(self, job_id: str, timeout: float) -> ResultResponse:
-        """One long-poll round: wait, then report the state it ended in."""
+        """One long-poll round: wait, then encode whatever outcome
+        ``NavigationServer.result`` returns or raises for a terminal job."""
         nav = self.navigation
         snapshot = nav.wait(job_id, timeout)
+        status = snapshot.status.value
         if not snapshot.done:
-            return ResultResponse(done=False, status=snapshot.status.value)
-        if snapshot.status is JobStatus.DONE:
-            result = nav.job(job_id).result
-            assert result is not None
-            return ResultResponse(
-                done=True,
-                status=snapshot.status.value,
-                result=result.to_dict(),
-            )
-        if snapshot.status is JobStatus.FAILED:
-            error = encode_error(
-                JobFailedError(job_id, snapshot.error or "", snapshot.traceback)
-            )
-        else:
-            error = encode_error(ServingError(f"{job_id} was cancelled"))
-        return ResultResponse(
-            done=True, status=snapshot.status.value, error=error
-        )
+            return ResultResponse(done=False, status=status)
+        try:
+            result = nav.result(job_id, 0)
+        except ServingError as exc:  # FAILED / CANCELLED, typed by result()
+            return ResultResponse(done=True, status=status, error=encode_error(exc))
+        return ResultResponse(done=True, status=status, result=result.to_dict())
 
     def _drain(self, timeout: float) -> DrainResponse:
         try:
@@ -506,43 +485,4 @@ class NavigationHTTPServer:
         return DrainResponse(
             done=done,
             jobs=[s.to_dict() for s in self.navigation.snapshots()],
-        )
-
-    def _stats(self) -> StatsResponse:
-        """The legacy ``/v1/stats`` shape, assembled from one registry scrape.
-
-        Everything here is a view over :attr:`NavigationServer.metrics` —
-        the registry is the single source, ``/v1/metrics`` is its raw
-        scrape, and this response is the backwards-compatible projection.
-        """
-        nav = self.navigation
-        snap = nav.metrics.snapshot()
-        census = {
-            "pending": int(snap.get("jobs_pending", 0)),
-            "running": int(snap.get("jobs_running", 0)),
-            "done": int(snap.get("jobs_done", 0)),
-            "failed": int(snap.get("jobs_failed", 0)),
-            "cancelled": int(snap.get("jobs_cancelled", 0)),
-        }
-        return StatsResponse(
-            profiling={
-                name: int(snap.get(f"profiling_{name}", 0))
-                for name in (
-                    "executed",
-                    "cache_hits",
-                    "deduplicated",
-                    "shared_inflight",
-                    "evictions",
-                )
-            },
-            store={
-                "entries": int(snap.get("store_entries", 0)),
-                "bytes": int(snap.get("store_bytes", 0)),
-                "pinned": int(snap.get("store_pinned", 0)),
-                "persistent": nav.store is not None,
-            },
-            jobs={
-                "total": int(snap.get("jobs_submitted", 0)),
-                **{k: v for k, v in census.items() if v},
-            },
         )

@@ -265,9 +265,9 @@ class TestEventStreamParity:
         # "reconnect": a brand-new client resumes mid-stream by seq alone
         if isinstance(client, RemoteNavigationClient):
             fresh = RemoteNavigationClient(client.url)
-            resumed = list(fresh.watch(handle.job_id, since=full[3].seq))
         else:
-            resumed = list(handle.watch(since=full[3].seq))
+            fresh = NavigationClient(client.server)
+        resumed = list(fresh.watch(handle.job_id, since=full[3].seq))
         assert [_semantic(e) for e in resumed] == [
             _semantic(e) for e in full[3:]
         ]
@@ -294,12 +294,8 @@ class TestEventStreamParity:
 
     def test_unknown_job_events_raise(self, client):
         client.submit(_task(), budget=8, profile_epochs=1).result(timeout=240)
-        if isinstance(client, RemoteNavigationClient):
-            with pytest.raises(UnknownJobError):
-                client.events("job-9999", timeout=0)
-        else:
-            with pytest.raises(UnknownJobError):
-                client.server.events("job-9999", timeout=0)
+        with pytest.raises(UnknownJobError):
+            client.events("job-9999", timeout=0)
 
 
 class TestSlowConsumer:
@@ -358,11 +354,11 @@ class TestMetricsEndpoint:
             "events_emitted"
         )
         assert scraped["store_entries"] == len(server.store)
-        # /v1/stats is a projection of the same registry
-        stats = client.stats()
-        assert stats.profiling["executed"] == scraped["profiling_executed"]
-        assert stats.jobs["total"] == scraped["jobs_submitted"]
-        assert stats.jobs["done"] == scraped["jobs_done"]
+        # the in-process client scrapes the same registry
+        local = NavigationClient(server).metrics()
+        assert local["profiling_executed"] == scraped["profiling_executed"]
+        assert local["jobs_submitted"] == scraped["jobs_submitted"]
+        assert local["jobs_done"] == scraped["jobs_done"]
 
     def test_bad_since_is_a_protocol_error(self, stack):
         _, http = stack

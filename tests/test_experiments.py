@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.config import TaskSpec
 from repro.experiments import (
@@ -16,7 +15,7 @@ from repro.experiments import (
     format_ratio,
     render_table,
 )
-from repro.experiments.cache import _recipe_key, profiling_records
+from repro.experiments.cache import _recipe_key, clear_cache, profiling_records
 from repro.config.space import DesignSpace
 from repro.config.settings import TrainingConfig
 
@@ -83,6 +82,28 @@ class TestRecordCache:
         first = profiling_records(task, **kwargs)
         second = profiling_records(task, **kwargs)
         assert first is second  # memory-cached, not re-profiled
+
+    def test_clear_cache_empties_the_store_dir(
+        self, small_graph, tmp_path, monkeypatch
+    ):
+        """Records go with their ``meta_<key>.json`` sidecars, and the
+        in-process memo goes too."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        task = TaskSpec(dataset="tiny", arch="sage", epochs=1)
+        kwargs = dict(
+            budget=2,
+            seed=3,
+            space=self._space(),
+            graph=small_graph,
+            include_templates=False,
+        )
+        first = profiling_records(task, **kwargs)
+        names = sorted(p.name for p in (tmp_path / "store").iterdir())
+        assert len(names) == 2 * len(first)
+        assert {n.split("_")[0] for n in names} == {"gt", "meta"}
+        clear_cache()
+        assert list((tmp_path / "store").iterdir()) == []
+        assert profiling_records(task, **kwargs) is not first
 
     def test_records_have_targets(self, small_graph):
         task = TaskSpec(dataset="tiny", arch="sage", epochs=1)

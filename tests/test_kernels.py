@@ -24,7 +24,6 @@ from repro.nn.models import build_model
 from repro.runtime.backend import RuntimeBackend
 from repro.runtime.kernels import (
     ParallelKernel,
-    ReorderKernel,
     SpmmKernel,
     get_kernel,
     kernel_counters,
@@ -103,7 +102,7 @@ class TestConfigKernelField:
         assert TrainingConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_describe_mentions_non_default_kernel(self):
-        assert "kernel=reorder" in TrainingConfig(kernel="reorder").describe()
+        assert "kernel=fused" in TrainingConfig(kernel="fused").describe()
         assert "kernel=" not in TrainingConfig().describe()
 
     def test_feature_vector_excludes_kernel(self):
@@ -295,7 +294,7 @@ class TestLossTrajectoryGuard:
 # -------------------------------------------------------- plans + counters
 class TestPlansAndCounters:
     def test_plan_cached_per_matrix_and_invalidated_on_mutation(self):
-        kernel = ReorderKernel()
+        kernel = get_kernel("reference")  # _plan lives on the base class
         matrix = _random_csr(64, 64, 0.1, seed=13)
         builds = []
 

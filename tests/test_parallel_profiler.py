@@ -120,6 +120,24 @@ class TestProfilingService:
         fresh.profile(tiny_task, configs[:1], graph=small_graph)
         assert fresh.stats.executed == 1
 
+    def test_record_naming_a_deleted_kernel_discarded(
+        self, small_graph, tiny_task, configs, tmp_path
+    ):
+        """A store written while ``kernel="reorder"`` existed: the entry no
+        longer validates, so it is dropped and re-measured — not raised."""
+        service = ProfilingService(cache_dir=tmp_path)
+        service.profile(tiny_task, configs[:1], graph=small_graph)
+        victim = next(tmp_path.glob("gt_*.json"))
+        envelope = json.loads(victim.read_text())
+        envelope["record"]["config"]["kernel"] = "reorder"
+        victim.write_text(json.dumps(envelope))
+
+        fresh = ProfilingService(cache_dir=tmp_path)
+        records = fresh.profile(tiny_task, configs[:1], graph=small_graph)
+        assert fresh.stats.executed == 1 and fresh.stats.cache_hits == 0
+        assert records[0].config.kernel == configs[0].kernel
+        assert json.loads(victim.read_text())["record"]["config"]["kernel"] != "reorder"
+
     def test_store_load_missing_key(self, tmp_path):
         assert ResultStore(tmp_path).load("deadbeef") is None
 

@@ -141,8 +141,7 @@ class TestClientParity:
 
     def test_unknown_job_id(self, client):
         handle = client.submit(_task(), budget=8, profile_epochs=1)
-        owner = getattr(handle, "server", None) or handle.client
-        bogus = type(handle)(owner, "job-9999")
+        bogus = type(handle)(handle.client, "job-9999")
         with pytest.raises(UnknownJobError):
             bogus.status  # noqa: B018 — the property raises
         with pytest.raises(UnknownJobError):
@@ -164,6 +163,56 @@ class TestClientParity:
         # probe on both transports — it returns, never times out
         assert handle.result(timeout=0.0) is not None
 
+    def test_status_drain_metrics_and_jobs(self, client):
+        handles = client.submit_many(
+            [_task(), _task()], budget=8, profile_epochs=1
+        )
+        snapshots = client.drain(timeout=240)
+        assert [s.job_id for s in snapshots] == [h.job_id for h in handles]
+        assert all(s.status is JobStatus.DONE for s in snapshots)
+        assert client.status(handles[0].job_id) is JobStatus.DONE
+        assert client.jobs() == snapshots
+        assert all(s.tenant == "team-a" for s in snapshots)
+        metrics = client.metrics()
+        assert metrics["jobs_submitted"] == metrics["jobs_done"] == 2
+        assert metrics["store_persistent"] == 1
+        with pytest.raises(ServingError, match="timed out draining"):
+            client.submit(_task(seed=7), budget=8, profile_epochs=1)
+            client.drain(timeout=0.0)
+        # timeout=0 on an idle server is the non-blocking probe: it returns
+        assert len(client.drain(timeout=240)) == 3
+        assert len(client.drain(timeout=0.0)) == 3
+
+
+def test_one_tenant_surface_two_transports():
+    """The tenant surface is written once: the HTTP client adds ``health``
+    and overrides the transport primitives — nothing else."""
+
+    def public(cls):
+        return {n for n in dir(cls) if not n.startswith("_")}
+
+    assert public(RemoteNavigationClient) - public(NavigationClient) == {"health"}
+    assert public(NavigationClient) <= public(RemoteNavigationClient)
+    overridden = {
+        name
+        for name in vars(RemoteNavigationClient)
+        if name != "__init__" and hasattr(NavigationClient, name)
+        and callable(getattr(NavigationClient, name))
+    }
+    assert overridden == {
+        "_submit_requests",
+        "_poll_result",
+        "_poll_drain",
+        "snapshot",
+        "events",
+        "cancel",
+        "metrics",
+        "jobs",
+    }
+    # one handle class, whichever transport handed it out
+    for name in ("submit", "submit_many", "navigate", "navigate_many", "watch", "_build"):
+        assert name not in vars(RemoteNavigationClient)
+
 
 class TestRemoteClient:
     def test_health_and_stats(self, stack):
@@ -172,11 +221,30 @@ class TestRemoteClient:
         health = client.health()
         assert health["ok"] and health["protocol"] == PROTOCOL_VERSION
         client.submit(_task(), budget=8, profile_epochs=1).result(timeout=240)
-        stats = client.stats()
-        assert stats.profiling["executed"] == server.stats.executed > 0
-        assert stats.store["persistent"] is True
-        assert stats.store["entries"] == len(server.store)
-        assert stats.jobs["done"] == 1
+        metrics = client.metrics()
+        assert metrics["profiling_executed"] == server.stats.executed > 0
+        assert metrics["store_persistent"] == 1
+        assert metrics["store_entries"] == len(server.store)
+        assert metrics["jobs_done"] == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"protocol": PROTOCOL_VERSION},  # no 'jobs' / no 'status'
+            {"protocol": PROTOCOL_VERSION, "jobs": 7, "status": "done"},
+            {"protocol": PROTOCOL_VERSION, "jobs": [{"job_id": "job-0000"}],
+             "job_id": "job-0000", "status": "no-such-status"},
+            {"protocol": PROTOCOL_VERSION, "jobs": [{"status": "done", "bogus": 1}],
+             "job_id": "job-0000", "status": "done", "bogus": 1},
+        ],
+    )
+    def test_malformed_snapshot_bodies_are_protocol_errors(self, body):
+        client = RemoteNavigationClient("http://unused.invalid")
+        client._call = lambda *args, **kwargs: dict(body)
+        with pytest.raises(ProtocolError, match="malformed job snapshot"):
+            client.jobs()
+        with pytest.raises(ProtocolError, match="malformed job snapshot"):
+            client.snapshot("job-0000")
 
     def test_unknown_job_maps_to_404_and_typed_error(self, stack):
         _, http = stack
