@@ -7,7 +7,9 @@ primitives here cover every model we implement:
 * :func:`scatter_add` / :func:`scatter_mean` — reduce edge messages to nodes;
 * :func:`segment_softmax` — per-destination softmax for GAT attention;
 * :func:`spmm` — CSR sparse × dense matmul (fixed topology, differentiable in
-  the dense operand), used by GCN/SAGE mean aggregation for speed.
+  the dense operand), used by GCN/SAGE mean aggregation for speed;
+* :func:`normalized_adjacency` / :func:`row_block` — the propagation matrix
+  of a (sub)graph and the rectangular share of it one layer multiplies by.
 """
 
 from __future__ import annotations
@@ -16,19 +18,36 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd.tensor import Tensor, as_tensor
+from repro.graphs.csr import row_slots
 
-__all__ = ["gather", "scatter_add", "scatter_mean", "segment_softmax", "spmm", "normalized_adjacency"]
+__all__ = [
+    "gather",
+    "scatter_add",
+    "scatter_mean",
+    "segment_softmax",
+    "spmm",
+    "normalized_adjacency",
+    "row_block",
+]
 
 
-def gather(x: Tensor, index: np.ndarray) -> Tensor:
-    """Rows ``x[index]`` with scatter-add backward."""
+def gather(x: Tensor, index: np.ndarray, *, unique: bool = False) -> Tensor:
+    """Rows ``x[index]`` with scatter-add backward.
+
+    ``unique=True`` promises ``index`` has no repeats, so the backward
+    writes the rows instead of accumulating them (``np.add.at`` is ~20x
+    slower than an assignment).
+    """
     x = as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
     out = x.data[index]
 
     def backward(grad: np.ndarray) -> None:
         full = np.zeros_like(x.data)
-        np.add.at(full, index, grad)
+        if unique:
+            full[index] = grad
+        else:
+            np.add.at(full, index, grad)
         x._accumulate_fresh(full)
 
     return Tensor._make(out, (x,), backward)
@@ -130,6 +149,23 @@ def spmm(
     return Tensor._make(np.asarray(out), (x,), backward)
 
 
+def _canonical_csr(
+    data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]
+) -> sp.csr_matrix:
+    """A CSR matrix over arrays known to be sorted and duplicate-free.
+
+    The constructor would re-validate the three arrays and copy the index
+    arrays down to int32; the per-batch builders here have just produced
+    them canonical, and the int64 they carry is what numpy gathers fastest
+    with when the next block is cut from the result.
+    """
+    out = sp.csr_matrix(shape, dtype=data.dtype)
+    out.data, out.indices, out.indptr = data, indices, indptr
+    out.has_sorted_indices = True
+    out.has_canonical_format = True
+    return out
+
+
 def normalized_adjacency(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -144,24 +180,93 @@ def normalized_adjacency(
     ``mode='sym'`` gives the GCN propagation matrix; ``mode='row'`` gives the
     mean aggregator used by GraphSAGE.  Values use the autograd default dtype
     unless overridden, so spmm products do not silently upcast.
+
+    The result is canonical CSR (sorted, duplicate-free) in both modes.  For
+    the input every graph in this repo produces — sorted duplicate-free rows
+    without self-loops — it is built in one pass: the diagonal is spliced
+    into each row and the values are written straight from the degrees.
+    Anything else (unsorted rows, repeated columns, stored self-loops, which
+    ``A + I`` weighs 2) is first canonicalised by scipy.
     """
     from repro.autograd.tensor import get_default_dtype
 
-    dtype = dtype or get_default_dtype()
-    n_edges = indices.size
-    src = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
-    adj = sp.csr_matrix(
-        (np.ones(n_edges, dtype=dtype), (src, indices)),
-        shape=(num_nodes, num_nodes),
-    )
-    if add_self_loops:
-        adj = adj + sp.eye(num_nodes, format="csr", dtype=dtype)
-    deg = np.asarray(adj.sum(axis=1)).ravel()
-    deg = np.maximum(deg, 1.0)
+    if mode not in ("sym", "row"):
+        raise ValueError(f"unknown normalisation mode {mode!r}")
+    dtype = np.dtype(dtype or get_default_dtype())
+    n = int(num_nodes)
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    counts = np.diff(indptr)
+    # Every stored entry weighs 1, so a row's weight is its stored length
+    # (plus the loop) whatever the canonicalising below merges.
+    deg = np.maximum(counts + bool(add_self_loops), 1).astype(dtype)
+    scale = (1.0 / (np.sqrt(deg) if mode == "sym" else deg)).astype(dtype)
+
+    ids = np.arange(n, dtype=np.int64)
+    rows = np.repeat(ids, counts)
+    ascending = indices[1:] > indices[:-1]
+    starts = indptr[1:-1]  # a column may drop where the next row starts
+    ascending[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    weights = None
+    if not ascending.all() or (add_self_loops and (indices == rows).any()):
+        adj = sp.csr_matrix(
+            (np.ones(indices.size, dtype=dtype), indices, indptr), shape=(n, n)
+        )
+        adj.sum_duplicates()
+        if add_self_loops:
+            adj = adj + sp.eye(n, format="csr", dtype=dtype)
+        indptr = adj.indptr.astype(np.int64)
+        indices = adj.indices.astype(np.int64)
+        weights = adj.data
+        counts = np.diff(indptr)
+    elif add_self_loops:
+        # Each row grows by one slot: an entry moves right by one slot per
+        # earlier row, plus one when it sits right of its own diagonal.
+        # Filling every new row with its own id first leaves exactly the
+        # diagonal behind once the old entries are written over it.
+        slot = np.arange(indices.size, dtype=np.int64)
+        slot += rows
+        slot += indices > rows
+        counts = counts + 1
+        spliced = np.repeat(ids, counts)
+        spliced[slot] = indices
+        indptr, indices = indptr + np.arange(n + 1, dtype=np.int64), spliced
+
+    data = np.repeat(scale, counts)
+    if weights is not None:
+        data *= weights  # (d_i * a_ij) * d_j: the order a scipy product rounds in
     if mode == "sym":
-        d_inv_sqrt = sp.diags((1.0 / np.sqrt(deg)).astype(dtype))
-        return (d_inv_sqrt @ adj @ d_inv_sqrt).tocsr()
-    if mode == "row":
-        d_inv = sp.diags((1.0 / deg).astype(dtype))
-        return (d_inv @ adj).tocsr()
-    raise ValueError(f"unknown normalisation mode {mode!r}")
+        data *= scale[indices]
+    return _canonical_csr(data, indices, indptr, (n, n))
+
+
+def row_block(
+    matrix: sp.csr_matrix, rows: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray | None]:
+    """``matrix[rows]`` restricted to the columns those rows touch.
+
+    Returns the block, the position of each of ``rows`` among the block's
+    columns, and the columns themselves (sorted ids of ``matrix``), or
+    ``None`` when every column is touched and nothing was relabelled.
+    ``rows`` must be sorted and distinct; they count as touched, so a layer
+    can always read its own previous embedding.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    n = matrix.shape[1]
+    flat, indptr = row_slots(matrix.indptr, rows)
+    indices = matrix.indices[flat]
+    touched = np.zeros(n, dtype=bool)
+    touched[indices] = True
+    touched[rows] = True
+    columns = np.flatnonzero(touched)
+    self_index = rows
+    if columns.size == n:
+        columns = None
+    else:
+        # the relabel map is only read where ``touched`` holds: never filled
+        lookup = np.empty(n, dtype=np.int64)
+        lookup[columns] = np.arange(columns.size, dtype=np.int64)
+        indices, self_index = lookup[indices], lookup[rows]
+        n = columns.size
+    block = _canonical_csr(matrix.data[flat], indices, indptr, (rows.size, n))
+    return block, self_index, columns

@@ -245,8 +245,11 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate_fresh(grad * other.data)
-            other._accumulate_fresh(grad * self.data)
+            # a product is only worth forming for an operand that keeps it
+            if self.requires_grad:
+                self._accumulate_fresh(grad * other.data)
+            if other.requires_grad:
+                other._accumulate_fresh(grad * self.data)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -257,8 +260,10 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate_fresh(grad / other.data)
-            other._accumulate_fresh(-grad * self.data / (other.data**2))
+            if self.requires_grad:
+                self._accumulate_fresh(grad / other.data)
+            if other.requires_grad:
+                other._accumulate_fresh(-grad * self.data / (other.data**2))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -280,8 +285,12 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate_fresh(grad @ other.data.swapaxes(-1, -2))
-            other._accumulate_fresh(self.data.swapaxes(-1, -2) @ grad)
+            # in every first layer ``self`` is the constant feature matrix:
+            # its gradient would be the largest product of the step
+            if self.requires_grad:
+                self._accumulate_fresh(grad @ other.data.swapaxes(-1, -2))
+            if other.requires_grad:
+                other._accumulate_fresh(self.data.swapaxes(-1, -2) @ grad)
 
         return Tensor._make(out_data, (self, other), backward)
 

@@ -17,7 +17,19 @@ import numpy as np
 
 from repro.errors import GraphError
 
-__all__ = ["CSRGraph", "dedup_edges"]
+__all__ = ["CSRGraph", "dedup_edges", "row_slots"]
+
+
+def row_slots(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in a CSR index array of every entry of ``rows``, row by row
+    in the order given, and the row pointer of that selection."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    bounds = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    flat = np.arange(bounds[-1], dtype=np.int64)
+    flat += np.repeat(starts - bounds[:-1], counts)
+    return flat, bounds
 
 
 def dedup_edges(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,51 +149,54 @@ class CSRGraph:
     ) -> tuple[np.ndarray, np.ndarray]:
         """All directed edges leaving ``nodes`` as ``(src, dst)`` arrays.
 
-        Fully vectorised; the workhorse behind samplers and subgraph
-        induction.
+        Fully vectorised; the workhorse behind the samplers.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        if nodes.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        starts = self.indptr[nodes]
-        counts = self._degrees[nodes]
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        offsets = np.zeros(nodes.size, dtype=np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        flat = np.arange(total, dtype=np.int64)
-        flat += np.repeat(starts - offsets, counts)
-        return np.repeat(nodes, counts), self.indices[flat]
+        flat, bounds = row_slots(self.indptr, nodes)
+        return np.repeat(nodes, np.diff(bounds)), self.indices[flat]
 
-    def induced_subgraph(self, nodes: np.ndarray) -> tuple["CSRGraph", np.ndarray]:
+    def induced_subgraph(
+        self, nodes: np.ndarray, *, with_data: bool = True
+    ) -> tuple["CSRGraph", np.ndarray]:
         """Induced subgraph on ``nodes``.
 
         Returns the subgraph (with rows relabelled ``0..len(nodes)-1`` in
         sorted-global-id order, and features/labels sliced when present) and
         the original node ids, so callers can map embeddings back.
+
+        ``with_data=False`` returns topology only.  That is what a sampler
+        hands over: the training step gathers the feature rows it reads
+        itself, so slicing them into every mini-batch would copy them twice.
+
+        Membership and de-duplication share one ``|V|``-sized bitmap, and
+        the relabel map is only read at member positions, so it is never
+        filled.
         """
-        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-        if nodes.size and (nodes[0] < 0 or nodes[-1] >= self.num_nodes):
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
             raise GraphError("subgraph node id out of range")
-        lookup = np.full(self.num_nodes, -1, dtype=np.int64)
+        member = np.zeros(self.num_nodes, dtype=bool)
+        member[nodes] = True
+        nodes = np.flatnonzero(member)
+        lookup = np.empty(self.num_nodes, dtype=np.int64)
         lookup[nodes] = np.arange(nodes.size, dtype=np.int64)
 
-        src, dst = self.gather_neighborhoods(nodes)
-        keep = lookup[dst] >= 0
-        src, dst = lookup[src[keep]], lookup[dst[keep]]
-        counts = np.bincount(src, minlength=nodes.size)
-        sub_indptr = np.zeros(nodes.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=sub_indptr[1:])
-        # ``src`` is sorted because ``nodes`` is iterated in ascending order,
-        # and within each row ``dst`` stays sorted: every construction path
-        # (from_edges, generators) emits row-sorted indices and the relabel
-        # map is monotonic over the kept vertices.  No sort needed.
+        flat, bounds = row_slots(self.indptr, nodes)
+        dst = self.indices[flat]
+        keep = member[dst]
+        # A row keeps the edges between its first and last slot, so its
+        # pointer is the running count of kept edges read at the old row
+        # boundaries.  Rows stay sorted: every construction path emits
+        # row-sorted indices and the relabel map is monotonic.
+        kept = np.zeros(dst.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        features = self.features if with_data else None
+        labels = self.labels if with_data else None
         sub = CSRGraph(
-            indptr=sub_indptr,
-            indices=dst,
-            features=None if self.features is None else self.features[nodes],
-            labels=None if self.labels is None else self.labels[nodes],
+            indptr=kept[bounds],
+            indices=lookup[dst[keep]],
+            features=None if features is None else features[nodes],
+            labels=None if labels is None else labels[nodes],
             num_classes=self.num_classes,
             name=f"{self.name}:sub",
         )

@@ -2,7 +2,8 @@
 
 Layers consume a :class:`Propagation` — the per-mini-batch message-passing
 structure built once from a sampled subgraph and shared by all layers, so the
-normalised adjacency is not recomputed per layer.
+normalised adjacency is not recomputed per layer — or one of the per-layer
+:class:`Block` objects it cuts when only some output rows are read.
 
 A :class:`Propagation` may carry an
 :class:`~repro.runtime.kernels.SpmmKernel` instance (duck-typed — this
@@ -20,13 +21,19 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd.functional import leaky_relu
-from repro.autograd.sparse import normalized_adjacency, segment_softmax, spmm
+from repro.autograd.sparse import (
+    gather,
+    normalized_adjacency,
+    row_block,
+    segment_softmax,
+    spmm,
+)
 from repro.autograd.tensor import Tensor
 from repro.nn.init import glorot_uniform, zeros
 from repro.nn.linear import Linear
 from repro.nn.module import Module, Parameter
 
-__all__ = ["Propagation", "GCNConv", "SAGEConv", "GATConv"]
+__all__ = ["Propagation", "Block", "GCNConv", "SAGEConv", "GATConv"]
 
 
 def _spmm(prop: "Propagation", matrix: sp.csr_matrix, x: Tensor, **kwargs) -> Tensor:
@@ -48,6 +55,32 @@ def _activate(x: Tensor, activation: str | None) -> Tensor:
     raise ValueError(f"unknown activation {activation!r}")
 
 
+class Block:
+    """One layer's rectangular share ``A[rows][:, columns]`` of a propagation
+    matrix: it maps the embeddings of ``columns`` to those of ``rows``.
+
+    ``self_index`` locates each output row among the input rows (the
+    diagonal of ``A`` keeps ``rows`` ⊆ ``columns``).  Layers read a block
+    through the same three members they read a :class:`Propagation` through:
+    ``kernel``, :meth:`operator` and :meth:`self_rows`.
+    """
+
+    def __init__(self, matrix: sp.csr_matrix, self_index: np.ndarray, kernel) -> None:
+        self.matrix = matrix
+        self.self_index = self_index
+        self.kernel = kernel
+
+    def operator(self, mode: str) -> tuple[sp.csr_matrix, dict]:
+        """The block and the ``spmm`` keywords naming its transpose: none —
+        ``spmm`` transposes on the first backward that reaches it, and the
+        first layer's input takes no gradient."""
+        return self.matrix, {}
+
+    def self_rows(self, x: Tensor) -> Tensor:
+        """The input rows that are this block's output vertices."""
+        return gather(x, self.self_index, unique=True)
+
+
 class Propagation:
     """Message-passing structure of one (sub)graph, built lazily.
 
@@ -56,6 +89,11 @@ class Propagation:
     attention layers.  ``kernel`` optionally selects the SpMM execution
     backend; kernels cache their per-matrix plans on the matrices this
     object memoises, so plans live exactly one topology.
+
+    ``rows`` (sorted, distinct) names the vertices whose output the caller
+    reads — the loss targets of a mini-batch; ``None`` means all of them.
+    A model returns exactly those rows and, through :meth:`blocks`, computes
+    nothing else that they do not depend on.
     """
 
     def __init__(
@@ -65,20 +103,57 @@ class Propagation:
         num_nodes: int,
         *,
         kernel=None,
+        rows: np.ndarray | None = None,
     ) -> None:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.num_nodes = int(num_nodes)
         self.kernel = kernel
+        self.rows = None if rows is None else np.asarray(rows, dtype=np.int64)
         self._sym: sp.csr_matrix | None = None
         self._row: sp.csr_matrix | None = None
         self._row_t: sp.csr_matrix | None = None
         self._coo: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def from_graph(cls, graph, *, kernel=None) -> "Propagation":
+    def from_graph(cls, graph, *, kernel=None, rows=None) -> "Propagation":
         """Build from any object with ``indptr``/``indices``/``num_nodes``."""
-        return cls(graph.indptr, graph.indices, graph.num_nodes, kernel=kernel)
+        return cls(graph.indptr, graph.indices, graph.num_nodes, kernel=kernel, rows=rows)
+
+    def operator(self, mode: str) -> tuple[sp.csr_matrix, dict]:
+        """The square ``mode`` matrix and the ``spmm`` keywords naming its
+        transpose."""
+        if mode == "sym":
+            return self.sym, {"symmetric": True}
+        return self.row, {"transposed": self.row_t}
+
+    def self_rows(self, x: Tensor) -> Tensor:
+        """Square: every input row is an output vertex."""
+        return x
+
+    def blocks(self, mode: str, num_layers: int) -> tuple[list, np.ndarray | None]:
+        """What each of ``num_layers`` stacked layers multiplies by, first
+        layer first, and the rows of the input the first one reads.
+
+        Working back from ``rows``, layer ``l`` gets the rows of the ``mode``
+        matrix its successor reads, restricted to the columns they touch —
+        which are the rows layer ``l - 1`` must produce.  Normalisation is
+        that of the whole (sub)graph, so the result equals computing every
+        row and selecting.  Where the closure reaches every vertex (and
+        always when ``rows`` is ``None``) the block is this object itself
+        and the input rows are ``None``, meaning all.
+        """
+        blocks: list = []
+        rows = self.rows
+        for _ in range(num_layers):
+            if rows is None or rows.size == self.num_nodes:
+                blocks.append(self)
+                rows = None
+            else:
+                square = self.sym if mode == "sym" else self.row
+                matrix, self_index, rows = row_block(square, rows)
+                blocks.append(Block(matrix, self_index, self.kernel))
+        return blocks[::-1], rows
 
     @property
     def sym(self) -> sp.csr_matrix:
@@ -157,18 +232,19 @@ class GCNConv(Module):
         self, x: Tensor, prop: Propagation, *, activation: str | None = None
     ) -> Tensor:
         kernel = prop.kernel
+        matrix, transpose = prop.operator("sym")
         if kernel is not None and kernel.fuses_epilogue:
             # Reassociate (A X) W -> A (X W) so bias + activation fuse into
             # the aggregation (tolerance-bounded vs reference; see
             # docs/kernels.md).
             return kernel.spmm_epilogue(
-                prop.sym,
+                matrix,
                 x @ self.lin.weight,
                 bias=self.lin.bias,
                 activation=activation,
-                symmetric=True,
+                **transpose,
             )
-        return _activate(self.lin(_spmm(prop, prop.sym, x, symmetric=True)), activation)
+        return _activate(self.lin(_spmm(prop, matrix, x, **transpose)), activation)
 
 
 class SAGEConv(Module):
@@ -189,17 +265,17 @@ class SAGEConv(Module):
         self, x: Tensor, prop: Propagation, *, activation: str | None = None
     ) -> Tensor:
         kernel = prop.kernel
+        matrix, transpose = prop.operator("row")
+        own = self.lin_self(prop.self_rows(x))
         if kernel is not None and kernel.fuses_epilogue:
             return kernel.spmm_epilogue(
-                prop.row,
+                matrix,
                 x @ self.lin_neigh.weight,
-                add=self.lin_self(x),
+                add=own,
                 activation=activation,
-                transposed=prop.row_t,
+                **transpose,
             )
-        out = self.lin_self(x) + self.lin_neigh(
-            _spmm(prop, prop.row, x, transposed=prop.row_t)
-        )
+        out = own + self.lin_neigh(_spmm(prop, matrix, x, **transpose))
         return _activate(out, activation)
 
 

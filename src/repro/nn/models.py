@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.functional import dropout, elu, log_softmax, relu
+from repro.autograd.sparse import gather
 from repro.autograd.tensor import Tensor
 from repro.nn.graphconv import GATConv, GCNConv, Propagation, SAGEConv
 from repro.nn.module import Module
@@ -99,22 +100,38 @@ class GNN(Module):
         self.layers = layers
 
     def forward(self, x: Tensor, prop: Propagation) -> Tensor:
+        """Log-probabilities of ``prop.rows`` (every vertex when ``None``)
+        from the features ``x`` of all of ``prop``'s vertices.
+
+        GCN/SAGE layers multiply by ``prop``'s per-layer blocks, so only the
+        rows the result depends on are computed; attention normalises over
+        whole neighbourhoods through per-edge operators, so GAT computes
+        every row and selects.
+        """
         # Fusing kernels take the hidden-layer relu inside the aggregation
-        # call; the dropout rng draw order stays identical either way, so
-        # switching kernels never desynchronises the mask sequence.
+        # call; the dropout draws have the same shapes and order either way,
+        # so switching kernels never desynchronises the mask sequence.
         kernel = getattr(prop, "kernel", None)
         fuse = kernel is not None and kernel.fuses_epilogue and self.arch != "gat"
-        h = x
-        for i, layer in enumerate(self.layers):
+        if self.arch == "gat":
+            blocks, inputs = [prop] * self.num_layers, None
+        else:
+            blocks, inputs = prop.blocks(
+                "sym" if self.arch == "gcn" else "row", self.num_layers
+            )
+        h = x if inputs is None else x[inputs]
+        for i, (layer, block) in enumerate(zip(self.layers, blocks, strict=True)):
             last = i == self.num_layers - 1
             if fuse:
-                h = layer(h, prop, activation=None if last else "relu")
+                h = layer(h, block, activation=None if last else "relu")
             else:
-                h = layer(h, prop)
+                h = layer(h, block)
                 if not last:
                     h = elu(h) if self.arch == "gat" else relu(h)
             if not last:
                 h = dropout(h, self.dropout_p, training=self.training, rng=self._rng)
+        if self.arch == "gat" and prop.rows is not None:
+            h = gather(h, prop.rows, unique=True)
         return log_softmax(h, axis=-1)
 
 

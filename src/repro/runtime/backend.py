@@ -174,21 +174,25 @@ class RuntimeBackend:
 
     # ------------------------------------------------------------- mechanics
     def _train_step(self, batch) -> float:
-        """One real forward/backward/optimize step on the sampled subgraph."""
-        sub = batch.subgraph
-        x = Tensor(self._features[batch.nodes])
-        prop = Propagation.from_graph(sub, kernel=self.kernel)
-        self.model.train()
-        self.optimizer.zero_grad()
-        out = self.model(x, prop)
+        """One real forward/backward/optimize step on the sampled subgraph.
+
+        The model is told which rows the loss reads, so it computes those
+        and what they depend on — not every vertex of the subgraph.
+        """
         # Subgraph samplers (GraphSAINT) mark every subgraph vertex as a loss
         # target; restrict to training vertices so val/test labels never leak.
         target_index = batch.target_index
         target_index = target_index[self._train_mask[batch.nodes[target_index]]]
         if target_index.size == 0:
             return float("nan")
-        targets = self.graph.labels[batch.nodes[target_index]]
-        loss = nll_loss(out[target_index], targets)
+        x = Tensor(self._features[batch.nodes])
+        prop = Propagation.from_graph(
+            batch.subgraph, kernel=self.kernel, rows=target_index
+        )
+        self.model.train()
+        self.optimizer.zero_grad()
+        out = self.model(x, prop)
+        loss = nll_loss(out, self.graph.labels[batch.nodes[target_index]])
         loss.backward()
         self.optimizer.step()
         return float(loss.item())

@@ -70,7 +70,14 @@ _META_VERSION = 1
 #: runtime backend or cost model changes what a profiling run would measure
 #: (new cost term, changed sampler semantics, ...).  It is folded into the
 #: candidate key, so stale entries simply stop matching and re-measure.
-GROUND_TRUTH_VERSION = 1
+#:
+#: 2 — the batch path was rebuilt (PR 13): ``fanout_step`` ranks with one
+#: ``group + key`` sort and the layer-wise sampler with Efraimidis–Spirakis
+#: keys, so the same seed draws different neighbours; GCN/SAGE layers
+#: multiply by per-layer row blocks and dropout masks cover only the rows a
+#: layer produces, so float32 sums reassociate and the mask sequence differs.
+#: Losses and accuracies of version 1 are not reproducible by this code.
+GROUND_TRUTH_VERSION = 2
 
 #: task fields that determine a profiling run, derived from the dataclass so
 #: new fields join the key automatically (``extra`` is compare-excluded and

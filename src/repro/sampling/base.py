@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import SamplingError
 from repro.graphs.csr import CSRGraph
 
-__all__ = ["SampleBatch", "Sampler", "fanout_step"]
+__all__ = ["SampleBatch", "Sampler", "fanout_step", "distinct_sorted", "selection_keys"]
 
 
 @dataclass
@@ -46,6 +46,32 @@ class SampleBatch:
         return self.subgraph.num_edges
 
 
+def distinct_sorted(ids: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Sorted distinct vertex ids through a ``|V|``-sized bitmap.
+
+    numpy 2.x answers ``np.unique`` on integers with a hash table; for ids
+    bounded by ``|V|`` one scatter and one scan are an order of magnitude
+    cheaper, and every sampler unions its picks this way.
+    """
+    seen = np.zeros(num_nodes, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
+
+
+def selection_keys(
+    count: int, weights: np.ndarray | None, rng: np.random.Generator
+) -> np.ndarray:
+    """Efraimidis–Spirakis keys in ``[0, 1)``: the ``k`` largest of a set
+    are a weighted sample of it without replacement (uniform when
+    ``weights`` is ``None``)."""
+    keys = rng.random(count)
+    if weights is None:
+        return keys
+    if np.any(weights <= 0):
+        raise SamplingError("bias weights must be strictly positive")
+    return keys ** (1.0 / weights)
+
+
 def fanout_step(
     graph: CSRGraph,
     frontier: np.ndarray,
@@ -59,31 +85,27 @@ def fanout_step(
     ``weights`` (per global vertex, positive) bias the neighbour choice —
     the ``p(η)`` hook of Eq. 2.  Uses Efraimidis–Spirakis exponential keys so
     the whole step is vectorised: neighbour ``u`` of ``v`` is kept when its
-    key ranks in the top ``k`` of ``v``'s neighbourhood.
+    key ranks in the top ``k`` of ``v``'s neighbourhood.  Returns the sorted
+    union of the picks.
     """
     if k <= 0:
         raise SamplingError("fanout k must be positive")
     frontier = np.asarray(frontier, dtype=np.int64)
-    src, dst = graph.gather_neighborhoods(frontier)
+    _, dst = graph.gather_neighborhoods(frontier)
     if dst.size == 0:
         return np.empty(0, dtype=np.int64)
+    keys = selection_keys(dst.size, None if weights is None else weights[dst], rng)
 
-    if weights is None:
-        keys = rng.random(dst.size)
-    else:
-        w = weights[dst]
-        if np.any(w <= 0):
-            raise SamplingError("bias weights must be strictly positive")
-        keys = rng.random(dst.size) ** (1.0 / w)
-
-    # Rank edges per source vertex by key (descending) and keep rank < k.
-    order = np.lexsort((-keys, src))
-    src_sorted = src[order]
-    boundaries = np.concatenate([[True], src_sorted[1:] != src_sorted[:-1]])
-    group_start = np.maximum.accumulate(np.where(boundaries, np.arange(src_sorted.size), 0))
-    rank = np.arange(src_sorted.size) - group_start
-    chosen = order[rank < k]
-    return np.unique(dst[chosen])
+    # The edges arrive grouped by frontier position, so one sort of
+    # ``group + key`` ranks every neighbourhood at once: groups keep their
+    # slots and keys ascend inside each, which puts a group's top ``k`` in
+    # the last ``k`` slots before its end.
+    counts = graph.degrees[frontier]
+    group = np.repeat(np.arange(frontier.size), counts)
+    order = np.argsort(group + keys)
+    ends = np.cumsum(counts)
+    chosen = order[ends[group] - np.arange(dst.size) <= k]
+    return distinct_sorted(dst[chosen], graph.num_nodes)
 
 
 class Sampler:
@@ -105,6 +127,16 @@ class Sampler:
         """Per-hop expected fanout ``k_l`` — feeds E[|V_i|] of Eq. 12."""
         raise NotImplementedError
 
+    @staticmethod
+    def _distinct_targets(graph: CSRGraph, targets: np.ndarray) -> np.ndarray:
+        """``B0`` as sorted distinct vertex ids of ``graph``."""
+        targets = np.unique(np.asarray(targets, dtype=np.int64))
+        if targets.size == 0:
+            raise SamplingError("empty target set")
+        if targets[0] < 0 or targets[-1] >= graph.num_nodes:
+            raise SamplingError("target vertex out of range")
+        return targets
+
     def _finalize(
         self,
         graph: CSRGraph,
@@ -113,15 +145,14 @@ class Sampler:
         hops: int,
         **meta,
     ) -> SampleBatch:
-        """Induce the subgraph and locate targets inside it."""
-        targets = np.asarray(targets, dtype=np.int64)
-        subgraph, nodes = graph.induced_subgraph(all_nodes)
-        target_index = np.searchsorted(nodes, np.unique(targets))
+        """Induce the batch topology on ``all_nodes`` and locate the
+        (sorted, distinct) ``targets`` inside it."""
+        subgraph, nodes = graph.induced_subgraph(all_nodes, with_data=False)
         return SampleBatch(
             subgraph=subgraph,
             nodes=nodes,
-            target_index=target_index,
-            num_targets=int(np.unique(targets).size),
+            target_index=np.searchsorted(nodes, targets),
+            num_targets=int(targets.size),
             hops=hops,
             meta=meta,
         )

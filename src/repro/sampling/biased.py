@@ -83,9 +83,7 @@ class BiasedNeighborSampler(Sampler):
     def sample(
         self, graph: CSRGraph, targets: np.ndarray, *, rng: np.random.Generator
     ) -> SampleBatch:
-        targets = np.unique(np.asarray(targets, dtype=np.int64))
-        if targets.size == 0:
-            raise SamplingError("empty target set")
+        targets = self._distinct_targets(graph, targets)
         weights = self._weight_vector(graph)
         frontier = targets
         collected = [targets]

@@ -38,28 +38,32 @@ class ClusterSampler(Sampler):
         self.num_parts = num_parts
         self.parts_per_batch = parts_per_batch
         self._partition = partition
+        self._members: list[np.ndarray] | None = None
         self._seed = seed
 
     def _ensure_partition(self, graph: CSRGraph) -> np.ndarray:
         if self._partition is None or self._partition.shape[0] != graph.num_nodes:
             parts = min(self.num_parts, graph.num_nodes)
             self._partition = bfs_partition(graph, parts, seed=self._seed)
+            self._members = None
+        if self._members is None:
+            # vertices grouped by partition once, not one |V| scan per batch
+            order = np.argsort(self._partition, kind="stable")
+            sizes = np.bincount(self._partition)
+            self._members = np.split(order, np.cumsum(sizes)[:-1])
         return self._partition
 
     def sample(
         self, graph: CSRGraph, targets: np.ndarray, *, rng: np.random.Generator
     ) -> SampleBatch:
-        targets = np.unique(np.asarray(targets, dtype=np.int64))
-        if targets.size == 0:
-            raise SamplingError("empty target set")
+        targets = self._distinct_targets(graph, targets)
         partition = self._ensure_partition(graph)
 
         # Partitions hosting the most targets are selected for this batch.
-        owner_parts, counts = np.unique(partition[targets], return_counts=True)
-        order = np.argsort(counts)[::-1]
-        chosen = owner_parts[order[: self.parts_per_batch]]
-        members = np.nonzero(np.isin(partition, chosen))[0]
-        all_nodes = np.union1d(members, targets)
+        hosted = np.bincount(partition[targets], minlength=len(self._members))
+        ranked = np.argsort(hosted)[::-1][: self.parts_per_batch]
+        chosen = ranked[hosted[ranked] > 0]
+        all_nodes = np.concatenate([targets, *(self._members[p] for p in chosen)])
 
         batch = self._finalize(
             graph,

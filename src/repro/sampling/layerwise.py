@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.graphs.csr import CSRGraph
-from repro.sampling.base import SampleBatch, Sampler
+from repro.sampling.base import SampleBatch, Sampler, distinct_sorted, selection_keys
 
 __all__ = ["LayerSampler"]
 
@@ -36,24 +36,24 @@ class LayerSampler(Sampler):
     def sample(
         self, graph: CSRGraph, targets: np.ndarray, *, rng: np.random.Generator
     ) -> SampleBatch:
-        targets = np.unique(np.asarray(targets, dtype=np.int64))
-        if targets.size == 0:
-            raise SamplingError("empty target set")
+        targets = self._distinct_targets(graph, targets)
         self._last_batch_hint = targets.size
         frontier = targets
         collected = [targets]
         for delta in self.layer_sizes:
-            src, dst = graph.gather_neighborhoods(frontier)
+            _, dst = graph.gather_neighborhoods(frontier)
             if dst.size == 0:
                 break
-            candidates = np.unique(dst)
-            if self.importance:
-                weights = graph.degrees[candidates].astype(np.float64) ** 2
-                prob = weights / weights.sum()
-            else:
-                prob = None
-            take = min(delta, candidates.size)
-            frontier = rng.choice(candidates, size=take, replace=False, p=prob)
+            frontier = distinct_sorted(dst, graph.num_nodes)
+            if delta < frontier.size:
+                weights = (
+                    graph.degrees[frontier].astype(np.float64) ** 2
+                    if self.importance
+                    else None
+                )
+                keys = selection_keys(frontier.size, weights, rng)
+                top = np.argpartition(keys, frontier.size - delta)[-delta:]
+                frontier = frontier[np.sort(top)]
             collected.append(frontier)
         all_nodes = np.concatenate(collected)
         return self._finalize(

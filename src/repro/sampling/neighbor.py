@@ -31,9 +31,7 @@ class NeighborSampler(Sampler):
     def sample(
         self, graph: CSRGraph, targets: np.ndarray, *, rng: np.random.Generator
     ) -> SampleBatch:
-        targets = np.unique(np.asarray(targets, dtype=np.int64))
-        if targets.size == 0:
-            raise SamplingError("empty target set")
+        targets = self._distinct_targets(graph, targets)
         frontier = targets
         collected = [targets]
         for k in self.fanouts:

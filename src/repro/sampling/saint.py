@@ -57,9 +57,7 @@ class SaintSampler(Sampler):
     def sample(
         self, graph: CSRGraph, targets: np.ndarray, *, rng: np.random.Generator
     ) -> SampleBatch:
-        roots = np.unique(np.asarray(targets, dtype=np.int64))
-        if roots.size == 0:
-            raise SamplingError("empty target set")
+        roots = self._distinct_targets(graph, targets)
         all_nodes = self._random_walk(graph, roots, rng)
         batch = self._finalize(
             graph, roots, all_nodes, hops=self.walk_length, sampler=self.name

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.autograd import (
     Tensor,
@@ -155,8 +156,6 @@ class TestSparseOps:
         )
 
     def test_segment_softmax_matrix_path_matches(self):
-        import scipy.sparse as sp
-
         rng = np.random.default_rng(3)
         seg = np.sort(rng.integers(0, 4, size=12))
         vals = rng.normal(size=(12, 3))
@@ -226,3 +225,93 @@ class TestNormalizedAdjacency:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             normalized_adjacency(np.array([0, 0]), np.array([]), 1, mode="col")
+
+
+def scipy_normalized_adjacency(
+    indptr, indices, num_nodes, *, mode="sym", add_self_loops=True, dtype=np.float32
+):
+    """The five-construction scipy composition ``normalized_adjacency`` was
+    until PR 13 (``coo -> csr``, ``+ eye``, ``sum``, two ``diags @``), kept
+    as the oracle its one-pass splice must equal entry for entry."""
+    src = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
+    adj = sp.csr_matrix(
+        (np.ones(len(indices), dtype=dtype), (src, indices)),
+        shape=(num_nodes, num_nodes),
+    )
+    if add_self_loops:
+        adj = adj + sp.eye(num_nodes, format="csr", dtype=dtype)
+    deg = np.maximum(np.asarray(adj.sum(axis=1)).ravel(), 1.0)
+    if mode == "sym":
+        d_inv_sqrt = sp.diags((1.0 / np.sqrt(deg)).astype(dtype))
+        return (d_inv_sqrt @ adj @ d_inv_sqrt).tocsr()
+    return (sp.diags((1.0 / deg).astype(dtype)) @ adj).tocsr()
+
+
+def _csr_arrays(num_nodes, rows, cols):
+    """CSR arrays holding ``(rows, cols)`` in exactly the order given per row."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    return indptr, cols[order]
+
+
+#: name -> (num_nodes, indptr, indices); every edge case the splice pins
+_ADJACENCY_CASES = {
+    "triangle": (3, *_csr_arrays(3, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1])),
+    "isolated-vertices": (6, *_csr_arrays(6, [1, 4], [4, 1])),
+    "isolated-tail": (4, *_csr_arrays(4, [0, 1], [1, 0])),
+    "no-edges": (3, np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+    "empty-graph": (0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+    "stored-self-loops": (
+        4,
+        *_csr_arrays(4, [0, 0, 1, 1, 2, 3, 3], [0, 1, 0, 1, 2, 1, 3]),
+    ),
+    "unsorted-rows": (4, *_csr_arrays(4, [0, 0, 0, 1, 2, 3, 3], [3, 1, 2, 0, 0, 2, 0])),
+    "repeated-columns": (3, *_csr_arrays(3, [0, 0, 0, 1, 2], [1, 1, 2, 0, 0])),
+    "directed": (4, *_csr_arrays(4, [0, 0, 2, 3], [1, 3, 1, 0])),
+}
+
+
+class TestNormalizedAdjacencyAgainstScipyOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("add_self_loops", [True, False])
+    @pytest.mark.parametrize("mode", ["sym", "row"])
+    @pytest.mark.parametrize("case", sorted(_ADJACENCY_CASES))
+    def test_exactly_equal_and_canonical(self, case, mode, add_self_loops, dtype):
+        n, indptr, indices = _ADJACENCY_CASES[case]
+        kwargs = dict(mode=mode, add_self_loops=add_self_loops, dtype=dtype)
+        got = normalized_adjacency(indptr, indices, n, **kwargs)
+        want = scipy_normalized_adjacency(indptr, indices, n, **kwargs)
+        assert got.shape == (n, n) and got.dtype == dtype
+        np.testing.assert_array_equal(got.toarray(), want.toarray())
+        # canonical CSR whatever the flags claim: sorted, duplicate-free
+        assert got.has_sorted_indices and got.has_canonical_format
+        for row in range(n):
+            cols = got.indices[got.indptr[row] : got.indptr[row + 1]]
+            assert np.all(np.diff(cols) > 0)
+        assert got.nnz == np.count_nonzero(want.toarray())
+
+    def test_stored_self_loop_weighs_two(self):
+        n, indptr, indices = _ADJACENCY_CASES["stored-self-loops"]
+        row = normalized_adjacency(indptr, indices, n, mode="row", dtype=np.float64)
+        # vertex 2 holds only its loop: A + I gives it weight 2 of degree 2
+        assert row[2, 2] == 1.0
+        # vertex 0: loop (2) + edge to 1 (1) over degree 3
+        np.testing.assert_allclose(row[0].toarray().ravel(), [2 / 3, 1 / 3, 0, 0])
+
+    def test_random_graphs_match_in_both_modes(self, medium_graph):
+        g = medium_graph
+        for mode in ("sym", "row"):
+            got = normalized_adjacency(g.indptr, g.indices, g.num_nodes, mode=mode)
+            want = scipy_normalized_adjacency(g.indptr, g.indices, g.num_nodes, mode=mode)
+            assert (got != want).nnz == 0
+            assert got.nnz == want.nnz == g.num_edges + g.num_nodes
+
+    def test_spmm_accepts_the_result(self):
+        n, indptr, indices = _ADJACENCY_CASES["isolated-vertices"]
+        adj = normalized_adjacency(indptr, indices, n, dtype=np.float64)
+        x = np.arange(n * 2, dtype=np.float64).reshape(n, 2)
+        np.testing.assert_allclose(
+            spmm(adj, Tensor(x)).numpy(), adj.toarray() @ x, rtol=1e-12
+        )

@@ -166,6 +166,70 @@ class TestGradients:
         assert t.grad is None
 
 
+class _Counted(np.ndarray):
+    """An array that counts the ufunc calls it takes part in, by name."""
+
+    calls: dict = {}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Counted.calls[ufunc.__name__] = _Counted.calls.get(ufunc.__name__, 0) + 1
+        plain = [np.asarray(i) if isinstance(i, _Counted) else i for i in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestNoGradientForConstants:
+    """Backward closures used to build the gradient of *both* operands and
+    let ``_accumulate_fresh`` drop the one nobody asked for — in every first
+    layer that is ``grad @ W.T``, the size of the feature matrix."""
+
+    def _operands(self, const_shape, param_shape):
+        rng = np.random.default_rng(0)
+        const = Tensor(rng.normal(size=const_shape))
+        param = Tensor(rng.normal(size=param_shape) + 3.0, requires_grad=True)
+        const.data = const.data.view(_Counted)
+        param.data = param.data.view(_Counted)
+        _Counted.calls = {}
+        return const, param
+
+    def test_const_matmul_param_performs_one_backward_product(self):
+        const, param = self._operands((6, 4), (4, 3))
+        out = const @ param
+        assert _Counted.calls == {"matmul": 1}
+        out.backward(np.ones((6, 3), dtype=np.float32))
+        # forward + the parameter's gradient; not the constant's
+        assert _Counted.calls == {"matmul": 2}
+        assert const.grad is None
+        np.testing.assert_array_equal(
+            param.grad, np.asarray(const.data).T @ np.ones((6, 3), dtype=np.float32)
+        )
+
+    def test_param_matmul_const_mirrors_it(self):
+        const, param = self._operands((4, 3), (6, 4))
+        (param @ const).backward(np.ones((6, 3), dtype=np.float32))
+        assert _Counted.calls == {"matmul": 2}
+        assert const.grad is None and param.grad.shape == (6, 4)
+
+    @pytest.mark.parametrize(
+        "op,products",
+        [(lambda c, p: c * p, {"multiply": 2}), (lambda c, p: p / c, {"divide": 2})],
+        ids=["mul", "div"],
+    )
+    def test_elementwise_ops_skip_the_constant_too(self, op, products):
+        const, param = self._operands((5, 2), (5, 2))
+        op(const, param).backward(np.ones((5, 2), dtype=np.float32))
+        assert _Counted.calls == products  # forward + one gradient
+        assert const.grad is None and param.grad is not None
+
+    def test_results_are_byte_identical_when_both_need_gradients(self):
+        rng = np.random.default_rng(1)
+        a = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        seed = rng.normal(size=(5, 3)).astype(np.float32)
+        (a @ b).backward(seed)
+        np.testing.assert_array_equal(a.grad, seed @ b.data.T)
+        np.testing.assert_array_equal(b.grad, a.data.T @ seed)
+
+
 class TestNoGrad:
     def test_no_tape_inside_context(self):
         t = Tensor([1.0], requires_grad=True)

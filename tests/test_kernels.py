@@ -85,7 +85,9 @@ class TestRegistry:
 
 # ------------------------------------------------------------------ config
 class TestConfigKernelField:
-    def test_default_is_reference(self):
+    def test_default_is_reference(self, monkeypatch):
+        # CI's kernels matrix runs this file under each REPRO_KERNEL
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
         assert TrainingConfig().kernel == "reference"
 
     def test_env_default(self, monkeypatch):
@@ -103,7 +105,7 @@ class TestConfigKernelField:
 
     def test_describe_mentions_non_default_kernel(self):
         assert "kernel=fused" in TrainingConfig(kernel="fused").describe()
-        assert "kernel=" not in TrainingConfig().describe()
+        assert "kernel=" not in TrainingConfig(kernel="reference").describe()
 
     def test_feature_vector_excludes_kernel(self):
         # Estimator feature stability: the analytic cost model is

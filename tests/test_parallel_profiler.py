@@ -138,6 +138,30 @@ class TestProfilingService:
         assert records[0].config.kernel == configs[0].kernel
         assert json.loads(victim.read_text())["record"]["config"]["kernel"] != "reorder"
 
+    def test_entry_keyed_under_ground_truth_version_1_is_a_miss(
+        self, small_graph, tiny_task, configs, tmp_path, monkeypatch
+    ):
+        """PR 13 bumped ``GROUND_TRUTH_VERSION`` 1 -> 2: what a version-1
+        store holds stops matching and is measured again — never an error,
+        and never served as if this code had produced it."""
+        import repro.runtime.parallel as parallel
+
+        assert parallel.GROUND_TRUTH_VERSION == 2
+        fingerprint = graph_fingerprint(small_graph)
+        with monkeypatch.context() as patch:
+            patch.setattr(parallel, "GROUND_TRUTH_VERSION", 1)
+            old_key = candidate_key(tiny_task, configs[0], fingerprint)
+            ProfilingService(cache_dir=tmp_path).profile(
+                tiny_task, configs[:1], graph=small_graph
+            )
+        assert [p.name for p in tmp_path.glob("gt_*.json")] == [f"gt_{old_key}.json"]
+        assert candidate_key(tiny_task, configs[0], fingerprint) != old_key
+
+        fresh = ProfilingService(cache_dir=tmp_path)
+        fresh.profile(tiny_task, configs[:1], graph=small_graph)
+        assert fresh.stats.executed == 1 and fresh.stats.cache_hits == 0
+        assert len(list(tmp_path.glob("gt_*.json"))) == 2
+
     def test_store_load_missing_key(self, tmp_path):
         assert ResultStore(tmp_path).load("deadbeef") is None
 

@@ -124,3 +124,77 @@ def test_r2_upper_bound(y, noise):
     rng = np.random.default_rng(0)
     y_pred = y_true + noise * rng.normal(size=y_true.size)
     assert r2_score(y_true, y_pred) <= 1.0 + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    edges=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=150),
+    frontier=st.lists(st.integers(0, 39), max_size=25),
+    k=st.integers(1, 6),
+    weighted=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_fanout_step_properties(n, edges, frontier, k, weighted, seed):
+    """On arbitrary graphs and frontiers (unsorted, repeated, isolated):
+    the picks are sorted, distinct, neighbours of the frontier, at most
+    ``min(k, d)`` per frontier slot and at least that for the best slot."""
+    from repro.graphs.csr import CSRGraph
+    from repro.sampling import fanout_step
+
+    src = np.array([min(a, n - 1) for a, _ in edges], dtype=np.int64)
+    dst = np.array([min(b, n - 1) for _, b in edges], dtype=np.int64)
+    graph = CSRGraph.from_edges(n, src, dst)
+    frontier = np.array([min(v, n - 1) for v in frontier], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 10.0, n) if weighted else None
+
+    out = fanout_step(graph, frontier, k, weights=weights, rng=rng)
+
+    assert out.dtype == np.int64 and np.all(np.diff(out) > 0)
+    neighbourhood = (
+        np.unique(np.concatenate([graph.neighbors(int(v)) for v in frontier]))
+        if frontier.size
+        else np.empty(0, dtype=np.int64)
+    )
+    assert np.all(np.isin(out, neighbourhood))
+    quota = np.minimum(graph.degrees[frontier], k)
+    assert out.size <= min(int(quota.sum()), neighbourhood.size)
+    assert out.size >= (int(quota.max()) if frontier.size else 0)
+    for v in np.unique(frontier):  # a lone slot keeps exactly its quota
+        if np.count_nonzero(frontier == v) == 1:
+            alone = fanout_step(graph, np.array([v]), k, weights=weights, rng=rng)
+            assert alone.size == min(k, graph.degree(int(v)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=120),
+    picked=st.lists(st.integers(0, 29), max_size=40),
+)
+def test_induced_subgraph_properties(n, edges, picked):
+    """Relabelled rows are the sorted intersections of the old rows with the
+    kept set, with and without the feature/label slices."""
+    from repro.graphs.csr import CSRGraph
+
+    src = np.array([min(a, n - 1) for a, _ in edges], dtype=np.int64)
+    dst = np.array([min(b, n - 1) for _, b in edges], dtype=np.int64)
+    features = np.arange(n * 2, dtype=np.float32).reshape(n, 2)
+    graph = CSRGraph.from_edges(
+        n, src, dst, features=features, labels=np.arange(n) % 3, num_classes=3
+    )
+    picked = np.array([min(v, n - 1) for v in picked], dtype=np.int64)
+
+    sub, nodes = graph.induced_subgraph(picked)
+    bare, bare_nodes = graph.induced_subgraph(picked, with_data=False)
+
+    assert np.array_equal(nodes, np.unique(picked)) and np.array_equal(nodes, bare_nodes)
+    assert np.array_equal(sub.indptr, bare.indptr)
+    assert np.array_equal(sub.indices, bare.indices)
+    assert bare.features is None and bare.labels is None
+    assert np.array_equal(sub.features, features[nodes])
+    assert np.array_equal(sub.labels, graph.labels[nodes])
+    for local, v in enumerate(nodes):
+        expected = np.intersect1d(graph.neighbors(int(v)), nodes)
+        assert np.array_equal(nodes[sub.neighbors(local)], expected)

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SamplingError
+from repro.graphs.csr import CSRGraph
 from repro.sampling import (
     BatchIterator,
     BiasedNeighborSampler,
+    ClusterSampler,
     LayerSampler,
     NeighborSampler,
     SaintSampler,
@@ -71,6 +73,178 @@ class TestFanoutStep:
         weights = np.zeros(medium_graph.num_nodes)
         with pytest.raises(SamplingError):
             fanout_step(medium_graph, np.array([0]), 2, weights=weights, rng=rng)
+
+
+def _stars(degrees: list[int]) -> tuple[CSRGraph, np.ndarray]:
+    """Disjoint stars, one per entry: no two centres share a neighbour, so
+    the union ``fanout_step`` returns loses no pick.  Returns the centres."""
+    centres, src, dst = [], [], []
+    next_id = 0
+    for degree in degrees:
+        centres.append(next_id)
+        leaves = np.arange(next_id + 1, next_id + 1 + degree)
+        src.append(np.full(degree, next_id))
+        dst.append(leaves)
+        next_id += 1 + degree
+    graph = CSRGraph.from_edges(next_id, np.concatenate(src), np.concatenate(dst))
+    return graph, np.array(centres)
+
+
+class TestFanoutStepProperties:
+    def test_output_sorted_unique_and_inside_the_neighbourhood(self, medium_graph, rng):
+        frontier = np.sort(rng.choice(medium_graph.num_nodes, 80, replace=False))
+        weights = rng.uniform(0.5, 4.0, medium_graph.num_nodes)
+        for kwargs in ({}, {"weights": weights}):
+            out = fanout_step(medium_graph, frontier, 3, rng=rng, **kwargs)
+            assert np.all(np.diff(out) > 0)
+            _, nbrs = medium_graph.gather_neighborhoods(frontier)
+            assert np.all(np.isin(out, nbrs))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 50])
+    def test_each_vertex_contributes_min_k_degree_picks(self, k, rng):
+        degrees = [0, 1, 2, 3, 7, 20]
+        graph, centres = _stars(degrees)
+        weights = rng.uniform(0.5, 4.0, graph.num_nodes)
+        for kwargs in ({}, {"weights": weights}):
+            out = fanout_step(graph, centres, k, rng=rng, **kwargs)
+            for centre, degree in zip(centres, degrees, strict=True):
+                picked = np.isin(graph.neighbors(int(centre)), out).sum()
+                assert picked == min(k, degree)
+            assert out.size == sum(min(k, d) for d in degrees)
+
+    def test_frontier_order_and_repeats_are_their_own_groups(self, rng):
+        graph, centres = _stars([6, 6])
+        out = fanout_step(graph, centres[::-1], 2, rng=rng)
+        assert out.size == 4
+        # a vertex listed twice draws twice: up to 2k distinct picks, never more
+        out = fanout_step(graph, np.array([0, 0]), 2, rng=rng)
+        assert 2 <= out.size <= 4 and np.all(np.isin(out, graph.neighbors(0)))
+
+    def test_empty_and_zero_degree_frontiers_return_empty(self, rng):
+        graph, _ = _stars([0, 3])
+        for frontier in (np.array([], dtype=np.int64), np.array([0])):
+            out = fanout_step(graph, frontier, 2, rng=rng)
+            assert out.size == 0 and out.dtype == np.int64
+
+    def test_uniform_picks_are_uniform(self):
+        """Chi-square on a 12-leaf star: each leaf is picked k/12 of the time."""
+        from scipy.stats import chisquare
+
+        graph, _ = _stars([12])
+        rng = np.random.default_rng(11)
+        trials, k = 3000, 3
+        counts = np.zeros(graph.num_nodes)
+        for _ in range(trials):
+            counts[fanout_step(graph, np.array([0]), k, rng=rng)] += 1
+        assert counts[0] == 0 and counts.sum() == trials * k
+        # picks inside one draw are negatively correlated, which only makes
+        # the statistic smaller than its nominal distribution
+        assert chisquare(counts[1:]).pvalue > 1e-3
+
+    def test_weighted_picks_follow_the_weights(self):
+        """Chi-square with k=1: leaf i is picked with probability w_i / sum(w)."""
+        from scipy.stats import chisquare
+
+        graph, _ = _stars([8])
+        weights = np.ones(graph.num_nodes)
+        weights[1:] = [1, 1, 2, 2, 4, 4, 8, 8]
+        rng = np.random.default_rng(12)
+        trials = 6000
+        counts = np.zeros(graph.num_nodes)
+        for _ in range(trials):
+            counts[fanout_step(graph, np.array([0]), 1, weights=weights, rng=rng)] += 1
+        expected = trials * weights[1:] / weights[1:].sum()
+        assert chisquare(counts[1:], expected).pvalue > 1e-3
+        # and the uniform null is firmly rejected, so the test can fail
+        assert chisquare(counts[1:]).pvalue < 1e-6
+
+
+def _sampler_zoo(graph: CSRGraph) -> dict:
+    return {
+        "sage": NeighborSampler([4, 3]),
+        "biased": BiasedNeighborSampler(
+            [4, 3], bias_rate=0.7, hot_nodes=np.arange(graph.num_nodes // 4)
+        ),
+        "fastgcn": LayerSampler([90, 60]),
+        "saint": SaintSampler(walk_length=3),
+        "cluster": ClusterSampler(num_parts=12, parts_per_batch=2),
+    }
+
+
+class TestEveryBatchIsAReadyBlock:
+    """What all five samplers hand to the training step."""
+
+    @pytest.mark.parametrize("name", ["sage", "biased", "fastgcn", "saint", "cluster"])
+    def test_nodes_targets_and_topology(self, medium_graph, rng, name):
+        sampler = _sampler_zoo(medium_graph)[name]
+        targets = rng.choice(medium_graph.num_nodes, 48, replace=False)
+        targets = np.concatenate([targets, targets[:5]])  # repeats collapse
+        batch = sampler.sample(medium_graph, targets, rng=rng)
+
+        assert np.all(np.diff(batch.nodes) > 0)
+        assert np.all(np.isin(targets, batch.nodes))
+        if name in ("saint", "cluster"):  # the loss reads every vertex
+            assert np.array_equal(batch.target_index, np.arange(batch.num_nodes))
+        else:
+            assert np.array_equal(batch.nodes[batch.target_index], np.unique(targets))
+        assert batch.num_targets == batch.target_index.size
+
+        induced, kept = medium_graph.induced_subgraph(batch.nodes)
+        assert np.array_equal(kept, batch.nodes)
+        assert np.array_equal(batch.subgraph.indptr, induced.indptr)
+        assert np.array_equal(batch.subgraph.indices, induced.indices)
+        assert (batch.num_nodes, batch.num_edges) == (induced.num_nodes, induced.num_edges)
+        # topology only: the training step gathers the feature rows it reads
+        assert batch.subgraph.features is None and batch.subgraph.labels is None
+        assert induced.features.shape == (batch.num_nodes, medium_graph.feature_dim)
+
+    @pytest.mark.parametrize("name", ["sage", "biased", "fastgcn", "saint", "cluster"])
+    def test_out_of_range_targets_are_rejected(self, medium_graph, rng, name):
+        sampler = _sampler_zoo(medium_graph)[name]
+        for bad in (-1, medium_graph.num_nodes):
+            with pytest.raises(SamplingError, match="out of range"):
+                sampler.sample(medium_graph, np.array([0, bad]), rng=rng)
+
+
+class TestClusterSampler:
+    def test_batch_is_the_chosen_partitions_plus_targets(self, medium_graph, rng):
+        sampler = ClusterSampler(num_parts=10, parts_per_batch=2)
+        targets = rng.choice(medium_graph.num_nodes, 40, replace=False)
+        batch = sampler.sample(medium_graph, targets, rng=rng)
+        partition = sampler._ensure_partition(medium_graph)
+        chosen = batch.meta["partitions"]
+        assert len(chosen) == 2
+        hosted = np.bincount(partition[targets], minlength=10)
+        assert sorted(hosted[chosen], reverse=True) == sorted(hosted, reverse=True)[:2]
+        members = np.flatnonzero(np.isin(partition, chosen))
+        assert np.array_equal(batch.nodes, np.union1d(members, targets))
+
+    def test_member_lists_follow_a_replaced_partition(self, medium_graph, rng):
+        given = np.arange(medium_graph.num_nodes) % 3
+        sampler = ClusterSampler(num_parts=3, parts_per_batch=1, partition=given)
+        batch = sampler.sample(medium_graph, np.array([0, 3, 6]), rng=rng)
+        assert np.array_equal(batch.nodes, np.flatnonzero(given == 0))
+        assert batch.meta["partitions"] == [0]
+
+
+class TestLayerSamplerDraws:
+    def test_each_layer_draws_exactly_its_budget_of_distinct_candidates(self, medium_graph, rng):
+        targets = np.sort(rng.choice(medium_graph.num_nodes, 30, replace=False))
+        _, nbrs = medium_graph.gather_neighborhoods(targets)
+        candidates = np.unique(nbrs)
+        assert candidates.size > 20
+        for importance in (True, False):
+            batch = LayerSampler([20], importance=importance).sample(
+                medium_graph, targets, rng=rng
+            )
+            drawn = np.setdiff1d(batch.nodes, targets)
+            assert np.all(np.isin(drawn, candidates))
+            # 20 distinct picks, some of which may be targets themselves
+            assert batch.num_nodes <= targets.size + 20
+            assert np.isin(batch.nodes, np.union1d(targets, candidates)).all()
+        # a budget above the candidate count takes every candidate
+        batch = LayerSampler([10**6]).sample(medium_graph, targets, rng=rng)
+        assert np.array_equal(batch.nodes, np.union1d(targets, candidates))
 
 
 class TestNeighborSampler:
