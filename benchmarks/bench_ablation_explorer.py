@@ -66,9 +66,11 @@ def test_ablation_explorer_strategies(run_once, emit, quick):
         return {
             "dfs": (dfs_result.evaluated, hv_dfs),
             "local": (local_result.stats["estimator_calls"], hv_local),
+            "steps": local_result.stats["steps_per_restart"],
         }
 
     out = run_once(experiment)
+    steps = out.pop("steps")
 
     rows = [
         [name, str(calls), f"{hv:.3e}"]
@@ -89,6 +91,11 @@ def test_ablation_explorer_strategies(run_once, emit, quick):
         f"local search recovers {recovery * 100:.1f}% of DFS hypervolume with "
         f"{calls_local / max(calls_dfs, 1) * 100:.0f}% of the estimator calls"
     )
+    emit(
+        f"local search steps per restart: mean {np.mean(steps):.1f}, "
+        f"max {max(steps)} over {len(steps)} restarts {steps}"
+    )
+    assert max(steps) >= 2, "the climber never left its starting points"
     assert calls_local < calls_dfs, "local search must be cheaper"
     if not quick:  # a half-budget estimator makes recovery unreliable
         assert recovery > 0.6, "local search must recover most of the front"

@@ -35,6 +35,7 @@ __all__ = [
     "REORDER_NAMES",
     "ORDER_NAMES",
     "KERNEL_NAMES",
+    "COUPLED_KNOBS",
 ]
 
 SAMPLER_NAMES = ("sage", "fastgcn", "saint", "biased", "cluster")
@@ -45,6 +46,9 @@ ORDER_NAMES = ("random", "sequential", "partition")
 #: asserts it matches the kernel registry.
 KERNEL_NAMES = ("reference", "fused", "parallel")
 _CACHE_POLICIES = ("none", "static", "fifo", "lru")
+#: the knobs :meth:`TrainingConfig.canonical` reads and rewrites; every other
+#: knob passes through it untouched.
+COUPLED_KNOBS = ("sampler", "bias_rate", "cache_ratio", "cache_policy")
 
 
 def _default_kernel() -> str:
@@ -124,29 +128,13 @@ class TrainingConfig:
         kernel, so including it would only split the estimator's training
         data across feature values that carry no signal.  Keeping the
         vector stable also preserves transfer-corpus compatibility.
+
+        One row of :meth:`ConfigColumns.features`, which encodes whole
+        candidate sets at once.
         """
-        sampler_onehot = [1.0 if self.sampler == s else 0.0 for s in SAMPLER_NAMES]
-        policy_onehot = [1.0 if self.cache_policy == p else 0.0 for p in _CACHE_POLICIES]
-        fanout_product = float(np.prod([1.0 + k for k in self.hop_list]))
-        return np.array(
-            [
-                float(self.batch_size),
-                float(len(self.hop_list)),
-                float(sum(self.hop_list)),
-                fanout_product,
-                self.bias_rate,
-                self.cache_ratio,
-                float(self.hidden_channels),
-                float(self.num_layers),
-                float(self.heads),
-                self.dropout,
-                1.0 if self.reorder != "none" else 0.0,
-                1.0 if self.batch_order == "partition" else 0.0,
-                *sampler_onehot,
-                *policy_onehot,
-            ],
-            dtype=np.float64,
-        )
+        from repro.config.columns import ConfigColumns
+
+        return ConfigColumns([self]).features()[0]
 
     @staticmethod
     def feature_names() -> list[str]:

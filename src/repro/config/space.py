@@ -6,19 +6,39 @@ space doubles as the explorer's search tree.  Candidates are canonicalised
 (see :meth:`TrainingConfig.canonical`) and deduplicated, which is how the
 ``bias_rate×sampler`` and ``cache_ratio×policy`` interactions prune
 redundant branches.
+
+The tree is never walked node by node.  Its leaves are the integers
+``0 .. raw_size() - 1`` in DFS order (the mixed-radix number whose digits are
+the per-knob value indices), and :attr:`DesignSpace.enumeration` folds them
+onto the distinct canonical candidates with array arithmetic, constructing
+each :class:`TrainingConfig` once.  Iteration, sampling's small-space
+fallback and the explorer all read that one enumeration (``DESIGN.md``,
+*The explore stage*).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import itertools
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from repro.config.settings import TrainingConfig
+from repro.config.settings import COUPLED_KNOBS, TrainingConfig
 from repro.errors import ConfigError
 
-__all__ = ["DesignSpace", "default_space", "reduced_space"]
+__all__ = ["DesignSpace", "Enumeration", "default_space", "reduced_space"]
+
+
+@dataclass(frozen=True)
+class Enumeration:
+    """The raw Cartesian tree folded onto its distinct canonical candidates."""
+
+    #: the distinct candidates, in the order a DFS first reaches them
+    candidates: tuple[TrainingConfig, ...]
+    #: for every raw leaf, in DFS order, the index of its candidate
+    leaf_candidate: np.ndarray
 
 
 class DesignSpace:
@@ -52,29 +72,70 @@ class DesignSpace:
         """Materialise a (possibly partial) assignment onto the base config."""
         return replace(self.base, **assignment).canonical()
 
+    @cached_property
+    def enumeration(self) -> Enumeration:
+        """Every distinct candidate, and which one each raw leaf folds onto.
+
+        Two leaves are the same candidate exactly when they agree on the
+        uncoupled knobs and their coupled knobs canonicalise alike, so only
+        the (few) combinations of coupled values go through
+        :meth:`TrainingConfig.canonical`; the leaves are then keyed, matched
+        and ordered as integer arrays.  Computed once per space — domains
+        and base do not change after construction.
+        """
+        knobs = self.knobs
+        shape = [len(self.domains[k]) for k in knobs]
+        digits = dict(
+            zip(knobs, np.unravel_index(np.arange(self.raw_size()), shape), strict=True)
+        )
+        coupled = [k for k in knobs if k in COUPLED_KNOBS]
+        free = [k for k in knobs if k not in COUPLED_KNOBS]
+
+        # One canonical config per combination of coupled values; combinations
+        # that canonicalise alike share a class.
+        combos = [
+            replace(self.base, **dict(zip(coupled, values, strict=True))).canonical()
+            for values in itertools.product(*(self.domains[k] for k in coupled))
+        ]
+        classes: dict[tuple, int] = {}
+        combo_class = np.array(
+            [
+                classes.setdefault(tuple(getattr(c, k) for k in COUPLED_KNOBS), len(classes))
+                for c in combos
+            ]
+        )
+        leaf_combo = np.zeros(self.raw_size(), dtype=np.intp)
+        for k in coupled:  # the position of each leaf's coupled values in ``combos``
+            leaf_combo = leaf_combo * len(self.domains[k]) + digits[k]
+        key = np.ravel_multi_index(
+            [combo_class[leaf_combo], *(digits[k] for k in free)],
+            [len(classes), *(len(self.domains[k]) for k in free)],
+        )
+        _, first_leaf, leaf_key = np.unique(key, return_index=True, return_inverse=True)
+        # ``np.unique`` numbers the keys in sorted order; renumber them in the
+        # order the walk first meets them.
+        order = np.argsort(first_leaf)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        leaves = first_leaf[order]
+        free_values = [
+            [self.domains[k][digit] for digit in digits[k][leaves].tolist()] for k in free
+        ]
+        candidates = tuple(
+            TrainingConfig(**{**vars(combos[combo]), **dict(zip(free, values, strict=True))})
+            for combo, *values in zip(leaf_combo[leaves].tolist(), *free_values, strict=True)
+        )
+        leaf_candidate = rank[leaf_key]
+        leaf_candidate.setflags(write=False)  # shared by every reader of the space
+        return Enumeration(candidates=candidates, leaf_candidate=leaf_candidate)
+
     def __iter__(self) -> Iterator[TrainingConfig]:
         """Enumerate unique canonical candidates in DFS order."""
-        seen: set[TrainingConfig] = set()
-        knobs = self.knobs
-
-        def recurse(level: int, assignment: dict) -> Iterator[TrainingConfig]:
-            if level == len(knobs):
-                candidate = self.build(assignment)
-                if candidate not in seen:
-                    seen.add(candidate)
-                    yield candidate
-                return
-            knob = knobs[level]
-            for value in self.domains[knob]:
-                assignment[knob] = value
-                yield from recurse(level + 1, assignment)
-            del assignment[knob]
-
-        yield from recurse(0, {})
+        return iter(self.enumeration.candidates)
 
     def enumerate(self) -> list[TrainingConfig]:
         """All unique candidates as a list."""
-        return list(self)
+        return list(self.enumeration.candidates)
 
     def sample(self, count: int, *, rng: np.random.Generator) -> list[TrainingConfig]:
         """Uniformly sample ``count`` distinct canonical candidates.

@@ -13,42 +13,48 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config.columns import ConfigColumns
 from repro.config.settings import SAMPLER_NAMES, TrainingConfig
 from repro.errors import EstimatorError
 from repro.estimator.blackbox import RandomForestRegressor
+from repro.estimator.features import per_context
 from repro.graphs.profiling import GraphProfile
 
 __all__ = ["AccuracyModel", "accuracy_features"]
 
 
 def accuracy_features(
-    config: TrainingConfig,
+    columns: ConfigColumns,
     profile: GraphProfile,
-    batch_nodes: float,
-    batch_edges: float,
+    batch_nodes: np.ndarray,
+    batch_edges: np.ndarray,
 ) -> np.ndarray:
-    """Eq. 11 inputs: batch degree stats vs graph degree stats, |V_i|, knobs."""
-    batch_degree = batch_edges / max(batch_nodes, 1.0)
-    sampler_onehot = [1.0 if config.sampler == s else 0.0 for s in SAMPLER_NAMES]
-    return np.array(
+    """Eq. 11 inputs: batch degree stats vs graph degree stats, |V_i|, knobs.
+
+    One row per candidate; ``batch_nodes``/``batch_edges`` are the (measured
+    or predicted) batch statistics aligned with ``columns``.
+    """
+    batch_nodes = np.asarray(batch_nodes, dtype=np.float64)
+    batch_degree = np.asarray(batch_edges, dtype=np.float64) / np.maximum(batch_nodes, 1.0)
+    ones = np.ones(len(columns))
+    return np.column_stack(
         [
             batch_degree,  # Deg(G_i)
-            profile.avg_degree,  # Deg(G)
+            profile.avg_degree * ones,  # Deg(G)
             batch_degree / max(profile.avg_degree, 1e-9),
             np.log1p(batch_nodes),  # |V_i|
             batch_nodes / max(profile.num_nodes, 1),
-            config.bias_rate,
-            float(config.batch_size),
-            float(sum(config.hop_list)),
-            float(config.hidden_channels),
-            config.dropout,
-            float(profile.num_classes),
-            getattr(profile, "homophily", 0.0),
-            getattr(profile, "separability", 0.0),
-            *sampler_onehot,
-        ],
-        dtype=np.float64,
-    )
+            columns.bias_rate,
+            columns.batch_size,
+            columns.fanout_sum,
+            columns.hidden_channels,
+            columns.dropout,
+            float(profile.num_classes) * ones,
+            getattr(profile, "homophily", 0.0) * ones,
+            getattr(profile, "separability", 0.0) * ones,
+            *(columns.sampler == s for s in SAMPLER_NAMES),
+        ]
+    ).astype(np.float64)
 
 
 class AccuracyModel:
@@ -67,13 +73,12 @@ class AccuracyModel:
         """Fit from :class:`~repro.runtime.profiler.GroundTruthRecord` list."""
         if not records:
             raise EstimatorError("no records to fit on")
-        x = np.stack(
-            [
-                accuracy_features(
-                    r.config, r.graph_profile, r.mean_batch_nodes, r.mean_batch_edges
-                )
-                for r in records
-            ]
+        x = per_context(
+            [r.config for r in records],
+            [r.graph_profile for r in records],
+            accuracy_features,
+            np.array([r.mean_batch_nodes for r in records], dtype=np.float64),
+            np.array([r.mean_batch_edges for r in records], dtype=np.float64),
         )
         y = np.array([r.accuracy for r in records])
         self._forest.fit(x, y, sample_weight=sample_weight)
@@ -88,12 +93,19 @@ class AccuracyModel:
         batch_edges: np.ndarray,
     ) -> np.ndarray:
         """Predict accuracy given (predicted) batch statistics."""
+        return per_context(
+            configs, profiles, self.predict_columns, batch_nodes, batch_edges
+        )
+
+    def predict_columns(
+        self,
+        columns: ConfigColumns,
+        profile: GraphProfile,
+        batch_nodes: np.ndarray,
+        batch_edges: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`predict` for candidates that share one graph."""
         if not self._fitted:
             raise EstimatorError("predict() before fit()")
-        x = np.stack(
-            [
-                accuracy_features(c, p, v, e)
-                for c, p, v, e in zip(configs, profiles, batch_nodes, batch_edges, strict=True)
-            ]
-        )
+        x = accuracy_features(columns, profile, batch_nodes, batch_edges)
         return np.clip(self._forest.predict(x), 0.0, 1.0)

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config.columns import ConfigColumns
 from repro.config.settings import SAMPLER_NAMES, TrainingConfig
 from repro.errors import EstimatorError
 from repro.estimator.blackbox import DecisionTreeRegressor
+from repro.estimator.features import per_context
 from repro.graphs.profiling import GraphProfile
 from repro.sampling.expectation import saturating_expectation, tree_growth_bound
 
@@ -50,27 +52,32 @@ def analytic_batch_size(config: TrainingConfig, profile: GraphProfile) -> float:
     return float(saturating_expectation(bound, profile.num_nodes))
 
 
-def _correction_features(
-    config: TrainingConfig, profile: GraphProfile
-) -> np.ndarray:
-    """Features explaining where the analytic prior is off."""
-    fanouts = _effective_fanouts(config)
-    sampler_onehot = [1.0 if config.sampler == s else 0.0 for s in SAMPLER_NAMES]
-    return np.array(
+def _prior_and_features(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
+    """Column 0: the analytic prior.  The rest: features of where it is off."""
+    prior, log_fanout_sum, num_fanouts = columns.per_distinct(
+        (columns.sampler, columns.hop_code, columns.batch_size),
+        lambda c: (
+            analytic_batch_size(c, profile),
+            np.log1p(sum(_effective_fanouts(c))),
+            float(len(_effective_fanouts(c))),
+        ),
+    ).T
+    ones = np.ones(len(columns))
+    return np.column_stack(
         [
-            np.log1p(config.batch_size),
-            np.log1p(sum(fanouts)),
-            float(len(fanouts)),
-            config.bias_rate,
-            profile.avg_degree,
-            profile.degree_skew,
-            profile.powerlaw_exponent,
-            np.log1p(profile.num_nodes),
-            config.batch_size / max(profile.num_nodes, 1),
-            *sampler_onehot,
-        ],
-        dtype=np.float64,
-    )
+            prior,
+            np.log1p(columns.batch_size),
+            log_fanout_sum,
+            num_fanouts,
+            columns.bias_rate,
+            profile.avg_degree * ones,
+            profile.degree_skew * ones,
+            profile.powerlaw_exponent * ones,
+            np.log1p(profile.num_nodes) * ones,
+            columns.batch_size / max(profile.num_nodes, 1),
+            *(columns.sampler == s for s in SAMPLER_NAMES),
+        ]
+    ).astype(np.float64)
 
 
 class GrayBoxBatchSizeModel:
@@ -92,32 +99,28 @@ class GrayBoxBatchSizeModel:
         measured = np.asarray(measured, dtype=np.float64)
         if not (len(configs) == len(profiles) == measured.size):
             raise EstimatorError("configs, profiles and targets must align")
-        x = np.stack(
-            [_correction_features(c, p) for c, p in zip(configs, profiles, strict=True)]
+        table = per_context(configs, profiles, _prior_and_features)
+        residual = np.log(np.maximum(measured, 1.0)) - np.log(
+            np.maximum(table[:, 0], 1.0)
         )
-        prior = np.array(
-            [analytic_batch_size(c, p) for c, p in zip(configs, profiles, strict=True)]
-        )
-        residual = np.log(np.maximum(measured, 1.0)) - np.log(np.maximum(prior, 1.0))
-        self._tree.fit(x, residual, sample_weight=sample_weight)
+        self._tree.fit(table[:, 1:], residual, sample_weight=sample_weight)
         self._fitted = True
         return self
 
     def predict(
         self, configs: list[TrainingConfig], profiles: list[GraphProfile]
     ) -> np.ndarray:
+        return per_context(configs, profiles, self.predict_columns)
+
+    def predict_columns(
+        self, columns: ConfigColumns, profile: GraphProfile
+    ) -> np.ndarray:
+        """E[|V_i|] of every candidate in ``columns`` on one graph."""
         if not self._fitted:
             raise EstimatorError("predict() before fit()")
-        x = np.stack(
-            [_correction_features(c, p) for c, p in zip(configs, profiles, strict=True)]
-        )
-        prior = np.array(
-            [analytic_batch_size(c, p) for c, p in zip(configs, profiles, strict=True)]
-        )
-        correction = self._tree.predict(x)
-        pred = prior * np.exp(correction)
-        caps = np.array([p.num_nodes for p in profiles], dtype=np.float64)
-        return np.minimum(pred, caps)
+        table = _prior_and_features(columns, profile)
+        pred = table[:, 0] * np.exp(self._tree.predict(table[:, 1:]))
+        return np.minimum(pred, float(profile.num_nodes))
 
 
 class BlackBoxBatchSizeModel:
@@ -130,8 +133,11 @@ class BlackBoxBatchSizeModel:
         self._fitted = False
 
     @staticmethod
-    def _features(config: TrainingConfig, profile: GraphProfile) -> np.ndarray:
-        return np.concatenate([config.as_features(), profile.as_features()])
+    def _features(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
+        graph = profile.as_features()
+        return np.hstack(
+            [columns.features(), np.broadcast_to(graph, (len(columns), graph.size))]
+        )
 
     def fit(
         self,
@@ -140,9 +146,10 @@ class BlackBoxBatchSizeModel:
         measured: np.ndarray,
         sample_weight: np.ndarray | None = None,
     ) -> "BlackBoxBatchSizeModel":
-        x = np.stack([self._features(c, p) for c, p in zip(configs, profiles, strict=True)])
         self._tree.fit(
-            x, np.asarray(measured, dtype=np.float64), sample_weight=sample_weight
+            per_context(configs, profiles, self._features),
+            np.asarray(measured, dtype=np.float64),
+            sample_weight=sample_weight,
         )
         self._fitted = True
         return self
@@ -152,5 +159,4 @@ class BlackBoxBatchSizeModel:
     ) -> np.ndarray:
         if not self._fitted:
             raise EstimatorError("predict() before fit()")
-        x = np.stack([self._features(c, p) for c, p in zip(configs, profiles, strict=True)])
-        return self._tree.predict(x)
+        return self._tree.predict(per_context(configs, profiles, self._features))

@@ -9,28 +9,11 @@ forests over numpy directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import EstimatorError
 
 __all__ = ["DecisionTreeRegressor", "RandomForestRegressor"]
-
-
-@dataclass
-class _Node:
-    """One tree node; leaves carry a prediction, splits carry children."""
-
-    value: float
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
 
 
 def _best_split(
@@ -114,7 +97,10 @@ class DecisionTreeRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self._rng = np.random.default_rng(random_state)
-        self._root: _Node | None = None
+        # The fitted tree, one ``(feature, threshold, left, right, value)``
+        # entry per node in pre-order (node 0 is the root); ``left`` and
+        # ``right`` are child ids, -1 on a leaf.
+        self._nodes: list[tuple[int, float, int, int, float]] = []
         self.n_features_: int | None = None
 
     def fit(
@@ -139,22 +125,32 @@ class DecisionTreeRegressor:
                     "sample_weight must be finite, non-negative, not all zero"
                 )
         self.n_features_ = x.shape[1]
-        self._root = self._grow(x, y, depth=0, w=w)
+        nodes: list[list] = []
+        self._grow(nodes, x, y, depth=0, w=w)
+        self._nodes = [tuple(node) for node in nodes]
         return self
 
     def _grow(
         self,
+        nodes: list[list],
         x: np.ndarray,
         y: np.ndarray,
         depth: int,
         w: np.ndarray | None = None,
-    ) -> _Node:
+    ) -> int:
+        """Append the subtree over ``(x, y)`` to ``nodes``; return its root id.
+
+        A node is ``[feature, threshold, left, right, value]``; it starts as a
+        leaf and is rewritten in place when a split is accepted.
+        """
         if w is None:
-            node = _Node(value=float(y.mean()))
+            value = float(y.mean())
         elif w.sum() > 0.0:
-            node = _Node(value=float(np.average(y, weights=w)))
+            value = float(np.average(y, weights=w))
         else:  # all-zero-weight child: only the plain mean is defined
-            node = _Node(value=float(y.mean()))
+            value = float(y.mean())
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, value])
         if depth >= self.max_depth or y.size < 2 * self.min_samples_leaf:
             return node
         if np.allclose(y, y[0]):
@@ -174,16 +170,17 @@ class DecisionTreeRegressor:
         # leaf rather than recurse on an empty child.
         if not np.isfinite(threshold) or mask.all() or not mask.any():
             return node
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(x[mask], y[mask], depth + 1, None if w is None else w[mask])
-        node.right = self._grow(
-            x[~mask], y[~mask], depth + 1, None if w is None else w[~mask]
+        left = self._grow(
+            nodes, x[mask], y[mask], depth + 1, None if w is None else w[mask]
         )
+        right = self._grow(
+            nodes, x[~mask], y[~mask], depth + 1, None if w is None else w[~mask]
+        )
+        nodes[node][:4] = [feature, threshold, left, right]
         return node
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self._root is None:
+        if not self._nodes:
             raise EstimatorError("predict() before fit()")
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
@@ -193,24 +190,30 @@ class DecisionTreeRegressor:
                 f"expected {self.n_features_} features, got {x.shape[1]}"
             )
         out = np.empty(x.shape[0], dtype=np.float64)
-        for i, row in enumerate(x):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
+        # Partition the row indices down the tree: one comparison per split
+        # over all the rows that reach it, instead of one walk per row.
+        pending = [(0, np.arange(x.shape[0]))]
+        while pending:
+            node, rows = pending.pop()
+            feature, threshold, left, right, value = self._nodes[node]
+            if left < 0:
+                out[rows] = value
+            elif rows.size:
+                goes_left = x[rows, feature] <= threshold
+                pending.append((left, rows[goes_left]))
+                pending.append((right, rows[~goes_left]))
         return out
 
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
-
-        def walk(node: _Node | None) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        if self._root is None:
+        if not self._nodes:
             raise EstimatorError("depth() before fit()")
-        return walk(self._root)
+
+        def walk(node: int) -> int:
+            _, _, left, right, _ = self._nodes[node]
+            return 0 if left < 0 else 1 + max(walk(left), walk(right))
+
+        return walk(0)
 
 
 class RandomForestRegressor:
@@ -275,5 +278,10 @@ class RandomForestRegressor:
     def predict(self, x: np.ndarray) -> np.ndarray:
         if not self._trees:
             raise EstimatorError("predict() before fit()")
-        preds = np.stack([tree.predict(x) for tree in self._trees])
-        return preds.mean(axis=0)
+        # Tree by tree, in order: the sum numpy reduces a ``(trees, rows)``
+        # stack to along axis 0, and the same bits whether x holds one row or
+        # thousands (DESIGN.md, *The explore stage*, names this sum).
+        total = self._trees[0].predict(x)
+        for tree in self._trees[1:]:
+            total += tree.predict(x)
+        return total / len(self._trees)

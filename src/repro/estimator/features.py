@@ -9,31 +9,79 @@ stable column names so trees trained on one dataset transfer to another
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
+from repro.config.columns import ConfigColumns
 from repro.config.settings import TrainingConfig
+from repro.errors import EstimatorError
 from repro.graphs.profiling import GraphProfile
 from repro.hardware.specs import Platform
 
-__all__ = ["encode", "encode_names", "encode_records"]
+__all__ = ["encode", "encode_columns", "encode_names", "encode_records", "per_context"]
+
+
+def per_context(
+    configs: Sequence[TrainingConfig],
+    contexts: Sequence[object],
+    fn: Callable[..., np.ndarray],
+    *aligned: np.ndarray,
+) -> np.ndarray:
+    """Evaluate ``fn`` on each distinct context's candidates as columns.
+
+    ``contexts[i]`` is the pre-determined setting ``configs[i]`` runs under —
+    its graph profile, or a ``(profile, platform)`` pair.  The rows sharing a
+    context become one :class:`ConfigColumns`, ``fn(columns, context,
+    *aligned_rows)`` returns one output row per candidate, and the rows go
+    back in input order.  Exploration passes one profile object ``n`` times
+    and a store hands out equal copies; both collapse to a single group, so
+    the common case is one call on all the candidates.
+    """
+    if len(configs) != len(contexts):
+        raise EstimatorError("configs and their contexts must align")
+    if not len(configs):
+        raise EstimatorError("no candidates to evaluate")
+    if len(set(map(id, contexts))) == 1:  # one object n times: skip the hashing
+        return fn(ConfigColumns(configs), contexts[0], *aligned)
+    groups: dict[object, list[int]] = {}
+    for i, context in enumerate(contexts):
+        groups.setdefault(context, []).append(i)
+    out = None
+    for context, rows in groups.items():
+        part = fn(
+            ConfigColumns([configs[i] for i in rows]),
+            context,
+            *(np.asarray(a)[rows] for a in aligned),
+        )
+        if out is None:
+            out = np.empty((len(configs), *part.shape[1:]), dtype=part.dtype)
+        out[rows] = part
+    return out
+
+
+def encode_columns(
+    columns: ConfigColumns, profile: GraphProfile, platform: Platform
+) -> np.ndarray:
+    """Full candidate + pre-determined-settings feature matrix.
+
+    Non-finite entries (a degenerate graph can yield an infinite power-law
+    exponent) are clamped so tree thresholds stay finite.
+    """
+    settings = np.concatenate(
+        [profile.as_features(), np.asarray(platform.as_features(), dtype=np.float64)]
+    )
+    raw = np.hstack(
+        [columns.features(), np.broadcast_to(settings, (len(columns), settings.size))]
+    )
+    return np.nan_to_num(raw, nan=0.0, posinf=1e12, neginf=-1e12)
 
 
 def encode(
     config: TrainingConfig, profile: GraphProfile, platform: Platform
 ) -> np.ndarray:
-    """Full candidate + pre-determined-settings feature vector.
-
-    Non-finite entries (a degenerate graph can yield an infinite power-law
-    exponent) are clamped so tree thresholds stay finite.
-    """
-    raw = np.concatenate(
-        [
-            config.as_features(),
-            profile.as_features(),
-            np.asarray(platform.as_features(), dtype=np.float64),
-        ]
-    )
-    return np.nan_to_num(raw, nan=0.0, posinf=1e12, neginf=-1e12)
+    """One candidate's row of :func:`encode_columns`."""
+    return encode_columns(ConfigColumns([config]), profile, platform)[0]
 
 
 def encode_names() -> list[str]:

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config.settings import TrainingConfig
+from repro.config.columns import ConfigColumns
+from repro.config.settings import _CACHE_POLICIES, TrainingConfig
 from repro.errors import EstimatorError
 from repro.estimator.accuracy import AccuracyModel
 from repro.estimator.batchsize import BlackBoxBatchSizeModel, GrayBoxBatchSizeModel
 from repro.estimator.blackbox import DecisionTreeRegressor, RandomForestRegressor
-from repro.estimator.features import encode
+from repro.estimator.features import encode_columns, per_context
 from repro.graphs.profiling import GraphProfile
 from repro.hardware.costmodel import (
     batch_time,
@@ -57,23 +58,45 @@ class PredictedPerf:
         )
 
 
-def _hit_features(config: TrainingConfig, profile: GraphProfile) -> np.ndarray:
-    """Inputs explaining the average cache hit rate."""
-    policies = ("none", "static", "fifo", "lru")
-    return np.array(
+def _hit_features(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
+    """Inputs explaining the average cache hit rate, one row per candidate."""
+    ones = np.ones(len(columns))
+    return np.column_stack(
         [
-            config.cache_ratio,
-            config.bias_rate,
-            1.0 if config.batch_order == "partition" else 0.0,
-            config.batch_size / max(profile.num_nodes, 1),
-            profile.degree_skew,
-            profile.avg_degree,
-            *[1.0 if config.cache_policy == p else 0.0 for p in policies],
-            1.0 if config.sampler == "biased" else 0.0,
-            1.0 if config.sampler == "saint" else 0.0,
-        ],
-        dtype=np.float64,
-    )
+            columns.cache_ratio,
+            columns.bias_rate,
+            columns.partition_order,
+            columns.batch_size / max(profile.num_nodes, 1),
+            profile.degree_skew * ones,
+            profile.avg_degree * ones,
+            *(columns.cache_policy == p for p in _CACHE_POLICIES),
+            columns.sampler == "biased",
+            columns.sampler == "saint",
+        ]
+    ).astype(np.float64)
+
+
+def _edge_features(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
+    """Inputs explaining the edges-per-vertex ratio of a mini-batch."""
+    ones = np.ones(len(columns))
+    return np.column_stack(
+        [
+            profile.avg_degree * ones,
+            profile.degree_skew * ones,
+            profile.powerlaw_exponent * ones,
+            columns.fanout_sum,
+            columns.num_hops,
+            columns.bias_rate,
+            columns.batch_size / max(profile.num_nodes, 1),
+            columns.sampler == "saint",
+            columns.sampler == "fastgcn",
+        ]
+    ).astype(np.float64)
+
+
+def _as_perf(table: np.ndarray) -> list[PredictedPerf]:
+    """Rows of ``(T, Γ, Acc)`` as estimator outputs."""
+    return [PredictedPerf(*row) for row in table.tolist()]
 
 
 class GrayBoxEstimator:
@@ -113,46 +136,65 @@ class GrayBoxEstimator:
         self._fitted = False
 
     # -------------------------------------------------------------- analytics
+    def _intermediates(
+        self, columns: ConfigColumns, profile: GraphProfile
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Predicted ``(E[|V_i|], E[|E_i|], hit rate)`` of every candidate."""
+        v_hat = self._batch_model.predict_columns(columns, profile)
+        e_hat = v_hat * np.exp(
+            self._edge_model.predict(_edge_features(columns, profile))
+        )
+        hit_hat = np.clip(
+            self._hit_model.predict(_hit_features(columns, profile)), 0.0, 1.0
+        )
+        return v_hat, e_hat, hit_hat
+
     def _analytic_phases(
         self,
-        config: TrainingConfig,
+        columns: ConfigColumns,
         profile: GraphProfile,
         platform: Platform,
-        v_hat: float,
-        e_hat: float,
-        hit_hat: float,
-    ) -> dict[str, float]:
+        v_hat: np.ndarray,
+        e_hat: np.ndarray,
+        hit_hat: np.ndarray,
+    ) -> dict[str, np.ndarray]:
         """White-box per-batch phase times at the predicted intermediates."""
+        nodes, edges = v_hat.astype(np.int64), e_hat.astype(np.int64)
         missed = v_hat * (1.0 - hit_hat)
         # Dynamic policies admit roughly what they miss; static admits none.
-        dynamic = config.cache_policy in ("fifo", "lru")
-        admitted = missed if dynamic else 0.0
-        costing = model_costing(
-            self._arch,
-            int(v_hat),
-            int(e_hat),
-            in_dim=profile.feature_dim,
-            hidden_dim=config.hidden_channels,
-            out_dim=max(profile.num_classes, 2),
-            num_layers=config.num_layers,
-            heads=config.heads,
-        )
+        dynamic = np.isin(columns.cache_policy, ("fifo", "lru"))
+        admitted = np.where(dynamic, missed, 0.0).astype(np.int64)
+        compute = np.empty(len(columns))
+        # The layer loop of ``model_costing`` needs one depth per call.
+        for depth in np.unique(columns.num_layers):
+            rows = columns.num_layers == depth
+            costing = model_costing(
+                self._arch,
+                nodes[rows],
+                edges[rows],
+                in_dim=profile.feature_dim,
+                hidden_dim=columns.hidden_channels[rows],
+                out_dim=max(profile.num_classes, 2),
+                num_layers=int(depth),
+                heads=columns.heads[rows],
+            )
+            compute[rows] = t_compute(costing, platform)
         return {
             "sample": t_sample(
-                max(int(v_hat) - config.batch_size, 0),
+                np.maximum(nodes - columns.batch_size, 0),
                 platform,
-                edges_touched=int(e_hat),
+                edges_touched=edges,
             ),
-            "transfer": t_transfer(int(missed), profile.feature_dim, platform),
-            "replace": t_replace(
-                int(admitted), int(admitted), profile.feature_dim, platform
+            "transfer": t_transfer(
+                missed.astype(np.int64), profile.feature_dim, platform
             ),
-            "compute": t_compute(costing, platform),
+            "replace": t_replace(admitted, admitted, profile.feature_dim, platform),
+            "compute": compute,
         }
 
-    def _num_iters(self, config: TrainingConfig, profile: GraphProfile) -> int:
+    def _num_iters(self, batch_size, profile: GraphProfile):
         train_nodes = int(self.train_frac * profile.num_nodes)
-        return max(1, -(-train_nodes // config.batch_size))
+        return np.maximum(1, -(-train_nodes // batch_size))
 
     # ------------------------------------------------------------------- fit
     def fit(self, records, sample_weight=None) -> "GrayBoxEstimator":
@@ -181,14 +223,13 @@ class GrayBoxEstimator:
 
         self._batch_model.fit(configs, profiles, measured_v, sample_weight=w)
         # Edges per node regress on degree/config features (log-ratio).
-        xe = np.stack(
-            [self._edge_features(c, p) for c, p in zip(configs, profiles, strict=True)]
-        )
         self._edge_model.fit(
-            xe, np.log(measured_e / np.maximum(measured_v, 1.0)), sample_weight=w
+            per_context(configs, profiles, _edge_features),
+            np.log(measured_e / np.maximum(measured_v, 1.0)),
+            sample_weight=w,
         )
         self._hit_model.fit(
-            np.stack([_hit_features(c, p) for c, p in zip(configs, profiles, strict=True)]),
+            per_context(configs, profiles, _hit_features),
             measured_hit,
             sample_weight=w,
         )
@@ -199,74 +240,40 @@ class GrayBoxEstimator:
         self._fitted = True
         return self
 
-    @staticmethod
-    def _edge_features(config: TrainingConfig, profile: GraphProfile) -> np.ndarray:
-        return np.array(
-            [
-                profile.avg_degree,
-                profile.degree_skew,
-                profile.powerlaw_exponent,
-                float(sum(config.hop_list)),
-                float(len(config.hop_list)),
-                config.bias_rate,
-                config.batch_size / max(profile.num_nodes, 1),
-                1.0 if config.sampler == "saint" else 0.0,
-                1.0 if config.sampler == "fastgcn" else 0.0,
-            ],
-            dtype=np.float64,
-        )
-
     def _fit_residuals(self, records, configs, profiles, w=None) -> None:
         """Learn log-ratio corrections measured/analytic per phase."""
-        v_hat = self._batch_model.predict(configs, profiles)
-        e_hat = v_hat * np.exp(
-            self._edge_model.predict(
-                np.stack([self._edge_features(c, p) for c, p in zip(configs, profiles, strict=True)])
+
+        def analytics(columns, context):
+            """Encoding, then the four phase times, then memory, by column."""
+            profile, platform = context
+            v_hat, e_hat, hit_hat = self._intermediates(columns, profile)
+            phases = self._analytic_phases(
+                columns, profile, platform, v_hat, e_hat, hit_hat
             )
-        )
-        hit_hat = np.clip(
-            self._hit_model.predict(
-                np.stack([_hit_features(c, p) for c, p in zip(configs, profiles, strict=True)])
-            ),
-            0.0,
-            1.0,
-        )
-        feats = np.stack(
-            [
-                encode(r.config, r.graph_profile, get_platform(r.task.platform))
-                for r in records
-            ]
-        )
-        measured = {
-            "sample": np.array([r.t_sample for r in records]),
-            "transfer": np.array([r.t_transfer for r in records]),
-            "replace": np.array([r.t_replace for r in records]),
-            "compute": np.array([r.t_compute for r in records]),
-        }
-        floor = 1e-7
-        for phase, model in self._residual_models.items():
-            analytic = np.array(
+            return np.column_stack(
                 [
-                    self._analytic_phases(
-                        c, p, get_platform(r.task.platform), v, e, h
-                    )[phase]
-                    for c, p, r, v, e, h in zip(
-                        configs, profiles, records, v_hat, e_hat, hit_hat,
-                        strict=True,
-                    )
+                    encode_columns(columns, profile, platform),
+                    *(phases[phase] for phase in self._PHASES),
+                    self._analytic_memory(columns, profile, v_hat, e_hat),
                 ]
             )
-            ratio = np.log(
-                np.maximum(measured[phase], floor) / np.maximum(analytic, floor)
-            )
-            model.fit(feats, ratio, sample_weight=w)
 
-        analytic_mem = np.array(
+        table = per_context(
+            configs,
             [
-                self._analytic_memory(c, p, v, e)
-                for c, p, v, e in zip(configs, profiles, v_hat, e_hat, strict=True)
-            ]
+                (profile, get_platform(r.task.platform))
+                for profile, r in zip(profiles, records, strict=True)
+            ],
+            analytics,
         )
+        feats = table[:, : -len(self._PHASES) - 1]
+        *analytic_phases, analytic_mem = table[:, feats.shape[1] :].T
+        floor = 1e-7
+        for phase, analytic in zip(self._PHASES, analytic_phases, strict=True):
+            measured = np.array([getattr(r, f"t_{phase}") for r in records])
+            ratio = np.log(np.maximum(measured, floor) / np.maximum(analytic, floor))
+            self._residual_models[phase].fit(feats, ratio, sample_weight=w)
+
         measured_mem = np.array([r.memory_bytes for r in records])
         self._memory_residual.fit(
             feats, np.log(measured_mem / analytic_mem), sample_weight=w
@@ -274,31 +281,35 @@ class GrayBoxEstimator:
 
     def _analytic_memory(
         self,
-        config: TrainingConfig,
+        columns: ConfigColumns,
         profile: GraphProfile,
-        v_hat: float,
-        e_hat: float,
-    ) -> float:
-        params = count_parameters(
-            self._arch,
-            profile.feature_dim,
-            max(profile.num_classes, 2),
-            hidden_channels=config.hidden_channels,
-            num_layers=config.num_layers,
-            heads=config.heads,
+        v_hat: np.ndarray,
+        e_hat: np.ndarray,
+    ) -> np.ndarray:
+        out_dim = max(profile.num_classes, 2)
+        params = columns.per_distinct(
+            (columns.hidden_channels, columns.num_layers, columns.heads),
+            lambda c: count_parameters(
+                self._arch,
+                profile.feature_dim,
+                out_dim,
+                hidden_channels=c.hidden_channels,
+                num_layers=c.num_layers,
+                heads=c.heads,
+            ),
         )
-        capacity = int(config.cache_ratio * profile.num_nodes)
+        capacity = (columns.cache_ratio * profile.num_nodes).astype(np.int64)
         return (
             gamma_model(params)
             + gamma_cache(capacity, profile.feature_dim)
             + gamma_runtime(
-                int(v_hat),
-                int(e_hat),
+                v_hat.astype(np.int64),
+                e_hat.astype(np.int64),
                 n_attr=profile.feature_dim,
-                hidden_dim=config.hidden_channels,
-                out_dim=max(profile.num_classes, 2),
-                num_layers=config.num_layers,
-                heads=config.heads,
+                hidden_dim=columns.hidden_channels,
+                out_dim=out_dim,
+                num_layers=columns.num_layers,
+                heads=columns.heads,
                 attention=self._arch == "gat",
             )
         )
@@ -315,61 +326,30 @@ class GrayBoxEstimator:
             raise EstimatorError("predict() before fit()")
         if isinstance(platform, str):
             platform = get_platform(platform)
-        configs = [c.canonical() for c in configs]
 
-        v_hat = self._batch_model.predict(configs, profiles)
-        e_hat = v_hat * np.exp(
-            self._edge_model.predict(
-                np.stack([self._edge_features(c, p) for c, p in zip(configs, profiles, strict=True)])
-            )
-        )
-        hit_hat = np.clip(
-            self._hit_model.predict(
-                np.stack([_hit_features(c, p) for c, p in zip(configs, profiles, strict=True)])
-            ),
-            0.0,
-            1.0,
-        )
-        acc_hat = self._acc_model.predict(configs, profiles, v_hat, e_hat)
-
-        feats = np.stack(
-            [encode(c, p, platform) for c, p in zip(configs, profiles, strict=True)]
-        )
-        corrections = {
-            phase: (
-                np.exp(model.predict(feats))
-                if self.use_residuals
-                else np.ones(len(configs))
-            )
-            for phase, model in self._residual_models.items()
-        }
-        mem_corr = (
-            np.exp(self._memory_residual.predict(feats))
-            if self.use_residuals
-            else np.ones(len(configs))
-        )
-
-        out: list[PredictedPerf] = []
-        for i, (config, profile) in enumerate(zip(configs, profiles, strict=True)):
+        def perf(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
+            v_hat, e_hat, hit_hat = self._intermediates(columns, profile)
             phases = self._analytic_phases(
-                config, profile, platform, v_hat[i], e_hat[i], hit_hat[i]
+                columns, profile, platform, v_hat, e_hat, hit_hat
             )
-            per_batch = batch_time(
-                phases["sample"] * corrections["sample"][i],
-                phases["transfer"] * corrections["transfer"][i],
-                phases["replace"] * corrections["replace"][i],
-                phases["compute"] * corrections["compute"][i],
+            memory = self._analytic_memory(columns, profile, v_hat, e_hat)
+            if self.use_residuals:
+                feats = encode_columns(columns, profile, platform)
+                for phase, model in self._residual_models.items():
+                    phases[phase] = phases[phase] * np.exp(model.predict(feats))
+                memory = memory * np.exp(self._memory_residual.predict(feats))
+            per_batch = batch_time(*(phases[phase] for phase in self._PHASES))
+            return np.column_stack(
+                [
+                    self._num_iters(columns.batch_size, profile) * per_batch,
+                    memory,
+                    self._acc_model.predict_columns(columns, profile, v_hat, e_hat),
+                ]
             )
-            time_s = self._num_iters(config, profile) * per_batch
-            memory = self._analytic_memory(config, profile, v_hat[i], e_hat[i])
-            out.append(
-                PredictedPerf(
-                    time_s=float(time_s),
-                    memory_bytes=float(memory * mem_corr[i]),
-                    accuracy=float(acc_hat[i]),
-                )
-            )
-        return out
+
+        return _as_perf(
+            per_context([c.canonical() for c in configs], profiles, perf)
+        )
 
     # Convenience accessors used by benches/tests.
     def predict_batch_sizes(self, configs, profiles) -> np.ndarray:
@@ -433,16 +413,20 @@ class BlackBoxEstimator:
             raise EstimatorError("predict() before fit()")
         if isinstance(platform, str):
             platform = get_platform(platform)
-        feats = np.stack(
-            [encode(c.canonical(), p, platform) for c, p in zip(configs, profiles, strict=True)]
+        feats = per_context(
+            [c.canonical() for c in configs],
+            profiles,
+            lambda columns, profile: encode_columns(columns, profile, platform),
         )
-        times = np.exp(self._models["time"].predict(feats))
-        mems = np.exp(self._models["memory"].predict(feats))
-        accs = np.clip(self._models["accuracy"].predict(feats), 0.0, 1.0)
-        return [
-            PredictedPerf(time_s=float(t), memory_bytes=float(m), accuracy=float(a))
-            for t, m, a in zip(times, mems, accs, strict=True)
-        ]
+        return _as_perf(
+            np.column_stack(
+                [
+                    np.exp(self._models["time"].predict(feats)),
+                    np.exp(self._models["memory"].predict(feats)),
+                    np.clip(self._models["accuracy"].predict(feats), 0.0, 1.0),
+                ]
+            )
+        )
 
     def predict_batch_sizes(self, configs, profiles) -> np.ndarray:
         """|V_i| from the raw black-box tree (Fig. 5b series)."""

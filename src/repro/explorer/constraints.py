@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ExplorationError
 from repro.estimator.graybox import PredictedPerf
 
@@ -46,16 +48,22 @@ class RuntimeConstraint:
         a small slack when pruning on *estimates* so estimator error does not
         discard feasible regions.
         """
+        return bool(
+            self.feasible(perf.time_s, perf.memory_bytes, perf.accuracy, slack=slack)
+        )
+
+    def feasible(self, time_s, memory_bytes, accuracy, *, slack: float = 0.0):
+        """:meth:`satisfied_by` on bare metrics: numbers, or arrays of them."""
+        ok = True
         if self.max_time_s is not None:
-            if perf.time_s > self.max_time_s * (1.0 + slack):
-                return False
+            ok = ok & np.logical_not(time_s > self.max_time_s * (1.0 + slack))
         if self.max_memory_bytes is not None:
-            if perf.memory_bytes > self.max_memory_bytes * (1.0 + slack):
-                return False
+            ok = ok & np.logical_not(
+                memory_bytes > self.max_memory_bytes * (1.0 + slack)
+            )
         if self.min_accuracy is not None:
-            if perf.accuracy < self.min_accuracy * (1.0 - slack):
-                return False
-        return True
+            ok = ok & np.logical_not(accuracy < self.min_accuracy * (1.0 - slack))
+        return ok
 
     def describe(self) -> str:
         parts: list[str] = []

@@ -7,11 +7,19 @@ the partial assignment finished with the per-knob values that individually
 minimise time and memory and maximise accuracy (pre-computed by sensitivity
 probing) — and prunes the subtree when even that optimist violates a runtime
 constraint.  Leaves surviving the walk are batch-estimated and returned.
+
+The walk runs on the space's :class:`~repro.config.space.Enumeration`: a
+tree node is a range of raw leaf numbers, a whole tree level is an integer
+array, and an optimistic completion is itself a leaf of the tree — so a
+level's bounds are one array lookup into the estimates, which a single
+batched ``predict`` per level fills in, each candidate at most once
+(``DESIGN.md``, *The explore stage*).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,6 +44,8 @@ _FILTER_SLACK = 0.25
 #: candidates at once.
 _PRUNE_MAX_REMAINING = 3
 
+_METRICS = attrgetter("time_s", "memory_bytes", "accuracy")
+
 
 @dataclass
 class ExplorationResult:
@@ -52,7 +62,10 @@ class ExplorationResult:
         """Stacked (T, Γ, -Acc) rows for Pareto analysis."""
         if not self.predictions:
             return np.zeros((0, 3))
-        return np.stack([p.objective_vector() for p in self.predictions])
+        return np.array(
+            [(p.time_s, p.memory_bytes, -p.accuracy) for p in self.predictions],
+            dtype=np.float64,
+        )
 
 
 class DFSExplorer:
@@ -69,62 +82,78 @@ class DFSExplorer:
         self.estimator = estimator
         self.profile = profile
         self.platform = platform
-        self._optimistic_values: dict[str, dict[str, object]] | None = None
+        self._optimistic_digits: np.ndarray | None = None
+
+    def _predict(self, configs: list[TrainingConfig]) -> list[PredictedPerf]:
+        if not configs:
+            return []
+        return self.estimator.predict(
+            configs, [self.profile] * len(configs), self.platform
+        )
 
     # ----------------------------------------------------- optimistic bounds
-    def _probe_optimistic_values(self) -> dict[str, dict[str, object]]:
-        """Per-knob values that individually minimise each metric.
+    def _probe_optimistic_digits(
+        self, estimate, shape: list[int], strides: list[int]
+    ) -> np.ndarray:
+        """Per-knob value indices that individually minimise each metric.
 
         One-at-a-time sensitivity probe around the *centre of the space*
         (median domain value per knob) — probing around an out-of-space base
         config would rank knob values in contexts the search never visits.
-        The result completes partial assignments optimistically during
-        pruning.
+        Row ``m`` completes partial assignments optimistically for metric
+        ``m`` of (time, memory, accuracy) during pruning.
         """
-        if self._optimistic_values is not None:
-            return self._optimistic_values
-        centre = {
-            knob: values[len(values) // 2]
-            for knob, values in self.space.domains.items()
-        }
-        best: dict[str, dict[str, object]] = {"time": {}, "memory": {}, "accuracy": {}}
-        for knob, values in self.space.domains.items():
-            candidates = [
-                self.space.build({**centre, knob: v}) for v in values
-            ]
-            preds = self.estimator.predict(
-                candidates, [self.profile] * len(candidates), self.platform
+        if self._optimistic_digits is not None:
+            return self._optimistic_digits
+        centre = sum(size // 2 * stride for size, stride in zip(shape, strides, strict=True))
+        # Every probe point differs from the centre in one digit, so it is a
+        # leaf too: leaf ``centre + (j - size // 2) * stride`` sets a knob to j.
+        probes = [
+            centre + (np.arange(size) - size // 2) * stride
+            for size, stride in zip(shape, strides, strict=True)
+        ]
+        table = estimate(self.space.enumeration.leaf_candidate[np.concatenate(probes)])
+        best = np.empty((3, len(shape)), dtype=np.intp)
+        for knob, rows in enumerate(np.split(table, np.cumsum(shape)[:-1])):
+            best[:, knob] = (
+                np.argmin(rows[:, 0]),
+                np.argmin(rows[:, 1]),
+                np.argmax(rows[:, 2]),
             )
-            times = np.array([p.time_s for p in preds])
-            mems = np.array([p.memory_bytes for p in preds])
-            accs = np.array([p.accuracy for p in preds])
-            best["time"][knob] = values[int(np.argmin(times))]
-            best["memory"][knob] = values[int(np.argmin(mems))]
-            best["accuracy"][knob] = values[int(np.argmax(accs))]
-        self._optimistic_values = best
+        self._optimistic_digits = best
         return best
 
-    def _optimistic_perf(
-        self, assignment: dict[str, object], remaining: list[str]
-    ) -> PredictedPerf:
-        """Estimate the best completion of a partial assignment per metric."""
-        best = self._probe_optimistic_values()
-        configs = []
-        for metric in ("time", "memory", "accuracy"):
-            completion = dict(assignment)
-            for knob in remaining:
-                completion[knob] = best[metric][knob]
-            configs.append(self.space.build(completion))
-        preds = self.estimator.predict(
-            configs, [self.profile] * len(configs), self.platform
-        )
-        # Combine the per-metric optima into one (infeasible in itself,
-        # but a valid optimistic bound for pruning).
-        return PredictedPerf(
-            time_s=preds[0].time_s,
-            memory_bytes=preds[1].memory_bytes,
-            accuracy=preds[2].accuracy,
-        )
+    def _walk(self, constraint: RuntimeConstraint, estimate) -> tuple[np.ndarray, int]:
+        """The raw leaves the pruned DFS reaches, and the subtrees it cut.
+
+        Level by level through the prune zone: the nodes of a level are
+        numbered by their assignment prefix, node ``p`` covers the leaves
+        ``p * span .. (p + 1) * span - 1``, and its completion for a metric
+        is the leaf ``p * span + offset`` whose remaining digits are that
+        metric's optimistic ones.  The bound combines the three completions'
+        own metrics (infeasible in itself, but a valid optimist).
+        """
+        shape = [len(values) for values in self.space.domains.values()]
+        strides = _strides(shape)
+        leaf_candidate = self.space.enumeration.leaf_candidate
+        best = self._probe_optimistic_digits(estimate, shape, strides)
+        first = max(0, len(shape) - _PRUNE_MAX_REMAINING)
+        alive = np.arange(int(np.prod(shape[:first])))
+        pruned = 0
+        metric = np.arange(3)
+        for level in range(first, len(shape)):
+            span = strides[level] * shape[level]
+            offsets = best[:, level:] @ np.array(strides[level:])
+            completions = leaf_candidate[alive[:, None] * span + offsets]
+            table = estimate(completions.ravel()).reshape(-1, 3, 3)
+            time_s, memory, accuracy = table[:, metric, metric].T
+            feasible = constraint.feasible(
+                time_s, memory, accuracy, slack=_PRUNE_SLACK
+            )
+            pruned += int(np.count_nonzero(~feasible))
+            children = np.arange(shape[level])
+            alive = (alive[feasible, None] * shape[level] + children).ravel()
+        return alive, pruned
 
     # ------------------------------------------------------------- main walk
     def explore(
@@ -141,58 +170,55 @@ class DFSExplorer:
         reproducible baseline — the paper's "initial set" of Fig. 4.
         """
         constraint = constraint or RuntimeConstraint()
-        knobs = self.space.knobs
-        survivors: list[TrainingConfig] = []
-        seen: set[TrainingConfig] = set()
-        pruned = 0
-        visited = 0
+        enumeration = self.space.enumeration
+        candidates = enumeration.candidates
+        # Estimates by candidate index; each candidate is predicted once.
+        perf = np.full(len(candidates), None, dtype=object)
+        table = np.full((len(candidates), 3), np.nan)
 
-        def recurse(level: int, assignment: dict) -> None:
-            nonlocal pruned, visited
-            remaining = len(knobs) - level
-            if (
-                prune
-                and not constraint.is_unbounded()
-                and 0 < remaining <= _PRUNE_MAX_REMAINING
-            ):
-                optimist = self._optimistic_perf(assignment, knobs[level:])
-                if not constraint.satisfied_by(optimist, slack=_PRUNE_SLACK):
-                    pruned += 1
-                    return
-            if level == len(knobs):
-                visited += 1
-                candidate = self.space.build(assignment)
-                if candidate not in seen:
-                    seen.add(candidate)
-                    survivors.append(candidate)
-                return
-            knob = knobs[level]
-            for value in self.space.domains[knob]:
-                assignment[knob] = value
-                recurse(level + 1, assignment)
-            del assignment[knob]
+        def estimate(indices: np.ndarray) -> np.ndarray:
+            """(T, Γ, Acc) rows of ``indices``, predicting the unseen ones."""
+            wanted = np.zeros(len(candidates), dtype=bool)
+            wanted[indices] = True
+            new = np.flatnonzero(wanted & np.isnan(table[:, 0]))
+            if new.size:
+                preds = self._predict([candidates[i] for i in new.tolist()])
+                perf[new] = preds
+                table[new] = list(map(_METRICS, preds))
+            return table[indices]
 
-        recurse(0, {})
+        if prune and not constraint.is_unbounded():
+            leaves, pruned = self._walk(constraint, estimate)
+            # Distinct candidates in the order the walk first reaches them.
+            reached = enumeration.leaf_candidate[leaves]
+            _, first = np.unique(reached, return_index=True)
+            order = reached[np.sort(first)]
+        else:
+            leaves, pruned = np.arange(self.space.raw_size()), 0
+            order = np.arange(len(candidates))
 
+        survivors = [candidates[i] for i in order.tolist()]
+        seen = set(survivors)
         for extra in initial_candidates or []:
             canonical = extra.canonical()
             if canonical not in seen:
                 seen.add(canonical)
                 survivors.append(canonical)
-
         if not survivors:
             raise ExplorationError(
                 f"no candidate satisfies the constraints ({constraint.describe()})"
             )
-        predictions = self.estimator.predict(
-            survivors, [self.profile] * len(survivors), self.platform
-        )
+        # One call covers what the bounds did not already estimate.
+        predictions = perf[order].tolist() + [None] * (len(survivors) - len(order))
+        missing = [i for i, pred in enumerate(predictions) if pred is None]
+        fresh = self._predict([survivors[i] for i in missing])
+        for i, pred in zip(missing, fresh, strict=True):
+            predictions[i] = pred
         # Final feasibility filter on the leaf estimates themselves.
-        keep = [
-            i
-            for i, p in enumerate(predictions)
-            if constraint.satisfied_by(p, slack=_FILTER_SLACK)
-        ]
+        feasible = constraint.feasible(
+            *np.array(list(map(_METRICS, predictions))).T, slack=_FILTER_SLACK
+        )
+        keep = np.flatnonzero(np.broadcast_to(feasible, len(predictions))).tolist()
         if not keep:
             raise ExplorationError(
                 f"all candidates violate the constraints ({constraint.describe()})"
@@ -200,8 +226,16 @@ class DFSExplorer:
         return ExplorationResult(
             candidates=[survivors[i] for i in keep],
             predictions=[predictions[i] for i in keep],
-            visited_leaves=visited,
+            visited_leaves=len(leaves),
             pruned_subtrees=pruned,
             evaluated=len(survivors),
             stats={"feasible": len(keep)},
         )
+
+
+def _strides(shape: list[int]) -> list[int]:
+    """Raw leaves under one value of each knob (mixed-radix place values)."""
+    strides = [1] * len(shape)
+    for level in range(len(shape) - 2, -1, -1):
+        strides[level] = strides[level + 1] * shape[level + 1]
+    return strides

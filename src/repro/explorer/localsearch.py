@@ -84,28 +84,35 @@ class LocalSearchExplorer:
         """
         constraint = constraint or RuntimeConstraint()
         visited: dict[TrainingConfig, PredictedPerf] = {}
+        steps_per_restart: list[int] = []
 
         for target in targets:
             for _ in range(self.restarts):
                 current = self.space.sample(1, rng=self._rng)[0]
                 if current not in visited:
                     visited[current] = self._predict([current])[0]
-                current_score = self._scores(
-                    [visited[current]], target, constraint
-                )[0]
+                steps = 0
                 for _ in range(self.max_steps):
                     neighbors = self.space.neighbors(current)
+                    if not neighbors:
+                        break
                     fresh = [n for n in neighbors if n not in visited]
                     if fresh:
                         for cfg, pred in zip(fresh, self._predict(fresh), strict=True):
                             visited[cfg] = pred
-                    preds = [visited[n] for n in neighbors]
-                    scores = self._scores(preds, target, constraint)
-                    best = int(np.argmin(scores))
-                    if scores[best] >= current_score:
+                    # The current point and its neighbourhood share one
+                    # normalisation, so their scores are comparable.
+                    scores = self._scores(
+                        [visited[current]] + [visited[n] for n in neighbors],
+                        target,
+                        constraint,
+                    )
+                    best = int(np.argmin(scores[1:]))
+                    if scores[1 + best] >= scores[0]:
                         break  # local optimum for this target
                     current = neighbors[best]
-                    current_score = scores[best]
+                    steps += 1
+                steps_per_restart.append(steps)
 
         feasible = {
             cfg: pred
@@ -122,5 +129,8 @@ class LocalSearchExplorer:
             predictions=[feasible[c] for c in configs],
             visited_leaves=len(visited),
             evaluated=len(visited),
-            stats={"estimator_calls": self.estimator_calls},
+            stats={
+                "estimator_calls": self.estimator_calls,
+                "steps_per_restart": steps_per_restart,
+            },
         )

@@ -16,26 +16,53 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(a <= b) and np.any(a < b))
 
 
+#: rows per block of the skyline sweep, and the cap on the cells (rivals x
+#: block rows x objectives) of one comparison: the temporaries stay near
+#: 1 MiB however large the set or its front grows.
+_BLOCK_ROWS = 256
+_BLOCK_CELLS = 1 << 19
+
+
+def _dominated(rows: np.ndarray, rivals: np.ndarray) -> np.ndarray:
+    """Which of ``rows`` some row of ``rivals`` dominates."""
+    no_worse = np.ones((len(rows), len(rivals)), dtype=bool)
+    better = np.zeros_like(no_worse)
+    for mine, theirs in zip(rows.T[:, :, None], rivals.T[:, None, :], strict=True):
+        no_worse &= theirs <= mine
+        better |= theirs < mine
+    return (no_worse & better).any(axis=1)
+
+
 def pareto_mask(objectives: np.ndarray) -> np.ndarray:
     """Boolean mask of non-dominated rows (all objectives minimised).
 
-    O(n^2) pairwise check — design spaces here are thousands of points at
-    most, and clarity beats a divide-and-conquer front here.
+    A sort-based skyline: a row can only be dominated by a row that precedes
+    it lexicographically, so the rows are swept in lexicographic order, a
+    block at a time; a block is filtered against the front found so far, and
+    what is left of it against itself — O(n log n + n*f) for a front of f
+    rows, and never an n x n array.  Every copy of a non-dominated row stays;
+    rows holding a NaN neither dominate nor are dominated.
     """
     objectives = np.atleast_2d(np.asarray(objectives, dtype=np.float64))
-    n = objectives.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not mask[i]:
-            continue
-        le = np.all(objectives <= objectives[i], axis=1)
-        lt = np.any(objectives < objectives[i], axis=1)
-        dominated_by = le & lt
-        dominated_by[i] = False
-        if np.any(dominated_by & mask):
-            mask[i] = False
+    n, width = objectives.shape
+    if width == 0:  # nothing to compare on: every row ties
+        return np.ones(n, dtype=bool)
+    mask = np.zeros(n, dtype=bool)
+    order = np.lexsort(objectives.T[::-1])
+    front = np.empty_like(objectives)  # its first ``found`` rows are the front
+    found = 0
+    start = 0
+    while start < n:
+        size = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // (width * max(found, _BLOCK_ROWS))))
+        rows = order[start : start + size]
+        rows = rows[~_dominated(objectives[rows], front[:found])]
+        block = objectives[rows]
+        kept = ~_dominated(block, block)
+        mask[rows[kept]] = True
+        survivors = block[kept]
+        front[found : found + len(survivors)] = survivors
+        found += len(survivors)
+        start += size
     return mask
 
 

@@ -13,11 +13,19 @@ The same functions serve two roles:
   runtime backend reports;
 * driven by *predicted* quantities (E[|V_i|], predicted hit rate) → the
   white-box prior inside the gray-box estimator.
+
+Every batch quantity (vertex, edge, miss and update counts, ``hidden_dim``,
+``heads``) may be a number or an array with one entry per candidate: the
+backend charges one measured batch at a time, the estimator prices a whole
+candidate set in one call, and both run the same arithmetic in the same
+order, so an array entry carries exactly the bits the scalar call returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import HardwareError
 from repro.hardware.specs import Platform
@@ -43,12 +51,31 @@ _BACKWARD_FACTOR = 3.0
 _SCATTER_INEFFICIENCY = {"gcn": 2.0, "sage": 2.0, "gat": 6.0}
 
 
+def any_negative(*counts) -> bool:
+    """Whether a count — or an entry of an array of counts — is below zero."""
+    return any(
+        below if isinstance(below, bool) else below.any()
+        for below in (count < 0 for count in counts)
+    )
+
+
+def larger(a, b):
+    """``max(a, b)``; entry by entry when either is an array.
+
+    The backend's per-batch numbers stay plain python floats (and cost no
+    numpy call per batch); an array entry gets the same bits either way.
+    """
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b)
+    return max(a, b)
+
+
 @dataclass(frozen=True)
 class ModelCosting:
     """Per-batch FLOP and DRAM-byte counts of one training step."""
 
-    flops: float
-    bytes_moved: float
+    flops: float | np.ndarray
+    bytes_moved: float | np.ndarray
     kernel_launches: int
 
 
@@ -71,7 +98,7 @@ def model_costing(
     """
     if arch not in ("gcn", "sage", "gat"):
         raise HardwareError(f"unknown architecture {arch!r}")
-    v, e = float(num_nodes), float(num_edges + num_nodes)  # + self loops
+    v, e = 1.0 * num_nodes, 1.0 * (num_edges + num_nodes)  # + self loops
     dims_in = [in_dim] + [hidden_dim] * (num_layers - 1)
     dims_out = [hidden_dim] * (num_layers - 1) + [out_dim]
     scatter = _SCATTER_INEFFICIENCY[arch]
@@ -82,7 +109,7 @@ def model_costing(
     for layer, (d_in, d_out) in enumerate(zip(dims_in, dims_out, strict=True)):
         if arch == "gat":
             if layer > 0:
-                d_in *= heads  # concatenated heads widen hidden inputs
+                d_in = d_in * heads  # concatenated heads widen hidden inputs
             # Projection GEMM to heads*d_out, per-edge attention (dot, softmax,
             # weighting) and edge-parallel aggregation per head.
             flops += 2.0 * v * d_in * d_out * heads
@@ -119,38 +146,38 @@ def t_sample(
     ``edges_touched`` accounts for scanning adjacency of frontier vertices
     (each scanned edge costs a fraction of a vertex expansion).
     """
-    if num_expanded < 0:
+    if any_negative(num_expanded):
         raise HardwareError("expanded vertex count cannot be negative")
     host = platform.host
-    effective = num_expanded + 0.1 * max(edges_touched, 0)
+    effective = num_expanded + 0.1 * larger(edges_touched, 0)
     parallel_rate = host.sample_rate_vps * min(host.cores, 8) ** 0.5
     return host.sample_overhead_s + effective / parallel_rate
 
 
 def t_transfer(num_missed: int, n_attr: int, platform: Platform) -> float:
     """Eq. 6: move ``n_attr * |V_i| * (1 - hit)`` feature volume to device."""
-    if num_missed < 0:
+    if any_negative(num_missed):
         raise HardwareError("missed vertex count cannot be negative")
-    if num_missed == 0:
-        return 0.0
     volume = num_missed * n_attr * FLOAT_BYTES
     link = platform.link
-    return link.latency_s + volume / link.effective_bytes_per_s
+    # Nothing missed, nothing sent: not even the link latency is paid.
+    return (num_missed != 0) * (link.latency_s + volume / link.effective_bytes_per_s)
 
 
 def t_replace(
     num_admitted: int, num_evicted: int, n_attr: int, platform: Platform
 ) -> float:
     """Eq. 5: cache-update overhead of replacing stale rows on device."""
-    if num_admitted < 0 or num_evicted < 0:
+    if any_negative(num_admitted, num_evicted):
         raise HardwareError("cache update counts cannot be negative")
     rows = num_admitted + num_evicted
-    if rows == 0:
-        return 0.0
     volume = rows * n_attr * FLOAT_BYTES
     device = platform.device
-    # Device-side row scatter plus index bookkeeping; ~3x raw copy cost.
-    return device.kernel_overhead_s + 3.0 * volume / device.bytes_per_s
+    # Device-side row scatter plus index bookkeeping; ~3x raw copy cost.  No
+    # rows touched, no kernel launched.
+    return (rows != 0) * (
+        device.kernel_overhead_s + 3.0 * volume / device.bytes_per_s
+    )
 
 
 def t_compute(costing: ModelCosting, platform: Platform) -> float:
@@ -160,7 +187,7 @@ def t_compute(costing: ModelCosting, platform: Platform) -> float:
     memory_bound = costing.bytes_moved / device.bytes_per_s
     return (
         costing.kernel_launches * device.kernel_overhead_s
-        + max(compute_bound, memory_bound)
+        + larger(compute_bound, memory_bound)
     )
 
 
@@ -168,4 +195,4 @@ def batch_time(
     sample_s: float, transfer_s: float, replace_s: float, compute_s: float
 ) -> float:
     """Eq. 4 (per batch): host and device pipelines overlap; the slower wins."""
-    return max(sample_s + transfer_s, replace_s + compute_s)
+    return larger(sample_s + transfer_s, replace_s + compute_s)

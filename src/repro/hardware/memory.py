@@ -4,6 +4,9 @@
 feature cache, and the transient per-batch footprint (subgraph features,
 activations for backprop, topology buffers).  The breakdown is reported per
 epoch as a peak, exactly what the paper measures with the PyTorch profiler.
+
+As in :mod:`repro.hardware.costmodel`, every size argument may be a number
+or an array with one entry per candidate.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import HardwareError
-from repro.hardware.costmodel import FLOAT_BYTES
+from repro.hardware.costmodel import FLOAT_BYTES, any_negative, larger
 
 __all__ = ["MemoryBreakdown", "gamma_model", "gamma_cache", "gamma_runtime"]
 
@@ -43,7 +46,7 @@ class MemoryBreakdown:
 
 def gamma_model(num_params: int, *, optimizer_state_factor: float = 2.0) -> float:
     """Γ_model ∝ |Φ|: weights + gradients + optimizer moments."""
-    if num_params < 0:
+    if any_negative(num_params):
         raise HardwareError("parameter count cannot be negative")
     copies = 1.0 + 1.0 + optimizer_state_factor  # weights + grads + state
     return num_params * FLOAT_BYTES * copies
@@ -51,7 +54,7 @@ def gamma_model(num_params: int, *, optimizer_state_factor: float = 2.0) -> floa
 
 def gamma_cache(capacity_nodes: int, n_attr: int) -> float:
     """Γ_cache = f(r|V| * n_attr): resident feature rows plus index."""
-    if capacity_nodes < 0 or n_attr < 0:
+    if any_negative(capacity_nodes, n_attr):
         raise HardwareError("cache size terms cannot be negative")
     index_bytes = capacity_nodes * 8  # id -> slot map
     return capacity_nodes * n_attr * FLOAT_BYTES + index_bytes
@@ -73,12 +76,12 @@ def gamma_runtime(
     Covers input features, per-layer activations retained for backward,
     edge-level attention buffers (GAT) and CSR topology of the subgraph.
     """
-    if num_nodes < 0 or num_edges < 0:
+    if any_negative(num_nodes, num_edges):
         raise HardwareError("subgraph size terms cannot be negative")
     features = num_nodes * n_attr * FLOAT_BYTES
-    hidden_units = num_nodes * hidden_dim * max(num_layers - 1, 0)
+    hidden_units = num_nodes * hidden_dim * larger(num_layers - 1, 0)
     if attention:
-        hidden_units *= heads
+        hidden_units = hidden_units * heads
         edge_buffers = num_edges * heads * 3 * FLOAT_BYTES  # logits/att/grads
     else:
         edge_buffers = 0.0

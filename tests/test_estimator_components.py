@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import TrainingConfig
+from repro.config.columns import ConfigColumns
 from repro.errors import EstimatorError
 from repro.estimator.accuracy import AccuracyModel, accuracy_features
 from repro.estimator.graybox import _hit_features
@@ -30,10 +31,21 @@ def _profile(**overrides) -> GraphProfile:
     return GraphProfile(**base)
 
 
+def _accuracy_row(cfg, profile, batch_nodes, batch_edges) -> np.ndarray:
+    """The feature row of one candidate."""
+    return accuracy_features(
+        ConfigColumns([cfg]), profile, np.array([batch_nodes]), np.array([batch_edges])
+    )[0]
+
+
+def _hit_row(cfg, profile) -> np.ndarray:
+    return _hit_features(ConfigColumns([cfg]), profile)[0]
+
+
 class TestAccuracyFeatures:
     def test_eq11_inputs_present(self):
         cfg = TrainingConfig(batch_size=128, hop_list=(5, 3))
-        feats = accuracy_features(cfg, _profile(), 800.0, 6400.0)
+        feats = _accuracy_row(cfg, _profile(), 800.0, 6400.0)
         # Deg(G_i) = 8.0, Deg(G) = 8.0, ratio 1.0.
         assert feats[0] == pytest.approx(8.0)
         assert feats[1] == pytest.approx(8.0)
@@ -41,14 +53,14 @@ class TestAccuracyFeatures:
 
     def test_batch_fraction(self):
         cfg = TrainingConfig()
-        feats = accuracy_features(cfg, _profile(), 500.0, 2000.0)
+        feats = _accuracy_row(cfg, _profile(), 500.0, 2000.0)
         assert feats[4] == pytest.approx(500.0 / 2000.0)
 
     def test_sampler_onehot_tail(self):
         from repro.config.settings import SAMPLER_NAMES
 
         cfg = TrainingConfig(sampler="saint", hop_list=(3, 3))
-        feats = accuracy_features(cfg, _profile(), 100.0, 400.0)
+        feats = _accuracy_row(cfg, _profile(), 100.0, 400.0)
         onehot = feats[-len(SAMPLER_NAMES):]
         assert onehot[SAMPLER_NAMES.index("saint")] == 1.0
         assert onehot.sum() == 1.0
@@ -59,14 +71,14 @@ class TestHitFeatures:
         cfg = TrainingConfig(
             cache_ratio=0.4, cache_policy="lru", batch_order="partition"
         )
-        feats = _hit_features(cfg, _profile())
+        feats = _hit_row(cfg, _profile())
         assert feats[0] == pytest.approx(0.4)
         assert feats[2] == 1.0  # partition order flag
 
     def test_policy_onehot_exclusive(self):
         for policy, ratio in (("none", 0.0), ("static", 0.3), ("fifo", 0.3), ("lru", 0.3)):
             cfg = TrainingConfig(cache_policy=policy, cache_ratio=ratio)
-            feats = _hit_features(cfg, _profile())
+            feats = _hit_row(cfg, _profile())
             onehot = feats[6:10]
             assert onehot.sum() == 1.0
 

@@ -1,0 +1,725 @@
+"""The explore stage at array speed, pinned to what it replaced.
+
+Enumeration, estimation, the Pareto filter and the pruned walk now run on
+columns (``docs/ARCHITECTURE.md``, *The life of an exploration*).  The code
+they replaced — one python object, tree walk or ``np.all`` per candidate — is
+kept here as the *reference implementations*, and the array code must agree
+with it exactly: same candidates in the same order, same bits in every
+``PredictedPerf``, same front, same guidelines.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import (
+    SAMPLER_NAMES,
+    TEMPLATES,
+    DesignSpace,
+    TrainingConfig,
+    default_space,
+    reduced_space,
+)
+from repro.estimator import BlackBoxEstimator, GrayBoxEstimator
+from repro.estimator.batchsize import analytic_batch_size
+from repro.estimator.blackbox import DecisionTreeRegressor, RandomForestRegressor
+from repro.estimator.graybox import PredictedPerf
+from repro.explorer import (
+    PRIORITY_PRESETS,
+    DecisionMaker,
+    DFSExplorer,
+    RuntimeConstraint,
+    hypervolume_2d,
+    pareto_mask,
+)
+from repro.explorer import dfs as dfs_module
+from repro.graphs.profiling import profile_graph
+from repro.hardware import get_platform
+from repro.hardware.costmodel import (
+    batch_time,
+    model_costing,
+    t_compute,
+    t_replace,
+    t_sample,
+    t_transfer,
+)
+from repro.hardware.memory import gamma_cache, gamma_model, gamma_runtime
+from repro.nn.models import count_parameters
+from tests.test_estimator_graybox import _profiling_records
+
+ARCHS = ("sage", "gcn", "gat")
+_POLICIES = ("none", "static", "fifo", "lru")
+
+
+# ===================================================================== oracles
+def reference_pareto_mask(objectives: np.ndarray) -> np.ndarray:
+    """The O(n^2) pairwise check the skyline replaced."""
+    objectives = np.atleast_2d(np.asarray(objectives, dtype=np.float64))
+    n = objectives.shape[0]
+    mask = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not mask[i]:
+            continue
+        le = np.all(objectives <= objectives[i], axis=1)
+        lt = np.any(objectives < objectives[i], axis=1)
+        dominated_by = le & lt
+        dominated_by[i] = False
+        if np.any(dominated_by & mask):
+            mask[i] = False
+    return mask
+
+
+def reference_tree_predict(tree: DecisionTreeRegressor, x: np.ndarray) -> np.ndarray:
+    """One root-to-leaf walk per row."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    out = np.empty(x.shape[0])
+    for i, row in enumerate(x):
+        feature, threshold, left, right, value = tree._nodes[0]
+        while left >= 0:
+            child = left if row[feature] <= threshold else right
+            feature, threshold, left, right, value = tree._nodes[child]
+        out[i] = value
+    return out
+
+
+def reference_forest_predict(forest: RandomForestRegressor, x: np.ndarray) -> np.ndarray:
+    """The seed's forest mean over a batch of rows (a ``(trees, rows)`` stack)."""
+    return np.stack([reference_tree_predict(t, x) for t in forest._trees]).mean(axis=0)
+
+
+def reference_forest_predict_row(forest: RandomForestRegressor, row: np.ndarray) -> float:
+    """One row, trees added in order — what the stack's axis-0 mean does for
+    every row of a batch of two or more.  (Numpy sums a ``(trees, 1)`` stack
+    pairwise instead, which is why the seed's one-candidate ``predict`` could
+    differ from its batched one in the last bit; see ``DESIGN.md``.)"""
+    total = 0.0
+    for tree in forest._trees:
+        total += reference_tree_predict(tree, row)[0]
+    return total / len(forest._trees)
+
+
+def _reference_effective_fanouts(config: TrainingConfig) -> list[float]:
+    if config.sampler == "saint":
+        return [1.0] * (2 * len(config.hop_list))
+    if config.sampler == "fastgcn":
+        out: list[float] = []
+        prev = float(config.batch_size)
+        for k in config.hop_list:
+            delta = float(k * config.batch_size)
+            out.append(delta / prev)
+            prev = delta
+        return out
+    return [float(k) for k in config.hop_list]
+
+
+def _onehot(value: str, names: tuple[str, ...]) -> list[float]:
+    return [1.0 if value == name else 0.0 for name in names]
+
+
+def reference_config_features(config: TrainingConfig) -> np.ndarray:
+    """The per-candidate ``TrainingConfig.as_features`` of the seed."""
+    return np.array(
+        [
+            float(config.batch_size),
+            float(len(config.hop_list)),
+            float(sum(config.hop_list)),
+            float(np.prod([1.0 + k for k in config.hop_list])),
+            config.bias_rate,
+            config.cache_ratio,
+            float(config.hidden_channels),
+            float(config.num_layers),
+            float(config.heads),
+            config.dropout,
+            1.0 if config.reorder != "none" else 0.0,
+            1.0 if config.batch_order == "partition" else 0.0,
+            *_onehot(config.sampler, SAMPLER_NAMES),
+            *_onehot(config.cache_policy, _POLICIES),
+        ],
+        dtype=np.float64,
+    )
+
+
+def reference_encode(config, profile, platform) -> np.ndarray:
+    raw = np.concatenate(
+        [
+            reference_config_features(config),
+            profile.as_features(),
+            np.asarray(platform.as_features(), dtype=np.float64),
+        ]
+    )
+    return np.nan_to_num(raw, nan=0.0, posinf=1e12, neginf=-1e12)
+
+
+def reference_predict(
+    estimator: GrayBoxEstimator, configs, profiles, platform
+) -> list[PredictedPerf]:
+    """The per-candidate ``GrayBoxEstimator.predict`` loop the columns replaced.
+
+    Five per-candidate feature builders, per-row tree walks, and Eqs. 4-10
+    called with python scalars, on the estimator's own fitted trees.
+    """
+    est = estimator
+    out = []
+    for config, profile in zip(configs, profiles, strict=True):
+        config = config.canonical()
+        fanouts = _reference_effective_fanouts(config)
+        share = config.batch_size / max(profile.num_nodes, 1)
+        correction = np.array(
+            [
+                np.log1p(config.batch_size),
+                np.log1p(sum(fanouts)),
+                float(len(fanouts)),
+                config.bias_rate,
+                profile.avg_degree,
+                profile.degree_skew,
+                profile.powerlaw_exponent,
+                np.log1p(profile.num_nodes),
+                share,
+                *_onehot(config.sampler, SAMPLER_NAMES),
+            ]
+        )
+        prior = analytic_batch_size(config, profile)
+        v_hat = min(
+            prior * np.exp(reference_tree_predict(est._batch_model._tree, correction)[0]),
+            float(profile.num_nodes),
+        )
+        edge = np.array(
+            [
+                profile.avg_degree,
+                profile.degree_skew,
+                profile.powerlaw_exponent,
+                float(sum(config.hop_list)),
+                float(len(config.hop_list)),
+                config.bias_rate,
+                share,
+                1.0 if config.sampler == "saint" else 0.0,
+                1.0 if config.sampler == "fastgcn" else 0.0,
+            ]
+        )
+        e_hat = v_hat * np.exp(reference_tree_predict(est._edge_model, edge)[0])
+        hit = np.array(
+            [
+                config.cache_ratio,
+                config.bias_rate,
+                1.0 if config.batch_order == "partition" else 0.0,
+                share,
+                profile.degree_skew,
+                profile.avg_degree,
+                *_onehot(config.cache_policy, _POLICIES),
+                1.0 if config.sampler == "biased" else 0.0,
+                1.0 if config.sampler == "saint" else 0.0,
+            ]
+        )
+        hit_hat = float(np.clip(reference_tree_predict(est._hit_model, hit)[0], 0.0, 1.0))
+        batch_degree = e_hat / max(v_hat, 1.0)
+        acc = np.array(
+            [
+                batch_degree,
+                profile.avg_degree,
+                batch_degree / max(profile.avg_degree, 1e-9),
+                np.log1p(v_hat),
+                v_hat / max(profile.num_nodes, 1),
+                config.bias_rate,
+                float(config.batch_size),
+                float(sum(config.hop_list)),
+                float(config.hidden_channels),
+                config.dropout,
+                float(profile.num_classes),
+                profile.homophily,
+                profile.separability,
+                *_onehot(config.sampler, SAMPLER_NAMES),
+            ]
+        )
+        acc_hat = float(
+            np.clip(reference_forest_predict_row(est._acc_model._forest, acc), 0.0, 1.0)
+        )
+
+        out_dim = max(profile.num_classes, 2)
+        missed = v_hat * (1.0 - hit_hat)
+        admitted = missed if config.cache_policy in ("fifo", "lru") else 0.0
+        costing = model_costing(
+            est._arch,
+            int(v_hat),
+            int(e_hat),
+            in_dim=profile.feature_dim,
+            hidden_dim=config.hidden_channels,
+            out_dim=out_dim,
+            num_layers=config.num_layers,
+            heads=config.heads,
+        )
+        phases = {
+            "sample": t_sample(
+                max(int(v_hat) - config.batch_size, 0), platform, edges_touched=int(e_hat)
+            ),
+            "transfer": t_transfer(int(missed), profile.feature_dim, platform),
+            "replace": t_replace(
+                int(admitted), int(admitted), profile.feature_dim, platform
+            ),
+            "compute": t_compute(costing, platform),
+        }
+        memory = (
+            gamma_model(
+                count_parameters(
+                    est._arch,
+                    profile.feature_dim,
+                    out_dim,
+                    hidden_channels=config.hidden_channels,
+                    num_layers=config.num_layers,
+                    heads=config.heads,
+                )
+            )
+            + gamma_cache(int(config.cache_ratio * profile.num_nodes), profile.feature_dim)
+            + gamma_runtime(
+                int(v_hat),
+                int(e_hat),
+                n_attr=profile.feature_dim,
+                hidden_dim=config.hidden_channels,
+                out_dim=out_dim,
+                num_layers=config.num_layers,
+                heads=config.heads,
+                attention=est._arch == "gat",
+            )
+        )
+        if est.use_residuals:
+            feats = reference_encode(config, profile, platform)
+            for phase, model in est._residual_models.items():
+                phases[phase] *= np.exp(reference_tree_predict(model, feats)[0])
+            memory *= np.exp(reference_tree_predict(est._memory_residual, feats)[0])
+        train_nodes = int(est.train_frac * profile.num_nodes)
+        num_iters = max(1, -(-train_nodes // config.batch_size))
+        per_batch = batch_time(
+            phases["sample"], phases["transfer"], phases["replace"], phases["compute"]
+        )
+        out.append(
+            PredictedPerf(
+                time_s=float(num_iters * per_batch),
+                memory_bytes=float(memory),
+                accuracy=acc_hat,
+            )
+        )
+    return out
+
+
+def reference_enumerate(space: DesignSpace) -> tuple[list[TrainingConfig], int]:
+    """The recursion ``DesignSpace.__iter__`` and the DFS each used to run."""
+    seen: set[TrainingConfig] = set()
+    out: list[TrainingConfig] = []
+    visited = 0
+    knobs = space.knobs
+
+    def recurse(level: int, assignment: dict) -> None:
+        nonlocal visited
+        if level == len(knobs):
+            visited += 1
+            candidate = space.build(assignment)
+            if candidate not in seen:
+                seen.add(candidate)
+                out.append(candidate)
+            return
+        for value in space.domains[knobs[level]]:
+            assignment[knobs[level]] = value
+            recurse(level + 1, assignment)
+        del assignment[knobs[level]]
+
+    recurse(0, {})
+    return out, visited
+
+
+def reference_pruned_walk(explorer: DFSExplorer, constraint: RuntimeConstraint):
+    """The per-node pruned DFS: three-config ``predict`` at every internal node
+    of the prune zone, completed with per-knob probed optima."""
+    space = explorer.space
+    knobs = space.knobs
+
+    def predict(configs):
+        return explorer.estimator.predict(
+            configs, [explorer.profile] * len(configs), explorer.platform
+        )
+
+    centre = {k: v[len(v) // 2] for k, v in space.domains.items()}
+    best: dict[str, dict] = {"time": {}, "memory": {}, "accuracy": {}}
+    for knob, values in space.domains.items():
+        preds = predict([space.build({**centre, knob: v}) for v in values])
+        best["time"][knob] = values[int(np.argmin([p.time_s for p in preds]))]
+        best["memory"][knob] = values[int(np.argmin([p.memory_bytes for p in preds]))]
+        best["accuracy"][knob] = values[int(np.argmax([p.accuracy for p in preds]))]
+
+    survivors: list[TrainingConfig] = []
+    seen: set[TrainingConfig] = set()
+    pruned = visited = 0
+
+    def recurse(level: int, assignment: dict) -> None:
+        nonlocal pruned, visited
+        remaining = len(knobs) - level
+        if 0 < remaining <= dfs_module._PRUNE_MAX_REMAINING:
+            completions = [
+                space.build({**assignment, **{k: best[m][k] for k in knobs[level:]}})
+                for m in ("time", "memory", "accuracy")
+            ]
+            preds = predict(completions)
+            optimist = PredictedPerf(
+                preds[0].time_s, preds[1].memory_bytes, preds[2].accuracy
+            )
+            if not constraint.satisfied_by(optimist, slack=dfs_module._PRUNE_SLACK):
+                pruned += 1
+                return
+        if level == len(knobs):
+            visited += 1
+            candidate = space.build(assignment)
+            if candidate not in seen:
+                seen.add(candidate)
+                survivors.append(candidate)
+            return
+        for value in space.domains[knobs[level]]:
+            assignment[knobs[level]] = value
+            recurse(level + 1, assignment)
+        del assignment[knobs[level]]
+
+    recurse(0, {})
+    return survivors, visited, pruned
+
+
+# ==================================================================== fixtures
+@pytest.fixture(scope="session")
+def fitted(small_graph):
+    """One fitted gray-box estimator per architecture, shared by every test."""
+    return {
+        arch: GrayBoxEstimator().fit(
+            _profiling_records(small_graph, n=16, epochs=1, seed=20, arch=arch)
+        )
+        for arch in ARCHS
+    }
+
+
+@pytest.fixture(scope="session")
+def profile(small_graph):
+    return profile_graph(small_graph)
+
+
+@pytest.fixture(scope="session")
+def candidates():
+    """``default_space()`` followed by the templates it does not contain."""
+    templates = [t.canonical() for t in TEMPLATES.values()]
+    return list(dict.fromkeys(default_space().enumerate() + templates))
+
+
+def _bits(preds: list[PredictedPerf]) -> np.ndarray:
+    return np.array([(p.time_s, p.memory_bytes, p.accuracy) for p in preds])
+
+
+# ====================================================================== pareto
+_grid_value = st.one_of(
+    st.integers(0, 3).map(float), st.sampled_from([np.inf, -np.inf])
+)
+
+
+class TestSkyline:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda width: st.lists(
+                st.lists(_grid_value, min_size=width, max_size=width), max_size=40
+            ).map(lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), width))
+        )
+    )
+    def test_matches_pairwise_reference(self, objectives):
+        """Small integer grids: ties, duplicates and ±inf are dense."""
+        np.testing.assert_array_equal(
+            pareto_mask(objectives), reference_pareto_mask(objectives)
+        )
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_matches_reference_across_blocks(self, width):
+        """More rows than one block, so the front is carried between blocks."""
+        rng = np.random.default_rng(width)
+        for objectives in (
+            rng.normal(size=(700, width)),
+            rng.integers(0, 6, size=(700, width)).astype(float),
+        ):
+            np.testing.assert_array_equal(
+                pareto_mask(objectives), reference_pareto_mask(objectives)
+            )
+
+    def test_nan_rows_neither_dominate_nor_are_dominated(self):
+        objectives = np.array([[1.0, np.nan], [0.0, 0.0], [2.0, 2.0], [np.nan, -1.0]])
+        np.testing.assert_array_equal(
+            pareto_mask(objectives), reference_pareto_mask(objectives)
+        )
+        assert pareto_mask(objectives).tolist() == [True, True, False, True]
+
+    def test_empty_inputs(self):
+        for width in (1, 2, 3):
+            assert pareto_mask(np.zeros((0, width))).shape == (0,)
+
+    def test_memory_stays_far_below_n_squared(self):
+        """20 000 rows: an n x n boolean would be 400 MB; the sweep needs ~1."""
+        objectives = np.random.default_rng(0).normal(size=(20_000, 3))
+        tracemalloc.start()
+        try:
+            mask = pareto_mask(objectives)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mask.any()
+        assert peak < 8 * 2**20
+
+    def test_hypervolume_unchanged(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            objectives = rng.integers(0, 8, size=(60, 2)).astype(float)
+            reference = objectives.max(axis=0) * 1.1 + 1.0
+            front = objectives[reference_pareto_mask(objectives)]
+            front = front[np.argsort(front[:, 0])]
+            volume, prev_x = 0.0, reference[0]
+            for x, y in front[::-1]:
+                volume += (prev_x - x) * (reference[1] - y)
+                prev_x = x
+            assert hypervolume_2d(objectives, reference) == volume
+
+
+# ======================================================================= trees
+class TestTreePredict:
+    @staticmethod
+    def _data(seed: int, rows: int = 60, cols: int = 7):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, cols)).round(1)  # ties on thresholds
+        y = np.where(x[:, 0] > 0, 2.0, -1.0) + x[:, 2] ** 2 + rng.normal(0, 0.1, rows)
+        return x, y
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tree_matches_row_walk(self, seed):
+        x, y = self._data(seed)
+        tree = DecisionTreeRegressor(max_depth=6, min_samples_leaf=2).fit(x, y)
+        query = np.random.default_rng(seed + 100).normal(size=(500, x.shape[1])).round(1)
+        np.testing.assert_array_equal(
+            tree.predict(query), reference_tree_predict(tree, query)
+        )
+
+    def test_single_leaf_tree(self):
+        tree = DecisionTreeRegressor().fit(np.zeros((5, 3)), np.full(5, 4.0))
+        assert len(tree._nodes) == 1 and tree.depth() == 0
+        query = np.random.default_rng(0).normal(size=(9, 3))
+        np.testing.assert_array_equal(tree.predict(query), np.full(9, 4.0))
+        np.testing.assert_array_equal(
+            tree.predict(query), reference_tree_predict(tree, query)
+        )
+
+    def test_non_finite_features_take_the_same_branch(self):
+        x, y = self._data(7)
+        tree = DecisionTreeRegressor(max_depth=5).fit(x, y)
+        query = np.random.default_rng(8).normal(size=(200, x.shape[1]))
+        query[::3, 0] = np.nan
+        query[1::5, 2] = np.inf
+        query[2::7, 2] = -np.inf
+        np.testing.assert_array_equal(
+            tree.predict(query), reference_tree_predict(tree, query)
+        )
+
+    def test_forest_matches_stacked_mean_whatever_the_batch(self):
+        x, y = self._data(11, rows=80)
+        forest = RandomForestRegressor(n_estimators=20, max_depth=6).fit(x, y)
+        query = np.random.default_rng(12).normal(size=(300, x.shape[1]))
+        want = reference_forest_predict(forest, query)
+        np.testing.assert_array_equal(forest.predict(query), want)
+        # one row at a time: the same bits as inside the batch
+        singles = np.array([forest.predict(row)[0] for row in query[:40]])
+        np.testing.assert_array_equal(singles, want[:40])
+
+
+# =================================================================== estimator
+class TestBatchedPredict:
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_equals_per_candidate_reference(self, arch, fitted, profile, candidates):
+        """default_space() + the templates: every ``PredictedPerf`` bit for bit."""
+        platform = get_platform("rtx4090")
+        profiles = [profile] * len(candidates)
+        got = fitted[arch].predict(candidates, profiles, platform)
+        want = reference_predict(fitted[arch], candidates, profiles, platform)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_equals_one_candidate_at_a_time(self, arch, fitted, profile, candidates):
+        picked = candidates[::23] + [t.canonical() for t in TEMPLATES.values()]
+        batched = fitted[arch].predict(picked, [profile] * len(picked), "a100")
+        singles = [fitted[arch].predict([c], [profile], "a100")[0] for c in picked]
+        assert batched == singles
+
+    def test_mixed_profiles_and_uncanonical_configs(self, fitted, profile, medium_graph):
+        other = profile_graph(medium_graph)
+        configs = [
+            TrainingConfig(batch_size=64, sampler="sage", bias_rate=0.5),
+            TrainingConfig(cache_policy="none", cache_ratio=0.3, num_layers=3),
+            TrainingConfig(sampler="biased", bias_rate=0.9, hop_list=(4, 4, 2)),
+            TrainingConfig(sampler="fastgcn", hidden_channels=16, heads=2),
+            TrainingConfig(sampler="saint", cache_policy="lru", cache_ratio=0.2),
+        ] * 2
+        profiles = [profile, other, other, profile, replace(profile)] * 2
+        platform = get_platform("a100")
+        got = fitted["gat"].predict(configs, profiles, platform)
+        want = reference_predict(fitted["gat"], configs, profiles, platform)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_feature_matrix_rows_are_the_per_config_encoding(self, candidates):
+        from repro.config.columns import ConfigColumns
+
+        picked = candidates[::97] + [TEMPLATES["2pgraph"]]
+        matrix = ConfigColumns(picked).features()
+        for row, config in zip(matrix, picked, strict=True):
+            np.testing.assert_array_equal(row, reference_config_features(config))
+            np.testing.assert_array_equal(row, config.as_features())
+
+    def test_black_box_batches_like_singles(self, small_graph, profile, candidates):
+        records = _profiling_records(small_graph, n=16, epochs=1, seed=20)
+        estimator = BlackBoxEstimator().fit(records)
+        picked = candidates[::211]
+        batched = estimator.predict(picked, [profile] * len(picked))
+        assert batched == [estimator.predict([c], [profile])[0] for c in picked]
+
+
+# ==================================================================== the walk
+SPACES = {
+    "default": default_space,
+    "reduced": reduced_space,
+    "no coupled knob": lambda: DesignSpace(
+        {"batch_size": (32, 64), "hidden_channels": (8, 16)}
+    ),
+    "eight shallow knobs": lambda: DesignSpace(
+        {
+            "batch_size": (128, 512),
+            "sampler": ("sage", "biased", "saint"),
+            "hop_list": ((3, 2), (10, 5)),
+            "bias_rate": (0.0, 0.9),
+            "cache_ratio": (0.0, 0.15, 0.5),
+            "cache_policy": ("none", "static", "lru"),
+            "hidden_channels": (16, 64),
+            "reorder": ("none", "degree"),
+        }
+    ),
+    "half of each coupling": lambda: DesignSpace(
+        {"bias_rate": (0.0, 0.5), "cache_ratio": (0.0, 0.1, 0.3), "batch_size": (32, 64)},
+        base=TrainingConfig(sampler="biased", bias_rate=0.5, cache_policy="lru", cache_ratio=0.2),
+    ),
+    "canonical values outside the domains": lambda: DesignSpace(
+        {
+            "sampler": ("biased", "saint"),
+            "bias_rate": (0.5, 0.9),
+            "cache_policy": ("none", "lru"),
+            "cache_ratio": (0.1, 0.3),
+            "hop_list": ((3, 2), (5, 5, 5)),
+        }
+    ),
+}
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("name", SPACES)
+    def test_enumeration_equals_the_recursion(self, name):
+        space = SPACES[name]()
+        want, visited = reference_enumerate(space)
+        assert space.enumerate() == want
+        assert list(space) == want
+        assert visited == space.raw_size() == len(space.enumeration.leaf_candidate)
+        # every raw leaf folds onto the candidate its assignment builds
+        leaf = space.raw_size() // 3
+        digits = np.unravel_index(leaf, [len(v) for v in space.domains.values()])
+        assignment = {
+            k: v[d] for (k, v), d in zip(space.domains.items(), digits, strict=True)
+        }
+        folded = space.enumeration.candidates[space.enumeration.leaf_candidate[leaf]]
+        assert folded == space.build(assignment)
+
+    def test_unconstrained_explore_is_enumerate_plus_unseen_templates(
+        self, fitted, profile, candidates
+    ):
+        space = default_space()
+        explorer = DFSExplorer(space, fitted["sage"], profile, get_platform("rtx4090"))
+        result = explorer.explore(initial_candidates=list(TEMPLATES.values()))
+        assert result.candidates == candidates
+        assert result.visited_leaves == space.raw_size()
+        assert result.pruned_subtrees == 0
+        assert result.evaluated == len(candidates)
+        want = fitted["sage"].predict(
+            candidates, [profile] * len(candidates), get_platform("rtx4090")
+        )
+        assert result.predictions == want
+
+    @staticmethod
+    def _boxes(free) -> dict[str, RuntimeConstraint]:
+        times, memory, accuracy = free.objectives().T
+        return {
+            "cuts nothing": RuntimeConstraint(max_memory_bytes=float(np.median(memory))),
+            "fast quarter": RuntimeConstraint(
+                max_time_s=float(np.percentile(times, 25)), min_accuracy=0.3
+            ),
+            "three-sided": RuntimeConstraint(
+                max_time_s=float(np.percentile(times, 5)),
+                max_memory_bytes=float(np.percentile(memory, 60)),
+                min_accuracy=float(np.percentile(-accuracy, 30)),
+            ),
+        }
+
+    @pytest.mark.parametrize("space_name", ["eight shallow knobs", "reduced"])
+    def test_pruned_walk_equals_per_node_reference(self, space_name, fitted, profile):
+        space = SPACES[space_name]()
+        explorer = DFSExplorer(space, fitted["sage"], profile, get_platform("rtx4090"))
+        templates = list(TEMPLATES.values())
+        cuts = 0
+        for constraint in self._boxes(explorer.explore()).values():
+            survivors, visited, pruned = reference_pruned_walk(explorer, constraint)
+            result = explorer.explore(constraint=constraint, initial_candidates=templates)
+            cuts += pruned
+            assert result.visited_leaves == visited
+            assert result.pruned_subtrees == pruned
+            seen = set(survivors)
+            survivors += [
+                t.canonical() for t in templates if t.canonical() not in seen
+            ]
+            assert result.evaluated == len(survivors)
+            # the final filter keeps the reference's survivors, in its order
+            kept = [c for c in survivors if c in set(result.candidates)]
+            assert result.candidates == kept
+            plain = explorer.explore(
+                constraint=constraint, prune=False, initial_candidates=templates
+            )
+            assert set(result.candidates) <= set(plain.candidates)
+            lookup = dict(zip(plain.candidates, plain.predictions, strict=True))
+            assert result.predictions == [lookup[c] for c in result.candidates]
+            if pruned == 0:
+                targets = list(PRIORITY_PRESETS.values())
+                assert (
+                    DecisionMaker(result).choose_all(targets)
+                    == DecisionMaker(plain).choose_all(targets)
+                )
+        assert cuts > 0, "no box exercised a subtree cut"
+
+    def test_predict_calls_per_explore_are_counted_in_levels(self, fitted, profile):
+        """A constrained explore costs a handful of batched calls, not one
+        three-config call per internal node (thousands on this space)."""
+
+        class Counting:
+            calls = 0
+            rows = 0
+
+            def predict(self, configs, profiles, platform):
+                Counting.calls += 1
+                Counting.rows += len(configs)
+                return fitted["sage"].predict(configs, profiles, platform)
+
+        space = default_space()
+        explorer = DFSExplorer(space, Counting(), profile, get_platform("rtx4090"))
+        free = explorer.explore()
+        assert (Counting.calls, Counting.rows) == (1, len(space.enumerate()))
+        for constraint in self._boxes(free).values():
+            fresh = DFSExplorer(space, Counting(), profile, get_platform("rtx4090"))
+            Counting.calls = Counting.rows = 0
+            fresh.explore(constraint=constraint, initial_candidates=list(TEMPLATES.values()))
+            probe_calls, final_call = 1, 1
+            assert Counting.calls <= dfs_module._PRUNE_MAX_REMAINING + probe_calls + final_call
+            # no candidate is estimated twice
+            assert Counting.rows <= len(space.enumerate()) + len(TEMPLATES)

@@ -42,6 +42,40 @@ class TestLocalSearch:
         local_result = local.explore([PRIORITY_PRESETS["ex_tm"]])
         assert local_result.stats["estimator_calls"] < dfs_result.evaluated
 
+    def test_restarts_climb(self, fitted_estimator, small_graph):
+        """Regression: the current point was scored alone (always 0 after
+        min-max normalisation) and its neighbours among themselves, so every
+        restart stopped before its first move."""
+        from repro.config import default_space
+
+        restarts, max_steps = 8, 24
+        explorer = LocalSearchExplorer(
+            default_space(),
+            fitted_estimator,
+            profile_graph(small_graph),
+            get_platform("rtx4090"),
+            restarts=restarts,
+            max_steps=max_steps,
+        )
+        scored = []
+        score = explorer._scores
+
+        def recording(*args):
+            scored.append(score(*args))
+            return scored[-1]
+
+        explorer._scores = recording
+        result = explorer.explore([PRIORITY_PRESETS["balance"]])
+        steps = result.stats["steps_per_restart"]
+        assert len(steps) == restarts
+        assert max(steps) >= 2
+        # Index 0 is the current point, scored with its neighbourhood: a move
+        # happens exactly when some neighbour beats it, so no move worsens the
+        # jointly-normalised score and every restart ends on a local optimum.
+        moves = [s for s in scored if s[1:].min() < s[0]]
+        assert len(moves) == sum(steps)
+        assert len(scored) - len(moves) == sum(n < max_steps for n in steps)
+
     def test_best_candidate_competitive_with_dfs(
         self, tiny_space, fitted_estimator, small_graph
     ):
