@@ -24,7 +24,6 @@ from .core import (
     discover_files,
 )
 from .dynamic import ObservedGraph, render_dot, verify_dynamic
-from .endptcheck import check_endpoints
 from .lockcheck import check_locks
 from .lockorder import LockOrderGraph, analyze_lock_order
 from .metriccheck import check_metrics
@@ -84,7 +83,6 @@ def run_analysis(
     graph = analyze_lock_order(project, collector)
     check_wire(project, collector)
     check_plumbing(project, collector)
-    check_endpoints(project, collector)
     check_metrics(project, collector)
     check_resources(project, collector)
     findings = list(collector.findings)

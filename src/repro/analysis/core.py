@@ -53,8 +53,6 @@ RULES: dict[str, tuple[str, str]] = {
     "WIRE002": ("error", "wire dataclass field never parsed"),
     "WIRE003": ("warning", "wire key serialized or parsed on one side only"),
     "PLUMB001": ("error", "cancellation/progress seat not forwarded"),
-    "ENDPT001": ("error", "wire request dataclass without route/client parity"),
-    "ENDPT002": ("error", "wire response, or route, out of endpoint parity"),
     "METRIC001": ("error", "metric family misregistered (name/kind/duplicate)"),
     "METRIC002": ("error", "metric label hygiene violation (labels/leak)"),
     "RES001": ("error", "thread or pool without join/daemon/shutdown path"),

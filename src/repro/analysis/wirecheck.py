@@ -1,9 +1,10 @@
 """WIRE001/002/003: dataclasses must round-trip through their wire forms.
 
-The ``/v1`` transport and the serving types keep JSON encodings in sync by
-hand (``to_dict``/``from_dict``, ``to_wire``/``from_wire``).  The classic
-drift bug is adding a field to the dataclass and only one side of the
-codec; the payload then silently drops or resets the field.  For every
+The serving types (``to_dict``/``from_dict``) and the two submit messages
+of the ``/v1`` transport that override its field-driven codec
+(``to_wire``/``from_wire``) keep a JSON encoding in sync by hand.  The
+classic drift bug is adding a field to the dataclass and only one side of
+the codec; the payload then silently drops or resets the field.  For every
 *dataclass* that defines both a to-method and a from-method:
 
 * WIRE001 — a declared field is never serialized: the to-method neither

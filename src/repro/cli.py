@@ -699,11 +699,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     metrics = _remote_client(args).metrics()
     print(_profiling_line(metrics))
     if metrics.get("store_persistent"):
-        entries, nbytes, pinned = (
-            int(metrics.get(f"store_{name}", 0))
-            for name in ("entries", "bytes", "pinned")
+        entries, nbytes = (
+            int(metrics.get(f"store_{name}", 0)) for name in ("entries", "bytes")
         )
-        print(f"store: {entries} entries, {nbytes} bytes, {pinned} pinned")
+        print(f"store: {entries} entries, {nbytes} bytes")
     else:
         print("store: in-memory only")
     counts = {

@@ -226,7 +226,6 @@ class ResultStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._pinned: set[str] = set()  # guarded-by: _lock
         self._count = 0  # guarded-by: _lock
         self._bytes = 0  # guarded-by: _lock
         self._recount()
@@ -385,37 +384,9 @@ class ResultStore:
         """Candidate keys of every stored entry (sorted, point-in-time)."""
         return sorted(p.stem[len("gt_") :] for p in self.root.glob("gt_*.json"))
 
-    # ------------------------------------------------------------------ pins
-    def pin(self, key: str) -> None:
-        """Exempt one candidate key from eviction (idempotent).
-
-        Pinning does not require the entry to exist yet — a server can pin
-        a hot task's keys up front and let the measurements land later.
-        """
-        with self._lock:
-            self._pinned.add(key)
-
-    def unpin(self, key: str) -> None:
-        """Drop an eviction exemption (idempotent)."""
-        with self._lock:
-            self._pinned.discard(key)
-
-    @property
-    def pinned(self) -> frozenset[str]:
-        """Keys currently exempt from eviction (point-in-time copy)."""
-        with self._lock:
-            return frozenset(self._pinned)
-
     # -------------------------------------------------------------- eviction
     def _evictable(self) -> list[Path]:
-        """Unpinned entry paths, oldest (by mtime) first."""
-        with self._lock:
-            pinned = set(self._pinned)
-        paths = [
-            p
-            for p in self.root.glob("gt_*.json")
-            if p.stem[len("gt_") :] not in pinned
-        ]
+        """Entry paths, oldest (by mtime) first."""
 
         def _mtime(p: Path) -> float:
             try:
@@ -423,14 +394,12 @@ class ResultStore:
             except OSError:
                 return 0.0
 
-        return sorted(paths, key=_mtime)
+        return sorted(self.root.glob("gt_*.json"), key=_mtime)
 
     def prune(self, max_entries: int) -> int:
-        """Evict oldest unpinned entries (by mtime) down to ``max_entries``;
-        returns how many *this caller* removed.  Entries a concurrent pruner
-        deleted under us are not double-counted (they were its removals).
-        Pinned entries are never touched, so a store may stay over budget
-        when pins alone exceed it."""
+        """Evict oldest entries (by mtime) down to ``max_entries``; returns
+        how many *this caller* removed.  Entries a concurrent pruner deleted
+        under us are not double-counted (they were its removals)."""
         if max_entries < 0:
             raise ValueError("max_entries must be non-negative")
         excess = len(self) - max_entries
@@ -443,7 +412,7 @@ class ResultStore:
         return removed
 
     def prune_bytes(self, max_bytes: int) -> int:
-        """Evict oldest unpinned entries until at most ``max_bytes`` remain
+        """Evict oldest entries until at most ``max_bytes`` remain
         on disk; returns how many entries *this caller* removed."""
         if max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
@@ -553,8 +522,7 @@ class ProfilingService:
         Maximum *on-disk bytes* the persistent store may hold — the budget
         that tracks what actually fills a disk when record sizes vary.
         Same eviction policy and hysteresis as ``store_budget``; both
-        budgets may be active at once (either tripping prunes).  Entries
-        pinned via :meth:`ResultStore.pin` are never evicted by either.
+        budgets may be active at once (either tripping prunes).
     """
 
     def __init__(

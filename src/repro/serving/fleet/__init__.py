@@ -21,7 +21,7 @@ from repro.serving.fleet.dispatcher import (
     FleetDispatcher,
 )
 from repro.serving.fleet.leases import Lease, LeaseTable
-from repro.serving.fleet.registry import ExecutorInfo, ExecutorRegistry, HashRing
+from repro.serving.fleet.registry import ExecutorInfo, ExecutorRegistry
 
 __all__ = [
     "ClaimGrant",
@@ -30,7 +30,6 @@ __all__ = [
     "ExecutorRegistry",
     "FleetClient",
     "FleetDispatcher",
-    "HashRing",
     "Lease",
     "LeaseTable",
     "ProfilingExecutor",

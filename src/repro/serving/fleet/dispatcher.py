@@ -9,10 +9,8 @@ registered.  The flow per batch:
    worker thread) enqueues the batch's keys as pending work items and
    blocks until every key has a committed record.
 2. Executors long-poll :meth:`claim`, which hands out same-graph batches
-   under a :class:`~repro.serving.fleet.leases.Lease` — preferring keys the
-   consistent-hash ring routes to the claimer (dedup affinity), stealing
-   from the head of the queue when it owns nothing pending (work never
-   stalls on affinity).
+   under a :class:`~repro.serving.fleet.leases.Lease`, first come first
+   served from the head of the queue.
 3. :meth:`commit` publishes finished records through the *same*
    ``service.commit`` path the local pool uses, so memory/store/budget
    invariants cannot diverge.  Commits are idempotent twice over: a
@@ -377,9 +375,8 @@ class FleetDispatcher:
     ) -> ClaimGrant:
         """Long-poll for a batch; empty grant when nothing lands in time.
 
-        Prefers pending keys the hash ring routes to this executor; when it
-        owns none, it steals from the queue head so capacity is never idle
-        while work waits.  All keys in one grant share a task and a graph.
+        Grants come off the head of the pending queue; all keys in one
+        grant share a task and a graph.
         """
         limit = _MAX_BATCH
         if max_candidates is not None:
@@ -393,7 +390,7 @@ class FleetDispatcher:
             info = self.registry.touch(executor_id)
             with self._cond:
                 self._sweep_locked()
-                selected = self._select_locked(executor_id, limit)
+                selected = self._select_locked(limit)
                 if selected:
                     lease = self.leases.issue(
                         executor_id,
@@ -437,18 +434,12 @@ class FleetDispatcher:
             if time.monotonic() >= deadline:
                 return ClaimGrant.none(self.lease_ttl)
 
-    def _select_locked(self, executor_id, limit):  # holds: _lock
+    def _select_locked(self, limit):  # holds: _lock
         if not self._pending:
             return []
-        owned = [
-            key
-            for key in self._pending
-            if self.registry.route(key) == executor_id
-        ]
-        pool = owned if owned else self._pending
-        group = self._items[pool[0]].group
+        group = self._items[self._pending[0]].group
         chosen = [
-            key for key in pool if self._items[key].group is group
+            key for key in self._pending if self._items[key].group is group
         ][:limit]
         # Longest-first within the claim batch: the executor runs its lease
         # in grant order, so fronting the expensive candidates shortens the

@@ -38,13 +38,10 @@ from repro.runtime.parallel import (
 )
 from repro.serving.transport.client import RemoteNavigationClient
 from repro.serving.transport.protocol import (
-    IDEMPOTENCY_HEADER,
     FleetClaimRequest,
     FleetClaimResponse,
     FleetCommitRequest,
     FleetCommitResponse,
-    FleetDeregisterResponse,
-    FleetGraphResponse,
     FleetHeartbeatRequest,
     FleetHeartbeatResponse,
     FleetRegisterRequest,
@@ -70,19 +67,14 @@ class FleetClient(RemoteNavigationClient):
     ) -> FleetRegisterResponse:
         """Join (or rejoin) the fleet; safe to retry — registration under a
         known id is idempotent and a duplicate fresh id just gets pruned."""
-        request = FleetRegisterRequest(workers=workers, executor_id=executor_id)
-        payload = self._call(
-            "POST", "/fleet/register", body=request.to_wire(), retry=True
+        return self._rpc(
+            "fleet_register",
+            FleetRegisterRequest(workers=workers, executor_id=executor_id),
         )
-        return FleetRegisterResponse.from_wire(payload)
 
     def heartbeat(self, executor_id: str) -> FleetHeartbeatResponse:
         """One liveness beat (no retry — the next beat is due shortly)."""
-        request = FleetHeartbeatRequest(executor_id=executor_id)
-        payload = self._call(
-            "POST", "/fleet/heartbeat", body=request.to_wire()
-        )
-        return FleetHeartbeatResponse.from_wire(payload)
+        return self._rpc("fleet_heartbeat", FleetHeartbeatRequest(executor_id))
 
     def claim(
         self,
@@ -93,18 +85,8 @@ class FleetClient(RemoteNavigationClient):
     ) -> FleetClaimResponse:
         """One work-pull long-poll round (no retry — an unanswered claim's
         lease simply expires; the loop just opens the next round)."""
-        request = FleetClaimRequest(
-            executor_id=executor_id,
-            max_candidates=max_candidates,
-            timeout=timeout,
-        )
-        payload = self._call(
-            "POST",
-            "/fleet/claim",
-            body=request.to_wire(),
-            extra_timeout=timeout,
-        )
-        return FleetClaimResponse.from_wire(payload)
+        request = FleetClaimRequest(executor_id, max_candidates, timeout)
+        return self._rpc("fleet_claim", request, wait=timeout)
 
     def commit(
         self,
@@ -118,45 +100,23 @@ class FleetClient(RemoteNavigationClient):
         """Deliver finished records; retried with the *same* idempotency
         key, so a dropped response replays instead of double-counting."""
         request = FleetCommitRequest(
-            executor_id=executor_id,
-            lease_id=lease_id,
-            keys=keys,
-            records=records,
-            idempotency_key=idempotency_key,
+            executor_id, lease_id, keys, records, idempotency_key
         )
-        headers = (
-            {IDEMPOTENCY_HEADER: idempotency_key}
-            if idempotency_key is not None
-            else None
-        )
-        payload = self._call(
-            "POST",
-            "/fleet/commit",
-            body=request.to_wire(),
-            headers=headers,
-            retry=True,
-        )
-        return FleetCommitResponse.from_wire(payload)
+        return self._rpc("fleet_commit", request)
 
     def deregister(self, executor_id: str) -> bool:
         """Graceful exit; ``True`` if the server still knew the executor."""
-        request = FleetHeartbeatRequest(executor_id=executor_id)
-        payload = self._call(
-            "POST", "/fleet/deregister", body=request.to_wire()
-        )
-        return FleetDeregisterResponse.from_wire(payload).deregistered
+        request = FleetHeartbeatRequest(executor_id)
+        return self._rpc("fleet_deregister", request).deregistered
 
     def fleet_status(self) -> FleetStatusResponse:
         """The server's fleet census (``repro fleet status``)."""
-        payload = self._call("GET", "/fleet", retry=True)
-        return FleetStatusResponse.from_wire(payload)
+        return self._rpc("fleet")
 
     def fetch_graph(self, fingerprint: str) -> CSRGraph:
         """Pull one graph's arrays by content hash."""
-        payload = self._call(
-            "GET", f"/fleet/graph/{fingerprint}", retry=True
-        )
-        return graph_from_wire(FleetGraphResponse.from_wire(payload).graph)
+        response = self._rpc("fleet_graph", fingerprint=fingerprint)
+        return graph_from_wire(response.graph)
 
 
 class ProfilingExecutor:
@@ -331,8 +291,8 @@ class ProfilingExecutor:
         configs = [TrainingConfig.from_dict(c) for c in grant.configs]
         graph = self._resolve_graph(grant.dataset, grant.fingerprint)
         # The local service dedups and caches by content key exactly like
-        # the server's, so ring affinity turns into warm re-claims: a
-        # candidate this executor measured before costs nothing here.
+        # the server's: a candidate this executor measured before costs
+        # nothing here.
         records = self.service.profile(task, configs, graph=graph)
         if self._killed:
             return  # chaos: the work happened, the commit never does

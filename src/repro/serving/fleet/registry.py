@@ -1,84 +1,20 @@
-"""Executor registry: who is in the fleet and which keys they own.
+"""Executor registry: who is in the fleet.
 
 The registry is the dispatcher's membership view — executors register over
 ``/v1/fleet/register``, refresh themselves with every heartbeat/claim/commit
 (:meth:`ExecutorRegistry.touch`), and fall out either explicitly
 (:meth:`deregister`) or by going silent past the prune horizon.
-
-Routing rides a consistent-hash ring over the same ``candidate_key``
-content hashes the result store uses: each executor owns a stable arc of
-the key space, so the same candidate is preferentially claimed by the same
-executor across jobs — dedup affinity for the executor's in-memory record
-cache — while adding or losing an executor only remaps the arcs adjacent
-to it, not the whole space.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import threading
 import time
 from dataclasses import dataclass
 
 from repro.errors import UnknownExecutorError
 
-__all__ = ["ExecutorInfo", "ExecutorRegistry", "HashRing"]
-
-
-def _ring_hash(text: str) -> int:
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-class HashRing:
-    """Consistent-hash ring mapping candidate keys to executor ids.
-
-    Each node is placed at ``replicas`` pseudo-random points (virtual
-    nodes), which evens out arc sizes with few real nodes; a key routes to
-    the first node clockwise from its own hash.  Not thread-safe — the
-    owning registry serializes access under its lock.
-    """
-
-    def __init__(self, replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be positive")
-        self.replicas = replicas
-        self._points: list[int] = []
-        self._owners: dict[int, str] = {}
-
-    def add(self, node: str) -> None:
-        """Place one node on the ring (idempotent)."""
-        for i in range(self.replicas):
-            point = _ring_hash(f"{node}#{i}")
-            if self._owners.get(point) == node:
-                continue
-            # first-writer-wins on the (astronomically unlikely) collision
-            if point in self._owners:
-                continue
-            self._owners[point] = node
-            bisect.insort(self._points, point)
-
-    def remove(self, node: str) -> None:
-        """Take one node off the ring (idempotent)."""
-        for i in range(self.replicas):
-            point = _ring_hash(f"{node}#{i}")
-            if self._owners.get(point) == node:
-                del self._owners[point]
-                index = bisect.bisect_left(self._points, point)
-                del self._points[index]
-
-    def route(self, key: str) -> str | None:
-        """The node owning ``key``, or ``None`` on an empty ring."""
-        if not self._points:
-            return None
-        point = _ring_hash(key)
-        index = bisect.bisect_right(self._points, point)
-        if index == len(self._points):
-            index = 0
-        return self._owners[self._points[index]]
-
-    def __len__(self) -> int:
-        return len(set(self._owners.values()))
+__all__ = ["ExecutorInfo", "ExecutorRegistry"]
 
 
 @dataclass
@@ -100,7 +36,7 @@ class ExecutorInfo:
 
 
 class ExecutorRegistry:
-    """Thread-safe membership table + consistent-hash routing for the fleet.
+    """Thread-safe membership table of the fleet.
 
     ``touch`` is the liveness primitive: every fleet RPC from an executor
     refreshes its ``last_seen``, and :meth:`live`/:meth:`prune` interpret
@@ -108,10 +44,9 @@ class ExecutorRegistry:
     both from its lease TTL).
     """
 
-    def __init__(self, *, replicas: int = 64) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._executors: dict[str, ExecutorInfo] = {}  # guarded-by: _lock
-        self._ring = HashRing(replicas)  # guarded-by: _lock
         self._next_id = 0  # guarded-by: _lock
 
     def register(
@@ -122,7 +57,7 @@ class ExecutorRegistry:
         Re-registration is the recovery path after a server restart or a
         heartbeat gap (:class:`UnknownExecutorError` tells the executor to
         come back through here), so it must be idempotent: the same id
-        keeps its ring arcs and its counters, only liveness resets.
+        keeps its counters, only liveness resets.
         """
         now = time.monotonic()
         with self._lock:
@@ -138,7 +73,6 @@ class ExecutorRegistry:
                     last_seen=now,
                 )
                 self._executors[executor_id] = info
-                self._ring.add(executor_id)
             else:
                 info.workers = max(1, workers)
                 info.last_seen = now
@@ -164,11 +98,7 @@ class ExecutorRegistry:
     def deregister(self, executor_id: str) -> bool:
         """Remove an executor (graceful shutdown); ``True`` if it existed."""
         with self._lock:
-            info = self._executors.pop(executor_id, None)
-            if info is None:
-                return False
-            self._ring.remove(executor_id)
-            return True
+            return self._executors.pop(executor_id, None) is not None
 
     def live(self, horizon: float) -> list[ExecutorInfo]:
         """Executors heard from within ``horizon`` seconds, id-sorted."""
@@ -192,13 +122,7 @@ class ExecutorRegistry:
                 info = self._executors[executor_id]
                 if now - info.last_seen > horizon:
                     removed.append(self._executors.pop(executor_id))
-                    self._ring.remove(executor_id)
         return removed
-
-    def route(self, key: str) -> str | None:
-        """Preferred owner of one candidate key (``None``: empty fleet)."""
-        with self._lock:
-            return self._ring.route(key)
 
     def all(self) -> list[ExecutorInfo]:
         """Every registered executor, id-sorted (point-in-time copy)."""

@@ -108,8 +108,7 @@ class NavigationServer:
         them).  ``None`` = unbounded.
     store_budget_bytes:
         On-disk *byte* budget for the persistent store, same eviction
-        policy; both budgets may be active at once.  Entries pinned via
-        ``server.store.pin(key)`` survive eviction.
+        policy; both budgets may be active at once.
     event_buffer:
         Capacity of each job's progress-event ring buffer.  A slow (or
         absent) subscriber never blocks the job: past the capacity the
@@ -213,10 +212,6 @@ class NavigationServer:
         )
         self.metrics.gauge(
             "store_bytes", lambda: 0 if self.store is None else self.store.nbytes
-        )
-        self.metrics.gauge(
-            "store_pinned",
-            lambda: 0 if self.store is None else len(self.store.pinned),
         )
         self.metrics.gauge(
             "jobs_pending", lambda: self._census(JobStatus.PENDING)

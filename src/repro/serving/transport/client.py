@@ -22,18 +22,12 @@ from repro.serving.client import NavigationClient
 from repro.serving.events import EventBatch, JobProgressEvent
 from repro.serving.transport.protocol import (
     API_PREFIX,
+    ENDPOINTS,
     IDEMPOTENCY_HEADER,
     MAX_POLL_SECONDS,
     PROTOCOL_VERSION,
     TENANT_HEADER,
-    CancelResponse,
-    DrainResponse,
-    EventsResponse,
-    HealthResponse,
-    MetricsResponse,
-    ResultResponse,
     SubmitRequest,
-    SubmitResponse,
     decode_error,
 )
 from repro.serving.types import JobResult, JobSnapshot, NavigationRequest
@@ -147,21 +141,34 @@ class RemoteNavigationClient(NavigationClient):
             )
         return payload
 
-    def _long_poll(self, method: str, path: str, timeout: float | None) -> dict:
-        """One round trip the server may hold open for ``timeout`` — capped
-        at ``MAX_POLL_SECONDS``, its ceiling for one request; the inherited
+    def _rpc(self, name: str, request=None, *, wait: float = 0.0, **args):
+        """One call of the :data:`ENDPOINTS` row ``name``: ``request`` is
+        its request message, ``args`` fill the row's path and query, and
+        the reply comes back decoded as the row's response message.
+        ``wait`` is how long the server may hold the call open."""
+        endpoint = ENDPOINTS[name]
+        key = getattr(request, "idempotency_key", None)
+        payload = self._call(
+            endpoint.verb,
+            endpoint.url(**args),
+            body=None if request is None else request.to_wire(),
+            headers=None if key is None else {IDEMPOTENCY_HEADER: key},
+            retry=endpoint.retry,
+            extra_timeout=wait,
+        )
+        return endpoint.response.from_wire(payload)
+
+    def _long_poll(self, name: str, timeout: float | None, **args):
+        """One call the server may hold open for ``timeout`` — capped at
+        ``MAX_POLL_SECONDS``, its ceiling for one request; the inherited
         ``result`` / ``drain`` / ``watch`` chain rounds for longer waits."""
         window = MAX_POLL_SECONDS if timeout is None else timeout
         window = max(0.0, min(window, MAX_POLL_SECONDS))
-        return self._call(
-            method, f"{path}timeout={window:.3f}", retry=True, extra_timeout=window
-        )
+        return self._rpc(name, wait=window, timeout=f"{window:.3f}", **args)
 
     def health(self) -> dict:
         """Liveness probe; raises :class:`ServingError` when unreachable."""
-        payload = self._call("GET", "/health", retry=True)
-        HealthResponse.from_wire(payload)  # validate the wire shape
-        return payload
+        return self._rpc("health").to_wire()
 
     # ------------------------------------------------- transport primitives
     def _submit_requests(self, requests: list[NavigationRequest]) -> list[str]:
@@ -173,18 +180,10 @@ class RemoteNavigationClient(NavigationClient):
             idempotency_key=str(uuid.uuid4()),
             batch=True,
         )
-        payload = self._call(
-            "POST",
-            "/jobs",
-            body=request.to_wire(),
-            headers={IDEMPOTENCY_HEADER: request.idempotency_key},
-            retry=True,  # safe: retries replay the same idempotency key
-        )
-        return SubmitResponse.from_wire(payload).job_ids
+        return self._rpc("submit", request).job_ids
 
     def _poll_result(self, job_id: str, window: float | None) -> JobResult | None:
-        payload = self._long_poll("GET", f"/jobs/{job_id}/result?", window)
-        response = ResultResponse.from_wire(payload)
+        response = self._long_poll("result", window, job_id=job_id)
         if not response.done:
             return None
         if response.error is not None:
@@ -197,25 +196,19 @@ class RemoteNavigationClient(NavigationClient):
         return JobResult.from_dict(response.result)
 
     def _poll_drain(self, window: float | None) -> list[JobSnapshot] | None:
-        payload = self._long_poll("POST", "/drain?", window)
-        response = DrainResponse.from_wire(payload)
+        response = self._long_poll("drain", window)
         return _snapshots(response.jobs) if response.done else None
 
     def snapshot(self, job_id: str) -> JobSnapshot:
-        payload = self._call("GET", f"/jobs/{job_id}", retry=True)
-        payload.pop("protocol", None)
-        return _snapshots([payload])[0]
+        response = self._rpc("job", job_id=job_id)
+        return _snapshots([vars(response)])[0]
 
     def events(
         self, job_id: str, since: int = 0, timeout: float | None = None
     ) -> EventBatch:
-        # Safe to retry: reading is idempotent.
         if since < 0:
             raise ServingError("since must be non-negative")
-        payload = self._long_poll(
-            "GET", f"/jobs/{job_id}/events?since={since}&", timeout
-        )
-        response = EventsResponse.from_wire(payload)
+        response = self._long_poll("events", timeout, job_id=job_id, since=since)
         return EventBatch(
             events=[JobProgressEvent.from_dict(e) for e in response.events],
             next_seq=response.next_seq,
@@ -224,13 +217,10 @@ class RemoteNavigationClient(NavigationClient):
         )
 
     def cancel(self, job_id: str) -> bool:
-        payload = self._call("POST", f"/jobs/{job_id}/cancel")
-        return CancelResponse.from_wire(payload).cancelled
+        return self._rpc("cancel", job_id=job_id).cancelled
 
     def metrics(self) -> dict:
-        payload = self._call("GET", "/metrics", retry=True)
-        return MetricsResponse.from_wire(payload).metrics
+        return self._rpc("metrics").metrics
 
     def jobs(self) -> list[JobSnapshot]:
-        payload = self._call("GET", "/jobs", retry=True)
-        return _snapshots(payload.get("jobs"))
+        return _snapshots(self._rpc("jobs").jobs)

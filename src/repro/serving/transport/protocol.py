@@ -1,10 +1,14 @@
 """Versioned wire protocol of the navigation serving transport.
 
-Everything that crosses the socket is defined here — request/response
-dataclasses with ``to_wire``/``from_wire`` JSON mappings, the typed error
+Everything that crosses the socket is declared here, once: the message
+dataclasses (their fields *are* the JSON mapping — :class:`WireMessage`
+derives both codec directions from them), the :data:`ENDPOINTS` table that
+binds each route to its request and response message, the typed error
 envelope that carries :mod:`repro.errors` across processes, and the two
-transport headers — so :mod:`.server` and :mod:`.client` can only disagree
-with each other by disagreeing with this module.
+transport headers.  :mod:`.server` dispatches on the table and
+:mod:`.client` builds its calls from it, so the two can only disagree by
+disagreeing with this module.  ``docs/ARCHITECTURE.md`` (*Serving over the
+network*) states the codec rules and lists the routes.
 
 Versioning
 ----------
@@ -33,7 +37,11 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import functools
 import json
+import math
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,8 +78,14 @@ __all__ = [
     "task_from_wire",
     "graph_to_wire",
     "graph_from_wire",
+    "WireMessage",
+    "Endpoint",
+    "ENDPOINTS",
+    "match_endpoint",
     "SubmitRequest",
     "SubmitResponse",
+    "JobsResponse",
+    "JobResponse",
     "ResultResponse",
     "CancelResponse",
     "DrainResponse",
@@ -293,20 +307,121 @@ def graph_from_wire(data: dict) -> CSRGraph:
     )
 
 
-# --------------------------------------------------------- request dataclasses
+# ------------------------------------------------------------------ the codec
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ProtocolError(message)
+
+
+def _kinds(hint) -> frozenset:
+    """The exact types a field annotation (``str``, ``int``, ``float``,
+    ``bool``, ``list``, ``dict``, ``X | None``) admits off ``json.loads`` —
+    exact, so a ``bool`` never passes for the ``int`` it is to python."""
+    arms = typing.get_args(hint) if isinstance(hint, types.UnionType) else [hint]
+    kinds = {typing.get_origin(arm) or arm for arm in arms}  # list[dict]: list
+    return frozenset(kinds | {int} if float in kinds else kinds)  # 2.0 as 2
+
+
+@functools.cache
+def _wire_fields(cls) -> tuple:
+    """``(name, admitted types, required, omit_when_none)`` per field."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (
+            f.name,
+            _kinds(hints[f.name]),
+            f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING,
+            f.default is None,
+        )
+        for f in dataclasses.fields(cls)
+    )
+
+
+class WireMessage:
+    """Base of every message dataclass: the one JSON codec.
+
+    Both directions read ``dataclasses.fields``.  The field name is the
+    wire key; ``protocol`` is stamped on encode and checked on decode; a
+    field whose default is ``None`` is left out while it is ``None``; a
+    field without a default must be present; the annotation is the type
+    check.  Whatever else a message demands of its values lives in its
+    ``__post_init__`` and raises :class:`ProtocolError`, so it holds for a
+    message built locally as much as for one decoded off the socket.
+    Unknown keys are ignored (a newer peer may send more).
+    """
+
+    def to_wire(self) -> dict:
+        out: dict = {"protocol": PROTOCOL_VERSION}
+        for name, _, _, omit_when_none in _wire_fields(type(self)):
+            value = getattr(self, name)
+            if value is not None or not omit_when_none:
+                out[name] = value
+        return out
+
+    @classmethod
+    def from_wire(cls, payload: dict, headers=None):
+        """Decode one JSON object; ``headers`` (any ``.get`` mapping of the
+        HTTP headers) supplies ``idempotency_key`` when the body has none."""
+        payload = _envelope(cls, payload, headers)
+        kwargs = {}
+        for name, kinds, required, _ in _wire_fields(cls):
+            if name not in payload:
+                _require(not required, f"{cls.__name__} carries no {name!r}")
+                continue
+            value = kwargs[name] = payload[name]
+            if type(value) not in kinds:
+                admitted = " | ".join(sorted(kind.__name__ for kind in kinds))
+                raise ProtocolError(
+                    f"{cls.__name__}.{name} must be {admitted}, got "
+                    f"{type(value).__name__}"
+                )
+        return cls(**kwargs)
+
+
+def _envelope(cls, payload, headers) -> dict:
+    """The checks every decode starts with, and the header fallback."""
+    _require(
+        isinstance(payload, dict), f"{cls.__name__} must be a JSON object"
+    )
+    check_protocol(payload)
+    key = headers.get(IDEMPOTENCY_HEADER) if headers else None
+    return payload if key is None else {"idempotency_key": key, **payload}
+
+
+def _in_lane(spec: dict, tenant: str) -> dict:
+    """One request spec riding ``tenant``'s lane unless it names its own."""
+    return spec if spec.get("tenant") else {**spec, "tenant": tenant}
+
+
+# ------------------------------------------------------------ job messages
 @dataclass(frozen=True)
-class SubmitRequest:
+class SubmitRequest(WireMessage):
     """``POST /v1/jobs`` body: one or more request specs to enqueue.
 
     ``specs`` are :meth:`NavigationRequest.to_dict` payloads (the job-file
-    format).  ``idempotency_key`` may also arrive via the header; the body
-    field wins.  A single-spec submit and a batch share one shape — the
-    response mirrors whichever arity was sent.
+    format).  A single-spec submit (``{"request": ...}``) and a batch
+    (``{"requests": [...]}``) share this one class — hence the codec
+    override — and the response mirrors whichever arity was sent.  Both
+    headers are fallbacks the body beats: the idempotency key for the
+    submit, the tenant for every spec that names no lane of its own.
     """
 
-    specs: list[dict]
+    specs: list
     idempotency_key: str | None = None
     batch: bool = False
+
+    def __post_init__(self) -> None:
+        _require(isinstance(self.specs, list), "'requests' must be a JSON list")
+        _require(
+            all(isinstance(spec, dict) for spec in self.specs),
+            "every request spec must be a JSON object",
+        )
+        _require(
+            self.idempotency_key is None
+            or isinstance(self.idempotency_key, str),
+            "idempotency_key must be a string",
+        )
 
     def to_wire(self) -> dict:
         out: dict = {"protocol": PROTOCOL_VERSION}
@@ -319,39 +434,44 @@ class SubmitRequest:
         return out
 
     @classmethod
-    def from_wire(cls, payload: dict, *, header_key: str | None = None):
-        check_protocol(payload)
-        if "request" in payload:
-            specs, batch = [payload["request"]], False
-        elif "requests" in payload:
-            specs, batch = payload["requests"], True
-            if not isinstance(specs, list):
-                raise ProtocolError("'requests' must be a JSON list")
-        else:
-            raise ProtocolError(
-                "submit body needs a 'request' object or a 'requests' list"
-            )
-        for spec in specs:
-            if not isinstance(spec, dict):
-                raise ProtocolError("every request spec must be a JSON object")
-        key = payload.get("idempotency_key", header_key)
-        if key is not None and not isinstance(key, str):
-            raise ProtocolError("idempotency_key must be a string")
-        return cls(specs=specs, idempotency_key=key, batch=batch)
+    def from_wire(cls, payload: dict, headers=None) -> "SubmitRequest":
+        payload = _envelope(cls, payload, headers)
+        _require(
+            "request" in payload or "requests" in payload,
+            "submit body needs a 'request' object or a 'requests' list",
+        )
+        batch = "request" not in payload
+        request = cls(
+            specs=payload["requests"] if batch else [payload["request"]],
+            idempotency_key=payload.get("idempotency_key"),
+            batch=batch,
+        )
+        tenant = headers.get(TENANT_HEADER) if headers else None
+        if not tenant:
+            return request
+        specs = [_in_lane(spec, tenant) for spec in request.specs]
+        return dataclasses.replace(request, specs=specs)
 
 
-# -------------------------------------------------------- response dataclasses
 @dataclass(frozen=True)
-class SubmitResponse:
-    """Submit outcome: the accepted job id(s).
+class SubmitResponse(WireMessage):
+    """Submit outcome: the accepted job id(s), ``job_id`` or ``job_ids``
+    after the request's arity.
 
     ``deduplicated`` is ``True`` when an idempotency key matched a previous
     submit and the original ids were replayed (nothing was enqueued).
     """
 
-    job_ids: list[str]
+    job_ids: list
     batch: bool = False
     deduplicated: bool = False
+
+    def __post_init__(self) -> None:
+        _require(
+            isinstance(self.job_ids, list)
+            and all(isinstance(job_id, str) for job_id in self.job_ids),
+            "job ids must be strings",
+        )
 
     def to_wire(self) -> dict:
         out: dict = {
@@ -365,24 +485,46 @@ class SubmitResponse:
         return out
 
     @classmethod
-    def from_wire(cls, payload: dict) -> "SubmitResponse":
-        check_protocol(payload)
-        if "job_ids" in payload:
-            return cls(
-                job_ids=list(payload["job_ids"]),
-                batch=True,
-                deduplicated=payload.get("deduplicated", False),
-            )
-        if "job_id" not in payload:
-            raise ProtocolError("submit response carries no job id")
+    def from_wire(cls, payload: dict, headers=None) -> "SubmitResponse":
+        payload = _envelope(cls, payload, headers)
+        batch = "job_ids" in payload
+        _require(
+            batch or "job_id" in payload, "submit response carries no job id"
+        )
         return cls(
-            job_ids=[payload["job_id"]],
-            deduplicated=payload.get("deduplicated", False),
+            job_ids=payload["job_ids"] if batch else [payload["job_id"]],
+            batch=batch,
+            deduplicated=bool(payload.get("deduplicated", False)),
         )
 
 
 @dataclass(frozen=True)
-class ResultResponse:
+class JobsResponse(WireMessage):
+    """``GET /v1/jobs``: :meth:`JobSnapshot.to_dict` payloads, in
+    submission order."""
+
+    jobs: list
+
+
+@dataclass(frozen=True)
+class JobResponse(WireMessage):
+    """``GET /v1/jobs/<id>``: one :meth:`JobSnapshot.to_dict` payload, flat
+    (its keys are the body's keys; nothing optional, ``null`` is sent)."""
+
+    job_id: str
+    status: str
+    error: str | None
+    traceback: str | None
+    tag: str
+    tenant: str
+    priority: int
+    submitted_at: float | None
+    started_at: float | None
+    finished_at: float | None
+
+
+@dataclass(frozen=True)
+class ResultResponse(WireMessage):
     """Long-poll result round: terminal payload or a keep-polling status.
 
     ``done=False`` means the wait timed out server-side with the job still
@@ -398,70 +540,24 @@ class ResultResponse:
     result: dict | None = None
     error: dict | None = None
 
-    def to_wire(self) -> dict:
-        out: dict = {
-            "protocol": PROTOCOL_VERSION,
-            "done": self.done,
-            "status": self.status,
-        }
-        if self.result is not None:
-            out["result"] = self.result
-        if self.error is not None:
-            out["error"] = self.error
-        return out
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "ResultResponse":
-        check_protocol(payload)
-        if "done" not in payload or "status" not in payload:
-            raise ProtocolError("result response needs 'done' and 'status'")
-        return cls(
-            done=payload["done"],
-            status=payload["status"],
-            result=payload.get("result"),
-            error=payload.get("error"),
-        )
-
 
 @dataclass(frozen=True)
-class CancelResponse:
+class CancelResponse(WireMessage):
     """``POST /v1/jobs/<id>/cancel`` outcome (mirrors ``server.cancel``)."""
 
     cancelled: bool
 
-    def to_wire(self) -> dict:
-        return {"protocol": PROTOCOL_VERSION, "cancelled": self.cancelled}
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "CancelResponse":
-        check_protocol(payload)
-        return cls(cancelled=bool(payload.get("cancelled")))
-
 
 @dataclass(frozen=True)
-class DrainResponse:
+class DrainResponse(WireMessage):
     """One drain round: every job's snapshot plus whether all are terminal."""
 
     done: bool
-    jobs: list[dict] = field(default_factory=list)
-
-    def to_wire(self) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "done": self.done,
-            "jobs": self.jobs,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "DrainResponse":
-        check_protocol(payload)
-        return cls(
-            done=bool(payload.get("done")), jobs=list(payload.get("jobs", []))
-        )
+    jobs: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
-class EventsResponse:
+class EventsResponse(WireMessage):
     """``GET /v1/jobs/<id>/events``: one long-poll round of the job's
     progress-event stream.
 
@@ -477,189 +573,88 @@ class EventsResponse:
     done: bool
     next_seq: int
     gap: int = 0
-    events: list[dict] = field(default_factory=list)
-
-    def to_wire(self) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "done": self.done,
-            "next_seq": self.next_seq,
-            "gap": self.gap,
-            "events": self.events,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "EventsResponse":
-        check_protocol(payload)
-        if "done" not in payload or "next_seq" not in payload:
-            raise ProtocolError("events response needs 'done' and 'next_seq'")
-        return cls(
-            done=bool(payload["done"]),
-            next_seq=int(payload["next_seq"]),
-            gap=int(payload.get("gap", 0)),
-            events=list(payload.get("events", [])),
-        )
+    events: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
-class MetricsResponse:
+class MetricsResponse(WireMessage):
     """``GET /v1/metrics``: one flat name -> value scrape of the server's
     :class:`~repro.serving.metrics.MetricsRegistry` (counters and gauges
     share the namespace; gauges are evaluated at scrape time)."""
 
     metrics: dict
 
-    def to_wire(self) -> dict:
-        return {"protocol": PROTOCOL_VERSION, "metrics": self.metrics}
 
-    @classmethod
-    def from_wire(cls, payload: dict) -> "MetricsResponse":
-        check_protocol(payload)
-        if "metrics" not in payload:
-            raise ProtocolError("metrics response carries no 'metrics'")
-        return cls(metrics=dict(payload["metrics"]))
-
-
-# --------------------------------------------------------- fleet dataclasses
 @dataclass(frozen=True)
-class FleetRegisterRequest:
+class HealthResponse(WireMessage):
+    """``GET /v1/health``: liveness plus the resident job count."""
+
+    ok: bool
+    jobs: int
+
+
+# ---------------------------------------------------------- fleet messages
+@dataclass(frozen=True)
+class FleetRegisterRequest(WireMessage):
     """``POST /v1/fleet/register`` body: join (or rejoin) the fleet.
 
     ``executor_id`` is ``None`` on first contact (the server assigns one)
     and carries the previously-assigned id on re-registration after a
-    server restart or heartbeat gap, so the executor keeps its ring arcs.
+    server restart or heartbeat gap, so the executor keeps its counters.
     """
 
     workers: int = 1
     executor_id: str | None = None
 
-    def to_wire(self) -> dict:
-        out: dict = {"protocol": PROTOCOL_VERSION, "workers": self.workers}
-        if self.executor_id is not None:
-            out["executor_id"] = self.executor_id
-        return out
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "FleetRegisterRequest":
-        check_protocol(payload)
-        workers = payload.get("workers", 1)
-        if not isinstance(workers, int) or workers < 1:
-            raise ProtocolError("workers must be a positive integer")
-        executor_id = payload.get("executor_id")
-        if executor_id is not None and not isinstance(executor_id, str):
-            raise ProtocolError("executor_id must be a string")
-        return cls(workers=workers, executor_id=executor_id)
+    def __post_init__(self) -> None:
+        _require(self.workers >= 1, "workers must be a positive integer")
 
 
 @dataclass(frozen=True)
-class FleetRegisterResponse:
+class FleetRegisterResponse(WireMessage):
     """Registration grant: the executor's id and its timing contract."""
 
     executor_id: str
     heartbeat_seconds: float
     lease_ttl: float
 
-    def to_wire(self) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "executor_id": self.executor_id,
-            "heartbeat_seconds": self.heartbeat_seconds,
-            "lease_ttl": self.lease_ttl,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "FleetRegisterResponse":
-        check_protocol(payload)
-        try:
-            return cls(
-                executor_id=payload["executor_id"],
-                heartbeat_seconds=float(payload["heartbeat_seconds"]),
-                lease_ttl=float(payload["lease_ttl"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(
-                f"malformed register response: {exc}"
-            ) from None
-
 
 @dataclass(frozen=True)
-class FleetHeartbeatRequest:
-    """``POST /v1/fleet/heartbeat`` body: liveness + lease renewal."""
+class FleetHeartbeatRequest(WireMessage):
+    """``POST /v1/fleet/heartbeat`` (liveness + lease renewal) and
+    ``/v1/fleet/deregister`` body: the executor naming itself."""
 
     executor_id: str
 
-    def to_wire(self) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "executor_id": self.executor_id,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "FleetHeartbeatRequest":
-        check_protocol(payload)
-        executor_id = payload.get("executor_id")
-        if not isinstance(executor_id, str):
-            raise ProtocolError("heartbeat needs a string executor_id")
-        return cls(executor_id=executor_id)
-
 
 @dataclass(frozen=True)
-class FleetHeartbeatResponse:
+class FleetHeartbeatResponse(WireMessage):
     """Heartbeat ack: how many of the executor's leases were renewed."""
 
     renewed: int
 
-    def to_wire(self) -> dict:
-        return {"protocol": PROTOCOL_VERSION, "renewed": self.renewed}
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "FleetHeartbeatResponse":
-        check_protocol(payload)
-        return cls(renewed=int(payload.get("renewed", 0)))
-
 
 @dataclass(frozen=True)
-class FleetClaimRequest:
+class FleetClaimRequest(WireMessage):
     """``POST /v1/fleet/claim`` body: one work-pull long-poll round."""
 
     executor_id: str
     max_candidates: int | None = None
     timeout: float = 0.0
 
-    def to_wire(self) -> dict:
-        out: dict = {
-            "protocol": PROTOCOL_VERSION,
-            "executor_id": self.executor_id,
-            "timeout": self.timeout,
-        }
-        if self.max_candidates is not None:
-            out["max_candidates"] = self.max_candidates
-        return out
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "FleetClaimRequest":
-        check_protocol(payload)
-        executor_id = payload.get("executor_id")
-        if not isinstance(executor_id, str):
-            raise ProtocolError("claim needs a string executor_id")
-        max_candidates = payload.get("max_candidates")
-        if max_candidates is not None and (
-            not isinstance(max_candidates, int) or max_candidates < 1
-        ):
-            raise ProtocolError("max_candidates must be a positive integer")
-        try:
-            timeout = float(payload.get("timeout", 0.0))
-        except (TypeError, ValueError):
-            raise ProtocolError("timeout must be a number") from None
-        return cls(
-            executor_id=executor_id,
-            max_candidates=max_candidates,
-            timeout=timeout,
+    def __post_init__(self) -> None:
+        _require(
+            self.max_candidates is None or self.max_candidates >= 1,
+            "max_candidates must be a positive integer",
+        )
+        _require(
+            0 <= self.timeout < math.inf,
+            "timeout must be a finite, non-negative number",
         )
 
 
 @dataclass(frozen=True)
-class FleetClaimResponse:
+class FleetClaimResponse(WireMessage):
     """One claim outcome: a leased batch, or empty (``lease_id`` null).
 
     ``task`` is a :func:`task_to_wire` payload and ``configs`` are
@@ -671,43 +666,16 @@ class FleetClaimResponse:
 
     lease_id: str | None
     ttl: float
-    task: dict | None = None
-    dataset: str | None = None
-    fingerprint: str | None = None
+    task: dict | None
+    dataset: str | None
+    fingerprint: str | None
     keys: list = field(default_factory=list)
     configs: list = field(default_factory=list)
 
-    def to_wire(self) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "lease_id": self.lease_id,
-            "ttl": self.ttl,
-            "task": self.task,
-            "dataset": self.dataset,
-            "fingerprint": self.fingerprint,
-            "keys": list(self.keys),
-            "configs": list(self.configs),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "FleetClaimResponse":
-        check_protocol(payload)
-        if "lease_id" not in payload or "ttl" not in payload:
-            raise ProtocolError("claim response needs 'lease_id' and 'ttl'")
-        keys = list(payload.get("keys", []))
-        configs = list(payload.get("configs", []))
-        if len(keys) != len(configs):
-            raise ProtocolError(
-                "claim response keys/configs are not the same length"
-            )
-        return cls(
-            lease_id=payload["lease_id"],
-            ttl=float(payload["ttl"]),
-            task=payload.get("task"),
-            dataset=payload.get("dataset"),
-            fingerprint=payload.get("fingerprint"),
-            keys=keys,
-            configs=configs,
+    def __post_init__(self) -> None:
+        _require(
+            len(self.keys) == len(self.configs),
+            "claim response keys/configs are not the same length",
         )
 
     @property
@@ -716,7 +684,7 @@ class FleetClaimResponse:
 
 
 @dataclass(frozen=True)
-class FleetCommitRequest:
+class FleetCommitRequest(WireMessage):
     """``POST /v1/fleet/commit`` body: finished records coming home.
 
     ``records`` are ``record_to_dict`` payloads, key-aligned with ``keys``.
@@ -731,51 +699,20 @@ class FleetCommitRequest:
     records: list
     idempotency_key: str | None = None
 
-    def to_wire(self) -> dict:
-        out: dict = {
-            "protocol": PROTOCOL_VERSION,
-            "executor_id": self.executor_id,
-            "lease_id": self.lease_id,
-            "keys": list(self.keys),
-            "records": list(self.records),
-        }
-        if self.idempotency_key is not None:
-            out["idempotency_key"] = self.idempotency_key
-        return out
-
-    @classmethod
-    def from_wire(
-        cls, payload: dict, *, header_key: str | None = None
-    ) -> "FleetCommitRequest":
-        check_protocol(payload)
-        executor_id = payload.get("executor_id")
-        if not isinstance(executor_id, str):
-            raise ProtocolError("commit needs a string executor_id")
-        keys = payload.get("keys")
-        records = payload.get("records")
-        if not isinstance(keys, list) or not isinstance(records, list):
-            raise ProtocolError("commit needs 'keys' and 'records' lists")
-        if len(keys) != len(records):
-            raise ProtocolError(
-                f"commit carries {len(keys)} keys but {len(records)} records"
-            )
-        for record in records:
-            if not isinstance(record, dict):
-                raise ProtocolError("every record must be a JSON object")
-        key = payload.get("idempotency_key", header_key)
-        if key is not None and not isinstance(key, str):
-            raise ProtocolError("idempotency_key must be a string")
-        return cls(
-            executor_id=executor_id,
-            lease_id=payload.get("lease_id"),
-            keys=keys,
-            records=records,
-            idempotency_key=key,
+    def __post_init__(self) -> None:
+        _require(
+            len(self.keys) == len(self.records),
+            f"commit carries {len(self.keys)} keys but "
+            f"{len(self.records)} records",
+        )
+        _require(
+            all(isinstance(record, dict) for record in self.records),
+            "every record must be a JSON object",
         )
 
 
 @dataclass(frozen=True)
-class FleetCommitResponse:
+class FleetCommitResponse(WireMessage):
     """Commit outcome: accepted vs duplicate counts, and whether this
     response was replayed from the idempotency table."""
 
@@ -783,45 +720,16 @@ class FleetCommitResponse:
     duplicates: int
     replayed: bool = False
 
-    def to_wire(self) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "accepted": self.accepted,
-            "duplicates": self.duplicates,
-            "replayed": self.replayed,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "FleetCommitResponse":
-        check_protocol(payload)
-        if "accepted" not in payload:
-            raise ProtocolError("commit response carries no 'accepted'")
-        return cls(
-            accepted=int(payload["accepted"]),
-            duplicates=int(payload.get("duplicates", 0)),
-            replayed=bool(payload.get("replayed", False)),
-        )
-
 
 @dataclass(frozen=True)
-class FleetGraphResponse:
+class FleetGraphResponse(WireMessage):
     """``GET /v1/fleet/graph/<fp>``: one :func:`graph_to_wire` payload."""
 
     graph: dict
 
-    def to_wire(self) -> dict:
-        return {"protocol": PROTOCOL_VERSION, "graph": self.graph}
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "FleetGraphResponse":
-        check_protocol(payload)
-        if "graph" not in payload:
-            raise ProtocolError("graph response carries no 'graph'")
-        return cls(graph=dict(payload["graph"]))
-
 
 @dataclass(frozen=True)
-class FleetStatusResponse:
+class FleetStatusResponse(WireMessage):
     """``GET /v1/fleet``: the dispatcher's census (executor rows plus
     pending/leased queue depths)."""
 
@@ -829,61 +737,105 @@ class FleetStatusResponse:
     pending: int
     leased: int
 
-    def to_wire(self) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "executors": list(self.executors),
-            "pending": self.pending,
-            "leased": self.leased,
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "FleetStatusResponse":
-        check_protocol(payload)
-        if "executors" not in payload:
-            raise ProtocolError("fleet status carries no 'executors'")
-        return cls(
-            executors=list(payload["executors"]),
-            pending=int(payload.get("pending", 0)),
-            leased=int(payload.get("leased", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class FleetDeregisterResponse:
+class FleetDeregisterResponse(WireMessage):
     """``POST /v1/fleet/deregister``: whether the executor was known."""
 
     deregistered: bool
 
-    def to_wire(self) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "deregistered": self.deregistered,
-        }
 
-    @classmethod
-    def from_wire(cls, payload: dict) -> "FleetDeregisterResponse":
-        check_protocol(payload)
-        return cls(deregistered=bool(payload.get("deregistered")))
-
-
+# --------------------------------------------------------- the endpoint table
 @dataclass(frozen=True)
-class HealthResponse:
-    """``GET /v1/health``: liveness plus the resident job count."""
+class Endpoint:
+    """One route: what the server matches and what the client calls.
 
-    ok: bool
-    jobs: int
+    ``path`` is a template under :data:`API_PREFIX` (``{job_id}`` marks a
+    path argument); ``query`` names the numeric query parameters the route
+    reads; ``retry`` marks calls a client may repeat after a lost response
+    (reads, and writes that replay by idempotency key or by id).
+    """
 
-    def to_wire(self) -> dict:
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "ok": self.ok,
-            "jobs": self.jobs,
-        }
+    name: str
+    verb: str
+    path: str
+    request: type[WireMessage] | None
+    response: type[WireMessage]
+    summary: str
+    query: tuple[str, ...] = ()
+    retry: bool = False
 
-    @classmethod
-    def from_wire(cls, payload: dict) -> "HealthResponse":
-        check_protocol(payload)
-        return cls(
-            ok=bool(payload.get("ok")), jobs=int(payload.get("jobs", 0))
+    def url(self, **args) -> str:
+        """Path and query string of one call, relative to the prefix."""
+        query = "&".join(
+            f"{name}={args[name]}" for name in self.query if name in args
         )
+        return self.path.format(**args) + (f"?{query}" if query else "")
+
+
+#: every route of the ``/v1`` API, by name.  The server dispatches on it, the
+#: clients call through it, ``docs/ARCHITECTURE.md`` lists it (a test keeps
+#: the two equal): adding an endpoint is a message dataclass and a row here,
+#: plus the ``_<name>`` function that answers it.
+ENDPOINTS: dict[str, Endpoint] = {
+    row.name: row
+    for row in (
+        Endpoint("health", "GET", "/health", None, HealthResponse,
+                 "liveness + protocol version", retry=True),
+        Endpoint("submit", "POST", "/jobs", SubmitRequest, SubmitResponse,
+                 "submit one spec (`{\"request\": ...}`) or a batch "
+                 "(`{\"requests\": [...]}`)", retry=True),
+        Endpoint("jobs", "GET", "/jobs", None, JobsResponse,
+                 "list job snapshots (submission order)", retry=True),
+        Endpoint("job", "GET", "/jobs/{job_id}", None, JobResponse,
+                 "one consistent job snapshot", retry=True),
+        Endpoint("result", "GET", "/jobs/{job_id}/result", None,
+                 ResultResponse, "long-poll for the result (bounded rounds)",
+                 query=("timeout",), retry=True),
+        Endpoint("events", "GET", "/jobs/{job_id}/events", None,
+                 EventsResponse, "long-poll the live progress-event stream",
+                 query=("since", "timeout"), retry=True),
+        Endpoint("cancel", "POST", "/jobs/{job_id}/cancel", None,
+                 CancelResponse, "PENDING drop / cooperative RUNNING cancel"),
+        Endpoint("drain", "POST", "/drain", None, DrainResponse,
+                 "long-poll until every job is terminal",
+                 query=("timeout",), retry=True),
+        Endpoint("metrics", "GET", "/metrics", None, MetricsResponse,
+                 "flat scrape of the server's metrics registry", retry=True),
+        Endpoint("fleet", "GET", "/fleet", None, FleetStatusResponse,
+                 "fleet census (executors, leases, queue depths)", retry=True),
+        Endpoint("fleet_graph", "GET", "/fleet/graph/{fingerprint}", None,
+                 FleetGraphResponse, "graph arrays for remote executors",
+                 retry=True),
+        Endpoint("fleet_register", "POST", "/fleet/register",
+                 FleetRegisterRequest, FleetRegisterResponse,
+                 "join (or rejoin) the profiling fleet", retry=True),
+        Endpoint("fleet_heartbeat", "POST", "/fleet/heartbeat",
+                 FleetHeartbeatRequest, FleetHeartbeatResponse,
+                 "liveness beat + lease renewal"),
+        Endpoint("fleet_claim", "POST", "/fleet/claim", FleetClaimRequest,
+                 FleetClaimResponse,
+                 "long-poll work pull (leased candidate batch)"),
+        Endpoint("fleet_commit", "POST", "/fleet/commit", FleetCommitRequest,
+                 FleetCommitResponse, "deliver finished records (idempotent)",
+                 retry=True),
+        Endpoint("fleet_deregister", "POST", "/fleet/deregister",
+                 FleetHeartbeatRequest, FleetDeregisterResponse,
+                 "graceful fleet exit"),
+    )
+}
+
+
+def match_endpoint(verb: str, path: str) -> tuple[Endpoint, dict]:
+    """The route one request line names, with its path arguments."""
+    parts = [part for part in path.split("/") if part]
+    for endpoint in ENDPOINTS.values():
+        slots = (API_PREFIX + endpoint.path).split("/")[1:]
+        if verb != endpoint.verb or len(parts) != len(slots):
+            continue
+        pairs = list(zip(slots, parts, strict=True))
+        if all(slot[0] == "{" or slot == part for slot, part in pairs):
+            return endpoint, {s[1:-1]: p for s, p in pairs if s[0] == "{"}
+    raise UnknownJobError(
+        f"unknown endpoint {verb} {path!r} (see {API_PREFIX}/...)"
+    )

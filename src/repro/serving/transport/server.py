@@ -7,24 +7,10 @@ local :class:`~repro.serving.client.NavigationClient` would make.  The
 navigation server stays the single source of truth — the transport owns no
 job state beyond the idempotency replay table.
 
-Endpoints (all under ``/v1``)::
-
-    GET  /v1/health                     liveness + protocol version
-    POST /v1/jobs                       submit one spec or a batch
-    GET  /v1/jobs                       list job snapshots
-    GET  /v1/jobs/<id>                  one job snapshot
-    GET  /v1/jobs/<id>/result?timeout=  long-poll for the result
-    GET  /v1/jobs/<id>/events?since=&timeout=  long-poll the progress stream
-    POST /v1/jobs/<id>/cancel           cancel (PENDING drop / RUNNING coop)
-    POST /v1/drain?timeout=             long-poll until all jobs terminal
-    GET  /v1/metrics                    flat MetricsRegistry scrape
-    GET  /v1/fleet                      fleet census (executors, queues)
-    GET  /v1/fleet/graph/<fingerprint>  graph arrays for remote executors
-    POST /v1/fleet/register             join (or rejoin) the fleet
-    POST /v1/fleet/heartbeat            liveness beat + lease renewal
-    POST /v1/fleet/claim?               long-poll work pull (body timeout)
-    POST /v1/fleet/commit               deliver finished records (idempotent)
-    POST /v1/fleet/deregister           graceful fleet exit
+The routes are the rows of :data:`.protocol.ENDPOINTS` (listed in
+``docs/ARCHITECTURE.md``, *Serving over the network*): ``_Handler`` matches
+the row, decodes its request message, calls the ``NavigationHTTPServer``
+method named after the row and encodes the row's response message.
 
 Long-polls wait server-side up to ``min(timeout, MAX_POLL_SECONDS)`` per
 round and return ``done=False`` for the client to re-arm, so a dead client
@@ -39,7 +25,9 @@ Lifecycle::
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import threading
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -56,12 +44,8 @@ from repro.errors import (
 from repro.runtime.parallel import record_from_dict
 from repro.serving.server import NavigationServer
 from repro.serving.transport.protocol import (
-    API_PREFIX,
-    IDEMPOTENCY_HEADER,
     MAX_BODY_BYTES,
     MAX_POLL_SECONDS,
-    PROTOCOL_VERSION,
-    TENANT_HEADER,
     CancelResponse,
     DrainResponse,
     EventsResponse,
@@ -77,6 +61,8 @@ from repro.serving.transport.protocol import (
     FleetRegisterResponse,
     FleetStatusResponse,
     HealthResponse,
+    JobResponse,
+    JobsResponse,
     MetricsResponse,
     ResultResponse,
     SubmitRequest,
@@ -84,6 +70,7 @@ from repro.serving.transport.protocol import (
     encode_error,
     error_body,
     graph_to_wire,
+    match_endpoint,
     parse_json,
     task_to_wire,
 )
@@ -96,11 +83,7 @@ def _http_status(exc: ReproError) -> int:
     """HTTP status code for a typed serving error."""
     if isinstance(exc, (UnknownJobError, UnknownExecutorError)):
         return 404
-    if isinstance(exc, ProtocolError):
-        return 400
-    if isinstance(exc, ServerStoppingError):
-        return 503
-    return 400
+    return 503 if isinstance(exc, ServerStoppingError) else 400
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -133,7 +116,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(code, error_body(exc), close=True)
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self.headers.get("Content-Length") or "0"
+        # Checked before any read: a negative length would read to EOF and
+        # park this thread until the client hangs up.
+        if not (raw.isascii() and raw.isdigit()):
+            raise ProtocolError(f"invalid Content-Length {raw!r}")
+        length = int(raw)
         if length > MAX_BODY_BYTES:
             raise ProtocolError(
                 f"request body of {length} bytes exceeds the "
@@ -141,201 +129,51 @@ class _Handler(BaseHTTPRequestHandler):
             )
         return self.rfile.read(length) if length else b""
 
-    def _query_timeout(self, query: dict, default: float = 0.0) -> float:
-        raw = query.get("timeout", [None])[0]
-        if raw is None:
-            return default
+    # ------------------------------------------------------------- dispatch
+    def _dispatch(self, verb: str) -> None:
+        """Answer one request through its :data:`ENDPOINTS` row."""
         try:
-            timeout = float(raw)
-        except ValueError:
-            raise ProtocolError(f"invalid timeout {raw!r}") from None
-        if timeout < 0:
-            raise ProtocolError("timeout must be non-negative")
-        return min(timeout, MAX_POLL_SECONDS)
-
-    def _query_since(self, query: dict) -> int:
-        raw = query.get("since", ["0"])[0]
-        try:
-            since = int(raw)
-        except ValueError:
-            raise ProtocolError(f"invalid since {raw!r}") from None
-        if since < 0:
-            raise ProtocolError("since must be non-negative")
-        return since
-
-    def _route(self) -> tuple[list[str], dict]:
-        url = urlparse(self.path)
-        if url.path != API_PREFIX and not url.path.startswith(API_PREFIX + "/"):
-            raise UnknownJobError(
-                f"unknown endpoint {url.path!r} (expected {API_PREFIX}/...)"
-            )
-        parts = [p for p in url.path[len(API_PREFIX) :].split("/") if p]
-        return parts, parse_qs(url.query)
-
-    # --------------------------------------------------------------- verbs
-    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler contract
-        try:
-            parts, query = self._route()
-            nav = self.server.transport.navigation
-            if parts == ["health"]:
-                self._reply(
-                    200,
-                    HealthResponse(ok=True, jobs=len(nav.jobs())).to_wire(),
+            url = urlparse(self.path)
+            endpoint, args = match_endpoint(verb, url.path)
+            raw = self._read_body() if verb == "POST" else b""
+            if endpoint.request is not None:
+                args["request"] = endpoint.request.from_wire(
+                    parse_json(raw), self.headers
                 )
-            elif parts == ["metrics"]:
-                self._reply(
-                    200, MetricsResponse(nav.metrics.snapshot()).to_wire()
+            query = parse_qs(url.query)
+            for name in endpoint.query:
+                args[name] = _query_number(query, name)
+            answer = getattr(self.server.transport, f"_{endpoint.name}")
+            response = answer(**args)
+            if not isinstance(response, endpoint.response):
+                raise TypeError(
+                    f"{endpoint.name} answered {type(response).__name__}, "
+                    f"its row says {endpoint.response.__name__}"
                 )
-            elif parts == ["fleet"]:
-                census = nav.fleet.status()
-                self._reply(
-                    200,
-                    FleetStatusResponse(
-                        executors=census["executors"],
-                        pending=census["pending"],
-                        leased=census["leased"],
-                    ).to_wire(),
-                )
-            elif len(parts) == 3 and parts[0] == "fleet" and parts[1] == "graph":
-                graph = nav.fleet.graph(parts[2])
-                self._reply(
-                    200, FleetGraphResponse(graph_to_wire(graph)).to_wire()
-                )
-            elif parts == ["jobs"]:
-                payload = {
-                    "protocol": PROTOCOL_VERSION,
-                    "jobs": [s.to_dict() for s in nav.snapshots()],
-                }
-                self._reply(200, payload)
-            elif len(parts) == 2 and parts[0] == "jobs":
-                snapshot = nav.snapshot(parts[1]).to_dict()
-                snapshot["protocol"] = PROTOCOL_VERSION
-                self._reply(200, snapshot)
-            elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "result":
-                response = self.server.transport._poll_result(
-                    parts[1], self._query_timeout(query)
-                )
-                self._reply(200, response.to_wire())
-            elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "events":
-                batch = nav.events(
-                    parts[1],
-                    since=self._query_since(query),
-                    timeout=self._query_timeout(query),
-                )
-                self._reply(
-                    200,
-                    EventsResponse(
-                        done=batch.done,
-                        next_seq=batch.next_seq,
-                        gap=batch.gap,
-                        events=[e.to_dict() for e in batch.events],
-                    ).to_wire(),
-                )
-            else:
-                raise UnknownJobError(f"unknown endpoint {self.path!r}")
+            self._reply(200, response.to_wire())
         except Exception as exc:  # noqa: BLE001 — every reply must be JSON
             self._reply_error(exc)
 
-    def do_POST(self) -> None:  # noqa: N802
-        try:
-            parts, query = self._route()
-            raw = self._read_body()
-            if parts == ["jobs"]:
-                request = SubmitRequest.from_wire(
-                    parse_json(raw),
-                    header_key=self.headers.get(IDEMPOTENCY_HEADER),
-                )
-                response = self.server.transport._submit(
-                    request, tenant_header=self.headers.get(TENANT_HEADER)
-                )
-                self._reply(200, response.to_wire())
-            elif len(parts) == 3 and parts[0] == "jobs" and parts[2] == "cancel":
-                nav = self.server.transport.navigation
-                cancelled = nav.cancel(parts[1])
-                self._reply(200, CancelResponse(cancelled).to_wire())
-            elif parts == ["drain"]:
-                response = self.server.transport._drain(
-                    self._query_timeout(query)
-                )
-                self._reply(200, response.to_wire())
-            elif len(parts) == 2 and parts[0] == "fleet":
-                self._fleet_post(parts[1], raw)
-            else:
-                raise UnknownJobError(f"unknown endpoint {self.path!r}")
-        except Exception as exc:  # noqa: BLE001
-            self._reply_error(exc)
+    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler contract
+        self._dispatch("GET")
 
-    def _fleet_post(self, action: str, raw: bytes) -> None:
-        """Dispatch one ``POST /v1/fleet/<action>`` to the dispatcher."""
-        fleet = self.server.transport.navigation.fleet
-        if action == "register":
-            request = FleetRegisterRequest.from_wire(parse_json(raw))
-            info = fleet.register(
-                workers=request.workers, executor_id=request.executor_id
-            )
-            self._reply(
-                200,
-                FleetRegisterResponse(
-                    executor_id=info.executor_id,
-                    heartbeat_seconds=fleet.heartbeat_interval,
-                    lease_ttl=fleet.lease_ttl,
-                ).to_wire(),
-            )
-        elif action == "heartbeat":
-            request = FleetHeartbeatRequest.from_wire(parse_json(raw))
-            renewed = fleet.heartbeat(request.executor_id)
-            self._reply(200, FleetHeartbeatResponse(renewed=renewed).to_wire())
-        elif action == "claim":
-            request = FleetClaimRequest.from_wire(parse_json(raw))
-            grant = fleet.claim(
-                request.executor_id,
-                max_candidates=request.max_candidates,
-                timeout=min(request.timeout, MAX_POLL_SECONDS),
-            )
-            self._reply(
-                200,
-                FleetClaimResponse(
-                    lease_id=grant.lease_id,
-                    ttl=grant.ttl,
-                    task=None if grant.task is None else task_to_wire(grant.task),
-                    dataset=grant.dataset,
-                    fingerprint=grant.fingerprint,
-                    keys=list(grant.keys),
-                    configs=[config.to_dict() for config in grant.configs],
-                ).to_wire(),
-            )
-        elif action == "commit":
-            request = FleetCommitRequest.from_wire(
-                parse_json(raw),
-                header_key=self.headers.get(IDEMPOTENCY_HEADER),
-            )
-            try:
-                records = [record_from_dict(r) for r in request.records]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProtocolError(f"malformed record payload: {exc}") from None
-            outcome = fleet.commit(
-                request.executor_id,
-                request.lease_id,
-                request.keys,
-                records,
-                idempotency_key=request.idempotency_key,
-            )
-            self._reply(
-                200,
-                FleetCommitResponse(
-                    accepted=outcome.accepted,
-                    duplicates=outcome.duplicates,
-                    replayed=outcome.replayed,
-                ).to_wire(),
-            )
-        elif action == "deregister":
-            request = FleetHeartbeatRequest.from_wire(parse_json(raw))
-            existed = fleet.deregister(request.executor_id)
-            self._reply(
-                200, FleetDeregisterResponse(deregistered=existed).to_wire()
-            )
-        else:
-            raise UnknownJobError(f"unknown fleet action {action!r}")
+    def do_POST(self) -> None:  # noqa: N802
+        self._dispatch("POST")
+
+
+def _query_number(query: dict, name: str) -> float | int:
+    """One numeric query parameter (``timeout`` seconds, capped at one
+    long-poll round; ``since`` sequence number), 0 when absent.  NaN and
+    infinities are refused: ``Condition.wait_for(pred, nan)`` never returns,
+    so a ``timeout=nan`` would park its handler thread for the job's life."""
+    raw = query.get(name, ["0"])[0]
+    try:
+        value = float(raw) if name == "timeout" else int(raw)
+    except ValueError:
+        raise ProtocolError(f"invalid {name} {raw!r}") from None
+    if not 0 <= value < math.inf:
+        raise ProtocolError(f"{name} must be finite and non-negative")
+    return min(value, MAX_POLL_SECONDS) if name == "timeout" else value
 
 
 class _Server(ThreadingHTTPServer):
@@ -420,10 +258,11 @@ class NavigationHTTPServer:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # ------------------------------------------------------------- handlers
-    def _submit(
-        self, request: SubmitRequest, *, tenant_header: str | None
-    ) -> SubmitResponse:
+    # ------------------------------------------------- one answer per route
+    def _health(self) -> HealthResponse:
+        return HealthResponse(ok=True, jobs=len(self.navigation.jobs()))
+
+    def _submit(self, request: SubmitRequest) -> SubmitResponse:
         """Enqueue the spec(s), replaying a known idempotency key.
 
         The replay table is checked and — after a successful submit —
@@ -431,12 +270,7 @@ class NavigationHTTPServer:
         with the same key serialize: the loser sees the winner's entry and
         replays it instead of double-enqueuing.
         """
-        specs = []
-        for spec in request.specs:
-            if tenant_header and not spec.get("tenant"):
-                spec = {**spec, "tenant": tenant_header}
-            specs.append(spec)
-
+        specs = request.specs
         key = None
         if request.idempotency_key is not None:
             # Scope keys per tenant so two tenants choosing "retry-1" don't
@@ -462,7 +296,13 @@ class NavigationHTTPServer:
                     self._idempotency.popitem(last=False)
             return response
 
-    def _poll_result(self, job_id: str, timeout: float) -> ResultResponse:
+    def _jobs(self) -> JobsResponse:
+        return JobsResponse([s.to_dict() for s in self.navigation.snapshots()])
+
+    def _job(self, job_id: str) -> JobResponse:
+        return JobResponse(**self.navigation.snapshot(job_id).to_dict())
+
+    def _result(self, job_id: str, timeout: float) -> ResultResponse:
         """One long-poll round: wait, then encode whatever outcome
         ``NavigationServer.result`` returns or raises for a terminal job."""
         nav = self.navigation
@@ -476,6 +316,18 @@ class NavigationHTTPServer:
             return ResultResponse(done=True, status=status, error=encode_error(exc))
         return ResultResponse(done=True, status=status, result=result.to_dict())
 
+    def _events(self, job_id: str, since: int, timeout: float) -> EventsResponse:
+        batch = self.navigation.events(job_id, since=since, timeout=timeout)
+        return EventsResponse(
+            done=batch.done,
+            next_seq=batch.next_seq,
+            gap=batch.gap,
+            events=[event.to_dict() for event in batch.events],
+        )
+
+    def _cancel(self, job_id: str) -> CancelResponse:
+        return CancelResponse(self.navigation.cancel(job_id))
+
     def _drain(self, timeout: float) -> DrainResponse:
         try:
             self.navigation.drain(timeout)
@@ -486,3 +338,68 @@ class NavigationHTTPServer:
             done=done,
             jobs=[s.to_dict() for s in self.navigation.snapshots()],
         )
+
+    def _metrics(self) -> MetricsResponse:
+        return MetricsResponse(self.navigation.metrics.snapshot())
+
+    def _fleet(self) -> FleetStatusResponse:
+        return FleetStatusResponse(**self.navigation.fleet.status())
+
+    def _fleet_graph(self, fingerprint: str) -> FleetGraphResponse:
+        graph = self.navigation.fleet.graph(fingerprint)
+        return FleetGraphResponse(graph_to_wire(graph))
+
+    def _fleet_register(
+        self, request: FleetRegisterRequest
+    ) -> FleetRegisterResponse:
+        fleet = self.navigation.fleet
+        info = fleet.register(
+            workers=request.workers, executor_id=request.executor_id
+        )
+        return FleetRegisterResponse(
+            executor_id=info.executor_id,
+            heartbeat_seconds=fleet.heartbeat_interval,
+            lease_ttl=fleet.lease_ttl,
+        )
+
+    def _fleet_heartbeat(
+        self, request: FleetHeartbeatRequest
+    ) -> FleetHeartbeatResponse:
+        renewed = self.navigation.fleet.heartbeat(request.executor_id)
+        return FleetHeartbeatResponse(renewed=renewed)
+
+    def _fleet_claim(self, request: FleetClaimRequest) -> FleetClaimResponse:
+        grant = self.navigation.fleet.claim(
+            request.executor_id,
+            max_candidates=request.max_candidates,
+            timeout=min(request.timeout, MAX_POLL_SECONDS),
+        )
+        return FleetClaimResponse(
+            lease_id=grant.lease_id,
+            ttl=grant.ttl,
+            task=None if grant.task is None else task_to_wire(grant.task),
+            dataset=grant.dataset,
+            fingerprint=grant.fingerprint,
+            keys=list(grant.keys),
+            configs=[config.to_dict() for config in grant.configs],
+        )
+
+    def _fleet_commit(self, request: FleetCommitRequest) -> FleetCommitResponse:
+        try:
+            records = [record_from_dict(r) for r in request.records]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed record payload: {exc}") from None
+        outcome = self.navigation.fleet.commit(
+            request.executor_id,
+            request.lease_id,
+            request.keys,
+            records,
+            idempotency_key=request.idempotency_key,
+        )
+        return FleetCommitResponse(**dataclasses.asdict(outcome))
+
+    def _fleet_deregister(
+        self, request: FleetHeartbeatRequest
+    ) -> FleetDeregisterResponse:
+        existed = self.navigation.fleet.deregister(request.executor_id)
+        return FleetDeregisterResponse(deregistered=existed)

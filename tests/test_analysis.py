@@ -657,143 +657,6 @@ class TestPlumbing:
         assert rules_fired(result) == {"PLUMB001"}
 
 
-def analyze_files(tmp_path: Path, files: dict[str, str]):
-    """Write a multi-module fixture project and analyze the whole tree."""
-    for name, source in files.items():
-        path = tmp_path / name
-        path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return run_analysis([tmp_path], tmp_path)
-
-
-_ENDPT_PROTOCOL = """
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class PingRequest:
-        nonce: int
-
-    @dataclass(frozen=True)
-    class PingResponse:
-        nonce: int
-"""
-
-
-# ---------------------------------------------------------------- ENDPT001/2
-class TestEndpointParity:
-    def test_unrouted_request_and_response_fire(self, tmp_path):
-        result = analyze_files(
-            tmp_path,
-            {
-                "protocol.py": _ENDPT_PROTOCOL,
-                "handler.py": """
-                    from http.server import BaseHTTPRequestHandler
-
-                    class Handler(BaseHTTPRequestHandler):
-                        def do_GET(self):
-                            pass
-                """,
-                "client.py": """
-                    class Client:
-                        def _call(self, method, path):
-                            return {}
-                """,
-            },
-        )
-        assert rules_fired(result) == {"ENDPT001", "ENDPT002"}
-        messages = " ".join(f.message for f in result.findings)
-        assert "PingRequest" in messages
-        assert "PingResponse" in messages
-        assert len(result.findings) == 4  # both sides of both dataclasses
-
-    def test_orphan_dict_literal_route_fires(self, tmp_path):
-        result = analyze_files(
-            tmp_path,
-            {
-                "handler.py": """
-                    from http.server import BaseHTTPRequestHandler
-
-                    class Handler(BaseHTTPRequestHandler):
-                        def do_GET(self):
-                            self._reply(200, {"ok": True})
-                """,
-                "protocol.py": "",
-            },
-        )
-        assert rules_fired(result) == {"ENDPT002"}
-        assert "raw dict literal" in result.findings[0].message
-
-    def test_full_parity_passes(self, tmp_path):
-        result = analyze_files(
-            tmp_path,
-            {
-                "protocol.py": _ENDPT_PROTOCOL,
-                "handler.py": """
-                    from http.server import BaseHTTPRequestHandler
-                    from protocol import PingRequest, PingResponse
-
-                    class Handler(BaseHTTPRequestHandler):
-                        def do_POST(self):
-                            request = PingRequest.from_wire({})
-                            self._reply(
-                                200, PingResponse(request.nonce).to_wire()
-                            )
-                """,
-                "client.py": """
-                    from protocol import PingRequest, PingResponse
-
-                    class Client:
-                        def _call(self, method, path, body):
-                            return {}
-
-                        def ping(self, nonce):
-                            payload = self._call(
-                                "POST", "/ping", PingRequest(nonce).to_wire()
-                            )
-                            return PingResponse.from_wire(payload)
-                """,
-            },
-        )
-        assert rules_fired(result) == set()
-
-    def test_client_subclass_counts(self, tmp_path):
-        # FleetClient(RemoteNavigationClient) has no _call of its own; the
-        # base's makes its module a client module.
-        result = analyze_files(
-            tmp_path,
-            {
-                "protocol.py": _ENDPT_PROTOCOL,
-                "handler.py": """
-                    from http.server import BaseHTTPRequestHandler
-                    from protocol import PingRequest, PingResponse
-
-                    class Handler(BaseHTTPRequestHandler):
-                        def do_POST(self):
-                            request = PingRequest.from_wire({})
-                            self._reply(
-                                200, PingResponse(request.nonce).to_wire()
-                            )
-                """,
-                "client.py": """
-                    class BaseClient:
-                        def _call(self, method, path, body):
-                            return {}
-                """,
-                "subclient.py": """
-                    from client import BaseClient
-                    from protocol import PingRequest, PingResponse
-
-                    class PingClient(BaseClient):
-                        def ping(self, nonce):
-                            payload = self._call(
-                                "POST", "/ping", PingRequest(nonce).to_wire()
-                            )
-                            return PingResponse.from_wire(payload)
-                """,
-            },
-        )
-        assert rules_fired(result) == set()
-
-
 # --------------------------------------------------------------- METRIC001/2
 class TestMetricHygiene:
     def test_bad_name_and_kind_conflict_fire(self, tmp_path):

@@ -39,7 +39,6 @@ from repro.serving.fleet import (
     ExecutorRegistry,
     FleetClient,
     FleetDispatcher,
-    HashRing,
     LeaseTable,
     ProfilingExecutor,
 )
@@ -47,12 +46,7 @@ from repro.serving.metrics import MetricsRegistry, labeled
 from repro.serving.transport import IDEMPOTENCY_HEADER, NavigationHTTPServer
 from repro.serving.transport.protocol import (
     PROTOCOL_VERSION,
-    FleetClaimRequest,
-    FleetClaimResponse,
     FleetCommitRequest,
-    FleetCommitResponse,
-    FleetRegisterRequest,
-    FleetRegisterResponse,
     graph_from_wire,
     graph_to_wire,
     task_from_wire,
@@ -85,50 +79,6 @@ def _post(url: str, body, headers: dict | None = None):
             return response.status, json.loads(response.read().decode())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read().decode())
-
-
-# ---------------------------------------------------------------- hash ring
-class TestHashRing:
-    def test_empty_ring_routes_nowhere(self):
-        assert HashRing().route("anything") is None
-
-    def test_routing_is_deterministic_and_total(self):
-        ring = HashRing()
-        ring.add("a")
-        ring.add("b")
-        keys = [f"key-{i}" for i in range(200)]
-        first = [ring.route(key) for key in keys]
-        assert set(first) <= {"a", "b"}
-        assert [ring.route(key) for key in keys] == first
-
-    def test_virtual_nodes_spread_load(self):
-        ring = HashRing(replicas=64)
-        for node in ("a", "b", "c"):
-            ring.add(node)
-        owners = {ring.route(f"key-{i}") for i in range(300)}
-        assert owners == {"a", "b", "c"}
-
-    def test_removal_only_remaps_the_lost_arcs(self):
-        ring = HashRing()
-        ring.add("a")
-        ring.add("b")
-        keys = [f"key-{i}" for i in range(200)]
-        before = {key: ring.route(key) for key in keys}
-        ring.remove("b")
-        assert len(ring) == 1
-        for key in keys:
-            if before[key] == "a":  # survivors keep their arcs
-                assert ring.route(key) == "a"
-            else:  # orphans all land on the survivor
-                assert ring.route(key) == "a"
-
-    def test_add_is_idempotent(self):
-        ring = HashRing(replicas=8)
-        ring.add("a")
-        ring.add("a")
-        assert len(ring) == 1
-        ring.remove("a")
-        assert ring.route("key") is None
 
 
 # --------------------------------------------------------------- lease table
@@ -194,14 +144,12 @@ class TestExecutorRegistry:
         assert again.workers == 4
         assert again.generation == 1
 
-    def test_deregister_and_route(self):
+    def test_deregister(self):
         registry = ExecutorRegistry()
-        assert registry.route("key") is None
         info = registry.register()
-        assert registry.route("key") == info.executor_id
         assert registry.deregister(info.executor_id) is True
         assert registry.deregister(info.executor_id) is False
-        assert registry.route("key") is None
+        assert registry.get(info.executor_id) is None
 
     def test_live_and_prune_horizons(self):
         registry = ExecutorRegistry()
@@ -216,96 +164,8 @@ class TestExecutorRegistry:
 
 
 # ------------------------------------------------------------------- wire
-class TestFleetWire:
-    def test_register_round_trip(self):
-        request = FleetRegisterRequest(workers=3, executor_id="ex-0007")
-        assert FleetRegisterRequest.from_wire(request.to_wire()) == request
-        fresh = FleetRegisterRequest(workers=1)
-        wire = fresh.to_wire()
-        assert "executor_id" not in wire
-        assert FleetRegisterRequest.from_wire(wire) == fresh
-        response = FleetRegisterResponse(
-            executor_id="ex-0007", heartbeat_seconds=1.5, lease_ttl=4.5
-        )
-        assert FleetRegisterResponse.from_wire(response.to_wire()) == response
-
-    def test_register_rejects_bad_workers(self):
-        with pytest.raises(ProtocolError):
-            FleetRegisterRequest.from_wire(
-                {"protocol": PROTOCOL_VERSION, "workers": 0}
-            )
-
-    def test_claim_round_trip_and_empty(self):
-        request = FleetClaimRequest(
-            executor_id="ex-0000", max_candidates=4, timeout=2.0
-        )
-        assert FleetClaimRequest.from_wire(request.to_wire()) == request
-        grant = FleetClaimResponse(
-            lease_id="lease-000001",
-            ttl=10.0,
-            task={"dataset": "tiny"},
-            dataset="tiny",
-            fingerprint="abc",
-            keys=["k1"],
-            configs=[{"batch_size": 64}],
-        )
-        back = FleetClaimResponse.from_wire(grant.to_wire())
-        assert back == grant
-        assert not back.empty
-        assert FleetClaimResponse.from_wire(
-            FleetClaimResponse(lease_id=None, ttl=10.0).to_wire()
-        ).empty
-
-    def test_claim_response_rejects_misaligned_batch(self):
-        with pytest.raises(ProtocolError):
-            FleetClaimResponse.from_wire(
-                {
-                    "protocol": PROTOCOL_VERSION,
-                    "lease_id": "lease-000001",
-                    "ttl": 1.0,
-                    "keys": ["k1", "k2"],
-                    "configs": [{}],
-                }
-            )
-
-    def test_commit_round_trip_and_header_fallback(self):
-        request = FleetCommitRequest(
-            executor_id="ex-0000",
-            lease_id="lease-000001",
-            keys=["k1"],
-            records=[{"accuracy": 0.5}],
-            idempotency_key="lease-000001",
-        )
-        assert FleetCommitRequest.from_wire(request.to_wire()) == request
-        # header supplies the key when the body omits it; body wins otherwise
-        bare = FleetCommitRequest(
-            executor_id="ex-0000", lease_id=None, keys=[], records=[]
-        )
-        via_header = FleetCommitRequest.from_wire(
-            bare.to_wire(), header_key="retry-1"
-        )
-        assert via_header.idempotency_key == "retry-1"
-        body_wins = FleetCommitRequest.from_wire(
-            request.to_wire(), header_key="retry-1"
-        )
-        assert body_wins.idempotency_key == "lease-000001"
-        response = FleetCommitResponse(accepted=3, duplicates=1, replayed=True)
-        assert FleetCommitResponse.from_wire(response.to_wire()) == response
-
-    def test_commit_rejects_malformed_batches(self):
-        base = {
-            "protocol": PROTOCOL_VERSION,
-            "executor_id": "ex-0000",
-            "lease_id": None,
-        }
-        with pytest.raises(ProtocolError):
-            FleetCommitRequest.from_wire(
-                dict(base, keys=["k1", "k2"], records=[{}])
-            )
-        with pytest.raises(ProtocolError):
-            FleetCommitRequest.from_wire(
-                dict(base, keys=["k1"], records=["not-a-dict"])
-            )
+class TestFleetPayloads:
+    """Task and graph payloads; the messages are in tests/test_wire.py."""
 
     def test_task_wire_round_trip(self, tiny_task):
         assert task_from_wire(task_to_wire(tiny_task)) == tiny_task
@@ -432,6 +292,27 @@ class TestFleetDispatcher:
             idempotency_key=grant.lease_id,
         )
         assert _finish(thread, out) == [f"record-{k}" for k in keys]
+
+    def test_claims_come_off_the_queue_head_in_order(
+        self, dispatcher, tiny_task, tiny_config, small_graph
+    ):
+        # No affinity: whoever asks gets the oldest pending key.
+        first, second = dispatcher.register(), dispatcher.register()
+        keys = [f"k-{i}" for i in range(4)]
+        thread, out = _start_batch(
+            dispatcher, tiny_task, [tiny_config] * 4, small_graph, keys
+        )
+        granted = []
+        for info in (second, first, second, first):
+            grant = dispatcher.claim(
+                info.executor_id, max_candidates=1, timeout=5.0
+            )
+            granted += grant.keys
+            dispatcher.commit(
+                info.executor_id, grant.lease_id, list(grant.keys), ["record"]
+            )
+        assert granted == keys
+        assert _finish(thread, out) == ["record"] * 4
 
     def test_retried_commit_replays_without_side_effects(
         self, dispatcher, tiny_task, tiny_config, small_graph

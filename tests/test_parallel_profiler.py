@@ -280,27 +280,6 @@ class TestStoreManagement:
         with pytest.raises(ValueError):
             store.prune_bytes(-1)
 
-    def test_pinned_entries_survive_eviction(self, tmp_path, record):
-        store = ResultStore(tmp_path)
-        keys = self._populate(store, record, 4)
-        paths = [tmp_path / f"gt_{k}.json" for k in keys]
-        now = paths[-1].stat().st_mtime
-        for age, path in enumerate(reversed(paths)):
-            os.utime(path, (now - age, now - age))  # keys[0] oldest
-        store.pin(keys[0])  # the oldest — first in line for eviction
-        assert store.prune(max_entries=2) == 2
-        kept = store.keys()
-        assert keys[0] in kept  # pinned: survived although oldest
-        assert kept == sorted([keys[0], keys[3]])
-        # byte budget respects pins the same way
-        store.pin(keys[3])
-        assert store.prune_bytes(0) == 0  # everything left is pinned
-        assert len(store) == 2
-        store.unpin(keys[0])
-        assert store.prune_bytes(0) == 1  # unpinned entry now evictable
-        assert store.keys() == [keys[3]]
-        assert store.pinned == {keys[3]}
-
     def test_service_byte_budget_bounds_store(
         self, small_graph, tiny_task, configs, tmp_path
     ):
