@@ -25,6 +25,7 @@ from repro.graphs.generators import powerlaw_community_graph
 from repro.serving import NavigationClient, NavigationServer
 from repro.serving.fleet import ProfilingExecutor
 from repro.serving.transport import NavigationHTTPServer
+from repro.wire import encode
 
 #: small claims spread work across the fleet instead of letting the first
 #: claimer walk off with the whole batch.
@@ -131,7 +132,7 @@ def test_fleet_throughput_scales_with_executors(run_once, emit, tmp_path, quick)
     # the fleet may change wall time, never the answer: every round is
     # bit-identical, did the same number of training runs, and never fell
     # back to the server's local pool
-    dicts = [result.to_dict() for result, _, _, _ in rounds]
+    dicts = [encode(result) for result, _, _, _ in rounds]
     assert all(d == dicts[0] for d in dicts[1:])
     assert len({runs for _, _, runs, _ in rounds}) == 1
     assert all(fallbacks == 0 for _, _, _, fallbacks in rounds)

@@ -2,7 +2,7 @@
 
 ``repro.analysis`` encodes the invariants the serving system lives by —
 lock discipline, a deadlock-free lock-acquisition order, no blocking work
-under a lock, wire-protocol round-tripping, and cancellation/progress
+under a lock, metric/resource hygiene and cancellation/progress
 plumbing — as AST checkers (stdlib ``ast`` only, no third-party deps).
 
 Run it as ``repro lint`` or ``python -m repro.analysis``.  Findings are
@@ -30,7 +30,6 @@ from .metriccheck import check_metrics
 from .plumbing import check_plumbing
 from .report import AnalysisResult, render_json, render_text
 from .rescheck import check_resources
-from .wirecheck import check_wire
 
 __all__ = [
     "RULES",
@@ -81,7 +80,6 @@ def run_analysis(
     collector = Collector()
     check_locks(project, collector)
     graph = analyze_lock_order(project, collector)
-    check_wire(project, collector)
     check_plumbing(project, collector)
     check_metrics(project, collector)
     check_resources(project, collector)

@@ -1,8 +1,7 @@
 """Shared model of the project-specific static analysis pass.
 
-The serving layer coordinates ~40 lock/condition sites and keeps a hand-
-rolled JSON wire protocol in sync with its dataclasses; :mod:`repro.analysis`
-encodes those system invariants once and enforces them at lint time.  This
+The serving layer coordinates ~40 lock/condition sites; :mod:`repro.analysis`
+encodes its system invariants once and enforces them at lint time.  This
 module holds everything the rule checkers share:
 
 * :class:`Finding` — one typed diagnostic (rule id, path:line, message,
@@ -12,8 +11,8 @@ module holds everything the rule checkers share:
   only ever called with the lock already held, and ``# lint: disable=RULE``
   suppresses findings on its line;
 * the project model — per-class lock declarations (with ``Condition(lock)``
-  aliasing), guarded fields, attribute/parameter types, dataclass fields,
-  and a function registry — built once per run and consumed by every rule.
+  aliasing), guarded fields, attribute/parameter types, and a function
+  registry — built once per run and consumed by every rule.
 
 The analysis is best-effort and *syntactic*: it resolves method calls only
 through annotations and constructor assignments it can see, and prefers a
@@ -49,9 +48,6 @@ RULES: dict[str, tuple[str, str]] = {
     "LOCK001": ("error", "guarded field accessed outside its lock"),
     "LOCK002": ("error", "lock-order cycle (deadlock potential)"),
     "LOCK003": ("warning", "blocking call inside a held-lock region"),
-    "WIRE001": ("error", "wire dataclass field never serialized"),
-    "WIRE002": ("error", "wire dataclass field never parsed"),
-    "WIRE003": ("warning", "wire key serialized or parsed on one side only"),
     "PLUMB001": ("error", "cancellation/progress seat not forwarded"),
     "METRIC001": ("error", "metric family misregistered (name/kind/duplicate)"),
     "METRIC002": ("error", "metric label hygiene violation (labels/leak)"),
@@ -262,15 +258,6 @@ def _lock_ctor_kind(call: ast.AST) -> str | None:
     return _LOCK_CTORS.get(name.rsplit(".", maxsplit=1)[-1])
 
 
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = dotted_name(target)
-        if name is not None and name.rsplit(".", maxsplit=1)[-1] == "dataclass":
-            return True
-    return False
-
-
 # -------------------------------------------------------------- project model
 @dataclass(frozen=True)
 class LockDecl:
@@ -293,8 +280,6 @@ class ClassModel:
     holds_methods: dict[str, tuple[str, ...]] = field(default_factory=dict)
     attr_types: dict[str, str] = field(default_factory=dict)
     methods: dict[str, ast.FunctionDef] = field(default_factory=dict)
-    dataclass_fields: list[str] = field(default_factory=list)
-    is_dataclass: bool = False
 
     def canonical_lock(self, name: str) -> str:
         """Follow ``Condition(base_lock)`` aliases down to the base lock."""
@@ -461,12 +446,7 @@ class TypeEnv:
 
 # ------------------------------------------------------------------- builders
 def _collect_class(module: SourceModule, node: ast.ClassDef) -> ClassModel:
-    model = ClassModel(
-        name=node.name,
-        module=module,
-        node=node,
-        is_dataclass=_is_dataclass_decorated(node),
-    )
+    model = ClassModel(name=node.name, module=module, node=node)
     for stmt in node.body:
         if isinstance(stmt, ast.AnnAssign) and isinstance(
             stmt.target, ast.Name
@@ -481,7 +461,6 @@ def _collect_class(module: SourceModule, node: ast.ClassDef) -> ClassModel:
                 model.locks[attr] = LockDecl(
                     attr=attr, kind=_LOCK_CTORS[ann]
                 )
-            model.dataclass_fields.append(attr)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             model.methods[stmt.name] = stmt
             holds = module.holds.get(stmt.lineno)

@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the project-specific static analysis pass "
-        "(lock discipline, lock ordering, wire drift, plumbing)",
+        "(lock discipline, lock ordering, plumbing, metric hygiene)",
     )
     add_lint_arguments(lint)
 

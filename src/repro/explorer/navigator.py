@@ -46,7 +46,7 @@ class NavigatorReport:
     guidelines: dict[str, Guideline]
     exploration: ExplorationResult
     num_ground_truth: int
-    profile: GraphProfile = None
+    profile: GraphProfile | None = None
     extras: dict = field(default_factory=dict)
 
 

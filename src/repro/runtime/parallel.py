@@ -25,7 +25,6 @@ task — which is what makes both the dedup and the cache sound.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -40,9 +39,9 @@ from repro.config.settings import TaskSpec, TrainingConfig
 from repro.errors import JobCancelled
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
-from repro.graphs.profiling import GraphProfile
 from repro.runtime.profiler import GroundTruthRecord, profile_one
 from repro.transfer.fingerprint import record_fingerprint
+from repro.wire import decode, encode
 
 __all__ = [
     "CancellationToken",
@@ -78,11 +77,6 @@ _META_VERSION = 1
 #: layer produces, so float32 sums reassociate and the mask sequence differs.
 #: Losses and accuracies of version 1 are not reproducible by this code.
 GROUND_TRUTH_VERSION = 2
-
-#: task fields that determine a profiling run, derived from the dataclass so
-#: new fields join the key automatically (``extra`` is compare-excluded and
-#: may hold non-JSON payloads, so it stays out).
-_TASK_FIELDS = tuple(f.name for f in dataclasses.fields(TaskSpec) if f.compare)
 
 
 # ------------------------------------------------------------- cancellation
@@ -147,9 +141,11 @@ def graph_fingerprint(graph: CSRGraph) -> str:
 
 def candidate_key(task: TaskSpec, config: TrainingConfig, fingerprint: str) -> str:
     """Stable content hash of one ``(task, config, graph)`` candidate."""
+    # The comparable task fields: new ones join the key automatically, the
+    # compare-excluded ``extra`` (may hold non-JSON payloads) stays out.
     payload = {
-        "task": {f: getattr(task, f) for f in _TASK_FIELDS},
-        "config": config.canonical().to_dict(),
+        "task": encode(task),
+        "config": encode(config.canonical()),
         "graph": fingerprint,
         "ground_truth_version": GROUND_TRUTH_VERSION,
     }
@@ -160,25 +156,13 @@ def candidate_key(task: TaskSpec, config: TrainingConfig, fingerprint: str) -> s
 # ------------------------------------------------------------ serialization
 def record_to_dict(record: GroundTruthRecord) -> dict:
     """JSON-friendly encoding of a :class:`GroundTruthRecord`."""
-    out = {
-        "config": record.config.to_dict(),
-        "task": {f: getattr(record.task, f) for f in _TASK_FIELDS},
-        "graph_profile": dataclasses.asdict(record.graph_profile),
-    }
-    for f in dataclasses.fields(GroundTruthRecord):
-        if f.name not in out:
-            value = getattr(record, f.name)
-            out[f.name] = int(value) if f.name == "num_batches" else float(value)
-    return out
+    return encode(record)
 
 
 def record_from_dict(data: dict) -> GroundTruthRecord:
-    """Inverse of :func:`record_to_dict`."""
-    payload = dict(data)
-    payload["config"] = TrainingConfig.from_dict(payload["config"])
-    payload["task"] = TaskSpec(**payload["task"])
-    payload["graph_profile"] = GraphProfile(**payload["graph_profile"])
-    return GroundTruthRecord(**payload)
+    """Inverse of :func:`record_to_dict`, type-checked field by field
+    (:class:`~repro.errors.ProtocolError` on anything else)."""
+    return decode(GroundTruthRecord, data)
 
 
 # -------------------------------------------------------------------- store
@@ -206,11 +190,6 @@ class ResultStore:
     are O(1) rather than a directory re-glob per call.  Both reflect this
     instance's view — a concurrent *process* writing the same directory is
     only picked up by :meth:`refresh`.
-
-    :meth:`pin` marks entries that eviction (:meth:`prune` /
-    :meth:`prune_bytes`) must skip — the escape hatch that keeps a hot
-    task's ground truth resident under a tight budget.  Pins are
-    per-instance, in-memory state, not persisted.
 
     Every record carries a *metadata sidecar* (``meta_<key>.json``): a
     schema-versioned envelope holding the record's task fingerprint, which
@@ -259,6 +238,17 @@ class ResultStore:
             "fingerprint": fingerprint.to_dict(),
         }
 
+    @staticmethod
+    def _stage(path: Path, payload: dict) -> Path:
+        """Write ``payload`` beside ``path`` for the caller to rename into
+        place, under a name no other writer shares: processes on one cache
+        dir *and* threads of one process (two jobs backfilling the same
+        sidecar) must not interleave into, or rename away, one staging file."""
+        tmp = path.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(payload, f)
+        return tmp
+
     def load(self, key: str) -> GroundTruthRecord | None:
         """Return the stored record, or ``None`` on miss/corruption."""
         path = self._path(key)
@@ -292,14 +282,8 @@ class ResultStore:
         }
         path = self._path(key)
         meta_path = self._meta_path(key)
-        # pid-unique tmp name: concurrent writers sharing one cache dir must
-        # not interleave into the same staging file before the rename.
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        meta_tmp = meta_path.with_suffix(f".{os.getpid()}.tmp")
-        with open(meta_tmp, "w", encoding="utf-8") as f:
-            json.dump(self._meta_payload(key, record), f)
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(envelope, f)
+        meta_tmp = self._stage(meta_path, self._meta_payload(key, record))
+        tmp = self._stage(path, envelope)
         new_size = tmp.stat().st_size
         with self._lock:
             try:
@@ -355,9 +339,7 @@ class ResultStore:
             return None
         payload = self._meta_payload(key, record)
         meta_path = self._meta_path(key)
-        meta_tmp = meta_path.with_suffix(f".{os.getpid()}.tmp")
-        with open(meta_tmp, "w", encoding="utf-8") as f:
-            json.dump(payload, f)
+        meta_tmp = self._stage(meta_path, payload)
         with self._lock:
             os.replace(meta_tmp, meta_path)
         return payload

@@ -71,7 +71,11 @@ class PerfReport:
     memory: MemoryBreakdown
     accuracy: float
     epochs: list[EpochStats] = field(default_factory=list)
-    batches: list[BatchRecord] = field(default_factory=list)
+    #: thousands of per-batch rows back the epoch statistics; they stay on
+    #: the side that measured them (``repro.wire`` skips the field).
+    batches: list[BatchRecord] = field(
+        default_factory=list, metadata={"wire": False}
+    )
     config_summary: str = ""
     task_summary: str = ""
 

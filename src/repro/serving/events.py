@@ -30,8 +30,10 @@ from __future__ import annotations
 import dataclasses
 import threading
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Iterator
+
+from repro.wire import WireMessage
 
 __all__ = [
     "DEFAULT_POLL_SECONDS",
@@ -104,19 +106,11 @@ class JobProgressEvent:
             line += f" — {self.message}"
         return line
 
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """JSON-friendly wire form (``None`` fields included, order fixed)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobProgressEvent":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class EventBatch:
-    """One read of a job's event stream: what both transports return.
+class EventBatch(WireMessage):
+    """One read of a job's event stream: what both transports return (over
+    HTTP, the body of one ``GET /v1/jobs/<id>/events`` long-poll round).
 
     ``events`` are in sequence order; ``next_seq`` is the ``since`` of the
     follow-up read; ``gap`` counts events the ring dropped between the
@@ -129,23 +123,6 @@ class EventBatch:
     next_seq: int
     gap: int = 0
     done: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "events": [event.to_dict() for event in self.events],
-            "next_seq": self.next_seq,
-            "gap": self.gap,
-            "done": self.done,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EventBatch":
-        return cls(
-            events=[JobProgressEvent.from_dict(e) for e in data["events"]],
-            next_seq=data["next_seq"],
-            gap=data.get("gap", 0),
-            done=data.get("done", False),
-        )
 
 
 class EventBuffer:

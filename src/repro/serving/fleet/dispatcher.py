@@ -37,12 +37,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.config.settings import TaskSpec, TrainingConfig
-from repro.errors import ServingError, UnknownExecutorError
+from repro.errors import ProtocolError, ServingError, UnknownExecutorError
 from repro.graphs.csr import CSRGraph
 from repro.runtime.parallel import predicted_cost
 from repro.serving.fleet.leases import LeaseTable
 from repro.serving.fleet.registry import ExecutorInfo, ExecutorRegistry
 from repro.serving.metrics import MetricsRegistry, labeled
+from repro.wire import WireMessage
 
 __all__ = ["ClaimGrant", "CommitOutcome", "FleetDispatcher"]
 
@@ -65,16 +66,26 @@ _EXECUTOR_METRICS = (
 
 
 @dataclass(frozen=True)
-class ClaimGrant:
-    """One claim round's outcome: a leased batch, or nothing pending."""
+class ClaimGrant(WireMessage):
+    """One claim round's outcome: a leased batch, or nothing pending
+    (``lease_id`` null) — also the ``POST /v1/fleet/claim`` response.
+
+    ``configs`` are key-aligned with ``keys``.  ``fingerprint`` names the
+    graph: executors resolve it locally by dataset name when the
+    fingerprints match, else fetch it from ``/v1/fleet/graph/<fingerprint>``.
+    """
 
     lease_id: str | None
     ttl: float
     task: TaskSpec | None
     dataset: str | None
     fingerprint: str | None
-    keys: tuple[str, ...]
-    configs: tuple[TrainingConfig, ...]
+    keys: tuple[str, ...] = ()
+    configs: tuple[TrainingConfig, ...] = ()
+
+    def __post_init__(self) -> None:
+        if len(self.keys) != len(self.configs):
+            raise ProtocolError("claim keys/configs are not the same length")
 
     @property
     def empty(self) -> bool:
@@ -82,21 +93,14 @@ class ClaimGrant:
 
     @classmethod
     def none(cls, ttl: float) -> "ClaimGrant":
-        return cls(
-            lease_id=None,
-            ttl=ttl,
-            task=None,
-            dataset=None,
-            fingerprint=None,
-            keys=(),
-            configs=(),
-        )
+        return cls(None, ttl, task=None, dataset=None, fingerprint=None)
 
 
 @dataclass(frozen=True)
-class CommitOutcome:
+class CommitOutcome(WireMessage):
     """What one commit did: fresh records accepted, duplicates folded, and
-    whether this response was replayed from the idempotency table."""
+    whether this response was replayed from the idempotency table — also
+    the ``POST /v1/fleet/commit`` response."""
 
     accepted: int
     duplicates: int

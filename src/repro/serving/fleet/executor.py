@@ -27,28 +27,21 @@ from __future__ import annotations
 import os
 import threading
 
-from repro.config.settings import TrainingConfig
 from repro.errors import ServingError, UnknownExecutorError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
-from repro.runtime.parallel import (
-    ProfilingService,
-    graph_fingerprint,
-    record_to_dict,
-)
+from repro.runtime.parallel import ProfilingService, graph_fingerprint
+from repro.serving.fleet.dispatcher import ClaimGrant, CommitOutcome
 from repro.serving.transport.client import RemoteNavigationClient
 from repro.serving.transport.protocol import (
     FleetClaimRequest,
-    FleetClaimResponse,
     FleetCommitRequest,
-    FleetCommitResponse,
     FleetHeartbeatRequest,
     FleetHeartbeatResponse,
     FleetRegisterRequest,
     FleetRegisterResponse,
     FleetStatusResponse,
     graph_from_wire,
-    task_from_wire,
 )
 
 __all__ = ["FleetClient", "ProfilingExecutor"]
@@ -82,7 +75,7 @@ class FleetClient(RemoteNavigationClient):
         *,
         max_candidates: int | None = None,
         timeout: float = 0.0,
-    ) -> FleetClaimResponse:
+    ) -> ClaimGrant:
         """One work-pull long-poll round (no retry — an unanswered claim's
         lease simply expires; the loop just opens the next round)."""
         request = FleetClaimRequest(executor_id, max_candidates, timeout)
@@ -96,7 +89,7 @@ class FleetClient(RemoteNavigationClient):
         records: list,
         *,
         idempotency_key: str | None = None,
-    ) -> FleetCommitResponse:
+    ) -> CommitOutcome:
         """Deliver finished records; retried with the *same* idempotency
         key, so a dropped response replays instead of double-counting."""
         request = FleetCommitRequest(
@@ -286,21 +279,21 @@ class ProfilingExecutor:
                 # lease expires server-side and someone else takes over.
                 continue
 
-    def _run_grant(self, grant: FleetClaimResponse) -> None:
-        task = task_from_wire(grant.task)
-        configs = [TrainingConfig.from_dict(c) for c in grant.configs]
+    def _run_grant(self, grant: ClaimGrant) -> None:
         graph = self._resolve_graph(grant.dataset, grant.fingerprint)
         # The local service dedups and caches by content key exactly like
         # the server's: a candidate this executor measured before costs
         # nothing here.
-        records = self.service.profile(task, configs, graph=graph)
+        records = self.service.profile(
+            grant.task, list(grant.configs), graph=graph
+        )
         if self._killed:
             return  # chaos: the work happened, the commit never does
         outcome = self.client.commit(
             self.executor_id,
             grant.lease_id,
             list(grant.keys),
-            [record_to_dict(record) for record in records],
+            records,
             idempotency_key=grant.lease_id,
         )
         self.committed += outcome.accepted

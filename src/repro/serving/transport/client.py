@@ -19,7 +19,7 @@ import uuid
 
 from repro.errors import ProtocolError, ServingError
 from repro.serving.client import NavigationClient
-from repro.serving.events import EventBatch, JobProgressEvent
+from repro.serving.events import EventBatch
 from repro.serving.transport.protocol import (
     API_PREFIX,
     ENDPOINTS,
@@ -33,14 +33,6 @@ from repro.serving.transport.protocol import (
 from repro.serving.types import JobResult, JobSnapshot, NavigationRequest
 
 __all__ = ["RemoteNavigationClient"]
-
-
-def _snapshots(items) -> list[JobSnapshot]:
-    """Decode snapshot payloads; a malformed one is a protocol violation."""
-    try:
-        return [JobSnapshot.from_dict(item) for item in items]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed job snapshot: {exc!r}") from None
 
 
 class RemoteNavigationClient(NavigationClient):
@@ -193,28 +185,21 @@ class RemoteNavigationClient(NavigationClient):
                 f"terminal result response for {job_id} carries "
                 "neither result nor error"
             )
-        return JobResult.from_dict(response.result)
+        return response.result
 
     def _poll_drain(self, window: float | None) -> list[JobSnapshot] | None:
         response = self._long_poll("drain", window)
-        return _snapshots(response.jobs) if response.done else None
+        return response.jobs if response.done else None
 
     def snapshot(self, job_id: str) -> JobSnapshot:
-        response = self._rpc("job", job_id=job_id)
-        return _snapshots([vars(response)])[0]
+        return self._rpc("job", job_id=job_id)
 
     def events(
         self, job_id: str, since: int = 0, timeout: float | None = None
     ) -> EventBatch:
         if since < 0:
             raise ServingError("since must be non-negative")
-        response = self._long_poll("events", timeout, job_id=job_id, since=since)
-        return EventBatch(
-            events=[JobProgressEvent.from_dict(e) for e in response.events],
-            next_seq=response.next_seq,
-            gap=response.gap,
-            done=response.done,
-        )
+        return self._long_poll("events", timeout, job_id=job_id, since=since)
 
     def cancel(self, job_id: str) -> bool:
         return self._rpc("cancel", job_id=job_id).cancelled
@@ -223,4 +208,4 @@ class RemoteNavigationClient(NavigationClient):
         return self._rpc("metrics").metrics
 
     def jobs(self) -> list[JobSnapshot]:
-        return _snapshots(self._rpc("jobs").jobs)
+        return self._rpc("jobs").jobs

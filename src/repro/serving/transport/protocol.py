@@ -1,14 +1,15 @@
 """Versioned wire protocol of the navigation serving transport.
 
 Everything that crosses the socket is declared here, once: the message
-dataclasses (their fields *are* the JSON mapping — :class:`WireMessage`
-derives both codec directions from them), the :data:`ENDPOINTS` table that
-binds each route to its request and response message, the typed error
-envelope that carries :mod:`repro.errors` across processes, and the two
-transport headers.  :mod:`.server` dispatches on the table and
-:mod:`.client` builds its calls from it, so the two can only disagree by
-disagreeing with this module.  ``docs/ARCHITECTURE.md`` (*Serving over the
-network*) states the codec rules and lists the routes.
+dataclasses (their fields *are* the JSON mapping — :mod:`repro.wire`
+derives both codec directions from them, and from the domain dataclasses
+they carry), the :data:`ENDPOINTS` table that binds each route to its
+request and response message, the typed error envelope that carries
+:mod:`repro.errors` across processes, and the two transport headers.
+:mod:`.server` dispatches on the table and :mod:`.client` builds its calls
+from it, so the two can only disagree by disagreeing with this module.
+``docs/ARCHITECTURE.md`` (*Serving over the network*) states the codec
+rules and lists the routes.
 
 Versioning
 ----------
@@ -37,16 +38,12 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-import functools
 import json
 import math
-import types
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config.settings import TaskSpec
 from repro.errors import (
     ConfigError,
     ExplorationError,
@@ -61,6 +58,11 @@ from repro.errors import (
     UnknownJobError,
 )
 from repro.graphs.csr import CSRGraph
+from repro.runtime.profiler import GroundTruthRecord
+from repro.serving.events import EventBatch
+from repro.serving.fleet.dispatcher import ClaimGrant, CommitOutcome
+from repro.serving.types import JobResult, JobSnapshot
+from repro.wire import IDEMPOTENCY_HEADER, PROTOCOL_VERSION, WireMessage
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -73,9 +75,6 @@ __all__ = [
     "error_body",
     "decode_error",
     "parse_json",
-    "check_protocol",
-    "task_to_wire",
-    "task_from_wire",
     "graph_to_wire",
     "graph_from_wire",
     "WireMessage",
@@ -85,29 +84,21 @@ __all__ = [
     "SubmitRequest",
     "SubmitResponse",
     "JobsResponse",
-    "JobResponse",
     "ResultResponse",
     "CancelResponse",
     "DrainResponse",
-    "EventsResponse",
     "MetricsResponse",
     "FleetRegisterRequest",
     "FleetRegisterResponse",
     "FleetHeartbeatRequest",
     "FleetHeartbeatResponse",
     "FleetClaimRequest",
-    "FleetClaimResponse",
     "FleetCommitRequest",
-    "FleetCommitResponse",
     "FleetGraphResponse",
     "FleetStatusResponse",
     "FleetDeregisterResponse",
     "HealthResponse",
 ]
-
-#: wire-format version; embedded in the URL namespace (``/v1``) and echoed
-#: in every response body.  Bump on any incompatible payload change.
-PROTOCOL_VERSION = 1
 
 #: URL prefix every endpoint lives under.
 API_PREFIX = f"/v{PROTOCOL_VERSION}"
@@ -115,9 +106,6 @@ API_PREFIX = f"/v{PROTOCOL_VERSION}"
 #: names the fair-share lane of a request that does not carry its own
 #: ``tenant`` field (the request body wins when both are present).
 TENANT_HEADER = "X-Repro-Tenant"
-
-#: submit-retry dedup key; scoped per tenant server-side.
-IDEMPOTENCY_HEADER = "X-Repro-Idempotency-Key"
 
 #: ceiling on one long-poll round's server-side wait.  Clients wanting a
 #: longer overall timeout chain rounds; keeping each round short bounds how
@@ -206,41 +194,7 @@ def parse_json(raw: bytes) -> dict:
     return payload
 
 
-def check_protocol(payload: dict) -> None:
-    """Reject bodies from a different protocol version (missing = current)."""
-    version = payload.get("protocol", PROTOCOL_VERSION)
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"protocol version mismatch: server speaks {PROTOCOL_VERSION}, "
-            f"request carries {version!r}"
-        )
-
-
 # ------------------------------------------------------- fleet wire payloads
-#: the comparable TaskSpec fields — exactly the set ``candidate_key`` hashes,
-#: so a task that round-trips the wire lands on the same candidate keys.
-_TASK_WIRE_FIELDS = tuple(
-    f.name for f in dataclasses.fields(TaskSpec) if f.compare
-)
-
-
-def task_to_wire(task: TaskSpec) -> dict:
-    """JSON-friendly encoding of a :class:`TaskSpec` (comparable fields)."""
-    return {name: getattr(task, name) for name in _TASK_WIRE_FIELDS}
-
-
-def task_from_wire(data: dict) -> TaskSpec:
-    """Inverse of :func:`task_to_wire`; :class:`ProtocolError` on bad shape."""
-    if not isinstance(data, dict):
-        raise ProtocolError("task payload must be a JSON object")
-    try:
-        return TaskSpec(**{name: data[name] for name in _TASK_WIRE_FIELDS})
-    except KeyError as exc:
-        raise ProtocolError(f"task payload missing field {exc}") from None
-    except TypeError as exc:
-        raise ProtocolError(f"malformed task payload: {exc}") from None
-
-
 #: the CSRGraph arrays that cross the wire (same set graph_fingerprint hashes).
 _GRAPH_ARRAYS = ("indptr", "indices", "features", "labels")
 
@@ -307,86 +261,10 @@ def graph_from_wire(data: dict) -> CSRGraph:
     )
 
 
-# ------------------------------------------------------------------ the codec
+# ------------------------------------------------------------ job messages
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise ProtocolError(message)
-
-
-def _kinds(hint) -> frozenset:
-    """The exact types a field annotation (``str``, ``int``, ``float``,
-    ``bool``, ``list``, ``dict``, ``X | None``) admits off ``json.loads`` —
-    exact, so a ``bool`` never passes for the ``int`` it is to python."""
-    arms = typing.get_args(hint) if isinstance(hint, types.UnionType) else [hint]
-    kinds = {typing.get_origin(arm) or arm for arm in arms}  # list[dict]: list
-    return frozenset(kinds | {int} if float in kinds else kinds)  # 2.0 as 2
-
-
-@functools.cache
-def _wire_fields(cls) -> tuple:
-    """``(name, admitted types, required, omit_when_none)`` per field."""
-    hints = typing.get_type_hints(cls)
-    return tuple(
-        (
-            f.name,
-            _kinds(hints[f.name]),
-            f.default is dataclasses.MISSING
-            and f.default_factory is dataclasses.MISSING,
-            f.default is None,
-        )
-        for f in dataclasses.fields(cls)
-    )
-
-
-class WireMessage:
-    """Base of every message dataclass: the one JSON codec.
-
-    Both directions read ``dataclasses.fields``.  The field name is the
-    wire key; ``protocol`` is stamped on encode and checked on decode; a
-    field whose default is ``None`` is left out while it is ``None``; a
-    field without a default must be present; the annotation is the type
-    check.  Whatever else a message demands of its values lives in its
-    ``__post_init__`` and raises :class:`ProtocolError`, so it holds for a
-    message built locally as much as for one decoded off the socket.
-    Unknown keys are ignored (a newer peer may send more).
-    """
-
-    def to_wire(self) -> dict:
-        out: dict = {"protocol": PROTOCOL_VERSION}
-        for name, _, _, omit_when_none in _wire_fields(type(self)):
-            value = getattr(self, name)
-            if value is not None or not omit_when_none:
-                out[name] = value
-        return out
-
-    @classmethod
-    def from_wire(cls, payload: dict, headers=None):
-        """Decode one JSON object; ``headers`` (any ``.get`` mapping of the
-        HTTP headers) supplies ``idempotency_key`` when the body has none."""
-        payload = _envelope(cls, payload, headers)
-        kwargs = {}
-        for name, kinds, required, _ in _wire_fields(cls):
-            if name not in payload:
-                _require(not required, f"{cls.__name__} carries no {name!r}")
-                continue
-            value = kwargs[name] = payload[name]
-            if type(value) not in kinds:
-                admitted = " | ".join(sorted(kind.__name__ for kind in kinds))
-                raise ProtocolError(
-                    f"{cls.__name__}.{name} must be {admitted}, got "
-                    f"{type(value).__name__}"
-                )
-        return cls(**kwargs)
-
-
-def _envelope(cls, payload, headers) -> dict:
-    """The checks every decode starts with, and the header fallback."""
-    _require(
-        isinstance(payload, dict), f"{cls.__name__} must be a JSON object"
-    )
-    check_protocol(payload)
-    key = headers.get(IDEMPOTENCY_HEADER) if headers else None
-    return payload if key is None else {"idempotency_key": key, **payload}
 
 
 def _in_lane(spec: dict, tenant: str) -> dict:
@@ -394,7 +272,6 @@ def _in_lane(spec: dict, tenant: str) -> dict:
     return spec if spec.get("tenant") else {**spec, "tenant": tenant}
 
 
-# ------------------------------------------------------------ job messages
 @dataclass(frozen=True)
 class SubmitRequest(WireMessage):
     """``POST /v1/jobs`` body: one or more request specs to enqueue.
@@ -424,27 +301,22 @@ class SubmitRequest(WireMessage):
         )
 
     def to_wire(self) -> dict:
-        out: dict = {"protocol": PROTOCOL_VERSION}
-        if self.batch:
-            out["requests"] = self.specs
-        else:
-            out["request"] = self.specs[0]
-        if self.idempotency_key is not None:
-            out["idempotency_key"] = self.idempotency_key
-        return out
+        out = super().to_wire()
+        specs, batch = out.pop("specs"), out.pop("batch")
+        return {**out, **({"requests": specs} if batch else {"request": specs[0]})}
 
     @classmethod
     def from_wire(cls, payload: dict, headers=None) -> "SubmitRequest":
-        payload = _envelope(cls, payload, headers)
         _require(
-            "request" in payload or "requests" in payload,
-            "submit body needs a 'request' object or a 'requests' list",
+            isinstance(payload, dict)
+            and ("request" in payload or "requests" in payload),
+            "submit body must be a JSON object with a 'request' object or a "
+            "'requests' list",
         )
         batch = "request" not in payload
-        request = cls(
-            specs=payload["requests"] if batch else [payload["request"]],
-            idempotency_key=payload.get("idempotency_key"),
-            batch=batch,
+        specs = payload["requests"] if batch else [payload["request"]]
+        request = super().from_wire(
+            {**payload, "specs": specs, "batch": batch}, headers
         )
         tenant = headers.get(TENANT_HEADER) if headers else None
         if not tenant:
@@ -474,53 +346,30 @@ class SubmitResponse(WireMessage):
         )
 
     def to_wire(self) -> dict:
-        out: dict = {
-            "protocol": PROTOCOL_VERSION,
-            "deduplicated": self.deduplicated,
-        }
-        if self.batch:
-            out["job_ids"] = self.job_ids
-        else:
-            out["job_id"] = self.job_ids[0]
-        return out
+        out = super().to_wire()
+        job_ids, batch = out.pop("job_ids"), out.pop("batch")
+        return {**out, **({"job_ids": job_ids} if batch else {"job_id": job_ids[0]})}
 
     @classmethod
     def from_wire(cls, payload: dict, headers=None) -> "SubmitResponse":
-        payload = _envelope(cls, payload, headers)
-        batch = "job_ids" in payload
         _require(
-            batch or "job_id" in payload, "submit response carries no job id"
+            isinstance(payload, dict)
+            and ("job_id" in payload or "job_ids" in payload),
+            "submit response must be a JSON object carrying a job id",
         )
-        return cls(
-            job_ids=payload["job_ids"] if batch else [payload["job_id"]],
-            batch=batch,
-            deduplicated=bool(payload.get("deduplicated", False)),
+        batch = "job_ids" in payload
+        job_ids = payload["job_ids"] if batch else [payload["job_id"]]
+        return super().from_wire(
+            {**payload, "job_ids": job_ids, "batch": batch}, headers
         )
 
 
 @dataclass(frozen=True)
 class JobsResponse(WireMessage):
-    """``GET /v1/jobs``: :meth:`JobSnapshot.to_dict` payloads, in
-    submission order."""
+    """``GET /v1/jobs``: every job's snapshot, in submission order (one
+    job's, ``GET /v1/jobs/<id>``, is a bare :class:`JobSnapshot`)."""
 
-    jobs: list
-
-
-@dataclass(frozen=True)
-class JobResponse(WireMessage):
-    """``GET /v1/jobs/<id>``: one :meth:`JobSnapshot.to_dict` payload, flat
-    (its keys are the body's keys; nothing optional, ``null`` is sent)."""
-
-    job_id: str
-    status: str
-    error: str | None
-    traceback: str | None
-    tag: str
-    tenant: str
-    priority: int
-    submitted_at: float | None
-    started_at: float | None
-    finished_at: float | None
+    jobs: list[JobSnapshot]
 
 
 @dataclass(frozen=True)
@@ -529,15 +378,14 @@ class ResultResponse(WireMessage):
 
     ``done=False`` means the wait timed out server-side with the job still
     live (``status`` says where it is) — the client simply opens the next
-    round.  ``done=True`` carries exactly one of ``result`` (a
-    :meth:`JobResult.to_dict` payload) or ``error`` (an error envelope for
-    FAILED/CANCELLED jobs, decoded client-side into the same exception the
-    in-process path raises).
+    round.  ``done=True`` carries exactly one of ``result`` or ``error``
+    (an error envelope for FAILED/CANCELLED jobs, decoded client-side into
+    the same exception the in-process path raises).
     """
 
     done: bool
     status: str
-    result: dict | None = None
+    result: JobResult | None = None
     error: dict | None = None
 
 
@@ -553,27 +401,7 @@ class DrainResponse(WireMessage):
     """One drain round: every job's snapshot plus whether all are terminal."""
 
     done: bool
-    jobs: list = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class EventsResponse(WireMessage):
-    """``GET /v1/jobs/<id>/events``: one long-poll round of the job's
-    progress-event stream.
-
-    ``events`` are :meth:`JobProgressEvent.to_dict` payloads in sequence
-    order; ``next_seq`` is the ``since=`` of the next round (resumption
-    across client disconnects rides this number); ``gap`` counts events
-    the server's ring buffer dropped before the first one returned; and
-    ``done`` means the stream has ended — the job is terminal and its
-    terminal event is in (or before) this batch, so the client stops
-    re-arming.
-    """
-
-    done: bool
-    next_seq: int
-    gap: int = 0
-    events: list = field(default_factory=list)
+    jobs: list[JobSnapshot] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -654,40 +482,11 @@ class FleetClaimRequest(WireMessage):
 
 
 @dataclass(frozen=True)
-class FleetClaimResponse(WireMessage):
-    """One claim outcome: a leased batch, or empty (``lease_id`` null).
-
-    ``task`` is a :func:`task_to_wire` payload and ``configs`` are
-    :meth:`TrainingConfig.to_dict` payloads, key-aligned with ``keys``.
-    ``fingerprint`` names the graph: executors resolve it locally by
-    dataset name when the fingerprints match, else fetch it from
-    ``/v1/fleet/graph/<fingerprint>``.
-    """
-
-    lease_id: str | None
-    ttl: float
-    task: dict | None
-    dataset: str | None
-    fingerprint: str | None
-    keys: list = field(default_factory=list)
-    configs: list = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        _require(
-            len(self.keys) == len(self.configs),
-            "claim response keys/configs are not the same length",
-        )
-
-    @property
-    def empty(self) -> bool:
-        return self.lease_id is None
-
-
-@dataclass(frozen=True)
 class FleetCommitRequest(WireMessage):
     """``POST /v1/fleet/commit`` body: finished records coming home.
 
-    ``records`` are ``record_to_dict`` payloads, key-aligned with ``keys``.
+    ``records`` are key-aligned with ``keys`` and type-checked field by
+    field, so a malformed one is a 400 that publishes nothing.
     ``idempotency_key`` (body field wins over the shared
     ``X-Repro-Idempotency-Key`` header) lets a retried commit replay its
     original outcome instead of double-counting; executors use the lease id.
@@ -696,7 +495,7 @@ class FleetCommitRequest(WireMessage):
     executor_id: str
     lease_id: str | None
     keys: list
-    records: list
+    records: list[GroundTruthRecord]
     idempotency_key: str | None = None
 
     def __post_init__(self) -> None:
@@ -705,20 +504,6 @@ class FleetCommitRequest(WireMessage):
             f"commit carries {len(self.keys)} keys but "
             f"{len(self.records)} records",
         )
-        _require(
-            all(isinstance(record, dict) for record in self.records),
-            "every record must be a JSON object",
-        )
-
-
-@dataclass(frozen=True)
-class FleetCommitResponse(WireMessage):
-    """Commit outcome: accepted vs duplicate counts, and whether this
-    response was replayed from the idempotency table."""
-
-    accepted: int
-    duplicates: int
-    replayed: bool = False
 
 
 @dataclass(frozen=True)
@@ -787,13 +572,13 @@ ENDPOINTS: dict[str, Endpoint] = {
                  "(`{\"requests\": [...]}`)", retry=True),
         Endpoint("jobs", "GET", "/jobs", None, JobsResponse,
                  "list job snapshots (submission order)", retry=True),
-        Endpoint("job", "GET", "/jobs/{job_id}", None, JobResponse,
+        Endpoint("job", "GET", "/jobs/{job_id}", None, JobSnapshot,
                  "one consistent job snapshot", retry=True),
         Endpoint("result", "GET", "/jobs/{job_id}/result", None,
                  ResultResponse, "long-poll for the result (bounded rounds)",
                  query=("timeout",), retry=True),
         Endpoint("events", "GET", "/jobs/{job_id}/events", None,
-                 EventsResponse, "long-poll the live progress-event stream",
+                 EventBatch, "long-poll the live progress-event stream",
                  query=("since", "timeout"), retry=True),
         Endpoint("cancel", "POST", "/jobs/{job_id}/cancel", None,
                  CancelResponse, "PENDING drop / cooperative RUNNING cancel"),
@@ -814,10 +599,9 @@ ENDPOINTS: dict[str, Endpoint] = {
                  FleetHeartbeatRequest, FleetHeartbeatResponse,
                  "liveness beat + lease renewal"),
         Endpoint("fleet_claim", "POST", "/fleet/claim", FleetClaimRequest,
-                 FleetClaimResponse,
-                 "long-poll work pull (leased candidate batch)"),
+                 ClaimGrant, "long-poll work pull (leased candidate batch)"),
         Endpoint("fleet_commit", "POST", "/fleet/commit", FleetCommitRequest,
-                 FleetCommitResponse, "deliver finished records (idempotent)",
+                 CommitOutcome, "deliver finished records (idempotent)",
                  retry=True),
         Endpoint("fleet_deregister", "POST", "/fleet/deregister",
                  FleetHeartbeatRequest, FleetDeregisterResponse,

@@ -25,7 +25,6 @@ Lifecycle::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import threading
@@ -41,18 +40,16 @@ from repro.errors import (
     UnknownExecutorError,
     UnknownJobError,
 )
-from repro.runtime.parallel import record_from_dict
+from repro.serving.events import EventBatch
+from repro.serving.fleet.dispatcher import ClaimGrant, CommitOutcome
 from repro.serving.server import NavigationServer
 from repro.serving.transport.protocol import (
     MAX_BODY_BYTES,
     MAX_POLL_SECONDS,
     CancelResponse,
     DrainResponse,
-    EventsResponse,
     FleetClaimRequest,
-    FleetClaimResponse,
     FleetCommitRequest,
-    FleetCommitResponse,
     FleetDeregisterResponse,
     FleetGraphResponse,
     FleetHeartbeatRequest,
@@ -61,7 +58,6 @@ from repro.serving.transport.protocol import (
     FleetRegisterResponse,
     FleetStatusResponse,
     HealthResponse,
-    JobResponse,
     JobsResponse,
     MetricsResponse,
     ResultResponse,
@@ -72,9 +68,8 @@ from repro.serving.transport.protocol import (
     graph_to_wire,
     match_endpoint,
     parse_json,
-    task_to_wire,
 )
-from repro.serving.types import NavigationRequest
+from repro.serving.types import JobSnapshot, NavigationRequest
 
 __all__ = ["NavigationHTTPServer"]
 
@@ -297,10 +292,10 @@ class NavigationHTTPServer:
             return response
 
     def _jobs(self) -> JobsResponse:
-        return JobsResponse([s.to_dict() for s in self.navigation.snapshots()])
+        return JobsResponse(self.navigation.snapshots())
 
-    def _job(self, job_id: str) -> JobResponse:
-        return JobResponse(**self.navigation.snapshot(job_id).to_dict())
+    def _job(self, job_id: str) -> JobSnapshot:
+        return self.navigation.snapshot(job_id)
 
     def _result(self, job_id: str, timeout: float) -> ResultResponse:
         """One long-poll round: wait, then encode whatever outcome
@@ -314,16 +309,10 @@ class NavigationHTTPServer:
             result = nav.result(job_id, 0)
         except ServingError as exc:  # FAILED / CANCELLED, typed by result()
             return ResultResponse(done=True, status=status, error=encode_error(exc))
-        return ResultResponse(done=True, status=status, result=result.to_dict())
+        return ResultResponse(done=True, status=status, result=result)
 
-    def _events(self, job_id: str, since: int, timeout: float) -> EventsResponse:
-        batch = self.navigation.events(job_id, since=since, timeout=timeout)
-        return EventsResponse(
-            done=batch.done,
-            next_seq=batch.next_seq,
-            gap=batch.gap,
-            events=[event.to_dict() for event in batch.events],
-        )
+    def _events(self, job_id: str, since: int, timeout: float) -> EventBatch:
+        return self.navigation.events(job_id, since=since, timeout=timeout)
 
     def _cancel(self, job_id: str) -> CancelResponse:
         return CancelResponse(self.navigation.cancel(job_id))
@@ -334,10 +323,7 @@ class NavigationHTTPServer:
             done = True
         except ServingError:
             done = False
-        return DrainResponse(
-            done=done,
-            jobs=[s.to_dict() for s in self.navigation.snapshots()],
-        )
+        return DrainResponse(done=done, jobs=self.navigation.snapshots())
 
     def _metrics(self) -> MetricsResponse:
         return MetricsResponse(self.navigation.metrics.snapshot())
@@ -368,35 +354,21 @@ class NavigationHTTPServer:
         renewed = self.navigation.fleet.heartbeat(request.executor_id)
         return FleetHeartbeatResponse(renewed=renewed)
 
-    def _fleet_claim(self, request: FleetClaimRequest) -> FleetClaimResponse:
-        grant = self.navigation.fleet.claim(
+    def _fleet_claim(self, request: FleetClaimRequest) -> ClaimGrant:
+        return self.navigation.fleet.claim(
             request.executor_id,
             max_candidates=request.max_candidates,
             timeout=min(request.timeout, MAX_POLL_SECONDS),
         )
-        return FleetClaimResponse(
-            lease_id=grant.lease_id,
-            ttl=grant.ttl,
-            task=None if grant.task is None else task_to_wire(grant.task),
-            dataset=grant.dataset,
-            fingerprint=grant.fingerprint,
-            keys=list(grant.keys),
-            configs=[config.to_dict() for config in grant.configs],
-        )
 
-    def _fleet_commit(self, request: FleetCommitRequest) -> FleetCommitResponse:
-        try:
-            records = [record_from_dict(r) for r in request.records]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed record payload: {exc}") from None
-        outcome = self.navigation.fleet.commit(
+    def _fleet_commit(self, request: FleetCommitRequest) -> CommitOutcome:
+        return self.navigation.fleet.commit(
             request.executor_id,
             request.lease_id,
             request.keys,
-            records,
+            request.records,
             idempotency_key=request.idempotency_key,
         )
-        return FleetCommitResponse(**dataclasses.asdict(outcome))
 
     def _fleet_deregister(
         self, request: FleetHeartbeatRequest

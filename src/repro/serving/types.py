@@ -19,24 +19,20 @@ specs feed ``repro serve`` directly.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass, field
 
-from repro.config.settings import TaskSpec, TrainingConfig
+from repro.config.settings import TaskSpec
 from repro.errors import ServingError
-from repro.estimator.graybox import PredictedPerf
 from repro.explorer.constraints import RuntimeConstraint
 from repro.explorer.decision import Guideline
-from repro.explorer.dfs import ExplorationResult
 from repro.explorer.navigator import NavigatorReport
 from repro.explorer.objectives import PRIORITY_PRESETS
-from repro.graphs.profiling import GraphProfile
-from repro.hardware.memory import MemoryBreakdown
 from repro.runtime.parallel import CancellationToken
-from repro.runtime.report import EpochStats, PerfReport
+from repro.runtime.report import PerfReport
 from repro.serving.events import EventBuffer
 from repro.transfer.policy import TransferPolicy
+from repro.wire import WireMessage
 
 __all__ = [
     "JobStatus",
@@ -206,126 +202,14 @@ class NavigationRequest:
         )
 
 
-# ------------------------------------------------- result wire serialization
-def _task_to_dict(task: TaskSpec) -> dict:
-    # compare-excluded ``extra`` stays out: it may hold non-JSON payloads
-    # and does not determine the task (mirrors the profiling-cache key).
-    return {
-        f.name: getattr(task, f.name)
-        for f in dataclasses.fields(TaskSpec)
-        if f.compare
-    }
-
-
-def _guideline_to_dict(guideline: Guideline) -> dict:
-    return {
-        "priority": guideline.priority,
-        "config": guideline.config.to_dict(),
-        "predicted": dataclasses.asdict(guideline.predicted),
-        "score": guideline.score,
-        "front_size": guideline.front_size,
-    }
-
-
-def _guideline_from_dict(data: dict) -> Guideline:
-    return Guideline(
-        priority=data["priority"],
-        config=TrainingConfig.from_dict(data["config"]),
-        predicted=PredictedPerf(**data["predicted"]),
-        score=data["score"],
-        front_size=data["front_size"],
-    )
-
-
-def _perf_to_dict(perf: PerfReport) -> dict:
-    """Wire form of a measured training run.
-
-    Per-batch records are deliberately *not* shipped: a remote caller gets
-    the epoch-level statistics and the ``Perf(T, Γ, Acc)`` summary, not the
-    thousands of :class:`BatchRecord` rows backing them.
-    """
-    return {
-        "time_s": perf.time_s,
-        "memory": {
-            "model": perf.memory.model,
-            "cache": perf.memory.cache,
-            "runtime": perf.memory.runtime,
-        },
-        "accuracy": perf.accuracy,
-        "epochs": [dataclasses.asdict(e) for e in perf.epochs],
-        "config_summary": perf.config_summary,
-        "task_summary": perf.task_summary,
-    }
-
-
-def _perf_from_dict(data: dict) -> PerfReport:
-    return PerfReport(
-        time_s=data["time_s"],
-        memory=MemoryBreakdown(**data["memory"]),
-        accuracy=data["accuracy"],
-        epochs=[EpochStats(**e) for e in data["epochs"]],
-        config_summary=data["config_summary"],
-        task_summary=data["task_summary"],
-    )
-
-
-def _report_to_dict(report: NavigatorReport) -> dict:
-    exploration = report.exploration
-    return {
-        "task": _task_to_dict(report.task),
-        "guidelines": {
-            name: _guideline_to_dict(g)
-            for name, g in report.guidelines.items()
-        },
-        "exploration": {
-            "candidates": [c.to_dict() for c in exploration.candidates],
-            "predictions": [
-                dataclasses.asdict(p) for p in exploration.predictions
-            ],
-            "visited_leaves": exploration.visited_leaves,
-            "pruned_subtrees": exploration.pruned_subtrees,
-            "evaluated": exploration.evaluated,
-            "stats": exploration.stats,
-        },
-        "num_ground_truth": report.num_ground_truth,
-        "profile": (
-            None if report.profile is None else dataclasses.asdict(report.profile)
-        ),
-        "extras": report.extras,
-    }
-
-
-def _report_from_dict(data: dict) -> NavigatorReport:
-    exploration = data["exploration"]
-    return NavigatorReport(
-        task=TaskSpec(**data["task"]),
-        guidelines={
-            name: _guideline_from_dict(g)
-            for name, g in data["guidelines"].items()
-        },
-        exploration=ExplorationResult(
-            candidates=[
-                TrainingConfig.from_dict(c) for c in exploration["candidates"]
-            ],
-            predictions=[
-                PredictedPerf(**p) for p in exploration["predictions"]
-            ],
-            visited_leaves=exploration["visited_leaves"],
-            pruned_subtrees=exploration["pruned_subtrees"],
-            evaluated=exploration["evaluated"],
-            stats=exploration["stats"],
-        ),
-        num_ground_truth=data["num_ground_truth"],
-        profile=(
-            None if data["profile"] is None else GraphProfile(**data["profile"])
-        ),
-        extras=data.get("extras", {}),
-    )
-
-
 @dataclass
 class JobResult:
-    """What a DONE job produced."""
+    """What a DONE job produced.
+
+    Crosses the transport whole (guidelines, the full exploration report,
+    epoch-level training stats) except the per-batch profiling rows of
+    ``perf``, which stay server-side.
+    """
 
     guidelines: dict[str, Guideline]
     report: NavigatorReport
@@ -335,45 +219,17 @@ class JobResult:
         """The guideline for the request's first (primary) objective."""
         return next(iter(self.guidelines.values()))
 
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """JSON-friendly encoding — the transport's result payload.
-
-        Round-trips everything a client consumes (guidelines, the full
-        exploration report, epoch-level training stats) except the raw
-        per-batch profiling rows, which stay server-side.
-        """
-        return {
-            "guidelines": {
-                name: _guideline_to_dict(g)
-                for name, g in self.guidelines.items()
-            },
-            "report": _report_to_dict(self.report),
-            "perf": None if self.perf is None else _perf_to_dict(self.perf),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobResult":
-        """Inverse of :meth:`to_dict` (modulo the dropped batch rows)."""
-        return cls(
-            guidelines={
-                name: _guideline_from_dict(g)
-                for name, g in data["guidelines"].items()
-            },
-            report=_report_from_dict(data["report"]),
-            perf=None if data["perf"] is None else _perf_from_dict(data["perf"]),
-        )
-
 
 @dataclass(frozen=True)
-class JobSnapshot:
+class JobSnapshot(WireMessage):
     """One consistent, immutable view of a job's observable state.
 
     Taken under the server lock (:meth:`NavigationServer.snapshot`), so
     ``status``, ``error`` and the timestamps all belong to the *same*
     moment — unlike issuing separate ``status()``/``job()`` calls, which can
-    interleave with a worker's terminal transition.  This is also the wire
-    form job listings and status polls ship over the transport.
+    interleave with a worker's terminal transition.  This is also the
+    message job listings and status polls ship over the transport (every
+    field is sent, ``null`` included).
 
     The timestamps are the *server's* ``time.monotonic()`` readings: only
     differences between them are meaningful (queueing delay, service time),
@@ -382,29 +238,18 @@ class JobSnapshot:
 
     job_id: str
     status: JobStatus
-    error: str | None = None
-    traceback: str | None = None
-    tag: str = ""
-    tenant: str = ""
-    priority: int = 0
-    submitted_at: float | None = None
-    started_at: float | None = None
-    finished_at: float | None = None
+    error: str | None
+    traceback: str | None
+    tag: str
+    tenant: str
+    priority: int
+    submitted_at: float | None
+    started_at: float | None
+    finished_at: float | None
 
     @property
     def done(self) -> bool:
         return self.status in TERMINAL_STATES
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["status"] = self.status.value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "JobSnapshot":
-        payload = dict(data)
-        payload["status"] = JobStatus(payload["status"])
-        return cls(**payload)
 
 
 @dataclass

@@ -433,141 +433,6 @@ class TestBlockingUnderLock:
         assert rules_fired(result) == {"LOCK003"}
 
 
-# ------------------------------------------------------------------ WIRE00x
-class TestWireDrift:
-    def test_unserialized_field_fires(self, tmp_path):
-        result = analyze_source(
-            tmp_path,
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class Msg:
-                a: int
-                b: int
-
-                def to_dict(self):
-                    return {"a": self.a}
-
-                @classmethod
-                def from_dict(cls, payload):
-                    return cls(a=payload["a"], b=payload.get("b", 0))
-            """,
-        )
-        assert "WIRE001" in rules_fired(result)
-        assert any("Msg.b" in f.message for f in result.findings)
-
-    def test_unparsed_field_fires(self, tmp_path):
-        result = analyze_source(
-            tmp_path,
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class Msg:
-                a: int
-                b: int = 0
-
-                def to_dict(self):
-                    return {"a": self.a, "b": self.b}
-
-                @classmethod
-                def from_dict(cls, payload):
-                    return cls(a=payload["a"])
-            """,
-        )
-        fired = rules_fired(result)
-        assert "WIRE002" in fired
-        assert "WIRE001" not in fired
-
-    def test_symmetric_codec_passes(self, tmp_path):
-        result = analyze_source(
-            tmp_path,
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class Msg:
-                a: int
-                b: int
-
-                def to_dict(self):
-                    return {"a": self.a, "b": self.b}
-
-                @classmethod
-                def from_dict(cls, payload):
-                    return cls(a=payload["a"], b=payload["b"])
-            """,
-        )
-        assert result.findings == []
-
-    def test_generic_codec_passes(self, tmp_path):
-        result = analyze_source(
-            tmp_path,
-            """
-            from dataclasses import asdict, dataclass
-
-            @dataclass
-            class Msg:
-                a: int
-                b: int
-
-                def to_dict(self):
-                    return asdict(self)
-
-                @classmethod
-                def from_dict(cls, payload):
-                    return cls(**payload)
-            """,
-        )
-        assert result.findings == []
-
-    def test_one_sided_key_fires(self, tmp_path):
-        result = analyze_source(
-            tmp_path,
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class Msg:
-                a: int
-
-                def to_dict(self):
-                    return {"a": self.a, "stamp": 1}
-
-                @classmethod
-                def from_dict(cls, payload):
-                    return cls(a=payload["a"])
-            """,
-        )
-        assert rules_fired(result) == {"WIRE003"}
-        assert "stamp" in result.findings[0].message
-
-    def test_dynamic_key_loop_counts_as_mention(self, tmp_path):
-        result = analyze_source(
-            tmp_path,
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class Msg:
-                a: int
-                b: int
-
-                def to_dict(self):
-                    return {"a": self.a, "b": self.b}
-
-                @classmethod
-                def from_dict(cls, payload):
-                    kwargs = {}
-                    for key in ("a", "b"):
-                        kwargs[key] = payload[key]
-                    return cls(a=kwargs["a"], b=kwargs["b"])
-            """,
-        )
-        assert result.findings == []
-
-
 # ----------------------------------------------------------------- PLUMB001
 class TestPlumbing:
     def test_dropped_seat_fires(self, tmp_path):
@@ -853,7 +718,7 @@ class TestBaseline:
     def _findings(self):
         return [
             Finding("b.py", 9, "LOCK001", "msg two"),
-            Finding("a.py", 3, "WIRE001", "msg one"),
+            Finding("a.py", 3, "PLUMB001", "msg one"),
         ]
 
     def test_render_is_deterministic(self):
@@ -884,7 +749,7 @@ class TestBaseline:
         assert len(stale) == 2
 
     def test_fingerprint_survives_line_drift(self):
-        moved = Finding("a.py", 300, "WIRE001", "msg one")
+        moved = Finding("a.py", 300, "PLUMB001", "msg one")
         assert moved.fingerprint == self._findings()[1].fingerprint
 
     def test_fix_baseline_roundtrip(self, tmp_path, capsys):

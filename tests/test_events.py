@@ -16,7 +16,7 @@ import urllib.request
 import pytest
 
 from repro.config import TaskSpec
-from repro.errors import UnknownJobError
+from repro.errors import ProtocolError, UnknownJobError
 from repro.serving import (
     EventBuffer,
     JobProgressEvent,
@@ -31,7 +31,6 @@ from repro.serving.transport import (
     NavigationHTTPServer,
     RemoteNavigationClient,
 )
-from repro.serving.transport.protocol import EventsResponse, ProtocolError
 
 
 def _task(**kwargs) -> TaskSpec:
@@ -150,26 +149,13 @@ class TestMetricsRegistry:
 
 # ----------------------------------------------------------------- wire forms
 class TestEventWire:
-    def test_event_round_trips(self):
-        original = _event(
-            seq=7, batch_index=3, runs_done=3, runs_total=13,
-            cache_hits=1, best_objective=0.25, elapsed_s=1.5, message="m",
-        )
-        assert JobProgressEvent.from_dict(original.to_dict()) == original
+    """The stream's byte-level round trip lives in ``tests/test_wire.py``."""
 
-    def test_batch_round_trips(self):
-        batch = EventBatch(
-            events=[_event(seq=1), _event(seq=2)], next_seq=3, gap=1, done=True
-        )
-        assert EventBatch.from_dict(batch.to_dict()) == batch
-
-    def test_events_response_validation(self):
+    def test_event_batch_validation(self):
         with pytest.raises(ProtocolError):
-            EventsResponse.from_wire({"done": True})  # no next_seq
-        parsed = EventsResponse.from_wire(
-            {"protocol": 1, "done": False, "next_seq": 4}
-        )
-        assert parsed.events == [] and parsed.gap == 0
+            EventBatch.from_wire({"done": True})  # no events, no next_seq
+        parsed = EventBatch.from_wire({"protocol": 1, "events": [], "next_seq": 4})
+        assert parsed.gap == 0 and not parsed.done
 
 
 # ----------------------------------------------------------- streaming parity
@@ -280,9 +266,7 @@ class TestEventStreamParity:
         assert batch.done and batch.gap == 0
         assert batch.events[-1].terminal
         replay = list(handle.watch())
-        assert [e.to_dict() for e in replay] == [
-            e.to_dict() for e in batch.events
-        ]
+        assert replay == batch.events
 
     def test_failed_job_stream_ends_failed(self, client):
         handle = client.submit(

@@ -49,9 +49,8 @@ from repro.serving.transport.protocol import (
     FleetCommitRequest,
     graph_from_wire,
     graph_to_wire,
-    task_from_wire,
-    task_to_wire,
 )
+from repro.wire import encode
 
 
 def _task(**kwargs) -> TaskSpec:
@@ -165,12 +164,7 @@ class TestExecutorRegistry:
 
 # ------------------------------------------------------------------- wire
 class TestFleetPayloads:
-    """Task and graph payloads; the messages are in tests/test_wire.py."""
-
-    def test_task_wire_round_trip(self, tiny_task):
-        assert task_from_wire(task_to_wire(tiny_task)) == tiny_task
-        with pytest.raises(ProtocolError):
-            task_from_wire({"dataset": "tiny"})  # missing fields
+    """The graph payload; messages and tasks are in tests/test_wire.py."""
 
     def test_graph_wire_round_trip_preserves_fingerprint(self, small_graph):
         back = graph_from_wire(graph_to_wire(small_graph))
@@ -596,7 +590,7 @@ class TestFleetHTTP:
                 _task(), budget=8, profile_epochs=1, timeout=240
             )
             # bit-identical to the purely local run
-            assert result.to_dict() == baseline_result.to_dict()
+            assert encode(result) == encode(baseline_result)
             # every training run happened on the executor, none on the server
             assert executor.runs > 0
             assert executor.committed == executor.runs
@@ -613,7 +607,7 @@ class TestFleetHTTP:
             again = client.navigate(
                 _task(), budget=8, profile_epochs=1, timeout=240
             )
-            assert again.to_dict() == result.to_dict()
+            assert encode(again) == encode(result)
             assert executor.runs == runs_before
         finally:
             executor.stop()
@@ -647,7 +641,7 @@ class TestFleetHTTP:
             result = handle.result(timeout=240)
         finally:
             survivor.stop()
-        assert result.to_dict() == baseline_result.to_dict()  # zero lost runs
+        assert encode(result) == encode(baseline_result)  # zero lost runs
         assert victim.committed == 0  # it really died uncommitted
         assert survivor.committed > 0
         snap = server.metrics.snapshot()
@@ -689,15 +683,13 @@ class TestFleetHTTP:
         # run the batch on a local service, exactly as an executor would
         local = ProfilingService()
         records = local.profile(
-            task_from_wire(grant.task),
-            [TrainingConfig.from_dict(c) for c in grant.configs],
-            graph=small_graph,
+            grant.task, list(grant.configs), graph=small_graph
         )
         body = FleetCommitRequest(
             executor_id=granted.executor_id,
             lease_id=grant.lease_id,
             keys=list(grant.keys),
-            records=[record_to_dict(record) for record in records],
+            records=records,
             idempotency_key=grant.lease_id,
         ).to_wire()
         headers = {IDEMPOTENCY_HEADER: grant.lease_id}
@@ -723,6 +715,25 @@ class TestFleetHTTP:
         assert [record_to_dict(r) for r in batch["records"]] == [
             record_to_dict(r) for r in records
         ]
+
+    @pytest.mark.parametrize(
+        "field, value", [("time_s", "fast"), ("num_batches", 2.5), ("accuracy", None)]
+    )
+    def test_a_mistyped_record_is_a_400_that_publishes_nothing(
+        self, fleet_stack, small_graph, tiny_config, field, value
+    ):
+        server, http = fleet_stack
+        record = ProfilingService().profile(
+            _task(), [tiny_config], graph=small_graph
+        )[0]
+        body = FleetCommitRequest("ex-0000", None, ["k1"], [record]).to_wire()
+        body["records"][0][field] = value
+        code, payload = _post(f"{http.url}/v1/fleet/commit", body)
+        assert code == 400
+        assert payload["error"]["kind"] == "ProtocolError"
+        assert f"GroundTruthRecord.{field}" in payload["error"]["message"]
+        assert server.service._memory == {} and len(server.service.store) == 0
+        assert server.service.stats.executed == 0
 
     def test_zero_executor_server_runs_locally(self, fleet_stack):
         server, http = fleet_stack

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -211,13 +213,64 @@ class TestStoreManagement:
         # a second instance on the same dir counts what is on disk
         assert len(ResultStore(tmp_path)) == 3
 
-    def test_len_tracks_corrupt_discard(self, tmp_path, record):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            None,  # not JSON at all
+            # parses as JSON, fails the typed decode: discarded all the same
+            {"time_s": "fast"},
+            {"num_batches": 2.5},
+            {"accuracy": None},
+        ],
+        ids=["unparsable", "string-for-float", "float-for-int", "null-for-float"],
+    )
+    def test_len_tracks_corrupt_discard(self, tmp_path, record, damage):
         store = ResultStore(tmp_path)
         self._populate(store, record, 2)
         victim = sorted(tmp_path.glob("gt_*.json"))[0]
-        victim.write_text("{broken")
+        if damage is None:
+            victim.write_text("{broken")
+        else:
+            envelope = json.loads(victim.read_text())
+            envelope["record"].update(damage)
+            victim.write_text(json.dumps(envelope))
         assert store.load(victim.stem[len("gt_") :]) is None
+        assert not victim.exists()
         assert len(store) == 1
+
+    def test_threads_backfilling_one_sidecar_do_not_collide(self, tmp_path, record):
+        """Two jobs of one server refreshing the corpus over a store whose
+        sidecars are gone stage the same ``meta_*.json``: each writer needs
+        its own staging file, or the loser's rename finds it already moved."""
+        store = ResultStore(tmp_path)
+        keys = self._populate(store, record, 40)
+        for path in tmp_path.glob("meta_*.json"):
+            path.unlink()
+        failures: list[BaseException] = []
+        barrier = threading.Barrier(4)
+
+        def backfill():
+            barrier.wait(timeout=30)
+            for key in keys:
+                try:
+                    assert store.ensure_meta(key)["key"] == key
+                except BaseException as exc:  # noqa: BLE001 — reported below
+                    failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=backfill) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(list(tmp_path.glob("meta_*.json"))) == 40
+        assert list(tmp_path.glob("*.tmp")) == []
 
     def test_prune_evicts_oldest(self, tmp_path, record):
         store = ResultStore(tmp_path)

@@ -256,7 +256,7 @@ class TestNavigationServer:
         assert after.done and after.status is JobStatus.DONE
         assert after.finished_at is not None
         # wire round trip preserves the snapshot exactly
-        assert type(after).from_dict(after.to_dict()) == after
+        assert type(after).from_wire(after.to_wire()) == after
 
     def test_unknown_job_id(self, server_factory):
         server = server_factory()

@@ -35,6 +35,7 @@ from repro.serving import (
 )
 from repro.serving.fleet import FleetClient
 from repro.serving.transport import RemoteNavigationClient
+from repro.wire import encode
 
 pytestmark = pytest.mark.smoke
 
@@ -311,7 +312,7 @@ def test_fleet_smoke_remote_executor_matches_inprocess(tmp_path, capsys):
             result = RemoteNavigationClient(server.url).navigate(
                 task, budget=8, profile_epochs=1, timeout=600
             )
-            assert result.to_dict() == baseline.to_dict()
+            assert encode(result) == encode(baseline)
             # the fleet really did the work, visible per executor
             code, out = _run_cli(capsys, "metrics", "--server", server.url)
             assert code == 0
@@ -329,7 +330,7 @@ def test_fleet_smoke_remote_executor_matches_inprocess(tmp_path, capsys):
             again = RemoteNavigationClient(server.url).navigate(
                 task, budget=8, profile_epochs=1, timeout=600
             )
-            assert again.to_dict() == baseline.to_dict()
+            assert encode(again) == encode(baseline)
             code, out = _run_cli(capsys, "stats", "--server", server.url)
             assert code == 0
             assert "profiling: 0 runs" in out, out

@@ -14,6 +14,7 @@ import urllib.error
 import urllib.request
 
 import pytest
+from wire_samples import SAMPLES
 
 from repro.config import TaskSpec
 from repro.errors import (
@@ -36,11 +37,12 @@ from repro.serving.transport import (
     RemoteNavigationClient,
 )
 from repro.serving.transport.protocol import (
-    check_protocol,
+    CancelResponse,
     decode_error,
     encode_error,
 )
 from repro.serving.types import JobResult
+from repro.wire import decode, encode
 
 
 def _task(**kwargs) -> TaskSpec:
@@ -213,6 +215,10 @@ def test_one_tenant_surface_two_transports():
         assert name not in vars(RemoteNavigationClient)
 
 
+#: one well-formed ``GET /v1/jobs/<id>`` body.
+_SNAPSHOT = SAMPLES["snapshot_done"].to_wire()
+
+
 class TestRemoteClient:
     def test_health_and_stats(self, stack):
         server, http = stack
@@ -233,16 +239,17 @@ class TestRemoteClient:
             {"protocol": PROTOCOL_VERSION, "jobs": 7, "status": "done"},
             {"protocol": PROTOCOL_VERSION, "jobs": [{"job_id": "job-0000"}],
              "job_id": "job-0000", "status": "no-such-status"},
-            {"protocol": PROTOCOL_VERSION, "jobs": [{"status": "done", "bogus": 1}],
-             "job_id": "job-0000", "status": "done", "bogus": 1},
+            # a whole snapshot, one wrong type: the timestamp is a string
+            {"protocol": PROTOCOL_VERSION, "jobs": [{**_SNAPSHOT, "started_at": "noon"}],
+             **_SNAPSHOT, "started_at": "noon"},
         ],
     )
     def test_malformed_snapshot_bodies_are_protocol_errors(self, body):
         client = RemoteNavigationClient("http://unused.invalid")
         client._call = lambda *args, **kwargs: dict(body)
-        with pytest.raises(ProtocolError, match="malformed job snapshot|JobsResponse"):
+        with pytest.raises(ProtocolError, match="JobsResponse|JobSnapshot"):
             client.jobs()
-        with pytest.raises(ProtocolError, match="malformed job snapshot|JobResponse"):
+        with pytest.raises(ProtocolError, match="JobSnapshot"):
             client.snapshot("job-0000")
 
     def test_unknown_job_maps_to_404_and_typed_error(self, stack):
@@ -402,9 +409,10 @@ class TestWireProtocol:
         assert isinstance(hostile, ServingError)
 
     def test_protocol_version_is_checked(self):
-        check_protocol({})  # an unstamped body speaks the current version
-        with pytest.raises(ProtocolError):
-            check_protocol({"protocol": 2})
+        # an unstamped body speaks the current version
+        assert CancelResponse.from_wire({"cancelled": True}).cancelled
+        with pytest.raises(ProtocolError, match="version mismatch"):
+            CancelResponse.from_wire({"cancelled": True, "protocol": 2})
 
 
 class TestResultSerialization:
@@ -412,7 +420,7 @@ class TestResultSerialization:
         server, _ = stack
         job_id = server.submit(_request(_task(), train=True))
         original = server.result(job_id, timeout=240)
-        clone = JobResult.from_dict(json.loads(json.dumps(original.to_dict())))
+        clone = decode(JobResult, json.loads(json.dumps(encode(original))))
         assert set(clone.guidelines) == set(original.guidelines)
         best, best_clone = original.best(), clone.best()
         assert best_clone.config == best.config

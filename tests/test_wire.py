@@ -1,11 +1,16 @@
 """The wire, declared once: the field-driven codec and the endpoint table.
 
-* ``tests/data/wire_golden.json`` holds, for fixed instances of every
-  message class, the exact ``json.dumps(msg.to_wire(), sort_keys=True)``
-  string the hand-written codecs of the commit before the field-driven
-  codec produced (the two job-snapshot replies the handler used to assemble
-  as dicts included).  The codec must emit the same bytes and decode them
-  to an equal instance, so an old executor and a new server interoperate.
+* ``tests/data/wire_golden.json`` holds the exact
+  ``json.dumps(..., sort_keys=True)`` strings the *hand-written* codecs
+  produced before ``repro.wire`` replaced them: one per message class
+  (``messages``; the cases whose payload slots are now typed carry
+  ``tests/wire_samples.py`` objects run through the old ``to_dict`` /
+  ``record_to_dict`` / ``task_to_wire``), the bare domain payloads
+  (``payloads``), one candidate key, and one store entry with its sidecar.
+  The codec must emit the same bytes and decode them to an equal object, so
+  an old executor, an old client and an old store interoperate with it.
+* Every class that crosses a boundary round-trips from a sample that sets
+  every field to a non-default value; a new field without a sample fails.
 * Every request class bound to a route rejects the malformed bodies with
   :class:`ProtocolError` (HTTP 400), never ``KeyError``/``TypeError``.
 * The route table of ``docs/ARCHITECTURE.md`` is the :data:`ENDPOINTS` table.
@@ -15,35 +20,58 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import re
 import socket
+import threading
+import typing
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from wire_samples import (
+    CONFIG,
+    EVENT,
+    FINGERPRINT,
+    GUIDELINE,
+    OTHER_CONFIG,
+    PERF,
+    PREDICTED,
+    PROFILE,
+    RECORD,
+    REPORT,
+    SAMPLES,
+    TASK,
+)
 
 from repro.errors import ProtocolError, UnknownJobError
+from repro.explorer.constraints import RuntimeConstraint
+from repro.runtime.parallel import ResultStore, candidate_key
 from repro.serving import NavigationRequest, NavigationServer
+from repro.serving.events import EventBatch
+from repro.serving.fleet import ClaimGrant, CommitOutcome
 from repro.serving.transport import (
     API_PREFIX,
     IDEMPOTENCY_HEADER,
     PROTOCOL_VERSION,
     TENANT_HEADER,
     NavigationHTTPServer,
+    RemoteNavigationClient,
 )
 from repro.serving.transport import protocol
 from repro.serving.transport.protocol import (
     ENDPOINTS,
     FleetClaimRequest,
-    FleetClaimResponse,
     FleetCommitRequest,
     FleetRegisterRequest,
     SubmitRequest,
     SubmitResponse,
-    WireMessage,
     match_endpoint,
 )
+from repro.transfer.policy import TransferPolicy
+from repro.wire import WireMessage, decode, encode
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((ROOT / "tests" / "data" / "wire_golden.json").read_text())
@@ -51,48 +79,259 @@ REQUEST_CLASSES = sorted(
     {row.request for row in ENDPOINTS.values() if row.request is not None},
     key=lambda cls: cls.__name__,
 )
+ROUTED = {row.response for row in ENDPOINTS.values()} | set(REQUEST_CLASSES)
+
+REQUEST = NavigationRequest(
+    task=TASK,
+    priorities=("ex_tm", "ex_ma"),
+    budget=12,
+    profile_epochs=3,
+    seed=5,
+    priority=2,
+    constraint=RuntimeConstraint(
+        max_time_s=0.5, max_memory_bytes=2.0**24, min_accuracy=0.25
+    ),
+    train=True,
+    tag="nightly",
+    tenant="team-a",
+    transfer_policy=TransferPolicy(
+        enabled=False,
+        similarity="anchor",
+        min_similarity=0.5,
+        max_donors=2,
+        max_donor_records=16,
+        decay=1.5,
+        min_budget=9,
+        max_shrink=0.25,
+    ),
+)
+
+#: the messages whose fields hold typed objects, by the name the golden
+#: cases refer to them; with ``FULL`` below, one all-fields-set instance of
+#: every message class.
+MESSAGES = {
+    "result_done": protocol.ResultResponse(
+        done=True, status="done", result=SAMPLES["result_trained"]
+    ),
+    "drain": protocol.DrainResponse(done=False, jobs=[SAMPLES["snapshot_running"]]),
+    "events": EventBatch(events=[EVENT], next_seq=7, gap=2, done=True),
+    "claim": ClaimGrant(
+        lease_id="lease-000001",
+        ttl=10.0,
+        task=TASK,
+        dataset="tiny",
+        fingerprint=FINGERPRINT,
+        keys=("k1", "k2"),
+        configs=(CONFIG, OTHER_CONFIG),
+    ),
+    "commit": FleetCommitRequest(
+        "ex-0007", "lease-000001", ["k1"], [RECORD], "lease-000001"
+    ),
+    "jobs": protocol.JobsResponse(jobs=[SAMPLES["snapshot_running"]]),
+    "snapshot_running": SAMPLES["snapshot_running"],
+    "snapshot_failed": SAMPLES["snapshot_failed"],
+}
+
+#: class -> an instance that sets every field to a non-default value.
+FULL = {
+    type(sample): sample
+    for sample in (
+        TASK, CONFIG, PROFILE, RECORD, PREDICTED, GUIDELINE, REPORT,
+        REPORT.exploration, PERF, PERF.memory, PERF.epochs[0], EVENT,
+        SAMPLES["result_trained"], SAMPLES["snapshot_failed"], REQUEST,
+        REQUEST.constraint, REQUEST.transfer_policy,
+        *(MESSAGES[name] for name in ("drain", "events", "claim", "commit", "jobs")),
+        protocol.ResultResponse(
+            done=True, status="failed", result=SAMPLES["result_untrained"],
+            error={"kind": "JobFailedError", "message": "boom"},
+        ),
+        SubmitRequest(specs=[REQUEST.to_dict()], idempotency_key="k", batch=True),
+        SubmitResponse(job_ids=["job-0000"], batch=True, deduplicated=True),
+        CommitOutcome(accepted=3, duplicates=1, replayed=True),
+        protocol.CancelResponse(cancelled=True),
+        protocol.MetricsResponse(metrics={"jobs_done": 3}),
+        protocol.HealthResponse(ok=True, jobs=12),
+        FleetRegisterRequest(workers=3, executor_id="ex-0007"),
+        protocol.FleetRegisterResponse("ex-0007", 1.5, 4.5),
+        protocol.FleetHeartbeatRequest("ex-0007"),
+        protocol.FleetHeartbeatResponse(renewed=2),
+        FleetClaimRequest("ex-0007", max_candidates=4, timeout=2.5),
+        protocol.FleetGraphResponse(graph={"name": "tiny"}),
+        protocol.FleetStatusResponse(executors=[{"workers": 2}], pending=5, leased=3),
+        protocol.FleetDeregisterResponse(deregistered=True),
+    )
+}
 
 
 def _valid_body(cls) -> dict:
     """The golden body of one request class (its richest instance)."""
     return next(
-        json.loads(case["wire"]) for case in GOLDEN if case["message"] == cls.__name__
+        json.loads(case["wire"])
+        for case in GOLDEN["messages"]
+        if case["message"] == cls.__name__
     )
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True)
 
 
 # --------------------------------------------------------------------- codec
 class TestGoldenWire:
     @pytest.mark.parametrize(
-        "case", GOLDEN, ids=[f"{i}-{c['message']}" for i, c in enumerate(GOLDEN)]
+        "case",
+        GOLDEN["messages"],
+        ids=[f"{i}-{c['message']}" for i, c in enumerate(GOLDEN["messages"])],
     )
-    def test_bytes_match_the_hand_written_codecs(self, case):
+    def test_messages_match_the_hand_written_codecs(self, case):
         cls = getattr(protocol, case["message"])
-        message = cls(**case["fields"])
-        assert json.dumps(message.to_wire(), sort_keys=True) == case["wire"]
+        if "sample" in case:
+            message = MESSAGES[case["sample"]]
+            assert type(message) is cls
+        else:
+            message = cls(**case["fields"])
+        assert _dumps(message.to_wire()) == case["wire"]
         assert cls.from_wire(json.loads(case["wire"])) == message
 
+    @pytest.mark.parametrize(
+        "case", GOLDEN["payloads"], ids=[c["sample"] for c in GOLDEN["payloads"]]
+    )
+    def test_payloads_match_the_hand_written_codecs(self, case):
+        sample = SAMPLES[case["sample"]]
+        assert type(sample).__name__ == case["class"]
+        assert _dumps(encode(sample)) == case["json"]
+        assert decode(type(sample), json.loads(case["json"])) == sample
+
+    def test_every_sample_has_a_golden_payload(self):
+        assert {case["sample"] for case in GOLDEN["payloads"]} == set(SAMPLES)
+
+    def test_candidate_keys_did_not_move(self):
+        assert candidate_key(TASK, CONFIG, FINGERPRINT) == GOLDEN["candidate_key"]
+
+    def test_a_store_written_before_the_codec_loads_and_is_rewritten_equal(
+        self, tmp_path
+    ):
+        key = GOLDEN["candidate_key"]
+        for name, text in GOLDEN["store"].items():
+            (tmp_path / "old" / name).parent.mkdir(exist_ok=True)
+            (tmp_path / "old" / name).write_text(text)
+        old = ResultStore(tmp_path / "old")
+        assert old.keys() == [key] and old.load(key) == RECORD
+        assert old.load_meta(key) is not None
+        new = ResultStore(tmp_path / "new")
+        new.save(key, RECORD)
+        for name, text in GOLDEN["store"].items():
+            written = json.loads((tmp_path / "new" / name).read_text())
+            assert _dumps(written) == _dumps(json.loads(text))
+
     def test_every_message_class_has_a_golden_case(self):
-        messages = {
-            name
-            for name, cls in vars(protocol).items()
-            if isinstance(cls, type)
-            and issubclass(cls, WireMessage)
-            and cls is not WireMessage
+        assert {cls.__name__ for cls in ROUTED} == {
+            case["message"] for case in GOLDEN["messages"]
         }
-        assert messages == {case["message"] for case in GOLDEN}
-        routed = {row.response for row in ENDPOINTS.values()} | set(REQUEST_CLASSES)
-        assert {cls.__name__ for cls in routed} == messages
 
     def test_the_codec_is_written_once(self):
-        overrides = {
-            cls.__name__
-            for cls in vars(protocol).values()
-            if isinstance(cls, type)
-            and issubclass(cls, WireMessage)
-            and cls is not WireMessage
-            and ("to_wire" in vars(cls) or "from_wire" in vars(cls))
+        """Under ``serving/`` and ``runtime/`` only the two user-facing flat
+        formats define a codec of their own."""
+        own = set()
+        for package in ("serving", "runtime"):
+            for path in (ROOT / "src" / "repro" / package).rglob("*.py"):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.ClassDef):
+                        own |= {
+                            (node.name, item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and re.fullmatch(r"(to|from)_(dict|wire)", item.name)
+                        }
+        assert own == {
+            (cls, method)
+            for cls, pair in (
+                ("NavigationRequest", "dict"),
+                ("SubmitRequest", "wire"),
+                ("SubmitResponse", "wire"),
+            )
+            for method in (f"to_{pair}", f"from_{pair}")
         }
-        assert overrides == {"SubmitRequest", "SubmitResponse"}
+
+
+def _crossing(cls, seen: set) -> set:
+    """``cls`` and every dataclass its crossing fields can hold."""
+    if cls in seen:
+        return seen
+    seen.add(cls)
+    hints = typing.get_type_hints(cls)
+    stack = [hints[f.name] for f in dataclasses.fields(cls) if f.compare]
+    while stack:
+        hint = stack.pop()
+        if dataclasses.is_dataclass(hint):
+            _crossing(hint, seen)
+        stack.extend(typing.get_args(hint))
+    return seen
+
+
+class TestRoundTrip:
+    def test_every_class_that_crosses_has_a_full_sample(self):
+        crossing: set = set()
+        for root in (*ROUTED, type(RECORD), NavigationRequest):
+            _crossing(root, crossing)
+        # PerfReport.batches is marked server-side: BatchRecord never crosses
+        crossing = {cls for cls in crossing if cls.__name__ != "BatchRecord"}
+        assert crossing == set(FULL)
+
+    @pytest.mark.parametrize("cls", FULL, ids=lambda cls: cls.__name__)
+    def test_round_trip_with_every_field_set(self, cls):
+        sample = FULL[cls]
+        for f in dataclasses.fields(cls):
+            if not f.compare or not f.metadata.get("wire", True):
+                continue
+            default = (
+                f.default_factory()
+                if f.default_factory is not dataclasses.MISSING
+                else f.default
+            )
+            assert getattr(sample, f.name) != default, (
+                f"{cls.__name__}.{f.name}: the sample leaves it at its default"
+            )
+        if isinstance(sample, NavigationRequest):
+            wire = json.loads(json.dumps(sample.to_dict()))
+            assert NavigationRequest.from_dict(wire) == sample
+        elif isinstance(sample, WireMessage):
+            wire = json.loads(json.dumps(sample.to_wire()))
+            assert wire["protocol"] == PROTOCOL_VERSION
+            assert cls.from_wire(wire) == sample
+        else:
+            wire = json.loads(json.dumps(encode(sample)))
+            assert decode(cls, wire) == sample
+        if cls not in (NavigationRequest, SubmitRequest, SubmitResponse):
+            crossing = {f.name for f in dataclasses.fields(cls) if f.compare}
+            crossing -= {"batches"} if cls is type(PERF) else set()
+            assert wire.keys() - {"protocol"} == crossing
+
+    def test_unknown_keys_are_ignored_and_server_side_fields_stay(self):
+        wire = {**encode(EVENT), "sent_by": "a newer peer"}
+        assert decode(type(EVENT), wire) == EVENT
+        rows = dataclasses.replace(PERF, batches=[object()])
+        assert "batches" not in encode(rows)
+        assert "extra" not in encode(TASK)
+
+    @pytest.mark.parametrize(
+        "cls, patch",
+        [
+            (type(RECORD), {"time_s": "fast"}),
+            (type(RECORD), {"num_batches": 2.5}),
+            (type(RECORD), {"accuracy": None}),
+            (type(RECORD), {"num_batches": True}),
+            (type(RECORD), {"config": {**encode(CONFIG), "hop_list": [8, "4"]}}),
+            (type(RECORD), {"task": "tiny"}),
+            (type(EVENT), {"phase": None}),
+            (type(EVENT), {"status": []}),
+            (type(SAMPLES["snapshot_done"]), {"status": "no-such-status"}),
+            (type(REPORT), {"guidelines": {"speed": 7}}),
+        ],
+    )
+    def test_wrong_types_are_protocol_errors(self, cls, patch):
+        with pytest.raises(ProtocolError):
+            decode(cls, {**encode(FULL[cls]), **patch})
 
 
 class TestMalformedBodies:
@@ -146,7 +385,7 @@ class TestMalformedBodies:
         (FleetClaimRequest, {"executor_id": "ex-0000", "timeout": float("nan")}),
         (FleetClaimRequest, {"executor_id": "ex-0000", "timeout": float("inf")}),
         (
-            FleetClaimResponse,
+            ClaimGrant,
             {"lease_id": "lease-000001", "ttl": 1.0, "task": None, "dataset": None,
              "fingerprint": None, "keys": ["k1", "k2"], "configs": [{}]},
         ),
@@ -203,6 +442,78 @@ class TestMalformedBodies:
         single = SubmitRequest.from_wire({"request": {"dataset": "tiny"}})
         assert single.idempotency_key is None and not single.batch
         assert single.specs == [{"dataset": "tiny"}]
+
+
+# ------------------------------------------------------ a newer or broken peer
+@pytest.fixture()
+def canned():
+    """An HTTP peer answering every GET with the body the test hands it —
+    a newer, or a broken, server as the client sees one."""
+
+    class Handler(BaseHTTPRequestHandler):
+        body: dict = {}
+
+        def log_message(self, format, *args):  # noqa: A002
+            pass
+
+        def do_GET(self):  # noqa: N802
+            raw = json.dumps(self.body).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(raw)))
+            self.end_headers()
+            self.wfile.write(raw)
+
+    peer = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=peer.serve_forever, daemon=True)
+    thread.start()
+    yield Handler, RemoteNavigationClient(
+        f"http://127.0.0.1:{peer.server_address[1]}", retries=0
+    )
+    peer.shutdown()
+    peer.server_close()
+    thread.join(timeout=5)
+
+
+class TestPeerSkew:
+    """Snapshots and events follow the message rules over HTTP: unknown
+    keys are ignored, wrong types are a :class:`ProtocolError`."""
+
+    def test_a_client_tolerates_a_newer_server(self, canned):
+        handler, client = canned
+        snapshot = SAMPLES["snapshot_running"]
+        handler.body = {**snapshot.to_wire(), "queue_position": 3}
+        assert client.snapshot(snapshot.job_id) == snapshot
+        batch = MESSAGES["events"]
+        handler.body = {
+            **batch.to_wire(),
+            "events": [{**encode(EVENT), "trace_id": "abc"}],
+            "stream": "v2",
+        }
+        assert client.events(EVENT.job_id, timeout=0) == batch
+
+    @pytest.mark.parametrize(
+        "event", [{"job_id": 1, "phase": None, "status": []}, {"job_id": "job-0"}, 7]
+    )
+    def test_a_client_refuses_a_mistyped_event(self, canned, event):
+        handler, client = canned
+        handler.body = {"protocol": PROTOCOL_VERSION, "events": [event], "next_seq": 1}
+        with pytest.raises(ProtocolError, match="JobProgressEvent|EventBatch"):
+            client.events("job-0", timeout=0)
+
+    def test_a_client_refuses_a_mistyped_snapshot(self, canned):
+        handler, client = canned
+        handler.body = {**SAMPLES["snapshot_running"].to_wire(), "priority": "high"}
+        with pytest.raises(ProtocolError, match="JobSnapshot.priority"):
+            client.snapshot("job-0003")
+
+    def test_a_server_tolerates_a_newer_executor(self, staged):
+        http, _ = staged
+        body = dict(MESSAGES["commit"].to_wire(), lease_id=None, attempt=2)
+        body["records"] = [{**body["records"][0], "host_wall_s": 0.25}]
+        raw = json.dumps(body).encode()
+        code, payload = _raw(http, "POST /v1/fleet/commit", len(raw), raw)
+        assert (code, payload["accepted"], payload["duplicates"]) == (200, 1, 0)
+        assert http.navigation.service._memory == {"k1": RECORD}
 
 
 # ------------------------------------------------------------ endpoint table
