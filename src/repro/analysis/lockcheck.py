@@ -14,7 +14,8 @@ callables under a lock (e.g. the ``wait_for`` predicate in
 * LOCK003 — a call that can block for unbounded or external time happens
   while *any* lock is held: ``time.sleep``, ``.wait()``/``.wait_for()``
   without a timeout, subprocess/socket/HTTP calls, or profiling execution
-  (``profile``/``profile_one``/``profile_configs``/``_execute``).
+  (``profile``/``profile_one``/``profile_class``/``profile_configs``/
+  ``_execute``).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ _BLOCKING_PREFIXES = (
 _PROFILING_CALLEES = {
     "profile",
     "profile_one",
+    "profile_class",
     "profile_configs",
     "_execute",
     "_execute_local",

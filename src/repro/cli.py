@@ -481,14 +481,15 @@ def _read_specs(jobs: str) -> list[dict]:
 
 def _profiling_line(metrics: dict) -> str:
     """The one-line profiling summary of a server's metrics snapshot."""
-    executed, hits, shared, deduplicated, evicted = (
+    executed, trainings, hits, shared, deduplicated, evicted = (
         int(metrics.get(f"profiling_{name}", 0))
         for name in (
-            "executed", "cache_hits", "shared_inflight", "deduplicated", "evictions"
+            "executed", "trainings", "cache_hits", "shared_inflight",
+            "deduplicated", "evictions",
         )
     )
     return (
-        f"profiling: {executed} runs, {hits} cache hits, "
+        f"profiling: {executed} runs ({trainings} trainings), {hits} cache hits, "
         f"{shared} shared in-flight, "
         f"{deduplicated} deduplicated, {evicted} evicted"
     )
@@ -743,7 +744,8 @@ def _cmd_executor(args: argparse.Namespace) -> int:
         executor.stop()
     print(
         f"executor {executor.executor_id}: {executor.claimed} batches "
-        f"claimed, {executor.runs} runs executed, "
+        f"claimed, {executor.runs} runs executed "
+        f"({executor.service.stats.trainings} trainings), "
         f"{executor.committed} records committed"
     )
     return 0

@@ -157,7 +157,9 @@ class TrainingConfig:
         ]
 
     def describe(self) -> str:
-        """Compact one-line summary used in guideline reports."""
+        """Compact one-line summary used in guideline reports: the headline
+        knobs always, every other knob when it is off its default — so two
+        distinct canonical configs never print the same line."""
         parts = [
             f"batch={self.batch_size}",
             f"sampler={self.sampler}",
@@ -167,8 +169,16 @@ class TrainingConfig:
             parts.append(f"bias={self.bias_rate:.2f}")
         parts.append(f"cache={self.cache_policy}@{self.cache_ratio:.2f}")
         parts.append(f"hidden={self.hidden_channels}")
-        if self.reorder != "none":
-            parts.append(f"reorder={self.reorder}")
+        for label, knob in (
+            ("order", "batch_order"),
+            ("layers", "num_layers"),
+            ("heads", "heads"),
+            ("dropout", "dropout"),
+            ("reorder", "reorder"),
+        ):
+            value = getattr(self, knob)
+            if value != self.__dataclass_fields__[knob].default:
+                parts.append(f"{label}={value}")
         if self.kernel != "reference":
             parts.append(f"kernel={self.kernel}")
         return " ".join(parts)

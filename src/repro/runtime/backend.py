@@ -24,6 +24,9 @@ The backend is where the four optimization categories meet:
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+
 import numpy as np
 
 from repro.autograd.functional import nll_loss
@@ -33,6 +36,7 @@ from repro.errors import ConfigError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset, train_val_test_split
 from repro.graphs.partition import bfs_partition, cache_priority_order
+from repro.graphs.profiling import GraphProfile, profile_graph
 from repro.graphs.reorder import locality_score, reorder_graph
 from repro.hardware.cache import DeviceCache
 from repro.hardware.costmodel import model_costing, t_compute, t_replace, t_sample, t_transfer
@@ -52,7 +56,13 @@ from repro.sampling.layerwise import LayerSampler
 from repro.sampling.neighbor import NeighborSampler
 from repro.sampling.saint import SaintSampler
 
-__all__ = ["RuntimeBackend", "make_sampler"]
+__all__ = [
+    "PreparedGraph",
+    "RuntimeBackend",
+    "make_sampler",
+    "sampler_args",
+    "training_key",
+]
 
 #: fallback hot-set size when a biased sampler runs without a cache
 _DEGREE_HOT_FRACTION = 0.2
@@ -63,65 +73,149 @@ def _safe_mean(values: list) -> float:
     return float(np.mean(values)) if values else 0.0
 
 
-def make_sampler(
-    config: TrainingConfig, graph: CSRGraph, cache: DeviceCache | None
-) -> Sampler:
-    """Instantiate the sampler a configuration asks for (Fig. 3 Cat. 1).
+def sampler_args(config: TrainingConfig, num_nodes: int) -> tuple[int, ...]:
+    """What :func:`make_sampler` hands the sampler constructor from
+    ``hop_list`` — all of it a training run can observe.
 
     ``fastgcn`` derives its per-layer budgets from Eq. 3
     (``Δ_l = k_l · |B0|``, capped at half the graph); ``saint`` uses a walk
     length of twice the hop count, the paper's "many more hops, fanout 1"
-    reading of subgraph sampling.
+    reading of subgraph sampling; ``cluster`` takes a partition count that
+    scales with batch size (|V| / |B0| regions of roughly batch-size
+    vertices) and covers one partition per hop.
     """
-    if config.sampler == "sage":
-        return NeighborSampler(list(config.hop_list))
+    hops = tuple(config.hop_list)
+    if config.sampler in ("sage", "biased"):
+        return hops
     if config.sampler == "fastgcn":
-        cap = max(graph.num_nodes // 2, 1)
-        sizes = [min(k * config.batch_size, cap) for k in config.hop_list]
-        return LayerSampler(sizes)
+        cap = max(num_nodes // 2, 1)
+        return tuple(min(k * config.batch_size, cap) for k in hops)
     if config.sampler == "saint":
-        return SaintSampler(walk_length=2 * len(config.hop_list))
+        return (2 * len(hops),)
     if config.sampler == "cluster":
-        # Partition count scales with batch size so each batch covers a few
-        # partitions: |V| / |B0| regions of roughly batch-size vertices.
-        parts = max(2, graph.num_nodes // max(config.batch_size, 1))
-        return ClusterSampler(min(parts, 64), parts_per_batch=len(config.hop_list))
-    if config.sampler == "biased":
-        if cache is not None and cache.capacity > 0:
-            hot = cache.hot_nodes()
-        else:  # no cache to chase: prefer hub vertices (degree locality)
-            count = max(1, int(_DEGREE_HOT_FRACTION * graph.num_nodes))
-            hot = cache_priority_order(graph)[:count]
-        return BiasedNeighborSampler(
-            list(config.hop_list), bias_rate=config.bias_rate, hot_nodes=hot
-        )
+        parts = max(2, num_nodes // max(config.batch_size, 1))
+        return (min(parts, 64), len(hops))
     raise ConfigError(f"unknown sampler {config.sampler!r}")
 
 
+def training_key(config: TrainingConfig, num_nodes: int) -> tuple:
+    """The training class of a candidate: everything its sampler, batch
+    order and model can see, defined *by exclusion* so a knob added later
+    is in the key by default.
+
+    The transmission knobs sit on the host-device link, after the batch is
+    drawn and beside the model, so they only reach ``_charge_batch`` —
+    unless the sampler is ``biased``, which chases the cache's hot set.
+    ``hop_list`` counts only through :func:`sampler_args`.  Candidates with
+    equal keys train the same trajectory (DESIGN.md, *Step 2 in three
+    levels*).
+    """
+    config = config.canonical()
+    charged = {"hop_list"}
+    if config.sampler != "biased":
+        charged |= {"cache_ratio", "cache_policy"}
+    return (
+        sampler_args(config, num_nodes),
+        *(getattr(config, f.name) for f in fields(config) if f.name not in charged),
+    )
+
+
+def make_sampler(
+    config: TrainingConfig, graph: CSRGraph, cache: DeviceCache | None
+) -> Sampler:
+    """Instantiate the sampler a configuration asks for (Fig. 3 Cat. 1)."""
+    args = sampler_args(config, graph.num_nodes)
+    if config.sampler == "sage":
+        return NeighborSampler(list(args))
+    if config.sampler == "fastgcn":
+        return LayerSampler(list(args))
+    if config.sampler == "saint":
+        return SaintSampler(walk_length=args[0])
+    if config.sampler == "cluster":
+        return ClusterSampler(args[0], parts_per_batch=args[1])
+    if cache is not None and cache.capacity > 0:
+        hot = cache.hot_nodes()
+    else:  # no cache to chase: prefer hub vertices (degree locality)
+        count = max(1, int(_DEGREE_HOT_FRACTION * graph.num_nodes))
+        hot = cache_priority_order(graph)[:count]
+    return BiasedNeighborSampler(list(args), bias_rate=config.bias_rate, hot_nodes=hot)
+
+
+class PreparedGraph:
+    """What a run derives from ``(graph, reorder)`` alone, built once and
+    shared by every training class that reorders the same way.
+
+    Per reorder strategy, not per graph: permuting changes float summation
+    order, so ``profile`` differs in the last ulp between strategies.
+    """
+
+    def __init__(self, graph: CSRGraph, reorder: str) -> None:
+        if graph.features is None or graph.labels is None:
+            raise ConfigError("runtime backend needs a featured, labelled graph")
+        self.reorder = reorder
+        # Cat. 4: computation — reordering improves aggregation locality,
+        # which the roofline model converts into effective bandwidth.
+        self.graph = reorder_graph(graph, reorder)
+        self.bandwidth_scale = 0.7 + 0.3 * locality_score(self.graph)
+        self.cache_priority = cache_priority_order(self.graph)
+        self._full_props: dict[str, Propagation] = {}
+
+    @cached_property
+    def profile(self) -> GraphProfile:
+        return profile_graph(self.graph)
+
+    def full_prop(self, kernel) -> Propagation:
+        """The full-graph propagation ``evaluate`` runs on, one per kernel."""
+        if kernel.name not in self._full_props:
+            self._full_props[kernel.name] = Propagation.from_graph(
+                self.graph, kernel=kernel
+            )
+        return self._full_props[kernel.name]
+
+
+@dataclass
+class _Member:
+    """One candidate of a training class: all it owns is its device cache
+    and the ledger ``_charge_batch`` writes."""
+
+    config: TrainingConfig
+    cache: DeviceCache
+    epochs: list[EpochStats] = field(default_factory=list)
+    batches: list[BatchRecord] = field(default_factory=list)
+
+
 class RuntimeBackend:
-    """Executes one training task under one configuration."""
+    """Executes one training task under one training class of configurations.
+
+    ``config`` and every further member in ``charged`` share a
+    :func:`training_key`: the sampler, batch stream, model and optimiser
+    exist once and each batch is trained once, while every member runs its
+    own device cache over the same measured batches.  A single
+    configuration is the class of one.  ``prepared`` hands over the
+    ``(graph, reorder)`` preparation of an earlier run instead of ``graph``.
+    """
 
     def __init__(
         self,
         task: TaskSpec,
         config: TrainingConfig,
-        *,
+        *charged: TrainingConfig,
         graph: CSRGraph | None = None,
         platform: Platform | None = None,
+        prepared: PreparedGraph | None = None,
     ) -> None:
         self.task = task
         self.config = config.canonical()
         self.platform = platform or get_platform(task.platform)
-        graph = graph if graph is not None else load_dataset(task.dataset)
-        if graph.features is None or graph.labels is None:
-            raise ConfigError("runtime backend needs a featured, labelled graph")
-
-        # Cat. 4: computation — reordering improves aggregation locality,
-        # which the roofline model converts into effective bandwidth, and
-        # the selected kernel executes the actual SpMM products.
+        if prepared is None:
+            graph = graph if graph is not None else load_dataset(task.dataset)
+            prepared = PreparedGraph(graph, self.config.reorder)
+        elif prepared.reorder != self.config.reorder:
+            raise ConfigError(f"graph prepared for reorder={prepared.reorder!r}")
+        self.prepared = prepared
+        self.graph = prepared.graph
+        # The selected kernel executes the actual SpMM products.
         self.kernel = get_kernel(self.config.kernel)
-        self.graph = reorder_graph(graph, self.config.reorder)
-        self._bandwidth_scale = 0.7 + 0.3 * locality_score(self.graph)
 
         self.train_nodes, self.val_nodes, self.test_nodes = train_val_test_split(
             self.graph.num_nodes,
@@ -130,14 +224,25 @@ class RuntimeBackend:
             seed=task.seed,
         )
 
-        # Cat. 2: transmission — device cache sized by the cache ratio.
-        capacity = int(self.config.cache_ratio * self.graph.num_nodes)
-        self.cache = DeviceCache(
-            self.graph.num_nodes,
-            capacity,
-            policy=self.config.cache_policy if capacity else "none",
-            priority=cache_priority_order(self.graph),
-        )
+        # Cat. 2: transmission — one device cache per member, sized by its
+        # cache ratio.
+        key = training_key(self.config, self.graph.num_nodes)
+        self.members: list[_Member] = []
+        for member in (self.config, *(c.canonical() for c in charged)):
+            if training_key(member, self.graph.num_nodes) != key:
+                raise ConfigError(
+                    f"{member.describe()} is not in the training class of "
+                    f"{self.config.describe()}"
+                )
+            capacity = int(member.cache_ratio * self.graph.num_nodes)
+            cache = DeviceCache(
+                self.graph.num_nodes,
+                capacity,
+                policy=member.cache_policy if capacity else "none",
+                priority=prepared.cache_priority,
+            )
+            self.members.append(_Member(member, cache))
+        self.cache = self.members[0].cache
 
         # Cat. 1: sampling — sampler + batch schedule.
         self.sampler = make_sampler(self.config, self.graph, self.cache)
@@ -167,10 +272,12 @@ class RuntimeBackend:
         self.optimizer = Adam(self.model.parameters(), lr=task.lr)
         self._rng = np.random.default_rng(task.seed + 7)
         self._features = self.graph.features
-        self._full_prop = Propagation.from_graph(self.graph, kernel=self.kernel)
+        self._full_prop = prepared.full_prop(self.kernel)
         self._train_mask = np.zeros(self.graph.num_nodes, dtype=bool)
         self._train_mask[self.train_nodes] = True
         self._peak_runtime_bytes = 0.0
+        #: test accuracy of the current model state, refreshed every epoch
+        self.test_accuracy = 0.0
 
     # ------------------------------------------------------------- mechanics
     def _train_step(self, batch) -> float:
@@ -197,8 +304,10 @@ class RuntimeBackend:
         self.optimizer.step()
         return float(loss.item())
 
-    def _charge_batch(self, batch, admitted: int, evicted: int, missed: int, loss: float) -> BatchRecord:
-        """Apply the Eq. 5-8 cost functions to measured batch quantities."""
+    def _charge_batch(self, batch, loss: float) -> None:
+        """Apply the Eq. 5-8 cost functions to measured batch quantities:
+        the sampling and compute terms once, then each member's cache
+        traffic — the only part of a record the class does not share."""
         costing = model_costing(
             self.task.arch,
             batch.num_nodes,
@@ -212,28 +321,15 @@ class RuntimeBackend:
         # Reordering raises effective bandwidth => shrinks memory-bound time.
         scaled = type(costing)(
             flops=costing.flops,
-            bytes_moved=costing.bytes_moved / self._bandwidth_scale,
+            bytes_moved=costing.bytes_moved / self.prepared.bandwidth_scale,
             kernel_launches=costing.kernel_launches,
         )
-        record = BatchRecord(
-            num_targets=batch.num_targets,
-            num_nodes=batch.num_nodes,
-            num_edges=batch.num_edges,
-            num_missed=missed,
-            num_admitted=admitted,
-            num_evicted=evicted,
-            t_sample=t_sample(
-                batch.num_nodes - batch.num_targets,
-                self.platform,
-                edges_touched=batch.num_edges,
-            ),
-            t_transfer=t_transfer(missed, self.graph.feature_dim, self.platform),
-            t_replace=t_replace(
-                admitted, evicted, self.graph.feature_dim, self.platform
-            ),
-            t_compute=t_compute(scaled, self.platform),
-            loss=loss,
+        sample_s = t_sample(
+            batch.num_nodes - batch.num_targets,
+            self.platform,
+            edges_touched=batch.num_edges,
         )
+        compute_s = t_compute(scaled, self.platform)
         runtime_bytes = gamma_runtime(
             batch.num_nodes,
             batch.num_edges,
@@ -245,83 +341,113 @@ class RuntimeBackend:
             attention=self.task.arch == "gat",
         )
         self._peak_runtime_bytes = max(self._peak_runtime_bytes, runtime_bytes)
-        return record
+
+        n_attr = self.graph.feature_dim
+        for member in self.members:
+            hit_mask = member.cache.lookup(batch.nodes)
+            missed = int((~hit_mask).sum())
+            admitted, evicted = member.cache.update(batch.nodes[~hit_mask])
+            member.batches.append(
+                BatchRecord(
+                    num_targets=batch.num_targets,
+                    num_nodes=batch.num_nodes,
+                    num_edges=batch.num_edges,
+                    num_missed=missed,
+                    num_admitted=admitted,
+                    num_evicted=evicted,
+                    t_sample=sample_s,
+                    t_transfer=t_transfer(missed, n_attr, self.platform),
+                    t_replace=t_replace(admitted, evicted, n_attr, self.platform),
+                    t_compute=compute_s,
+                    loss=loss,
+                )
+            )
 
     def run_epoch(self, epoch: int) -> tuple[EpochStats, list[BatchRecord]]:
-        """Algorithm 1, lines 1-10, over one epoch of mini-batches."""
-        records: list[BatchRecord] = []
+        """Algorithm 1, lines 1-10, over one epoch of mini-batches: each is
+        sampled and trained once and charged to every member.  Returns the
+        first member's statistics; all land in ``members``."""
+        start = len(self.members[0].batches)
         for target_batch in self.batches.epoch():
             # 2PGraph coupling: biased samplers chase the *current* cache.
             if isinstance(self.sampler, BiasedNeighborSampler) and self.cache.capacity:
                 self.sampler.set_hot_nodes(self.cache.hot_nodes())
             batch = self.sampler.sample(self.graph, target_batch, rng=self._rng)
+            self._charge_batch(batch, self._train_step(batch))
 
-            hit_mask = self.cache.lookup(batch.nodes)
-            missed = int((~hit_mask).sum())
-            admitted, evicted = self.cache.update(batch.nodes[~hit_mask])
+        # Validation and test read the same model state: one forward.
+        val_acc, self.test_accuracy = self.evaluate(self.val_nodes, self.test_nodes)
+        for member in self.members:
+            records = member.batches[start:]
+            # Batches without training targets report a NaN loss (nothing was
+            # optimised); exclude them so one such batch cannot poison the
+            # epoch loss — and with it the estimator's ground truth.  The
+            # guarded means also keep an empty epoch (no train batches at all)
+            # from emitting RuntimeWarnings and NaN stats.
+            losses = [r.loss for r in records if not np.isnan(r.loss)]
+            member.epochs.append(
+                EpochStats(
+                    epoch=epoch,
+                    time_s=float(sum(r.time for r in records)),
+                    t_sample=float(sum(r.t_sample for r in records)),
+                    t_transfer=float(sum(r.t_transfer for r in records)),
+                    t_replace=float(sum(r.t_replace for r in records)),
+                    t_compute=float(sum(r.t_compute for r in records)),
+                    mean_batch_nodes=_safe_mean([r.num_nodes for r in records]),
+                    mean_batch_edges=_safe_mean([r.num_edges for r in records]),
+                    hit_rate=_safe_mean([r.hit_rate for r in records]),
+                    loss=_safe_mean(losses),
+                    val_accuracy=val_acc,
+                    num_batches=len(records),
+                )
+            )
+        return self.members[0].epochs[-1], self.members[0].batches[start:]
 
-            loss = self._train_step(batch)
-            records.append(self._charge_batch(batch, admitted, evicted, missed, loss))
-
-        val_acc = self.evaluate(self.val_nodes)
-        # Batches without training targets report a NaN loss (nothing was
-        # optimised); exclude them so one such batch cannot poison the
-        # epoch loss — and with it the estimator's ground truth.  The
-        # guarded means also keep an empty epoch (no train batches at all)
-        # from emitting RuntimeWarnings and NaN stats.
-        losses = [r.loss for r in records if not np.isnan(r.loss)]
-        stats = EpochStats(
-            epoch=epoch,
-            time_s=float(sum(r.time for r in records)),
-            t_sample=float(sum(r.t_sample for r in records)),
-            t_transfer=float(sum(r.t_transfer for r in records)),
-            t_replace=float(sum(r.t_replace for r in records)),
-            t_compute=float(sum(r.t_compute for r in records)),
-            mean_batch_nodes=_safe_mean([r.num_nodes for r in records]),
-            mean_batch_edges=_safe_mean([r.num_edges for r in records]),
-            hit_rate=_safe_mean([r.hit_rate for r in records]),
-            loss=_safe_mean(losses),
-            val_accuracy=val_acc,
-            num_batches=len(records),
-        )
-        return stats, records
-
-    def evaluate(self, nodes: np.ndarray) -> float:
-        """Full-graph inference accuracy on a node subset (no grad)."""
-        if nodes.size == 0:
-            return 0.0
+    def evaluate(self, *subsets: np.ndarray) -> tuple[float, ...]:
+        """Full-graph inference accuracy on each node subset: one no-grad
+        forward serves them all."""
+        if not any(nodes.size for nodes in subsets):
+            return (0.0,) * len(subsets)
         self.model.eval()
         with no_grad():
-            out = self.model(Tensor(self._features), self._full_prop)
-        return accuracy(out.numpy()[nodes], self.graph.labels[nodes])
+            out = self.model(Tensor(self._features), self._full_prop).numpy()
+        return tuple(
+            accuracy(out[nodes], self.graph.labels[nodes]) if nodes.size else 0.0
+            for nodes in subsets
+        )
 
-    def memory_breakdown(self) -> MemoryBreakdown:
+    def memory_breakdown(self, member: _Member | None = None) -> MemoryBreakdown:
         """Eq. 9: Γ_model + Γ_cache + Γ_runtime (runtime peak so far)."""
+        cache = (member or self.members[0]).cache
         return MemoryBreakdown(
             model=gamma_model(
                 self.model.num_parameters(),
                 optimizer_state_factor=self.optimizer.state_factor,
             ),
-            cache=gamma_cache(self.cache.capacity, self.graph.feature_dim),
+            cache=gamma_cache(cache.capacity, self.graph.feature_dim),
             runtime=self._peak_runtime_bytes,
         )
 
     def train(self, *, keep_batch_records: bool = False) -> PerfReport:
-        """Full training run returning ``Perf(T, Γ, Acc)``."""
-        epochs: list[EpochStats] = []
-        batches: list[BatchRecord] = []
+        """Full training run returning the first member's ``Perf(T, Γ, Acc)``."""
+        return self.train_members(keep_batch_records=keep_batch_records)[0]
+
+    def train_members(self, *, keep_batch_records: bool = False) -> list[PerfReport]:
+        """Full training run returning one ``Perf(T, Γ, Acc)`` per member."""
+        for member in self.members:  # the reports cover this call's epochs
+            member.epochs, member.batches = [], []
         for epoch in range(self.task.epochs):
-            stats, records = self.run_epoch(epoch)
-            epochs.append(stats)
-            if keep_batch_records:
-                batches.extend(records)
-        test_acc = self.evaluate(self.test_nodes)
-        return PerfReport(
-            time_s=float(np.mean([e.time_s for e in epochs])),
-            memory=self.memory_breakdown(),
-            accuracy=test_acc,
-            epochs=epochs,
-            batches=batches,
-            config_summary=self.config.describe(),
-            task_summary=f"{self.task.dataset}+{self.task.arch}@{self.platform.name}",
-        )
+            self.run_epoch(epoch)
+        task_summary = f"{self.task.dataset}+{self.task.arch}@{self.platform.name}"
+        return [
+            PerfReport(
+                time_s=float(np.mean([e.time_s for e in member.epochs])),
+                memory=self.memory_breakdown(member),
+                accuracy=self.test_accuracy,
+                epochs=member.epochs,
+                batches=member.batches if keep_batch_records else [],
+                config_summary=member.config.describe(),
+                task_summary=task_summary,
+            )
+            for member in self.members
+        ]

@@ -12,6 +12,10 @@ service:
 * **deduplication** — repeated candidates (same task, same canonical
   config, same graph) are keyed by a content hash and executed once per
   call, whether they repeat within one request or across requests;
+* **sharing** — distinct candidates that train the *same trajectory* (the
+  sampler, batch order and model cannot tell them apart:
+  :func:`~repro.runtime.backend.training_key`) are one training run that
+  charges each member's cache and lands one record per candidate;
 * **persistence** — finished :class:`GroundTruthRecord`s are written to an
   on-disk JSON store keyed by the same content hash, so repeated
   navigations, benchmarks and the Fig. 6 adaptability experiment reuse
@@ -39,7 +43,8 @@ from repro.config.settings import TaskSpec, TrainingConfig
 from repro.errors import JobCancelled
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
-from repro.runtime.profiler import GroundTruthRecord, profile_one
+from repro.runtime.backend import PreparedGraph, sampler_args, training_key
+from repro.runtime.profiler import GroundTruthRecord, profile_class
 from repro.transfer.fingerprint import record_fingerprint
 from repro.wire import decode, encode
 
@@ -85,7 +90,7 @@ class CancellationToken:
 
     Profiling is a sequence of full training runs, so preemption is neither
     safe nor needed: the canceller flips the token from any thread and the
-    running side polls it at *batch boundaries* — between candidate runs in
+    running side polls it at *batch boundaries* — between training runs in
     :meth:`ProfilingService._execute` and between claim rounds in the
     serving scheduler — via :meth:`raise_if_cancelled`, which raises
     :class:`~repro.errors.JobCancelled`.  A candidate already training runs
@@ -436,27 +441,47 @@ def _worker_init(task: TaskSpec, graph: CSRGraph) -> None:
     _WORKER_GRAPH = graph
 
 
-def _worker_run(config: TrainingConfig) -> GroundTruthRecord:
-    record, _ = profile_one(_WORKER_TASK, config, graph=_WORKER_GRAPH)
-    return record
+def _worker_run(members: list[TrainingConfig]) -> list[GroundTruthRecord]:
+    runs = profile_class(_WORKER_TASK, members, graph=_WORKER_GRAPH)
+    return [record for record, _ in runs]
 
 
 # ------------------------------------------------------------------ service
 def predicted_cost(
-    task: TaskSpec, config: TrainingConfig, graph: CSRGraph
+    task: TaskSpec, config: TrainingConfig, graph: CSRGraph, *, members: int = 1
 ) -> float:
-    """Cheap monotone proxy for one candidate's training cost.
+    """Cheap monotone proxy for the cost of training ``config``'s class
+    with ``members`` candidates charged alongside.
 
     Only the *ordering* matters (longest-first dispatch): epochs times the
     per-epoch work, which scales with how many batches run, how many nodes
-    each mini-batch touches (bounded by the graph) and the dense compute per
-    touched node.
+    each mini-batch touches (bounded by the graph) and, per touched node,
+    the dense compute of the one training plus one cache pass per member.
+    Batch growth is read off :func:`~repro.runtime.backend.sampler_args` —
+    what the sampler is actually built with, not the raw fan-outs.
     """
-    fanout = float(np.prod([1.0 + k for k in config.hop_list]))
-    batch_nodes = min(config.batch_size * fanout, float(graph.num_nodes))
-    num_batches = max(1.0, graph.num_nodes / config.batch_size)
-    per_node = float(config.hidden_channels * config.num_layers)
-    return task.epochs * num_batches * batch_nodes * per_node
+    n = float(graph.num_nodes)
+    args = sampler_args(config, graph.num_nodes)
+    if config.sampler == "fastgcn":  # per-layer vertex budgets
+        batch_nodes = config.batch_size + float(sum(args))
+    elif config.sampler == "saint":  # one neighbour per walk step
+        batch_nodes = config.batch_size * (1.0 + args[0])
+    elif config.sampler == "cluster":  # whole partitions
+        batch_nodes = config.batch_size + args[1] * n / args[0]
+    else:
+        batch_nodes = config.batch_size * float(np.prod([1.0 + k for k in args]))
+    num_batches = max(1.0, n / config.batch_size)
+    per_node = float(config.hidden_channels * config.num_layers) + members
+    return task.epochs * num_batches * min(batch_nodes, n) * per_node
+
+
+def _training_classes(configs: list[TrainingConfig], graph: CSRGraph) -> list:
+    """Indices of ``configs`` grouped by training class — candidates that
+    share a :func:`~repro.runtime.backend.training_key` — first member first."""
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault(training_key(config, graph.num_nodes), []).append(i)
+    return list(groups.values())
 
 
 @dataclass
@@ -467,7 +492,8 @@ class ProfilingStats:
     sharing one service never lose increments to read-modify-write races.
     """
 
-    executed: int = 0  # actual training runs
+    executed: int = 0  # candidates measured (one record each)
+    trainings: int = 0  # training runs behind them (one per class, <= executed)
     cache_hits: int = 0  # served from the persistent/in-memory store
     deduplicated: int = 0  # repeated candidates folded into one run
     shared_inflight: int = 0  # served by waiting on another job's run
@@ -483,7 +509,8 @@ class ProfilingStats:
 
 
 class ProfilingService:
-    """Fan-out + dedup + cache front-end for ground-truth profiling.
+    """Fan-out + dedup + cache front-end for ground-truth profiling: one
+    training run per *same trajectory*, one record per candidate.
 
     Parameters
     ----------
@@ -646,9 +673,20 @@ class ProfilingService:
             and keys is not None
             and runner.accepts(task, configs, graph)
         ):
-            return runner.run_batch(
-                self, task, configs, graph, keys=keys, cancel=cancel, on_run=on_run
+            # Members of a training class go out adjacent, so an executor's
+            # own ``profile()`` shares one training over whatever part of a
+            # class its grant holds.
+            order = [i for c in _training_classes(configs, graph) for i in c]
+            fresh = runner.run_batch(
+                self,
+                task,
+                [configs[i] for i in order],
+                graph,
+                keys=[keys[i] for i in order],
+                cancel=cancel,
+                on_run=on_run,
             )
+            return [record for _, record in sorted(zip(order, fresh, strict=True))]
         return self._execute_local(
             task,
             configs,
@@ -672,26 +710,32 @@ class ProfilingService:
     ) -> list[GroundTruthRecord]:
         """Run the unique pending candidates, serially or across the pool.
 
+        The unit of work is a *training class* (:func:`_training_classes`):
+        one serial step, one pool future, one cancellation checkpoint, that
+        lands one record per member — ``stats.trainings`` counts the runs,
+        ``stats.executed`` the records.  What depends only on ``(graph,
+        reorder)`` is prepared once per call (a pool worker: once per class).
+
         Results come back in input order either way, which keeps the service
         bit-identical to the serial profiler.  Pool dispatch is cost-ordered
         longest-first (:func:`predicted_cost`): submitting the heaviest
-        candidates before the cheap tail keeps a skewed batch from parking
+        classes before the cheap tail keeps a skewed batch from parking
         one worker on a late-arriving giant while the others sit idle.
 
-        ``cancel`` is polled between candidate runs (serial) or result
-        collections (pool) — the cooperative batch boundary.  On the pool
-        path, not-yet-started futures are cancelled; candidates already
-        training finish and are discarded.  ``stats.executed`` counts only
-        completed runs, so an aborted batch never overstates the work done.
+        ``cancel`` is polled between classes (serial) or result collections
+        (pool) — the cooperative batch boundary.  On the pool path,
+        not-yet-started futures are cancelled; classes already training
+        finish and are discarded.  The counters cover only completed runs,
+        so an aborted batch never overstates the work done.
 
         ``keys`` (parallel to ``configs``) makes the run publish as it
         goes: each completed record is :meth:`commit`-ted immediately, so
         an aborted batch keeps every training run it finished — waiters and
         later callers serve them from memory/store instead of re-measuring.
 
-        ``on_run(completed)`` fires after every collected record with the
-        count of runs this call has finished — the progress-event seat the
-        serving layer plugs live job streaming into.  It runs on the
+        ``on_run(completed)`` fires after every landed record with the
+        count of candidates this call has finished — the progress-event seat
+        the serving layer plugs live job streaming into.  It runs on the
         calling thread and must not raise (a raising callback aborts the
         batch exactly like a cancellation would).
         """
@@ -699,67 +743,75 @@ class ProfilingService:
             return []
         if cancel is not None:
             cancel.raise_if_cancelled()
-        workers = min(self.max_workers or 1, len(configs))
-        records: list[GroundTruthRecord] = []
+        classes = _training_classes(configs, graph)
+        members = [[configs[i] for i in indices] for indices in classes]
+        workers = min(self.max_workers or 1, len(classes))
+        records: list = [None] * len(configs)
+        done = 0
 
-        def _serial():
-            for c in configs:
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-                yield profile_one(task, c, graph=graph)[0]
-
-        if workers <= 1:
-            runs = _serial()
-        else:
-            order = sorted(
-                range(len(configs)),
-                key=lambda i: predicted_cost(task, configs[i], graph),
-                reverse=True,
-            )
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(task, graph),
-            )
-            futures = {i: pool.submit(_worker_run, configs[i]) for i in order}
-
-            def _collect():
-                for i in range(len(configs)):
-                    if cancel is not None and cancel.cancelled:
-                        for future in futures.values():
-                            future.cancel()
-                        if keys is not None:
-                            # Candidates already dispatched keep training
-                            # (shutdown waits for them regardless); publish
-                            # every run that finishes so the abort wastes
-                            # none of them.  Cancelled futures never ran.
-                            for j in range(i, len(configs)):
-                                future = futures[j]
-                                if future.cancelled():
-                                    continue
-                                try:
-                                    record = future.result()
-                                except BaseException:
-                                    continue
-                                self.commit(keys[j], record)
-                                self.stats.bump("executed")
-                        cancel.raise_if_cancelled()
-                    yield futures[i].result()
-
-            runs = _collect()
-        try:
-            for i, record in enumerate(runs):
-                records.append(record)
+        def land(indices: list[int], fresh: list, *, notify: bool = True) -> None:
+            """One class finished: publish a record per member."""
+            nonlocal done
+            self.stats.bump("trainings")
+            for i, record in zip(indices, fresh, strict=True):
+                records[i] = record
                 if keys is not None:
                     self.commit(keys[i], record)
                 self.stats.bump("executed")
-                if on_run is not None:
-                    on_run(i + 1)
-                if progress and (i + 1) % 10 == 0:
-                    print(f"profiled {i + 1}/{len(configs)} candidates")
+                done += 1
+                if notify and on_run is not None:
+                    on_run(done)
+                if notify and progress and done % 10 == 0:
+                    print(f"profiled {done}/{len(configs)} candidates")
+
+        if workers <= 1:
+            # One reorder strategy after the other (a stable sort), so each is
+            # prepared once and only one permuted copy of the graph is alive.
+            prepared = None
+            for c in sorted(range(len(classes)), key=lambda c: members[c][0].reorder):
+                if cancel is not None:
+                    cancel.raise_if_cancelled()
+                reorder = members[c][0].reorder
+                if prepared is None or prepared.reorder != reorder:
+                    prepared = None  # free the last strategy's copy first
+                    prepared = PreparedGraph(graph, reorder)
+                runs = profile_class(task, members[c], prepared=prepared)
+                land(classes[c], [record for record, _ in runs])
+            return records
+
+        order = sorted(
+            range(len(classes)),
+            key=lambda c: predicted_cost(
+                task, members[c][0], graph, members=len(members[c])
+            ),
+            reverse=True,
+        )
+        pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_worker_init, initargs=(task, graph)
+        )
+        futures = {c: pool.submit(_worker_run, members[c]) for c in order}
+        try:
+            for c, indices in enumerate(classes):
+                if cancel is not None and cancel.cancelled:
+                    for future in futures.values():
+                        future.cancel()
+                    if keys is not None:
+                        # Classes already dispatched keep training (shutdown
+                        # waits for them regardless); publish every run that
+                        # finishes so the abort wastes none of them.
+                        # Cancelled futures never ran.
+                        for j in range(c, len(classes)):
+                            if futures[j].cancelled():
+                                continue
+                            try:
+                                fresh = futures[j].result()
+                            except BaseException:
+                                continue
+                            land(classes[j], fresh, notify=False)
+                    cancel.raise_if_cancelled()
+                land(indices, futures[c].result())
         finally:
-            if workers > 1:
-                pool.shutdown()
+            pool.shutdown()
         return records
 
     # ------------------------------------------------------------------ API

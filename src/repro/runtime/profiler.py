@@ -15,12 +15,12 @@ import numpy as np
 
 from repro.config.settings import TaskSpec, TrainingConfig
 from repro.graphs.csr import CSRGraph
-from repro.graphs.profiling import GraphProfile, profile_graph
+from repro.graphs.profiling import GraphProfile
 from repro.hardware.specs import Platform, get_platform
-from repro.runtime.backend import RuntimeBackend
+from repro.runtime.backend import PreparedGraph, RuntimeBackend
 from repro.runtime.report import PerfReport
 
-__all__ = ["GroundTruthRecord", "profile_configs", "profile_one"]
+__all__ = ["GroundTruthRecord", "profile_class", "profile_configs", "profile_one"]
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,34 @@ def _record_from_report(
     )
 
 
+def profile_class(
+    task: TaskSpec,
+    configs: list[TrainingConfig],
+    *,
+    graph: CSRGraph | None = None,
+    prepared: PreparedGraph | None = None,
+) -> list[tuple[GroundTruthRecord, PerfReport]]:
+    """Execute one training class — candidates that share a
+    :func:`~repro.runtime.backend.training_key` — as one training run, and
+    return each member's record plus full report, in input order."""
+    backend = RuntimeBackend(task, *configs, graph=graph, prepared=prepared)
+    reports = backend.train_members()
+    profile = backend.prepared.profile
+    return [
+        (_record_from_report(member.config, task, profile, report), report)
+        for member, report in zip(backend.members, reports, strict=True)
+    ]
+
+
 def profile_one(
     task: TaskSpec,
     config: TrainingConfig,
     *,
     graph: CSRGraph | None = None,
 ) -> tuple[GroundTruthRecord, PerfReport]:
-    """Execute one candidate and return its record plus the full report."""
-    backend = RuntimeBackend(task, config, graph=graph)
-    report = backend.train()
-    profile = profile_graph(backend.graph)
-    return _record_from_report(backend.config, task, profile, report), report
+    """Execute one candidate — the class of one — and return its record
+    plus the full report."""
+    return profile_class(task, [config], graph=graph)[0]
 
 
 def profile_configs(

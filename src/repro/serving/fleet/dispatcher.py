@@ -512,7 +512,8 @@ class FleetDispatcher:
 
         # Store I/O outside the dispatcher lock: a slow disk must not block
         # claims and heartbeats.  Each publish bumps ``executed`` — the run
-        # really happened, just on another machine.
+        # really happened, just on another machine (whose own ``trainings``
+        # counts it: the wire carries records, not runs).
         published = 0
         try:
             for key, record in fresh:

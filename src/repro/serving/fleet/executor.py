@@ -165,7 +165,8 @@ class ProfilingExecutor:
 
     @property
     def runs(self) -> int:
-        """Training runs actually executed on this executor."""
+        """Candidates measured on this executor (``stats.trainings`` counts
+        the training runs behind them)."""
         return self.service.stats.executed
 
     # ------------------------------------------------------------ lifecycle

@@ -198,6 +198,7 @@ class NavigationServer:
         stats = self.service.stats
         for name in (
             "executed",
+            "trainings",
             "cache_hits",
             "deduplicated",
             "shared_inflight",

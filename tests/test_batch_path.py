@@ -137,7 +137,8 @@ class TestRowsAllIsTheSquareCase:
             want = backend.model(Tensor(graph.features), backend._full_prop)
         np.testing.assert_array_equal(out.data, want.data)
         nodes = backend.val_nodes
-        assert backend.evaluate(nodes) == accuracy(out.data[nodes], graph.labels[nodes])
+        (got,) = backend.evaluate(nodes)
+        assert got == accuracy(out.data[nodes], graph.labels[nodes])
 
 
 class TestBlocks:

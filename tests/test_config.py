@@ -63,6 +63,36 @@ class TestTrainingConfig:
         desc = TrainingConfig(sampler="biased", bias_rate=0.7).describe()
         assert "bias=0.70" in desc and "batch=1024" in desc
 
+    def test_describe_is_unchanged_for_default_knobs(self):
+        config = TrainingConfig(kernel="reference")
+        assert config.describe() == (
+            "batch=1024 sampler=sage hops=[10, 5] cache=none@0.00 hidden=64"
+        )
+
+    def test_describe_prints_every_knob_off_its_default(self):
+        from repro.config.templates import TEMPLATES
+
+        assert "order=partition" in TEMPLATES["2pgraph"].describe()
+        desc = TrainingConfig(num_layers=3, heads=2, dropout=0.25).describe()
+        assert "layers=3" in desc and "heads=2" in desc and "dropout=0.25" in desc
+
+    def test_describe_is_injective_over_canonical_configs(self):
+        """Two distinct canonical configs never print the same line, so a
+        guideline copied from CLI output names one candidate."""
+        from dataclasses import replace
+
+        from repro.config.space import default_space
+        from repro.config.templates import TEMPLATES
+
+        configs = {c.canonical() for c in default_space().enumerate()}
+        configs |= {c.canonical() for c in TEMPLATES.values()}
+        # the 2pgraph template without its batch order is a distinct config
+        configs.add(replace(TEMPLATES["2pgraph"], batch_order="random").canonical())
+        configs |= {replace(TEMPLATES["pyg"], **{k: v}) for k, v in (
+            ("num_layers", 3), ("heads", 2), ("dropout", 0.1),
+        )}
+        assert len({c.describe() for c in configs}) == len(configs)
+
     def test_hashable_for_dedup(self):
         a = TrainingConfig()
         b = TrainingConfig()

@@ -334,6 +334,9 @@ class TestMetricsEndpoint:
         assert scraped["jobs_submitted"] == 1
         assert scraped["jobs_done"] == 1
         assert scraped["profiling_executed"] == server.stats.executed > 0
+        # the templates alone fold three candidates into one training
+        assert 0 < scraped["profiling_trainings"] < scraped["profiling_executed"]
+        assert scraped["profiling_trainings"] == server.stats.trainings
         assert scraped["events_emitted"] == server.metrics.counter(
             "events_emitted"
         )

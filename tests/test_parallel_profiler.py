@@ -187,6 +187,42 @@ class TestProfilingService:
             tiny_task, cheap, small_graph
         )
 
+    @pytest.mark.parametrize("sampler", ["saint", "cluster"])
+    def test_cost_prices_what_the_sampler_is_built_with(
+        self, medium_graph, tiny_task, sampler
+    ):
+        """Subgraph samplers read only ``len(hop_list)``: fan-out values
+        must not move the price (they used to multiply into it)."""
+        from dataclasses import replace
+
+        small = TrainingConfig(sampler=sampler, batch_size=128, hop_list=(3, 2))
+        large = replace(small, hop_list=(15, 10))
+        assert predicted_cost(tiny_task, small, medium_graph) == predicted_cost(
+            tiny_task, large, medium_graph
+        )
+
+    def test_no_saint_prices_above_its_sage_twin(self, medium_graph, tiny_task):
+        from dataclasses import replace
+
+        from repro.config.space import default_space
+
+        saints = [c for c in default_space().enumerate() if c.sampler == "saint"]
+        assert saints
+        for saint in saints:
+            sage = replace(saint, sampler="sage")
+            assert predicted_cost(tiny_task, saint, medium_graph) <= predicted_cost(
+                tiny_task, sage, medium_graph
+            )
+
+    def test_cost_of_a_class_is_one_training_plus_a_member_charge(
+        self, small_graph, tiny_task, tiny_config
+    ):
+        one = predicted_cost(tiny_task, tiny_config, small_graph)
+        two = predicted_cost(tiny_task, tiny_config, small_graph, members=2)
+        three = predicted_cost(tiny_task, tiny_config, small_graph, members=3)
+        assert one < two < three < 2 * one  # far cheaper than training again
+        assert three - two == pytest.approx(two - one)
+
 
 class TestStoreManagement:
     def _populate(self, store: ResultStore, record, n: int) -> list[str]:

@@ -55,16 +55,16 @@ def server_factory(small_graph, tmp_path):
 
 @pytest.fixture()
 def slow_profiling(monkeypatch):
-    """Stretch every candidate run so cancellation windows are wide."""
+    """Stretch every training run so cancellation windows are wide."""
     import repro.runtime.parallel as parallel_mod
 
-    real = parallel_mod.profile_one
+    real = parallel_mod.profile_class
 
-    def slow(task, config, *, graph=None):
+    def slow(task, configs, **kwargs):
         time.sleep(0.1)
-        return real(task, config, graph=graph)
+        return real(task, configs, **kwargs)
 
-    monkeypatch.setattr(parallel_mod, "profile_one", slow)
+    monkeypatch.setattr(parallel_mod, "profile_class", slow)
 
 
 class TestCancellationToken:
@@ -101,17 +101,17 @@ class TestCancellationToken:
 
         service = ProfilingService()
         token = CancellationToken()
-        real = parallel_mod.profile_one
+        real = parallel_mod.profile_class
         calls: list[int] = []
 
-        def cancelling_after_two(task, config, *, graph=None):
-            calls.append(1)
+        def cancelling_after_two(task, configs, **kwargs):
+            calls.append(len(configs))
             if len(calls) == 2:
                 token.cancel()
-            return real(task, config, graph=graph)
+            return real(task, configs, **kwargs)
 
         monkeypatch.setattr(
-            parallel_mod, "profile_one", cancelling_after_two
+            parallel_mod, "profile_class", cancelling_after_two
         )
         configs = [
             c.canonical()
@@ -123,11 +123,12 @@ class TestCancellationToken:
             service.profile(
                 tiny_task, configs, graph=small_graph, cancel=token
             )
-        assert service.stats.executed == 2  # the two finished runs landed
+        finished = sum(calls)  # candidates of the two classes that trained
+        assert service.stats.executed == finished == 2
         service.profile(tiny_task, configs, graph=small_graph)
         # the retry re-measured only the remainder — nothing twice
         assert service.stats.executed == unique
-        assert service.stats.cache_hits == 2
+        assert service.stats.cache_hits == finished
 
     def test_pool_path_cancellation_commits_finished_futures(
         self, small_graph, tiny_task, slow_profiling

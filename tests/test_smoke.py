@@ -203,7 +203,7 @@ def test_network_smoke_remote_submit_and_warm_restart(tmp_path, capsys):
         )
         assert code == 0 and "job-0001 [done]" in out, out
         code, out = _run_cli(capsys, "stats", "--server", server.url)
-        assert code == 0 and "profiling:" in out
+        assert code == 0 and "profiling:" in out and " trainings)" in out, out
 
     # warm restart: a fresh process on the same store must profile nothing
     with _Server(store) as server:
@@ -215,7 +215,7 @@ def test_network_smoke_remote_submit_and_warm_restart(tmp_path, capsys):
         assert code == 0 and "[done]" in out, out
         code, out = _run_cli(capsys, "stats", "--server", server.url)
         assert code == 0
-        assert "profiling: 0 runs" in out, out
+        assert "profiling: 0 runs (0 trainings)" in out, out
 
 
 def test_follow_job_over_http_with_watch(capsys):
