@@ -17,8 +17,6 @@ from repro.autograd.functional import (
 from repro.autograd.sparse import (
     gather,
     normalized_adjacency,
-    scatter_add,
-    scatter_mean,
     segment_softmax,
     spmm,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "cross_entropy",
     "concat",
     "gather",
-    "scatter_add",
-    "scatter_mean",
     "segment_softmax",
     "spmm",
     "normalized_adjacency",

@@ -105,8 +105,14 @@ def dropout(
     *,
     training: bool = True,
     rng: np.random.Generator | None = None,
+    within: tuple[int, np.ndarray | None] | None = None,
 ) -> Tensor:
-    """Inverted dropout; identity when evaluating or when ``p == 0``."""
+    """Inverted dropout; identity when evaluating or when ``p == 0``.
+
+    ``within=(n, rows)`` says ``x`` holds rows ``rows`` (``None``: all) of an
+    ``n``-row tensor: the mask is drawn for all ``n`` and its ``rows`` are
+    applied, so the random stream does not depend on which rows were computed.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError("dropout probability must lie in [0, 1)")
     x = as_tensor(x)
@@ -114,7 +120,12 @@ def dropout(
         return x
     rng = rng or np.random.default_rng()
     # float32 draws are ~2x faster and precision is irrelevant for masking.
-    keep = (rng.random(x.data.shape, dtype=np.float32) >= p).astype(x.data.dtype)
+    if within is None:
+        draw = rng.random(x.data.shape, dtype=np.float32)
+    else:
+        draw = rng.random((within[0], *x.data.shape[1:]), dtype=np.float32)
+        draw = draw if within[1] is None else draw[within[1]]
+    keep = (draw >= p).astype(x.data.dtype)
     keep /= 1.0 - p
 
     def backward(grad: np.ndarray) -> None:

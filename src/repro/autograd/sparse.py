@@ -3,11 +3,11 @@
 GNN aggregation (Eq. 1 of the paper) reduces messages along edges.  The three
 primitives here cover every model we implement:
 
-* :func:`gather` — pick per-edge source rows from node embeddings;
-* :func:`scatter_add` / :func:`scatter_mean` — reduce edge messages to nodes;
+* :func:`gather` — pick rows of node embeddings;
 * :func:`segment_softmax` — per-destination softmax for GAT attention;
 * :func:`spmm` — CSR sparse × dense matmul (fixed topology, differentiable in
-  the dense operand), used by GCN/SAGE mean aggregation for speed;
+  the dense operand): GCN/SAGE aggregation, and GAT's per-edge gathers and
+  scatters through the matrices of :func:`edge_operators`;
 * :func:`normalized_adjacency` / :func:`row_block` — the propagation matrix
   of a (sub)graph and the rectangular share of it one layer multiplies by.
 """
@@ -22,12 +22,11 @@ from repro.graphs.csr import row_slots
 
 __all__ = [
     "gather",
-    "scatter_add",
-    "scatter_mean",
     "segment_softmax",
     "spmm",
     "normalized_adjacency",
     "row_block",
+    "edge_operators",
 ]
 
 
@@ -53,68 +52,33 @@ def gather(x: Tensor, index: np.ndarray, *, unique: bool = False) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-def scatter_add(src: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
-    """Sum rows of ``src`` into ``num_rows`` buckets given by ``index``."""
-    src = as_tensor(src)
-    index = np.asarray(index, dtype=np.int64)
-    if index.shape[0] != src.data.shape[0]:
-        raise ValueError("index length must match src rows")
-    out = np.zeros((num_rows,) + src.data.shape[1:], dtype=src.data.dtype)
-    np.add.at(out, index, src.data)
+def segment_softmax(values: Tensor, indptr: np.ndarray) -> Tensor:
+    """Softmax of ``values`` within each segment ``indptr[i]:indptr[i + 1]``
+    of its rows.
 
-    def backward(grad: np.ndarray) -> None:
-        src._accumulate_fresh(grad[index])
-
-    return Tensor._make(out, (src,), backward)
-
-
-def scatter_mean(src: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
-    """Mean-reduce rows of ``src`` per destination bucket (empty buckets → 0)."""
-    index = np.asarray(index, dtype=np.int64)
-    counts = np.bincount(index, minlength=num_rows).astype(np.float64)
-    counts = np.maximum(counts, 1.0).reshape((num_rows,) + (1,) * (src.data.ndim - 1))
-    summed = scatter_add(src, index, num_rows)
-    return summed * Tensor(1.0 / counts)
-
-
-def segment_softmax(
-    values: Tensor,
-    segment_ids: np.ndarray,
-    num_segments: int,
-    *,
-    scatter_matrix: sp.csr_matrix | None = None,
-) -> Tensor:
-    """Softmax of ``values`` computed independently within each segment.
-
-    Used for GAT: per-edge attention logits are normalised over all edges
-    sharing a destination vertex.  ``values`` may be 1-D (one head) or 2-D
-    ``(num_edges, num_heads)``.  ``scatter_matrix`` — a cached
-    ``(num_segments, num_edges)`` CSR summing rows per segment — replaces the
-    slow ``np.add.at`` reductions when supplied.
+    Used for GAT: the per-edge attention logits of a block are stored
+    destination-major, so the edges sharing a destination are one contiguous
+    run.  ``values`` may be 1-D (one head) or 2-D ``(num_edges, num_heads)``.
+    ``reduceat`` answers an empty segment with the next one's first row, so
+    one is an error (every block row holds at least its self-loop).
     """
     values = as_tensor(values)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    indptr = np.asarray(indptr, dtype=np.int64)
     data = values.data
-    trailing = data.shape[1:]
+    starts, counts = indptr[:-1], np.diff(indptr)
+    if indptr[0] != 0 or indptr[-1] != data.shape[0] or (counts <= 0).any():
+        raise ValueError("segments must be non-empty and cover every row of values")
 
-    def seg_sum_rows(rows: np.ndarray) -> np.ndarray:
-        if scatter_matrix is not None and rows.ndim == 2:
-            return scatter_matrix @ rows
-        total = np.zeros((num_segments,) + trailing, dtype=data.dtype)
-        np.add.at(total, segment_ids, rows)
-        return total
+    def per_row(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
+        return np.repeat(ufunc.reduceat(rows, starts, axis=0), counts, axis=0)
 
-    seg_max = np.full((num_segments,) + trailing, -np.inf, dtype=data.dtype)
-    np.maximum.at(seg_max, segment_ids, data)
-    shifted = data - seg_max[segment_ids]
-    exp = np.exp(shifted)
-    out = exp / seg_sum_rows(exp)[segment_ids]
+    exp = np.exp(data - per_row(np.maximum, data))
+    out = exp / per_row(np.add, exp)
 
     def backward(grad: np.ndarray) -> None:
         # d softmax: s * (g - sum_j s_j g_j) within each segment.
         weighted = out * grad
-        seg_dot = seg_sum_rows(weighted)
-        values._accumulate_fresh(weighted - out * seg_dot[segment_ids])
+        values._accumulate_fresh(weighted - out * per_row(np.add, weighted))
 
     return Tensor._make(out, (values,), backward)
 
@@ -270,3 +234,27 @@ def row_block(
         n = columns.size
     block = _canonical_csr(matrix.data[flat], indices, indptr, (rows.size, n))
     return block, self_index, columns
+
+
+def edge_operators(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, ...]:
+    """``(gather_src, scatter_src, gather_dst, scatter_dst)`` over the stored
+    entries of a canonical ``matrix``, one edge per entry in CSR order:
+    destination = row, source = column.
+
+    ``gather_src @ h`` (``(e, n_in)``) picks per-edge source rows,
+    ``gather_dst @ a`` (``(e, n_out)``) per-edge destination rows, and
+    ``scatter_dst @ m`` sums edge messages per destination; each ``scatter_*``
+    is its ``gather_*``'s transpose, so spmm backward passes reuse them.
+    Edges are destination-major, so ``scatter_dst`` is ``matrix``'s own
+    ``indptr`` over ``arange(e)`` — the contiguous segments
+    :func:`segment_softmax` reduces — and only ``gather_src`` is transposed.
+    """
+    n_out, n_in = matrix.shape
+    e = matrix.indices.size
+    ones = np.ones(e, dtype=matrix.dtype)
+    edge = np.arange(e + 1, dtype=np.int64)
+    dst = np.repeat(np.arange(n_out, dtype=np.int64), np.diff(matrix.indptr))
+    gather_src = _canonical_csr(ones, matrix.indices, edge, (e, n_in))
+    gather_dst = _canonical_csr(ones, dst, edge, (e, n_out))
+    scatter_dst = _canonical_csr(ones, edge[:-1], matrix.indptr, (n_out, e))
+    return gather_src, gather_src.T.tocsr(), gather_dst, scatter_dst

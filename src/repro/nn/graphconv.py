@@ -22,6 +22,7 @@ import scipy.sparse as sp
 
 from repro.autograd.functional import leaky_relu
 from repro.autograd.sparse import (
+    edge_operators,
     gather,
     normalized_adjacency,
     row_block,
@@ -60,21 +61,42 @@ class Block:
     matrix: it maps the embeddings of ``columns`` to those of ``rows``.
 
     ``self_index`` locates each output row among the input rows (the
-    diagonal of ``A`` keeps ``rows`` ⊆ ``columns``).  Layers read a block
-    through the same three members they read a :class:`Propagation` through:
-    ``kernel``, :meth:`operator` and :meth:`self_rows`.
+    diagonal of ``A`` keeps ``rows`` ⊆ ``columns``) and ``out_rows`` names
+    them in the propagation the block was cut from.  Layers read a block
+    through the same members they read a :class:`Propagation` through:
+    ``kernel``, :meth:`operator` / :meth:`edges` and :meth:`self_rows`.
+
+    Every layer aggregates at the CSR *row*: row ``v`` of the output is a
+    function of the stored entries of row ``v`` — their mean for SAGE, the
+    attention softmax over them for GAT.  A block keeps each of its rows
+    whole, so both normalise over exactly the entries the square matrix
+    holds.  (``CSRGraph`` is symmetric by contract and ``induced_subgraph``
+    keeps it so: on the graphs this repo trains on, a row's entries are the
+    vertex's in- and out-neighbours alike.)
     """
 
-    def __init__(self, matrix: sp.csr_matrix, self_index: np.ndarray, kernel) -> None:
+    def __init__(
+        self,
+        matrix: sp.csr_matrix,
+        self_index: np.ndarray,
+        kernel,
+        out_rows: np.ndarray,
+    ) -> None:
         self.matrix = matrix
         self.self_index = self_index
         self.kernel = kernel
+        self.out_rows = out_rows
 
     def operator(self, mode: str) -> tuple[sp.csr_matrix, dict]:
         """The block and the ``spmm`` keywords naming its transpose: none —
         ``spmm`` transposes on the first backward that reaches it, and the
         first layer's input takes no gradient."""
         return self.matrix, {}
+
+    def edges(self) -> tuple[sp.csr_matrix, ...]:
+        """Its :func:`~repro.autograd.sparse.edge_operators`, built per call:
+        a block serves one layer of one batch."""
+        return edge_operators(self.matrix)
 
     def self_rows(self, x: Tensor) -> Tensor:
         """The input rows that are this block's output vertices."""
@@ -85,16 +107,20 @@ class Propagation:
     """Message-passing structure of one (sub)graph, built lazily.
 
     ``sym``/``row`` are the GCN / mean-aggregation propagation matrices;
-    ``src``/``dst`` enumerate directed edges *including self-loops* for
-    attention layers.  ``kernel`` optionally selects the SpMM execution
-    backend; kernels cache their per-matrix plans on the matrices this
-    object memoises, so plans live exactly one topology.
+    :meth:`edges` enumerates the entries of ``row`` — every edge and every
+    self-loop — for attention layers.  ``kernel`` optionally selects the SpMM
+    execution backend; kernels cache their per-matrix plans on the matrices
+    this object memoises, so plans live exactly one topology.  As a layer's
+    block it is the square one: every row in (``self_rows``), every row out
+    (``out_rows`` is ``None``).
 
     ``rows`` (sorted, distinct) names the vertices whose output the caller
     reads — the loss targets of a mini-batch; ``None`` means all of them.
     A model returns exactly those rows and, through :meth:`blocks`, computes
     nothing else that they do not depend on.
     """
+
+    out_rows = None
 
     def __init__(
         self,
@@ -113,7 +139,7 @@ class Propagation:
         self._sym: sp.csr_matrix | None = None
         self._row: sp.csr_matrix | None = None
         self._row_t: sp.csr_matrix | None = None
-        self._coo: tuple[np.ndarray, np.ndarray] | None = None
+        self._edges: tuple[sp.csr_matrix, ...] | None = None
 
     @classmethod
     def from_graph(cls, graph, *, kernel=None, rows=None) -> "Propagation":
@@ -126,6 +152,13 @@ class Propagation:
         if mode == "sym":
             return self.sym, {"symmetric": True}
         return self.row, {"transposed": self.row_t}
+
+    def edges(self) -> tuple[sp.csr_matrix, ...]:
+        """:func:`~repro.autograd.sparse.edge_operators` of ``row``, kept
+        like the matrices: the full-graph propagation builds them once."""
+        if self._edges is None:
+            self._edges = edge_operators(self.row)
+        return self._edges
 
     def self_rows(self, x: Tensor) -> Tensor:
         """Square: every input row is an output vertex."""
@@ -151,8 +184,9 @@ class Propagation:
                 rows = None
             else:
                 square = self.sym if mode == "sym" else self.row
-                matrix, self_index, rows = row_block(square, rows)
-                blocks.append(Block(matrix, self_index, self.kernel))
+                matrix, self_index, columns = row_block(square, rows)
+                blocks.append(Block(matrix, self_index, self.kernel, rows))
+                rows = columns
         return blocks[::-1], rows
 
     @property
@@ -176,43 +210,6 @@ class Propagation:
         if self._row_t is None:
             self._row_t = self.row.T.tocsr()
         return self._row_t
-
-    @property
-    def edges_with_loops(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._coo is None:
-            degrees = np.diff(self.indptr)
-            src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), degrees)
-            loops = np.arange(self.num_nodes, dtype=np.int64)
-            self._coo = (
-                np.concatenate([src, loops]),
-                np.concatenate([self.indices, loops]),
-            )
-        return self._coo
-
-    def edge_matrices(self) -> dict[str, sp.csr_matrix]:
-        """Gather/scatter operators over the self-loop edge list.
-
-        ``gather_src @ h`` picks per-edge source rows; ``scatter_dst @ m``
-        sums edge messages per destination.  Each matrix's transpose is the
-        other direction's operator, so spmm backward passes reuse them —
-        this keeps GAT free of slow ``np.add.at`` scatters.
-        """
-        if not hasattr(self, "_edge_mats"):
-            from repro.autograd.tensor import get_default_dtype
-
-            src, dst = self.edges_with_loops
-            n, e = self.num_nodes, src.size
-            ones = np.ones(e, dtype=get_default_dtype())
-            rows = np.arange(e, dtype=np.int64)
-            gather_src = sp.csr_matrix((ones, (rows, src)), shape=(e, n))
-            gather_dst = sp.csr_matrix((ones, (rows, dst)), shape=(e, n))
-            self._edge_mats = {
-                "gather_src": gather_src,
-                "gather_dst": gather_dst,
-                "scatter_src": gather_src.T.tocsr(),
-                "scatter_dst": gather_dst.T.tocsr(),
-            }
-        return self._edge_mats
 
 
 class GCNConv(Module):
@@ -318,35 +315,28 @@ class GATConv(Module):
         )
 
     def forward(self, x: Tensor, prop: Propagation) -> Tensor:
-        src, dst = prop.edges_with_loops
-        mats = prop.edge_matrices()
-        n = prop.num_nodes
-        h = (x @ self.weight).reshape(n, self.heads, self.out_features)
+        gather_src, scatter_src, gather_dst, scatter_dst = prop.edges()
+        (e, n_in), n_out = gather_src.shape, scatter_dst.shape[0]
+        heads, width = self.heads, self.heads * self.out_features
+        h = (x @ self.weight).reshape(n_in, heads, self.out_features)
 
         # Per-node attention terms, then per-edge logits e_uv = a_s·h_u + a_d·h_v.
-        alpha_src = (h * self.att_src).sum(axis=2)  # (n, heads)
-        alpha_dst = (h * self.att_dst).sum(axis=2)
+        alpha_src = (h * self.att_src).sum(axis=2)  # (n_in, heads)
+        alpha_dst = (prop.self_rows(h) * self.att_dst).sum(axis=2)  # (n_out, heads)
         logits = leaky_relu(
-            _spmm(prop, mats["gather_src"], alpha_src, transposed=mats["scatter_src"])
-            + _spmm(prop, mats["gather_dst"], alpha_dst, transposed=mats["scatter_dst"]),
+            _spmm(prop, gather_src, alpha_src, transposed=scatter_src)
+            + _spmm(prop, gather_dst, alpha_dst, transposed=scatter_dst),
             self.negative_slope,
         )
-        att = segment_softmax(logits, dst, n, scatter_matrix=mats["scatter_dst"])
+        att = segment_softmax(logits, scatter_dst.indptr)
 
         messages = _spmm(
-            prop,
-            mats["gather_src"],
-            h.reshape(n, self.heads * self.out_features),
-            transposed=mats["scatter_src"],
-        ).reshape(src.size, self.heads, self.out_features)
-        weighted = messages * att.reshape(src.size, self.heads, 1)
-        out = _spmm(
-            prop,
-            mats["scatter_dst"],
-            weighted.reshape(src.size, self.heads * self.out_features),
-            transposed=mats["gather_dst"],
-        ).reshape(n, self.heads, self.out_features)
+            prop, gather_src, h.reshape(n_in, width), transposed=scatter_src
+        ).reshape(e, heads, self.out_features)
+        weighted = (messages * att.reshape(e, heads, 1)).reshape(e, width)
+        out = _spmm(prop, scatter_dst, weighted, transposed=gather_dst)
+        out = out.reshape(n_out, heads, self.out_features)
 
         if self.concat_heads:
-            return out.reshape(n, self.heads * self.out_features) + self.bias
+            return out.reshape(n_out, width) + self.bias
         return out.mean(axis=1) + self.bias

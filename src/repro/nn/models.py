@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.functional import dropout, elu, log_softmax, relu
-from repro.autograd.sparse import gather
 from repro.autograd.tensor import Tensor
 from repro.nn.graphconv import GATConv, GCNConv, Propagation, SAGEConv
 from repro.nn.module import Module
@@ -18,6 +17,26 @@ from repro.nn.module import Module
 __all__ = ["GNN", "build_model", "count_parameters", "MODEL_NAMES"]
 
 MODEL_NAMES = ("gcn", "sage", "gat")
+
+
+def _layer_dims(arch, in_features, hidden_channels, num_classes, num_layers, heads):
+    """``(d_in, d_out, last)`` of each layer of a :func:`build_model` network.
+
+    PyG convention for GAT: ``hidden_channels`` is the *total* width, split
+    across heads, so a hidden ``d_out`` is the width of one head (at least
+    one channel) and the next layer reads the ``heads * d_out`` the
+    concatenation really emits.  The output layer averages heads onto
+    ``num_classes``.
+    """
+    if arch not in MODEL_NAMES:
+        raise ValueError(f"unknown architecture {arch!r}; known: {MODEL_NAMES}")
+    hidden = max(hidden_channels // heads, 1) if arch == "gat" else hidden_channels
+    emitted = heads * hidden if arch == "gat" else hidden
+    dims, d_in = [], in_features
+    for _ in range(num_layers - 1):
+        dims.append((d_in, hidden, False))
+        d_in = emitted
+    return [*dims, (d_in, num_classes, True)]
 
 
 def count_parameters(
@@ -34,22 +53,18 @@ def count_parameters(
     Drives Γ_model (Eq. 10) inside the performance estimator, where building
     real weight arrays for thousands of candidates would be wasteful.
     """
-    if arch not in MODEL_NAMES:
-        raise ValueError(f"unknown architecture {arch!r}; known: {MODEL_NAMES}")
-    dims_in = [in_features] + [hidden_channels] * (num_layers - 1)
-    dims_out = [hidden_channels] * (num_layers - 1) + [num_classes]
     total = 0
-    for i, (d_in, d_out) in enumerate(zip(dims_in, dims_out, strict=True)):
-        last = i == num_layers - 1
+    for d_in, d_out, last in _layer_dims(
+        arch, in_features, hidden_channels, num_classes, num_layers, heads
+    ):
         if arch == "gcn":
             total += d_in * d_out + d_out
         elif arch == "sage":
             total += 2 * d_in * d_out + d_out
         else:
-            head_out = max(d_out // heads, 1) if not last else d_out
-            total += d_in * heads * head_out  # projection
-            total += 2 * heads * head_out  # att_src + att_dst
-            total += heads * head_out if not last else d_out  # bias
+            total += d_in * heads * d_out  # projection
+            total += 2 * heads * d_out  # att_src + att_dst
+            total += d_out if last else heads * d_out  # bias
     return total
 
 
@@ -69,8 +84,6 @@ class GNN(Module):
         seed: int = 0,
     ) -> None:
         super().__init__()
-        if arch not in MODEL_NAMES:
-            raise ValueError(f"unknown architecture {arch!r}; known: {MODEL_NAMES}")
         if num_layers < 1:
             raise ValueError("num_layers must be at least 1")
         rng = np.random.default_rng(seed)
@@ -81,21 +94,16 @@ class GNN(Module):
         self._rng = np.random.default_rng(seed + 1)  # dropout masks
 
         layers: list[Module] = []
-        dims_in = [in_features] + [hidden_channels] * (num_layers - 1)
-        dims_out = [hidden_channels] * (num_layers - 1) + [num_classes]
-        for i, (d_in, d_out) in enumerate(zip(dims_in, dims_out, strict=True)):
-            last = i == num_layers - 1
+        for d_in, d_out, last in _layer_dims(
+            arch, in_features, hidden_channels, num_classes, num_layers, heads
+        ):
             if arch == "gcn":
                 layers.append(GCNConv(d_in, d_out, rng=rng))
             elif arch == "sage":
                 layers.append(SAGEConv(d_in, d_out, rng=rng))
             else:
-                # PyG convention: hidden_channels is the *total* width, split
-                # across heads; concatenated heads restore it.  The output
-                # layer averages heads onto num_classes.
-                head_out = max(d_out // heads, 1) if not last else d_out
                 layers.append(
-                    GATConv(d_in, head_out, heads=heads, concat_heads=not last, rng=rng)
+                    GATConv(d_in, d_out, heads=heads, concat_heads=not last, rng=rng)
                 )
         self.layers = layers
 
@@ -103,22 +111,30 @@ class GNN(Module):
         """Log-probabilities of ``prop.rows`` (every vertex when ``None``)
         from the features ``x`` of all of ``prop``'s vertices.
 
-        GCN/SAGE layers multiply by ``prop``'s per-layer blocks, so only the
-        rows the result depends on are computed; attention normalises over
-        whole neighbourhoods through per-edge operators, so GAT computes
-        every row and selects.
+        Every layer runs on one of ``prop``'s per-layer blocks, so only the
+        rows the result depends on are computed.  A block keeps its rows
+        whole — SAGE's mean and GAT's attention softmax normalise over the
+        entries the square matrix holds — so the result is that of computing
+        every row and selecting, up to float reassociation.
+
+        GCN/SAGE dropout masks have the shape of the rows a layer produced.
+        GAT's are drawn over every vertex of ``prop`` and indexed by those
+        rows — the stream an all-rows forward draws (~2% of a GAT step) — so
+        that (i) block ≡ all-rows holds *with dropout on*, which
+        ``tests/test_batch_path.py`` asserts, and (ii) the trajectory stays
+        the one the all-rows path trained: the ledger's smoke ``train_gat``
+        sits one test vertex above its accuracy floor, and a block-shaped
+        stream lands below it.
         """
         # Fusing kernels take the hidden-layer relu inside the aggregation
         # call; the dropout draws have the same shapes and order either way,
         # so switching kernels never desynchronises the mask sequence.
+        gat = self.arch == "gat"
         kernel = getattr(prop, "kernel", None)
-        fuse = kernel is not None and kernel.fuses_epilogue and self.arch != "gat"
-        if self.arch == "gat":
-            blocks, inputs = [prop] * self.num_layers, None
-        else:
-            blocks, inputs = prop.blocks(
-                "sym" if self.arch == "gcn" else "row", self.num_layers
-            )
+        fuse = kernel is not None and kernel.fuses_epilogue and not gat
+        blocks, inputs = prop.blocks(
+            "sym" if self.arch == "gcn" else "row", self.num_layers
+        )
         h = x if inputs is None else x[inputs]
         for i, (layer, block) in enumerate(zip(self.layers, blocks, strict=True)):
             last = i == self.num_layers - 1
@@ -127,11 +143,15 @@ class GNN(Module):
             else:
                 h = layer(h, block)
                 if not last:
-                    h = elu(h) if self.arch == "gat" else relu(h)
+                    h = elu(h) if gat else relu(h)
             if not last:
-                h = dropout(h, self.dropout_p, training=self.training, rng=self._rng)
-        if self.arch == "gat" and prop.rows is not None:
-            h = gather(h, prop.rows, unique=True)
+                h = dropout(
+                    h,
+                    self.dropout_p,
+                    training=self.training,
+                    rng=self._rng,
+                    within=(prop.num_nodes, block.out_rows) if gat else None,
+                )
         return log_softmax(h, axis=-1)
 
 

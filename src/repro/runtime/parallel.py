@@ -81,7 +81,13 @@ _META_VERSION = 1
 #: multiply by per-layer row blocks and dropout masks cover only the rows a
 #: layer produces, so float32 sums reassociate and the mask sequence differs.
 #: Losses and accuracies of version 1 are not reproducible by this code.
-GROUND_TRUTH_VERSION = 2
+#:
+#: 3 — GAT layers run on the same per-layer blocks (PR 19) with edges stored
+#: destination-major, in training and in ``evaluate`` alike: float32 sums
+#: reassociate, so GAT losses and accuracies of version 2 are not
+#: reproducible bit for bit.  The ``T``/``Γ`` fields of every record and all
+#: of a GCN/SAGE record are what version 2 measured.
+GROUND_TRUTH_VERSION = 3
 
 
 # ------------------------------------------------------------- cancellation

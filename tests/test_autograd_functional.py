@@ -21,8 +21,6 @@ from repro.autograd import (
     nll_loss,
     normalized_adjacency,
     relu,
-    scatter_add,
-    scatter_mean,
     segment_softmax,
     sigmoid,
     spmm,
@@ -121,51 +119,38 @@ class TestSparseOps:
         idx = np.array([0, 1, 1, 2])
         check_gradient(lambda t: gather(t, idx) * 2.0, (3, 2), seed=10)
 
-    def test_scatter_add_forward(self):
-        src = Tensor(np.ones((4, 2)))
-        out = scatter_add(src, np.array([0, 0, 1, 1]), 3)
-        np.testing.assert_allclose(out.numpy(), [[2, 2], [2, 2], [0, 0]])
-
-    def test_scatter_add_gradient(self):
-        idx = np.array([0, 1, 1, 0])
-        check_gradient(lambda t: scatter_add(t, idx, 2), (4, 3), seed=11)
-
-    def test_scatter_add_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            scatter_add(Tensor(np.ones((3, 2))), np.array([0, 1]), 2)
-
-    def test_scatter_mean_empty_bucket_zero(self):
-        src = Tensor(np.ones((2, 2)))
-        out = scatter_mean(src, np.array([0, 0]), 3)
-        np.testing.assert_allclose(out.numpy()[1:], 0.0)
-        np.testing.assert_allclose(out.numpy()[0], 1.0)
-
     def test_segment_softmax_sums_to_one(self):
         vals = Tensor(np.random.default_rng(2).normal(size=(6, 2)))
-        seg = np.array([0, 0, 0, 1, 1, 2])
-        out = segment_softmax(vals, seg, 3).numpy()
-        for s in range(3):
-            np.testing.assert_allclose(out[seg == s].sum(axis=0), 1.0, rtol=1e-5)
+        indptr = np.array([0, 3, 5, 6])
+        out = segment_softmax(vals, indptr).numpy()
+        for lo, hi in zip(indptr[:-1], indptr[1:], strict=True):
+            np.testing.assert_allclose(out[lo:hi].sum(axis=0), 1.0, rtol=1e-5)
+
+    def test_segment_softmax_is_softmax_per_segment(self):
+        rng = np.random.default_rng(4)
+        indptr = np.array([0, 1, 5, 7, 12])
+        for shape in [(12,), (12, 3)]:
+            vals = rng.normal(size=shape) * 5
+            out = segment_softmax(Tensor(vals), indptr).numpy()
+            for lo, hi in zip(indptr[:-1], indptr[1:], strict=True):
+                want = np.exp(vals[lo:hi] - vals[lo:hi].max(axis=0))
+                np.testing.assert_allclose(out[lo:hi], want / want.sum(axis=0), rtol=1e-5)
 
     def test_segment_softmax_gradient(self):
-        seg = np.array([0, 0, 1, 1, 1])
+        indptr = np.array([0, 2, 5])
         check_gradient(
-            lambda t: segment_softmax(t, seg, 2) * np.arange(10).reshape(5, 2),
+            lambda t: segment_softmax(t, indptr) * np.arange(10).reshape(5, 2),
             (5, 2),
             seed=12,
         )
 
-    def test_segment_softmax_matrix_path_matches(self):
-        rng = np.random.default_rng(3)
-        seg = np.sort(rng.integers(0, 4, size=12))
-        vals = rng.normal(size=(12, 3))
-        mat = sp.csr_matrix(
-            (np.ones(12), (seg, np.arange(12))), shape=(4, 12)
-        )
-        with default_dtype(np.float64):
-            a = segment_softmax(Tensor(vals), seg, 4).numpy()
-            b = segment_softmax(Tensor(vals), seg, 4, scatter_matrix=mat).numpy()
-        np.testing.assert_allclose(a, b, rtol=1e-10)
+    @pytest.mark.parametrize(
+        "indptr", [[0, 2, 2, 5], [0, 2, 4], [1, 3, 5], [0, 3, 2, 5]]
+    )
+    def test_segment_softmax_rejects_empty_or_partial_segments(self, indptr):
+        # ``reduceat`` would answer an empty segment with its neighbour's row
+        with pytest.raises(ValueError, match="non-empty"):
+            segment_softmax(Tensor(np.ones((5, 2))), np.array(indptr))
 
 
 class TestSpmm:

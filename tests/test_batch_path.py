@@ -1,24 +1,32 @@
 """The per-batch path: sampler -> relabelled block -> the rows the loss reads.
 
 ``RuntimeBackend._train_step`` tells the model which rows the loss reads and
-GCN/SAGE layers multiply by per-layer rectangular blocks of the propagation
-matrix.  The path it replaced — every layer on every vertex of the sampled
-subgraph, then ``out[target_index]`` — is kept here as the *reference
-implementation*; the block path must agree with it on the loss and on every
-parameter gradient, for every sampler, depth and kernel.
+every layer — GCN, SAGE and GAT alike — runs on a per-layer rectangular block
+of the propagation matrix.  The path it replaced — every layer on every vertex
+of the sampled subgraph, then ``out[target_index]`` — is kept here as the
+*reference implementation*; the block path must agree with it on the loss and
+on every parameter gradient, for every architecture, sampler, depth and
+kernel.  GAT draws its dropout masks over the whole subgraph, as the
+reference does, so for GAT the two also agree with dropout on.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.autograd.functional import elu, log_softmax, nll_loss, relu
+import repro.nn.graphconv as graphconv
+from repro.autograd.functional import dropout, elu, log_softmax, nll_loss, relu
 from repro.autograd.sparse import normalized_adjacency, row_block
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.tensor import Tensor, default_dtype, no_grad
 from repro.config.settings import KERNEL_NAMES, TaskSpec, TrainingConfig
 from repro.nn.graphconv import Propagation
 from repro.nn.metrics import accuracy
+from repro.nn.models import build_model
 from repro.runtime.backend import RuntimeBackend
 from repro.runtime.kernels import get_kernel
 
@@ -56,21 +64,31 @@ def _loss_rows(backend, batch) -> np.ndarray:
     return index[backend._train_mask[batch.nodes[index]]]
 
 
-def reference_step(backend, batch) -> tuple[float, list[np.ndarray]]:
-    """All-rows forward + row selection: the path the blocks replaced."""
-    model = backend.model
-    model.train()
-    for param in model.parameters():
-        param.zero_grad()
-    prop = Propagation.from_graph(batch.subgraph)  # square, kernel=None
-    h = Tensor(backend.graph.features[batch.nodes])
+def all_rows_forward(model, x: Tensor, prop: Propagation) -> Tensor:
+    """Every layer on every vertex of the square ``prop``; dropout masks
+    cover every vertex.  Log-probabilities of all rows."""
+    h = x
     for i, layer in enumerate(model.layers):
         h = layer(h, prop)
         if i < model.num_layers - 1:
             h = elu(h) if model.arch == "gat" else relu(h)
+            h = dropout(h, model.dropout_p, training=model.training, rng=model._rng)
+    return log_softmax(h, axis=-1)
+
+
+def reference_step(backend, batch) -> tuple[float, list[np.ndarray]]:
+    """All-rows forward + row selection: the path the blocks replaced.
+    Leaves the dropout stream where it found it."""
+    model = backend.model
+    model.train()
+    for param in model.parameters():
+        param.zero_grad()
+    stream = model._rng.bit_generator.state
+    prop = Propagation.from_graph(batch.subgraph)  # square, kernel=None
+    h = all_rows_forward(model, Tensor(backend.graph.features[batch.nodes]), prop)
+    model._rng.bit_generator.state = stream
     rows = _loss_rows(backend, batch)
-    out = log_softmax(h, axis=-1)[rows]
-    loss = nll_loss(out, backend.graph.labels[batch.nodes[rows]])
+    loss = nll_loss(h[rows], backend.graph.labels[batch.nodes[rows]])
     loss.backward()
     return loss.item(), [p.grad.copy() for p in model.parameters()]
 
@@ -82,41 +100,44 @@ def block_step(backend, batch) -> tuple[float, list[np.ndarray]]:
     return loss, [p.grad.copy() for p in backend.model.parameters()]
 
 
+def assert_block_step_equals_reference(backend, batch) -> None:
+    want_loss, want_grads = reference_step(backend, batch)
+    loss, grads = block_step(backend, batch)
+    assert loss == pytest.approx(want_loss, abs=1e-5)
+    for got, want in zip(grads, want_grads, strict=True):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+
+
 class TestBlockPathEqualsAllRowsReference:
     @pytest.mark.parametrize("kernel_name", KERNELS)
     @pytest.mark.parametrize("sampler", SAMPLERS)
     @pytest.mark.parametrize("num_layers", [1, 2, 3])
-    @pytest.mark.parametrize("arch", ["gcn", "sage"])
+    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
     def test_loss_and_gradients(self, small_graph, arch, num_layers, sampler, kernel_name):
         backend = _backend(small_graph, arch, sampler, num_layers, kernel_name)
-        batch = _first_batch(backend)
-        want_loss, want_grads = reference_step(backend, batch)
-        loss, grads = block_step(backend, batch)
-        assert loss == pytest.approx(want_loss, abs=1e-5)
-        for got, want in zip(grads, want_grads, strict=True):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
+        assert_block_step_equals_reference(backend, _first_batch(backend))
 
+    @pytest.mark.parametrize("kernel_name", KERNELS)
     @pytest.mark.parametrize("sampler", SAMPLERS)
-    def test_gat_still_computes_every_row(self, small_graph, sampler):
-        backend = _backend(small_graph, "gat", sampler, 2, "reference")
+    @pytest.mark.parametrize("num_layers", [2, 3])
+    def test_gat_with_dropout_on(self, small_graph, num_layers, sampler, kernel_name):
+        """GAT's masks are rows of the draw the all-rows forward makes, so
+        the comparison GCN/SAGE can only pass at ``dropout=0`` holds at 0.5."""
+        backend = _backend(
+            small_graph, "gat", sampler, num_layers, kernel_name, dropout=0.5
+        )
         batch = _first_batch(backend)
-        want_loss, want_grads = reference_step(backend, batch)
-        loss, grads = block_step(backend, batch)
-        assert loss == pytest.approx(want_loss, abs=1e-6)
-        for got, want in zip(grads, want_grads, strict=True):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
-
-    def test_gat_output_rows_are_the_all_rows_output(self, small_graph):
-        backend = _backend(small_graph, "gat", "sage", 2, "reference")
-        batch = _first_batch(backend)
-        x = Tensor(small_graph.features[batch.nodes])
-        backend.model.eval()
-        with no_grad():
-            full = backend.model(x, Propagation.from_graph(batch.subgraph))
-            rows = backend.model(
-                x, Propagation.from_graph(batch.subgraph, rows=batch.target_index)
-            )
-        np.testing.assert_array_equal(rows.data, full.data[batch.target_index])
+        stream = backend.model._rng.bit_generator
+        start = stream.state
+        assert_block_step_equals_reference(backend, batch)
+        # ... and both consume the same stretch of the stream
+        after, stream.state = stream.state, start
+        all_rows_forward(
+            backend.model,
+            Tensor(small_graph.features[batch.nodes]),
+            Propagation.from_graph(batch.subgraph),
+        )
+        assert stream.state == after != start
 
 
 class TestRowsAllIsTheSquareCase:
@@ -210,7 +231,7 @@ class TestLossTrajectoryWithDropout:
         return np.array([e.loss for e in report.epochs]), report.accuracy
 
     @pytest.mark.parametrize("sampler", ["sage", "saint"])
-    @pytest.mark.parametrize("arch", ["gcn", "sage"])
+    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
     def test_reference_bit_identical_to_legacy(self, small_graph, arch, sampler):
         legacy_losses, legacy_acc = self._losses(small_graph, arch, sampler, None)
         losses, acc = self._losses(small_graph, arch, sampler, "reference")
@@ -219,29 +240,114 @@ class TestLossTrajectoryWithDropout:
 
     @pytest.mark.parametrize("kernel_name", ["fused", "parallel"])
     @pytest.mark.parametrize("sampler", ["sage", "saint"])
-    @pytest.mark.parametrize("arch", ["gcn", "sage"])
+    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
     def test_optimized_within_tolerance(self, small_graph, arch, sampler, kernel_name):
         legacy_losses, _ = self._losses(small_graph, arch, sampler, None)
         losses, _ = self._losses(small_graph, arch, sampler, kernel_name)
         np.testing.assert_allclose(losses, legacy_losses, rtol=1e-3, atol=1e-4)
 
+    @staticmethod
+    def _drawn_shapes(graph, arch, kernel_name):
+        backend = _backend(graph, arch, "sage", 3, kernel_name, dropout=0.5)
+        batch = _first_batch(backend)
+        drawn = []
+        real = backend.model._rng.random
+
+        class Recorder:
+            def random(self, shape, **kwargs):
+                drawn.append(tuple(shape))
+                return real(shape, **kwargs)
+
+        backend.model._rng = Recorder()
+        backend._train_step(batch)
+        return batch, drawn
+
     def test_kernels_draw_the_same_dropout_masks(self, small_graph):
-        shapes = {}
-        for kernel_name in KERNELS:
-            backend = _backend(small_graph, "sage", "sage", 3, kernel_name, dropout=0.5)
-            batch = _first_batch(backend)
-            drawn = []
-            rng = backend.model._rng
-            real = rng.random
-
-            class Recorder:
-                def random(self, shape, **kwargs):
-                    drawn.append(tuple(shape))
-                    return real(shape, **kwargs)
-
-            backend.model._rng = Recorder()
-            backend._train_step(batch)
-            shapes[kernel_name] = drawn
+        shapes = {
+            kernel_name: self._drawn_shapes(small_graph, "sage", kernel_name)[1]
+            for kernel_name in KERNELS
+        }
         assert len(shapes[None]) == 2
         assert all(drawn == shapes[None] for drawn in shapes.values())
         assert get_kernel("fused").fuses_epilogue  # the path that once diverged
+
+    def test_gat_masks_cover_the_subgraph_and_sage_masks_the_block(self, small_graph):
+        batch, gat = self._drawn_shapes(small_graph, "gat", "reference")
+        assert gat == [(batch.num_nodes, 16)] * 2
+        batch, sage = self._drawn_shapes(small_graph, "sage", "reference")
+        assert [width for _, width in sage] == [16, 16]
+        assert sage[1][0] < batch.num_nodes and sage[1][0] <= sage[0][0]
+
+
+# --------------------------------------------------------------- properties
+def _symmetric_prop(n: int, pairs: list[tuple[int, int]], rows=None) -> Propagation:
+    """Undirected simple graph over ``n`` vertices (those no pair names stay
+    isolated) as a propagation."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in pairs:
+        if u % n != v % n:
+            adj[u % n, v % n] = adj[v % n, u % n] = True
+    indptr = np.concatenate([[0], np.cumsum(adj.sum(axis=1))])
+    return Propagation(indptr, np.nonzero(adj)[1], n, rows=rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    pairs=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=40),
+    picked=st.sets(st.integers(0, 23), min_size=1),
+    num_layers=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_gat_blocks_equal_all_rows_on_random_graphs(n, pairs, picked, num_layers, seed):
+    """Outputs and every parameter gradient of block GAT equal all-rows GAT
+    (dropout on: both read one mask stream); ``rows=all`` is ``rows=None``
+    bit for bit; hidden layers shrink towards the targets; attention over
+    every block row sums to one."""
+    rows = np.array(sorted({v % n for v in picked}))
+    rng = np.random.default_rng(seed)
+    attention = []
+
+    def recording_softmax(values, indptr):
+        out = real_softmax(values, indptr)
+        attention.append((out.data, indptr))
+        return out
+
+    real_softmax = graphconv.segment_softmax
+    with default_dtype(np.float64):
+        model = build_model(
+            "gat", 5, 3, hidden_channels=6, heads=2, num_layers=num_layers, seed=seed
+        )
+        x = Tensor(rng.normal(size=(n, 5)))
+        weights = rng.normal(size=(rows.size, 3))
+
+        def grads(out: Tensor) -> list[np.ndarray]:
+            for param in model.parameters():
+                param.zero_grad()
+            (out * weights).sum().backward()
+            return [param.grad.copy() for param in model.parameters()]
+
+        stream = model._rng.bit_generator
+        start = stream.state
+        want = all_rows_forward(model, x, _symmetric_prop(n, pairs))[rows]
+        want_grads = grads(want)
+        stream.state = start
+        with mock.patch.object(graphconv, "segment_softmax", recording_softmax):
+            got = model(x, _symmetric_prop(n, pairs, rows=rows))
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-10)
+        for grad, want_grad in zip(grads(got), want_grads, strict=True):
+            np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-10)
+
+        model.eval()
+        with no_grad():
+            every = model(x, _symmetric_prop(n, pairs, rows=np.arange(n)))
+            square = model(x, _symmetric_prop(n, pairs))
+        np.testing.assert_array_equal(every.data, square.data)
+
+    blocks, inputs = _symmetric_prop(n, pairs, rows=rows).blocks("row", num_layers)
+    outs = [n if block.out_rows is None else block.out_rows.size for block in blocks]
+    assert outs == sorted(outs, reverse=True) and outs[-1] in (rows.size, n)
+    assert (n if inputs is None else inputs.size) >= outs[0]
+    assert [indptr.size - 1 for _, indptr in attention] == outs
+    for att, indptr in attention:
+        np.testing.assert_allclose(np.add.reduceat(att, indptr[:-1]), 1.0, rtol=1e-12)

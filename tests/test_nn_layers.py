@@ -100,16 +100,59 @@ class TestConvLayers:
 
 
 class TestPropagation:
-    def test_edge_matrices_shapes(self):
+    def test_edge_operators_shapes(self):
         prop = _line_prop(4)
-        mats = prop.edge_matrices()
+        gather_src, scatter_src, gather_dst, scatter_dst = prop.edges()
         e = prop.indices.size + 4  # + self loops
-        assert mats["gather_src"].shape == (e, 4)
-        assert mats["scatter_dst"].shape == (4, e)
+        assert gather_src.shape == gather_dst.shape == (e, 4)
+        assert scatter_src.shape == scatter_dst.shape == (4, e)
+        # one edge per stored entry of ``row``, destination-major
+        dst, src = prop.row.nonzero()
+        np.testing.assert_array_equal(gather_src.indices, src)
+        np.testing.assert_array_equal(gather_dst.indices, dst)
+        assert scatter_dst.indptr is prop.row.indptr
 
-    def test_edge_matrices_cached(self):
+    def test_edge_operators_of_a_block(self):
+        prop = _line_prop(6)
+        prop.rows = np.array([0, 3])
+        (block,), inputs = prop.blocks("row", 1)
+        np.testing.assert_array_equal(inputs, [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(block.out_rows, [0, 3])
+        gather_src, scatter_src, gather_dst, scatter_dst = block.edges()
+        e = block.matrix.nnz  # rows 0 and 3 of the path, loops included
+        assert e == 2 + 3
+        assert gather_src.shape == (e, 5) and gather_dst.shape == (e, 2)
+        for gather, scatter in ((gather_src, scatter_src), (gather_dst, scatter_dst)):
+            np.testing.assert_array_equal(scatter.toarray(), gather.toarray().T)
+            np.testing.assert_array_equal(gather.toarray().sum(axis=1), 1)
+        np.testing.assert_array_equal(gather_src.indices, [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(gather_dst.indices, [0, 0, 1, 1, 1])
+
+    def test_edge_operators_cached_on_the_square_propagation(self):
         prop = _line_prop(4)
-        assert prop.edge_matrices() is prop.edge_matrices()
+        assert prop.edges() is prop.edges()
+
+    def test_gat_attends_over_the_entries_of_its_own_row(self):
+        """Aggregation is at the CSR row for every architecture: on a
+        deliberately directed propagation (row 0 stores 1 and 2, rows 1 and
+        2 store nothing) GAT vertex 0 mixes all three and vertices 1, 2 see
+        only their self-loop — the rows SAGE's mean reads."""
+        prop = Propagation(np.array([0, 2, 2, 2]), np.array([1, 2]), 3)
+        x = np.random.default_rng(0).normal(size=(3, 4))
+        with default_dtype(np.float64):
+            gat = GATConv(4, 2, heads=2, rng=np.random.default_rng(1))
+            out = gat(Tensor(x), prop).numpy()
+            h = x @ gat.weight.data
+            np.testing.assert_allclose(out[1:], h[1:], rtol=1e-12)  # softmax of one
+            heads = h.reshape(3, 2, 2)
+            logits = (heads * gat.att_src.data).sum(axis=2) + (
+                heads[0] * gat.att_dst.data
+            ).sum(axis=1)
+            logits = np.where(logits > 0, logits, 0.2 * logits)
+            att = np.exp(logits) / np.exp(logits).sum(axis=0)
+            want = (att[:, :, None] * heads).sum(axis=0).reshape(4)
+            np.testing.assert_allclose(out[0], want, rtol=1e-12)
+        np.testing.assert_array_equal(prop.row.toarray() > 0, [[1, 1, 1], [0, 1, 0], [0, 0, 1]])
 
     def test_row_t_is_transpose(self):
         prop = _line_prop(4)
@@ -142,6 +185,22 @@ class TestGNNModels:
         model = build_model(arch, 12, 7, hidden_channels=16, heads=4, seed=0)
         counted = count_parameters(arch, 12, 7, hidden_channels=16, heads=4)
         assert model.num_parameters() == counted
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("hidden", [2, 16, 64])
+    @pytest.mark.parametrize("heads", [1, 3, 4, 8])
+    def test_gat_runs_at_any_heads_and_width(self, heads, hidden, num_layers):
+        """A hidden layer emits ``heads * (hidden // heads)`` channels (one a
+        head at least) and the next layer is built for that, whether or not
+        ``heads`` divides ``hidden_channels``."""
+        knobs = dict(hidden_channels=hidden, heads=heads, num_layers=num_layers)
+        model = build_model("gat", 8, 3, **knobs, seed=0)
+        assert count_parameters("gat", 8, 3, **knobs) == model.num_parameters()
+        x = Tensor(np.random.default_rng(0).normal(size=(6, 8)))
+        out = model(x, _line_prop(6))
+        assert out.shape == (6, 3)
+        nll_loss(out, np.arange(6) % 3).backward()
+        assert all(np.isfinite(p.grad).all() for p in model.parameters())
 
     def test_three_layer_count_matches(self):
         model = build_model("sage", 10, 4, hidden_channels=8, num_layers=3)

@@ -140,18 +140,20 @@ class TestProfilingService:
         assert records[0].config.kernel == configs[0].kernel
         assert json.loads(victim.read_text())["record"]["config"]["kernel"] != "reorder"
 
-    def test_entry_keyed_under_ground_truth_version_1_is_a_miss(
-        self, small_graph, tiny_task, configs, tmp_path, monkeypatch
+    @pytest.mark.parametrize("older", [1, 2])
+    def test_entry_keyed_under_an_older_ground_truth_version_is_a_miss(
+        self, small_graph, tiny_task, configs, tmp_path, older
     ):
-        """PR 13 bumped ``GROUND_TRUTH_VERSION`` 1 -> 2: what a version-1
-        store holds stops matching and is measured again — never an error,
-        and never served as if this code had produced it."""
+        """``GROUND_TRUTH_VERSION`` went 1 -> 2 with the batch path (PR 13)
+        and 2 -> 3 with GAT on blocks (PR 19): what an older store holds
+        stops matching and is measured again — never an error, and never
+        served as if this code had produced it."""
         import repro.runtime.parallel as parallel
 
-        assert parallel.GROUND_TRUTH_VERSION == 2
+        assert parallel.GROUND_TRUTH_VERSION == 3
         fingerprint = graph_fingerprint(small_graph)
-        with monkeypatch.context() as patch:
-            patch.setattr(parallel, "GROUND_TRUTH_VERSION", 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "GROUND_TRUTH_VERSION", older)
             old_key = candidate_key(tiny_task, configs[0], fingerprint)
             ProfilingService(cache_dir=tmp_path).profile(
                 tiny_task, configs[:1], graph=small_graph

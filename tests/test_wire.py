@@ -205,7 +205,14 @@ class TestGoldenWire:
     def test_every_sample_has_a_golden_payload(self):
         assert {case["sample"] for case in GOLDEN["payloads"]} == set(SAMPLES)
 
-    def test_candidate_keys_did_not_move(self):
+    def test_candidate_keys_did_not_move(self, monkeypatch):
+        """What the codec contributes to a key is what the hand-written
+        functions did.  The golden key was taken at ``GROUND_TRUTH_VERSION``
+        2; the version is the one part of the payload meant to move."""
+        import repro.runtime.parallel as parallel
+
+        assert candidate_key(TASK, CONFIG, FINGERPRINT) != GOLDEN["candidate_key"]
+        monkeypatch.setattr(parallel, "GROUND_TRUTH_VERSION", 2)
         assert candidate_key(TASK, CONFIG, FINGERPRINT) == GOLDEN["candidate_key"]
 
     def test_a_store_written_before_the_codec_loads_and_is_rewritten_equal(
