@@ -7,12 +7,17 @@ primitives here cover every model we implement:
 * :func:`segment_softmax` — per-destination softmax for GAT attention;
 * :func:`spmm` — CSR sparse × dense matmul (fixed topology, differentiable in
   the dense operand): GCN/SAGE aggregation, and GAT's per-edge gathers and
-  scatters through the matrices of :func:`edge_operators`;
+  scatters through the matrices of :func:`edge_operators`.  Every product
+  it runs, forward and backward, is timed into one process-wide counter
+  (:func:`spmm_stats`);
 * :func:`normalized_adjacency` / :func:`row_block` — the propagation matrix
   of a (sub)graph and the rectangular share of it one layer multiplies by.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,10 +29,16 @@ __all__ = [
     "gather",
     "segment_softmax",
     "spmm",
+    "spmm_stats",
+    "reset_spmm_stats",
     "normalized_adjacency",
     "row_block",
     "edge_operators",
 ]
+
+_SPMM_LOCK = threading.Lock()
+#: ``[calls, seconds]`` of every product :func:`spmm` ran
+_SPMM_STATS = [0, 0.0]  # guarded-by: _SPMM_LOCK
 
 
 def gather(x: Tensor, index: np.ndarray, *, unique: bool = False) -> Tensor:
@@ -95,10 +106,11 @@ def spmm(
     The backward pass needs ``matrix.T``; pass ``symmetric=True`` for
     symmetric propagation matrices (GCN's ``D^-1/2 Â D^-1/2``) or a cached
     ``transposed`` matrix to avoid re-transposing per call.  Otherwise the
-    transpose is computed lazily on first backward and memoised.
+    transpose is computed lazily on first backward and memoised.  ``matrix``
+    may be rectangular: a layer's block maps ``n_in`` rows to ``n_out``.
     """
     x = as_tensor(x)
-    out = matrix @ x.data
+    out = _timed_product(matrix, x.data)
     state: dict[str, sp.csr_matrix] = {}
     if symmetric:
         state["T"] = matrix
@@ -108,9 +120,32 @@ def spmm(
     def backward(grad: np.ndarray) -> None:
         if "T" not in state:
             state["T"] = matrix.T.tocsr()
-        x._accumulate_fresh(state["T"] @ grad)
+        x._accumulate_fresh(_timed_product(state["T"], grad))
 
     return Tensor._make(np.asarray(out), (x,), backward)
+
+
+def _timed_product(matrix: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
+    start = time.perf_counter()
+    out = matrix @ dense
+    elapsed = time.perf_counter() - start
+    with _SPMM_LOCK:
+        _SPMM_STATS[0] += 1
+        _SPMM_STATS[1] += elapsed
+    return out
+
+
+def spmm_stats() -> tuple[int, float]:
+    """``(calls, seconds)`` of every sparse product :func:`spmm` has run in
+    this process, forward and backward alike."""
+    with _SPMM_LOCK:
+        return _SPMM_STATS[0], _SPMM_STATS[1]
+
+
+def reset_spmm_stats() -> None:
+    """Zero the counter (test and bench isolation)."""
+    with _SPMM_LOCK:
+        _SPMM_STATS[:] = [0, 0.0]
 
 
 def _canonical_csr(

@@ -27,7 +27,7 @@ import os
 import sys
 
 from repro.analysis.cli import add_lint_arguments, run_lint
-from repro.config import KERNEL_NAMES, TaskSpec, get_template, template_names
+from repro.config import TaskSpec, get_template, template_names
 from repro.errors import ServingError
 from repro.experiments.tables import render_table
 from repro.explorer import GNNavigator, RuntimeConstraint
@@ -91,13 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     nav.add_argument("--max-time-ms", type=float, default=None)
     nav.add_argument("--max-memory-mib", type=float, default=None)
     nav.add_argument("--min-accuracy", type=float, default=None)
-    nav.add_argument(
-        "--kernel",
-        default=None,
-        choices=list(KERNEL_NAMES),
-        help="SpMM execution backend for every explored candidate "
-        "(default: the config default, i.e. $REPRO_KERNEL or 'reference')",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -365,12 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     tmpl.add_argument("--dataset", default="reddit2")
     tmpl.add_argument("--arch", default="sage", choices=["gcn", "sage", "gat"])
     tmpl.add_argument("--epochs", type=int, default=4)
-    tmpl.add_argument(
-        "--kernel",
-        default=None,
-        choices=list(KERNEL_NAMES),
-        help="SpMM execution backend to run the templates under",
-    )
 
     transfer = sub.add_parser(
         "transfer",
@@ -430,19 +417,8 @@ def _cmd_navigate(args: argparse.Namespace) -> int:
         if cache_dir is None:
             cache_dir = str(default_store_dir())
         transfer = TransferContext(TransferCorpus(ResultStore(cache_dir)))
-    space = None
-    if args.kernel is not None:
-        # Rebase the full space so every explored candidate (and therefore
-        # the applied guideline) carries the requested kernel.
-        from dataclasses import replace
-
-        from repro.config import DesignSpace, default_space
-
-        full = default_space()
-        space = DesignSpace(full.domains, base=replace(full.base, kernel=args.kernel))
     nav = GNNavigator(
         task,
-        space=space,
         profile_budget=args.budget,
         workers=args.workers,
         cache_dir=cache_dir,
@@ -783,15 +759,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_templates(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
     task = TaskSpec(dataset=args.dataset, arch=args.arch, epochs=args.epochs)
     rows = []
     for name in template_names():
-        config = get_template(name)
-        if args.kernel is not None:
-            config = replace(config, kernel=args.kernel)
-        report = RuntimeBackend(task, config).train()
+        report = RuntimeBackend(task, get_template(name)).train()
         rows.append(
             [
                 name,

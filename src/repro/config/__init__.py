@@ -1,7 +1,6 @@
 """Configurations: candidate settings, system templates and the design space."""
 
 from repro.config.settings import (
-    KERNEL_NAMES,
     ORDER_NAMES,
     REORDER_NAMES,
     SAMPLER_NAMES,
@@ -17,7 +16,6 @@ __all__ = [
     "SAMPLER_NAMES",
     "REORDER_NAMES",
     "ORDER_NAMES",
-    "KERNEL_NAMES",
     "DesignSpace",
     "default_space",
     "reduced_space",

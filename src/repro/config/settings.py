@@ -11,7 +11,7 @@ Cat. 1 Sampling           ``batch_size``, ``sampler``, ``hop_list``,
 Cat. 2 Transmission       ``cache_ratio``, ``cache_policy``
 Cat. 3 Model design       ``hidden_channels``, ``num_layers``, ``heads``,
                           ``dropout``
-Cat. 4 Computation        ``reorder``, ``kernel``
+Cat. 4 Computation        ``reorder``
 ========================  =====================================
 
 Pre-determined settings (dataset, architecture, platform, epochs, learning
@@ -21,7 +21,6 @@ explorer (Fig. 4 "Pre-determined Settings").
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,30 +33,16 @@ __all__ = [
     "SAMPLER_NAMES",
     "REORDER_NAMES",
     "ORDER_NAMES",
-    "KERNEL_NAMES",
     "COUPLED_KNOBS",
 ]
 
 SAMPLER_NAMES = ("sage", "fastgcn", "saint", "biased", "cluster")
 REORDER_NAMES = ("none", "degree", "bfs")
 ORDER_NAMES = ("random", "sequential", "partition")
-#: SpMM execution backends (``repro.runtime.kernels``).  Kept as a static
-#: tuple because config must not import the runtime package; the test suite
-#: asserts it matches the kernel registry.
-KERNEL_NAMES = ("reference", "fused", "parallel")
 _CACHE_POLICIES = ("none", "static", "fifo", "lru")
 #: the knobs :meth:`TrainingConfig.canonical` reads and rewrites; every other
 #: knob passes through it untouched.
 COUPLED_KNOBS = ("sampler", "bias_rate", "cache_ratio", "cache_policy")
-
-
-def _default_kernel() -> str:
-    """Process-wide kernel default, overridable via ``REPRO_KERNEL``.
-
-    The env hook lets whole deployments (CI matrix legs, fleet executors)
-    switch backends without touching every call site that builds a config.
-    """
-    return os.environ.get("REPRO_KERNEL", "reference")
 
 
 @dataclass(frozen=True)
@@ -76,7 +61,6 @@ class TrainingConfig:
     heads: int = 4
     dropout: float = 0.5
     reorder: str = "none"
-    kernel: str = field(default_factory=_default_kernel)
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
@@ -99,8 +83,6 @@ class TrainingConfig:
             raise ConfigError("dropout must lie in [0, 1)")
         if self.reorder not in REORDER_NAMES:
             raise ConfigError(f"unknown reorder strategy {self.reorder!r}")
-        if self.kernel not in KERNEL_NAMES:
-            raise ConfigError(f"unknown kernel {self.kernel!r}; known: {KERNEL_NAMES}")
 
     def canonical(self) -> "TrainingConfig":
         """Resolve knob interactions so equivalent candidates compare equal.
@@ -121,15 +103,8 @@ class TrainingConfig:
 
     # ------------------------------------------------------------- encodings
     def as_features(self) -> np.ndarray:
-        """Numeric encoding consumed by black-box estimator components.
-
-        ``kernel`` is deliberately **not** encoded: the analytic cost model
-        charges time from FLOP/byte counts that are identical under every
-        kernel, so including it would only split the estimator's training
-        data across feature values that carry no signal.  Keeping the
-        vector stable also preserves transfer-corpus compatibility.
-
-        One row of :meth:`ConfigColumns.features`, which encodes whole
+        """Numeric encoding consumed by black-box estimator components:
+        one row of :meth:`ConfigColumns.features`, which encodes whole
         candidate sets at once.
         """
         from repro.config.columns import ConfigColumns
@@ -179,30 +154,7 @@ class TrainingConfig:
             value = getattr(self, knob)
             if value != self.__dataclass_fields__[knob].default:
                 parts.append(f"{label}={value}")
-        if self.kernel != "reference":
-            parts.append(f"kernel={self.kernel}")
         return " ".join(parts)
-
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """JSON-friendly dict: guidelines can be exported and re-applied."""
-        from dataclasses import asdict
-
-        out = asdict(self)
-        out["hop_list"] = list(self.hop_list)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainingConfig":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        payload = dict(data)
-        if "hop_list" in payload:
-            payload["hop_list"] = tuple(payload["hop_list"])
-        return cls(**payload)
 
 
 @dataclass(frozen=True)

@@ -166,17 +166,6 @@ class DesignSpace:
                 out.append(candidate)
         return out
 
-    def neighbors(self, config: TrainingConfig) -> list[TrainingConfig]:
-        """Candidates differing from ``config`` in exactly one knob."""
-        out: list[TrainingConfig] = []
-        for knob, values in self.domains.items():
-            current = getattr(config, knob)
-            for value in values:
-                if value == current:
-                    continue
-                out.append(replace(config, **{knob: value}).canonical())
-        return [c for c in dict.fromkeys(out) if c != config.canonical()]
-
 
 def default_space() -> DesignSpace:
     """The full design space used for estimator-guided exploration."""

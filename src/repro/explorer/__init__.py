@@ -3,7 +3,6 @@
 from repro.explorer.constraints import RuntimeConstraint
 from repro.explorer.decision import DecisionMaker, Guideline
 from repro.explorer.dfs import DFSExplorer, ExplorationResult
-from repro.explorer.localsearch import LocalSearchExplorer
 from repro.explorer.navigator import GNNavigator, NavigatorReport
 from repro.explorer.objectives import (
     PRIORITY_PRESETS,
@@ -24,7 +23,6 @@ __all__ = [
     "Guideline",
     "DFSExplorer",
     "ExplorationResult",
-    "LocalSearchExplorer",
     "GNNavigator",
     "NavigatorReport",
     "ExploreTarget",

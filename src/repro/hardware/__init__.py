@@ -1,7 +1,6 @@
 """Simulated heterogeneous platform: specs, device cache, cost and memory models."""
 
 from repro.hardware.cache import CACHE_POLICIES, CacheStats, DeviceCache
-from repro.hardware.energy import EnergyBreakdown, EnergyModel
 from repro.hardware.costmodel import (
     FLOAT_BYTES,
     ModelCosting,
@@ -31,8 +30,6 @@ __all__ = [
     "CACHE_POLICIES",
     "CacheStats",
     "DeviceCache",
-    "EnergyBreakdown",
-    "EnergyModel",
     "FLOAT_BYTES",
     "ModelCosting",
     "model_costing",

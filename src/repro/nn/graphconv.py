@@ -3,16 +3,8 @@
 Layers consume a :class:`Propagation` — the per-mini-batch message-passing
 structure built once from a sampled subgraph and shared by all layers, so the
 normalised adjacency is not recomputed per layer — or one of the per-layer
-:class:`Block` objects it cuts when only some output rows are read.
-
-A :class:`Propagation` may carry an
-:class:`~repro.runtime.kernels.SpmmKernel` instance (duck-typed — this
-module never imports the runtime package, avoiding an import cycle).  When
-present, every sparse aggregation routes through it, and kernels that fuse
-the bias/activation epilogue get the whole GCN/SAGE layer tail in one call
-(``docs/kernels.md``).  With ``kernel=None`` the layers run the seed-era
-:func:`~repro.autograd.sparse.spmm` path unchanged — that is the
-bit-exactness baseline the ``reference`` kernel is asserted against.
+:class:`Block` objects it cuts when only some output rows are read.  Every
+sparse aggregation is one :func:`~repro.autograd.sparse.spmm` call.
 """
 
 from __future__ import annotations
@@ -37,25 +29,6 @@ from repro.nn.module import Module, Parameter
 __all__ = ["Propagation", "Block", "GCNConv", "SAGEConv", "GATConv"]
 
 
-def _spmm(prop: "Propagation", matrix: sp.csr_matrix, x: Tensor, **kwargs) -> Tensor:
-    """Route an aggregation through the propagation's kernel, if any."""
-    if prop.kernel is None:
-        return spmm(matrix, x, **kwargs)
-    return prop.kernel.spmm(matrix, x, **kwargs)
-
-
-def _activate(x: Tensor, activation: str | None) -> Tensor:
-    if activation is None:
-        return x
-    from repro.autograd.functional import elu, relu
-
-    if activation == "relu":
-        return relu(x)
-    if activation == "elu":
-        return elu(x)
-    raise ValueError(f"unknown activation {activation!r}")
-
-
 class Block:
     """One layer's rectangular share ``A[rows][:, columns]`` of a propagation
     matrix: it maps the embeddings of ``columns`` to those of ``rows``.
@@ -64,7 +37,7 @@ class Block:
     diagonal of ``A`` keeps ``rows`` ⊆ ``columns``) and ``out_rows`` names
     them in the propagation the block was cut from.  Layers read a block
     through the same members they read a :class:`Propagation` through:
-    ``kernel``, :meth:`operator` / :meth:`edges` and :meth:`self_rows`.
+    :meth:`operator` / :meth:`edges` and :meth:`self_rows`.
 
     Every layer aggregates at the CSR *row*: row ``v`` of the output is a
     function of the stored entries of row ``v`` — their mean for SAGE, the
@@ -76,15 +49,10 @@ class Block:
     """
 
     def __init__(
-        self,
-        matrix: sp.csr_matrix,
-        self_index: np.ndarray,
-        kernel,
-        out_rows: np.ndarray,
+        self, matrix: sp.csr_matrix, self_index: np.ndarray, out_rows: np.ndarray
     ) -> None:
         self.matrix = matrix
         self.self_index = self_index
-        self.kernel = kernel
         self.out_rows = out_rows
 
     def operator(self, mode: str) -> tuple[sp.csr_matrix, dict]:
@@ -108,11 +76,9 @@ class Propagation:
 
     ``sym``/``row`` are the GCN / mean-aggregation propagation matrices;
     :meth:`edges` enumerates the entries of ``row`` — every edge and every
-    self-loop — for attention layers.  ``kernel`` optionally selects the SpMM
-    execution backend; kernels cache their per-matrix plans on the matrices
-    this object memoises, so plans live exactly one topology.  As a layer's
-    block it is the square one: every row in (``self_rows``), every row out
-    (``out_rows`` is ``None``).
+    self-loop — for attention layers.  As a layer's block it is the square
+    one: every row in (``self_rows``), every row out (``out_rows`` is
+    ``None``).
 
     ``rows`` (sorted, distinct) names the vertices whose output the caller
     reads — the loss targets of a mini-batch; ``None`` means all of them.
@@ -128,13 +94,11 @@ class Propagation:
         indices: np.ndarray,
         num_nodes: int,
         *,
-        kernel=None,
         rows: np.ndarray | None = None,
     ) -> None:
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.num_nodes = int(num_nodes)
-        self.kernel = kernel
         self.rows = None if rows is None else np.asarray(rows, dtype=np.int64)
         self._sym: sp.csr_matrix | None = None
         self._row: sp.csr_matrix | None = None
@@ -142,9 +106,9 @@ class Propagation:
         self._edges: tuple[sp.csr_matrix, ...] | None = None
 
     @classmethod
-    def from_graph(cls, graph, *, kernel=None, rows=None) -> "Propagation":
+    def from_graph(cls, graph, *, rows=None) -> "Propagation":
         """Build from any object with ``indptr``/``indices``/``num_nodes``."""
-        return cls(graph.indptr, graph.indices, graph.num_nodes, kernel=kernel, rows=rows)
+        return cls(graph.indptr, graph.indices, graph.num_nodes, rows=rows)
 
     def operator(self, mode: str) -> tuple[sp.csr_matrix, dict]:
         """The square ``mode`` matrix and the ``spmm`` keywords naming its
@@ -185,7 +149,7 @@ class Propagation:
             else:
                 square = self.sym if mode == "sym" else self.row
                 matrix, self_index, columns = row_block(square, rows)
-                blocks.append(Block(matrix, self_index, self.kernel, rows))
+                blocks.append(Block(matrix, self_index, rows))
                 rows = columns
         return blocks[::-1], rows
 
@@ -225,23 +189,9 @@ class GCNConv(Module):
         super().__init__()
         self.lin = Linear(in_features, out_features, bias=True, rng=rng)
 
-    def forward(
-        self, x: Tensor, prop: Propagation, *, activation: str | None = None
-    ) -> Tensor:
-        kernel = prop.kernel
+    def forward(self, x: Tensor, prop: Propagation) -> Tensor:
         matrix, transpose = prop.operator("sym")
-        if kernel is not None and kernel.fuses_epilogue:
-            # Reassociate (A X) W -> A (X W) so bias + activation fuse into
-            # the aggregation (tolerance-bounded vs reference; see
-            # docs/kernels.md).
-            return kernel.spmm_epilogue(
-                matrix,
-                x @ self.lin.weight,
-                bias=self.lin.bias,
-                activation=activation,
-                **transpose,
-            )
-        return _activate(self.lin(_spmm(prop, matrix, x, **transpose)), activation)
+        return self.lin(spmm(matrix, x, **transpose))
 
 
 class SAGEConv(Module):
@@ -258,22 +208,10 @@ class SAGEConv(Module):
         self.lin_self = Linear(in_features, out_features, bias=True, rng=rng)
         self.lin_neigh = Linear(in_features, out_features, bias=False, rng=rng)
 
-    def forward(
-        self, x: Tensor, prop: Propagation, *, activation: str | None = None
-    ) -> Tensor:
-        kernel = prop.kernel
+    def forward(self, x: Tensor, prop: Propagation) -> Tensor:
         matrix, transpose = prop.operator("row")
         own = self.lin_self(prop.self_rows(x))
-        if kernel is not None and kernel.fuses_epilogue:
-            return kernel.spmm_epilogue(
-                matrix,
-                x @ self.lin_neigh.weight,
-                add=own,
-                activation=activation,
-                **transpose,
-            )
-        out = own + self.lin_neigh(_spmm(prop, matrix, x, **transpose))
-        return _activate(out, activation)
+        return own + self.lin_neigh(spmm(matrix, x, **transpose))
 
 
 class GATConv(Module):
@@ -324,17 +262,17 @@ class GATConv(Module):
         alpha_src = (h * self.att_src).sum(axis=2)  # (n_in, heads)
         alpha_dst = (prop.self_rows(h) * self.att_dst).sum(axis=2)  # (n_out, heads)
         logits = leaky_relu(
-            _spmm(prop, gather_src, alpha_src, transposed=scatter_src)
-            + _spmm(prop, gather_dst, alpha_dst, transposed=scatter_dst),
+            spmm(gather_src, alpha_src, transposed=scatter_src)
+            + spmm(gather_dst, alpha_dst, transposed=scatter_dst),
             self.negative_slope,
         )
         att = segment_softmax(logits, scatter_dst.indptr)
 
-        messages = _spmm(
-            prop, gather_src, h.reshape(n_in, width), transposed=scatter_src
+        messages = spmm(
+            gather_src, h.reshape(n_in, width), transposed=scatter_src
         ).reshape(e, heads, self.out_features)
         weighted = (messages * att.reshape(e, heads, 1)).reshape(e, width)
-        out = _spmm(prop, scatter_dst, weighted, transposed=gather_dst)
+        out = spmm(scatter_dst, weighted, transposed=gather_dst)
         out = out.reshape(n_out, heads, self.out_features)
 
         if self.concat_heads:

@@ -126,25 +126,15 @@ class GNN(Module):
         sits one test vertex above its accuracy floor, and a block-shaped
         stream lands below it.
         """
-        # Fusing kernels take the hidden-layer relu inside the aggregation
-        # call; the dropout draws have the same shapes and order either way,
-        # so switching kernels never desynchronises the mask sequence.
         gat = self.arch == "gat"
-        kernel = getattr(prop, "kernel", None)
-        fuse = kernel is not None and kernel.fuses_epilogue and not gat
         blocks, inputs = prop.blocks(
             "sym" if self.arch == "gcn" else "row", self.num_layers
         )
         h = x if inputs is None else x[inputs]
         for i, (layer, block) in enumerate(zip(self.layers, blocks, strict=True)):
-            last = i == self.num_layers - 1
-            if fuse:
-                h = layer(h, block, activation=None if last else "relu")
-            else:
-                h = layer(h, block)
-                if not last:
-                    h = elu(h) if gat else relu(h)
-            if not last:
+            h = layer(h, block)
+            if i < self.num_layers - 1:
+                h = elu(h) if gat else relu(h)
                 h = dropout(
                     h,
                     self.dropout_p,

@@ -16,10 +16,7 @@ The backend is where the four optimization categories meet:
 * transmission — the :class:`~repro.hardware.cache.DeviceCache` (Cat. 2);
 * model design — ``build_model`` (Cat. 3);
 * computation — graph reordering tweaks the effective device bandwidth
-  (Cat. 4) through the roofline model, and ``config.kernel`` selects the
-  SpMM execution backend (``repro.runtime.kernels``) that actually runs
-  the aggregation — the analytic charge is kernel-independent, but the
-  *measured* host wall clock is not (``bench_kernels.py``).
+  (Cat. 4) through the roofline model.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ from repro.nn.graphconv import Propagation
 from repro.nn.metrics import accuracy
 from repro.nn.models import build_model
 from repro.nn.optim import Adam
-from repro.runtime.kernels import get_kernel
 from repro.runtime.report import BatchRecord, EpochStats, PerfReport
 from repro.sampling.base import Sampler
 from repro.sampling.batching import BatchIterator
@@ -158,19 +154,15 @@ class PreparedGraph:
         self.graph = reorder_graph(graph, reorder)
         self.bandwidth_scale = 0.7 + 0.3 * locality_score(self.graph)
         self.cache_priority = cache_priority_order(self.graph)
-        self._full_props: dict[str, Propagation] = {}
 
     @cached_property
     def profile(self) -> GraphProfile:
         return profile_graph(self.graph)
 
-    def full_prop(self, kernel) -> Propagation:
-        """The full-graph propagation ``evaluate`` runs on, one per kernel."""
-        if kernel.name not in self._full_props:
-            self._full_props[kernel.name] = Propagation.from_graph(
-                self.graph, kernel=kernel
-            )
-        return self._full_props[kernel.name]
+    @cached_property
+    def full_prop(self) -> Propagation:
+        """The full-graph propagation ``evaluate`` runs on."""
+        return Propagation.from_graph(self.graph)
 
 
 @dataclass
@@ -214,8 +206,6 @@ class RuntimeBackend:
             raise ConfigError(f"graph prepared for reorder={prepared.reorder!r}")
         self.prepared = prepared
         self.graph = prepared.graph
-        # The selected kernel executes the actual SpMM products.
-        self.kernel = get_kernel(self.config.kernel)
 
         self.train_nodes, self.val_nodes, self.test_nodes = train_val_test_split(
             self.graph.num_nodes,
@@ -272,7 +262,7 @@ class RuntimeBackend:
         self.optimizer = Adam(self.model.parameters(), lr=task.lr)
         self._rng = np.random.default_rng(task.seed + 7)
         self._features = self.graph.features
-        self._full_prop = prepared.full_prop(self.kernel)
+        self._full_prop = prepared.full_prop
         self._train_mask = np.zeros(self.graph.num_nodes, dtype=bool)
         self._train_mask[self.train_nodes] = True
         self._peak_runtime_bytes = 0.0
@@ -293,9 +283,7 @@ class RuntimeBackend:
         if target_index.size == 0:
             return float("nan")
         x = Tensor(self._features[batch.nodes])
-        prop = Propagation.from_graph(
-            batch.subgraph, kernel=self.kernel, rows=target_index
-        )
+        prop = Propagation.from_graph(batch.subgraph, rows=target_index)
         self.model.train()
         self.optimizer.zero_grad()
         out = self.model(x, prop)

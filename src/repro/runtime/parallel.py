@@ -151,7 +151,12 @@ def graph_fingerprint(graph: CSRGraph) -> str:
 
 
 def candidate_key(task: TaskSpec, config: TrainingConfig, fingerprint: str) -> str:
-    """Stable content hash of one ``(task, config, graph)`` candidate."""
+    """Stable content hash of one ``(task, config, graph)`` candidate.
+
+    A store written while ``TrainingConfig`` still had a ``kernel`` field is
+    cold for this code: the field was in every encoded config, so every key
+    moved (its records still decode, and the transfer corpus reads them).
+    """
     # The comparable task fields: new ones join the key automatically, the
     # compare-excluded ``extra`` (may hold non-JSON payloads) stays out.
     payload = {

@@ -24,6 +24,7 @@ import threading
 import time
 import traceback as traceback_mod
 
+from repro.autograd.sparse import spmm_stats
 from repro.errors import (
     JobCancelled,
     JobFailedError,
@@ -31,11 +32,9 @@ from repro.errors import (
     ServingError,
     UnknownJobError,
 )
-from repro.config.settings import KERNEL_NAMES
 from repro.explorer.navigator import GNNavigator
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
-from repro.runtime.kernels import kernel_counters
 from repro.runtime.parallel import ProfilingService, ProfilingStats, ResultStore
 from repro.serving.fleet import FleetDispatcher
 from repro.serving.events import (
@@ -44,7 +43,7 @@ from repro.serving.events import (
     EventBuffer,
     JobProgressEvent,
 )
-from repro.serving.metrics import MetricsRegistry, labeled
+from repro.serving.metrics import MetricsRegistry
 from repro.serving.queue import PriorityJobQueue
 from repro.serving.scheduler import SharedProfilingService
 from repro.transfer.policy import TransferPolicy
@@ -58,10 +57,6 @@ from repro.serving.types import (
 )
 
 __all__ = ["NavigationServer"]
-
-#: labeled per-kernel gauge families; registered on start, removed on stop
-_KERNEL_METRICS = ("kernel_spmm_calls", "kernel_spmm_seconds")
-
 
 class NavigationServer:
     """Priority-scheduled, cache-sharing front-end over ``GNNavigator``.
@@ -229,23 +224,10 @@ class NavigationServer:
             self.metrics.gauge(
                 "transfer_corpus_records", lambda: corpus.num_records
             )
-        self._register_kernel_gauges()
-
-    def _register_kernel_gauges(self) -> None:
-        """Per-kernel SpMM timing gauges (``{kernel="..."}`` series).
-
-        The counters are process-wide (``repro.runtime.kernels``), so these
-        read whatever every job's training runs accumulated.  Registered
-        here and re-registered by :meth:`start` because :meth:`stop` sweeps
-        the labeled series out of the registry.
-        """
-        for family in _KERNEL_METRICS:
-            slot = family.rsplit("_", maxsplit=1)[-1]  # "calls" / "seconds"
-            for kernel in KERNEL_NAMES:
-                self.metrics.gauge(
-                    labeled(family, kernel=kernel),
-                    lambda k=kernel, s=slot: kernel_counters().get(k, {}).get(s, 0.0),
-                )
+        # SpMM timing is process-wide: whatever every in-process training
+        # run of every job accumulated.
+        self.metrics.gauge("spmm_calls", lambda: spmm_stats()[0])
+        self.metrics.gauge("spmm_seconds", lambda: spmm_stats()[1])
 
     def _census(self, status: JobStatus) -> int:
         with self._lock:
@@ -254,7 +236,6 @@ class NavigationServer:
     # -------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Spin up the worker threads (idempotent; restarts after stop)."""
-        self._register_kernel_gauges()  # stop() removed the labeled series
         with self._lock:
             if self._threads:
                 return
@@ -298,9 +279,6 @@ class NavigationServer:
                 if job.status is JobStatus.PENDING:
                     self._finish(job, JobStatus.CANCELLED)
             self._terminal.notify_all()
-        for family in _KERNEL_METRICS:
-            for kernel in KERNEL_NAMES:
-                self.metrics.remove(labeled(family, kernel=kernel))
 
     def __enter__(self) -> "NavigationServer":
         self.start()

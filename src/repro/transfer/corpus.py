@@ -35,6 +35,7 @@ from repro.config.templates import TEMPLATES
 from repro.runtime.parallel import ResultStore
 from repro.runtime.profiler import GroundTruthRecord
 from repro.transfer.fingerprint import TaskFingerprint
+from repro.wire import encode
 
 __all__ = [
     "CorpusTask",
@@ -177,7 +178,7 @@ class AnchorRankSimilarity(TaskSimilarity):
         theirs = self._anchor_times(donor_records)
         shared = sorted(
             (c for c in mine if c in theirs),
-            key=lambda c: repr(sorted(c.to_dict().items())),
+            key=lambda c: repr(sorted(encode(c).items())),
         )
         if len(shared) < self.min_anchors:
             return self.fallback.score(

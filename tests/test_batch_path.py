@@ -5,9 +5,10 @@ every layer — GCN, SAGE and GAT alike — runs on a per-layer rectangular bloc
 of the propagation matrix.  The path it replaced — every layer on every vertex
 of the sampled subgraph, then ``out[target_index]`` — is kept here as the
 *reference implementation*; the block path must agree with it on the loss and
-on every parameter gradient, for every architecture, sampler, depth and
-kernel.  GAT draws its dropout masks over the whole subgraph, as the
-reference does, so for GAT the two also agree with dropout on.
+on every parameter gradient, for every architecture, sampler, depth and batch
+shape, and over a whole training run.  GAT draws its dropout masks over the
+whole subgraph, as the reference does, so for GAT the two also agree with
+dropout on.
 """
 
 from __future__ import annotations
@@ -23,34 +24,40 @@ import repro.nn.graphconv as graphconv
 from repro.autograd.functional import dropout, elu, log_softmax, nll_loss, relu
 from repro.autograd.sparse import normalized_adjacency, row_block
 from repro.autograd.tensor import Tensor, default_dtype, no_grad
-from repro.config.settings import KERNEL_NAMES, TaskSpec, TrainingConfig
+from repro.config.settings import TaskSpec, TrainingConfig
 from repro.nn.graphconv import Propagation
 from repro.nn.metrics import accuracy
 from repro.nn.models import build_model
 from repro.runtime.backend import RuntimeBackend
-from repro.runtime.kernels import get_kernel
 
 SAMPLERS = ("sage", "biased", "fastgcn", "saint", "cluster")
-KERNELS = (None, *KERNEL_NAMES)
+#: ``(batch_size, hop_list)``: what decides the shape of a layer's blocks —
+#: a few neighbours per hop; every neighbour over three hops (and a longer
+#: saint walk, more clusters per batch); a batch of one target; one batch
+#: holding every training vertex
+SHAPES = {
+    "narrow": (48, (4, 3)),
+    "wide": (48, (40, 40, 40)),
+    "one-target": (1, (4, 3)),
+    "all-train": (400, (4,)),
+}
 
 
-def _backend(graph, arch, sampler, num_layers, kernel_name, *, dropout=0.0, epochs=1):
+def _backend(
+    graph, arch, sampler, num_layers, shape="narrow", *, dropout=0.0, epochs=1
+):
     task = TaskSpec(dataset="tiny", arch=arch, epochs=epochs, lr=0.02)
+    batch_size, hop_list = SHAPES[shape]
     config = TrainingConfig(
         sampler=sampler,
-        batch_size=48,
-        hop_list=(4, 3),
+        batch_size=batch_size,
+        hop_list=hop_list,
         bias_rate=0.5,
         hidden_channels=16,
         num_layers=num_layers,
         dropout=dropout,
-        kernel=kernel_name or "reference",
     )
-    backend = RuntimeBackend(task, config, graph=graph)
-    if kernel_name is None:  # the seed-era spmm code path
-        backend.kernel = None
-        backend._full_prop.kernel = None
-    return backend
+    return RuntimeBackend(task, config, graph=graph)
 
 
 def _first_batch(backend):
@@ -84,7 +91,7 @@ def reference_step(backend, batch) -> tuple[float, list[np.ndarray]]:
     for param in model.parameters():
         param.zero_grad()
     stream = model._rng.bit_generator.state
-    prop = Propagation.from_graph(batch.subgraph)  # square, kernel=None
+    prop = Propagation.from_graph(batch.subgraph)  # square
     h = all_rows_forward(model, Tensor(backend.graph.features[batch.nodes]), prop)
     model._rng.bit_generator.state = stream
     rows = _loss_rows(backend, batch)
@@ -108,23 +115,43 @@ def assert_block_step_equals_reference(backend, batch) -> None:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
 
+def all_rows_train_step(backend, batch) -> float:
+    """``_train_step`` as it was before blocks: all-rows forward, loss on the
+    training targets, backward and the optimiser update."""
+    rows = _loss_rows(backend, batch)
+    if rows.size == 0:
+        return float("nan")
+    model = backend.model
+    model.train()
+    backend.optimizer.zero_grad()
+    h = all_rows_forward(
+        model,
+        Tensor(backend.graph.features[batch.nodes]),
+        Propagation.from_graph(batch.subgraph),
+    )
+    loss = nll_loss(h[rows], backend.graph.labels[batch.nodes[rows]])
+    loss.backward()
+    backend.optimizer.step()
+    return float(loss.item())
+
+
 class TestBlockPathEqualsAllRowsReference:
-    @pytest.mark.parametrize("kernel_name", KERNELS)
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("sampler", SAMPLERS)
     @pytest.mark.parametrize("num_layers", [1, 2, 3])
     @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
-    def test_loss_and_gradients(self, small_graph, arch, num_layers, sampler, kernel_name):
-        backend = _backend(small_graph, arch, sampler, num_layers, kernel_name)
+    def test_loss_and_gradients(self, small_graph, arch, num_layers, sampler, shape):
+        backend = _backend(small_graph, arch, sampler, num_layers, shape)
         assert_block_step_equals_reference(backend, _first_batch(backend))
 
-    @pytest.mark.parametrize("kernel_name", KERNELS)
+    @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("sampler", SAMPLERS)
     @pytest.mark.parametrize("num_layers", [2, 3])
-    def test_gat_with_dropout_on(self, small_graph, num_layers, sampler, kernel_name):
+    def test_gat_with_dropout_on(self, small_graph, num_layers, sampler, shape):
         """GAT's masks are rows of the draw the all-rows forward makes, so
         the comparison GCN/SAGE can only pass at ``dropout=0`` holds at 0.5."""
         backend = _backend(
-            small_graph, "gat", sampler, num_layers, kernel_name, dropout=0.5
+            small_graph, "gat", sampler, num_layers, shape, dropout=0.5
         )
         batch = _first_batch(backend)
         stream = backend.model._rng.bit_generator
@@ -140,16 +167,46 @@ class TestBlockPathEqualsAllRowsReference:
         assert stream.state == after != start
 
 
-class TestRowsAllIsTheSquareCase:
-    @pytest.mark.parametrize("kernel_name", KERNELS)
+class TestTrainingTrajectory:
+    """Two epochs of the real training loop — optimiser updates, batch order
+    and the dropout stream included — against the same loop with every step
+    run all-rows.  GAT keeps dropout on (its masks are the all-rows draw);
+    GCN/SAGE mask only the rows a block produced, so they compare at 0."""
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
     @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
-    def test_reproduces_evaluate_exactly(self, small_graph, arch, kernel_name):
-        backend = _backend(small_graph, arch, "sage", 2, kernel_name)
+    def test_block_training_follows_the_all_rows_trajectory(
+        self, small_graph, arch, sampler
+    ):
+        def run(step):
+            backend = _backend(
+                small_graph, arch, sampler, 2,
+                dropout=0.5 if arch == "gat" else 0.0, epochs=2,
+            )
+            if step is not None:
+                backend._train_step = lambda batch: step(backend, batch)
+            return backend.train(keep_batch_records=True)
+
+        got, want = run(None), run(all_rows_train_step)
+        assert len(got.batches) == len(want.batches) > 2
+        np.testing.assert_allclose(
+            [b.loss for b in got.batches], [b.loss for b in want.batches],
+            rtol=0, atol=1e-5,
+        )
+        assert [e.val_accuracy for e in got.epochs] == [
+            e.val_accuracy for e in want.epochs
+        ]
+        assert got.accuracy == want.accuracy
+
+
+class TestRowsAllIsTheSquareCase:
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
+    def test_reproduces_evaluate_exactly(self, small_graph, arch, sampler):
+        backend = _backend(small_graph, arch, sampler, 2)
         backend.run_epoch(0)
         graph = backend.graph
-        every = Propagation.from_graph(
-            graph, kernel=backend.kernel, rows=np.arange(graph.num_nodes)
-        )
+        every = Propagation.from_graph(graph, rows=np.arange(graph.num_nodes))
         blocks, inputs = every.blocks("row", 2)
         assert blocks == [every, every] and inputs is None
         backend.model.eval()
@@ -204,51 +261,27 @@ class TestBlocks:
         )
 
     def test_model_returns_only_the_rows_asked_for(self, small_graph):
-        backend = _backend(small_graph, "sage", "sage", 2, "reference")
+        backend = _backend(small_graph, "sage", "sage", 2)
         batch = _first_batch(backend)
         prop = Propagation.from_graph(batch.subgraph, rows=batch.target_index)
         out = backend.model(Tensor(small_graph.features[batch.nodes]), prop)
         assert out.shape == (batch.num_targets, small_graph.num_classes)
 
     def test_batch_without_training_targets_reports_nan(self, small_graph):
-        backend = _backend(small_graph, "sage", "sage", 2, "reference")
+        backend = _backend(small_graph, "sage", "sage", 2)
         batch = backend.sampler.sample(
             backend.graph, backend.test_nodes[:8], rng=backend._rng
         )
         assert np.isnan(backend._train_step(batch))
 
 
-class TestLossTrajectoryWithDropout:
-    """``tests/test_kernels.py``'s guards on the block path: every kernel
-    draws the same dropout masks, so ``None`` and ``reference`` stay bit for
-    bit and the reassociating kernels stay inside their tolerance."""
-
-    def _losses(self, graph, arch, sampler, kernel_name):
-        backend = _backend(
-            graph, arch, sampler, 2, kernel_name, dropout=0.5, epochs=2
-        )
-        report = backend.train()
-        return np.array([e.loss for e in report.epochs]), report.accuracy
-
-    @pytest.mark.parametrize("sampler", ["sage", "saint"])
-    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
-    def test_reference_bit_identical_to_legacy(self, small_graph, arch, sampler):
-        legacy_losses, legacy_acc = self._losses(small_graph, arch, sampler, None)
-        losses, acc = self._losses(small_graph, arch, sampler, "reference")
-        np.testing.assert_array_equal(losses, legacy_losses)
-        assert acc == legacy_acc
-
-    @pytest.mark.parametrize("kernel_name", ["fused", "parallel"])
-    @pytest.mark.parametrize("sampler", ["sage", "saint"])
-    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
-    def test_optimized_within_tolerance(self, small_graph, arch, sampler, kernel_name):
-        legacy_losses, _ = self._losses(small_graph, arch, sampler, None)
-        losses, _ = self._losses(small_graph, arch, sampler, kernel_name)
-        np.testing.assert_allclose(losses, legacy_losses, rtol=1e-3, atol=1e-4)
+class TestDropoutMasks:
+    """Hidden-layer masks: GCN/SAGE draw the rows a layer produced, GAT the
+    rows of the whole subgraph."""
 
     @staticmethod
-    def _drawn_shapes(graph, arch, kernel_name):
-        backend = _backend(graph, arch, "sage", 3, kernel_name, dropout=0.5)
+    def _drawn_shapes(graph, arch, num_layers=3):
+        backend = _backend(graph, arch, "sage", num_layers, dropout=0.5)
         batch = _first_batch(backend)
         drawn = []
         real = backend.model._rng.random
@@ -262,21 +295,27 @@ class TestLossTrajectoryWithDropout:
         backend._train_step(batch)
         return batch, drawn
 
-    def test_kernels_draw_the_same_dropout_masks(self, small_graph):
-        shapes = {
-            kernel_name: self._drawn_shapes(small_graph, "sage", kernel_name)[1]
-            for kernel_name in KERNELS
-        }
-        assert len(shapes[None]) == 2
-        assert all(drawn == shapes[None] for drawn in shapes.values())
-        assert get_kernel("fused").fuses_epilogue  # the path that once diverged
-
     def test_gat_masks_cover_the_subgraph_and_sage_masks_the_block(self, small_graph):
-        batch, gat = self._drawn_shapes(small_graph, "gat", "reference")
+        batch, gat = self._drawn_shapes(small_graph, "gat")
         assert gat == [(batch.num_nodes, 16)] * 2
-        batch, sage = self._drawn_shapes(small_graph, "sage", "reference")
+        batch, sage = self._drawn_shapes(small_graph, "sage")
         assert [width for _, width in sage] == [16, 16]
         assert sage[1][0] < batch.num_nodes and sage[1][0] <= sage[0][0]
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
+    def test_one_mask_per_hidden_layer(self, small_graph, arch, num_layers):
+        """No mask after the output layer; GAT's always span the subgraph,
+        GCN/SAGE's never grow from one layer to the next."""
+        batch, drawn = self._drawn_shapes(small_graph, arch, num_layers)
+        assert [width for _, width in drawn] == [16] * (num_layers - 1)
+        rows = [count for count, _ in drawn]
+        if arch == "gat":
+            assert rows == [batch.num_nodes] * (num_layers - 1)
+        else:
+            assert rows == sorted(rows, reverse=True)
+            assert all(count <= batch.num_nodes for count in rows)
+            assert not rows or rows[-1] < batch.num_nodes
 
 
 # --------------------------------------------------------------- properties
@@ -351,3 +390,48 @@ def test_gat_blocks_equal_all_rows_on_random_graphs(n, pairs, picked, num_layers
     assert [indptr.size - 1 for _, indptr in attention] == outs
     for att, indptr in attention:
         np.testing.assert_allclose(np.add.reduceat(att, indptr[:-1]), 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("arch", ["gcn", "sage"])
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    pairs=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=40),
+    picked=st.sets(st.integers(0, 23), min_size=1),
+    num_layers=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_blocks_equal_all_rows_on_random_graphs(
+    arch, n, pairs, picked, num_layers, seed
+):
+    """GCN/SAGE on blocks: outputs and every parameter gradient equal the
+    all-rows forward's picked rows (dropout off: their masks cover only the
+    rows a block produced); ``rows=all`` is ``rows=None`` bit for bit."""
+    rows = np.array(sorted({v % n for v in picked}))
+    rng = np.random.default_rng(seed)
+    with default_dtype(np.float64):
+        model = build_model(
+            arch, 5, 3, hidden_channels=6, num_layers=num_layers,
+            dropout_p=0.0, seed=seed,
+        )
+        x = Tensor(rng.normal(size=(n, 5)))
+        weights = rng.normal(size=(rows.size, 3))
+
+        def grads(out: Tensor) -> list[np.ndarray]:
+            for param in model.parameters():
+                param.zero_grad()
+            (out * weights).sum().backward()
+            return [param.grad.copy() for param in model.parameters()]
+
+        want = all_rows_forward(model, x, _symmetric_prop(n, pairs))[rows]
+        want_grads = grads(want)
+        got = model(x, _symmetric_prop(n, pairs, rows=rows))
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-10)
+        for grad, want_grad in zip(grads(got), want_grads, strict=True):
+            np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-10)
+
+        model.eval()
+        with no_grad():
+            every = model(x, _symmetric_prop(n, pairs, rows=np.arange(n)))
+            square = model(x, _symmetric_prop(n, pairs))
+        np.testing.assert_array_equal(every.data, square.data)

@@ -28,6 +28,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("command", ["navigate", "templates"])
+    def test_there_is_no_kernel_option(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--kernel", "reference"])
+        assert "--kernel" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets_listing(self, capsys):

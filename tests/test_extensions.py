@@ -1,5 +1,5 @@
-"""Tests for the extension features: cluster sampler, energy model,
-config serialization, time-to-accuracy."""
+"""Tests for the extension features: cluster sampler, config
+serialization, time-to-accuracy."""
 
 from __future__ import annotations
 
@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from repro.config import TaskSpec, TrainingConfig
-from repro.errors import ConfigError, HardwareError, SamplingError
-from repro.hardware import EnergyBreakdown, EnergyModel, get_platform
+from repro.errors import ConfigError, SamplingError
 from repro.hardware.memory import MemoryBreakdown
 from repro.runtime import RuntimeBackend
-from repro.runtime.report import BatchRecord, EpochStats, PerfReport
+from repro.runtime.report import EpochStats, PerfReport
 from repro.sampling import ClusterSampler
+from repro.wire import decode, encode
 
 
 class TestClusterSampler:
@@ -58,75 +58,29 @@ class TestClusterSampler:
             ClusterSampler(4).sample(medium_graph, np.array([]), rng=rng)
 
 
-def _record(t_sample=1e-3, t_transfer=2e-3, t_replace=0.0, t_compute=1e-3, missed=100):
-    return BatchRecord(
-        num_targets=32,
-        num_nodes=400,
-        num_edges=2000,
-        num_missed=missed,
-        num_admitted=0,
-        num_evicted=0,
-        t_sample=t_sample,
-        t_transfer=t_transfer,
-        t_replace=t_replace,
-        t_compute=t_compute,
-        loss=1.0,
-    )
-
-
-class TestEnergyModel:
-    def test_energy_positive_and_additive(self):
-        model = EnergyModel(get_platform("rtx4090"))
-        one = model.batch_energy(_record(), n_attr=96)
-        two = model.records_energy([_record(), _record()], n_attr=96)
-        assert one.total_j > 0
-        assert two.total_j == pytest.approx(2 * one.total_j)
-
-    def test_link_energy_scales_with_missed(self):
-        model = EnergyModel(get_platform("rtx4090"))
-        lo = model.batch_energy(_record(missed=10), n_attr=96)
-        hi = model.batch_energy(_record(missed=1000), n_attr=96)
-        assert hi.link_j > lo.link_j * 50
-
-    def test_edge_platform_cheaper(self):
-        rec = _record()
-        dc = EnergyModel(get_platform("a100")).batch_energy(rec, 96)
-        edge = EnergyModel(get_platform("m90")).batch_energy(rec, 96)
-        assert edge.total_j < dc.total_j
-
-    def test_rejects_bad_utilization(self):
-        with pytest.raises(HardwareError):
-            EnergyModel(get_platform("a100"), utilization=0.0)
-
-    def test_breakdown_add(self):
-        a = EnergyBreakdown(1.0, 2.0, 3.0)
-        b = EnergyBreakdown(1.0, 1.0, 1.0)
-        assert (a + b).total_j == 9.0
-
-
 class TestConfigSerialization:
     def test_roundtrip(self):
         cfg = TrainingConfig(
             batch_size=128, sampler="biased", bias_rate=0.7, hop_list=(4, 2)
         )
-        assert TrainingConfig.from_dict(cfg.to_dict()) == cfg
+        assert decode(TrainingConfig, encode(cfg)) == cfg
 
     def test_json_compatible(self):
         import json
 
         cfg = TrainingConfig()
-        payload = json.dumps(cfg.to_dict())
-        assert TrainingConfig.from_dict(json.loads(payload)) == cfg
+        payload = json.dumps(encode(cfg))
+        assert decode(TrainingConfig, json.loads(payload)) == cfg
 
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainingConfig.from_dict({"warp_speed": 9})
+    def test_unknown_keys_ignored(self):
+        # the wire rule: a newer (or older) peer's extra fields decode away
+        assert decode(TrainingConfig, {"warp_speed": 9}) == TrainingConfig()
 
     def test_invalid_values_still_validated(self):
-        data = TrainingConfig().to_dict()
+        data = encode(TrainingConfig())
         data["batch_size"] = -1
         with pytest.raises(ConfigError):
-            TrainingConfig.from_dict(data)
+            decode(TrainingConfig, data)
 
 
 class TestTimeToAccuracy:

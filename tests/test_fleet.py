@@ -50,7 +50,7 @@ from repro.serving.transport.protocol import (
     graph_from_wire,
     graph_to_wire,
 )
-from repro.wire import encode
+from repro.wire import decode, encode
 
 
 def _task(**kwargs) -> TaskSpec:
@@ -61,9 +61,7 @@ def _task(**kwargs) -> TaskSpec:
 
 
 def _config(base: TrainingConfig, **overrides) -> TrainingConfig:
-    data = base.to_dict()
-    data.update(overrides)
-    return TrainingConfig.from_dict(data)
+    return decode(TrainingConfig, {**encode(base), **overrides})
 
 
 def _post(url: str, body, headers: dict | None = None):

@@ -8,6 +8,7 @@ import sys
 import threading
 
 import pytest
+from wire_samples import key_with_kernel
 
 from repro.config import TaskSpec, TrainingConfig
 from repro.runtime import ProfilingService, profile_configs
@@ -122,23 +123,28 @@ class TestProfilingService:
         fresh.profile(tiny_task, configs[:1], graph=small_graph)
         assert fresh.stats.executed == 1
 
-    def test_record_naming_a_deleted_kernel_discarded(
+    def test_entry_keyed_while_configs_named_a_kernel_is_a_miss(
         self, small_graph, tiny_task, configs, tmp_path
     ):
-        """A store written while ``kernel="reorder"`` existed: the entry no
-        longer validates, so it is dropped and re-measured — not raised."""
-        service = ProfilingService(cache_dir=tmp_path)
-        service.profile(tiny_task, configs[:1], graph=small_graph)
-        victim = next(tmp_path.glob("gt_*.json"))
-        envelope = json.loads(victim.read_text())
-        envelope["record"]["config"]["kernel"] = "reorder"
-        victim.write_text(json.dumps(envelope))
+        """A store written while ``TrainingConfig`` had a ``kernel`` field
+        (``"reference"`` by default): its entry decodes, but sits under a key
+        this code never asks for, so the candidate is measured again — to
+        the same record."""
+        (record,) = profile_configs(tiny_task, configs[:1], graph=small_graph)
+        old_key = key_with_kernel(
+            tiny_task, configs[0], graph_fingerprint(small_graph), "reference"
+        )
+        ResultStore(tmp_path).save(old_key, record)
+        entry = tmp_path / f"gt_{old_key}.json"
+        envelope = json.loads(entry.read_text())
+        envelope["record"]["config"]["kernel"] = "reference"
+        entry.write_text(json.dumps(envelope))
+        assert ResultStore(tmp_path).load(old_key) == record
 
         fresh = ProfilingService(cache_dir=tmp_path)
-        records = fresh.profile(tiny_task, configs[:1], graph=small_graph)
+        assert fresh.profile(tiny_task, configs[:1], graph=small_graph) == [record]
         assert fresh.stats.executed == 1 and fresh.stats.cache_hits == 0
-        assert records[0].config.kernel == configs[0].kernel
-        assert json.loads(victim.read_text())["record"]["config"]["kernel"] != "reorder"
+        assert len(list(tmp_path.glob("gt_*.json"))) == 2
 
     @pytest.mark.parametrize("older", [1, 2])
     def test_entry_keyed_under_an_older_ground_truth_version_is_a_miss(

@@ -5,8 +5,7 @@ training run that lands one record per member.  The reference is the loop
 that change replaced, kept here: one backend, one training run and one fresh
 graph profile per candidate (:func:`solo`).  Grouped records must be ``==``
 to it and the store files byte-equal, whatever the mix of classes, the
-architecture, the worker count and the kernel (``kernel`` is in the key, so
-the CI kernel matrix proves sharing under each default).
+architecture and the worker count.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ IN_KEY = {
     "heads": 2,
     "dropout": 0.1,
     "reorder": "degree",
-    "kernel": "fused",
 }
 VIA_SAMPLER_ARGS = {"hop_list"}
 CHARGED_ONLY = {"cache_ratio": 0.3, "cache_policy": "lru"}
@@ -187,7 +185,7 @@ class TestClassMembership:
         ],
     )
     def test_key_knobs_split_classes(self, knob, sampler):
-        base = TrainingConfig(sampler=sampler, bias_rate=0.9, kernel="reference")
+        base = TrainingConfig(sampler=sampler, bias_rate=0.9)
         other = replace(base, **{knob: IN_KEY[knob]})
         assert training_key(base, 400) != training_key(other, 400)
 

@@ -44,6 +44,7 @@ from wire_samples import (
     REPORT,
     SAMPLES,
     TASK,
+    key_with_kernel,
 )
 
 from repro.errors import ProtocolError, UnknownJobError
@@ -80,6 +81,10 @@ REQUEST_CLASSES = sorted(
     key=lambda cls: cls.__name__,
 )
 ROUTED = {row.response for row in ENDPOINTS.values()} | set(REQUEST_CLASSES)
+#: ``candidate_key(TASK, CONFIG, FINGERPRINT)`` at ``GROUND_TRUTH_VERSION`` 3,
+#: and what the same call returned while ``CONFIG`` carried ``kernel="fused"``
+CANDIDATE_KEY = "a9d4b87e72e8add04f5e3105e74e944c"
+KEYED_WITH_KERNEL = "c2f5ed74c9f4addbfcfbecd931156035"
 
 REQUEST = NavigationRequest(
     task=TASK,
@@ -206,14 +211,35 @@ class TestGoldenWire:
         assert {case["sample"] for case in GOLDEN["payloads"]} == set(SAMPLES)
 
     def test_candidate_keys_did_not_move(self, monkeypatch):
-        """What the codec contributes to a key is what the hand-written
-        functions did.  The golden key was taken at ``GROUND_TRUTH_VERSION``
-        2; the version is the one part of the payload meant to move."""
+        """What the codec contributes to a key is pinned (``CANDIDATE_KEY``).
+        The golden key was taken by the hand-written functions at
+        ``GROUND_TRUTH_VERSION`` 2, over a config that still carried
+        ``"kernel": "fused"``.  With that pair put back the codec reproduces
+        it, and ``KEYED_WITH_KERNEL`` at version 3: the version and the pair
+        are the only parts of the payload that ever moved."""
         import repro.runtime.parallel as parallel
 
-        assert candidate_key(TASK, CONFIG, FINGERPRINT) != GOLDEN["candidate_key"]
+        assert candidate_key(TASK, CONFIG, FINGERPRINT) == CANDIDATE_KEY
+        assert key_with_kernel(TASK, CONFIG, FINGERPRINT, "fused") == KEYED_WITH_KERNEL
         monkeypatch.setattr(parallel, "GROUND_TRUTH_VERSION", 2)
-        assert candidate_key(TASK, CONFIG, FINGERPRINT) == GOLDEN["candidate_key"]
+        assert (
+            key_with_kernel(TASK, CONFIG, FINGERPRINT, "fused")
+            == GOLDEN["candidate_key"]
+        )
+
+    @pytest.mark.parametrize("kernel", ["reference", "fused", "parallel"])
+    def test_a_config_that_names_a_kernel_decodes(self, kernel, tmp_path):
+        """Peers and stores from before ``TrainingConfig.kernel`` was deleted
+        still send the field.  It is an unknown key now, so it is ignored."""
+        assert decode(type(CONFIG), {**encode(CONFIG), "kernel": kernel}) == CONFIG
+        claim = MESSAGES["claim"].to_wire()
+        claim["configs"] = [{**config, "kernel": kernel} for config in claim["configs"]]
+        assert ClaimGrant.from_wire(claim) == MESSAGES["claim"]
+        name = f"gt_{GOLDEN['candidate_key']}.json"
+        envelope = json.loads(GOLDEN["store"][name])
+        envelope["record"]["config"]["kernel"] = kernel
+        (tmp_path / name).write_text(json.dumps(envelope))
+        assert ResultStore(tmp_path).load(GOLDEN["candidate_key"]) == RECORD
 
     def test_a_store_written_before_the_codec_loads_and_is_rewritten_equal(
         self, tmp_path

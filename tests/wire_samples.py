@@ -10,6 +10,10 @@ constructors both trees share.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import repro.runtime.parallel as parallel
 from repro.config.settings import TaskSpec, TrainingConfig
 from repro.estimator.graybox import PredictedPerf
 from repro.explorer.decision import Guideline
@@ -50,10 +54,9 @@ CONFIG = TrainingConfig(
     heads=2,
     dropout=0.25,
     reorder="degree",
-    kernel="fused",
 )
 
-OTHER_CONFIG = TrainingConfig(batch_size=64, hop_list=(5,), kernel="reference")
+OTHER_CONFIG = TrainingConfig(batch_size=64, hop_list=(5,))
 
 PROFILE = GraphProfile(
     name="tiny",
@@ -200,3 +203,18 @@ SAMPLES = {
         "job-0005", JobStatus.CANCELLED, None, None, "t", "", 1, 1.0, None, 1.5
     ),
 }
+
+
+def key_with_kernel(task, config, fingerprint, kernel: str) -> str:
+    """``candidate_key`` as it was computed while ``TrainingConfig`` had a
+    ``kernel`` field: the same payload with ``"kernel"`` in the config."""
+    from repro.wire import encode  # the module imports on pre-codec trees too
+
+    payload = {
+        "task": encode(task),
+        "config": {**encode(config.canonical()), "kernel": kernel},
+        "graph": fingerprint,
+        "ground_truth_version": parallel.GROUND_TRUTH_VERSION,
+    }
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
