@@ -4,11 +4,10 @@ Reached three ways, all sharing :func:`run_lint`:
 
 * ``repro lint`` — subcommand of the main CLI;
 * ``python -m repro.analysis`` — direct module entry;
-* the CI ``analysis`` job — ``repro lint --format json`` with the findings
-  and lock-order-graph report uploaded as artifacts.
+* the CI ``analysis`` job — ``repro lint --format json``, with the findings
+  uploaded as an artifact.
 
-Exit status is 0 when no *new* (non-baselined, non-suppressed) findings
-fire, 1 otherwise.
+Exit status is 0 when no (non-suppressed) finding fires, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -18,14 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import (
-    default_baseline_path,
-    default_paths,
-    default_root,
-    run_analysis,
-)
-from .baseline import render_baseline
-from .dynamic import render_dot
+from . import default_paths, default_root, run_analysis
 from .report import render_json, render_rules, render_text
 
 __all__ = ["add_lint_arguments", "run_lint", "main"]
@@ -42,53 +34,13 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--root",
         type=Path,
         default=None,
-        help="repository root for relative paths and the default baseline",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline file (default: <root>/analysis-baseline.json)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline; report every finding as new",
-    )
-    parser.add_argument(
-        "--fix-baseline",
-        action="store_true",
-        help="rewrite the baseline to accept all current findings",
+        help="repository root for relative paths",
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "dot"),
+        choices=("text", "json"),
         default="text",
-        help=(
-            "output format (default: text; `dot` renders the merged "
-            "static+observed lock graph for Graphviz)"
-        ),
-    )
-    parser.add_argument(
-        "--graph",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "also write the lock-order graph report to PATH "
-            "(DOT when --format dot, text otherwise)"
-        ),
-    )
-    parser.add_argument(
-        "--verify-dynamic",
-        type=Path,
-        default=None,
-        metavar="OBSERVED",
-        help=(
-            "cross-validate a runtime sanitizer report (see "
-            "repro.analysis.sanitizer) against the static LOCK002 graph; "
-            "observed edges missing from the static graph fail the run"
-        ),
+        help="output format (default: text)",
     )
     parser.add_argument(
         "--rules",
@@ -103,41 +55,9 @@ def run_lint(args: argparse.Namespace) -> int:
         return 0
     root = (args.root or default_root()).resolve()
     paths = [path.resolve() for path in args.paths] or default_paths(root)
-    baseline_path: Path | None
-    if args.no_baseline:
-        baseline_path = None
-    else:
-        baseline_path = args.baseline or default_baseline_path(root)
-
-    result = run_analysis(
-        paths,
-        root,
-        baseline_path=baseline_path,
-        observed_path=args.verify_dynamic,
-    )
-
-    if args.fix_baseline:
-        target = args.baseline or default_baseline_path(root)
-        target.write_text(render_baseline(result.findings), encoding="utf-8")
-        sys.stdout.write(
-            f"wrote {target} ({len(result.findings)} accepted finding(s))\n"
-        )
-        return 0
-
-    observed = result.dynamic.observed if result.dynamic else None
-    if args.graph is not None:
-        args.graph.parent.mkdir(parents=True, exist_ok=True)
-        if args.format == "dot":
-            args.graph.write_text(
-                render_dot(result.graph, observed), encoding="utf-8"
-            )
-        else:
-            args.graph.write_text(result.graph.render(), encoding="utf-8")
-
+    result = run_analysis(paths, root)
     if args.format == "json":
         sys.stdout.write(json.dumps(render_json(result), indent=2) + "\n")
-    elif args.format == "dot":
-        sys.stdout.write(render_dot(result.graph, observed))
     else:
         sys.stdout.write(render_text(result))
     return 0 if result.ok else 1

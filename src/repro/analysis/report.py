@@ -1,8 +1,7 @@
 """Text and JSON emitters for analysis results.
 
 The text form is for humans at a terminal; the JSON form is the CI
-artifact (``repro lint --format json``) and includes the lock-order graph
-so the deadlock-freedom proof ships with every run.
+artifact (``repro lint --format json``).
 """
 
 from __future__ import annotations
@@ -10,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import RULES, Finding
-from .dynamic import DynamicDiff
-from .lockorder import LockOrderGraph
 
 __all__ = ["AnalysisResult", "render_text", "render_json", "render_rules"]
 
@@ -20,88 +17,32 @@ __all__ = ["AnalysisResult", "render_text", "render_json", "render_rules"]
 class AnalysisResult:
     """Everything one analysis run produced."""
 
-    findings: list[Finding] = field(default_factory=list)  # all, sorted
-    new: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale: list[str] = field(default_factory=list)  # baseline fingerprints
+    findings: list[Finding] = field(default_factory=list)  # sorted
     suppressed: int = 0
     files: int = 0
-    graph: LockOrderGraph = field(default_factory=LockOrderGraph)
-    #: observed-vs-static diff when ``--verify-dynamic`` ran, else None.
-    dynamic: DynamicDiff | None = None
 
     @property
     def ok(self) -> bool:
-        return not self.new
+        return not self.findings
 
 
 def render_text(result: AnalysisResult) -> str:
-    lines: list[str] = []
-    for finding in result.new:
-        lines.append(finding.render())
-    status = "clean" if result.ok else f"{len(result.new)} new finding(s)"
-    summary = (
-        f"repro lint: {status} — {result.files} files, "
-        f"{len(result.findings)} finding(s) total "
-        f"({len(result.baselined)} baselined, {result.suppressed} "
-        f"suppressed inline)"
-    )
-    lines.append(summary)
-    if result.stale:
-        lines.append(
-            f"note: {len(result.stale)} stale baseline entr(y/ies) no "
-            "longer fire; run `repro lint --fix-baseline` to drop them"
-        )
-    cycles = "acyclic" if result.graph.acyclic else (
-        f"{len(result.graph.cycles)} cycle(s)"
-    )
+    lines = [finding.render() for finding in result.findings]
+    status = "clean" if result.ok else f"{len(result.findings)} finding(s)"
     lines.append(
-        f"lock-order graph: {len(result.graph.nodes)} locks, "
-        f"{len(result.graph.edges)} edges, {cycles}"
+        f"repro lint: {status} — {result.files} files, "
+        f"{result.suppressed} suppressed inline"
     )
-    if result.dynamic is not None:
-        diff = result.dynamic
-        merged = "acyclic" if not diff.merged_cycles else (
-            f"{len(diff.merged_cycles)} CYCLE(S)"
-        )
-        lines.append(
-            f"dynamic verify ({diff.observed.source}): "
-            f"{len(diff.observed.edges)} observed edge(s) — "
-            f"{len(diff.matched)} matched, "
-            f"{len(diff.missing_static)} missing from static, "
-            f"{len(diff.unexercised)} static edge(s) unexercised; "
-            f"merged graph {merged}; "
-            f"{len(diff.observed.findings)} runtime finding(s)"
-        )
-        if diff.unexercised:
-            lines.append("unexercised static edges (coverage gaps):")
-            lines.extend(
-                f"  {edge.src.label} -> {edge.dst.label}  "
-                f"({edge.path}:{edge.line})"
-                for edge in diff.unexercised
-            )
     return "\n".join(lines) + "\n"
 
 
 def render_json(result: AnalysisResult) -> dict:
-    payload = {
+    return {
         "ok": result.ok,
         "files": result.files,
-        "summary": {
-            "total": len(result.findings),
-            "new": len(result.new),
-            "baselined": len(result.baselined),
-            "suppressed": result.suppressed,
-            "stale_baseline_entries": len(result.stale),
-        },
-        "findings": [finding.to_dict() for finding in result.new],
-        "baselined": [finding.to_dict() for finding in result.baselined],
-        "stale": list(result.stale),
-        "lock_order": result.graph.to_dict(),
+        "suppressed": result.suppressed,
+        "findings": [finding.to_dict() for finding in result.findings],
     }
-    if result.dynamic is not None:
-        payload["dynamic"] = result.dynamic.to_dict()
-    return payload
 
 
 def render_rules() -> str:

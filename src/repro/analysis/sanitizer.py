@@ -1,22 +1,20 @@
 """Runtime lockdep: observe what threads actually acquire.
 
-``repro lint`` proves lock-order acyclicity *statically* (LOCK002); this
-module is the runtime half of that proof.  When enabled it replaces the
-``threading.Lock`` / ``RLock`` / ``Condition`` factories with wrappers
-that keep a per-thread stack of held locks and record every nested
-acquisition as an edge of an **observed** lock-order graph — each edge
-with its first acquisition site and a count, plus per-lock acquisition /
-contention / max-hold statistics.  It also flags, live:
+This is the project's one lock-order check.  While enabled it replaces
+the ``threading.Lock`` / ``RLock`` / ``Condition`` factories with
+wrappers that keep a per-thread stack of held locks and record every
+nested acquisition as an edge of an **observed** lock-order graph — each
+edge with its first acquisition site and a count, plus per-lock
+acquisition / contention / max-hold statistics.  It also flags, live:
 
 * **order inversions** — acquiring ``B`` while holding ``A`` after the
-  opposite order ``B -> .. -> A`` was already observed (the runtime
-  analogue of a LOCK002 cycle, caught even when the two orders never
-  race in this particular run);
+  opposite order ``B -> .. -> A`` was already observed (a potential
+  deadlock, caught even when the two orders never race in this run);
 * **re-acquisition** of a non-reentrant lock the thread already holds
   (guaranteed self-deadlock);
 * **blocking calls** (``time.sleep``) made while holding a tracked lock;
-* **hold-budget** violations — a lock held longer than
-  ``REPRO_SANITIZE_HOLD_BUDGET`` seconds (default 1.0).
+* **hold-budget** violations — a lock held longer than ``hold_budget``
+  seconds (default :data:`DEFAULT_HOLD_BUDGET`).
 
 Zero overhead when off: enabling swaps module attributes on
 :mod:`threading`; while disabled no wrapper exists anywhere — not even a
@@ -25,11 +23,9 @@ code under the configured roots (default: the ``repro`` package) are
 tracked, so stdlib internals (``concurrent.futures``, ``queue``,
 ``threading.Event``…) and test scaffolding stay raw.
 
-Enable via ``REPRO_SANITIZE=1`` (honored by the ``repro`` CLI and the
-test suite) or ``pytest --sanitize-locks``; write the observed graph
-with ``--sanitize-report PATH`` / ``REPRO_SANITIZE_REPORT=PATH`` and
-cross-check it against the static graph with
-``repro lint --verify-dynamic PATH`` (see :mod:`repro.analysis.dynamic`).
+The test suite's ``pytest --sanitize-report PATH`` runs the session under
+one sanitizer, writes the observed graph to ``PATH`` and fails the
+session on any finding.
 """
 
 from __future__ import annotations
@@ -48,14 +44,11 @@ __all__ = [
     "REPORT_VERSION",
     "LockSanitizer",
     "SanitizerFinding",
-    "current",
-    "disable",
-    "enable",
-    "enabled_from_env",
 ]
 
 REPORT_VERSION = 1
-DEFAULT_HOLD_BUDGET = 1.0
+#: seconds a tracked lock may be held before it is a finding.
+DEFAULT_HOLD_BUDGET = 5.0
 
 #: real primitives, captured before any sanitizer can patch them.
 _REAL_LOCK = threading.Lock
@@ -74,19 +67,6 @@ _ASSIGN_RE = re.compile(r"(?:self|cls)\.([A-Za-z_]\w*)\s*(?::[^=]*)?=")
 
 #: findings cap — a pathological loop must not balloon the report.
 _MAX_FINDINGS = 200
-
-
-def enabled_from_env() -> bool:
-    """Whether ``REPRO_SANITIZE`` asks for the sanitizer."""
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-
-
-def _hold_budget_from_env() -> float:
-    raw = os.environ.get("REPRO_SANITIZE_HOLD_BUDGET", "")
-    try:
-        return float(raw)
-    except ValueError:
-        return DEFAULT_HOLD_BUDGET
 
 
 def _relsite(filename: str, lineno: int) -> str:
@@ -186,10 +166,8 @@ class LockSanitizer:
     its own sanitizer under a session-wide one.
     """
 
-    def __init__(self, *, hold_budget: float | None = None, include=()):
-        self.hold_budget = (
-            _hold_budget_from_env() if hold_budget is None else float(hold_budget)
-        )
+    def __init__(self, *, hold_budget: float = DEFAULT_HOLD_BUDGET, include=()):
+        self.hold_budget = float(hold_budget)
         self._roots = [_PACKAGE_ROOT] + [
             str(Path(p).resolve()) for p in include
         ]
@@ -233,12 +211,6 @@ class LockSanitizer:
         ) = self._prev
         self._prev = None
         self.enabled = False
-
-    def add_roots(self, include) -> None:
-        for p in include:
-            root = str(Path(p).resolve())
-            if root not in self._roots:
-                self._roots.append(root)
 
     # ------------------------------------------------------------ factories
     def _creation_frame(self):
@@ -541,27 +513,3 @@ class LockSanitizer:
         )
         return path
 
-
-# -------------------------------------------------------- module singleton
-_active: LockSanitizer | None = None
-
-
-def enable(*, hold_budget: float | None = None, include=()) -> LockSanitizer:
-    """Enable the process-wide sanitizer (idempotent; extends roots)."""
-    global _active
-    if _active is not None and _active.enabled:
-        _active.add_roots(include)
-        return _active
-    _active = LockSanitizer(hold_budget=hold_budget, include=include)
-    return _active.enable()
-
-
-def disable() -> LockSanitizer | None:
-    """Disable the process-wide sanitizer; returns it with its data."""
-    if _active is not None:
-        _active.disable()
-    return _active
-
-
-def current() -> LockSanitizer | None:
-    return _active

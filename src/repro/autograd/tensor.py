@@ -15,6 +15,7 @@ Design choices kept deliberately boring:
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable
 
 import numpy as np
@@ -29,7 +30,16 @@ __all__ = [
     "default_dtype",
 ]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread grad mode: one thread's ``no_grad`` must not switch tape
+    recording off for a training running on another thread."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
 #: float32 matches the precision GNN frameworks train in and halves memory
 #: traffic; numeric gradient checks switch to float64 via `default_dtype`.
 _DEFAULT_DTYPE = np.float32
@@ -65,22 +75,21 @@ class default_dtype:
 
 
 class no_grad:
-    """Context manager disabling tape recording (evaluation mode)."""
+    """Context manager disabling tape recording on this thread (evaluation
+    mode)."""
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
-    """Whether new operations will record backward closures."""
-    return _GRAD_ENABLED
+    """Whether new operations on this thread will record backward closures."""
+    return _GRAD_MODE.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -126,7 +135,7 @@ class Tensor:
         parents: tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = parents

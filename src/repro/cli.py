@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from repro.analysis.cli import add_lint_arguments, run_lint
@@ -379,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the project-specific static analysis pass "
-        "(lock discipline, lock ordering, plumbing, metric hygiene)",
+        "(lock discipline, blocking under locks, thread/pool lifecycle)",
     )
     add_lint_arguments(lint)
 
@@ -841,23 +840,7 @@ def _cmd_datasets() -> int:
     return 0
 
 
-def _maybe_sanitize() -> None:
-    """Honor ``REPRO_SANITIZE=1``: run under the runtime lockdep and write
-    the observed lock graph (``REPRO_SANITIZE_REPORT``) at exit."""
-    from repro.analysis import sanitizer
-
-    if not sanitizer.enabled_from_env():
-        return
-    san = sanitizer.enable()
-    report = os.environ.get("REPRO_SANITIZE_REPORT", "")
-    if report:
-        import atexit
-
-        atexit.register(san.write_report, report)
-
-
 def main(argv: list[str] | None = None) -> int:
-    _maybe_sanitize()
     args = build_parser().parse_args(argv)
     if args.command == "navigate":
         return _cmd_navigate(args)

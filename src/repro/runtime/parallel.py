@@ -87,7 +87,14 @@ _META_VERSION = 1
 #: reassociate, so GAT losses and accuracies of version 2 are not
 #: reproducible bit for bit.  The ``T``/``Γ`` fields of every record and all
 #: of a GCN/SAGE record are what version 2 measured.
-GROUND_TRUTH_VERSION = 3
+#:
+#: 4 — autograd's grad mode became thread-local.  Before, ``no_grad`` saved
+#: and restored one process-wide flag, so two job threads evaluating at once
+#: could leave gradients off for every later training in the process: a
+#: served store (``workers >= 2``) could hold accuracies of untrained models.
+#: No record says whether it was measured beside a concurrent ``no_grad``, so
+#: every version-3 entry is re-measured rather than trusted.
+GROUND_TRUTH_VERSION = 4
 
 
 # ------------------------------------------------------------- cancellation
@@ -509,9 +516,13 @@ class ProfilingStats:
     deduplicated: int = 0  # repeated candidates folded into one run
     shared_inflight: int = 0  # served by waiting on another job's run
     evictions: int = 0  # store entries removed by the size budget
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    _lock: threading.Lock = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Created per instance through ``threading.Lock`` as it is *now*:
+        # a ``default_factory`` would bind the factory at import, before the
+        # lock sanitizer can patch it, and the lock would go unobserved.
+        self._lock = threading.Lock()
 
     def bump(self, counter: str, n: int = 1) -> None:
         """Atomically add ``n`` to one of the counters."""

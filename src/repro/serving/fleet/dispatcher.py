@@ -42,7 +42,15 @@ from repro.graphs.csr import CSRGraph
 from repro.runtime.parallel import predicted_cost
 from repro.serving.fleet.leases import LeaseTable
 from repro.serving.fleet.registry import ExecutorInfo, ExecutorRegistry
-from repro.serving.metrics import MetricsRegistry, labeled
+from repro.serving.metrics import (
+    FLEET_CLAIMS,
+    FLEET_COMMIT_DUPLICATES,
+    FLEET_COMMITS,
+    FLEET_HEARTBEAT_AGE_SECONDS,
+    FLEET_LEASE_EXPIRIES,
+    FLEET_LOCAL_FALLBACKS,
+    MetricsRegistry,
+)
 from repro.wire import WireMessage
 
 __all__ = ["ClaimGrant", "CommitOutcome", "FleetDispatcher"]
@@ -54,15 +62,6 @@ _MAX_CLAIM_POLL = 30.0
 #: most candidates handed out per claim.  Small batches bound how much work
 #: one executor death re-queues; large ones amortize HTTP round trips.
 _MAX_BATCH = 8
-
-#: per-executor metric families created by the dispatcher; removed again
-#: when the executor deregisters or is pruned.
-_EXECUTOR_METRICS = (
-    "fleet_claims",
-    "fleet_commits",
-    "fleet_lease_expiries",
-    "fleet_heartbeat_age_seconds",
-)
 
 
 @dataclass(frozen=True)
@@ -204,10 +203,7 @@ class FleetDispatcher:
         info = self.registry.register(workers=workers, executor_id=executor_id)
         if self.metrics is not None:
             self.metrics.gauge(
-                labeled(
-                    "fleet_heartbeat_age_seconds", executor=info.executor_id
-                ),
-                info.age,
+                FLEET_HEARTBEAT_AGE_SECONDS, info.age, executor=info.executor_id
             )
         with self._cond:
             self._ensure_sweeper_locked()
@@ -230,8 +226,8 @@ class FleetDispatcher:
                     self.leases.release(lease.lease_id)
                     self._requeue_locked(lease.lease_id, lease.keys)
             self._cond.notify_all()
-        if existed:
-            self._drop_executor_metrics(executor_id)
+        if existed and self.metrics is not None:
+            self.metrics.drop(executor=executor_id)
         return existed
 
     # ------------------------------------------------------------ job side
@@ -317,7 +313,7 @@ class FleetDispatcher:
             # records commit through the same service path, so waiters and
             # the store see no difference from a fleet commit.
             if self.metrics is not None:
-                self.metrics.inc("fleet_local_fallbacks")
+                self.metrics.inc(FLEET_LOCAL_FALLBACKS)
             service._execute_local(
                 task,
                 [mine[key].config for key in unresolved],
@@ -425,15 +421,7 @@ class FleetDispatcher:
                         self._cond.wait(min(poll, remaining))
             if grant is not None:
                 if self.metrics is not None:
-                    # Fleet counters are kept as an unlabeled total plus a
-                    # per-executor labeled breakdown on purpose: the total
-                    # survives executor churn (labeled series are removed
-                    # on deregister/prune), so dashboards never lose
-                    # history.  METRIC002 flags the mixed label sets.
-                    self.metrics.inc("fleet_claims")  # lint: disable=METRIC002
-                    self.metrics.inc(
-                        labeled("fleet_claims", executor=executor_id)
-                    )
+                    self.metrics.inc(FLEET_CLAIMS, executor=executor_id)
                 return grant
             if time.monotonic() >= deadline:
                 return ClaimGrant.none(self.lease_ttl)
@@ -547,14 +535,12 @@ class FleetDispatcher:
                     self._replays.popitem(last=False)
             self._cond.notify_all()
         if self.metrics is not None:
-            # Total + per-executor breakdown, as for fleet_claims above.
-            self.metrics.inc("fleet_commits")  # lint: disable=METRIC002
+            # A forgotten executor bumps only the total: a labeled series
+            # would outlive the prune that dropped its others.
+            labels = {"executor": executor_id} if info is not None else {}
+            self.metrics.inc(FLEET_COMMITS, **labels)
             if duplicates:
-                self.metrics.inc("fleet_commit_duplicates", duplicates)
-            if info is not None:
-                self.metrics.inc(
-                    labeled("fleet_commits", executor=executor_id)
-                )
+                self.metrics.inc(FLEET_COMMIT_DUPLICATES, duplicates)
         return outcome
 
     def graph(self, fingerprint: str) -> CSRGraph:
@@ -630,25 +616,14 @@ class FleetDispatcher:
             if info is not None:
                 info.lease_expiries += 1
             if self.metrics is not None:
-                # Total + per-executor breakdown, as for fleet_claims above.
-                self.metrics.inc(  # lint: disable=METRIC002
-                    "fleet_lease_expiries"
-                )
                 self.metrics.inc(
-                    labeled(
-                        "fleet_lease_expiries", executor=lease.executor_id
-                    )
+                    FLEET_LEASE_EXPIRIES, executor=lease.executor_id
                 )
             if requeued:
                 self._cond.notify_all()
         for info in self.registry.prune(self.lease_ttl * 5.0):
-            self._drop_executor_metrics(info.executor_id)
-
-    def _drop_executor_metrics(self, executor_id: str) -> None:
-        if self.metrics is None:
-            return
-        for name in _EXECUTOR_METRICS:
-            self.metrics.remove(labeled(name, executor=executor_id))
+            if self.metrics is not None:
+                self.metrics.drop(executor=info.executor_id)
 
     # -------------------------------------------------------------- status
     @property

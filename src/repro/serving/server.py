@@ -43,7 +43,33 @@ from repro.serving.events import (
     EventBuffer,
     JobProgressEvent,
 )
-from repro.serving.metrics import MetricsRegistry
+from repro.serving.metrics import (
+    EVENTS_DROPPED,
+    EVENTS_EMITTED,
+    FLEET_EXECUTORS,
+    FLEET_LEASED,
+    FLEET_PENDING,
+    JOBS_CANCELLED,
+    JOBS_DONE,
+    JOBS_FAILED,
+    JOBS_PENDING,
+    JOBS_RUNNING,
+    JOBS_SUBMITTED,
+    PROFILING_CACHE_HITS,
+    PROFILING_DEDUPLICATED,
+    PROFILING_EVICTIONS,
+    PROFILING_EXECUTED,
+    PROFILING_SHARED_INFLIGHT,
+    PROFILING_TRAININGS,
+    SPMM_CALLS,
+    SPMM_SECONDS,
+    STORE_BYTES,
+    STORE_ENTRIES,
+    STORE_PERSISTENT,
+    TRANSFER_CORPUS_RECORDS,
+    TRANSFER_CORPUS_TASKS,
+    MetricsRegistry,
+)
 from repro.serving.queue import PriorityJobQueue
 from repro.serving.scheduler import SharedProfilingService
 from repro.transfer.policy import TransferPolicy
@@ -57,6 +83,14 @@ from repro.serving.types import (
 )
 
 __all__ = ["NavigationServer"]
+
+#: the counter each terminal status bumps.
+_FINISHED = {
+    JobStatus.DONE: JOBS_DONE,
+    JobStatus.FAILED: JOBS_FAILED,
+    JobStatus.CANCELLED: JOBS_CANCELLED,
+}
+
 
 class NavigationServer:
     """Priority-scheduled, cache-sharing front-end over ``GNNavigator``.
@@ -191,43 +225,41 @@ class NavigationServer:
     def _register_gauges(self) -> None:
         """Bind the live gauges; counters appear as events bump them."""
         stats = self.service.stats
-        for name in (
-            "executed",
-            "trainings",
-            "cache_hits",
-            "deduplicated",
-            "shared_inflight",
-            "evictions",
+        for family, field in (
+            (PROFILING_EXECUTED, "executed"),
+            (PROFILING_TRAININGS, "trainings"),
+            (PROFILING_CACHE_HITS, "cache_hits"),
+            (PROFILING_DEDUPLICATED, "deduplicated"),
+            (PROFILING_SHARED_INFLIGHT, "shared_inflight"),
+            (PROFILING_EVICTIONS, "evictions"),
         ):
-            self.metrics.gauge(
-                f"profiling_{name}", lambda n=name: getattr(stats, n)
-            )
-        self.metrics.gauge("store_persistent", lambda: int(self.store is not None))
+            self.metrics.gauge(family, lambda f=field: getattr(stats, f))
+        self.metrics.gauge(STORE_PERSISTENT, lambda: int(self.store is not None))
         self.metrics.gauge(
-            "store_entries", lambda: 0 if self.store is None else len(self.store)
+            STORE_ENTRIES, lambda: 0 if self.store is None else len(self.store)
         )
         self.metrics.gauge(
-            "store_bytes", lambda: 0 if self.store is None else self.store.nbytes
+            STORE_BYTES, lambda: 0 if self.store is None else self.store.nbytes
         )
         self.metrics.gauge(
-            "jobs_pending", lambda: self._census(JobStatus.PENDING)
+            JOBS_PENDING, lambda: self._census(JobStatus.PENDING)
         )
         self.metrics.gauge(
-            "jobs_running", lambda: self._census(JobStatus.RUNNING)
+            JOBS_RUNNING, lambda: self._census(JobStatus.RUNNING)
         )
-        self.metrics.gauge("fleet_executors", lambda: len(self.fleet.registry))
-        self.metrics.gauge("fleet_pending", lambda: self.fleet.pending_count)
-        self.metrics.gauge("fleet_leased", lambda: self.fleet.leased_count)
+        self.metrics.gauge(FLEET_EXECUTORS, lambda: len(self.fleet.registry))
+        self.metrics.gauge(FLEET_PENDING, lambda: self.fleet.pending_count)
+        self.metrics.gauge(FLEET_LEASED, lambda: self.fleet.leased_count)
         corpus = self.profiler.corpus
         if corpus is not None:
-            self.metrics.gauge("transfer_corpus_tasks", lambda: corpus.num_tasks)
+            self.metrics.gauge(TRANSFER_CORPUS_TASKS, lambda: corpus.num_tasks)
             self.metrics.gauge(
-                "transfer_corpus_records", lambda: corpus.num_records
+                TRANSFER_CORPUS_RECORDS, lambda: corpus.num_records
             )
         # SpMM timing is process-wide: whatever every in-process training
         # run of every job accumulated.
-        self.metrics.gauge("spmm_calls", lambda: spmm_stats()[0])
-        self.metrics.gauge("spmm_seconds", lambda: spmm_stats()[1])
+        self.metrics.gauge(SPMM_CALLS, lambda: spmm_stats()[0])
+        self.metrics.gauge(SPMM_SECONDS, lambda: spmm_stats()[1])
 
     def _census(self, status: JobStatus) -> int:
         with self._lock:
@@ -304,7 +336,7 @@ class NavigationServer:
                 submitted_at=time.monotonic(),
                 events=EventBuffer(
                     self.event_buffer,
-                    on_drop=lambda n: self.metrics.inc("events_dropped", n),
+                    on_drop=lambda n: self.metrics.inc(EVENTS_DROPPED, n),
                 ),
             )
             self._jobs[job_id] = job
@@ -312,7 +344,7 @@ class NavigationServer:
             # the same lock to _finish() this PENDING job, so the terminal
             # event can never be appended before (or instead of) 'queued'
             # — the stream always starts 'queued' and ends terminal.
-            self.metrics.inc("jobs_submitted")
+            self.metrics.inc(JOBS_SUBMITTED)
             self._emit(job, "queued")
         try:
             self.queue.push(job_id, request.priority, request.tenant)
@@ -512,7 +544,7 @@ class NavigationServer:
                 **fields,
             )
         )
-        self.metrics.inc("events_emitted")
+        self.metrics.inc(EVENTS_EMITTED)
 
     def _finish(self, job: Job, status: JobStatus) -> None:
         """Move a job to a terminal state and wake the waiters (lock held).
@@ -525,7 +557,7 @@ class NavigationServer:
         self._emit(job, status.value, status=status)
         job.status = status
         job.finished_at = time.monotonic()
-        self.metrics.inc(f"jobs_{status.value}")
+        self.metrics.inc(_FINISHED[status])
         self._terminal.notify_all()
 
     def _worker_loop(self) -> None:

@@ -113,9 +113,9 @@ class TransferContext:
             return self
         return TransferContext(self.corpus, policy=policy, metrics=self.metrics)
 
-    def _inc(self, name: str, n: int = 1) -> None:
+    def _inc(self, family, n: int = 1) -> None:
         if self.metrics is not None:
-            self.metrics.inc(name, n)
+            self.metrics.inc(family, n)
 
     def plan(self, task, profile, *, full_budget: int) -> WarmStartPlan | None:
         """Build a warm-start plan for ``task``, or ``None`` to run cold.
@@ -126,6 +126,15 @@ class TransferContext:
         budget in proportion to how much of it the donors plausibly cover:
         ``coverage = min(1, Σ sim_i · min(1, n_i / full_budget))``.
         """
+        # Imported here, not at module level: the serving package imports
+        # this module.
+        from repro.serving.metrics import (
+            TRANSFER_COLD_FALLBACKS,
+            TRANSFER_DONOR_RECORDS,
+            TRANSFER_RUNS_SAVED,
+            TRANSFER_WARM_STARTS,
+        )
+
         if not self.policy.enabled:
             return None
         self.corpus.refresh()
@@ -154,7 +163,7 @@ class TransferContext:
                 }
             )
         if len(records) < self.MIN_DONOR_RECORDS:
-            self._inc("transfer_cold_fallbacks")
+            self._inc(TRANSFER_COLD_FALLBACKS)
             return None
         coverage = min(1.0, coverage)
         budget = int(round(full_budget * (1.0 - self.policy.max_shrink * coverage)))
@@ -168,7 +177,7 @@ class TransferContext:
             full_budget=full_budget,
             budget=budget,
         )
-        self._inc("transfer_warm_starts")
-        self._inc("transfer_donor_records", len(plan.records))
-        self._inc("transfer_runs_saved", plan.runs_saved)
+        self._inc(TRANSFER_WARM_STARTS)
+        self._inc(TRANSFER_DONOR_RECORDS, len(plan.records))
+        self._inc(TRANSFER_RUNS_SAVED, plan.runs_saved)
         return plan

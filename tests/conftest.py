@@ -1,10 +1,10 @@
 """Shared fixtures: small deterministic graphs and tasks.
 
-Also the runtime-lockdep hook-up: ``pytest --sanitize-locks`` (or
-``REPRO_SANITIZE=1``) runs the whole session under
-:mod:`repro.analysis.sanitizer` and ``--sanitize-report PATH`` (or
-``REPRO_SANITIZE_REPORT``) writes the observed lock graph for
-``repro lint --verify-dynamic PATH``.
+Also the runtime-lockdep hook-up: ``pytest --sanitize-report PATH`` runs
+the session under :class:`repro.analysis.sanitizer.LockSanitizer`, writes
+the observed lock graph to ``PATH`` and fails the session when the
+sanitizer recorded any finding (order inversion, non-reentrant
+re-acquire, sleep under a lock, a hold past the budget).
 """
 
 from __future__ import annotations
@@ -18,18 +18,12 @@ from repro.graphs.generators import powerlaw_community_graph
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
-    group = parser.getgroup("repro")
-    group.addoption(
-        "--sanitize-locks",
-        action="store_true",
-        default=False,
-        help="run the suite under the repro runtime lock sanitizer",
-    )
-    group.addoption(
+    parser.getgroup("repro").addoption(
         "--sanitize-report",
         default=None,
         metavar="PATH",
-        help="write the observed lock graph (implies --sanitize-locks)",
+        help="run under the repro lock sanitizer, write the observed lock "
+        "graph to PATH and fail on any finding",
     )
 
 
@@ -37,27 +31,25 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 def lock_sanitizer(request: pytest.FixtureRequest):
     """Session-wide sanitizer when asked for; a no-op (zero overhead,
     nothing patched) otherwise."""
-    from repro.analysis import sanitizer
-
     report = request.config.getoption("--sanitize-report")
-    wanted = (
-        request.config.getoption("--sanitize-locks")
-        or report is not None
-        or sanitizer.enabled_from_env()
-    )
-    if not wanted:
+    if report is None:
         yield None
         return
-    san = sanitizer.enable()
+    from repro.analysis.sanitizer import LockSanitizer
+
+    san = LockSanitizer().enable()
     try:
         yield san
     finally:
-        sanitizer.disable()
-        import os
-
-        report = report or os.environ.get("REPRO_SANITIZE_REPORT") or None
-        if report:
-            san.write_report(report)
+        san.disable()
+        san.write_report(report)
+    lines = [f"  [{f.kind}] {f.message} at {f.site}" for f in san.findings]
+    if lines:
+        pytest.fail(
+            f"lock sanitizer recorded {len(lines)} finding(s) (see {report}):\n"
+            + "\n".join(lines),
+            pytrace=False,
+        )
 
 
 @pytest.fixture(scope="session")

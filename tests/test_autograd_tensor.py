@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,57 @@ class TestNoGrad:
                 assert not is_grad_enabled()
             assert not is_grad_enabled()
         assert is_grad_enabled()
+
+    def test_no_grad_on_one_thread_leaves_another_recording(self):
+        entered, done = threading.Event(), threading.Event()
+
+        def evaluate():
+            with no_grad():
+                entered.set()
+                done.wait(5)
+
+        thread = threading.Thread(target=evaluate)
+        thread.start()
+        try:
+            assert entered.wait(5)
+            assert is_grad_enabled()
+            assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
+        finally:
+            done.set()
+            thread.join(5)
+        assert not thread.is_alive()
+
+    def test_overlapping_blocks_on_two_threads_leave_grad_on(self):
+        """A enters, B enters, A exits, B exits.  With one process-wide flag
+        B restores the ``False`` it saw on entry and every later training in
+        the process runs without gradients; grad mode is per thread."""
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen: dict[str, bool] = {}
+
+        def first():
+            with no_grad():
+                a_in.set()
+                b_in.wait(5)
+            seen["a_after"] = is_grad_enabled()
+            a_out.set()
+
+        def second():
+            a_in.wait(5)
+            with no_grad():
+                b_in.set()
+                a_out.wait(5)
+                seen["b_inside"] = is_grad_enabled()
+            seen["b_after"] = is_grad_enabled()
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert seen == {"a_after": True, "b_inside": False, "b_after": True}
+        assert is_grad_enabled()
+        assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
 
 
 @settings(max_examples=30, deadline=None)

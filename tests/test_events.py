@@ -1,6 +1,6 @@
-"""Progress-event subsystem: ring buffer, metrics, streaming, parity.
+"""Progress-event subsystem: ring buffer, streaming, parity.
 
-The buffer/registry tests are pure unit tests.  The streaming tests run
+The buffer tests are pure unit tests.  The streaming tests run
 real (tiny) navigation jobs and exercise the full emission chain — server
 -> navigator -> shared profiling service — through the parametrized client
 fixture, once in-process and once over a live HTTP socket, so the two
@@ -21,7 +21,6 @@ from repro.serving import (
     EventBuffer,
     JobProgressEvent,
     JobStatus,
-    MetricsRegistry,
     NavigationClient,
     NavigationRequest,
     NavigationServer,
@@ -109,42 +108,6 @@ class TestEventBuffer:
             buffer.read(since=-1, timeout=0)
         with pytest.raises(ValueError):
             EventBuffer(capacity=0)
-
-
-# -------------------------------------------------------------------- metrics
-class TestMetricsRegistry:
-    def test_counters_create_on_first_inc(self):
-        metrics = MetricsRegistry()
-        assert metrics.counter("jobs") == 0
-        assert metrics.inc("jobs") == 1
-        assert metrics.inc("jobs", 4) == 5
-        assert metrics.value("jobs") == 5
-        with pytest.raises(ValueError):
-            metrics.inc("jobs", -1)
-
-    def test_gauges_read_live(self):
-        metrics = MetricsRegistry()
-        box = {"depth": 3}
-        metrics.gauge("queue_depth", lambda: box["depth"])
-        assert metrics.value("queue_depth") == 3
-        box["depth"] = 7
-        assert metrics.snapshot()["queue_depth"] == 7
-
-    def test_namespace_collisions_rejected(self):
-        metrics = MetricsRegistry()
-        metrics.inc("a")
-        metrics.gauge("b", lambda: 0)
-        with pytest.raises(ValueError):
-            metrics.gauge("a", lambda: 0)
-        with pytest.raises(ValueError):
-            metrics.inc("b")
-        with pytest.raises(KeyError):
-            metrics.value("missing")
-
-    def test_raising_gauge_reports_zero(self):
-        metrics = MetricsRegistry()
-        metrics.gauge("broken", lambda: 1 / 0)
-        assert metrics.snapshot()["broken"] == 0
 
 
 # ----------------------------------------------------------------- wire forms

@@ -198,6 +198,11 @@ def _start_batch(dispatcher, task, configs, graph, keys):
     return thread, out
 
 
+def _series_of(snapshot: dict, executor_id: str) -> list[str]:
+    """Names of the scraped series labeled with one executor."""
+    return [name for name in snapshot if f'executor="{executor_id}"' in name]
+
+
 def _finish(thread, out):
     thread.join(timeout=30.0)
     assert not thread.is_alive(), "run_batch never completed"
@@ -422,10 +427,36 @@ class TestFleetDispatcher:
             idempotency_key=regrant.lease_id,
         )
         assert _finish(thread, out) == ["taken-over"]
-        # the leaver's labeled series are gone, the taker's remain
+        # every series the leaver labels is gone, the taker's remain
         snap = dispatcher.metrics.snapshot()
-        assert labeled("fleet_claims", executor=leaver.executor_id) not in snap
-        assert snap[labeled("fleet_claims", executor=taker.executor_id)] == 1
+        assert _series_of(snap, leaver.executor_id) == []
+        assert _series_of(snap, taker.executor_id) == [
+            labeled(family, executor=taker.executor_id)
+            for family in (
+                "fleet_claims", "fleet_commits", "fleet_heartbeat_age_seconds"
+            )
+        ]
+        assert snap["fleet_claims"] == 2  # the total keeps the leaver's claim
+
+    def test_pruned_executor_loses_every_series(
+        self, dispatcher, tiny_task, tiny_config, small_graph
+    ):
+        silent, other = dispatcher.register(), dispatcher.register()
+        thread, out = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph, ["k-0"]
+        )
+        stale = dispatcher.claim(silent.executor_id, timeout=5.0)
+        grant = dispatcher.claim(other.executor_id, timeout=5.0)  # after expiry
+        assert grant.keys == stale.keys
+        assert len(_series_of(dispatcher.metrics.snapshot(), silent.executor_id)) == 3
+        silent.last_seen -= 100.0  # past the prune horizon
+        dispatcher.commit(other.executor_id, grant.lease_id, list(grant.keys), ["r"])
+        assert _finish(thread, out) == ["r"]
+        dispatcher.claim(other.executor_id)  # its sweep prunes the silent one
+        snap = dispatcher.metrics.snapshot()
+        assert _series_of(snap, silent.executor_id) == []
+        assert snap["fleet_lease_expiries"] == 1
+        assert snap["fleet_claims"] == 2
 
     def test_dead_fleet_falls_back_to_local_pool(
         self, dispatcher, tiny_task, tiny_config, small_graph
@@ -473,26 +504,6 @@ class TestFleetDispatcher:
         assert empty.empty
         assert empty.keys == () and empty.configs == ()
         assert empty.ttl == 4.0
-
-
-# ------------------------------------------------------------------- metrics
-class TestLabeledMetrics:
-    def test_labeled_rendering_is_key_sorted(self):
-        assert labeled("fleet_claims") == "fleet_claims"
-        assert (
-            labeled("fleet_claims", executor="ex-0000")
-            == 'fleet_claims{executor="ex-0000"}'
-        )
-        assert labeled("x", b="2", a="1") == 'x{a="1",b="2"}'
-
-    def test_remove_forgets_either_kind(self):
-        registry = MetricsRegistry()
-        registry.inc("counter_one")
-        registry.gauge("gauge_one", lambda: 7)
-        assert registry.remove("counter_one") is True
-        assert registry.remove("gauge_one") is True
-        assert registry.remove("never_existed") is False
-        assert registry.snapshot() == {}
 
 
 # ----------------------------------------------------------------- HTTP end

@@ -1,36 +1,34 @@
-"""Runtime lockdep (repro.analysis.sanitizer) and its cross-validation
-against the static LOCK002 graph (repro.analysis.dynamic).
+"""Runtime lockdep (repro.analysis.sanitizer), the project's one lock-order
+check: what it observes and flags, the session gate behind
+``pytest --sanitize-report``, and a sanitized in-process server + HTTP +
+fleet run that must observe every known lock-order edge with no finding.
 
-Every sanitizer test builds its own :class:`LockSanitizer` with the tests
-directory as an extra tracking root and tears it down in ``finally`` —
-instances nest, so these pass unchanged under a session-wide sanitizer
-(``pytest --sanitize-locks``)."""
+Every sanitizer test builds its own :class:`LockSanitizer` and tears it
+down in ``finally`` — instances nest, so these pass unchanged under the
+session-wide sanitizer."""
 
 from __future__ import annotations
 
 import json
-import textwrap
+import os
+import shutil
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_analysis
-from repro.analysis.cli import main as lint_main
-from repro.analysis.dynamic import (
-    ObservedGraph,
-    find_label_cycles,
-    render_dot,
-    verify_dynamic,
-)
 from repro.analysis.sanitizer import (
+    DEFAULT_HOLD_BUDGET,
     REPORT_VERSION,
     LockSanitizer,
     _TrackedLock,
 )
 
 _TESTS_DIR = str(Path(__file__).resolve().parent)
+_SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture()
@@ -88,6 +86,40 @@ class TestObservation:
         assert lock_a["acquisitions"] == 1
         assert "test_sanitizer.py" in lock_a["site"]
 
+    def test_contention_and_hold_time_are_measured(self, san):
+        pair = _Pair()
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with pair.a:
+                held.set()
+                release.wait(5)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        assert held.wait(5)
+        assert pair.a.acquire(blocking=False) is False
+        threading.Timer(0.02, release.set).start()
+        with pair.a:  # blocks until the holder lets go
+            pass
+        thread.join(5)
+        assert not thread.is_alive()
+        [lock] = [entry for entry in san.report()["locks"] if entry["label"] == "_Pair.a"]
+        assert lock["contended"] == 2
+        assert lock["max_hold_s"] >= 0.015
+        assert san.findings == []
+
+    def test_release_from_another_thread_is_legal(self, san):
+        pair = _Pair()
+        thread = threading.Thread(target=pair.a.acquire)
+        thread.start()
+        thread.join(5)
+        assert pair.a.locked()
+        pair.a.release()  # a Lock may be released by any thread
+        with pair.a:
+            pass
+        assert san.findings == []
+
     def test_locks_outside_roots_stay_raw(self):
         sanitizer = LockSanitizer()  # repro package only — not tests/
         sanitizer.enable()
@@ -128,6 +160,23 @@ class TestFindings:
         assert "_Pair.a" in finding.message
         assert "_Pair.b" in finding.message
         assert finding.thread == "inverter"
+
+    def test_inversion_through_a_chain_is_reported(self, san):
+        class _Three:
+            def __init__(self):
+                self.a = threading.Lock()
+                self.b = threading.Lock()
+                self.c = threading.Lock()
+
+        three = _Three()
+        with three.a, three.b:
+            pass
+        with three.b, three.c:
+            pass
+        with three.c, three.a:  # a -> b -> c was seen: c -> a closes a cycle
+            pass
+        assert [f.kind for f in san.findings] == ["order-inversion"]
+        assert "'_Three.a' acquired while holding '_Three.c'" in san.findings[0].message
 
     def test_reacquire_nonreentrant_reported(self, san):
         pair = _Pair()
@@ -183,6 +232,13 @@ class TestFindings:
         kinds = [f.kind for f in sanitizer.findings]
         assert kinds == ["hold-budget"]
 
+    def test_findings_are_capped(self, san):
+        pair = _Pair()
+        with pair.a:
+            for i in range(250):  # distinct messages: none deduplicates
+                time.sleep(i * 1e-9)
+        assert len(san.findings) == 200
+
     def test_findings_deduplicate(self, san):
         pair = _Pair()
         for _ in range(5):
@@ -209,6 +265,20 @@ class TestCondition:
         )
         assert lock["kind"] == "condition"
         assert lock["acquisitions"] >= 2  # entry + wait re-acquire
+
+    def test_wait_on_a_reentrant_condition_keeps_its_depth(self, san):
+        class _Box:
+            def __init__(self):
+                self.cond = threading.Condition()
+
+        box = _Box()
+        with box.cond:
+            with box.cond:
+                box.cond.wait(0.01)  # releases both levels, restores both
+                assert box.cond._is_owned()
+            assert box.cond._is_owned()
+        assert not box.cond._is_owned()
+        assert san.findings == []
 
     def test_condition_over_tracked_lock(self, san):
         class _Guard:
@@ -249,6 +319,23 @@ class TestLifecycle:
         outer.disable()
         assert threading.Lock is before
 
+    def test_an_inner_sanitizer_tracks_what_it_saw_created(self):
+        outer = LockSanitizer(include=[_TESTS_DIR]).enable()
+        try:
+            inner = LockSanitizer(include=[_TESTS_DIR]).enable()
+            try:
+                pair = _Pair()
+                with pair.a, pair.b:
+                    pass
+            finally:
+                inner.disable()
+        finally:
+            outer.disable()
+        assert [(e["src"], e["dst"]) for e in inner.report()["edges"]] == [
+            ("_Pair.a", "_Pair.b")
+        ]
+        assert outer.report()["locks"] == [] and outer.report()["edges"] == []
+
     def test_tracked_locks_survive_disable(self, san):
         pair = _Pair()
         san.disable()
@@ -261,258 +348,73 @@ class TestLifecycle:
 
 
 # ------------------------------------------------------------ report I/O
-class TestReportRoundtrip:
-    def test_write_report_loads_as_observed_graph(self, san, tmp_path):
+class TestReport:
+    def test_write_report_is_the_observed_graph(self, san, tmp_path):
         pair = _Pair()
         with pair.a:
             with pair.b:
                 pass
-        path = san.write_report(tmp_path / "observed.json")
-        observed = ObservedGraph.load(path)
-        assert [e.pair for e in observed.edges] == [("_Pair.a", "_Pair.b")]
-        assert observed.source.endswith("observed.json")
+        payload = json.loads(san.write_report(tmp_path / "observed.json").read_text())
+        assert payload["version"] == REPORT_VERSION
+        assert payload["hold_budget_s"] == 30.0
+        assert [(e["src"], e["dst"], e["count"]) for e in payload["edges"]] == [
+            ("_Pair.a", "_Pair.b", 1)
+        ]
+        assert {lock["label"] for lock in payload["locks"]} == {"_Pair.a", "_Pair.b"}
+        assert payload["findings"] == []
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99}), encoding="utf-8")
-        with pytest.raises(ValueError, match="version"):
-            ObservedGraph.load(path)
+    def test_default_hold_budget(self):
+        assert LockSanitizer().hold_budget == DEFAULT_HOLD_BUDGET == 5.0
 
 
-# ------------------------------------------------------------ verify-dynamic
-_STATIC_FIXTURE = """
-    import threading
+# ------------------------------------------------------------ session gate
+_GATE_TEST = """
+from repro.runtime.parallel import ResultStore
+from repro.serving.metrics import MetricsRegistry
 
-    class Svc:
-        def __init__(self):
-            self.a = threading.Lock()
-            self.b = threading.Lock()
 
-        def go(self):
-            with self.a:
-                with self.b:
-                    pass
+def test_nested(tmp_path):
+    metrics, store = MetricsRegistry(), ResultStore(tmp_path)
+    with store._lock:
+        with metrics._lock:
+            pass
+"""
+_INVERSION = """
+    with metrics._lock:
+        with store._lock:
+            pass
 """
 
 
-def _static_graph(tmp_path: Path):
-    mod = tmp_path / "svc.py"
-    mod.write_text(textwrap.dedent(_STATIC_FIXTURE), encoding="utf-8")
-    return mod, run_analysis([mod], tmp_path).graph
-
-
-def _observed(edges, findings=()):
-    return ObservedGraph.from_dict(
-        {
-            "version": REPORT_VERSION,
-            "hold_budget_s": 1.0,
-            "locks": [],
-            "edges": [
-                {"src": src, "dst": dst, "count": 1, "site": "svc.py:1"}
-                for src, dst in edges
-            ],
-            "findings": list(findings),
-        },
-        source="observed.json",
+@pytest.mark.parametrize("inverted", [False, True])
+def test_sanitize_report_fails_the_session_on_a_finding(tmp_path, inverted):
+    """``--sanitize-report`` writes the observed graph either way and turns
+    a finding (here an order inversion between repro-created locks) into a
+    failed session although every test passed."""
+    test_file = tmp_path / "test_gate.py"
+    test_file.write_text(_GATE_TEST + (_INVERSION if inverted else ""))
+    shutil.copy(Path(_TESTS_DIR) / "conftest.py", tmp_path / "conftest.py")
+    report = tmp_path / "observed.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--rootdir", str(tmp_path), str(test_file),
+         "--sanitize-report", str(report)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": _SRC_DIR},
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
-
-
-class TestVerifyDynamic:
-    def test_matched_edges_are_ok(self, tmp_path):
-        _, graph = _static_graph(tmp_path)
-        diff, findings = verify_dynamic(
-            graph, _observed([("Svc.a", "Svc.b")])
-        )
-        assert diff.ok
-        assert findings == []
-        assert [e.pair for e in diff.matched] == [("Svc.a", "Svc.b")]
-        assert diff.unexercised == []
-
-    def test_observed_edge_missing_from_static_fires_dyn001(self, tmp_path):
-        _, graph = _static_graph(tmp_path)
-        diff, findings = verify_dynamic(
-            graph, _observed([("Svc.a", "Svc.b"), ("Svc.b", "Svc.c")])
-        )
-        assert not diff.ok
-        assert [f.rule for f in findings] == ["DYN001"]
-        assert "Svc.b -> Svc.c" in findings[0].message
-
-    def test_merged_cycle_fires_dyn002(self, tmp_path):
-        _, graph = _static_graph(tmp_path)
-        diff, findings = verify_dynamic(
-            graph, _observed([("Svc.b", "Svc.a")])
-        )
-        assert diff.merged_cycles == [["Svc.a", "Svc.b"]]
-        assert {f.rule for f in findings} == {"DYN001", "DYN002"}
-
-    def test_unexercised_static_edges_reported_not_findings(self, tmp_path):
-        _, graph = _static_graph(tmp_path)
-        diff, findings = verify_dynamic(graph, _observed([]))
-        assert diff.ok  # coverage gap, not an error
-        assert findings == []
-        assert [
-            (e.src.label, e.dst.label) for e in diff.unexercised
-        ] == [("Svc.a", "Svc.b")]
-
-    def test_runtime_violations_resurface_as_dyn003(self, tmp_path):
-        _, graph = _static_graph(tmp_path)
-        _, findings = verify_dynamic(
-            graph,
-            _observed(
-                [],
-                findings=[
-                    {"kind": "order-inversion", "message": "inverted",
-                     "site": "svc.py:9", "thread": "t"},
-                    {"kind": "blocking-sleep", "message": "slept",
-                     "site": "svc.py:9", "thread": "t"},
-                ],
-            ),
-        )
-        # blocking-sleep is load-dependent: summarized, never an error.
-        assert [f.rule for f in findings] == ["DYN003"]
-        assert "order-inversion" in findings[0].message
-
-    def test_find_label_cycles(self):
-        assert find_label_cycles({("a", "b"), ("b", "a")}) == [["a", "b"]]
-        assert find_label_cycles({("a", "b"), ("b", "c")}) == []
-
-
-# ------------------------------------------------------------------ CLI+dot
-class TestVerifyDynamicCli:
-    def test_clean_verify_exits_zero(self, tmp_path, capsys):
-        mod, _ = _static_graph(tmp_path)
-        observed = tmp_path / "observed.json"
-        observed.write_text(
-            json.dumps(
-                {
-                    "version": REPORT_VERSION,
-                    "edges": [
-                        {"src": "Svc.a", "dst": "Svc.b", "count": 2,
-                         "site": "svc.py:10"}
-                    ],
-                    "locks": [],
-                    "findings": [],
-                    "hold_budget_s": 1.0,
-                }
-            ),
-            encoding="utf-8",
-        )
-        code = lint_main(
-            [str(mod), "--root", str(tmp_path), "--no-baseline",
-             "--verify-dynamic", str(observed)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "dynamic verify" in out
-        assert "0 missing from static" in out
-
-    def test_missing_edge_fails_run(self, tmp_path, capsys):
-        mod, _ = _static_graph(tmp_path)
-        observed = tmp_path / "observed.json"
-        observed.write_text(
-            json.dumps(
-                {
-                    "version": REPORT_VERSION,
-                    "edges": [
-                        {"src": "Svc.b", "dst": "Svc.z", "count": 1,
-                         "site": "svc.py:12"}
-                    ],
-                    "locks": [],
-                    "findings": [],
-                    "hold_budget_s": 1.0,
-                }
-            ),
-            encoding="utf-8",
-        )
-        code = lint_main(
-            [str(mod), "--root", str(tmp_path), "--no-baseline",
-             "--verify-dynamic", str(observed)]
-        )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "DYN001" in out
-
-    def test_dot_format_renders_merged_graph(self, tmp_path, capsys):
-        mod, _ = _static_graph(tmp_path)
-        observed = tmp_path / "observed.json"
-        observed.write_text(
-            json.dumps(
-                {
-                    "version": REPORT_VERSION,
-                    "edges": [
-                        {"src": "Svc.a", "dst": "Svc.b", "count": 4,
-                         "site": "svc.py:10"}
-                    ],
-                    "locks": [],
-                    "findings": [],
-                    "hold_budget_s": 1.0,
-                }
-            ),
-            encoding="utf-8",
-        )
-        dot_file = tmp_path / "out" / "graph.dot"
-        code = lint_main(
-            [str(mod), "--root", str(tmp_path), "--no-baseline",
-             "--verify-dynamic", str(observed),
-             "--format", "dot", "--graph", str(dot_file)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert out.startswith("digraph lock_order {")
-        assert '"Svc.a" -> "Svc.b"' in out
-        assert 'label="4x"' in out
-        assert dot_file.read_text(encoding="utf-8") == out
-
-    def test_dot_without_observed_marks_nothing_unexercised(
-        self, tmp_path, capsys
-    ):
-        mod, _ = _static_graph(tmp_path)
-        code = lint_main(
-            [str(mod), "--root", str(tmp_path), "--no-baseline",
-             "--format", "dot"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "unexercised" not in out
-        assert "color=gray50" in out
-
-
-class TestRenderDot:
-    def test_observed_only_edge_is_red(self, tmp_path):
-        _, graph = _static_graph(tmp_path)
-        dot = render_dot(graph, _observed([("Svc.x", "Svc.y")]))
-        assert '"Svc.x" -> "Svc.y" [color=red' in dot
-        assert 'style=dashed, label="unexercised"' in dot  # static, unseen
-
-
-# ------------------------------------------------------------- end to end
-class TestEndToEnd:
-    def test_sanitized_run_verifies_against_static_fixture(self, tmp_path):
-        """The full loop: run real (test-local) lock traffic under the
-        sanitizer, write the report, and verify it against a static model
-        of the same discipline — zero missing edges, merged acyclic."""
-        sanitizer = LockSanitizer(hold_budget=30.0, include=[_TESTS_DIR])
-        sanitizer.enable()
-        try:
-
-            class Svc:  # mirrors _STATIC_FIXTURE's lock discipline
-                def __init__(self):
-                    self.a = threading.Lock()
-                    self.b = threading.Lock()
-
-                def go(self):
-                    with self.a:
-                        with self.b:
-                            pass
-
-            Svc().go()
-        finally:
-            sanitizer.disable()
-        report_path = sanitizer.write_report(tmp_path / "observed.json")
-        mod, graph = _static_graph(tmp_path)
-        diff, findings = verify_dynamic(
-            graph, ObservedGraph.load(report_path)
-        )
-        assert findings == []
-        assert diff.ok
-        assert [e.pair for e in diff.matched] == [("Svc.a", "Svc.b")]
+    assert "1 passed" in run.stdout, run.stdout + run.stderr
+    payload = json.loads(report.read_text())
+    assert ("ResultStore._lock", "MetricsRegistry._lock") in {
+        (e["src"], e["dst"]) for e in payload["edges"]
+    }
+    kinds = [f["kind"] for f in payload["findings"]]
+    if inverted:
+        assert kinds == ["order-inversion"]
+        assert run.returncode == 1
+        assert "lock sanitizer recorded 1 finding(s)" in run.stdout
+    else:
+        assert kinds == []
+        assert run.returncode == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -273,6 +274,35 @@ class TestNavigationServer:
         job_id = server.submit(_request(task))
         assert server.result(job_id, timeout=240) is not None
         assert server.status(job_id) is JobStatus.DONE
+
+
+class TestConcurrentJobs:
+    def test_two_job_threads_write_the_records_one_writes(
+        self, server_factory, small_graph, tmp_path
+    ):
+        """Jobs on two threads evaluate under ``no_grad`` at the same time;
+        neither may leave the other training without gradients.  A short
+        switch interval makes their evaluations interleave."""
+        task = TaskSpec(dataset="tiny", arch="sage", epochs=1)
+        requests = [_request(task, seed=seed) for seed in range(6)]
+        stores = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (2, 1):
+                store = tmp_path / f"store-{workers}"
+                server = server_factory(
+                    workers=workers, profile_workers=0, cache_dir=str(store)
+                )
+                server.submit_many(requests)
+                jobs = server.drain(timeout=240)
+                assert {job.status for job in jobs} == {JobStatus.DONE}
+                stores[workers] = {
+                    path.name: path.read_bytes() for path in store.glob("gt_*.json")
+                }
+        finally:
+            sys.setswitchinterval(interval)
+        assert stores[2] and stores[2] == stores[1]
 
 
 class TestNavigationClient:

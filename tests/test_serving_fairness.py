@@ -10,10 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.config import TaskSpec
+from repro.config import TaskSpec, TrainingConfig
 from repro.config.space import default_space
 from repro.errors import JobCancelled, ServingError
 from repro.runtime import CancellationToken, ProfilingService
+from repro.serving.fleet import FleetDispatcher
+from repro.serving.metrics import MetricsRegistry
 from repro.serving import (
     JobStatus,
     NavigationRequest,
@@ -159,6 +161,96 @@ class TestCancellationToken:
         records = service.profile(tiny_task, configs, graph=small_graph)
         assert len(records) == len(configs)
         assert service.stats.executed == len(set(configs))  # nothing twice
+
+
+# Every way a profiling batch can execute.  ``fleet`` runs it on a live
+# in-process executor (a thread that claims one key at a time and commits
+# real records); ``fleet-fallback`` registers an executor that never claims,
+# so ``run_batch`` takes the batch and then hands it to the local pool when
+# the fleet goes silent.
+PATHS = ("serial", "pool", "fleet", "fleet-fallback")
+
+
+@pytest.fixture()
+def path_service(request, small_graph):
+    service = ProfilingService(max_workers=2 if request.param == "pool" else None)
+    if not request.param.startswith("fleet"):
+        yield service
+        return
+    dispatcher = FleetDispatcher(service, lease_ttl=0.3, metrics=MetricsRegistry())
+    executor_id = dispatcher.register().executor_id
+    stop = threading.Event()
+
+    def executor():
+        local = ProfilingService()
+        while not stop.is_set():
+            grant = dispatcher.claim(executor_id, max_candidates=1, timeout=0.1)
+            if not grant.empty:
+                records = local.profile(
+                    grant.task, list(grant.configs), graph=small_graph
+                )
+                dispatcher.commit(
+                    executor_id, grant.lease_id, list(grant.keys), records
+                )
+
+    thread = threading.Thread(target=executor, daemon=True)
+    if request.param == "fleet":
+        thread.start()
+    yield service
+    stop.set()
+    if request.param == "fleet":
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    dispatcher.close()
+    # The batch really took the path under test.
+    ran = "fleet_commits" if request.param == "fleet" else "fleet_local_fallbacks"
+    assert dispatcher.metrics.counter(ran) >= 1
+
+
+@pytest.fixture(scope="module")
+def three_classes(small_graph):
+    """Three candidates in three training classes, and the records the
+    serial path measures for them."""
+    task = TaskSpec(dataset="tiny", arch="sage", epochs=2, lr=0.02)
+    configs = [
+        TrainingConfig(batch_size=b, hop_list=(4, 3), hidden_channels=16)
+        for b in (32, 64, 128)
+    ]
+    return task, configs, ProfilingService().profile(task, configs, graph=small_graph)
+
+
+@pytest.mark.parametrize("path_service", PATHS, indirect=True)
+class TestSeatsReachEveryPath:
+    """``on_progress`` (through ``on_run``) and ``cancel`` must reach the
+    code that runs the batch on each path: a hop that drops its seat stops
+    the progress short of the total, or lets a cancelled batch finish."""
+
+    def test_progress_reaches_the_total(self, path_service, three_classes, small_graph):
+        task, configs, reference = three_classes
+        seen: list[tuple[int, int, int]] = []
+        records = path_service.profile(
+            task, configs, graph=small_graph, on_progress=lambda *s: seen.append(s)
+        )
+        assert records == reference
+        assert seen[0] == (0, 3, 0) and seen[-1] == (3, 3, 0)
+        assert [done for done, _, _ in seen] == sorted({d for d, _, _ in seen})
+
+    def test_cancel_stops_the_batch(self, path_service, three_classes, small_graph):
+        task, configs, _ = three_classes
+        token = CancellationToken()
+
+        def cancel_after_the_first_run(done, total, hits):
+            if done:
+                token.cancel()
+
+        with pytest.raises(JobCancelled):
+            path_service.profile(
+                task,
+                configs,
+                graph=small_graph,
+                cancel=token,
+                on_progress=cancel_after_the_first_run,
+            )
 
 
 class TestRunningJobCancellation:
