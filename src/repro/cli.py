@@ -30,7 +30,7 @@ from repro.config import TaskSpec, get_template, template_names
 from repro.errors import ServingError
 from repro.experiments.tables import render_table
 from repro.explorer import GNNavigator, RuntimeConstraint
-from repro.graphs import DATASETS, load_dataset, profile_graph
+from repro.graphs import DATASETS, load_dataset
 from repro.runtime import RuntimeBackend
 from repro.runtime.parallel import default_store_dir
 
@@ -463,10 +463,16 @@ def _profiling_line(metrics: dict) -> str:
             "deduplicated", "evictions",
         )
     )
+    fits, fit_hits, expired = (
+        int(metrics.get(name, 0))
+        for name in ("estimator_fits", "estimator_fit_hits", "results_expired")
+    )
     return (
         f"profiling: {executed} runs ({trainings} trainings), {hits} cache hits, "
         f"{shared} shared in-flight, "
-        f"{deduplicated} deduplicated, {evicted} evicted"
+        f"{deduplicated} deduplicated, {evicted} evicted; "
+        f"estimator: {fits} fits, {fit_hits} memo hits; "
+        f"{expired} results expired"
     )
 
 
@@ -517,7 +523,8 @@ def _print_job_table(jobs: list) -> None:
     for job in jobs:
         req = job.request
         if job.status.value == "done":
-            outcome = job.result.best().describe()
+            result = job.result
+            outcome = "result expired" if result is None else result.best().describe()
         else:
             outcome = job.error or job.status.value
         rows.append(
@@ -818,7 +825,7 @@ def _cmd_datasets() -> int:
     rows = []
     for spec in sorted({s.name: s for s in DATASETS.values()}.values(), key=lambda s: s.name):
         graph = load_dataset(spec.name)
-        profile = profile_graph(graph)
+        profile = graph.profile
         rows.append(
             [
                 spec.name,

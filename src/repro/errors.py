@@ -56,6 +56,16 @@ class UnknownJobError(ServingError):
     """
 
 
+class ResultExpiredError(UnknownJobError):
+    """A DONE job's result was asked for after the server stopped keeping it.
+
+    A server keeps every job's snapshot, but a finished job's result, event
+    history and cancellation token only while it is among the newest
+    finished jobs.  An :class:`UnknownJobError` subclass so callers that
+    already handle a forgotten job keep working.
+    """
+
+
 class JobFailedError(ServingError):
     """A served navigation job reached FAILED.
 

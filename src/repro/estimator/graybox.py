@@ -134,6 +134,28 @@ class GrayBoxEstimator:
         # the cost/memory analytics read it when evaluating candidates.
         self._arch = "sage"
         self._fitted = False
+        self._frozen = False
+
+    @classmethod
+    def fitted(
+        cls, records, sample_weight=None, *, train_frac: float, random_state: int
+    ) -> "GrayBoxEstimator":
+        """A fresh estimator fitted on ``records``: the one recipe Step 2
+        uses, whether a navigator fits for itself or a shared profiling
+        service memoises the result for every job."""
+        return cls(train_frac=train_frac, random_state=random_state).fit(
+            records, sample_weight=sample_weight
+        )
+
+    def freeze(self) -> "GrayBoxEstimator":
+        """Mark this estimator shared: :meth:`fit` refuses from now on.
+
+        Each tree draws from an rng created in ``__init__``, so a second fit
+        of the same object would not reproduce the first — and jobs holding
+        a shared estimator would see it change under them.
+        """
+        self._frozen = True
+        return self
 
     # -------------------------------------------------------------- analytics
     def _intermediates(
@@ -206,6 +228,8 @@ class GrayBoxEstimator:
         similarity-decayed donor records.  ``None`` is bit-identical to
         the historical unweighted fit.
         """
+        if self._frozen:
+            raise EstimatorError("a shared (frozen) estimator is never refitted")
         if len(records) < 8:
             raise EstimatorError("need at least 8 ground-truth records")
         w = None

@@ -29,7 +29,7 @@ from repro.explorer.dfs import DFSExplorer, ExplorationResult
 from repro.explorer.objectives import PRIORITY_PRESETS, ExploreTarget, get_target
 from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
-from repro.graphs.profiling import GraphProfile, profile_graph
+from repro.graphs.profiling import GraphProfile
 from repro.hardware.specs import Platform, get_platform
 from repro.runtime.backend import RuntimeBackend
 from repro.runtime.profiler import GroundTruthRecord, profile_configs
@@ -75,7 +75,7 @@ class GNNavigator:
         self.space = space or default_space()
         self.graph = graph if graph is not None else load_dataset(task.dataset)
         self.platform: Platform = get_platform(task.platform)
-        self.profile: GraphProfile = profile_graph(self.graph)
+        self.profile: GraphProfile = self.graph.profile
         self.profile_budget = profile_budget
         self.profile_epochs = profile_epochs
         self.seed = seed
@@ -84,7 +84,9 @@ class GNNavigator:
         #: optional profiling delegate with a ``ProfilingService``-shaped
         #: ``profile(task, configs, graph=)`` — the serving layer injects a
         #: server-held shared service here so Step 2 rides the multi-tenant
-        #: cache instead of a private one.
+        #: cache instead of a private one.  A delegate that also offers
+        #: ``fit_estimator(records, weights, train_frac=, random_state=)``
+        #: supplies the fitted estimator too (the server's memo).
         self.profiler = profiler
         #: optional :class:`~repro.runtime.parallel.CancellationToken`
         #: checked at phase transitions and threaded into Step-2 profiling,
@@ -199,22 +201,26 @@ class GNNavigator:
                     on_progress=on_progress,
                 )
         self.records = list(records)
-        self.estimator = GrayBoxEstimator(
-            train_frac=self.task.train_frac, random_state=self.seed
-        )
+        fit_records, weights = self.records, None
         if self.transfer_plan is not None:
             # Target records lead (the estimator reads the arch off the first
             # record) at unit weight; donors follow, similarity-decayed.
-            donor_records = list(self.transfer_plan.records)
+            fit_records = self.records + list(self.transfer_plan.records)
             weights = np.concatenate(
                 [
                     np.ones(len(self.records)),
                     np.asarray(self.transfer_plan.weights, dtype=np.float64),
                 ]
             )
-            self.estimator.fit(self.records + donor_records, sample_weight=weights)
-        else:
-            self.estimator.fit(self.records)
+        # A shared profiling service memoises fitted estimators across jobs;
+        # a stand-alone navigator (or a duck-typed profiler) fits directly.
+        fit = getattr(self.profiler, "fit_estimator", GrayBoxEstimator.fitted)
+        self.estimator = fit(
+            fit_records,
+            weights,
+            train_frac=self.task.train_frac,
+            random_state=self.seed,
+        )
         return self.estimator
 
     def explore(

@@ -81,6 +81,7 @@ class CSRGraph:
     num_classes: int = 0
     name: str = "graph"
     _degrees: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _profile: object = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
@@ -130,6 +131,17 @@ class CSRGraph:
     def degrees(self) -> np.ndarray:
         """Out-degree of every vertex (cached)."""
         return self._degrees
+
+    @property
+    def profile(self):
+        """The :class:`~repro.graphs.profiling.GraphProfile` of this graph
+        (computed on first use, then cached).  Two threads racing on the
+        first use compute equal profiles; either one is kept."""
+        if self._profile is None:
+            from repro.graphs import profiling  # it imports this module
+
+            object.__setattr__(self, "_profile", profiling.profile_graph(self))
+        return self._profile
 
     def neighbors(self, node: int) -> np.ndarray:
         """Neighbour ids of ``node`` as a read-only slice."""

@@ -187,6 +187,15 @@ class EventBuffer:
             self._on_drop(dropped)
         return stamped
 
+    def keep_last(self) -> None:
+        """Drop every retained event but the newest (a finished job's
+        terminal one).  Readers see the rest as a gap, the same as events
+        the ring overflowed; the drop is not a slow consumer's, so
+        ``on_drop`` is not told."""
+        with self._cond:
+            while len(self._events) > 1:
+                self._events.popleft()
+
     def read(
         self,
         since: int = 0,
@@ -224,7 +233,7 @@ def gap_event(job_id: str, status: str, since: int, gap: int) -> JobProgressEven
         phase=GAP_PHASE,
         status=status,
         seq=since,
-        message=f"{gap} events dropped (slow consumer); resuming at {since + gap}",
+        message=f"{gap} events dropped; resuming at {since + gap}",
     )
 
 

@@ -86,6 +86,7 @@ TRANSFER_WARM_STARTS = _counter("transfer_warm_starts")
 TRANSFER_COLD_FALLBACKS = _counter("transfer_cold_fallbacks")
 TRANSFER_DONOR_RECORDS = _counter("transfer_donor_records")
 TRANSFER_RUNS_SAVED = _counter("transfer_runs_saved")
+RESULTS_EXPIRED = _counter("results_expired")
 
 # ------------------------------------------------------------------- gauges
 JOBS_PENDING = _gauge("jobs_pending")
@@ -96,6 +97,8 @@ PROFILING_CACHE_HITS = _gauge("profiling_cache_hits")
 PROFILING_DEDUPLICATED = _gauge("profiling_deduplicated")
 PROFILING_SHARED_INFLIGHT = _gauge("profiling_shared_inflight")
 PROFILING_EVICTIONS = _gauge("profiling_evictions")
+ESTIMATOR_FITS = _gauge("estimator_fits")
+ESTIMATOR_FIT_HITS = _gauge("estimator_fit_hits")
 STORE_PERSISTENT = _gauge("store_persistent")
 STORE_ENTRIES = _gauge("store_entries")
 STORE_BYTES = _gauge("store_bytes")

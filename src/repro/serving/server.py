@@ -23,11 +23,14 @@ from __future__ import annotations
 import threading
 import time
 import traceback as traceback_mod
+from collections import deque
 
 from repro.autograd.sparse import spmm_stats
+from repro.config.space import default_space
 from repro.errors import (
     JobCancelled,
     JobFailedError,
+    ResultExpiredError,
     ServerStoppingError,
     ServingError,
     UnknownJobError,
@@ -44,6 +47,8 @@ from repro.serving.events import (
     JobProgressEvent,
 )
 from repro.serving.metrics import (
+    ESTIMATOR_FIT_HITS,
+    ESTIMATOR_FITS,
     EVENTS_DROPPED,
     EVENTS_EMITTED,
     FLEET_EXECUTORS,
@@ -61,6 +66,7 @@ from repro.serving.metrics import (
     PROFILING_EXECUTED,
     PROFILING_SHARED_INFLIGHT,
     PROFILING_TRAININGS,
+    RESULTS_EXPIRED,
     SPMM_CALLS,
     SPMM_SECONDS,
     STORE_BYTES,
@@ -91,6 +97,12 @@ _FINISHED = {
     JobStatus.CANCELLED: JOBS_CANCELLED,
 }
 
+#: finished jobs whose result, event history and cancellation token a server
+#: keeps.  Older finished jobs keep only their snapshot (status, error,
+#: timestamps) and their terminal event.  A ``default_space()`` job's result
+#: holds ~0.9 MB of predictions, so this bounds a long-lived server's memory.
+_RETAINED_RESULTS = 256
+
 
 class NavigationServer:
     """Priority-scheduled, cache-sharing front-end over ``GNNavigator``.
@@ -115,7 +127,8 @@ class NavigationServer:
     space:
         Server-wide design space every job explores (``None`` = the default
         space).  One space for all tenants is what makes their Step-2
-        samples overlap — the whole point of sharing the store.
+        samples overlap — the whole point of sharing the store — and, being
+        one object, it enumerates its candidates once for every job.
     autostart:
         Start worker threads immediately.  Pass ``False`` to stage
         submissions first (deterministic priority-ordering tests), then call
@@ -176,7 +189,7 @@ class NavigationServer:
             raise ServingError("event_buffer must hold at least one event")
         self.workers = workers
         self.event_buffer = event_buffer
-        self.space = space
+        self.space = space if space is not None else default_space()
         self.service = ProfilingService(
             max_workers=profile_workers,
             cache_dir=cache_dir,
@@ -196,6 +209,8 @@ class NavigationServer:
         self._lock = threading.Lock()
         self._terminal = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}  # guarded-by: _lock
+        #: finished jobs that still hold their result, oldest first.
+        self._retained: deque[Job] = deque()  # guarded-by: _lock
         self._next_id = 0  # guarded-by: _lock
         self._started_seq = 0  # guarded-by: _lock
         self._threads: list[threading.Thread] = []
@@ -234,6 +249,11 @@ class NavigationServer:
             (PROFILING_EVICTIONS, "evictions"),
         ):
             self.metrics.gauge(family, lambda f=field: getattr(stats, f))
+        for family, field in (
+            (ESTIMATOR_FITS, "estimator_fits"),
+            (ESTIMATOR_FIT_HITS, "estimator_fit_hits"),
+        ):
+            self.metrics.gauge(family, lambda f=field: getattr(self.profiler, f))
         self.metrics.gauge(STORE_PERSISTENT, lambda: int(self.store is not None))
         self.metrics.gauge(
             STORE_ENTRIES, lambda: 0 if self.store is None else len(self.store)
@@ -459,15 +479,22 @@ class NavigationServer:
         """Block until the job finishes and return its result.
 
         Raises :class:`JobFailedError` (with the server-side traceback) on
-        FAILED jobs and :class:`ServingError` on cancellation or timeout.
+        FAILED jobs, :class:`ServingError` on cancellation or timeout, and
+        :class:`ResultExpiredError` for a DONE job that has left the newest
+        ``_RETAINED_RESULTS`` finished jobs.
         """
         job = self._get(job_id)
         with self._terminal:
             if not self._terminal.wait_for(lambda: job.done, timeout):
                 raise ServingError(f"timed out waiting for {job_id}")
+            result = job.result
         if job.status is JobStatus.DONE:
-            assert job.result is not None
-            return job.result
+            if result is None:
+                raise ResultExpiredError(
+                    f"{job_id} is done, but its result is no longer kept "
+                    f"(a server keeps the newest {_RETAINED_RESULTS} results)"
+                )
+            return result
         if job.status is JobStatus.CANCELLED:
             raise ServingError(f"{job_id} was cancelled")
         raise JobFailedError(job_id, job.error or "", job.traceback)
@@ -546,18 +573,29 @@ class NavigationServer:
         )
         self.metrics.inc(EVENTS_EMITTED)
 
-    def _finish(self, job: Job, status: JobStatus) -> None:
+    def _finish(self, job: Job, status: JobStatus) -> None:  # holds: _lock
         """Move a job to a terminal state and wake the waiters (lock held).
 
         The terminal event is appended *before* the status flip: any reader
         that observes ``job.done`` is thereby guaranteed the terminal event
         is already in the buffer, so an event batch can never report
         ``done`` without having delivered the ending.
+
+        The job joins the retained finished jobs; the oldest one past
+        ``_RETAINED_RESULTS`` drops its result, its cancellation token and
+        every event but its terminal one.  Its snapshot stays.
         """
         self._emit(job, status.value, status=status)
         job.status = status
         job.finished_at = time.monotonic()
         self.metrics.inc(_FINISHED[status])
+        self._retained.append(job)
+        if len(self._retained) > _RETAINED_RESULTS:
+            expired = self._retained.popleft()
+            expired.result = None
+            expired.cancel_token = None
+            expired.events.keep_last()
+            self.metrics.inc(RESULTS_EXPIRED)
         self._terminal.notify_all()
 
     def _worker_loop(self) -> None:

@@ -52,6 +52,7 @@ from repro.errors import (
     JobFailedError,
     ProtocolError,
     ReproError,
+    ResultExpiredError,
     ServerStoppingError,
     ServingError,
     UnknownExecutorError,
@@ -131,6 +132,7 @@ WIRE_ERRORS: dict[str, type[ReproError]] = {
         ServingError,
         ServerStoppingError,
         UnknownJobError,
+        ResultExpiredError,
         UnknownExecutorError,
         JobCancelled,
         JobFailedError,

@@ -266,8 +266,10 @@ class Job:
     submitted_seq: int = 0  # monotonic submission order (FIFO tiebreak)
     started_seq: int | None = None  # monotonic start order (None = never ran)
     #: cooperative cancellation flag; ``cancel()`` on a RUNNING job flips it
-    #: and the job observes it at the next profiling-batch boundary.
-    cancel_token: CancellationToken = field(
+    #: and the job observes it at the next profiling-batch boundary.  The
+    #: server drops it (``None``), with ``result`` and all but the terminal
+    #: event, once the job falls out of its retained finished jobs.
+    cancel_token: CancellationToken | None = field(
         default_factory=CancellationToken, repr=False, compare=False
     )
     #: bounded ring of this job's progress events (the server emits into

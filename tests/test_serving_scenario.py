@@ -2,7 +2,9 @@
 
 An in-process server with its HTTP transport runs: a job cancelled while
 queued, a cold and a warm-started navigation (``repro.transfer``), a repeat
-that the store answers, a job that fails, and a fleet batch that an
+that the store and the estimator memo answer, a job that fails (the server
+keeps three finished jobs' results, so the two oldest expire), and a fleet
+batch that an
 executor claims and lets expire, a second executor claims and commits,
 the first commits late and deregisters — then a batch whose fleet goes
 silent and falls back to the local pool.
@@ -29,6 +31,7 @@ from repro.graphs.generators import powerlaw_community_graph
 from repro.runtime.parallel import ProfilingService
 from repro.serving import NavigationServer
 from repro.serving.fleet import FleetClient
+from repro.serving import server as server_mod
 from repro.serving.metrics import FAMILIES
 from repro.serving.transport import NavigationHTTPServer
 from repro.transfer import TransferPolicy
@@ -124,6 +127,8 @@ def scenario(tmp_path_factory):
     task_b = TaskSpec(dataset="fam-b", arch="sage", epochs=2)
     job = {"budget": 8, "profile_epochs": 1}
     sanitizer = LockSanitizer().enable()
+    patch = pytest.MonkeyPatch()
+    patch.setattr(server_mod, "_RETAINED_RESULTS", 3)
     try:
         server = NavigationServer(
             workers=2,
@@ -169,6 +174,7 @@ def scenario(tmp_path_factory):
             http.stop()
             server.stop()
     finally:
+        patch.undo()
         sanitizer.disable()
     return scrape, sanitizer
 
@@ -178,6 +184,8 @@ def test_every_declared_metric_family_is_scraped(scenario):
     assert scrape["fleet_local_fallbacks"] == 1
     assert scrape["fleet_lease_expiries"] >= 1
     assert scrape["jobs_cancelled"] == scrape["jobs_failed"] == 1
+    assert scrape["estimator_fit_hits"] == 1  # the repeat
+    assert scrape["results_expired"] == 2
     assert {name.split("{")[0] for name in scrape} == set(FAMILIES)
     for name in scrape:
         family, _, labels = name.partition("{")
