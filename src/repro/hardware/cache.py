@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import HardwareError
+from repro.sampling.base import distinct_sorted
 
 __all__ = ["CacheStats", "DeviceCache", "CACHE_POLICIES"]
 
@@ -107,7 +108,11 @@ class DeviceCache:
         """
         if self.policy in ("none", "static") or self.capacity == 0:
             return 0, 0
-        missed = np.unique(np.asarray(missed, dtype=np.int64))
+        missed = np.asarray(missed, dtype=np.int64)
+        # checked before the bitmap is indexed, where -1 would wrap
+        if missed.size and (missed.min() < 0 or missed.max() >= self.num_nodes):
+            raise HardwareError("missed vertex out of range")
+        missed = distinct_sorted(missed, self.num_nodes)
         missed = missed[~self._resident[missed]]
         if missed.size == 0:
             return 0, 0

@@ -54,6 +54,7 @@ class Block:
         self.matrix = matrix
         self.self_index = self_index
         self.out_rows = out_rows
+        self._edges: tuple[sp.csr_matrix, ...] | None = None
 
     def operator(self, mode: str) -> tuple[sp.csr_matrix, dict]:
         """The block and the ``spmm`` keywords naming its transpose: none —
@@ -62,9 +63,12 @@ class Block:
         return self.matrix, {}
 
     def edges(self) -> tuple[sp.csr_matrix, ...]:
-        """Its :func:`~repro.autograd.sparse.edge_operators`, built per call:
-        a block serves one layer of one batch."""
-        return edge_operators(self.matrix)
+        """Its :func:`~repro.autograd.sparse.edge_operators`, kept like
+        :meth:`Propagation.edges`: the blocks ``evaluate`` reads serve every
+        epoch."""
+        if self._edges is None:
+            self._edges = edge_operators(self.matrix)
+        return self._edges
 
     def self_rows(self, x: Tensor) -> Tensor:
         """The input rows that are this block's output vertices."""
@@ -81,7 +85,8 @@ class Propagation:
     ``None``).
 
     ``rows`` (sorted, distinct) names the vertices whose output the caller
-    reads — the loss targets of a mini-batch; ``None`` means all of them.
+    reads — the loss targets of a mini-batch, the validation and test
+    vertices of ``evaluate``; ``None`` means all of them.
     A model returns exactly those rows and, through :meth:`blocks`, computes
     nothing else that they do not depend on.
     """
@@ -104,6 +109,7 @@ class Propagation:
         self._row: sp.csr_matrix | None = None
         self._row_t: sp.csr_matrix | None = None
         self._edges: tuple[sp.csr_matrix, ...] | None = None
+        self._chains: dict[str, list[tuple]] = {}
 
     @classmethod
     def from_graph(cls, graph, *, rows=None) -> "Propagation":
@@ -139,19 +145,31 @@ class Propagation:
         row and selecting.  Where the closure reaches every vertex (and
         always when ``rows`` is ``None``) the block is this object itself
         and the input rows are ``None``, meaning all.
+
+        The blocks or the square ``mode`` matrix is kept, never both.  When
+        no layer runs on the square it is dropped and the blocks are kept,
+        so each is cut once: the last layer's block serves every depth, and
+        a deeper stack cuts only the layers in front of it.  When a layer
+        runs on the square, the blocks beside it are cut per call.
         """
-        blocks: list = []
-        rows = self.rows
-        for _ in range(num_layers):
-            if rows is None or rows.size == self.num_nodes:
-                blocks.append(self)
-                rows = None
-            else:
-                square = self.sym if mode == "sym" else self.row
-                matrix, self_index, columns = row_block(square, rows)
-                blocks.append(Block(matrix, self_index, rows))
-                rows = columns
-        return blocks[::-1], rows
+        chain = self._chains.pop(mode, [])  # (block, its columns), last layer first
+        rows = chain[-1][1] if chain else self.rows
+        while (
+            len(chain) < num_layers and rows is not None and rows.size < self.num_nodes
+        ):
+            square = self.sym if mode == "sym" else self.row
+            matrix, self_index, columns = row_block(square, rows)
+            chain.append((Block(matrix, self_index, rows), columns))
+            rows = columns
+        blocks = [block for block, _ in reversed(chain[:num_layers])]
+        if len(blocks) < num_layers:  # the first layers run on the square
+            return [self] * (num_layers - len(blocks)) + blocks, None
+        self._chains[mode] = chain
+        if mode == "sym":
+            self._sym = None
+        else:
+            self._row = self._row_t = self._edges = None
+        return blocks, chain[num_layers - 1][1]
 
     @property
     def sym(self) -> sp.csr_matrix:

@@ -154,15 +154,24 @@ class PreparedGraph:
         self.graph = reorder_graph(graph, reorder)
         self.bandwidth_scale = 0.7 + 0.3 * locality_score(self.graph)
         self.cache_priority = cache_priority_order(self.graph)
+        self._evaluation: Propagation | None = None
 
     @cached_property
     def profile(self) -> GraphProfile:
         return profile_graph(self.graph)
 
-    @cached_property
-    def full_prop(self) -> Propagation:
-        """The full-graph propagation ``evaluate`` runs on."""
-        return Propagation.from_graph(self.graph)
+    def propagation(self, rows: np.ndarray) -> Propagation:
+        """The full-graph propagation that outputs ``rows`` (sorted,
+        distinct), which ``evaluate`` runs on.
+
+        Its blocks depend on nothing else, so the last one asked for is
+        kept: every epoch and every training class of one task reads the
+        same validation and test rows, and cuts them once.
+        """
+        prop = self._evaluation
+        if prop is None or not np.array_equal(prop.rows, rows):
+            prop = self._evaluation = Propagation.from_graph(self.graph, rows=rows)
+        return prop
 
 
 @dataclass
@@ -262,7 +271,6 @@ class RuntimeBackend:
         self.optimizer = Adam(self.model.parameters(), lr=task.lr)
         self._rng = np.random.default_rng(task.seed + 7)
         self._features = self.graph.features
-        self._full_prop = prepared.full_prop
         self._train_mask = np.zeros(self.graph.num_nodes, dtype=bool)
         self._train_mask[self.train_nodes] = True
         self._peak_runtime_bytes = 0.0
@@ -393,14 +401,19 @@ class RuntimeBackend:
 
     def evaluate(self, *subsets: np.ndarray) -> tuple[float, ...]:
         """Full-graph inference accuracy on each node subset: one no-grad
-        forward serves them all."""
+        forward serves them all, and computes the rows of their union and
+        what those depend on — the block path training runs on."""
         if not any(nodes.size for nodes in subsets):
             return (0.0,) * len(subsets)
+        rows = np.unique(np.concatenate(subsets).astype(np.int64))
         self.model.eval()
         with no_grad():
-            out = self.model(Tensor(self._features), self._full_prop).numpy()
+            prop = self.prepared.propagation(rows)
+            out = self.model(Tensor(self._features), prop).numpy()
         return tuple(
-            accuracy(out[nodes], self.graph.labels[nodes]) if nodes.size else 0.0
+            accuracy(out[np.searchsorted(rows, nodes)], self.graph.labels[nodes])
+            if nodes.size
+            else 0.0
             for nodes in subsets
         )
 

@@ -51,7 +51,9 @@ def distinct_sorted(ids: np.ndarray, num_nodes: int) -> np.ndarray:
 
     numpy 2.x answers ``np.unique`` on integers with a hash table; for ids
     bounded by ``|V|`` one scatter and one scan are an order of magnitude
-    cheaper, and every sampler unions its picks this way.
+    cheaper, and every sampler unions its picks this way (the device cache
+    its misses too).  ``ids`` must lie in ``[0, num_nodes)``: a negative id
+    wraps, so callers range-check what they did not produce themselves.
     """
     seen = np.zeros(num_nodes, dtype=bool)
     seen[ids] = True
@@ -130,12 +132,13 @@ class Sampler:
     @staticmethod
     def _distinct_targets(graph: CSRGraph, targets: np.ndarray) -> np.ndarray:
         """``B0`` as sorted distinct vertex ids of ``graph``."""
-        targets = np.unique(np.asarray(targets, dtype=np.int64))
+        targets = np.asarray(targets, dtype=np.int64)
         if targets.size == 0:
             raise SamplingError("empty target set")
-        if targets[0] < 0 or targets[-1] >= graph.num_nodes:
+        # checked before the bitmap is indexed, where -1 would wrap
+        if targets.min() < 0 or targets.max() >= graph.num_nodes:
             raise SamplingError("target vertex out of range")
-        return targets
+        return distinct_sorted(targets, graph.num_nodes)
 
     def _finalize(
         self,

@@ -201,22 +201,40 @@ class TestTrainingTrajectory:
 
 class TestRowsAllIsTheSquareCase:
     @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
     @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
-    def test_reproduces_evaluate_exactly(self, small_graph, arch, sampler):
-        backend = _backend(small_graph, arch, sampler, 2)
+    def test_reproduces_evaluate_exactly(self, small_graph, arch, num_layers, sampler):
+        """``evaluate`` runs on the blocks of val ∪ test: its log-probs are
+        the square full-graph forward's rows bit for bit.  ``rows=all`` is
+        the square case itself."""
+        backend = _backend(small_graph, arch, sampler, num_layers)
         backend.run_epoch(0)
-        graph = backend.graph
+        graph, model = backend.graph, backend.model
+        x = Tensor(graph.features)
         every = Propagation.from_graph(graph, rows=np.arange(graph.num_nodes))
-        blocks, inputs = every.blocks("row", 2)
-        assert blocks == [every, every] and inputs is None
-        backend.model.eval()
+        blocks, inputs = every.blocks("row", num_layers)
+        assert blocks == [every] * num_layers and inputs is None
+        model.eval()
         with no_grad():
-            out = backend.model(Tensor(graph.features), every)
-            want = backend.model(Tensor(graph.features), backend._full_prop)
-        np.testing.assert_array_equal(out.data, want.data)
-        nodes = backend.val_nodes
-        (got,) = backend.evaluate(nodes)
-        assert got == accuracy(out.data[nodes], graph.labels[nodes])
+            square = model(x, Propagation.from_graph(graph)).data
+            np.testing.assert_array_equal(model(x, every).data, square)
+
+        seen = []
+        forward = model.forward
+
+        def recording(x, prop):
+            seen.append((prop.rows, forward(x, prop)))
+            return seen[-1][1]
+
+        model.forward = recording
+        val, test = backend.evaluate(backend.val_nodes, backend.test_nodes)
+        ((rows, out),) = seen
+        np.testing.assert_array_equal(
+            rows, np.union1d(backend.val_nodes, backend.test_nodes)
+        )
+        np.testing.assert_array_equal(out.data, square[rows])
+        for got, nodes in ((val, backend.val_nodes), (test, backend.test_nodes)):
+            assert got == accuracy(square[nodes], graph.labels[nodes])
 
 
 class TestBlocks:
@@ -259,6 +277,17 @@ class TestBlocks:
         np.testing.assert_array_equal(
             first.matrix.toarray(), square[middle][:, inputs].toarray()
         )
+
+    def test_a_deeper_stack_cuts_only_the_layers_in_front(self, medium_graph, rng):
+        rows = np.sort(rng.choice(medium_graph.num_nodes, 4, replace=False))
+        prop = Propagation.from_graph(medium_graph, rows=rows)
+        two, _ = prop.blocks("row", 2)
+        assert prop._row is None  # the blocks are kept, not the square too
+        with mock.patch.object(graphconv, "row_block", wraps=row_block) as cut:
+            three, inputs = prop.blocks("row", 3)
+            assert prop.blocks("row", 2)[0] == two
+        assert cut.call_count == 1 and three[1:] == two
+        assert three[0] is not prop and inputs.size < medium_graph.num_nodes
 
     def test_model_returns_only_the_rows_asked_for(self, small_graph):
         backend = _backend(small_graph, "sage", "sage", 2)

@@ -133,6 +133,18 @@ class TestDeviceCache:
         cache.update(nodes)
         assert cache.lookup(nodes).all()
 
+    def test_update_admits_each_distinct_miss_once(self):
+        cache = DeviceCache(50, 10, policy="fifo")
+        assert cache.update(np.array([7, 3, 7, 3, 9])) == (3, 0)
+        assert cache.hot_nodes().tolist() == [3, 7, 9]
+
+    @pytest.mark.parametrize("bad", [-1, 50])
+    def test_update_rejects_out_of_range_ids(self, bad):
+        cache = DeviceCache(50, 10, policy="lru")
+        with pytest.raises(HardwareError, match="out of range"):
+            cache.update(np.array([0, bad]))
+        assert cache.occupancy == 0
+
 
 class TestCostModel:
     def setup_method(self):

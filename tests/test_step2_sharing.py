@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.nn.graphconv as graphconv
 import repro.runtime.parallel as parallel_mod
 from repro.config import TaskSpec, TrainingConfig
 from repro.config.space import default_space
@@ -274,12 +275,12 @@ class TestEvaluate:
             tiny_task, tiny_config, replace(tiny_config, cache_policy="lru"),
             graph=small_graph,
         )
-        forwards: list[tuple[int, bool]] = []  # (batches trained so far, full graph?)
+        forwards: list[tuple[int, bool]] = []  # (batches trained so far, evaluating?)
         trained = [0]
         model_forward, train_step = backend.model.forward, backend._train_step
 
         def counting_forward(x, prop):
-            forwards.append((trained[0], prop is backend._full_prop))
+            forwards.append((trained[0], not backend.model.training))
             return model_forward(x, prop)
 
         def counting_step(batch):
@@ -290,15 +291,72 @@ class TestEvaluate:
         backend._train_step = counting_step
         reports = backend.train_members()
         total = sum(e.num_batches for e in reports[0].epochs)
-        full = [at for at, is_full in forwards if is_full]
+        evaluations = [at for at, evaluating in forwards if evaluating]
         # one per epoch, and exactly one after the final batch: validation
         # and test accuracy read the same pass
-        assert len(full) == tiny_task.epochs
-        assert full.count(total) == 1
+        assert len(evaluations) == tiny_task.epochs
+        assert evaluations.count(total) == 1
         assert len(forwards) == total + tiny_task.epochs
         val, test = backend.evaluate(backend.val_nodes, backend.test_nodes)
         assert (val, test) == (reports[0].epochs[-1].val_accuracy, reports[0].accuracy)
         assert reports[0].accuracy == reports[1].accuracy
+
+    def test_blocks_are_cut_once_per_prepared_graph(
+        self, small_graph, tiny_config, monkeypatch
+    ):
+        """The evaluate blocks depend on the prepared graph and the rows
+        alone: a second epoch and a second training class cut no block and
+        build no GAT edge operator, and GAT's output layer attends over
+        exactly |val ∪ test| rows."""
+        task = task_for("gat")
+        first = RuntimeBackend(task, tiny_config, graph=small_graph)
+        other = replace(tiny_config, hidden_channels=8)
+        second = RuntimeBackend(task, other, prepared=first.prepared)
+        n = small_graph.num_nodes
+        assert training_key(other, n) != training_key(tiny_config, n)
+
+        built: list[str] = []
+        segments: list[int] = []
+        evaluating = [False]
+        real_evaluate = RuntimeBackend.evaluate
+        real = {
+            name: getattr(graphconv, name)
+            for name in (
+                "normalized_adjacency", "row_block", "edge_operators", "segment_softmax"
+            )
+        }
+
+        def evaluate(backend, *subsets):
+            evaluating[0] = True
+            try:
+                return real_evaluate(backend, *subsets)
+            finally:
+                evaluating[0] = False
+
+        def counted(name):
+            def call(*args, **kwargs):
+                if evaluating[0]:
+                    if name == "segment_softmax":  # (logits, indptr)
+                        segments.append(args[1].size - 1)
+                    else:
+                        built.append(name)
+                return real[name](*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(RuntimeBackend, "evaluate", evaluate)
+        for name in real:
+            monkeypatch.setattr(graphconv, name, counted(name))
+
+        first.run_epoch(0)
+        assert set(built) == {"edge_operators", "normalized_adjacency", "row_block"}
+        union = np.union1d(first.val_nodes, first.test_nodes)
+        assert segments[-1] == union.size < n
+        built.clear()
+        first.run_epoch(1)
+        second.run_epoch(0)
+        assert built == []
+        assert segments[-1] == union.size
 
 
 class TestPreparedOncePerReorder:
