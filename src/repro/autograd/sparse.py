@@ -1,14 +1,16 @@
 """Sparse / graph-structured differentiable operations.
 
-GNN aggregation (Eq. 1 of the paper) reduces messages along edges.  The three
+GNN aggregation (Eq. 1 of the paper) reduces messages along edges.  The
 primitives here cover every model we implement:
 
 * :func:`gather` — pick rows of node embeddings;
 * :func:`segment_softmax` — per-destination softmax for GAT attention;
 * :func:`spmm` — CSR sparse × dense matmul (fixed topology, differentiable in
-  the dense operand): GCN/SAGE aggregation, and GAT's per-edge gathers and
-  scatters through the matrices of :func:`edge_operators`.  Every product
-  it runs, forward and backward, is timed into one process-wide counter
+  the dense operand): GCN/SAGE aggregation, and GAT's per-edge attention
+  logits through the matrices of :func:`edge_operators`;
+* :func:`attention_spmm` — GAT's aggregation: one product per head with the
+  attention as the CSR values, differentiable in both.  Every product
+  either of them runs, forward and backward, is timed into one process-wide counter
   (:func:`spmm_stats`);
 * :func:`normalized_adjacency` / :func:`row_block` — the propagation matrix
   of a (sub)graph and the rectangular share of it one layer multiplies by.
@@ -29,6 +31,7 @@ __all__ = [
     "gather",
     "segment_softmax",
     "spmm",
+    "attention_spmm",
     "spmm_stats",
     "reset_spmm_stats",
     "normalized_adjacency",
@@ -37,7 +40,8 @@ __all__ = [
 ]
 
 _SPMM_LOCK = threading.Lock()
-#: ``[calls, seconds]`` of every product :func:`spmm` ran
+#: ``[calls, seconds]`` of every product :func:`spmm` and
+#: :func:`attention_spmm` ran
 _SPMM_STATS = [0, 0.0]  # guarded-by: _SPMM_LOCK
 
 
@@ -125,6 +129,57 @@ def spmm(
     return Tensor._make(np.asarray(out), (x,), backward)
 
 
+def attention_spmm(
+    h: Tensor, att: Tensor, edges: tuple[sp.csr_matrix, ...]
+) -> Tensor:
+    """``out[v, k] = Σ_{e ∈ row v} att[e, k] · h[src(e), k]``: multi-head
+    attention aggregation without a per-edge message array.
+
+    ``h`` is ``(n_in, heads, width)``, ``att`` ``(e, heads)`` with one row
+    per edge of ``edges`` (:func:`edge_operators`), and the result
+    ``(n_out, heads, width)``.  Each head is one product by the edges' CSR
+    structure with ``att[:, k]`` as its values, so ``att · h`` is rounded
+    once and summed in CSR row order — what gathering ``h[src]``, scaling
+    it by ``att`` and scattering the products to their rows computes.  The
+    backward multiplies by the transpose, whose rows list their edges in
+    ``scatter_src`` order (ascending), and forms ``grad[dst] · h[src]`` one
+    head at a time for ``att``.
+    """
+    h, att = as_tensor(h), as_tensor(att)
+    gather_src, scatter_src, gather_dst, scatter_dst = edges
+    src, dst = gather_src.indices, gather_dst.indices
+    n_in, heads, _ = h.shape
+    n_out = scatter_dst.shape[0]
+    # one container per direction; each head swaps in its values
+    weights = _canonical_csr(att.data[:, 0], src, scatter_dst.indptr, (n_out, n_in))
+    out = np.empty((n_out,) + h.shape[1:], dtype=h.data.dtype)
+    for k in range(heads):
+        weights.data = np.ascontiguousarray(att.data[:, k])
+        out[:, k] = _timed_product(weights, np.ascontiguousarray(h.data[:, k]))
+
+    def backward(grad: np.ndarray) -> None:
+        if h.requires_grad:
+            order = scatter_src.indices
+            att_t = att.data[order]
+            weights_t = _canonical_csr(
+                att_t[:, 0], dst[order], scatter_src.indptr, (n_in, n_out)
+            )
+            grad_h = np.empty_like(h.data)
+            for k in range(heads):
+                weights_t.data = np.ascontiguousarray(att_t[:, k])
+                grad_h[:, k] = _timed_product(
+                    weights_t, np.ascontiguousarray(grad[:, k])
+                )
+            h._accumulate_fresh(grad_h)
+        if att.requires_grad:
+            grad_att = np.empty_like(att.data)
+            for k in range(heads):
+                grad_att[:, k] = (grad[dst, k] * h.data[src, k]).sum(axis=-1)
+            att._accumulate_fresh(grad_att)
+
+    return Tensor._make(out, (h, att), backward)
+
+
 def _timed_product(matrix: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
     start = time.perf_counter()
     out = matrix @ dense
@@ -136,8 +191,9 @@ def _timed_product(matrix: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
 
 
 def spmm_stats() -> tuple[int, float]:
-    """``(calls, seconds)`` of every sparse product :func:`spmm` has run in
-    this process, forward and backward alike."""
+    """``(calls, seconds)`` of every sparse product :func:`spmm` and
+    :func:`attention_spmm` have run in this process, forward and backward
+    alike."""
     with _SPMM_LOCK:
         return _SPMM_STATS[0], _SPMM_STATS[1]
 
@@ -278,11 +334,13 @@ def edge_operators(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, ...]:
 
     ``gather_src @ h`` (``(e, n_in)``) picks per-edge source rows,
     ``gather_dst @ a`` (``(e, n_out)``) per-edge destination rows, and
-    ``scatter_dst @ m`` sums edge messages per destination; each ``scatter_*``
+    ``scatter_dst @ m`` sums edge values per destination; each ``scatter_*``
     is its ``gather_*``'s transpose, so spmm backward passes reuse them.
     Edges are destination-major, so ``scatter_dst`` is ``matrix``'s own
     ``indptr`` over ``arange(e)`` — the contiguous segments
-    :func:`segment_softmax` reduces — and only ``gather_src`` is transposed.
+    :func:`segment_softmax` reduces — and only ``gather_src`` is transposed;
+    each of its rows lists its edge ids in ascending order, the order
+    :func:`attention_spmm`'s backward sums them in.
     """
     n_out, n_in = matrix.shape
     e = matrix.indices.size

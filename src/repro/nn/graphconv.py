@@ -3,8 +3,9 @@
 Layers consume a :class:`Propagation` — the per-mini-batch message-passing
 structure built once from a sampled subgraph and shared by all layers, so the
 normalised adjacency is not recomputed per layer — or one of the per-layer
-:class:`Block` objects it cuts when only some output rows are read.  Every
-sparse aggregation is one :func:`~repro.autograd.sparse.spmm` call.
+:class:`Block` objects it cuts when only some output rows are read.  A
+GCN/SAGE aggregation is one :func:`~repro.autograd.sparse.spmm` call, a GAT
+one :func:`~repro.autograd.sparse.attention_spmm` call.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 
 from repro.autograd.functional import leaky_relu
 from repro.autograd.sparse import (
+    attention_spmm,
     edge_operators,
     gather,
     normalized_adjacency,
@@ -237,6 +239,12 @@ class GATConv(Module):
 
     Heads are concatenated when ``concat_heads`` (hidden layers) and averaged
     otherwise (output layer), matching the reference implementation.
+
+    The per-edge logits take two products (gathers of the per-node terms
+    by ``gather_src`` / ``gather_dst`` of :func:`edge_operators`) and the
+    aggregation one per head: :func:`attention_spmm` multiplies ``h`` by
+    the block's structure with the head's attention as the values, so the
+    ``e × heads·out_features`` per-edge messages are never formed.
     """
 
     def __init__(
@@ -271,10 +279,10 @@ class GATConv(Module):
         )
 
     def forward(self, x: Tensor, prop: Propagation) -> Tensor:
-        gather_src, scatter_src, gather_dst, scatter_dst = prop.edges()
-        (e, n_in), n_out = gather_src.shape, scatter_dst.shape[0]
-        heads, width = self.heads, self.heads * self.out_features
-        h = (x @ self.weight).reshape(n_in, heads, self.out_features)
+        edges = prop.edges()
+        gather_src, scatter_src, gather_dst, scatter_dst = edges
+        n_in, n_out = gather_src.shape[1], scatter_dst.shape[0]
+        h = (x @ self.weight).reshape(n_in, self.heads, self.out_features)
 
         # Per-node attention terms, then per-edge logits e_uv = a_s·h_u + a_d·h_v.
         alpha_src = (h * self.att_src).sum(axis=2)  # (n_in, heads)
@@ -285,14 +293,8 @@ class GATConv(Module):
             self.negative_slope,
         )
         att = segment_softmax(logits, scatter_dst.indptr)
-
-        messages = spmm(
-            gather_src, h.reshape(n_in, width), transposed=scatter_src
-        ).reshape(e, heads, self.out_features)
-        weighted = (messages * att.reshape(e, heads, 1)).reshape(e, width)
-        out = spmm(scatter_dst, weighted, transposed=gather_dst)
-        out = out.reshape(n_out, heads, self.out_features)
+        out = attention_spmm(h, att, edges)  # (n_out, heads, out_features)
 
         if self.concat_heads:
-            return out.reshape(n_out, width) + self.bias
+            return out.reshape(n_out, self.heads * self.out_features) + self.bias
         return out.mean(axis=1) + self.bias

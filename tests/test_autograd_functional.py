@@ -26,6 +26,7 @@ from repro.autograd import (
     spmm,
     tanh,
 )
+from repro.autograd.sparse import attention_spmm, edge_operators, row_block
 from tests.test_autograd_tensor import check_gradient
 
 
@@ -182,6 +183,53 @@ class TestSpmm:
         adj_t = adj.T.tocsr()
         check_gradient(
             lambda t: spmm(adj, t, transposed=adj_t), (3, 2), seed=14
+        )
+
+
+class TestAttentionSpmm:
+    @staticmethod
+    def _edges(block: bool):
+        adj = normalized_adjacency(
+            np.array([0, 2, 3, 5, 6]),
+            np.array([1, 2, 0, 0, 1, 0]),
+            4,
+            mode="row",
+            dtype=np.float64,
+        )
+        if block:
+            adj = row_block(adj, np.array([0, 2]))[0]
+        return edge_operators(adj)
+
+    def test_forward_matches_dense(self):
+        edges = self._edges(block=True)
+        gather_src, _, _, scatter_dst = edges
+        rng = np.random.default_rng(15)
+        h = rng.normal(size=(gather_src.shape[1], 2, 3))
+        att = rng.random((gather_src.shape[0], 2))
+        with default_dtype(np.float64):
+            out = attention_spmm(Tensor(h), Tensor(att), edges).numpy()
+        for k in range(2):
+            dense = (scatter_dst.toarray() * att[:, k]) @ gather_src.toarray()
+            np.testing.assert_allclose(out[:, k], dense @ h[:, k], rtol=1e-12)
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_gradient_of_h(self, block):
+        edges = self._edges(block)
+        n_in, e = edges[0].shape[1], edges[0].shape[0]
+        with default_dtype(np.float64):
+            att = Tensor(np.random.default_rng(16).random((e, 3)))
+        check_gradient(
+            lambda t: attention_spmm(t, att, edges) ** 2, (n_in, 3, 2), seed=17
+        )
+
+    @pytest.mark.parametrize("block", [False, True])
+    def test_gradient_of_att(self, block):
+        edges = self._edges(block)
+        n_in, e = edges[0].shape[1], edges[0].shape[0]
+        with default_dtype(np.float64):
+            h = Tensor(np.random.default_rng(18).normal(size=(n_in, 3, 2)))
+        check_gradient(
+            lambda t: attention_spmm(h, t, edges) ** 2, (e, 3), seed=19
         )
 
 

@@ -1,7 +1,8 @@
 """The one SpMM path: :func:`repro.autograd.sparse.spmm` and its counter.
 
-Every aggregation — GCN/SAGE's propagation blocks and GAT's four edge
-products per layer — is a plain scipy CSR x dense product through ``spmm``.
+Every aggregation — GCN/SAGE's propagation blocks, GAT's two attention-logit
+gathers and one attention-weighted product per head — is a plain scipy CSR x
+dense product through ``spmm`` or ``attention_spmm``.
 Each product it runs is timed into the process-wide counter that
 ``repro.runtime.kernels.kernel_counters()`` reads (and the perf ledger and
 the server's ``spmm_*`` gauges report): one call forward, one more when the
@@ -126,25 +127,29 @@ class TestCounter:
         calls, seconds = _counter()
         assert calls == 2 and seconds > 0
 
-    def test_gat_counts_its_four_edge_products_each_way(self, small_graph):
+    @pytest.mark.parametrize("heads, products", [(1, 3), (2, 4), (4, 6)])
+    def test_gat_counts_two_logit_gathers_and_a_product_per_head(
+        self, small_graph, heads, products
+    ):
         layer = GATConv(
-            small_graph.feature_dim, 8, heads=2, rng=np.random.default_rng(0)
+            small_graph.feature_dim, 8, heads=heads, rng=np.random.default_rng(0)
         )
         prop = Propagation.from_graph(small_graph)
         x = Tensor(small_graph.features)
         reset_kernel_counters()
         with no_grad():
             layer(x, prop)
-        assert _counter()[0] == 4
+        assert _counter()[0] == products
         reset_kernel_counters()
-        layer(x, prop).sum().backward()  # every edge product's input is learnt
+        layer(x, prop).sum().backward()  # every product's input is learnt
         calls, seconds = _counter()
-        assert calls == 8 and seconds > 0
+        assert calls == 2 * products and seconds > 0
 
     @pytest.mark.parametrize(
         "arch, trained, evaluated",
-        # GCN/SAGE: the first layer's input is the constant feature matrix
-        [("gcn", 3, 2), ("sage", 3, 2), ("gat", 16, 8)],
+        # GCN/SAGE: the first layer's input is the constant feature matrix;
+        # GAT: 2 + heads (4) products per layer
+        [("gcn", 3, 2), ("sage", 3, 2), ("gat", 24, 12)],
     )
     def test_a_model_step_counts_every_product(
         self, small_graph, arch, trained, evaluated
@@ -169,8 +174,9 @@ class TestCounter:
     def test_a_training_step_on_blocks_counts_every_product(
         self, small_graph, arch, num_layers, sampler
     ):
-        """One product per layer and block (four per GAT layer), each timed
-        again by the backward that reaches it; evaluate runs forward only."""
+        """One product per layer and block (2 + heads = 6 per GAT layer),
+        each timed again by the backward that reaches it; evaluate runs
+        forward only."""
         task = TaskSpec(dataset="tiny", arch=arch, epochs=1, lr=0.02)
         config = TrainingConfig(
             sampler=sampler, batch_size=48, hop_list=(4, 3),
@@ -179,7 +185,7 @@ class TestCounter:
         backend = RuntimeBackend(task, config, graph=small_graph)
         targets = next(iter(backend.batches.epoch()))
         batch = backend.sampler.sample(backend.graph, targets, rng=backend._rng)
-        per_layer = 4 if arch == "gat" else 1
+        per_layer = 6 if arch == "gat" else 1
         learnt = num_layers if arch == "gat" else num_layers - 1
         reset_kernel_counters()
         backend._train_step(batch)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, default_dtype, nll_loss, no_grad
+from repro.autograd import Tensor, default_dtype, leaky_relu, nll_loss, no_grad
+from repro.autograd.sparse import edge_operators, segment_softmax, spmm
 from repro.nn import (
     GATConv,
     GCNConv,
@@ -50,6 +51,76 @@ class TestLinear:
         with default_dtype(np.float64):
             lin = Linear(3, 2, rng=np.random.default_rng(1))
             check_gradient(lambda t: lin(t), (4, 3), seed=1)
+
+
+def _per_edge_gat(layer: GATConv, x: Tensor, prop) -> Tensor:
+    """GATConv with the per-edge message arrays: gather every edge's source
+    row, scale it by the edge's attention, sum the products per row.  The
+    layer must compute exactly this."""
+    gather_src, scatter_src, gather_dst, scatter_dst = prop.edges()
+    (e, n_in), n_out = gather_src.shape, scatter_dst.shape[0]
+    heads, width = layer.heads, layer.heads * layer.out_features
+    h = (x @ layer.weight).reshape(n_in, heads, layer.out_features)
+    alpha_src = (h * layer.att_src).sum(axis=2)
+    alpha_dst = (prop.self_rows(h) * layer.att_dst).sum(axis=2)
+    logits = leaky_relu(
+        spmm(gather_src, alpha_src, transposed=scatter_src)
+        + spmm(gather_dst, alpha_dst, transposed=scatter_dst),
+        layer.negative_slope,
+    )
+    att = segment_softmax(logits, scatter_dst.indptr)
+    messages = spmm(
+        gather_src, h.reshape(n_in, width), transposed=scatter_src
+    ).reshape(e, heads, layer.out_features)
+    weighted = (messages * att.reshape(e, heads, 1)).reshape(e, width)
+    out = spmm(scatter_dst, weighted, transposed=gather_dst)
+    out = out.reshape(n_out, heads, layer.out_features)
+    if layer.concat_heads:
+        return out.reshape(n_out, width) + layer.bias
+    return out.mean(axis=1) + layer.bias
+
+
+class TestGATAggregation:
+    """``attention_spmm`` is the per-edge formulation, bit for bit, in the
+    float32 the models train in: output and every gradient."""
+
+    @staticmethod
+    def _run(forward, layer, x0, upstream):
+        layer.zero_grad()
+        x = Tensor(x0, requires_grad=True)
+        out = forward(layer, x)
+        (out * Tensor(upstream)).sum().backward()
+        grads = [x.grad] + [
+            getattr(layer, name).grad
+            for name in ("weight", "att_src", "att_dst", "bias")
+        ]
+        return out.numpy(), grads
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("concat", [True, False])
+    @pytest.mark.parametrize("shape", ["square", "block"])
+    def test_equals_the_per_edge_messages(self, small_graph, shape, concat, heads):
+        prop = Propagation.from_graph(small_graph)
+        if shape == "block":
+            prop.rows = np.arange(0, small_graph.num_nodes, 7)
+            (prop,), inputs = prop.blocks("row", 1)
+            n_in, n_out = inputs.size, prop.out_rows.size
+        else:
+            n_in = n_out = small_graph.num_nodes
+        rng = np.random.default_rng(heads)
+        layer = GATConv(
+            small_graph.feature_dim, 5, heads=heads, concat_heads=concat, rng=rng
+        )
+        x0 = rng.normal(size=(n_in, small_graph.feature_dim)).astype(np.float32)
+        upstream = rng.normal(size=(n_out, 5 * heads if concat else 5))
+        out, grads = self._run(lambda m, x: m(x, prop), layer, x0, upstream)
+        want, want_grads = self._run(
+            lambda m, x: _per_edge_gat(m, x, prop), layer, x0, upstream
+        )
+        assert out.dtype == np.float32
+        assert np.array_equal(out, want)
+        for grad, expected in zip(grads, want_grads):
+            assert grad.dtype == np.float32 and np.array_equal(grad, expected)
 
 
 class TestConvLayers:
@@ -127,6 +198,18 @@ class TestPropagation:
             np.testing.assert_array_equal(gather.toarray().sum(axis=1), 1)
         np.testing.assert_array_equal(gather_src.indices, [0, 1, 2, 3, 4])
         np.testing.assert_array_equal(gather_dst.indices, [0, 0, 1, 1, 1])
+
+    def test_scatter_src_lists_each_source_row_in_edge_order(self, small_graph):
+        """The transposed attention product sums a source row's edges in
+        ``scatter_src`` order: ascending edge ids, as the per-edge scatter
+        summed them."""
+        prop = Propagation.from_graph(small_graph)
+        prop.rows = np.arange(0, small_graph.num_nodes, 5)
+        (block,), _ = prop.blocks("row", 1)
+        for matrix in (Propagation.from_graph(small_graph).row, block.matrix):
+            gather_src, scatter_src, _, _ = edge_operators(matrix)
+            source_major = np.argsort(gather_src.indices, kind="stable")
+            np.testing.assert_array_equal(scatter_src.indices, source_major)
 
     def test_edge_operators_cached_on_the_square_propagation(self):
         prop = _line_prop(4)
