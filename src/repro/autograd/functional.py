@@ -125,13 +125,19 @@ def dropout(
     else:
         draw = rng.random((within[0], *x.data.shape[1:]), dtype=np.float32)
         draw = draw if within[1] is None else draw[within[1]]
-    keep = (draw >= p).astype(x.data.dtype)
-    keep /= 1.0 - p
+    # the tape keeps the boolean mask (1 byte an element); both passes scale
+    # it by the same two ops, so forward and backward multiply by equal bits
+    mask = draw >= p
+
+    def scale() -> np.ndarray:
+        keep = mask.astype(x.data.dtype)
+        keep /= 1.0 - p
+        return keep
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate_fresh(grad * keep)
+        x._accumulate_fresh(grad * scale())
 
-    return Tensor._make(x.data * keep, (x,), backward)
+    return Tensor._make(x.data * scale(), (x,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -10,7 +10,9 @@ Design choices kept deliberately boring:
 * gradients are accumulated into ``tensor.grad`` (numpy arrays, never
   Tensors) exactly like ``torch.autograd``;
 * broadcasting is supported by summing gradients back over broadcast axes;
-* no in-place ops, no views — every op allocates, which keeps the tape sound.
+* no in-place ops, no views — every op allocates, which keeps the tape sound;
+* backward consumes the tape, like torch's default ``retain_graph=False``:
+  only leaves keep ``.grad``, and a second backward through a node raises.
 """
 
 from __future__ import annotations
@@ -107,6 +109,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _consumed(grad: np.ndarray) -> None:
+    """What a node's backward closure becomes once backward has run it."""
+    raise RuntimeError(
+        "backward through a tape that an earlier backward() already consumed"
+    )
+
+
 class Tensor:
     """A numpy-backed tensor participating in reverse-mode autodiff."""
 
@@ -167,7 +176,18 @@ class Tensor:
             self.grad += grad
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor (defaults to scalar seed 1)."""
+        """Backpropagate from this tensor (defaults to scalar seed 1).
+
+        The walk consumes the tape: once a node's closure has run, the node
+        drops it, its parents and — unless it is a leaf — its ``.grad``, so
+        every activation and intermediate gradient is freed as soon as
+        nothing below it reads it.  Leaves (parameters) keep ``.grad``.
+        """
+        if not self.requires_grad:
+            raise RuntimeError(
+                "backward() on a tensor that recorded no tape (requires_grad "
+                "is False: built under no_grad, or from constants only)"
+            )
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar output")
@@ -188,9 +208,12 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node._backward, node._parents, node.grad = _consumed, (), None
 
     def zero_grad(self) -> None:
         """Drop the accumulated gradient."""
