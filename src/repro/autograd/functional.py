@@ -29,72 +29,73 @@ __all__ = [
 
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0
+    node, mask = x._node, x.data > 0
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate_fresh(grad * mask)
+        node.accumulate_fresh(grad * mask)
 
     return Tensor._make(x.data * mask, (x,), backward)
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0
+    node, mask = x._node, x.data > 0
     out = np.where(mask, x.data, negative_slope * x.data)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate_fresh(grad * np.where(mask, 1.0, negative_slope))
+        node.accumulate_fresh(grad * np.where(mask, 1.0, negative_slope))
 
     return Tensor._make(out, (x,), backward)
 
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0
+    node, mask = x._node, x.data > 0
     neg = alpha * (np.exp(np.minimum(x.data, 0.0)) - 1.0)
     out = np.where(mask, x.data, neg)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate_fresh(grad * np.where(mask, 1.0, neg + alpha))
+        node.accumulate_fresh(grad * np.where(mask, 1.0, neg + alpha))
 
     return Tensor._make(out, (x,), backward)
 
 
 def exp(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = np.exp(x.data)
+    node, out = x._node, np.exp(x.data)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate_fresh(grad * out)
+        node.accumulate_fresh(grad * out)
 
     return Tensor._make(out, (x,), backward)
 
 
 def log(x: Tensor) -> Tensor:
     x = as_tensor(x)
+    node, data = x._node, x.data
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate_fresh(grad / x.data)
+        node.accumulate_fresh(grad / data)
 
-    return Tensor._make(np.log(x.data), (x,), backward)
+    return Tensor._make(np.log(data), (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = 1.0 / (1.0 + np.exp(-x.data))
+    node, out = x._node, 1.0 / (1.0 + np.exp(-x.data))
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate_fresh(grad * out * (1.0 - out))
+        node.accumulate_fresh(grad * out * (1.0 - out))
 
     return Tensor._make(out, (x,), backward)
 
 
 def tanh(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = np.tanh(x.data)
+    node, out = x._node, np.tanh(x.data)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate_fresh(grad * (1.0 - out**2))
+        node.accumulate_fresh(grad * (1.0 - out**2))
 
     return Tensor._make(out, (x,), backward)
 
@@ -127,15 +128,15 @@ def dropout(
         draw = draw if within[1] is None else draw[within[1]]
     # the tape keeps the boolean mask (1 byte an element); both passes scale
     # it by the same two ops, so forward and backward multiply by equal bits
-    mask = draw >= p
+    node, mask, dtype = x._node, draw >= p, x.data.dtype
 
     def scale() -> np.ndarray:
-        keep = mask.astype(x.data.dtype)
+        keep = mask.astype(dtype)
         keep /= 1.0 - p
         return keep
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate_fresh(grad * scale())
+        node.accumulate_fresh(grad * scale())
 
     return Tensor._make(x.data * scale(), (x,), backward)
 
@@ -146,10 +147,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out = shifted - log_z
-    softmax = np.exp(out)
+    node, softmax = x._node, np.exp(out)
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate_fresh(grad - softmax * grad.sum(axis=axis, keepdims=True))
+        node.accumulate_fresh(grad - softmax * grad.sum(axis=axis, keepdims=True))
 
     return Tensor._make(out, (x,), backward)
 
@@ -162,11 +163,12 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     if targets.shape != (n,):
         raise ValueError("targets must be a 1-D class-id array matching rows")
     picked = log_probs.data[np.arange(n), targets]
+    node = log_probs._node
 
     def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(log_probs.data)
+        full = np.zeros(node.shape, dtype=node.dtype)
         full[np.arange(n), targets] = -grad / n
-        log_probs._accumulate_fresh(full)
+        node.accumulate_fresh(full)
 
     return Tensor._make(np.asarray(-picked.mean()), (log_probs,), backward)
 
@@ -182,11 +184,13 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    nodes = [t._node for t in tensors]
 
     def backward(grad: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:], strict=True):
-            idx = [slice(None)] * grad.ndim
-            idx[axis] = slice(lo, hi)
-            t._accumulate(grad[tuple(idx)])
+        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:], strict=True):
+            if node is not None:
+                idx = [slice(None)] * grad.ndim
+                idx[axis] = slice(lo, hi)
+                node.accumulate(grad[tuple(idx)])
 
     return Tensor._make(out, tuple(tensors), backward)

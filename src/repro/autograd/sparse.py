@@ -55,14 +55,15 @@ def gather(x: Tensor, index: np.ndarray, *, unique: bool = False) -> Tensor:
     x = as_tensor(x)
     index = np.asarray(index, dtype=np.int64)
     out = x.data[index]
+    node = x._node
 
     def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
+        full = np.zeros(node.shape, dtype=node.dtype)
         if unique:
             full[index] = grad
         else:
             np.add.at(full, index, grad)
-        x._accumulate_fresh(full)
+        node.accumulate_fresh(full)
 
     return Tensor._make(out, (x,), backward)
 
@@ -89,11 +90,12 @@ def segment_softmax(values: Tensor, indptr: np.ndarray) -> Tensor:
 
     exp = np.exp(data - per_row(np.maximum, data))
     out = exp / per_row(np.add, exp)
+    node = values._node
 
     def backward(grad: np.ndarray) -> None:
         # d softmax: s * (g - sum_j s_j g_j) within each segment.
         weighted = out * grad
-        values._accumulate_fresh(weighted - out * per_row(np.add, weighted))
+        node.accumulate_fresh(weighted - out * per_row(np.add, weighted))
 
     return Tensor._make(out, (values,), backward)
 
@@ -115,6 +117,7 @@ def spmm(
     """
     x = as_tensor(x)
     out = _timed_product(matrix, x.data)
+    node = x._node
     state: dict[str, sp.csr_matrix] = {}
     if symmetric:
         state["T"] = matrix
@@ -124,7 +127,7 @@ def spmm(
     def backward(grad: np.ndarray) -> None:
         if "T" not in state:
             state["T"] = matrix.T.tocsr()
-        x._accumulate_fresh(_timed_product(state["T"], grad))
+        node.accumulate_fresh(_timed_product(state["T"], grad))
 
     return Tensor._make(np.asarray(out), (x,), backward)
 
@@ -142,8 +145,8 @@ def attention_spmm(
     once and summed in CSR row order — what gathering ``h[src]``, scaling
     it by ``att`` and scattering the products to their rows computes.  The
     backward multiplies by the transpose, whose rows list their edges in
-    ``scatter_src`` order (ascending), and forms ``grad[dst] · h[src]`` one
-    head at a time for ``att``.
+    ``scatter_src`` order (ascending), and forms ``grad[dst] · h[src]`` for
+    ``att`` a head at a time, with one contiguous gather per side.
     """
     h, att = as_tensor(h), as_tensor(att)
     gather_src, scatter_src, gather_dst, scatter_dst = edges
@@ -156,26 +159,33 @@ def attention_spmm(
     for k in range(heads):
         weights.data = np.ascontiguousarray(att.data[:, k])
         out[:, k] = _timed_product(weights, np.ascontiguousarray(h.data[:, k]))
+    # each operand's gradient reads the other
+    h_node, att_node = h._node, att._node
+    h_data = h.data if att_node is not None else None
+    att_data = att.data if h_node is not None else None
 
     def backward(grad: np.ndarray) -> None:
-        if h.requires_grad:
+        if h_node is not None:
             order = scatter_src.indices
-            att_t = att.data[order]
+            att_t = att_data[order]
             weights_t = _canonical_csr(
                 att_t[:, 0], dst[order], scatter_src.indptr, (n_in, n_out)
             )
-            grad_h = np.empty_like(h.data)
+            grad_h = np.empty(h_node.shape, dtype=h_node.dtype)
             for k in range(heads):
                 weights_t.data = np.ascontiguousarray(att_t[:, k])
                 grad_h[:, k] = _timed_product(
                     weights_t, np.ascontiguousarray(grad[:, k])
                 )
-            h._accumulate_fresh(grad_h)
-        if att.requires_grad:
-            grad_att = np.empty_like(att.data)
+            h_node.accumulate_fresh(grad_h)
+        if att_node is not None:
+            # a head at a time keeps the per-edge products e × width
+            grad_att = np.empty(att_node.shape, dtype=att_node.dtype)
             for k in range(heads):
-                grad_att[:, k] = (grad[dst, k] * h.data[src, k]).sum(axis=-1)
-            att._accumulate_fresh(grad_att)
+                products = np.ascontiguousarray(grad[:, k]).take(dst, axis=0)
+                products *= np.ascontiguousarray(h_data[:, k]).take(src, axis=0)
+                grad_att[:, k] = products.sum(axis=-1)
+            att_node.accumulate_fresh(grad_att)
 
     return Tensor._make(out, (h, att), backward)
 

@@ -2,8 +2,11 @@
 
 This is the repo's substitute for PyTorch (see DESIGN.md): enough of a tensor
 library to train GCN / GraphSAGE / GAT end-to-end.  A :class:`Tensor` wraps a
-``float`` numpy array; operations record a backward closure on a tape, and
-:meth:`Tensor.backward` walks the tape in reverse topological order.
+``float`` numpy array; operations record a backward closure on a tape of
+:class:`_Node` objects, and :meth:`Tensor.backward` walks the tape in reverse
+topological order.  The tape is apart from the tensors, as in torch: a node
+holds its parents' nodes and a closure that keeps only the arrays it reads,
+so the data of a tensor nothing reads dies with the tensor.
 
 Design choices kept deliberately boring:
 
@@ -116,10 +119,61 @@ def _consumed(grad: np.ndarray) -> None:
     )
 
 
-class Tensor:
-    """A numpy-backed tensor participating in reverse-mode autodiff."""
+class _Node:
+    """One entry of the tape: what backward needs of a tensor, minus its data.
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    A node holds its parents' nodes, its backward closure, its gradient
+    buffer and the shape and dtype of the tensor it stands for.  The closure
+    keeps the arrays it reads and the parent nodes it accumulates into —
+    never a parent tensor — so an activation's buffer is freed as soon as
+    neither the program nor a closure that reads it holds it.  A leaf
+    (``backward is None``: a tensor created with ``requires_grad``) keeps
+    its gradient: that buffer is the tensor's ``.grad``.
+    """
+
+    __slots__ = ("parents", "backward", "grad", "shape", "dtype")
+
+    def __init__(
+        self,
+        shape: tuple[int, ...],
+        dtype: np.dtype,
+        parents: tuple["_Node", ...] = (),
+        backward: Callable[[np.ndarray], None] | None = None,
+    ) -> None:
+        self.parents = parents
+        self.backward = backward
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+        self.dtype = dtype
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` (summed over broadcast axes) to the buffer, copying
+        it first if the buffer is empty."""
+        grad = _unbroadcast(np.asarray(grad, dtype=self.dtype), self.shape)
+        if self.grad is None:
+            self.grad = grad.copy()
+        else:
+            self.grad += grad
+
+    def accumulate_fresh(self, grad: np.ndarray) -> None:
+        """:meth:`accumulate` for a gradient the caller guarantees is freshly
+        allocated: an empty buffer takes it without the defensive copy.
+
+        Only backward closures that just built ``grad`` (matmul, elementwise
+        products, spmm...) may use this.
+        """
+        grad = _unbroadcast(np.asarray(grad, dtype=self.dtype), self.shape)
+        if self.grad is None:
+            self.grad = grad
+        else:
+            self.grad += grad
+
+
+class Tensor:
+    """A numpy-backed tensor participating in reverse-mode autodiff: its
+    data plus, when it requires grad, its :class:`_Node` on the tape."""
+
+    __slots__ = ("data", "_node", "name")
     __array_priority__ = 100  # numpy defers binary ops to Tensor
 
     def __init__(
@@ -131,10 +185,7 @@ class Tensor:
     ) -> None:
         arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._node = _Node(arr.shape, arr.dtype) if requires_grad else None
         self.name = name
 
     # ----------------------------------------------------------- tape plumbing
@@ -144,46 +195,46 @@ class Tensor:
         parents: tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = parents
-            out._backward = backward
+        """The result of an op over ``parents``; it records ``backward`` when
+        grad mode is on and a parent requires grad.  ``backward`` must reach
+        the parents through their nodes (``parent._node``, ``None`` for one
+        that requires no grad), never through the tensors."""
+        out = Tensor(data)
+        if _GRAD_MODE.enabled:
+            nodes = tuple(p._node for p in parents if p._node is not None)
+            if nodes:
+                out._node = _Node(out.data.shape, out.data.dtype, nodes, backward)
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
-            self.grad += grad
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
 
-    def _accumulate_fresh(self, grad: np.ndarray) -> None:
-        """Accumulate a gradient the caller guarantees is freshly allocated.
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The accumulated gradient of a leaf; ``None`` for a non-leaf once
+        backward has consumed its node."""
+        return None if self._node is None else self._node.grad
 
-        Skips the defensive copy of :meth:`_accumulate`; only backward
-        closures that just built ``grad`` (matmul, elementwise products,
-        spmm...) may use this.
-        """
-        if not self.requires_grad:
-            return
-        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
-        if self.grad is None:
-            self.grad = grad
-        else:
-            self.grad += grad
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise RuntimeError("cannot set .grad on a tensor that requires no grad")
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor (defaults to scalar seed 1).
 
-        The walk consumes the tape: once a node's closure has run, the node
-        drops it, its parents and — unless it is a leaf — its ``.grad``, so
-        every activation and intermediate gradient is freed as soon as
-        nothing below it reads it.  Leaves (parameters) keep ``.grad``.
+        ``grad`` must have this tensor's shape.  The walk consumes the tape:
+        once a node's closure has run, the node drops it (and with it the
+        arrays it read), its parents and — unless it is a leaf — its
+        gradient, so every saved array and intermediate gradient is freed as
+        soon as nothing below it reads it.  Leaves (parameters) keep
+        ``.grad``.
         """
-        if not self.requires_grad:
+        root = self._node
+        if root is None:
             raise RuntimeError(
                 "backward() on a tensor that recorded no tape (requires_grad "
                 "is False: built under no_grad, or from constants only)"
@@ -192,9 +243,14 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar output")
             grad = np.ones_like(self.data)
-        topo: list[Tensor] = []
+        elif np.shape(grad) != self.data.shape:
+            raise ValueError(
+                f"backward() seed has shape {np.shape(grad)}, "
+                f"the tensor {self.data.shape}"
+            )
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -204,16 +260,16 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent in node.parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self._accumulate(grad)
+        root.accumulate(grad)
         while topo:
             node = topo.pop()
-            if node._backward is not None:
+            if node.backward is not None:
                 if node.grad is not None:
-                    node._backward(node.grad)
-                node._backward, node._parents, node.grad = _consumed, (), None
+                    node.backward(node.grad)
+                node.backward, node.parents, node.grad = _consumed, (), None
 
     def zero_grad(self) -> None:
         """Drop the accumulated gradient."""
@@ -251,18 +307,23 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
         out_data = self.data + other.data
+        a, b = self._node, other._node
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad)
-            other._accumulate(grad)
+            if a is not None:
+                a.accumulate(grad)
+            if b is not None:
+                b.accumulate(grad)
 
         return Tensor._make(out_data, (self, other), backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
+        node = self._node
+
         def backward(grad: np.ndarray) -> None:
-            self._accumulate_fresh(-grad)
+            node.accumulate_fresh(-grad)
 
         return Tensor._make(-self.data, (self,), backward)
 
@@ -275,13 +336,17 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
         out_data = self.data * other.data
+        a, b = self._node, other._node
+        # each operand's gradient reads the other, and is only worth forming
+        # for an operand that keeps it
+        x = self.data if b is not None else None
+        y = other.data if a is not None else None
 
         def backward(grad: np.ndarray) -> None:
-            # a product is only worth forming for an operand that keeps it
-            if self.requires_grad:
-                self._accumulate_fresh(grad * other.data)
-            if other.requires_grad:
-                other._accumulate_fresh(grad * self.data)
+            if a is not None:
+                a.accumulate_fresh(grad * y)
+            if b is not None:
+                b.accumulate_fresh(grad * x)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -290,12 +355,14 @@ class Tensor:
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
         out_data = self.data / other.data
+        a, b = self._node, other._node
+        x, y = (self.data if b is not None else None), other.data
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_fresh(grad / other.data)
-            if other.requires_grad:
-                other._accumulate_fresh(-grad * self.data / (other.data**2))
+            if a is not None:
+                a.accumulate_fresh(grad / y)
+            if b is not None:
+                b.accumulate_fresh(-grad * x / (y**2))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -306,35 +373,40 @@ class Tensor:
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
         out_data = self.data**exponent
+        node, x = self._node, self.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate_fresh(grad * exponent * self.data ** (exponent - 1))
+            node.accumulate_fresh(grad * exponent * x ** (exponent - 1))
 
         return Tensor._make(out_data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
         out_data = self.data @ other.data
+        a, b = self._node, other._node
+        # in every first layer ``self`` is the constant feature matrix: its
+        # gradient would be the largest product of the step
+        x = self.data if b is not None else None
+        y = other.data if a is not None else None
 
         def backward(grad: np.ndarray) -> None:
-            # in every first layer ``self`` is the constant feature matrix:
-            # its gradient would be the largest product of the step
-            if self.requires_grad:
-                self._accumulate_fresh(grad @ other.data.swapaxes(-1, -2))
-            if other.requires_grad:
-                other._accumulate_fresh(self.data.swapaxes(-1, -2) @ grad)
+            if a is not None:
+                a.accumulate_fresh(grad @ y.swapaxes(-1, -2))
+            if b is not None:
+                b.accumulate_fresh(x.swapaxes(-1, -2) @ grad)
 
         return Tensor._make(out_data, (self, other), backward)
 
     # ------------------------------------------------------------- reductions
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+        node, shape = self._node, self.data.shape
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray) -> None:
             g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape))
+            node.accumulate(np.broadcast_to(g, shape))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -349,6 +421,7 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
+        node, x = self._node, self.data
 
         def backward(grad: np.ndarray) -> None:
             g = grad
@@ -356,10 +429,10 @@ class Tensor:
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
                 o = np.expand_dims(o, axis=axis)
-            mask = self.data == o
+            mask = x == o
             # Split gradient among ties, matching subgradient convention.
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(np.where(mask, g / counts, 0.0))
+            node.accumulate(np.where(mask, g / counts, 0.0))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -368,18 +441,19 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
-        original = self.data.shape
+        node, original = self._node, self.data.shape
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original))
+            node.accumulate(grad.reshape(original))
 
         return Tensor._make(out_data, (self,), backward)
 
     def transpose(self) -> "Tensor":
         out_data = self.data.T
+        node = self._node
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.T)
+            node.accumulate(grad.T)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -389,11 +463,12 @@ class Tensor:
 
     def __getitem__(self, idx) -> "Tensor":
         out_data = self.data[idx]
+        node = self._node
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
+            full = np.zeros(node.shape, dtype=node.dtype)
             np.add.at(full, idx, grad)
-            self._accumulate(full)
+            node.accumulate(full)
 
         return Tensor._make(out_data, (self,), backward)
 

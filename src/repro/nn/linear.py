@@ -49,12 +49,17 @@ def _affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """
     out = x.data @ weight.data
     out += bias.data
+    x_node, w_node, b_node = x._node, weight._node, bias._node
+    # each operand's gradient reads the other, and only when it is formed
+    x_data = x.data if w_node is not None else None
+    w_data = weight.data if x_node is not None else None
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate_fresh(grad @ weight.data.swapaxes(-1, -2))
-        if weight.requires_grad:
-            weight._accumulate_fresh(x.data.swapaxes(-1, -2) @ grad)
-        bias._accumulate(grad)
+        if x_node is not None:
+            x_node.accumulate_fresh(grad @ w_data.swapaxes(-1, -2))
+        if w_node is not None:
+            w_node.accumulate_fresh(x_data.swapaxes(-1, -2) @ grad)
+        if b_node is not None:
+            b_node.accumulate(grad)
 
     return Tensor._make(out, (x, weight, bias), backward)

@@ -290,11 +290,12 @@ class RuntimeBackend:
         target_index = target_index[self._train_mask[batch.nodes[target_index]]]
         if target_index.size == 0:
             return float("nan")
-        x = Tensor(self._features[batch.nodes])
         prop = Propagation.from_graph(batch.subgraph, rows=target_index)
         self.model.train()
         self.optimizer.zero_grad()
-        out = self.model(x, prop)
+        # the feature gather is not held here: no backward closure reads it,
+        # so it dies with the forward
+        out = self.model(Tensor(self._features[batch.nodes]), prop)
         loss = nll_loss(out, self.graph.labels[batch.nodes[target_index]])
         loss.backward()
         self.optimizer.step()

@@ -1,17 +1,22 @@
 """The tape: backward consumes it, and it keeps only what backward reads.
 
-``Tensor.backward`` frees each node's closure, parents and (non-leaf)
-gradient once the closure has run, so a training step's memory falls during
-backward instead of growing by a gradient per activation.  ``Linear`` with a
-bias is one tape node and dropout keeps a boolean mask; the oracles below are
-the forms they replaced, and the results must be bit-equal to them.
+The tape is apart from the tensors: a node holds its parents' nodes and a
+closure that keeps the arrays it reads, never a parent tensor.  So an
+activation no closure reads dies with the forward, and ``Tensor.backward``
+frees each node's closure, parents and (non-leaf) gradient once the closure
+has run, so a training step's memory falls during backward instead of
+growing by a gradient per activation.  ``Linear`` with a bias is one tape
+node and dropout keeps a boolean mask; the oracles below are the forms they
+replaced, and the results must be bit-equal to them.
 
-``step_memory_ratio`` is also printed by CI's job summary.
+``step_memory_units`` is also printed by CI's job summary.
 """
 
 from __future__ import annotations
 
+import inspect
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,11 +28,13 @@ from repro.graphs.generators import powerlaw_community_graph
 from repro.nn.linear import Linear
 from repro.runtime.backend import RuntimeBackend
 
-#: ``step_memory_ratio()`` read 1.71 when backward kept every gradient and
-#: activation to the end of its walk, and 1.30 with the tape consumed.  (The
-#: consumed tape alone read 1.22: the fused ``Linear`` and the boolean dropout
-#: mask shrink the forward tape the ratio divides by.)
-STEP_MEMORY_RATIO_BOUND = 1.45
+#: ``step_memory_units()`` of one GCN step, in ``n × hidden`` float32
+#: activations: (traced peak, live when the forward returns).  It read
+#: (6.90, 5.29) while a tape node was the tensor it output — every
+#: activation lived until backward reached its consumers — and reads
+#: (4.58, 2.26) with the tape apart from the tensors.
+STEP_PEAK_UNITS_BOUND = 5.0
+FORWARD_END_UNITS_BOUND = 2.75
 
 
 def _backend(graph, arch: str, **config) -> RuntimeBackend:
@@ -40,21 +47,44 @@ def _first_batch(backend):
     return backend.sampler.sample(backend.graph, targets, rng=backend._rng)
 
 
+def _op(backward) -> str:
+    """The op a backward closure belongs to: ``relu``, ``Tensor.__add__``..."""
+    return backward.__qualname__.split(".<locals>")[0]
+
+
+def _tensors_held(fn, depth: int = 0) -> list[Tensor]:
+    """Tensors a closure holds, through the functions and containers it keeps."""
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        values = value if isinstance(value, (list, tuple)) else [value]
+        for item in values:
+            if isinstance(item, Tensor):
+                found.append(item)
+            elif inspect.isfunction(item) and depth < 3:
+                found += _tensors_held(item, depth + 1)
+    return found
+
+
 # ------------------------------------------------------------ consumed tape
 class TestBackwardConsumesTheTape:
     @pytest.fixture()
     def recorded(self, monkeypatch):
-        """Every tensor an op builds, kept alive so the test can inspect it."""
+        """Every tensor an op builds, kept alive so the test can inspect it,
+        and the tensors each taped op's closure holds."""
         made: list[Tensor] = []
+        held: dict[str, list[Tensor]] = {}
         make = Tensor._make
 
         def recording(data, parents, backward):
             out = make(data, parents, backward)
             made.append(out)
+            if out.requires_grad:
+                held.setdefault(_op(backward), []).extend(_tensors_held(backward))
             return out
 
         monkeypatch.setattr(Tensor, "_make", staticmethod(recording))
-        return made
+        return made, held
 
     @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
     def test_a_training_step_keeps_only_the_parameters_gradients(
@@ -62,20 +92,30 @@ class TestBackwardConsumesTheTape:
     ):
         backend = _backend(small_graph, arch, batch_size=64, hidden_channels=16)
         backend._train_step(_first_batch(backend))
-        taped = [t for t in recorded if t.requires_grad]
+        taped = [t for t in recorded[0] if t.requires_grad]
         assert taped
         for tensor in taped:  # the step's backward consumed every node
             assert tensor.grad is None
-            assert tensor._backward is _consumed and tensor._parents == ()
+            assert tensor._node.backward is _consumed and tensor._node.parents == ()
         for param in backend.model.parameters():
             assert param.grad is not None and param.grad.shape == param.data.shape
-            assert param._backward is None
+            assert param._node.backward is None
 
         loss = taped[-1]
         with pytest.raises(RuntimeError, match="consumed"):
             loss.backward()
         with pytest.raises(RuntimeError, match="consumed"):
             (taped[0] * 2.0).sum().backward()
+
+    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
+    def test_no_closure_holds_a_tensor(self, small_graph, recorded, arch):
+        """Closures reach their parents through nodes: a closure holding a
+        tensor would keep its data alive whether or not it reads it."""
+        backend = _backend(small_graph, arch, batch_size=64, hidden_channels=16)
+        backend._train_step(_first_batch(backend))
+        held = recorded[1]
+        assert held
+        assert {op: len(tensors) for op, tensors in held.items() if tensors} == {}
 
 
 class TestBackwardWithoutATape:
@@ -92,6 +132,101 @@ class TestBackwardWithoutATape:
         t.backward()
         t.backward()
         assert t.grad == 2.0
+
+
+class TestBackwardSeedShape:
+    """The seed must have the output's shape, as in torch: numpy would
+    otherwise reshape or broadcast it into a wrong gradient."""
+
+    @pytest.mark.parametrize("seed_shape", [(6,), (1, 3), (3, 2), (2, 3, 1)])
+    def test_a_seed_of_another_shape_raises(self, seed_shape):
+        w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        out = w * 2.0
+        with pytest.raises(ValueError, match="seed has shape"):
+            out.backward(np.ones(seed_shape))
+        assert w.grad is None
+
+    def test_a_seed_of_the_output_shape_is_taken(self):
+        w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        seed = np.arange(6.0).reshape(2, 3)
+        (w * 2.0).backward(seed)
+        np.testing.assert_array_equal(w.grad, 2.0 * seed)
+
+
+# ------------------------------------------------------------ tape liveness
+#: Per architecture, the activations of the hidden layer (op, occurrence
+#: among the step's taped ops) that no backward closure reads — they must die
+#: as the forward moves past them — and activations a closure does read,
+#: with the op whose node frees them when backward has run it.
+NEVER_READ = {
+    "gcn": [("_affine", 0), ("relu", 0), ("dropout", 0)],
+    "sage": [
+        ("_affine", 0),  # own
+        ("Tensor.__matmul__", 0),  # neigh
+        ("Tensor.__add__", 0),  # own + neigh
+        ("relu", 0),
+        ("dropout", 0),
+    ],
+    "gat": [
+        ("attention_spmm", 0),
+        ("Tensor.__add__", 1),  # + bias: the pre-elu sum
+        ("elu", 0),
+    ],
+}
+READ_UNTIL = {
+    "gcn": {("spmm", 0): ("_affine", 1)},
+    "sage": {("gather", 0): ("_affine", 1), ("spmm", 0): ("Tensor.__matmul__", 1)},
+    "gat": {("dropout", 0): ("Tensor.__matmul__", 1)},
+}
+
+
+class TestTapeLiveness:
+    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
+    def test_activations_live_exactly_as_long_as_a_closure_reads_them(
+        self, small_graph, monkeypatch, arch
+    ):
+        outputs: dict[tuple[str, int], weakref.ref] = {}
+        # which watched outputs were alive as each node's closure started
+        runs: list[tuple[tuple[str, int], dict]] = []
+        make = Tensor._make
+
+        def alive() -> dict:
+            return {key: ref() is not None for key, ref in outputs.items()}
+
+        def recording(data, parents, backward):
+            op = _op(backward)
+            key = (op, sum(k[0] == op for k in outputs))
+
+            def traced(grad):
+                runs.append((key, alive()))
+                backward(grad)
+
+            out = make(data, parents, traced)
+            if out.requires_grad:
+                outputs[key] = weakref.ref(out.data)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(recording))
+        backend = _backend(small_graph, arch, batch_size=64, hidden_channels=16)
+        forward, at_forward_end = backend.model.forward, {}
+
+        def watched_forward(*args):
+            out = forward(*args)
+            at_forward_end.update(alive())
+            return out
+
+        backend.model.forward = watched_forward
+        backend._train_step(_first_batch(backend))
+
+        assert {k for k in NEVER_READ[arch] if at_forward_end[k]} == set()
+        ran = [key for key, _ in runs]
+        for array, reader in READ_UNTIL[arch].items():
+            assert at_forward_end[array], array
+            step = ran.index(reader)
+            assert runs[step][1][array], f"{array} died before {reader} ran"
+            if step + 1 < len(runs):
+                assert not runs[step + 1][1][array], f"{array} outlived {reader}"
+        assert not any(alive().values())
 
 
 # ---------------------------------------------------------- bit-equal oracles
@@ -132,9 +267,10 @@ def dropout_float_keep(x: Tensor, p: float, rng, within=None) -> Tensor:
         draw = draw if within[1] is None else draw[within[1]]
     keep = (draw >= p).astype(x.data.dtype)
     keep /= 1.0 - p
+    node = x._node
 
     def backward(grad):
-        x._accumulate_fresh(grad * keep)
+        node.accumulate_fresh(grad * keep)
 
     return Tensor._make(x.data * keep, (x,), backward)
 
@@ -166,18 +302,20 @@ class TestBooleanDropoutMaskIsBitEqual:
 
 
 # ------------------------------------------------------------ step memory
-def step_memory_ratio() -> float:
+def step_memory_units() -> tuple[float, float]:
     """Traced peak of one GCN ``_train_step`` (hidden 256, a 2.4k-node
-    cluster batch) over the bytes live when its forward returns.
+    cluster batch) and the bytes live when its forward returns, each in
+    units of one ``n × hidden`` float32 activation.
 
-    Forward builds the tape; what backward and the optimizer add on top of
-    it is what this ratio measures.
+    The forward-end figure is the tape; the peak is that plus what backward
+    and the optimizer add on top of it.
     """
     graph = powerlaw_community_graph(
         2400, num_classes=16, feature_dim=96, min_degree=6, max_degree=200, seed=5
     )
+    hidden = 256
     backend = _backend(
-        graph, "gcn", sampler="cluster", batch_size=2048, hidden_channels=256
+        graph, "gcn", sampler="cluster", batch_size=2048, hidden_channels=hidden
     )
     batch = _first_batch(backend)
     model, forward_end = backend.model, []
@@ -195,8 +333,11 @@ def step_memory_ratio() -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / forward_end[0]
+    unit = graph.num_nodes * hidden * np.dtype(np.float32).itemsize
+    return peak / unit, forward_end[0] / unit
 
 
-def test_backward_and_the_optimizer_add_little_to_the_forward_tape():
-    assert step_memory_ratio() < STEP_MEMORY_RATIO_BOUND
+def test_a_gcn_step_holds_few_activations_at_forward_end_and_peak():
+    peak, forward_end = step_memory_units()
+    assert forward_end < FORWARD_END_UNITS_BOUND
+    assert peak < STEP_PEAK_UNITS_BOUND
