@@ -14,17 +14,24 @@ onto the distinct canonical candidates with array arithmetic, constructing
 each :class:`TrainingConfig` once.  Iteration, sampling's small-space
 fallback and the explorer all read that one enumeration (``DESIGN.md``,
 *The explore stage*).
+
+A space is immutable once built, so :func:`default_space` and
+:func:`reduced_space` each hand every caller one shared instance, and the
+enumeration — with the column view of its candidates — is computed once
+per process.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Iterator
+from functools import cache, cached_property
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
+from repro.config.columns import ConfigColumns
 from repro.config.settings import COUPLED_KNOBS, TrainingConfig
 from repro.errors import ConfigError
 
@@ -39,6 +46,10 @@ class Enumeration:
     candidates: tuple[TrainingConfig, ...]
     #: for every raw leaf, in DFS order, the index of its candidate
     leaf_candidate: np.ndarray
+    #: ``candidates`` as columns, row ``i`` being candidate ``i``
+    columns: ConfigColumns
+    #: candidate -> its index in ``candidates``
+    index: Mapping[TrainingConfig, int]
 
 
 class DesignSpace:
@@ -53,8 +64,20 @@ class DesignSpace:
                 raise ConfigError(f"unknown knob {name!r}")
             if not values:
                 raise ConfigError(f"knob {name!r} has an empty domain")
-        self.domains = {k: tuple(v) for k, v in domains.items()}
-        self.base = base or TrainingConfig()
+            if len(set(values)) < len(values):
+                raise ConfigError(f"knob {name!r} repeats a domain value")
+        self._domains = MappingProxyType({k: tuple(v) for k, v in domains.items()})
+        self._base = base or TrainingConfig()
+
+    @property
+    def domains(self) -> Mapping[str, tuple]:
+        """Read-only ``knob -> values``: the enumeration is computed from it once."""
+        return self._domains
+
+    @property
+    def base(self) -> TrainingConfig:
+        """The config every assignment is applied onto."""
+        return self._base
 
     @property
     def knobs(self) -> list[str]:
@@ -81,7 +104,7 @@ class DesignSpace:
         the (few) combinations of coupled values go through
         :meth:`TrainingConfig.canonical`; the leaves are then keyed, matched
         and ordered as integer arrays.  Computed once per space — domains
-        and base do not change after construction.
+        and base are read-only.
         """
         knobs = self.knobs
         shape = [len(self.domains[k]) for k in knobs]
@@ -126,8 +149,17 @@ class DesignSpace:
             for combo, *values in zip(leaf_combo[leaves].tolist(), *free_values, strict=True)
         )
         leaf_candidate = rank[leaf_key]
-        leaf_candidate.setflags(write=False)  # shared by every reader of the space
-        return Enumeration(candidates=candidates, leaf_candidate=leaf_candidate)
+        columns = ConfigColumns(candidates)
+        # shared by every reader of the space
+        for array in (leaf_candidate, *vars(columns).values()):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        return Enumeration(
+            candidates=candidates,
+            leaf_candidate=leaf_candidate,
+            columns=columns,
+            index=MappingProxyType({c: i for i, c in enumerate(candidates)}),
+        )
 
     def __iter__(self) -> Iterator[TrainingConfig]:
         """Enumerate unique canonical candidates in DFS order."""
@@ -167,8 +199,10 @@ class DesignSpace:
         return out
 
 
+@cache
 def default_space() -> DesignSpace:
-    """The full design space used for estimator-guided exploration."""
+    """The full design space used for estimator-guided exploration (one
+    shared instance per process)."""
     return DesignSpace(
         {
             "batch_size": (128, 256, 512),
@@ -183,8 +217,10 @@ def default_space() -> DesignSpace:
     )
 
 
+@cache
 def reduced_space() -> DesignSpace:
-    """A space small enough to exhaust by real execution (Fig. 6 protocol)."""
+    """A space small enough to exhaust by real execution (Fig. 6 protocol;
+    one shared instance per process)."""
     return DesignSpace(
         {
             "batch_size": (128, 256),

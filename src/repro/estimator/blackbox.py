@@ -25,15 +25,20 @@ def _best_split(
 ) -> tuple[int, float, float] | None:
     """Best (feature, threshold, sse) over candidate features, or None.
 
-    Uses the classic sorted prefix-sum scan: for each candidate feature the
-    children's SSE at every cut position is computed in O(n) after sorting.
-    With sample weights the criterion becomes weighted SSE
-    (``Σw·y² − (Σw·y)²/Σw`` per child); the ``min_leaf`` constraint stays
+    Uses the classic sorted prefix-sum scan, for all candidate features at
+    once: each column of the ``(n, F)`` block is sorted (stably) and the
+    children's SSE at every cut position follows from column prefix sums.
+    A feature offers its first cut of least SSE; the split is the first
+    feature, in ``feature_ids`` order, whose offer is finite, beats the
+    parent by more than 1e-12 and is strictly least.  With sample weights
+    the criterion becomes weighted SSE (``Σw·y² − (Σw·y)²/Σw`` per child) and
+    a cut needs weight on both sides; the ``min_leaf`` constraint stays
     count-based so weights shape the split score, not the tree's minimum
     support.  ``w=None`` takes the exact unweighted code path.
     """
     n = y.size
-    best: tuple[int, float, float] | None = None
+    if n < 2:  # no cut position
+        return None
     if w is None:
         y_sum = y.sum()
         y_sq = (y**2).sum()
@@ -42,40 +47,49 @@ def _best_split(
         y_sum = (w * y).sum()
         y_sq = (w * y**2).sum()
         parent_sse = y_sq - y_sum**2 / w.sum()
-    for f in feature_ids:
-        order = np.argsort(x[:, f], kind="stable")
-        xs = x[order, f]
-        ys = y[order]
-        # Valid cut after position i (1-based left size i+1).
-        left_n = np.arange(1, n)
-        valid = (xs[1:] != xs[:-1]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        if not np.any(valid):
-            continue
-        if w is None:
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys**2)
-            ls, lq = csum[:-1], csq[:-1]
-            rs, rq = y_sum - ls, y_sq - lq
-            sse = (lq - ls**2 / left_n) + (rq - rs**2 / (n - left_n))
-        else:
-            ws = w[order]
-            cw = np.cumsum(ws)
-            csum = np.cumsum(ws * ys)
-            csq = np.cumsum(ws * ys**2)
-            lw, ls, lq = cw[:-1], csum[:-1], csq[:-1]
-            rw, rs, rq = cw[-1] - lw, y_sum - ls, y_sq - lq
-            valid = valid & (lw > 0.0) & (rw > 0.0)
-            if not np.any(valid):
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sse = (lq - ls**2 / lw) + (rq - rs**2 / rw)
-        sse = np.where(valid, sse, np.inf)
-        i = int(np.argmin(sse))
-        if sse[i] < parent_sse - 1e-12 and np.isfinite(sse[i]):
-            threshold = 0.5 * (xs[i] + xs[i + 1])
-            if best is None or sse[i] < best[2]:
-                best = (int(f), float(threshold), float(sse[i]))
-    return best
+    block = x[:, feature_ids]
+    order = np.argsort(block, axis=0, kind="stable")
+    columns = np.arange(block.shape[1])
+    xs = block[order, columns]
+    ys = y[order]
+    # Valid cut after row i (1-based left size i+1), per feature column.
+    left_n = np.arange(1, n)[:, None]
+    valid = (xs[1:] != xs[:-1]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
+    if w is None:
+        csum = ys.cumsum(axis=0)
+        csq = (ys**2).cumsum(axis=0)
+        ls, lq = csum[:-1], csq[:-1]
+        rs, rq = y_sum - ls, y_sq - lq
+        sse = (lq - ls**2 / left_n) + (rq - rs**2 / (n - left_n))
+    else:
+        ws = w[order]
+        cw = ws.cumsum(axis=0)
+        csum = (ws * ys).cumsum(axis=0)
+        csq = (ws * ys**2).cumsum(axis=0)
+        lw, ls, lq = cw[:-1], csum[:-1], csq[:-1]
+        rw, rs, rq = cw[-1] - lw, y_sum - ls, y_sq - lq
+        valid &= (lw > 0.0) & (rw > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sse = (lq - ls**2 / lw) + (rq - rs**2 / rw)
+    sse = np.where(valid, sse, np.inf)
+    cut = np.argmin(sse, axis=0)
+    offer = sse[cut, columns]
+    accepted = (offer < parent_sse - 1e-12) & np.isfinite(offer)
+    if not accepted.any():
+        return None
+    j = int(np.argmin(np.where(accepted, offer, np.inf)))
+    i = cut[j]
+    threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
+    return int(feature_ids[j]), float(threshold), float(offer[j])
+
+
+def _all_close_to_first(y: np.ndarray) -> bool:
+    """``np.allclose(y, y[0])``, spelled out to skip its per-call set-up:
+    within ``1e-8 + 1e-5·|y[0]|`` of a finite ``y[0]``, or equal to it."""
+    first = y[0]
+    if not np.isfinite(first):
+        return bool((y == first).all())
+    return bool(((np.abs(y - first) <= 1e-8 + 1e-5 * abs(first)) | (y == first)).all())
 
 
 class DecisionTreeRegressor:
@@ -153,7 +167,7 @@ class DecisionTreeRegressor:
         nodes.append([-1, 0.0, -1, -1, value])
         if depth >= self.max_depth or y.size < 2 * self.min_samples_leaf:
             return node
-        if np.allclose(y, y[0]):
+        if _all_close_to_first(y):
             return node
         n_feat = x.shape[1]
         if self.max_features is not None and self.max_features < n_feat:

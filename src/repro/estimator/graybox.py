@@ -339,6 +339,32 @@ class GrayBoxEstimator:
         )
 
     # --------------------------------------------------------------- predict
+    def predict_columns(
+        self, columns: ConfigColumns, profile: GraphProfile, platform: Platform
+    ) -> np.ndarray:
+        """``(n, 3)`` rows of ``(T, Γ, Acc)`` for canonical candidates that
+        share one graph profile: the estimator's one evaluation path."""
+        if not self._fitted:
+            raise EstimatorError("predict() before fit()")
+        v_hat, e_hat, hit_hat = self._intermediates(columns, profile)
+        phases = self._analytic_phases(
+            columns, profile, platform, v_hat, e_hat, hit_hat
+        )
+        memory = self._analytic_memory(columns, profile, v_hat, e_hat)
+        if self.use_residuals:
+            feats = encode_columns(columns, profile, platform)
+            for phase, model in self._residual_models.items():
+                phases[phase] = phases[phase] * np.exp(model.predict(feats))
+            memory = memory * np.exp(self._memory_residual.predict(feats))
+        per_batch = batch_time(*(phases[phase] for phase in self._PHASES))
+        return np.column_stack(
+            [
+                self._num_iters(columns.batch_size, profile) * per_batch,
+                memory,
+                self._acc_model.predict_columns(columns, profile, v_hat, e_hat),
+            ]
+        )
+
     def predict(
         self,
         configs: list[TrainingConfig],
@@ -346,33 +372,16 @@ class GrayBoxEstimator:
         platform: Platform | str = "rtx4090",
     ) -> list[PredictedPerf]:
         """Estimate ``Perf(T, Γ, Acc)`` for each candidate (no execution)."""
-        if not self._fitted:
-            raise EstimatorError("predict() before fit()")
         if isinstance(platform, str):
             platform = get_platform(platform)
-
-        def perf(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
-            v_hat, e_hat, hit_hat = self._intermediates(columns, profile)
-            phases = self._analytic_phases(
-                columns, profile, platform, v_hat, e_hat, hit_hat
-            )
-            memory = self._analytic_memory(columns, profile, v_hat, e_hat)
-            if self.use_residuals:
-                feats = encode_columns(columns, profile, platform)
-                for phase, model in self._residual_models.items():
-                    phases[phase] = phases[phase] * np.exp(model.predict(feats))
-                memory = memory * np.exp(self._memory_residual.predict(feats))
-            per_batch = batch_time(*(phases[phase] for phase in self._PHASES))
-            return np.column_stack(
-                [
-                    self._num_iters(columns.batch_size, profile) * per_batch,
-                    memory,
-                    self._acc_model.predict_columns(columns, profile, v_hat, e_hat),
-                ]
-            )
-
         return _as_perf(
-            per_context([c.canonical() for c in configs], profiles, perf)
+            per_context(
+                [c.canonical() for c in configs],
+                profiles,
+                lambda columns, profile: self.predict_columns(
+                    columns, profile, platform
+                ),
+            )
         )
 
     # Convenience accessors used by benches/tests.

@@ -12,8 +12,10 @@ The walk runs on the space's :class:`~repro.config.space.Enumeration`: a
 tree node is a range of raw leaf numbers, a whole tree level is an integer
 array, and an optimistic completion is itself a leaf of the tree — so a
 level's bounds are one array lookup into the estimates, which a single
-batched ``predict`` per level fills in, each candidate at most once
-(``DESIGN.md``, *The explore stage*).
+``predict_columns`` per level fills in from a row slice of the
+enumeration's columns, each candidate at most once.  Estimates stay a
+``(T, Γ, Acc)`` table; :class:`PredictedPerf` objects are made only for the
+candidates returned (``DESIGN.md``, *The explore stage*).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from repro.config.settings import TrainingConfig
 from repro.config.space import DesignSpace
 from repro.errors import ExplorationError
-from repro.estimator.graybox import GrayBoxEstimator, PredictedPerf
+from repro.estimator.graybox import GrayBoxEstimator, PredictedPerf, _as_perf
 from repro.explorer.constraints import RuntimeConstraint
 from repro.graphs.profiling import GraphProfile
 from repro.hardware.specs import Platform
@@ -83,13 +85,6 @@ class DFSExplorer:
         self.profile = profile
         self.platform = platform
         self._optimistic_digits: np.ndarray | None = None
-
-    def _predict(self, configs: list[TrainingConfig]) -> list[PredictedPerf]:
-        if not configs:
-            return []
-        return self.estimator.predict(
-            configs, [self.profile] * len(configs), self.platform
-        )
 
     # ----------------------------------------------------- optimistic bounds
     def _probe_optimistic_digits(
@@ -171,20 +166,18 @@ class DFSExplorer:
         """
         constraint = constraint or RuntimeConstraint()
         enumeration = self.space.enumeration
-        candidates = enumeration.candidates
-        # Estimates by candidate index; each candidate is predicted once.
-        perf = np.full(len(candidates), None, dtype=object)
-        table = np.full((len(candidates), 3), np.nan)
+        # (T, Γ, Acc) by candidate index; each candidate is predicted once.
+        table = np.full((len(enumeration.candidates), 3), np.nan)
 
         def estimate(indices: np.ndarray) -> np.ndarray:
             """(T, Γ, Acc) rows of ``indices``, predicting the unseen ones."""
-            wanted = np.zeros(len(candidates), dtype=bool)
+            wanted = np.zeros(len(table), dtype=bool)
             wanted[indices] = True
             new = np.flatnonzero(wanted & np.isnan(table[:, 0]))
             if new.size:
-                preds = self._predict([candidates[i] for i in new.tolist()])
-                perf[new] = preds
-                table[new] = list(map(_METRICS, preds))
+                table[new] = self.estimator.predict_columns(
+                    enumeration.columns.take(new), self.profile, self.platform
+                )
             return table[indices]
 
         if prune and not constraint.is_unbounded():
@@ -195,41 +188,43 @@ class DFSExplorer:
             order = reached[np.sort(first)]
         else:
             leaves, pruned = np.arange(self.space.raw_size()), 0
-            order = np.arange(len(candidates))
+            order = np.arange(len(enumeration.candidates))
 
-        survivors = [candidates[i] for i in order.tolist()]
-        seen = set(survivors)
+        survived = np.zeros(len(table), dtype=bool)
+        survived[order] = True
+        extras: list[TrainingConfig] = []
         for extra in initial_candidates or []:
             canonical = extra.canonical()
-            if canonical not in seen:
-                seen.add(canonical)
-                survivors.append(canonical)
+            position = enumeration.index.get(canonical)
+            if (position is None or not survived[position]) and canonical not in extras:
+                extras.append(canonical)
+        survivors = [enumeration.candidates[i] for i in order.tolist()] + extras
         if not survivors:
             raise ExplorationError(
                 f"no candidate satisfies the constraints ({constraint.describe()})"
             )
-        # One call covers what the bounds did not already estimate.
-        predictions = perf[order].tolist() + [None] * (len(survivors) - len(order))
-        missing = [i for i, pred in enumerate(predictions) if pred is None]
-        fresh = self._predict([survivors[i] for i in missing])
-        for i, pred in zip(missing, fresh, strict=True):
-            predictions[i] = pred
+        # One call covers what the bounds did not already estimate; initial
+        # candidates outside the space go through ``predict``.
+        rows = estimate(order)
+        if extras:
+            preds = self.estimator.predict(
+                extras, [self.profile] * len(extras), self.platform
+            )
+            rows = np.vstack([rows, list(map(_METRICS, preds))])
         # Final feasibility filter on the leaf estimates themselves.
-        feasible = constraint.feasible(
-            *np.array(list(map(_METRICS, predictions))).T, slack=_FILTER_SLACK
-        )
-        keep = np.flatnonzero(np.broadcast_to(feasible, len(predictions))).tolist()
-        if not keep:
+        feasible = constraint.feasible(*rows.T, slack=_FILTER_SLACK)
+        keep = np.flatnonzero(np.broadcast_to(feasible, len(survivors)))
+        if not keep.size:
             raise ExplorationError(
                 f"all candidates violate the constraints ({constraint.describe()})"
             )
         return ExplorationResult(
-            candidates=[survivors[i] for i in keep],
-            predictions=[predictions[i] for i in keep],
+            candidates=[survivors[i] for i in keep.tolist()],
+            predictions=_as_perf(rows[keep]),
             visited_leaves=len(leaves),
             pruned_subtrees=pruned,
             evaluated=len(survivors),
-            stats={"feasible": len(keep)},
+            stats={"feasible": int(keep.size)},
         )
 
 

@@ -157,6 +157,26 @@ class TestDesignSpace:
         with pytest.raises(ConfigError):
             DesignSpace({"batch_size": ()})
 
+    def test_rejects_repeated_domain_value(self):
+        """A repeated value would enumerate one candidate twice."""
+        with pytest.raises(ConfigError, match="repeats"):
+            DesignSpace({"batch_size": (128, 128), "hidden_channels": (16,)})
+        with pytest.raises(ConfigError, match="repeats"):
+            DesignSpace({"hop_list": ((3, 2), (5, 3), (3, 2))})
+
+    def test_domains_are_read_only(self):
+        space = DesignSpace({"batch_size": (128, 256)})
+        with pytest.raises(TypeError):
+            space.domains["batch_size"] = (64,)
+        with pytest.raises(TypeError):
+            del space.domains["batch_size"]
+        with pytest.raises(AttributeError):
+            space.domains = {"batch_size": (64,)}
+        with pytest.raises(AttributeError):
+            space.base = TrainingConfig(batch_size=64)
+        assert space.domains == {"batch_size": (128, 256)}
+        assert [c.batch_size for c in space] == [128, 256]
+
     def test_enumerate_deduplicates_canonical(self):
         space = DesignSpace(
             {

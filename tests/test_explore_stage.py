@@ -22,11 +22,14 @@ from repro.config import (
     SAMPLER_NAMES,
     TEMPLATES,
     DesignSpace,
+    TaskSpec,
     TrainingConfig,
     default_space,
     reduced_space,
 )
+from repro.config import space as space_module
 from repro.estimator import BlackBoxEstimator, GrayBoxEstimator
+from repro.estimator import blackbox
 from repro.estimator.batchsize import analytic_batch_size
 from repro.estimator.blackbox import DecisionTreeRegressor, RandomForestRegressor
 from repro.estimator.graybox import PredictedPerf
@@ -34,6 +37,7 @@ from repro.explorer import (
     PRIORITY_PRESETS,
     DecisionMaker,
     DFSExplorer,
+    GNNavigator,
     RuntimeConstraint,
     hypervolume_2d,
     pareto_mask,
@@ -86,6 +90,60 @@ def reference_tree_predict(tree: DecisionTreeRegressor, x: np.ndarray) -> np.nda
             feature, threshold, left, right, value = tree._nodes[child]
         out[i] = value
     return out
+
+
+def reference_best_split(
+    x: np.ndarray,
+    y: np.ndarray,
+    feature_ids: np.ndarray,
+    min_leaf: int,
+    w: np.ndarray | None = None,
+) -> tuple[int, float, float] | None:
+    """The per-feature split search the all-features-at-once scan replaced."""
+    n = y.size
+    best: tuple[int, float, float] | None = None
+    if w is None:
+        y_sum = y.sum()
+        y_sq = (y**2).sum()
+        parent_sse = y_sq - y_sum**2 / n
+    else:
+        y_sum = (w * y).sum()
+        y_sq = (w * y**2).sum()
+        parent_sse = y_sq - y_sum**2 / w.sum()
+    for f in feature_ids:
+        order = np.argsort(x[:, f], kind="stable")
+        xs = x[order, f]
+        ys = y[order]
+        # Valid cut after position i (1-based left size i+1).
+        left_n = np.arange(1, n)
+        valid = (xs[1:] != xs[:-1]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
+        if not np.any(valid):
+            continue
+        if w is None:
+            csum = np.cumsum(ys)
+            csq = np.cumsum(ys**2)
+            ls, lq = csum[:-1], csq[:-1]
+            rs, rq = y_sum - ls, y_sq - lq
+            sse = (lq - ls**2 / left_n) + (rq - rs**2 / (n - left_n))
+        else:
+            ws = w[order]
+            cw = np.cumsum(ws)
+            csum = np.cumsum(ws * ys)
+            csq = np.cumsum(ws * ys**2)
+            lw, ls, lq = cw[:-1], csum[:-1], csq[:-1]
+            rw, rs, rq = cw[-1] - lw, y_sum - ls, y_sq - lq
+            valid = valid & (lw > 0.0) & (rw > 0.0)
+            if not np.any(valid):
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sse = (lq - ls**2 / lw) + (rq - rs**2 / rw)
+        sse = np.where(valid, sse, np.inf)
+        i = int(np.argmin(sse))
+        if sse[i] < parent_sse - 1e-12 and np.isfinite(sse[i]):
+            threshold = 0.5 * (xs[i] + xs[i + 1])
+            if best is None or sse[i] < best[2]:
+                best = (int(f), float(threshold), float(sse[i]))
+    return best
 
 
 def reference_forest_predict(forest: RandomForestRegressor, x: np.ndarray) -> np.ndarray:
@@ -532,6 +590,121 @@ class TestTreePredict:
         np.testing.assert_array_equal(singles, want[:40])
 
 
+_FEATURE_VALUE = st.sampled_from([0.0, 1.0, 1.0, 2.5, -3.0, np.inf, -np.inf, np.nan])
+_TARGET = st.one_of(st.sampled_from([0.0, 1.0, -2.0]), st.floats(-1e3, 1e3))
+_WEIGHT = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 0.5]), st.floats(0.0, 10.0))
+
+
+@st.composite
+def split_inputs(draw):
+    """``x`` on a small grid (ties, ±inf, NaN, sometimes a whole non-finite
+    column), ``y``, weights that may be zero, ``min_leaf`` and an ordered
+    feature subset."""
+    n = draw(st.integers(0, 20))
+    width = draw(st.integers(1, 6))
+    x = np.array(
+        draw(st.lists(_FEATURE_VALUE, min_size=n * width, max_size=n * width)),
+        dtype=np.float64,
+    ).reshape(n, width)
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, width - 1))] = draw(st.sampled_from([np.inf, np.nan]))
+    y = np.array(draw(st.lists(_TARGET, min_size=n, max_size=n)), dtype=np.float64)
+    w = None
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(_WEIGHT, min_size=n, max_size=n)), dtype=np.float64)
+    features = draw(st.permutations(range(width)))
+    feature_ids = np.array(features[: draw(st.integers(0, width))], dtype=np.intp)
+    return x, y, feature_ids, draw(st.integers(1, 4)), w
+
+
+def _split_bits(split):
+    if split is None:
+        return None
+    feature, threshold, sse = split
+    return feature, np.float64(threshold).tobytes(), np.float64(sse).tobytes()
+
+
+class TestSplitSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(split_inputs())
+    def test_matches_per_feature_reference(self, inputs):
+        """Same feature, threshold and SSE, bit for bit."""
+        with np.errstate(all="ignore"):
+            got = blackbox._best_split(*inputs)
+            want = reference_best_split(*inputs)
+        assert _split_bits(got) == _split_bits(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                [0.0, 1.0, -1.0, 5e-9, 1e-8, 2e-8, 1.0 + 1e-5, 1.0 + 2e-5, 1e5, 1e5 + 1.0,
+                 1e5 + 1.5, np.inf, -np.inf, np.nan]
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_constant_check_is_allclose(self, values):
+        y = np.array(values)
+        with np.errstate(all="ignore"):
+            assert blackbox._all_close_to_first(y) == np.allclose(y, y[0])
+
+    @staticmethod
+    def _fit_nodes(make, x, y, w):
+        model = make().fit(x, y, sample_weight=w)
+        trees = model._trees if isinstance(model, RandomForestRegressor) else [model]
+        return repr([tree._nodes for tree in trees])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DecisionTreeRegressor(max_depth=6, min_samples_leaf=2),
+            lambda: DecisionTreeRegressor(max_features=3, random_state=4),
+            lambda: RandomForestRegressor(n_estimators=8, max_depth=5, random_state=2),
+        ],
+        ids=["tree", "subsampled tree", "forest"],
+    )
+    def test_fitted_nodes_equal_reference_fit(self, make, weighted, monkeypatch):
+        """Every node of a fit, under the reference search and ``np.allclose``."""
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            x = rng.integers(0, 4, size=(50, 7)).astype(np.float64)  # tied values
+            x[rng.random(x.shape) < 0.05] = np.inf
+            y = np.where(x[:, 0] > 1, 2.0, -1.0) + rng.integers(0, 3, 50)
+            w = rng.random(50) * (rng.random(50) < 0.8) if weighted else None
+            got = self._fit_nodes(make, x, y, w)
+            with monkeypatch.context() as patch:
+                patch.setattr(blackbox, "_best_split", reference_best_split)
+                patch.setattr(blackbox, "_all_close_to_first", lambda v: np.allclose(v, v[0]))
+                want = self._fit_nodes(make, x, y, w)
+            assert got == want
+
+    def test_estimator_fit_equals_reference_fit(self, small_graph, monkeypatch):
+        """The gray-box estimator's 28 trees, fitted on profiled records."""
+        records = _profiling_records(small_graph, n=16, epochs=1, seed=20)
+
+        def nodes():
+            est = GrayBoxEstimator().fit(records)
+            trees = [
+                est._batch_model._tree,
+                est._edge_model,
+                est._hit_model,
+                *est._residual_models.values(),
+                est._memory_residual,
+                *est._acc_model._forest._trees,
+            ]
+            return repr([tree._nodes for tree in trees])
+
+        got = nodes()
+        with monkeypatch.context() as patch:
+            patch.setattr(blackbox, "_best_split", reference_best_split)
+            patch.setattr(blackbox, "_all_close_to_first", lambda v: np.allclose(v, v[0]))
+            want = nodes()
+        assert got == want
+
+
 # =================================================================== estimator
 class TestBatchedPredict:
     @pytest.mark.parametrize("arch", ARCHS)
@@ -573,6 +746,25 @@ class TestBatchedPredict:
         for row, config in zip(matrix, picked, strict=True):
             np.testing.assert_array_equal(row, reference_config_features(config))
             np.testing.assert_array_equal(row, config.as_features())
+
+    def test_column_slice_equals_columns_of_the_configs(self):
+        from repro.config.columns import ConfigColumns
+
+        enumeration = default_space().enumeration
+        rows = np.random.default_rng(3).permutation(len(enumeration.candidates))[:500]
+        got = enumeration.columns.take(rows)
+        want = ConfigColumns([enumeration.candidates[i] for i in rows.tolist()])
+        assert list(got.configs) == list(want.configs)
+        assert vars(got).keys() == vars(want).keys()
+        for name, column in vars(want).items():
+            if name == "hop_code":  # numbered per object: compare the partition
+                _, inverse = np.unique(got.hop_code, return_inverse=True)
+                _, reference = np.unique(column, return_inverse=True)
+                assert len(set(zip(inverse.tolist(), reference.tolist()))) == len(
+                    set(reference.tolist())
+                ) == len(set(inverse.tolist()))
+            elif name != "configs":
+                assert getattr(got, name).tobytes() == column.tobytes(), name
 
     def test_black_box_batches_like_singles(self, small_graph, profile, candidates):
         records = _profiling_records(small_graph, n=16, epochs=1, seed=20)
@@ -700,26 +892,119 @@ class TestOneWalk:
 
     def test_predict_calls_per_explore_are_counted_in_levels(self, fitted, profile):
         """A constrained explore costs a handful of batched calls, not one
-        three-config call per internal node (thousands on this space)."""
+        three-config call per internal node (thousands on this space).
+
+        The walk estimates through ``predict_columns`` on row slices of the
+        enumeration; only initial candidates outside the space go through
+        ``predict`` (which evaluates them by ``predict_columns`` on their own
+        columns, so that seat counts them as one more call)."""
 
         class Counting:
-            calls = 0
-            rows = 0
+            calls = rows = 0
+            template_calls = template_rows = 0
+
+            def predict_columns(self, columns, profile, platform):
+                Counting.calls += 1
+                Counting.rows += len(columns)
+                return fitted["sage"].predict_columns(columns, profile, platform)
 
             def predict(self, configs, profiles, platform):
-                Counting.calls += 1
-                Counting.rows += len(configs)
+                Counting.template_calls += 1
+                Counting.template_rows += len(configs)
                 return fitted["sage"].predict(configs, profiles, platform)
 
         space = default_space()
         explorer = DFSExplorer(space, Counting(), profile, get_platform("rtx4090"))
         free = explorer.explore()
         assert (Counting.calls, Counting.rows) == (1, len(space.enumerate()))
+        assert Counting.template_calls == 0
         for constraint in self._boxes(free).values():
             fresh = DFSExplorer(space, Counting(), profile, get_platform("rtx4090"))
             Counting.calls = Counting.rows = 0
+            Counting.template_calls = Counting.template_rows = 0
             fresh.explore(constraint=constraint, initial_candidates=list(TEMPLATES.values()))
             probe_calls, final_call = 1, 1
             assert Counting.calls <= dfs_module._PRUNE_MAX_REMAINING + probe_calls + final_call
+            assert Counting.template_calls <= 1
             # no candidate is estimated twice
-            assert Counting.rows <= len(space.enumerate()) + len(TEMPLATES)
+            assert Counting.rows + Counting.template_rows <= len(space.enumerate()) + len(
+                TEMPLATES
+            )
+
+    @pytest.mark.parametrize("arch", ["sage", "gat"])
+    def test_explore_equals_per_config_predict(self, arch, fitted, profile):
+        """Column slices of the shared enumeration, and ``PredictedPerf`` made
+        only for the survivors, against a run that predicts every row from its
+        configs: same candidates, bitwise objectives, same guidelines."""
+
+        class PerConfig:
+            def predict_columns(self, columns, profile, platform):
+                preds = fitted[arch].predict(
+                    list(columns.configs), [profile] * len(columns), platform
+                )
+                return _bits(preds)
+
+            def predict(self, configs, profiles, platform):
+                return fitted[arch].predict(configs, profiles, platform)
+
+        space = default_space()
+        platform = get_platform("rtx4090")
+        explorer = DFSExplorer(space, fitted[arch], profile, platform)
+        reference = DFSExplorer(space, PerConfig(), profile, platform)
+        templates = list(TEMPLATES.values())
+        targets = list(PRIORITY_PRESETS.values())
+        free = explorer.explore(initial_candidates=templates)
+        for constraint in [None, *self._boxes(free).values()]:
+            got = explorer.explore(constraint=constraint, initial_candidates=templates)
+            want = reference.explore(constraint=constraint, initial_candidates=templates)
+            assert got.candidates == want.candidates
+            assert got.objectives().tobytes() == want.objectives().tobytes()
+            assert got.predictions == want.predictions
+            assert (got.visited_leaves, got.pruned_subtrees, got.evaluated) == (
+                want.visited_leaves,
+                want.pruned_subtrees,
+                want.evaluated,
+            )
+            assert DecisionMaker(got).choose_all(targets) == DecisionMaker(
+                want
+            ).choose_all(targets)
+
+
+class TestSharedSpace:
+    def test_one_instance_per_process(self):
+        assert default_space() is default_space()
+        assert reduced_space() is reduced_space()
+
+    def test_enumeration_and_columns_are_built_once(
+        self, fitted, profile, small_graph, monkeypatch
+    ):
+        """Navigators, explorers and iteration all reuse one enumeration."""
+        built = {"enumeration": 0, "columns": 0}
+
+        def counting(name, cls):
+            def make(*args, **kwargs):
+                built[name] += 1
+                return cls(*args, **kwargs)
+
+            return make
+
+        monkeypatch.setattr(
+            space_module, "Enumeration", counting("enumeration", space_module.Enumeration)
+        )
+        monkeypatch.setattr(
+            space_module, "ConfigColumns", counting("columns", space_module.ConfigColumns)
+        )
+        default_space.cache_clear()
+        task = TaskSpec(dataset="tiny", arch="sage")
+        for _ in range(3):
+            navigator = GNNavigator(task, graph=small_graph)
+            assert navigator.space is default_space()
+            DFSExplorer(
+                navigator.space, fitted["sage"], profile, get_platform("rtx4090")
+            ).explore(initial_candidates=list(TEMPLATES.values()))
+            assert len(default_space().enumerate()) == len(list(default_space()))
+        assert built == {"enumeration": 1, "columns": 1}
+        columns = default_space().enumeration.columns
+        assert len(columns) == len(default_space().enumerate())
+        with pytest.raises(ValueError):
+            columns.batch_size[0] = 1
