@@ -12,12 +12,13 @@ primitives here cover every model we implement:
   attention as the CSR values, differentiable in both.  Every product
   either of them runs, forward and backward, is timed into one process-wide counter
   (:func:`spmm_stats`);
-* :func:`normalized_adjacency` / :func:`row_block` — the propagation matrix
-  of a (sub)graph and the rectangular share of it one layer multiplies by.
+* :func:`normalized_adjacency` — the propagation matrix of a (sub)graph, or
+  the rectangular share of it one layer multiplies by.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 
@@ -35,7 +36,6 @@ __all__ = [
     "spmm_stats",
     "reset_spmm_stats",
     "normalized_adjacency",
-    "row_block",
     "edge_operators",
 ]
 
@@ -222,13 +222,20 @@ def _canonical_csr(
     The constructor would re-validate the three arrays and copy the index
     arrays down to int32; the per-batch builders here have just produced
     them canonical, and the int64 they carry is what numpy gathers fastest
-    with when the next block is cut from the result.
+    with when the next block is cut from the result.  Even building an
+    empty matrix to fill costs ~30 µs, more than cutting a small block, so
+    the result is a shallow copy of an empty canonical one, given its shape
+    as the constructor stores it.
     """
-    out = sp.csr_matrix(shape, dtype=data.dtype)
+    out = copy.copy(_EMPTY_CANONICAL)
+    out._shape = (int(shape[0]), int(shape[1]))
     out.data, out.indices, out.indptr = data, indices, indptr
-    out.has_sorted_indices = True
-    out.has_canonical_format = True
     return out
+
+
+_EMPTY_CANONICAL = sp.csr_matrix((0, 0))
+_EMPTY_CANONICAL.has_sorted_indices = True
+_EMPTY_CANONICAL.has_canonical_format = True
 
 
 def normalized_adjacency(
@@ -239,7 +246,8 @@ def normalized_adjacency(
     mode: str = "sym",
     add_self_loops: bool = True,
     dtype=None,
-) -> sp.csr_matrix:
+    rows: np.ndarray | None = None,
+) -> sp.csr_matrix | tuple[sp.csr_matrix, np.ndarray, np.ndarray | None]:
     """GCN-style normalised adjacency ``D^-1/2 (A + I) D^-1/2`` (or row ``D^-1 A``).
 
     ``mode='sym'`` gives the GCN propagation matrix; ``mode='row'`` gives the
@@ -252,6 +260,16 @@ def normalized_adjacency(
     into each row and the values are written straight from the degrees.
     Anything else (unsorted rows, repeated columns, stored self-loops, which
     ``A + I`` weighs 2) is first canonicalised by scipy.
+
+    ``rows`` (sorted, distinct) asks for one layer's block instead of the
+    square: ``A_norm[rows]`` restricted to the columns those rows touch,
+    with ``rows`` counted as touched so a layer can always read its own
+    previous embedding.  Only those rows are spliced and written, from the
+    degrees of the whole structure, so every value is the square's bit for
+    bit.  The result is then ``(block, self_index, columns)``: the position
+    of each of ``rows`` among the block's columns, and the columns (sorted
+    vertex ids), or ``None`` when every column is touched and nothing was
+    relabelled.
     """
     from repro.autograd.tensor import get_default_dtype
 
@@ -266,62 +284,60 @@ def normalized_adjacency(
     # (plus the loop) whatever the canonicalising below merges.
     deg = np.maximum(counts + bool(add_self_loops), 1).astype(dtype)
     scale = (1.0 / (np.sqrt(deg) if mode == "sym" else deg)).astype(dtype)
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64) if rows is None else rows
 
-    ids = np.arange(n, dtype=np.int64)
-    rows = np.repeat(ids, counts)
-    ascending = indices[1:] > indices[:-1]
-    starts = indptr[1:-1]  # a column may drop where the next row starts
-    ascending[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    def select(indptr, indices):
+        """Row pointer, entries, row lengths and slots of the selected rows."""
+        if rows is None:
+            return indptr, indices, np.diff(indptr), None
+        flat, bounds = row_slots(indptr, rows)
+        return bounds, indices[flat], np.diff(bounds), flat
+
+    bounds, cols, lengths, _ = select(indptr, indices)
+    owner = np.repeat(ids, lengths)
+    ascending = cols[1:] > cols[:-1]
+    starts = bounds[1:-1]  # a column may drop where the next row starts
+    ascending[starts[(starts > 0) & (starts < cols.size)] - 1] = True
     weights = None
-    if not ascending.all() or (add_self_loops and (indices == rows).any()):
+    if not ascending.all() or (add_self_loops and (cols == owner).any()):
+        # canonicalise the whole structure once, then select from it
         adj = sp.csr_matrix(
             (np.ones(indices.size, dtype=dtype), indices, indptr), shape=(n, n)
         )
         adj.sum_duplicates()
         if add_self_loops:
             adj = adj + sp.eye(n, format="csr", dtype=dtype)
-        indptr = adj.indptr.astype(np.int64)
-        indices = adj.indices.astype(np.int64)
-        weights = adj.data
-        counts = np.diff(indptr)
+        canonical = adj.indptr.astype(np.int64), adj.indices.astype(np.int64)
+        bounds, cols, lengths, flat = select(*canonical)
+        weights = adj.data if flat is None else adj.data[flat]
     elif add_self_loops:
         # Each row grows by one slot: an entry moves right by one slot per
-        # earlier row, plus one when it sits right of its own diagonal.
-        # Filling every new row with its own id first leaves exactly the
-        # diagonal behind once the old entries are written over it.
-        slot = np.arange(indices.size, dtype=np.int64)
-        slot += rows
-        slot += indices > rows
-        counts = counts + 1
-        spliced = np.repeat(ids, counts)
-        spliced[slot] = indices
-        indptr, indices = indptr + np.arange(n + 1, dtype=np.int64), spliced
+        # earlier selected row, plus one when it sits right of its own
+        # diagonal.  Filling every new row with its own id first leaves
+        # exactly the diagonal behind once the old entries are written over it.
+        slot = np.arange(cols.size, dtype=np.int64)
+        if rows is None:
+            slot += owner
+        else:
+            slot += np.repeat(np.arange(ids.size, dtype=np.int64), lengths)
+        slot += cols > owner
+        lengths = lengths + 1
+        spliced = np.repeat(ids, lengths)
+        spliced[slot] = cols
+        bounds, cols = bounds + np.arange(ids.size + 1, dtype=np.int64), spliced
 
-    data = np.repeat(scale, counts)
+    data = np.repeat(scale if rows is None else scale[rows], lengths)
     if weights is not None:
         data *= weights  # (d_i * a_ij) * d_j: the order a scipy product rounds in
     if mode == "sym":
-        data *= scale[indices]
-    return _canonical_csr(data, indices, indptr, (n, n))
+        data *= scale[cols]
+    if rows is None:
+        return _canonical_csr(data, cols, bounds, (n, n))
 
-
-def row_block(
-    matrix: sp.csr_matrix, rows: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray | None]:
-    """``matrix[rows]`` restricted to the columns those rows touch.
-
-    Returns the block, the position of each of ``rows`` among the block's
-    columns, and the columns themselves (sorted ids of ``matrix``), or
-    ``None`` when every column is touched and nothing was relabelled.
-    ``rows`` must be sorted and distinct; they count as touched, so a layer
-    can always read its own previous embedding.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    n = matrix.shape[1]
-    flat, indptr = row_slots(matrix.indptr, rows)
-    indices = matrix.indices[flat]
     touched = np.zeros(n, dtype=bool)
-    touched[indices] = True
+    touched[cols] = True
     touched[rows] = True
     columns = np.flatnonzero(touched)
     self_index = rows
@@ -331,10 +347,9 @@ def row_block(
         # the relabel map is only read where ``touched`` holds: never filled
         lookup = np.empty(n, dtype=np.int64)
         lookup[columns] = np.arange(columns.size, dtype=np.int64)
-        indices, self_index = lookup[indices], lookup[rows]
+        cols, self_index = lookup.take(cols), lookup.take(rows)
         n = columns.size
-    block = _canonical_csr(matrix.data[flat], indices, indptr, (rows.size, n))
-    return block, self_index, columns
+    return _canonical_csr(data, cols, bounds, (rows.size, n)), self_index, columns
 
 
 def edge_operators(matrix: sp.csr_matrix) -> tuple[sp.csr_matrix, ...]:

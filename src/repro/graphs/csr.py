@@ -182,7 +182,8 @@ class CSRGraph:
 
         Membership and de-duplication share one ``|V|``-sized bitmap, and
         the relabel map is only read at member positions, so it is never
-        filled.
+        filled.  The kept slots are selected and relabelled by index passes
+        (``flatnonzero`` and ``take``), never a boolean-mask copy.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
         if nodes.size and (nodes.min() < 0 or nodes.max() >= self.num_nodes):
@@ -194,19 +195,17 @@ class CSRGraph:
         lookup[nodes] = np.arange(nodes.size, dtype=np.int64)
 
         flat, bounds = row_slots(self.indptr, nodes)
-        dst = self.indices[flat]
-        keep = member[dst]
+        dst = self.indices.take(flat)
+        kept = np.flatnonzero(member.take(dst))
         # A row keeps the edges between its first and last slot, so its
-        # pointer is the running count of kept edges read at the old row
-        # boundaries.  Rows stay sorted: every construction path emits
-        # row-sorted indices and the relabel map is monotonic.
-        kept = np.zeros(dst.size + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept[1:])
+        # pointer is the number of kept slots before its old boundary.
+        # Rows stay sorted: every construction path emits row-sorted
+        # indices and the relabel map is monotonic.
         features = self.features if with_data else None
         labels = self.labels if with_data else None
         sub = CSRGraph(
-            indptr=kept[bounds],
-            indices=lookup[dst[keep]],
+            indptr=np.searchsorted(kept, bounds),
+            indices=lookup.take(dst.take(kept)),
             features=None if features is None else features[nodes],
             labels=None if labels is None else labels[nodes],
             num_classes=self.num_classes,

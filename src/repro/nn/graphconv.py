@@ -19,7 +19,6 @@ from repro.autograd.sparse import (
     edge_operators,
     gather,
     normalized_adjacency,
-    row_block,
     segment_softmax,
     spmm,
 )
@@ -142,25 +141,30 @@ class Propagation:
 
         Working back from ``rows``, layer ``l`` gets the rows of the ``mode``
         matrix its successor reads, restricted to the columns they touch —
-        which are the rows layer ``l - 1`` must produce.  Normalisation is
-        that of the whole (sub)graph, so the result equals computing every
-        row and selecting.  Where the closure reaches every vertex (and
-        always when ``rows`` is ``None``) the block is this object itself
-        and the input rows are ``None``, meaning all.
+        which are the rows layer ``l - 1`` must produce.  Each block is
+        written straight from the structure
+        (:func:`~repro.autograd.sparse.normalized_adjacency` with ``rows``)
+        with the degrees of the whole (sub)graph, so the result equals
+        computing every row and selecting, and the square is never built
+        for it.  Where the closure reaches every vertex (and always when
+        ``rows`` is ``None``) the block is this object itself and the input
+        rows are ``None``, meaning all.
 
         The blocks or the square ``mode`` matrix is kept, never both.  When
-        no layer runs on the square it is dropped and the blocks are kept,
-        so each is cut once: the last layer's block serves every depth, and
-        a deeper stack cuts only the layers in front of it.  When a layer
-        runs on the square, the blocks beside it are cut per call.
+        no layer runs on the square it is dropped if it was built and the
+        blocks are kept, so each is cut once: the last layer's block serves
+        every depth, and a deeper stack cuts only the layers in front of
+        it.  When a layer runs on the square, the blocks beside it are cut
+        per call.
         """
         chain = self._chains.pop(mode, [])  # (block, its columns), last layer first
         rows = chain[-1][1] if chain else self.rows
         while (
             len(chain) < num_layers and rows is not None and rows.size < self.num_nodes
         ):
-            square = self.sym if mode == "sym" else self.row
-            matrix, self_index, columns = row_block(square, rows)
+            matrix, self_index, columns = normalized_adjacency(
+                self.indptr, self.indices, self.num_nodes, mode=mode, rows=rows
+            )
             chain.append((Block(matrix, self_index, rows), columns))
             rows = columns
         blocks = [block for block, _ in reversed(chain[:num_layers])]

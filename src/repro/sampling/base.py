@@ -105,9 +105,9 @@ def fanout_step(
     counts = graph.degrees[frontier]
     group = np.repeat(np.arange(frontier.size), counts)
     order = np.argsort(group + keys)
-    ends = np.cumsum(counts)
-    chosen = order[ends[group] - np.arange(dst.size) <= k]
-    return distinct_sorted(dst[chosen], graph.num_nodes)
+    ends = np.repeat(np.cumsum(counts), counts)
+    chosen = order.take(np.flatnonzero(ends - np.arange(dst.size) <= k))
+    return distinct_sorted(dst.take(chosen), graph.num_nodes)
 
 
 class Sampler:

@@ -26,7 +26,7 @@ from repro.autograd import (
     spmm,
     tanh,
 )
-from repro.autograd.sparse import attention_spmm, edge_operators, row_block
+from repro.autograd.sparse import attention_spmm, edge_operators
 from tests.test_autograd_tensor import check_gradient
 
 
@@ -195,10 +195,9 @@ class TestAttentionSpmm:
             4,
             mode="row",
             dtype=np.float64,
+            rows=np.array([0, 2]) if block else None,
         )
-        if block:
-            adj = row_block(adj, np.array([0, 2]))[0]
-        return edge_operators(adj)
+        return edge_operators(adj[0] if block else adj)
 
     def test_forward_matches_dense(self):
         edges = self._edges(block=True)

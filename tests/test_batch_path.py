@@ -22,10 +22,13 @@ from hypothesis import strategies as st
 
 import repro.nn.graphconv as graphconv
 from repro.autograd.functional import dropout, elu, log_softmax, nll_loss, relu
-from repro.autograd.sparse import normalized_adjacency, row_block
+from repro.autograd.sparse import _canonical_csr, normalized_adjacency
 from repro.autograd.tensor import Tensor, default_dtype, no_grad
 from repro.config.settings import TaskSpec, TrainingConfig
-from repro.nn.graphconv import Propagation
+from repro.config.templates import get_template
+from repro.graphs.datasets import load_dataset
+from repro.graphs.csr import row_slots
+from repro.nn.graphconv import Block, Propagation
 from repro.nn.metrics import accuracy
 from repro.nn.models import build_model
 from repro.runtime.backend import RuntimeBackend
@@ -135,6 +138,48 @@ def all_rows_train_step(backend, batch) -> float:
     return float(loss.item())
 
 
+def row_block(matrix, rows: np.ndarray):
+    """``matrix[rows]`` restricted to the columns those rows touch, rows
+    counted as touched: the cut ``Propagation.blocks`` took from the square
+    matrix before it cut first.  The *reference* ``normalized_adjacency(...,
+    rows=rows)`` equals byte for byte: ``(block, self_index, columns)``,
+    ``columns`` ``None`` when nothing was relabelled."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n = matrix.shape[1]
+    flat, indptr = row_slots(matrix.indptr, rows)
+    indices = matrix.indices[flat]
+    touched = np.zeros(n, dtype=bool)
+    touched[indices] = True
+    touched[rows] = True
+    columns = np.flatnonzero(touched)
+    self_index = rows
+    if columns.size == n:
+        columns = None
+    else:
+        lookup = np.empty(n, dtype=np.int64)
+        lookup[columns] = np.arange(columns.size, dtype=np.int64)
+        indices, self_index = lookup[indices], lookup[rows]
+        n = columns.size
+    block = _canonical_csr(matrix.data[flat], indices, indptr, (rows.size, n))
+    return block, self_index, columns
+
+
+def reference_blocks(prop: Propagation, mode: str, num_layers: int):
+    """``Propagation.blocks`` as the composition it replaced: the whole
+    square ``mode`` matrix normalised, then every layer's block cut from it
+    by :func:`row_block`."""
+    square = prop.sym if mode == "sym" else prop.row
+    chain, rows = [], prop.rows
+    while len(chain) < num_layers and rows is not None and rows.size < prop.num_nodes:
+        matrix, self_index, columns = row_block(square, rows)
+        chain.append((Block(matrix, self_index, rows), columns))
+        rows = columns
+    blocks = [block for block, _ in reversed(chain)]
+    if len(blocks) < num_layers:
+        return [prop] * (num_layers - len(blocks)) + blocks, None
+    return blocks, chain[-1][1]
+
+
 class TestBlockPathEqualsAllRowsReference:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("sampler", SAMPLERS)
@@ -199,6 +244,29 @@ class TestTrainingTrajectory:
         assert got.accuracy == want.accuracy
 
 
+class TestCutFirstIsBitExact:
+    """Blocks written straight from the structure against the square
+    normalised whole and cut by :func:`row_block` (``reference_blocks``):
+    a short run — dropout on, so the mask stream is compared too — gives
+    the same losses, records and accuracy bit for bit."""
+
+    @pytest.mark.parametrize("sampler", SAMPLERS)
+    @pytest.mark.parametrize("arch", ["gcn", "sage", "gat"])
+    def test_training_equals_the_square_then_row_block(
+        self, small_graph, arch, sampler, monkeypatch
+    ):
+        def run():
+            backend = _backend(small_graph, arch, sampler, 2, dropout=0.5, epochs=2)
+            return backend.train(keep_batch_records=True)
+
+        got = run()
+        monkeypatch.setattr(Propagation, "blocks", reference_blocks)
+        want = run()
+        assert len(got.batches) > 2
+        # losses, records, epochs and accuracy: float reprs round-trip, nan too
+        assert repr(got) == repr(want)
+
+
 class TestRowsAllIsTheSquareCase:
     @pytest.mark.parametrize("sampler", SAMPLERS)
     @pytest.mark.parametrize("num_layers", [1, 2, 3])
@@ -238,22 +306,26 @@ class TestRowsAllIsTheSquareCase:
 
 
 class TestBlocks:
-    def test_row_block_is_the_scipy_slice(self, medium_graph, rng):
+    def test_the_cut_is_the_scipy_slice(self, medium_graph, rng):
         n = medium_graph.num_nodes
         matrix = normalized_adjacency(medium_graph.indptr, medium_graph.indices, n)
         rows = np.sort(rng.choice(n, 40, replace=False))
-        block, self_index, columns = row_block(matrix, rows)
+        block, self_index, columns = normalized_adjacency(
+            medium_graph.indptr, medium_graph.indices, n, rows=rows
+        )
         assert block.has_sorted_indices
         np.testing.assert_array_equal(
             block.toarray(), matrix[rows][:, columns].toarray()
         )
         np.testing.assert_array_equal(columns[self_index], rows)
 
-    def test_row_block_without_relabel_when_every_column_is_touched(self):
+    def test_the_cut_without_relabel_when_every_column_is_touched(self):
         indptr = np.array([0, 2, 4, 6])
         indices = np.array([1, 2, 0, 2, 0, 1])
         matrix = normalized_adjacency(indptr, indices, 3)
-        block, self_index, columns = row_block(matrix, np.array([1]))
+        block, self_index, columns = normalized_adjacency(
+            indptr, indices, 3, rows=np.array([1])
+        )
         assert columns is None and block.shape == (1, 3)
         np.testing.assert_array_equal(self_index, [1])
         np.testing.assert_array_equal(block.toarray(), matrix.toarray()[[1]])
@@ -283,11 +355,30 @@ class TestBlocks:
         prop = Propagation.from_graph(medium_graph, rows=rows)
         two, _ = prop.blocks("row", 2)
         assert prop._row is None  # the blocks are kept, not the square too
-        with mock.patch.object(graphconv, "row_block", wraps=row_block) as cut:
+        with mock.patch.object(
+            graphconv, "normalized_adjacency", wraps=normalized_adjacency
+        ) as built:
             three, inputs = prop.blocks("row", 3)
             assert prop.blocks("row", 2)[0] == two
-        assert cut.call_count == 1 and three[1:] == two
+        # one cut, and no square
+        ((_, kwargs),) = built.call_args_list
+        assert kwargs["rows"] is not None and three[1:] == two
         assert three[0] is not prop and inputs.size < medium_graph.num_nodes
+
+    def test_a_step_short_of_every_vertex_never_builds_the_square(self, small_graph):
+        backend = _backend(small_graph, "sage", "sage", 2)
+        batch = _first_batch(backend)
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append((kwargs.get("rows"), normalized_adjacency(*args, **kwargs)))
+            return built[-1][1]
+
+        with mock.patch.object(graphconv, "normalized_adjacency", recording):
+            backend._train_step(batch)
+        # both layers' rows stop short of the subgraph: no layer runs on the square
+        assert [rows is not None for rows, _ in built] == [True, True]
+        assert built[-1][0].size < batch.num_nodes
 
     def test_model_returns_only_the_rows_asked_for(self, small_graph):
         backend = _backend(small_graph, "sage", "sage", 2)
@@ -302,6 +393,33 @@ class TestBlocks:
             backend.graph, backend.test_nodes[:8], rng=backend._rng
         )
         assert np.isnan(backend._train_step(batch))
+
+
+def normalised_entries(dataset: str = "reddit2", seed: int = 0) -> tuple[int, int]:
+    """``(written, square)`` for the first batch of a ``pyg`` template run
+    (sage sampler, hops ``[10, 5]``, 256 targets) on ``dataset``: the
+    entries its training step normalises — the nnz of every matrix
+    ``normalized_adjacency`` returns — and its subgraph's ``|E| + |V|``,
+    the nnz of the square.  CI's analysis job prints both, so a return to
+    normalising the square shows on a change without a timing."""
+    task = TaskSpec(dataset=dataset, arch="sage", epochs=1, seed=seed)
+    backend = RuntimeBackend(task, get_template("pyg"), graph=load_dataset(dataset))
+    batch = _first_batch(backend)
+    written = []
+
+    def counting(*args, **kwargs):
+        out = normalized_adjacency(*args, **kwargs)
+        written.append((out if kwargs.get("rows") is None else out[0]).nnz)
+        return out
+
+    with mock.patch.object(graphconv, "normalized_adjacency", counting):
+        backend._train_step(batch)
+    return sum(written), batch.num_edges + batch.num_nodes
+
+
+def test_a_fanout_batch_normalises_less_than_its_square():
+    written, square = normalised_entries()
+    assert 0 < written < square
 
 
 class TestDropoutMasks:
@@ -464,3 +582,66 @@ def test_blocks_equal_all_rows_on_random_graphs(
             every = model(x, _symmetric_prop(n, pairs, rows=np.arange(n)))
             square = model(x, _symmetric_prop(n, pairs))
         np.testing.assert_array_equal(every.data, square.data)
+
+
+@st.composite
+def _cut_cases(draw):
+    """A structure over ``n + 1`` vertices — the last stores no entry — and
+    the sorted, distinct rows to cut: one row, every row, the empty row or
+    any set.  Canonical structures are simple symmetric graphs; the others
+    keep their entries in drawn order, repeats and self-loops included."""
+    n = draw(st.integers(1, 20))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=50)
+    )
+    if draw(st.booleans()):
+        adj = np.zeros((n + 1, n + 1), dtype=bool)
+        for u, v in pairs:
+            if u != v:
+                adj[u, v] = adj[v, u] = True
+        indptr = np.concatenate([[0], np.cumsum(adj.sum(axis=1))])
+        indices = np.nonzero(adj)[1]
+    else:
+        src = np.array([u for u, _ in pairs], dtype=np.int64)
+        dst = np.array([v for _, v in pairs], dtype=np.int64)
+        order = np.argsort(src, kind="stable")
+        counts = np.bincount(src, minlength=n + 1)
+        indptr, indices = np.concatenate([[0], np.cumsum(counts)]), dst[order]
+    kind = draw(st.sampled_from(["one", "every", "empty", "any"]))
+    if kind == "one":
+        rows = [draw(st.integers(0, n))]
+    elif kind == "every":
+        rows = range(n + 1)
+    elif kind == "empty":
+        rows = [n]
+    else:
+        rows = sorted(draw(st.sets(st.integers(0, n), min_size=1)))
+    return indptr, indices, n + 1, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_cut_cases(),
+    mode=st.sampled_from(["sym", "row"]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    add_self_loops=st.booleans(),
+)
+def test_the_cut_equals_the_square_then_row_block(case, mode, dtype, add_self_loops):
+    """``normalized_adjacency(..., rows=R)`` is ``row_block`` of the square
+    byte for byte: data, indices, indptr (values, dtypes and shape),
+    ``self_index`` and ``columns``."""
+    indptr, indices, n, rows = case
+    kwargs = dict(mode=mode, add_self_loops=add_self_loops, dtype=dtype)
+    square = normalized_adjacency(indptr, indices, n, **kwargs)
+    want = row_block(square, rows)
+    got = normalized_adjacency(indptr, indices, n, rows=rows, **kwargs)
+
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    assert got[0].shape == want[0].shape
+    for name in ("data", "indices", "indptr"):
+        assert same(getattr(got[0], name), getattr(want[0], name)), name
+    assert same(got[1], want[1])
+    assert (got[2] is None) == (want[2] is None)
+    assert got[2] is None or same(got[2], want[2])

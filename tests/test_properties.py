@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.estimator.validation import r2_score
@@ -167,15 +167,40 @@ def test_fanout_step_properties(n, edges, frontier, k, weighted, seed):
             assert alone.size == min(k, graph.degree(int(v)))
 
 
+def mask_induced_subgraph(graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the induced subgraph as boolean masks built
+    it — the *reference* ``CSRGraph.induced_subgraph`` equals byte for byte:
+    the kept slots selected by ``dst[keep]``, the row pointer read off a
+    running count over every slot."""
+    from repro.graphs.csr import row_slots
+
+    member = np.zeros(graph.num_nodes, dtype=bool)
+    member[np.asarray(nodes, dtype=np.int64)] = True
+    nodes = np.flatnonzero(member)
+    lookup = np.empty(graph.num_nodes, dtype=np.int64)
+    lookup[nodes] = np.arange(nodes.size, dtype=np.int64)
+    flat, bounds = row_slots(graph.indptr, nodes)
+    dst = graph.indices[flat]
+    keep = member[dst]
+    kept = np.zeros(dst.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return kept[bounds], lookup[dst[keep]]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(1, 30),
     edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=120),
     picked=st.lists(st.integers(0, 29), max_size=40),
 )
+@example(n=5, edges=[(0, 1), (1, 2)], picked=[])  # nothing picked
+@example(n=6, edges=[(0, 1), (1, 2), (2, 3)], picked=[3, 1, 1, 2, 3])  # repeats, unsorted
+@example(n=8, edges=[(0, 1), (2, 3)], picked=[7, 5, 0, 1, 4])  # isolated vertices
+@example(n=4, edges=[], picked=[2, 0])  # no edge at all
 def test_induced_subgraph_properties(n, edges, picked):
     """Relabelled rows are the sorted intersections of the old rows with the
-    kept set, with and without the feature/label slices."""
+    kept set, with and without the feature/label slices, and the topology
+    is the boolean-mask reference's byte for byte."""
     from repro.graphs.csr import CSRGraph
 
     src = np.array([min(a, n - 1) for a, _ in edges], dtype=np.int64)
@@ -198,3 +223,6 @@ def test_induced_subgraph_properties(n, edges, picked):
     for local, v in enumerate(nodes):
         expected = np.intersect1d(graph.neighbors(int(v)), nodes)
         assert np.array_equal(nodes[sub.neighbors(local)], expected)
+    reference = mask_induced_subgraph(graph, picked)
+    for got, want in zip((bare.indptr, bare.indices), reference, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

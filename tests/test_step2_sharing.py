@@ -305,9 +305,10 @@ class TestEvaluate:
         self, small_graph, tiny_config, monkeypatch
     ):
         """The evaluate blocks depend on the prepared graph and the rows
-        alone: a second epoch and a second training class cut no block and
-        build no GAT edge operator, and GAT's output layer attends over
-        exactly |val ∪ test| rows."""
+        alone: the first epoch cuts them without normalising the square, a
+        second epoch and a second training class cut no block and build no
+        GAT edge operator, and GAT's output layer attends over exactly
+        |val ∪ test| rows."""
         task = task_for("gat")
         first = RuntimeBackend(task, tiny_config, graph=small_graph)
         other = replace(tiny_config, hidden_channels=8)
@@ -321,9 +322,7 @@ class TestEvaluate:
         real_evaluate = RuntimeBackend.evaluate
         real = {
             name: getattr(graphconv, name)
-            for name in (
-                "normalized_adjacency", "row_block", "edge_operators", "segment_softmax"
-            )
+            for name in ("normalized_adjacency", "edge_operators", "segment_softmax")
         }
 
         def evaluate(backend, *subsets):
@@ -338,6 +337,8 @@ class TestEvaluate:
                 if evaluating[0]:
                     if name == "segment_softmax":  # (logits, indptr)
                         segments.append(args[1].size - 1)
+                    elif kwargs.get("rows") is not None:  # a block's cut
+                        built.append(f"{name}(rows=…)")
                     else:
                         built.append(name)
                 return real[name](*args, **kwargs)
@@ -349,7 +350,7 @@ class TestEvaluate:
             monkeypatch.setattr(graphconv, name, counted(name))
 
         first.run_epoch(0)
-        assert set(built) == {"edge_operators", "normalized_adjacency", "row_block"}
+        assert set(built) == {"edge_operators", "normalized_adjacency(rows=…)"}
         union = np.union1d(first.val_nodes, first.test_nodes)
         assert segments[-1] == union.size < n
         built.clear()
