@@ -32,7 +32,8 @@ from repro.graphs.datasets import load_dataset
 from repro.graphs.profiling import GraphProfile
 from repro.hardware.specs import Platform, get_platform
 from repro.runtime.backend import RuntimeBackend
-from repro.runtime.profiler import GroundTruthRecord, profile_configs
+from repro.runtime.parallel import ProfilingService
+from repro.runtime.profiler import GroundTruthRecord
 from repro.runtime.report import PerfReport
 
 __all__ = ["GNNavigator", "NavigatorReport"]
@@ -79,15 +80,15 @@ class GNNavigator:
         self.profile_budget = profile_budget
         self.profile_epochs = profile_epochs
         self.seed = seed
-        self.workers = workers
-        self.cache_dir = cache_dir
-        #: optional profiling delegate with a ``ProfilingService``-shaped
-        #: ``profile(task, configs, graph=)`` — the serving layer injects a
-        #: server-held shared service here so Step 2 rides the multi-tenant
-        #: cache instead of a private one.  A delegate that also offers
+        #: Step-2 profiler: a private :class:`ProfilingService` (``workers``
+        #: processes, persisted under ``cache_dir``) unless one is injected —
+        #: the serving layer passes its shared service here so Step 2 rides
+        #: the multi-tenant cache.  A profiler that also offers
         #: ``fit_estimator(records, weights, train_frac=, random_state=)``
         #: supplies the fitted estimator too (the server's memo).
-        self.profiler = profiler
+        self.profiler = profiler or ProfilingService(
+            max_workers=workers, cache_dir=cache_dir
+        )
         #: optional :class:`~repro.runtime.parallel.CancellationToken`
         #: checked at phase transitions and threaded into Step-2 profiling,
         #: where it is polled between candidate training runs — the serving
@@ -118,21 +119,23 @@ class GNNavigator:
         if self.progress is not None:
             self.progress(phase, **fields)
 
+    def _on_profiling_progress(self, done: int, total: int, hits: int) -> None:
+        # The profiler reports once immediately (the cache-scan state), so
+        # no separate phase-entry event is needed.
+        self._emit(
+            "profiling",
+            batch_index=done,
+            runs_done=done,
+            runs_total=total,
+            cache_hits=hits,
+        )
+
     # ------------------------------------------------------------ step 2a/2b
     def fit_estimator(
-        self,
-        records: list[GroundTruthRecord] | None = None,
-        *,
-        workers: int | None = None,
-        cache_dir: str | None = None,
+        self, records: list[GroundTruthRecord] | None = None
     ) -> GrayBoxEstimator:
-        """Fit the gray-box estimator (profiling a design-space sample if
-        no pre-collected ground truth is supplied).
-
-        ``workers`` fans the profiling runs out across processes and
-        ``cache_dir`` persists them via the profiling service; both default
-        to the navigator-level settings.
-        """
+        """Fit the gray-box estimator (profiling a design-space sample on
+        :attr:`profiler` if no pre-collected ground truth is supplied)."""
         self._checkpoint()
         if records is None:
             rng = np.random.default_rng(self.seed)
@@ -166,40 +169,13 @@ class GNNavigator:
                 train_frac=self.task.train_frac,
                 val_frac=self.task.val_frac,
             )
-            if self.progress is None:
-                on_progress = None
-            else:
-                # Both profiling front-ends report once immediately (the
-                # cache-scan state), so no separate phase-entry event is
-                # needed here.
-                def on_progress(done, total, hits):
-                    self._emit(
-                        "profiling",
-                        batch_index=done,
-                        runs_done=done,
-                        runs_total=total,
-                        cache_hits=hits,
-                    )
-
-            if self.profiler is not None:
-                # Optional seats are passed only when occupied so duck-typed
-                # profiler stand-ins without these kwargs keep working.
-                kwargs = {} if self.cancel is None else {"cancel": self.cancel}
-                if on_progress is not None:
-                    kwargs["on_progress"] = on_progress
-                records = self.profiler.profile(
-                    profile_task, sample, graph=self.graph, **kwargs
-                )
-            else:
-                records = profile_configs(
-                    profile_task,
-                    sample,
-                    graph=self.graph,
-                    workers=workers if workers is not None else self.workers,
-                    cache_dir=cache_dir if cache_dir is not None else self.cache_dir,
-                    cancel=self.cancel,
-                    on_progress=on_progress,
-                )
+            records = self.profiler.profile(
+                profile_task,
+                sample,
+                graph=self.graph,
+                cancel=self.cancel,
+                on_progress=self._on_profiling_progress,
+            )
         self.records = list(records)
         fit_records, weights = self.records, None
         if self.transfer_plan is not None:
@@ -213,7 +189,7 @@ class GNNavigator:
                 ]
             )
         # A shared profiling service memoises fitted estimators across jobs;
-        # a stand-alone navigator (or a duck-typed profiler) fits directly.
+        # a stand-alone navigator fits directly.
         fit = getattr(self.profiler, "fit_estimator", GrayBoxEstimator.fitted)
         self.estimator = fit(
             fit_records,

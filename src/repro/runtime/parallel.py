@@ -12,6 +12,10 @@ service:
 * **deduplication** — repeated candidates (same task, same canonical
   config, same graph) are keyed by a content hash and executed once per
   call, whether they repeat within one request or across requests;
+* **in-flight sharing** — concurrent callers claim the keys nobody else is
+  measuring; a key another caller already has in flight is waited on, not
+  retrained, so one service trains each candidate once however many
+  threads (serving jobs) profile overlapping samples at the same time;
 * **sharing** — distinct candidates that train the *same trajectory* (the
   sampler, batch order and model cannot tell them apart:
   :func:`~repro.runtime.backend.training_key`) are one training run that
@@ -104,10 +108,10 @@ class CancellationToken:
     Profiling is a sequence of full training runs, so preemption is neither
     safe nor needed: the canceller flips the token from any thread and the
     running side polls it at *batch boundaries* — between training runs in
-    :meth:`ProfilingService._execute` and between claim rounds in the
-    serving scheduler — via :meth:`raise_if_cancelled`, which raises
-    :class:`~repro.errors.JobCancelled`.  A candidate already training runs
-    to completion; nothing after the next checkpoint does.
+    :meth:`ProfilingService._execute` and between claim rounds in
+    :meth:`ProfilingService.profile` — via :meth:`raise_if_cancelled`,
+    which raises :class:`~repro.errors.JobCancelled`.  A candidate already
+    training runs to completion; nothing after the next checkpoint does.
     """
 
     __slots__ = ("_event",)
@@ -534,6 +538,11 @@ class ProfilingService:
     """Fan-out + dedup + cache front-end for ground-truth profiling: one
     training run per *same trajectory*, one record per candidate.
 
+    One instance may be shared by many threads (a server shares one across
+    its jobs): :meth:`profile` claims each key for one caller at a time, and
+    the training runs happen outside the lock, so claimed batches of
+    different callers execute concurrently.
+
     Parameters
     ----------
     max_workers:
@@ -580,62 +589,40 @@ class ProfilingService:
         #: :meth:`_execute`.  ``None`` keeps every run on the local pool.
         self.runner = None
         self._memory: dict = {}
-        # Graphs seen by this service: pinned so the id()-based memoization
-        # and in-memory keys can never be recycled onto a different graph.
-        self._graphs: list[CSRGraph] = []
-        self._fingerprints: dict[int, str] = {}
+        self._lock = threading.Lock()
+        #: key -> event of the call measuring it; concurrent callers wait on
+        #: the event instead of training the key a second time.
+        self._inflight: dict[str, threading.Event] = {}  # guarded-by: _lock
+        #: id(graph) -> (graph, content hash); the graph is kept alive beside
+        #: its hash, so its id can never be recycled onto a different graph.
+        self._fingerprints: dict[int, tuple[CSRGraph, str]] = {}
 
     # ------------------------------------------------------------- plumbing
-    def _pin(self, graph: CSRGraph) -> None:
-        if all(g is not graph for g in self._graphs):
-            self._graphs.append(graph)
-
     def _fingerprint(self, graph: CSRGraph) -> str:
         """Content hash of the graph, computed once per service lifetime.
 
         A warm-cache ``profile()`` must not re-hash a multi-GB feature
         matrix every call; graphs are immutable, so identity memoization
-        is sound (and the pin keeps ids stable).
+        is sound.
         """
-        self._pin(graph)
-        key = id(graph)
-        if key not in self._fingerprints:
-            self._fingerprints[key] = graph_fingerprint(graph)
-        return self._fingerprints[key]
+        entry = self._fingerprints.get(id(graph))
+        if entry is None:
+            entry = self._fingerprints[id(graph)] = (graph, graph_fingerprint(graph))
+        return entry[1]
 
     def _keys(
         self, task: TaskSpec, configs: list[TrainingConfig], graph: CSRGraph
-    ) -> list:
-        """One dedup/cache key per candidate.
-
-        With a persistent store the key must be a content hash (stable
-        across processes and runs).  Without one, dedup and in-memory reuse
-        only need identity within this service's lifetime — so skip hashing
-        the full graph payload and key on ``(graph identity, task, config)``.
-        An attached batch runner forces content hashes too: fleet keys cross
-        the wire, so identity tuples would be meaningless on the far side.
-        """
-        if self.store is not None or self.runner is not None:
-            fingerprint = self._fingerprint(graph)
-            return [candidate_key(task, c, fingerprint) for c in configs]
-        self._pin(graph)
-        return [(id(graph), task, c.canonical()) for c in configs]
-
-    def _lookup(self, key) -> GroundTruthRecord | None:
-        if key in self._memory:
-            return self._memory[key]
-        if self.store is not None:
-            record = self.store.load(key)
-            if record is not None:
-                self._memory[key] = record
-            return record
-        return None
+    ) -> list[str]:
+        """One content-hash key per candidate: stable across processes, so
+        the store and the fleet wire address candidates by it too."""
+        fingerprint = self._fingerprint(graph)
+        return [candidate_key(task, c, fingerprint) for c in configs]
 
     def commit(self, key, record: GroundTruthRecord) -> None:
         """Publish one finished measurement to memory and the store.
 
-        The single write path for both :meth:`profile` and the serving
-        scheduler, so persistence invariants — including the size budget —
+        The single write path for both the local pool and the fleet
+        dispatcher, so persistence invariants — including the size budget —
         can never diverge between them.
         """
         self._memory[key] = record
@@ -850,55 +837,149 @@ class ProfilingService:
         """Measure every candidate, returning one record per input config.
 
         Output order matches input order and values match the serial
-        :func:`~repro.runtime.profiler.profile_one` path exactly; repeated
-        and previously-measured candidates are served without retraining.
-        ``cancel`` aborts between candidate runs with
-        :class:`~repro.errors.JobCancelled`; candidates that completed
-        before the abort are already committed, so a cancelled call wastes
-        no finished training run.
+        :func:`~repro.runtime.profiler.profile_one` path exactly.  Each
+        unique candidate resolves from memory, the store, another caller's
+        in-flight run, or a run of this call's own — never twice, however
+        many threads ask at once.
 
-        ``on_progress(runs_done, runs_total, cache_hits)`` fires with
-        cumulative counts for *this call* — once after the cache scan and
-        again after every training run — so a subscriber sees both the
-        instant cache fill and the slow measured tail.  Counts are over
-        unique candidates (duplicates fold before they are counted).
+        ``cancel`` makes the call cooperatively cancellable: the token is
+        polled at every claim-round boundary, between candidate runs, and
+        while waiting on another caller's in-flight keys.  Candidates that
+        completed before the abort are already committed, and an aborted
+        caller always releases its claims (the escape hatch below fires on
+        *any* exception), so waiters re-claim and measure the abandoned keys
+        themselves instead of hanging.
+
+        ``on_progress(runs_done, runs_total, cache_hits)`` streams this
+        call's cumulative resolution over unique candidates (duplicates
+        fold before they are counted): first ``(0, total, 0)``, then after
+        each claim round's cache hits, each landed run, and each record
+        another caller's run supplied (those count as cache hits — work
+        this call did not pay for).
         """
         graph = graph if graph is not None else load_dataset(task.dataset)
-
         keys = self._keys(task, configs, graph)
+
         results: dict = {}
-        seen: set = set()
-        pending: list[TrainingConfig] = []
-        pending_keys: list = []
+        remaining: dict = {}  # key -> canonical config, insertion-ordered
         for key, config in zip(keys, configs, strict=True):
-            if key in seen:
+            if key in remaining:
                 self.stats.bump("deduplicated")
                 continue
-            seen.add(key)
-            cached = self._lookup(key)
-            if cached is not None:
-                self.stats.bump("cache_hits")
-                results[key] = cached
-                continue
-            pending.append(config.canonical())
-            pending_keys.append(key)
+            remaining[key] = config.canonical()
 
-        on_run = None
-        if on_progress is not None:
-            total, hits = len(seen), len(results)
-            on_progress(hits, total, hits)
-            on_run = lambda done: on_progress(hits + done, total, hits)  # noqa: E731
+        total = len(remaining)
+        hits = 0
+        last_report: list = [None]
 
-        fresh = self._execute(
-            task,
-            pending,
-            graph,
-            progress=progress,
-            cancel=cancel,
-            keys=pending_keys,  # _execute commits each record as it lands
-            on_run=on_run,
-        )
-        for key, record in zip(pending_keys, fresh, strict=True):
-            results[key] = record
+        def report(extra_runs: int = 0) -> None:
+            if on_progress is None:
+                return
+            state = (len(results) + extra_runs, total, hits)
+            if state != last_report[0]:  # claim rounds that landed nothing
+                last_report[0] = state
+                on_progress(*state)
+
+        report()
+        while remaining:
+            if cancel is not None:
+                # Claim-round boundary: nothing is claimed right here, so
+                # aborting cannot strand a key other callers are waiting on.
+                cancel.raise_if_cancelled()
+            mine: dict = {}
+            waits: dict[str, threading.Event] = {}
+            # Claim phase touches only in-process state — the lock is never
+            # held across disk I/O, so callers don't serialize behind each
+            # other's store reads on a warm cache.
+            with self._lock:
+                for key in list(remaining):
+                    record = self._memory.get(key)
+                    if record is not None:
+                        self.stats.bump("cache_hits")
+                        results[key] = record
+                        del remaining[key]
+                        hits += 1
+                        continue
+                    other = self._inflight.get(key)
+                    if other is not None:
+                        waits[key] = other
+                    else:
+                        event = threading.Event()
+                        self._inflight[key] = event
+                        mine[key] = remaining.pop(key)
+            try:
+                report()
+                # Store probe outside the lock: these keys are claimed, so no
+                # concurrent caller can be measuring or probing them.
+                if mine and self.store is not None:
+                    for key in list(mine):
+                        record = self.store.load(key)
+                        if record is None:
+                            continue
+                        del mine[key]
+                        with self._lock:
+                            self._memory[key] = record
+                            self.stats.bump("cache_hits")
+                            results[key] = record
+                            self._inflight.pop(key).set()
+                        hits += 1
+                    report()
+                if mine:
+                    # _execute commits each record the moment it lands
+                    # (memory + store; store writes lock internally), so
+                    # events only ever flip on published records — and an
+                    # aborted batch keeps every run it finished.
+                    fresh = self._execute(
+                        task,
+                        list(mine.values()),
+                        graph,
+                        progress=progress,
+                        cancel=cancel,
+                        keys=list(mine),
+                        on_run=report if on_progress is not None else None,
+                    )
+                    with self._lock:
+                        for key, record in zip(mine, fresh, strict=True):
+                            results[key] = record
+                            self._inflight.pop(key).set()
+            except BaseException:
+                # Release the claims so waiters re-claim instead of hanging —
+                # on a cancel, a worker crash, a commit that died mid-publish
+                # (store I/O) or a raising ``on_progress``.  Keys committed
+                # before the abort are already in memory, so released
+                # waiters pick them up; the rest re-measure.
+                with self._lock:
+                    for key in mine:
+                        event = self._inflight.pop(key, None)
+                        if event is not None:
+                            event.set()
+                raise
+
+            for key, event in waits.items():
+                # Block outside the lock until the owning caller lands (or
+                # abandons) this key; a cancelled waiter holds no claims, so
+                # bailing out here strands nobody.
+                if cancel is None:
+                    # Unbounded by design (and lock-free — see above): the
+                    # owning caller always sets the event, even when it dies,
+                    # via the BaseException release path, so this wait
+                    # cannot outlive the claim it watches.
+                    event.wait()
+                else:
+                    while not event.wait(0.05):
+                        cancel.raise_if_cancelled()
+                landed = False
+                with self._lock:
+                    record = self._memory.get(key)
+                    if record is not None:
+                        self.stats.bump("shared_inflight")
+                        results[key] = record
+                        del remaining[key]
+                        hits += 1
+                        landed = True
+                    # miss: the owner died before landing it — the key stays
+                    # in ``remaining`` and the next round re-claims it.
+                if landed:
+                    report()
 
         return [results[key] for key in keys]

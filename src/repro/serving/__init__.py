@@ -2,8 +2,9 @@
 
 Turns the single-user :class:`~repro.explorer.navigator.GNNavigator` into a
 service.  Many clients submit :class:`NavigationRequest`s; a priority job
-queue and a bounded worker pool multiplex them; one shared, in-flight-
-deduplicating profiling scheduler plus a persistent
+queue and a bounded worker pool multiplex them; one shared
+:class:`~repro.runtime.parallel.ProfilingService` (which shares in-flight
+runs between jobs) plus its persistent
 :class:`~repro.runtime.parallel.ResultStore` make every ground-truth
 measurement a one-time cost across all tenants.
 """

@@ -124,7 +124,7 @@ class _BatchGroup:
 class _WorkItem:
     """One pending candidate: its canonical config, lease state and result."""
 
-    __slots__ = ("key", "config", "group", "lease_id", "record", "local", "waiters")
+    __slots__ = ("key", "config", "group", "lease_id", "record", "local")
 
     def __init__(self, key: str, config: TrainingConfig, group: _BatchGroup) -> None:
         self.key = key
@@ -133,7 +133,6 @@ class _WorkItem:
         self.lease_id: str | None = None
         self.record = None
         self.local = False  # True: a local fallback took this key over
-        self.waiters = 0
 
 
 class FleetDispatcher:
@@ -261,15 +260,17 @@ class FleetDispatcher:
         group = _BatchGroup(task, graph, fingerprint)
         mine: dict[str, _WorkItem] = {}
         with self._cond:
+            # ProfilingService.profile claims every key for one caller, so
+            # no two batches can hold the same key at once.
+            held = [key for key in keys if key in self._items]
+            if held:
+                raise ServingError(f"keys already in a fleet batch: {held}")
             self._graphs[fingerprint] = graph
             for key, config in zip(keys, configs, strict=True):
-                item = self._items.get(key)
-                if item is None:
-                    item = _WorkItem(key, config.canonical(), group)
-                    self._items[key] = item
-                    self._pending.append(key)
-                item.waiters += 1
-                mine[key] = item
+                mine[key] = self._items[key] = _WorkItem(
+                    key, config.canonical(), group
+                )
+                self._pending.append(key)
             self._cond.notify_all()  # wake claim long-polls
 
         poll = max(0.05, min(self.lease_ttl / 4.0, 0.5))
@@ -332,7 +333,7 @@ class FleetDispatcher:
 
     def _collect(self, service, keys: list, mine: dict):
         """Records for ``keys`` in input order, from items or the service
-        memory (local-fallback and shared-item commits land there)."""
+        memory (local-fallback commits land there)."""
         records = []
         with self._lock:
             for key in keys:
@@ -350,15 +351,12 @@ class FleetDispatcher:
         return records
 
     def _withdraw(self, mine: dict) -> None:
-        """Drop this call's interest in its items (refcounted — shared items
-        survive until their last waiter leaves)."""
+        """Drop this call's items (each belongs to exactly one batch)."""
         with self._cond:
-            for key, item in mine.items():
-                item.waiters -= 1
-                if item.waiters <= 0:
-                    self._items.pop(key, None)
-                    if key in self._pending:
-                        self._pending.remove(key)
+            for key in mine:
+                del self._items[key]
+                if key in self._pending:
+                    self._pending.remove(key)
 
     def _resolved_locked(self, item: _WorkItem):  # holds: _lock
         if item.record is not None:

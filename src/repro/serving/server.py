@@ -3,8 +3,9 @@
 :class:`NavigationServer` turns the single-user :class:`GNNavigator` facade
 into a service: many clients submit :class:`NavigationRequest`s, a bounded
 pool of worker threads drains a priority queue, and every job's Step-2
-profiling is delegated to one :class:`SharedProfilingService` so the
-dominant cost — ground-truth training runs — is paid once per unique
+profiling is delegated to one shared
+:class:`~repro.runtime.parallel.ProfilingService` (behind the
+:class:`SharedProfilingService` estimator memo) so the dominant cost — ground-truth training runs — is paid once per unique
 ``(task, config, graph)`` across *all* tenants, in flight or in the
 persistent store.
 
@@ -660,7 +661,7 @@ class NavigationServer:
         return None
 
     def _run(self, job: Job) -> JobResult:
-        """Execute one navigation with profiling delegated to the scheduler."""
+        """Execute one navigation with profiling delegated to the shared service."""
         request = job.request
         navigator = GNNavigator(
             request.task,

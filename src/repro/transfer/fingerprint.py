@@ -192,7 +192,7 @@ def record_fingerprint(record) -> TaskFingerprint:
 
     Everything the fingerprint needs rides on the record (``task`` +
     ``graph_profile``), which is what lets the store write the sidecar on
-    *every* commit path — local pool, scheduler, fleet — without any caller
+    *every* commit path — local pool, fleet — without any caller
     plumbing.
     """
     return task_fingerprint(record.task, record.graph_profile)

@@ -124,8 +124,15 @@ class TestRequestSpec:
 
 
 class TestSharedProfilingService:
-    def test_concurrent_callers_measure_once(self, small_graph, tiny_task):
-        shared = SharedProfilingService(ProfilingService())
+    # The in-flight sharing lives in ProfilingService itself: a bare
+    # service shared by threads measures the overlap once, like the wrapper.
+    @pytest.mark.parametrize(
+        "make",
+        [ProfilingService, lambda: SharedProfilingService(ProfilingService())],
+        ids=["bare", "shared"],
+    )
+    def test_concurrent_callers_measure_once(self, small_graph, tiny_task, make):
+        shared = make()
         configs = [
             c.canonical()
             for c in default_space().sample(6, rng=np.random.default_rng(3))
@@ -144,11 +151,17 @@ class TestSharedProfilingService:
         threads = [
             threading.Thread(target=run, args=(i,)) for i in range(4)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the claim rounds finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
 
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         unique = len(set(configs))
         assert shared.stats.executed == unique

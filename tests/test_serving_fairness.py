@@ -253,6 +253,56 @@ class TestSeatsReachEveryPath:
             )
 
 
+@pytest.mark.parametrize("path_service", ["fleet"], indirect=True)
+def test_overlapping_callers_give_each_key_one_grant(path_service, small_graph):
+    """``profile`` claims every key for one caller, so two concurrent calls
+    on overlapping configs never put one key into two fleet batches: the
+    batches are disjoint, each key goes out in exactly one grant, and each
+    is measured once."""
+    task = TaskSpec(dataset="tiny", arch="sage", epochs=1, lr=0.02)
+    configs = [
+        TrainingConfig(batch_size=b, hop_list=(3,), hidden_channels=16)
+        for b in (32, 64, 96, 128)
+    ]
+    dispatcher = path_service.runner
+    batches: list[list[str]] = []
+    granted: list[str] = []  # the keys of every grant, as its commit returns
+    real_run_batch, real_commit = dispatcher.run_batch, dispatcher.commit
+
+    def run_batch(service, task, configs, graph, *, keys, **kwargs):
+        batches.append(list(keys))
+        return real_run_batch(service, task, configs, graph, keys=keys, **kwargs)
+
+    def commit(executor_id, lease_id, keys, records, **kwargs):
+        granted.extend(keys)
+        return real_commit(executor_id, lease_id, keys, records, **kwargs)
+
+    # The executor may sit in a claim long-poll already, so grants are
+    # counted where they come back; the lease TTL is far above one run.
+    dispatcher.run_batch, dispatcher.commit = run_batch, commit
+    barrier = threading.Barrier(2)
+    out: dict = {}
+
+    def call(slot: int, part: list) -> None:
+        barrier.wait(10)
+        out[slot] = path_service.profile(task, part, graph=small_graph)
+
+    threads = [
+        threading.Thread(target=call, args=(0, configs[:3])),
+        threading.Thread(target=call, args=(1, configs[1:])),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+
+    keys = path_service._keys(task, configs, small_graph)
+    assert len(out[0]) == len(out[1]) == 3
+    assert sorted(k for batch in batches for k in batch) == sorted(keys)
+    assert sorted(granted) == sorted(keys)
+    assert path_service.stats.executed == len(keys)
+
+
 class TestRunningJobCancellation:
     def test_cancel_running_reaches_cancelled_and_releases_claims(
         self, server_factory, slow_profiling
@@ -270,7 +320,7 @@ class TestRunningJobCancellation:
         # The concurrent waiter must still complete: the cancelled job's
         # claims were released, re-claimed and measured by the survivor.
         assert server.status(buddy) is JobStatus.DONE
-        assert server.profiler._inflight == {}
+        assert server.profiler.service._inflight == {}
         assert all(j.done for j in jobs)
         with pytest.raises(ServingError):
             server.result(victim)
@@ -339,7 +389,7 @@ class TestOwnerDeath:
         assert isinstance(outcome.get("owner"), RuntimeError)
         unique = len(set(configs))
         assert len(outcome["waiter"]) == len(configs)
-        assert shared._inflight == {}  # no orphaned claims
+        assert shared.service._inflight == {}  # no orphaned claims
         assert svc.stats.executed == unique  # waiter measured them itself
 
     def test_commit_failure_releases_claims(self, small_graph, tiny_task):
@@ -363,10 +413,36 @@ class TestOwnerDeath:
         svc.commit = flaky_commit
         with pytest.raises(OSError):
             shared.profile(tiny_task, configs, graph=small_graph)
-        assert shared._inflight == {}  # no orphaned claims
+        assert shared.service._inflight == {}  # no orphaned claims
         # a later caller is not hung and measures the unpublished keys
         records = shared.profile(tiny_task, configs, graph=small_graph)
         assert len(records) == len(configs)
+
+    def test_raising_progress_callback_releases_claims(
+        self, small_graph, tiny_task
+    ):
+        """A progress callback that raises right after a claim round (here:
+        on the first cache hit, with the other keys claimed) must not strand
+        those claims; a later caller measures them instead of hanging."""
+        svc = ProfilingService()
+        configs = [
+            c.canonical()
+            for c in default_space().sample(3, rng=np.random.default_rng(9))
+        ]
+        svc.profile(tiny_task, configs[:1], graph=small_graph)
+
+        def raise_on_a_hit(done, total, hits):
+            if hits:
+                raise RuntimeError("subscriber died")
+
+        with pytest.raises(RuntimeError):
+            svc.profile(
+                tiny_task, configs, graph=small_graph, on_progress=raise_on_a_hit
+            )
+        assert svc._inflight == {}
+        records = svc.profile(tiny_task, configs, graph=small_graph)
+        assert len(records) == len(configs)
+        assert svc.stats.executed == len(set(configs))
 
 
 class TestFairShareQueue:

@@ -48,7 +48,7 @@ KNOWN_EDGES = {
     ("NavigationServer._lock", "EventBuffer._cond"),
     ("NavigationServer._lock", "MetricsRegistry._lock"),
     ("NavigationServer._lock", "PriorityJobQueue._lock"),
-    ("SharedProfilingService._lock", "ProfilingStats._lock"),
+    ("ProfilingService._lock", "ProfilingStats._lock"),
 }
 
 LEASE_TTL = 0.5
