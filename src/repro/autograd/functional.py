@@ -43,7 +43,9 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.2) -> Tensor:
     out = np.where(mask, x.data, negative_slope * x.data)
 
     def backward(grad: np.ndarray) -> None:
-        node.accumulate_fresh(grad * np.where(mask, 1.0, negative_slope))
+        # the factor in the gradient's dtype: a float64 one would upcast it
+        one, slope = grad.dtype.type(1.0), grad.dtype.type(negative_slope)
+        node.accumulate_fresh(grad * np.where(mask, one, slope))
 
     return Tensor._make(out, (x,), backward)
 

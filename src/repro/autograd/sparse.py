@@ -145,8 +145,10 @@ def attention_spmm(
     once and summed in CSR row order — what gathering ``h[src]``, scaling
     it by ``att`` and scattering the products to their rows computes.  The
     backward multiplies by the transpose, whose rows list their edges in
-    ``scatter_src`` order (ascending), and forms ``grad[dst] · h[src]`` for
-    ``att`` a head at a time, with one contiguous gather per side.
+    ``scatter_src`` order (ascending), so ``h``'s gradient is the per-edge
+    one bit for bit too.  ``att``'s gradient ``grad[dst] · h[src]`` is one
+    width contraction per head over a contiguous gather per side: no
+    ``e × heads × width`` array and no reduction call per edge.
     """
     h, att = as_tensor(h), as_tensor(att)
     gather_src, scatter_src, gather_dst, scatter_dst = edges
@@ -179,12 +181,15 @@ def attention_spmm(
                 )
             h_node.accumulate_fresh(grad_h)
         if att_node is not None:
-            # a head at a time keeps the per-edge products e × width
+            # one width contraction per head: an e × width gather per side,
+            # never an e × heads × width one, and no per-row sum call
             grad_att = np.empty(att_node.shape, dtype=att_node.dtype)
             for k in range(heads):
-                products = np.ascontiguousarray(grad[:, k]).take(dst, axis=0)
-                products *= np.ascontiguousarray(h_data[:, k]).take(src, axis=0)
-                grad_att[:, k] = products.sum(axis=-1)
+                grad_att[:, k] = np.einsum(
+                    "ew,ew->e",
+                    np.ascontiguousarray(grad[:, k]).take(dst, axis=0),
+                    np.ascontiguousarray(h_data[:, k]).take(src, axis=0),
+                )
             att_node.accumulate_fresh(grad_att)
 
     return Tensor._make(out, (h, att), backward)

@@ -244,11 +244,14 @@ class GATConv(Module):
     Heads are concatenated when ``concat_heads`` (hidden layers) and averaged
     otherwise (output layer), matching the reference implementation.
 
-    The per-edge logits take two products (gathers of the per-node terms
-    by ``gather_src`` / ``gather_dst`` of :func:`edge_operators`) and the
+    The per-node terms are ``x @ (W·a)`` (:meth:`attention_terms`), the
+    per-edge logits take two products (gathers of those terms by
+    ``gather_src`` / ``gather_dst`` of :func:`edge_operators`) and the
     aggregation one per head: :func:`attention_spmm` multiplies ``h`` by
     the block's structure with the head's attention as the values, so the
-    ``e × heads·out_features`` per-edge messages are never formed.
+    ``e × heads·out_features`` per-edge messages are never formed.  No sum
+    over a head's width runs per vertex or per edge: the attention reads
+    ``h`` only through :func:`attention_spmm`'s per-head contractions.
     """
 
     def __init__(
@@ -288,9 +291,8 @@ class GATConv(Module):
         n_in, n_out = gather_src.shape[1], scatter_dst.shape[0]
         h = (x @ self.weight).reshape(n_in, self.heads, self.out_features)
 
-        # Per-node attention terms, then per-edge logits e_uv = a_s·h_u + a_d·h_v.
-        alpha_src = (h * self.att_src).sum(axis=2)  # (n_in, heads)
-        alpha_dst = (prop.self_rows(h) * self.att_dst).sum(axis=2)  # (n_out, heads)
+        # Per-edge logits e_uv = a_s·h_u + a_d·h_v from the per-node terms.
+        alpha_src, alpha_dst = self.attention_terms(x, prop)
         logits = leaky_relu(
             spmm(gather_src, alpha_src, transposed=scatter_src)
             + spmm(gather_dst, alpha_dst, transposed=scatter_dst),
@@ -302,3 +304,13 @@ class GATConv(Module):
         if self.concat_heads:
             return out.reshape(n_out, self.heads * self.out_features) + self.bias
         return out.mean(axis=1) + self.bias
+
+    def attention_terms(self, x: Tensor, prop) -> tuple[Tensor, Tensor]:
+        """``a_s·h_u`` for every input row and ``a_d·h_v`` for every output
+        row, each ``(rows, heads)``, as ``x @ (W·a)``: each head's
+        ``in × width`` block of ``weight`` is contracted with its attention
+        vector first, so no ``rows × heads × width`` array is formed."""
+        weight = self.weight.reshape(-1, self.heads, self.out_features)
+        w_src = (weight * self.att_src).sum(axis=2)  # (in, heads)
+        w_dst = (weight * self.att_dst).sum(axis=2)
+        return x @ w_src, prop.self_rows(x) @ w_dst

@@ -98,7 +98,16 @@ _META_VERSION = 1
 #: served store (``workers >= 2``) could hold accuracies of untrained models.
 #: No record says whether it was measured beside a concurrent ``no_grad``, so
 #: every version-3 entry is re-measured rather than trusted.
-GROUND_TRUTH_VERSION = 4
+#:
+#: 5 — GAT's attention path was reordered: the per-node terms are
+#: ``x @ (W·a)`` instead of per-row sums of ``(x W)·a``, the attention
+#: gradient is one width contraction per head instead of a product then a
+#: per-row sum, and ``leaky_relu``'s backward stays in float32 instead of
+#: rounding a float64 product.  float32 sums reassociate, so GAT losses and
+#: accuracies of version 4 are not reproducible bit for bit.  GCN/SAGE
+#: records, and the ``T``/``Γ`` fields of every record, are what version 4
+#: measured.
+GROUND_TRUTH_VERSION = 5
 
 
 # ------------------------------------------------------------- cancellation

@@ -37,6 +37,16 @@ class TestActivationGradients:
     def test_leaky_relu(self):
         check_gradient(lambda t: leaky_relu(t, 0.1), (4, 3), seed=2)
 
+    def test_leaky_relu_gradient_stays_in_float32(self):
+        """The slope multiplies a float32 gradient as a float32: no float64
+        product rounded back, which differs in the last bit."""
+        rng = np.random.default_rng(0)
+        data, upstream = rng.standard_normal((2, 64, 8)).astype(np.float32)
+        x = Tensor(data, requires_grad=True)
+        leaky_relu(x, 0.2).backward(upstream)
+        want = np.where(data > 0, upstream, upstream * np.float32(0.2))
+        assert x.grad.dtype == np.float32 and np.array_equal(x.grad, want)
+
     def test_elu(self):
         check_gradient(lambda t: elu(t), (4, 3), seed=3)
 

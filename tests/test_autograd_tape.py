@@ -9,7 +9,8 @@ growing by a gradient per activation.  ``Linear`` with a bias is one tape
 node and dropout keeps a boolean mask; the oracles below are the forms they
 replaced, and the results must be bit-equal to them.
 
-``step_memory_units`` is also printed by CI's job summary.
+``step_memory_units`` and ``gat_step_memory`` are also printed by CI's job
+summary.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import pytest
 from repro.autograd import Tensor, dropout, no_grad
 from repro.autograd.tensor import _consumed
 from repro.config.settings import TaskSpec, TrainingConfig
+from repro.config.templates import TEMPLATES
+from repro.graphs.datasets import load_dataset
 from repro.graphs.generators import powerlaw_community_graph
 from repro.nn.linear import Linear
 from repro.runtime.backend import RuntimeBackend
@@ -35,6 +38,11 @@ from repro.runtime.backend import RuntimeBackend
 #: (4.58, 2.26) with the tape apart from the tensors.
 STEP_PEAK_UNITS_BOUND = 5.0
 FORWARD_END_UNITS_BOUND = 2.75
+#: ``gat_step_memory()`` in MiB, and the nodes of the batch it steps on.  It
+#: read 8.86 MiB while the α terms were per-row sums of ``h·a`` and the
+#: attention gradient a product then a per-row sum.
+GAT_STEP_PEAK_MIB_BOUND = 8.86
+GAT_STEP_NODES = 3269
 
 
 def _backend(graph, arch: str, **config) -> RuntimeBackend:
@@ -168,6 +176,9 @@ NEVER_READ = {
         ("dropout", 0),
     ],
     "gat": [
+        ("Tensor.__mul__", 0),  # W·a_s: in × heads × width
+        ("Tensor.__matmul__", 1),  # α_src = x @ (W·a_s)
+        ("Tensor.__matmul__", 2),  # α_dst
         ("attention_spmm", 0),
         ("Tensor.__add__", 1),  # + bias: the pre-elu sum
         ("elu", 0),
@@ -176,7 +187,13 @@ NEVER_READ = {
 READ_UNTIL = {
     "gcn": {("spmm", 0): ("_affine", 1)},
     "sage": {("gather", 0): ("_affine", 1), ("spmm", 0): ("Tensor.__matmul__", 1)},
-    "gat": {("dropout", 0): ("Tensor.__matmul__", 1)},
+    # the hidden layer's output is read by the second layer's h product
+    # (``__matmul__`` 3) and α_src product, its self rows by the α_dst one
+    "gat": {
+        ("dropout", 0): ("Tensor.__matmul__", 4),
+        ("Tensor.sum", 2): ("Tensor.__matmul__", 4),  # W·a_s
+        ("gather", 0): ("Tensor.__matmul__", 5),
+    },
 }
 
 
@@ -302,22 +319,9 @@ class TestBooleanDropoutMaskIsBitEqual:
 
 
 # ------------------------------------------------------------ step memory
-def step_memory_units() -> tuple[float, float]:
-    """Traced peak of one GCN ``_train_step`` (hidden 256, a 2.4k-node
-    cluster batch) and the bytes live when its forward returns, each in
-    units of one ``n × hidden`` float32 activation.
-
-    The forward-end figure is the tape; the peak is that plus what backward
-    and the optimizer add on top of it.
-    """
-    graph = powerlaw_community_graph(
-        2400, num_classes=16, feature_dim=96, min_degree=6, max_degree=200, seed=5
-    )
-    hidden = 256
-    backend = _backend(
-        graph, "gcn", sampler="cluster", batch_size=2048, hidden_channels=hidden
-    )
-    batch = _first_batch(backend)
+def _traced_step(backend, batch) -> tuple[int, int]:
+    """Traced peak of ``backend._train_step(batch)`` and the bytes live when
+    its forward returns."""
     model, forward_end = backend.model, []
     forward = model.forward
 
@@ -333,11 +337,46 @@ def step_memory_units() -> tuple[float, float]:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        model.forward = forward
+    return peak, forward_end[0]
+
+
+def step_memory_units() -> tuple[float, float]:
+    """Traced peak of one GCN ``_train_step`` (hidden 256, a 2.4k-node
+    cluster batch) and the bytes live when its forward returns, each in
+    units of one ``n × hidden`` float32 activation.
+
+    The forward-end figure is the tape; the peak is that plus what backward
+    and the optimizer add on top of it.
+    """
+    graph = powerlaw_community_graph(
+        2400, num_classes=16, feature_dim=96, min_degree=6, max_degree=200, seed=5
+    )
+    hidden = 256
+    backend = _backend(
+        graph, "gcn", sampler="cluster", batch_size=2048, hidden_channels=hidden
+    )
+    peak, forward_end = _traced_step(backend, _first_batch(backend))
     unit = graph.num_nodes * hidden * np.dtype(np.float32).itemsize
-    return peak / unit, forward_end[0] / unit
+    return peak / unit, forward_end / unit
+
+
+def gat_step_memory() -> float:
+    """Traced peak, in MiB, of one GAT ``_train_step`` on the first
+    ogbn-arxiv batch of the ``pyg`` template (3 269 nodes)."""
+    graph = load_dataset("ogbn-arxiv")
+    task = TaskSpec(dataset=graph.name, arch="gat", epochs=1)
+    backend = RuntimeBackend(task, TEMPLATES["pyg"], graph=graph)
+    batch = _first_batch(backend)
+    assert batch.subgraph.num_nodes == GAT_STEP_NODES
+    return _traced_step(backend, batch)[0] / 2**20
 
 
 def test_a_gcn_step_holds_few_activations_at_forward_end_and_peak():
     peak, forward_end = step_memory_units()
     assert forward_end < FORWARD_END_UNITS_BOUND
     assert peak < STEP_PEAK_UNITS_BOUND
+
+
+def test_a_gat_step_peaks_no_higher_than_before_the_attention_reorder():
+    assert gat_step_memory() <= GAT_STEP_PEAK_MIB_BOUND

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, default_dtype, leaky_relu, nll_loss, no_grad
-from repro.autograd.sparse import edge_operators, segment_softmax, spmm
+from repro.autograd.sparse import (
+    attention_spmm,
+    edge_operators,
+    segment_softmax,
+    spmm,
+)
 from repro.nn import (
     GATConv,
     GCNConv,
@@ -53,16 +58,40 @@ class TestLinear:
             check_gradient(lambda t: lin(t), (4, 3), seed=1)
 
 
+def _weighted_messages(messages: Tensor, att: Tensor) -> Tensor:
+    """``messages[e, k] · att[e, k]`` for ``(e, heads, width)`` messages and
+    ``(e, heads)`` attention.  The attention gradient is one width
+    contraction per head over contiguous ``e × width`` operands, the
+    contraction :func:`attention_spmm` forms from its two gathers."""
+    data, weights = messages.data, att.data
+    m_node, a_node = messages._node, att._node
+
+    def backward(grad: np.ndarray) -> None:
+        if m_node is not None:
+            m_node.accumulate_fresh(grad * weights[:, :, None])
+        if a_node is not None:
+            grad_att = np.empty(a_node.shape, dtype=a_node.dtype)
+            for k in range(weights.shape[1]):
+                grad_att[:, k] = np.einsum(
+                    "ew,ew->e",
+                    np.ascontiguousarray(grad[:, k]),
+                    np.ascontiguousarray(data[:, k]),
+                )
+            a_node.accumulate_fresh(grad_att)
+
+    return Tensor._make(data * weights[:, :, None], (messages, att), backward)
+
+
 def _per_edge_gat(layer: GATConv, x: Tensor, prop) -> Tensor:
     """GATConv with the per-edge message arrays: gather every edge's source
     row, scale it by the edge's attention, sum the products per row.  The
-    layer must compute exactly this."""
+    attention itself comes from the layer's own α path.  The layer must
+    compute exactly this."""
     gather_src, scatter_src, gather_dst, scatter_dst = prop.edges()
     (e, n_in), n_out = gather_src.shape, scatter_dst.shape[0]
     heads, width = layer.heads, layer.heads * layer.out_features
     h = (x @ layer.weight).reshape(n_in, heads, layer.out_features)
-    alpha_src = (h * layer.att_src).sum(axis=2)
-    alpha_dst = (prop.self_rows(h) * layer.att_dst).sum(axis=2)
+    alpha_src, alpha_dst = layer.attention_terms(x, prop)
     logits = leaky_relu(
         spmm(gather_src, alpha_src, transposed=scatter_src)
         + spmm(gather_dst, alpha_dst, transposed=scatter_dst),
@@ -72,7 +101,7 @@ def _per_edge_gat(layer: GATConv, x: Tensor, prop) -> Tensor:
     messages = spmm(
         gather_src, h.reshape(n_in, width), transposed=scatter_src
     ).reshape(e, heads, layer.out_features)
-    weighted = (messages * att.reshape(e, heads, 1)).reshape(e, width)
+    weighted = _weighted_messages(messages, att).reshape(e, width)
     out = spmm(scatter_dst, weighted, transposed=gather_dst)
     out = out.reshape(n_out, heads, layer.out_features)
     if layer.concat_heads:
@@ -121,6 +150,55 @@ class TestGATAggregation:
         assert np.array_equal(out, want)
         for grad, expected in zip(grads, want_grads):
             assert grad.dtype == np.float32 and np.array_equal(grad, expected)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("width", [1, 7, 16, 40])
+    def test_alpha_and_attention_gradient_are_float32_roundings(
+        self, small_graph, width, heads
+    ):
+        """The α terms (``x @ (W·a)``) and the attention gradient (one width
+        contraction per head) lie within the float32 rounding bound
+        ``γ_n Σ|terms|`` of their float64 values, ``n`` the length of the
+        longest sum: reassociation, never a lost term."""
+        prop = Propagation.from_graph(small_graph)
+        prop.rows = np.arange(0, small_graph.num_nodes, 7)
+        (prop,), _ = prop.blocks("row", 1)
+        gather_src, _, gather_dst, scatter_dst = prop.edges()
+        src, dst = gather_src.indices, gather_dst.indices
+        n_in, n_out, d_in = gather_src.shape[1], scatter_dst.shape[0], 128
+        rng = np.random.default_rng(width * heads)
+        layer = GATConv(d_in, width, heads=heads, rng=rng)
+        x = rng.normal(size=(n_in, d_in)).astype(np.float32)
+
+        def gamma(n: int) -> float:
+            u = np.finfo(np.float32).eps / 2
+            return n * u / (1 - n * u)
+
+        alpha_src, alpha_dst = layer.attention_terms(Tensor(x), prop)
+        weight = layer.weight.data.astype(np.float64).reshape(d_in, heads, width)
+        for got, rows, att in (
+            (alpha_src, x, layer.att_src),
+            (alpha_dst, x[prop.self_index], layer.att_dst),
+        ):
+            att = att.data.astype(np.float64)
+            exact = np.einsum("ni,ikw,kw->nk", rows.astype(np.float64), weight, att)
+            terms = np.einsum("ni,ikw,kw->nk", np.abs(rows), np.abs(weight), np.abs(att))
+            got = got.numpy()
+            assert got.dtype == np.float32
+            assert (np.abs(got - exact) <= gamma(d_in + width + 1) * terms).all()
+
+        h = rng.normal(size=(n_in, heads, width)).astype(np.float32)
+        att = rng.random(size=(src.size, heads)).astype(np.float32)
+        upstream = rng.normal(size=(n_out, heads, width)).astype(np.float32)
+        att_t = Tensor(att, requires_grad=True)
+        attention_spmm(Tensor(h, requires_grad=True), att_t, prop.edges()).backward(
+            upstream
+        )
+        g, v = upstream[dst].astype(np.float64), h[src].astype(np.float64)
+        exact = np.einsum("ekw,ekw->ek", g, v)
+        terms = np.einsum("ekw,ekw->ek", np.abs(g), np.abs(v))
+        assert att_t.grad.dtype == np.float32
+        assert (np.abs(att_t.grad - exact) <= gamma(width) * terms).all()
 
 
 class TestConvLayers:
