@@ -5,7 +5,9 @@ structure built once from a sampled subgraph and shared by all layers, so the
 normalised adjacency is not recomputed per layer — or one of the per-layer
 :class:`Block` objects it cuts when only some output rows are read.  A
 GCN/SAGE aggregation is one :func:`~repro.autograd.sparse.spmm` call, a GAT
-one :func:`~repro.autograd.sparse.attention_spmm` call.
+one :func:`~repro.autograd.sparse.attention_spmm` call.  A GCN/SAGE layer
+aggregates its input and then multiplies by its weight, or multiplies first
+and aggregates the narrower product: :func:`_transform_first` picks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.autograd.sparse import (
     segment_softmax,
     spmm,
 )
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.nn.init import glorot_uniform, zeros
 from repro.nn.linear import Linear
 from repro.nn.module import Module, Parameter
@@ -200,6 +202,24 @@ class Propagation:
         return self._row_t
 
 
+def _transform_first(lin: Linear, x: Tensor) -> bool:
+    """Whether a GCN/SAGE layer computes ``A·(x W)`` rather than ``(A·x) W``.
+
+    Both orders are the same product; the sparse one costs its width per
+    entry, so multiplying first pays when it at least halves the width —
+    below that, a block reading several times the rows it writes gives the
+    saving back in the dense product.  It must also add no backward
+    product: on an input that takes no gradient (a first layer's features,
+    in a training step), ``(A·x) W`` runs no sparse backward and ``A·(x W)``
+    would.  Only widths and grad mode decide, never the block's shape, so a
+    block and the square propagation always pick the same order and a
+    block's rows stay the square's bit for bit.
+    """
+    return 2 * lin.out_features <= lin.in_features and (
+        x.requires_grad or not is_grad_enabled()
+    )
+
+
 class GCNConv(Module):
     """Kipf & Welling graph convolution: ``D^-1/2 Â D^-1/2 X W``."""
 
@@ -215,6 +235,8 @@ class GCNConv(Module):
 
     def forward(self, x: Tensor, prop: Propagation) -> Tensor:
         matrix, transpose = prop.operator("sym")
+        if _transform_first(self.lin, x):
+            return spmm(matrix, x @ self.lin.weight, **transpose) + self.lin.bias
         return self.lin(spmm(matrix, x, **transpose))
 
 
@@ -235,6 +257,8 @@ class SAGEConv(Module):
     def forward(self, x: Tensor, prop: Propagation) -> Tensor:
         matrix, transpose = prop.operator("row")
         own = self.lin_self(prop.self_rows(x))
+        if _transform_first(self.lin_neigh, x):
+            return own + spmm(matrix, self.lin_neigh(x), **transpose)
         return own + self.lin_neigh(spmm(matrix, x, **transpose))
 
 

@@ -114,8 +114,13 @@ class GNN(Module):
         Every layer runs on one of ``prop``'s per-layer blocks, so only the
         rows the result depends on are computed.  A block keeps its rows
         whole — SAGE's mean and GAT's attention softmax normalise over the
-        entries the square matrix holds — so the result is that of computing
-        every row and selecting, up to float reassociation.
+        entries the square matrix holds — and sums each of them in the
+        square's order, so the result is that of computing every row and
+        selecting, bit for bit (``tests/test_batch_path.py`` pins it for
+        ``evaluate``).  That is why a GCN/SAGE layer picks between
+        aggregating and transforming first from its widths and grad mode
+        only, never from the block's shape: the two orders round
+        differently, and a block and the square must pick the same one.
 
         GCN/SAGE dropout masks have the shape of the rows a layer produced.
         GAT's are drawn over every vertex of ``prop`` and indexed by those

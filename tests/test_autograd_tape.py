@@ -9,8 +9,8 @@ growing by a gradient per activation.  ``Linear`` with a bias is one tape
 node and dropout keeps a boolean mask; the oracles below are the forms they
 replaced, and the results must be bit-equal to them.
 
-``step_memory_units`` and ``gat_step_memory`` are also printed by CI's job
-summary.
+``step_memory_units``, ``carried_entries`` and ``gat_step_memory`` are also
+printed by CI's job summary.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from __future__ import annotations
 import inspect
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, dropout, no_grad
+from repro.autograd import Tensor, dropout, no_grad, sparse
 from repro.autograd.tensor import _consumed
 from repro.config.settings import TaskSpec, TrainingConfig
 from repro.config.templates import TEMPLATES
@@ -34,8 +35,11 @@ from repro.runtime.backend import RuntimeBackend
 #: ``step_memory_units()`` of one GCN step, in ``n × hidden`` float32
 #: activations: (traced peak, live when the forward returns).  It read
 #: (6.90, 5.29) while a tape node was the tensor it output — every
-#: activation lived until backward reached its consumers — and reads
-#: (4.58, 2.26) with the tape apart from the tensors.
+#: activation lived until backward reached its consumers — and read
+#: (4.58, 2.26) with the tape apart from the tensors.  It reads (4.57, 2.65)
+#: since the output layer (256 -> 16) transforms before it aggregates: the
+#: ``x @ W`` product keeps its input, the hidden layer's every row, where
+#: ``(A·x) W`` kept ``A·x``, only the rows the loss reads.
 STEP_PEAK_UNITS_BOUND = 5.0
 FORWARD_END_UNITS_BOUND = 2.75
 #: ``gat_step_memory()`` in MiB, and the nodes of the batch it steps on.  It
@@ -165,15 +169,24 @@ class TestBackwardSeedShape:
 #: Per architecture, the activations of the hidden layer (op, occurrence
 #: among the step's taped ops) that no backward closure reads — they must die
 #: as the forward moves past them — and activations a closure does read,
-#: with the op whose node frees them when backward has run it.
+#: with the op whose node frees them when backward has run it.  The GCN/SAGE
+#: output layer (16 -> 5 classes) transforms before it aggregates: the
+#: hidden dropout output is read by its ``x @ W`` product, and neither that
+#: product nor its aggregation is read at all.
 NEVER_READ = {
-    "gcn": [("_affine", 0), ("relu", 0), ("dropout", 0)],
+    "gcn": [
+        ("_affine", 0),
+        ("relu", 0),
+        ("Tensor.__matmul__", 0),  # x W of the output layer
+        ("spmm", 0),  # A·(x W)
+    ],
     "sage": [
         ("_affine", 0),  # own
         ("Tensor.__matmul__", 0),  # neigh
         ("Tensor.__add__", 0),  # own + neigh
         ("relu", 0),
-        ("dropout", 0),
+        ("Tensor.__matmul__", 1),  # x W_neigh of the output layer
+        ("spmm", 0),  # A·(x W_neigh)
     ],
     "gat": [
         ("Tensor.__mul__", 0),  # W·a_s: in × heads × width
@@ -185,8 +198,11 @@ NEVER_READ = {
     ],
 }
 READ_UNTIL = {
-    "gcn": {("spmm", 0): ("_affine", 1)},
-    "sage": {("gather", 0): ("_affine", 1), ("spmm", 0): ("Tensor.__matmul__", 1)},
+    "gcn": {("dropout", 0): ("Tensor.__matmul__", 0)},
+    "sage": {
+        ("gather", 0): ("_affine", 1),
+        ("dropout", 0): ("Tensor.__matmul__", 1),
+    },
     # the hidden layer's output is read by the second layer's h product
     # (``__matmul__`` 3) and α_src product, its self rows by the α_dst one
     "gat": {
@@ -341,6 +357,21 @@ def _traced_step(backend, batch) -> tuple[int, int]:
     return peak, forward_end[0]
 
 
+#: hidden width of the ``train_dense``-shaped GCN step below
+DENSE_HIDDEN = 256
+
+
+def _dense_gcn_backend() -> RuntimeBackend:
+    """A GCN shaped like the ledger's ``train_dense`` (96 features, hidden
+    256, cluster batches) on a 2.4k-node graph with 16 classes."""
+    graph = powerlaw_community_graph(
+        2400, num_classes=16, feature_dim=96, min_degree=6, max_degree=200, seed=5
+    )
+    return _backend(
+        graph, "gcn", sampler="cluster", batch_size=2048, hidden_channels=DENSE_HIDDEN
+    )
+
+
 def step_memory_units() -> tuple[float, float]:
     """Traced peak of one GCN ``_train_step`` (hidden 256, a 2.4k-node
     cluster batch) and the bytes live when its forward returns, each in
@@ -349,16 +380,33 @@ def step_memory_units() -> tuple[float, float]:
     The forward-end figure is the tape; the peak is that plus what backward
     and the optimizer add on top of it.
     """
-    graph = powerlaw_community_graph(
-        2400, num_classes=16, feature_dim=96, min_degree=6, max_degree=200, seed=5
-    )
-    hidden = 256
-    backend = _backend(
-        graph, "gcn", sampler="cluster", batch_size=2048, hidden_channels=hidden
-    )
+    backend = _dense_gcn_backend()
     peak, forward_end = _traced_step(backend, _first_batch(backend))
-    unit = graph.num_nodes * hidden * np.dtype(np.float32).itemsize
+    unit = backend.graph.num_nodes * DENSE_HIDDEN * np.dtype(np.float32).itemsize
     return peak / unit, forward_end / unit
+
+
+def dense_step_products() -> list[tuple[int, int]]:
+    """``(nnz, width)`` of every sparse product, forward and backward, of
+    the GCN ``_train_step`` :func:`step_memory_units` measures."""
+    backend = _dense_gcn_backend()
+    batch = _first_batch(backend)
+    products = []
+    timed = sparse._timed_product
+
+    def recording(matrix, dense):
+        products.append((matrix.nnz, dense.shape[1]))
+        return timed(matrix, dense)
+
+    with mock.patch.object(sparse, "_timed_product", recording):
+        backend._train_step(batch)
+    return products
+
+
+def carried_entries() -> int:
+    """Σ ``nnz × width`` over :func:`dense_step_products`: the columns the
+    step's sparse products carry, each once per stored entry."""
+    return sum(nnz * width for nnz, width in dense_step_products())
 
 
 def gat_step_memory() -> float:
@@ -376,6 +424,13 @@ def test_a_gcn_step_holds_few_activations_at_forward_end_and_peak():
     peak, forward_end = step_memory_units()
     assert forward_end < FORWARD_END_UNITS_BOUND
     assert peak < STEP_PEAK_UNITS_BOUND
+
+
+def test_a_dense_gcn_step_aggregates_its_output_layer_at_the_class_width():
+    """The first layer (96 -> 256, constant input) aggregates its features
+    once, with no backward product; the output layer (256 -> 16) transforms
+    first, so its products forward and backward carry 16 columns, not 256."""
+    assert [width for _, width in dense_step_products()] == [96, 16, 16]
 
 
 def test_a_gat_step_peaks_no_higher_than_before_the_attention_reorder():

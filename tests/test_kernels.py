@@ -198,6 +198,28 @@ class TestCounter:
         assert _counter()[0] == per_layer * num_layers
 
 
+    @pytest.mark.parametrize("arch", ["gcn", "sage"])
+    def test_a_first_layer_that_halves_its_width_adds_no_backward_product(
+        self, small_graph, arch
+    ):
+        """16 features -> hidden 8 halves the first layer's width, but its
+        input is the constant feature matrix: multiplying by the weight
+        first would make the product's input learnt and cost a backward
+        product, so the layer aggregates first and the step counts as many
+        products as a widening first layer's."""
+        task = TaskSpec(dataset="tiny", arch=arch, epochs=1, lr=0.02)
+        config = TrainingConfig(
+            sampler="sage", batch_size=48, hop_list=(4, 3), hidden_channels=8
+        )
+        backend = RuntimeBackend(task, config, graph=small_graph)
+        assert 2 * config.hidden_channels <= small_graph.feature_dim
+        targets = next(iter(backend.batches.epoch()))
+        batch = backend.sampler.sample(backend.graph, targets, rng=backend._rng)
+        reset_kernel_counters()
+        backend._train_step(batch)
+        assert _counter()[0] == 2 + 1  # two forward, the output layer's backward
+
+
 def test_server_reports_the_counter_as_two_gauges():
     from repro.serving import NavigationServer
 

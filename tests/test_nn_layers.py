@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.autograd import Tensor, default_dtype, leaky_relu, nll_loss, no_grad
 from repro.autograd.sparse import (
@@ -21,6 +24,7 @@ from repro.nn import (
     SAGEConv,
     build_model,
 )
+from repro.nn import graphconv
 from repro.nn.models import count_parameters
 from tests.test_autograd_tensor import check_gradient
 
@@ -199,6 +203,124 @@ class TestGATAggregation:
         terms = np.einsum("ekw,ekw->ek", np.abs(g), np.abs(v))
         assert att_t.grad.dtype == np.float32
         assert (np.abs(att_t.grad - exact) <= gamma(width) * terms).all()
+
+
+def _aggregated_widths(monkeypatch) -> list[tuple[int, int]]:
+    """``(rows, width)`` of every product ``GCNConv``/``SAGEConv`` hand to
+    ``spmm`` from now on: the width is the order's witness — ``d_in`` when
+    the layer aggregates first, ``d_out`` when it transforms first."""
+    seen = []
+
+    def recording(matrix, x, **kwargs):
+        seen.append((matrix.shape[0], x.shape[1]))
+        return spmm(matrix, x, **kwargs)
+
+    monkeypatch.setattr(graphconv, "spmm", recording)
+    return seen
+
+
+class TestAggregationOrder:
+    """A GCN/SAGE layer transforms before it aggregates when that at least
+    halves the width and adds no backward product; otherwise it aggregates
+    first.  Both orders are the one product up to float32 reassociation."""
+
+    @pytest.mark.parametrize(
+        "d_in, d_out, x_input, aggregated",
+        [
+            (256, 41, "learnt", 41),  # train_dense's output layer
+            (96, 256, "learnt", 96),  # widening
+            (96, 32, "constant", 96),  # a first layer's step: no new backward
+            (96, 32, "no_grad", 32),  # the same layer in evaluate
+            (64, 41, "learnt", 64),  # fan-out SAGE output: narrows by < 2
+        ],
+    )
+    @pytest.mark.parametrize("cls", [GCNConv, SAGEConv])
+    def test_the_rule_picks_from_widths_and_grad_mode(
+        self, monkeypatch, cls, d_in, d_out, x_input, aggregated
+    ):
+        prop = _line_prop(9)
+        layer = cls(d_in, d_out, rng=np.random.default_rng(0))
+        data = np.random.default_rng(1).normal(size=(9, d_in))
+        x = Tensor(data, requires_grad=x_input == "learnt")
+        widths = _aggregated_widths(monkeypatch)
+        with no_grad() if x_input == "no_grad" else contextlib.nullcontext():
+            out = layer(x, prop)
+        assert out.shape == (9, d_out)
+        assert widths == [(9, aggregated)]
+
+    @pytest.mark.parametrize("cls", [GCNConv, SAGEConv])
+    def test_both_orders_are_float32_roundings(self, small_graph, monkeypatch, cls):
+        """On a block, each order lies within the float32 rounding bound
+        ``γ_n Σ|terms|`` of the float64 value, ``n`` the depth of the
+        deepest sum plus the products and the bias on its path — and the two
+        differ: they reassociate, neither loses a term."""
+        prop = Propagation.from_graph(small_graph)
+        prop.rows = np.arange(0, small_graph.num_nodes, 7)
+        mode = "sym" if cls is GCNConv else "row"
+        (block,), inputs = prop.blocks(mode, 1)
+        d_in, d_out = 64, 16
+        rng = np.random.default_rng(5)
+        layer = cls(d_in, d_out, rng=rng)
+        x = rng.normal(size=(inputs.size, d_in)).astype(np.float32)
+        widths = _aggregated_widths(monkeypatch)
+        transformed = layer(Tensor(x, requires_grad=True), block).numpy()
+        aggregated = layer(Tensor(x), block).numpy()
+        assert [width for _, width in widths] == [d_out, d_in]
+
+        def gamma(n: int) -> float:
+            u = np.finfo(np.float32).eps / 2
+            return n * u / (1 - n * u)
+
+        def exact(absolute: bool) -> np.ndarray:
+            f = np.abs if absolute else (lambda a: a)
+            a64 = f(block.matrix.astype(np.float64))
+            x64 = f(x.astype(np.float64))
+            if cls is GCNConv:
+                lins = [(a64, layer.lin)]
+            else:
+                own = f(sp.eye(x.shape[0], format="csr")[block.self_index])
+                lins = [(own, layer.lin_self), (a64, layer.lin_neigh)]
+            out = 0.0
+            for matrix, lin in lins:
+                out = out + matrix @ (x64 @ f(lin.weight.data.astype(np.float64)))
+                if lin.bias is not None:
+                    out = out + f(lin.bias.data.astype(np.float64))
+            return out
+
+        depth = np.diff(block.matrix.indptr).max() + d_in + 4
+        want, terms = exact(False), exact(True)
+        for got in (transformed, aggregated):
+            assert got.dtype == np.float32
+            assert (np.abs(got - want) <= gamma(depth) * terms).all()
+        assert not np.array_equal(transformed, aggregated)
+
+    @pytest.mark.parametrize(
+        "grad, hidden, aggregated",
+        # grad on: the output layer (16 -> 5) reads a learnt input; grad
+        # off: the first layer (16 -> 8) transforms its features too
+        [(True, 16, [16, 5]), (False, 8, [8, 8])],
+    )
+    @pytest.mark.parametrize("arch", ["gcn", "sage"])
+    def test_blocks_equal_the_square_bit_for_bit(
+        self, small_graph, monkeypatch, arch, grad, hidden, aggregated
+    ):
+        model = build_model(
+            arch, small_graph.feature_dim, small_graph.num_classes,
+            hidden_channels=hidden, seed=0,
+        )
+        model.eval()
+        n = small_graph.num_nodes
+        rows = np.arange(0, n, 37)
+        x = Tensor(small_graph.features)
+        widths = _aggregated_widths(monkeypatch)
+        with contextlib.nullcontext() if grad else no_grad():
+            square = model(x, Propagation.from_graph(small_graph)).numpy()
+            block = model(x, Propagation.from_graph(small_graph, rows=rows))
+        assert block.requires_grad == grad
+        # the square and then the blocks, each layer at the width it picked
+        assert [width for _, width in widths] == aggregated * 2
+        assert widths[-1][0] == rows.size
+        assert np.array_equal(block.numpy(), square[rows])
 
 
 class TestConvLayers:

@@ -146,18 +146,19 @@ class TestProfilingService:
         assert fresh.stats.executed == 1 and fresh.stats.cache_hits == 0
         assert len(list(tmp_path.glob("gt_*.json"))) == 2
 
-    @pytest.mark.parametrize("older", [1, 2, 3, 4])
+    @pytest.mark.parametrize("older", [1, 2, 3, 4, 5])
     def test_entry_keyed_under_an_older_ground_truth_version_is_a_miss(
         self, small_graph, tiny_task, configs, tmp_path, older
     ):
         """``GROUND_TRUTH_VERSION`` went 1 -> 2 with the batch path, 2 -> 3
-        with GAT on blocks, 3 -> 4 with thread-local grad mode and 4 -> 5
-        with GAT's reordered attention path: what an older store holds stops
+        with GAT on blocks, 3 -> 4 with thread-local grad mode, 4 -> 5 with
+        GAT's reordered attention path and 5 -> 6 with GCN/SAGE layers that
+        transform before they aggregate: what an older store holds stops
         matching and is measured again — never an error, and never served as
         if this code had produced it."""
         import repro.runtime.parallel as parallel
 
-        assert parallel.GROUND_TRUTH_VERSION == 5
+        assert parallel.GROUND_TRUTH_VERSION == 6
         fingerprint = graph_fingerprint(small_graph)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(parallel, "GROUND_TRUTH_VERSION", older)

@@ -81,10 +81,11 @@ REQUEST_CLASSES = sorted(
     key=lambda cls: cls.__name__,
 )
 ROUTED = {row.response for row in ENDPOINTS.values()} | set(REQUEST_CLASSES)
-#: ``candidate_key(TASK, CONFIG, FINGERPRINT)`` at ``GROUND_TRUTH_VERSION`` 5,
-#: 4 and 3, and what the call returned at 3 while ``CONFIG`` carried
+#: ``candidate_key(TASK, CONFIG, FINGERPRINT)`` at ``GROUND_TRUTH_VERSION`` 6,
+#: 5, 4 and 3, and what the call returned at 3 while ``CONFIG`` carried
 #: ``kernel="fused"``
-CANDIDATE_KEY = "884d762cd217a5034168b873a263d085"
+CANDIDATE_KEY = "232010a4467c8c2012884ccfe33278f1"
+CANDIDATE_KEY_V5 = "884d762cd217a5034168b873a263d085"
 CANDIDATE_KEY_V4 = "2a7a26494e4ff09a430766319355d040"
 CANDIDATE_KEY_V3 = "a9d4b87e72e8add04f5e3105e74e944c"
 KEYED_WITH_KERNEL = "c2f5ed74c9f4addbfcfbecd931156035"
@@ -223,6 +224,8 @@ class TestGoldenWire:
         import repro.runtime.parallel as parallel
 
         assert candidate_key(TASK, CONFIG, FINGERPRINT) == CANDIDATE_KEY
+        monkeypatch.setattr(parallel, "GROUND_TRUTH_VERSION", 5)
+        assert candidate_key(TASK, CONFIG, FINGERPRINT) == CANDIDATE_KEY_V5
         monkeypatch.setattr(parallel, "GROUND_TRUTH_VERSION", 4)
         assert candidate_key(TASK, CONFIG, FINGERPRINT) == CANDIDATE_KEY_V4
         monkeypatch.setattr(parallel, "GROUND_TRUTH_VERSION", 3)
