@@ -12,10 +12,11 @@ callables under a lock (e.g. the ``wait_for`` predicate in
   (the object is not yet shared).  Helpers documented ``# holds: <lock>``
   start with that lock considered held.
 * LOCK003 — a call that can block for unbounded or external time happens
-  while *any* lock is held: ``time.sleep``, ``.wait()``/``.wait_for()``
-  without a timeout, subprocess/socket/HTTP calls, or profiling execution
-  (``profile``/``profile_one``/``profile_class``/``profile_configs``/
-  ``_execute``).
+  while *any* lock is held: ``time.sleep``, ``.wait()``/``.wait_for()``/
+  ``.result()`` without a timeout, subprocess/socket/HTTP calls, or
+  profiling execution (``profile``/``profile_one``/``profile_configs``,
+  the Step-2 loop ``_execute`` and what it trains with: ``profile_class``
+  inline, a pool future's ``.result()``).
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ _PROFILING_CALLEES = {
     "profile_class",
     "profile_configs",
     "_execute",
-    "_execute_local",
-    "run_batch",
 }
 
 
@@ -67,12 +66,12 @@ def _call_blocking_reason(call: ast.Call) -> str | None:
                 return f"'{dotted}'"
     if isinstance(call.func, ast.Attribute):
         attr = call.func.attr
-        if attr == "wait":
+        if attr in ("wait", "result"):
             has_timeout = bool(call.args) or any(
                 kw.arg == "timeout" for kw in call.keywords
             )
             if not has_timeout:
-                return "'.wait()' without a timeout"
+                return f"'.{attr}()' without a timeout"
             return None
         if attr == "wait_for":
             has_timeout = len(call.args) >= 2 or any(

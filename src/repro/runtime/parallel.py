@@ -6,9 +6,12 @@ a navigation run, because every candidate is a full (short) training run on
 the runtime backend.  :class:`ProfilingService` turns that step into a
 service:
 
-* **parallelism** — candidate evaluations fan out across worker processes
-  (``max_workers``); results are collected in submission order, so the
-  output is bit-identical to the serial path for the same seed;
+* **one execution loop** — a call's pending candidates go on one queue
+  that remote fleet executors claim from; the calling thread trains
+  whatever no live executor holds, serially or across ``max_workers``
+  worker processes, and every record — its own or a fleet commit — lands
+  through one dedup (:meth:`ProfilingService.commit`).  Records come back
+  in input order, bit-identical to the serial path for the same seed;
 * **deduplication** — repeated candidates (same task, same canonical
   config, same graph) are keyed by a content hash and executed once per
   call, whether they repeat within one request or across requests;
@@ -37,9 +40,10 @@ import hashlib
 import json
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +58,7 @@ from repro.wire import decode, encode
 
 __all__ = [
     "CancellationToken",
+    "LeasedBatch",
     "ProfilingService",
     "ProfilingStats",
     "ResultStore",
@@ -522,6 +527,36 @@ def _training_classes(configs: list[TrainingConfig], graph: CSRGraph) -> list:
     return list(groups.values())
 
 
+#: longest the execution loop sleeps between looks at the queue: it must
+#: notice an executor dying, which notifies no one, and poll the
+#: cancellation token.
+_POLL_SECONDS = 0.1
+
+
+class _Pending:
+    """One published key awaiting its record: the config a claim hands out,
+    the ``(task, graph, fingerprint)`` group it shares with its call's other
+    keys (a grant never mixes two), and the lease an executor holds it under."""
+
+    __slots__ = ("config", "group", "lease_id")
+
+    def __init__(self, config: TrainingConfig, group: tuple) -> None:
+        self.config = config
+        self.group = group
+        self.lease_id: str | None = None
+
+
+class LeasedBatch(NamedTuple):
+    """Queued keys :meth:`ProfilingService.lease` handed to a remote
+    executor, with what it needs to run them."""
+
+    lease_id: str
+    task: TaskSpec
+    fingerprint: str
+    keys: tuple[str, ...]
+    configs: tuple[TrainingConfig, ...]
+
+
 @dataclass
 class ProfilingStats:
     """Where each requested candidate came from (one service lifetime).
@@ -600,15 +635,25 @@ class ProfilingService:
         self.store_budget_bytes = store_budget_bytes
         self.store = ResultStore(cache_dir) if cache_dir is not None else None
         self.stats = ProfilingStats()
-        #: optional batch runner (the fleet dispatcher) that takes over
-        #: pending-candidate execution when it ``accepts()`` the batch; see
-        #: :meth:`_execute`.  ``None`` keeps every run on the local pool.
-        self.runner = None
-        self._memory: dict = {}
+        #: whether a live remote executor may claim from the pending queue;
+        #: the fleet dispatcher installs its registry's answer.  While it
+        #: says yes, :meth:`_execute` leaves its pending keys to the fleet.
+        self.fleet_live = lambda: False
+        #: key -> record of every resolved key: the one dedup every
+        #: resolution passes (:meth:`commit`).
+        self._memory: dict = {}  # guarded-by: _lock
         self._lock = threading.Lock()
+        #: one condition for the queue: publications, resolutions and
+        #: requeues notify it; execution loops and claim long-polls wait.
+        self._cond = threading.Condition(self._lock)
         #: key -> event of the call measuring it; concurrent callers wait on
         #: the event instead of training the key a second time.
         self._inflight: dict[str, threading.Event] = {}  # guarded-by: _lock
+        #: the pending queue: key -> :class:`_Pending`, in publication
+        #: order, of every claimed key no run of its caller has taken yet.
+        #: The fleet dispatcher reaches it only through :meth:`lease` and
+        #: :meth:`requeue`.
+        self._queue: dict[str, _Pending] = {}  # guarded-by: _lock
         #: id(graph) -> (graph, content hash); the graph is kept alive beside
         #: its hash, so its id can never be recycled onto a different graph.
         self._fingerprints: dict[int, tuple[CSRGraph, str]] = {}
@@ -634,14 +679,22 @@ class ProfilingService:
         fingerprint = self._fingerprint(graph)
         return [candidate_key(task, c, fingerprint) for c in configs]
 
-    def commit(self, key, record: GroundTruthRecord) -> None:
-        """Publish one finished measurement to memory and the store.
+    def commit(self, key, record: GroundTruthRecord) -> bool:
+        """Resolve one key: save its record to the store, then publish it.
 
-        The single write path for both the local pool and the fleet
-        dispatcher, so persistence invariants — including the size budget —
-        can never diverge between them.
+        The one resolution path — this service's own runs and fleet commits
+        alike — so the dedup, the persistence invariants and the size
+        budget can never diverge between them.  ``False`` when the key
+        already had a record (an expired lease's zombie finishing after
+        someone else did): nothing is written or counted.  The record is
+        published only once the store holds it, so a save that raises
+        leaves the key unresolved and a retried commit saves it again; two
+        commits racing past the first check write identical bytes, and the
+        second to publish is the duplicate.
         """
-        self._memory[key] = record
+        with self._lock:
+            if key in self._memory:
+                return False
         if self.store is not None:
             self.store.save(key, record)
             if (
@@ -667,6 +720,100 @@ class ProfilingService:
                 removed = self.store.prune_bytes(target)
                 if removed:
                     self.stats.bump("evictions", removed)
+        with self._cond:
+            if key in self._memory:
+                return False
+            self._memory[key] = record
+            self._queue.pop(key, None)
+            self._cond.notify_all()
+        # The run really happened, here or on another machine (whose own
+        # ``trainings`` counts it: the wire carries records, not runs).
+        self.stats.bump("executed")
+        return True
+
+    def _take_locked(self, keys, classes, order):  # holds: _lock
+        """Take the queued members of the next class in ``order`` off the
+        queue; ``None`` once none is queued.  Called only while no executor
+        is live, so a lease still on a key is a dead executor's."""
+        for c in order:
+            taken = [i for i in classes[c] if keys[i] in self._queue]
+            if taken:
+                for i in taken:
+                    del self._queue[keys[i]]
+                return taken
+        return None
+
+    # ------------------------------------------------------ the fleet's side
+    def lease(
+        self, limit: int, issue, *, timeout: float = 0.0
+    ) -> LeasedBatch | None:
+        """Hand up to ``limit`` unleased queued keys to a remote executor.
+
+        The keys come from the queue head's call (one task, one graph),
+        longest first (:func:`predicted_cost`): the executor runs them in
+        that order, so a lease expiring mid-batch hands back the cheap
+        tail.  ``issue(keys)`` returns the lease id they are held under
+        until a commit resolves them or :meth:`requeue` hands them back.
+        When nothing is unleased, waits up to ``timeout`` for a publication
+        or a requeue; ``None`` if still nothing.
+        """
+        with self._cond:
+            if timeout > 0 and all(
+                item.lease_id is not None for item in self._queue.values()
+            ):
+                self._cond.wait(timeout)
+            pending = [
+                (key, item)
+                for key, item in self._queue.items()
+                if item.lease_id is None
+            ]
+            if not pending:
+                return None
+            group = pending[0][1].group
+            chosen = [pair for pair in pending if pair[1].group is group][:limit]
+            task, graph, fingerprint = group
+            # Pure arithmetic on loaded objects, fine under the lock; the
+            # sort is stable, so cost ties keep queue order.
+            chosen.sort(key=lambda pair: -predicted_cost(task, pair[1].config, graph))
+            keys = tuple(key for key, _ in chosen)
+            lease_id = issue(keys)
+            for _, item in chosen:
+                item.lease_id = lease_id
+            return LeasedBatch(
+                lease_id,
+                task,
+                fingerprint,
+                keys,
+                tuple(item.config for _, item in chosen),
+            )
+
+    def requeue(self, lease_id: str, keys) -> int:
+        """Hand ``keys`` still held under ``lease_id`` back to the queue
+        (resolved and locally taken keys are no longer on it); returns how
+        many went back."""
+        with self._cond:
+            requeued = 0
+            for key in keys:
+                item = self._queue.get(key)
+                if item is not None and item.lease_id == lease_id:
+                    item.lease_id = None
+                    requeued += 1
+            if requeued:
+                self._cond.notify_all()
+            return requeued
+
+    def queue_census(self) -> tuple[int, int]:
+        """``(unleased, leased)`` counts of the pending queue."""
+        with self._lock:
+            leased = sum(item.lease_id is not None for item in self._queue.values())
+            return len(self._queue) - leased, leased
+
+    def graph_for(self, fingerprint: str) -> CSRGraph | None:
+        """A graph this service has keyed candidates on, by content hash."""
+        for graph, known in list(self._fingerprints.values()):
+            if known == fingerprint:
+                return graph
+        return None
 
     def _execute(
         self,
@@ -674,170 +821,143 @@ class ProfilingService:
         configs: list[TrainingConfig],
         graph: CSRGraph,
         *,
+        keys: list,
         progress: bool = False,
         cancel: CancellationToken | None = None,
-        keys: list | None = None,
         on_run=None,
     ) -> list[GroundTruthRecord]:
-        """Run the unique pending candidates — the batch handout seam.
+        """Resolve this call's claimed ``keys`` — the one Step-2 loop.
 
-        When a batch runner is attached (``self.runner``, the fleet
-        dispatcher) and it ``accepts()`` this batch, execution is handed to
-        it; it commits records through :meth:`commit` exactly like the local
-        path and returns them in input order.  Otherwise — no runner, no
-        live executors, or no keys to address the work by — the batch runs
-        on the local pool via :meth:`_execute_local`.  The contract (order,
-        commit-as-you-go, ``stats.executed``, cancellation checkpoints,
-        ``on_run`` callbacks) is identical on both paths.
+        The keys go on the pending queue, where a fleet executor's claim
+        may take them.  Until each has a record, the loop trains the queued
+        members of the next *training class* (:func:`_training_classes`)
+        itself while no executor is live — a dead one's lease holds
+        nothing — and otherwise waits, at most :data:`_POLL_SECONDS`, for
+        remote commits, for expired leases to requeue keys, or for the
+        fleet to die.  One class is one run that lands one record per
+        member: ``stats.trainings`` counts the runs, ``stats.executed``
+        the records.
+
+        Serially, classes go one reorder strategy after the other, so each
+        :class:`PreparedGraph` is built once and only one permuted copy is
+        alive.  With ``max_workers >= 2`` they go to a process pool,
+        longest first (:func:`predicted_cost`), so a skewed batch cannot
+        park a worker on a late giant.  The pool holds at most two classes
+        per worker — one running, one queued behind it, so no worker waits
+        for this thread to land a record — and a fleet that comes back can
+        still claim the rest.
+
+        Every record is :meth:`commit`-ted the moment it lands, so an
+        aborted batch keeps each run it finished.  ``cancel`` is polled
+        between classes and on every wake; on the pool, runs already
+        started finish and are committed before the abort.
+        ``on_run(finished)`` fires on the calling thread with the count of
+        this call's keys resolved so far, after each landed record; it must
+        not raise (a raising callback aborts the batch like a cancel).
         """
-        if not configs:
-            return []
-        runner = self.runner
-        if (
-            runner is not None
-            and keys is not None
-            and runner.accepts(task, configs, graph)
-        ):
-            # Members of a training class go out adjacent, so an executor's
-            # own ``profile()`` shares one training over whatever part of a
-            # class its grant holds.
-            order = [i for c in _training_classes(configs, graph) for i in c]
-            fresh = runner.run_batch(
-                self,
-                task,
-                [configs[i] for i in order],
-                graph,
-                keys=[keys[i] for i in order],
-                cancel=cancel,
-                on_run=on_run,
-            )
-            return [record for _, record in sorted(zip(order, fresh, strict=True))]
-        return self._execute_local(
-            task,
-            configs,
-            graph,
-            progress=progress,
-            cancel=cancel,
-            keys=keys,
-            on_run=on_run,
-        )
-
-    def _execute_local(
-        self,
-        task: TaskSpec,
-        configs: list[TrainingConfig],
-        graph: CSRGraph,
-        *,
-        progress: bool = False,
-        cancel: CancellationToken | None = None,
-        keys: list | None = None,
-        on_run=None,
-    ) -> list[GroundTruthRecord]:
-        """Run the unique pending candidates, serially or across the pool.
-
-        The unit of work is a *training class* (:func:`_training_classes`):
-        one serial step, one pool future, one cancellation checkpoint, that
-        lands one record per member — ``stats.trainings`` counts the runs,
-        ``stats.executed`` the records.  What depends only on ``(graph,
-        reorder)`` is prepared once per call (a pool worker: once per class).
-
-        Results come back in input order either way, which keeps the service
-        bit-identical to the serial profiler.  Pool dispatch is cost-ordered
-        longest-first (:func:`predicted_cost`): submitting the heaviest
-        classes before the cheap tail keeps a skewed batch from parking
-        one worker on a late-arriving giant while the others sit idle.
-
-        ``cancel`` is polled between classes (serial) or result collections
-        (pool) — the cooperative batch boundary.  On the pool path,
-        not-yet-started futures are cancelled; classes already training
-        finish and are discarded.  The counters cover only completed runs,
-        so an aborted batch never overstates the work done.
-
-        ``keys`` (parallel to ``configs``) makes the run publish as it
-        goes: each completed record is :meth:`commit`-ted immediately, so
-        an aborted batch keeps every training run it finished — waiters and
-        later callers serve them from memory/store instead of re-measuring.
-
-        ``on_run(completed)`` fires after every landed record with the
-        count of candidates this call has finished — the progress-event seat
-        the serving layer plugs live job streaming into.  It runs on the
-        calling thread and must not raise (a raising callback aborts the
-        batch exactly like a cancellation would).
-        """
-        if not configs:
-            return []
-        if cancel is not None:
-            cancel.raise_if_cancelled()
         classes = _training_classes(configs, graph)
-        members = [[configs[i] for i in indices] for indices in classes]
         workers = min(self.max_workers or 1, len(classes))
-        records: list = [None] * len(configs)
-        done = 0
+        in_pool = 2 * workers  # one running and one queued class per worker
+        firsts = [configs[indices[0]] for indices in classes]
+        if workers <= 1:
+            order = sorted(range(len(classes)), key=lambda c: firsts[c].reorder)
+        else:
+            order = sorted(
+                range(len(classes)),
+                key=lambda c: predicted_cost(
+                    task, firsts[c], graph, members=len(classes[c])
+                ),
+                reverse=True,
+            )
+        group = (task, graph, self._fingerprint(graph))
+        reported = 0
+        prepared = pool = None
+        running: dict = {}  # pool future -> the indices it trains
 
-        def land(indices: list[int], fresh: list, *, notify: bool = True) -> None:
-            """One class finished: publish a record per member."""
-            nonlocal done
+        def report() -> None:
+            nonlocal reported
+            with self._lock:
+                finished = sum(key in self._memory for key in keys)
+            if finished > reported:
+                reported = finished
+                if on_run is not None:
+                    on_run(finished)
+                if progress and finished % 10 == 0:
+                    print(f"profiled {finished}/{len(keys)} candidates")
+
+        def land(indices: list, fresh: list, *, notify: bool = True) -> None:
             self.stats.bump("trainings")
             for i, record in zip(indices, fresh, strict=True):
-                records[i] = record
-                if keys is not None:
-                    self.commit(keys[i], record)
-                self.stats.bump("executed")
-                done += 1
-                if notify and on_run is not None:
-                    on_run(done)
-                if notify and progress and done % 10 == 0:
-                    print(f"profiled {done}/{len(configs)} candidates")
+                self.commit(keys[i], record)
+                if notify:
+                    report()
 
-        if workers <= 1:
-            # One reorder strategy after the other (a stable sort), so each is
-            # prepared once and only one permuted copy of the graph is alive.
-            prepared = None
-            for c in sorted(range(len(classes)), key=lambda c: members[c][0].reorder):
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-                reorder = members[c][0].reorder
-                if prepared is None or prepared.reorder != reorder:
-                    prepared = None  # free the last strategy's copy first
-                    prepared = PreparedGraph(graph, reorder)
-                runs = profile_class(task, members[c], prepared=prepared)
-                land(classes[c], [record for record, _ in runs])
-            return records
-
-        order = sorted(
-            range(len(classes)),
-            key=lambda c: predicted_cost(
-                task, members[c][0], graph, members=len(members[c])
-            ),
-            reverse=True,
-        )
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(task, graph)
-        )
-        futures = {c: pool.submit(_worker_run, members[c]) for c in order}
+        # Members of a class go out adjacent (a claim keeps queue order), so
+        # an executor's own ``profile()`` shares one run over its part.
+        with self._cond:
+            if any(key in self._queue for key in keys):  # pragma: no cover
+                # profile() claims each key for one caller at a time.
+                raise RuntimeError("a key is already on the pending queue")
+            for c in order:
+                for i in classes[c]:
+                    # A zombie commit of an earlier, cancelled call may have
+                    # resolved a key since profile() claimed it.
+                    if keys[i] not in self._memory:
+                        self._queue[keys[i]] = _Pending(configs[i], group)
+            self._cond.notify_all()
         try:
-            for c, indices in enumerate(classes):
+            while True:
                 if cancel is not None and cancel.cancelled:
-                    for future in futures.values():
+                    for future in running:
                         future.cancel()
-                    if keys is not None:
-                        # Classes already dispatched keep training (shutdown
-                        # waits for them regardless); publish every run that
-                        # finishes so the abort wastes none of them.
-                        # Cancelled futures never ran.
-                        for j in range(c, len(classes)):
-                            if futures[j].cancelled():
-                                continue
+                    for future, indices in running.items():
+                        if not future.cancelled():
                             try:
-                                fresh = futures[j].result()
+                                fresh = future.result()
                             except BaseException:
                                 continue
-                            land(classes[j], fresh, notify=False)
+                            land(indices, fresh, notify=False)
                     cancel.raise_if_cancelled()
-                land(indices, futures[c].result())
+                report()
+                with self._cond:
+                    if not running and all(key in self._memory for key in keys):
+                        break
+                    taken = None
+                    if len(running) < in_pool and not self.fleet_live():
+                        taken = self._take_locked(keys, classes, order)
+                    if taken is None and not running:
+                        self._cond.wait(_POLL_SECONDS)
+                        continue
+                if taken is not None and workers <= 1:
+                    members = [configs[i] for i in taken]
+                    if prepared is None or prepared.reorder != members[0].reorder:
+                        prepared = None  # free the last strategy's copy first
+                        prepared = PreparedGraph(graph, members[0].reorder)
+                    runs = profile_class(task, members, prepared=prepared)
+                    land(taken, [record for record, _ in runs])
+                elif taken is not None:
+                    if pool is None:
+                        pool = ProcessPoolExecutor(
+                            max_workers=workers,
+                            initializer=_worker_init,
+                            initargs=(task, graph),
+                        )
+                    members = [configs[i] for i in taken]
+                    running[pool.submit(_worker_run, members)] = taken
+                else:
+                    done, _ = wait(
+                        running, timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
+                    )
+                    for future in done:
+                        land(running.pop(future), future.result())
+            with self._lock:
+                return [self._memory[key] for key in keys]
         finally:
-            pool.shutdown()
-        return records
+            with self._cond:
+                for key in keys:
+                    self._queue.pop(key, None)
+            if pool is not None:
+                pool.shutdown()
 
     # ------------------------------------------------------------------ API
     def profile(
@@ -855,8 +975,9 @@ class ProfilingService:
         Output order matches input order and values match the serial
         :func:`~repro.runtime.profiler.profile_one` path exactly.  Each
         unique candidate resolves from memory, the store, another caller's
-        in-flight run, or a run of this call's own — never twice, however
-        many threads ask at once.
+        in-flight run, or this call's :meth:`_execute` (a run of its own or
+        a fleet executor's commit) — never twice, however many threads ask
+        at once.
 
         ``cancel`` makes the call cooperatively cancellable: the token is
         polled at every claim-round boundary, between candidate runs, and
@@ -949,9 +1070,9 @@ class ProfilingService:
                         task,
                         list(mine.values()),
                         graph,
+                        keys=list(mine),
                         progress=progress,
                         cancel=cancel,
-                        keys=list(mine),
                         on_run=report if on_progress is not None else None,
                     )
                     with self._lock:

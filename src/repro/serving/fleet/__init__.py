@@ -2,11 +2,11 @@
 
 The fleet generalizes the server's process pool across machines.  The
 server side (:class:`FleetDispatcher` + :class:`ExecutorRegistry` +
-:class:`LeaseTable`) plugs into the profiling service's batch handout seam
-and hands leased candidate batches to whoever claims them; the client side
+:class:`LeaseTable`) hands leased batches off the profiling service's
+pending queue to whoever claims them; the client side
 (:class:`ProfilingExecutor` over :class:`FleetClient`) pulls, runs and
-commits.  With zero executors registered, none of this is on any code
-path — a local-only server behaves exactly as before.
+commits.  While no executor is live, the service's execution loop trains
+every pending key itself — a local-only server never waits on the fleet.
 
 Importing this package does not import the HTTP transport; the dispatcher
 is socket-free (it only ever sees Python calls), which is what keeps the

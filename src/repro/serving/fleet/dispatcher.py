@@ -1,31 +1,31 @@
-"""Fleet dispatcher: the server-side half of the batch handout seam.
+"""Fleet dispatcher: remote executors' side of the profiling queue.
 
-:class:`FleetDispatcher` plugs into
-:attr:`~repro.runtime.parallel.ProfilingService.runner` and takes over
-pending-candidate execution whenever at least one live executor is
-registered.  The flow per batch:
+:class:`FleetDispatcher` gives remote executors a hold on the pending queue
+of a :class:`~repro.runtime.parallel.ProfilingService`.  The service's own
+execution loop (``ProfilingService._execute``) publishes every claimed key
+there and trains whatever no live executor holds; the dispatcher only hands
+out, times and resolves keys:
 
-1. :meth:`run_batch` (called from ``ProfilingService._execute`` on the job
-   worker thread) enqueues the batch's keys as pending work items and
-   blocks until every key has a committed record.
-2. Executors long-poll :meth:`claim`, which hands out same-graph batches
-   under a :class:`~repro.serving.fleet.leases.Lease`, first come first
-   served from the head of the queue.
-3. :meth:`commit` publishes finished records through the *same*
-   ``service.commit`` path the local pool uses, so memory/store/budget
-   invariants cannot diverge.  Commits are idempotent twice over: a
-   retried POST replays its recorded outcome via the idempotency key, and
-   a key that already landed (an expired lease's zombie finishing late) is
-   counted as a duplicate and not double-published.
-4. Missed heartbeats expire leases (:meth:`_sweep_locked`): the keys go
-   back to pending and someone else claims them — a killed executor costs
-   wall-clock, never runs.  When the *whole* fleet goes silent,
-   ``run_batch`` withdraws the remainder and falls back to the local pool,
-   so a server never deadlocks on a dead fleet.
+1. Executors long-poll :meth:`claim`, which leases a same-graph batch off
+   the head of the queue (``ProfilingService.lease``) under a
+   :class:`~repro.serving.fleet.leases.Lease`, first come first served.
+2. :meth:`commit` resolves each key through ``service.commit`` — the path
+   the service's own runs take — so memory/store/budget invariants and the
+   dedup cannot diverge.  Commits are idempotent twice over: a retried POST
+   replays its recorded outcome via the idempotency key, and a key that
+   already has a record (an expired lease's zombie finishing late, after
+   the caller or another executor landed it) is counted as a duplicate and
+   not published again.
+3. Missed heartbeats expire leases (:meth:`_sweep`): the keys go back to
+   the queue (``ProfilingService.requeue``), where another executor claims
+   them — or, once no executor is live, the calling thread trains them
+   itself.  A killed executor costs wall-clock, never runs, and a dead
+   fleet never stalls a batch.
 
-Lock order: ``FleetDispatcher._lock`` may be held while taking the
-registry, lease-table or metrics locks (all leaves); store I/O and
-training execution always happen outside it.
+The queue and its format belong to the service, under the service's lock;
+a lease is issued under it (the lease table is a leaf).  The dispatcher's
+own lock guards only its replay table and sweeper, and is never held while
+another lock is taken.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from repro.config.settings import TaskSpec, TrainingConfig
 from repro.errors import ProtocolError, ServingError, UnknownExecutorError
 from repro.graphs.csr import CSRGraph
-from repro.runtime.parallel import predicted_cost
 from repro.serving.fleet.leases import LeaseTable
 from repro.serving.fleet.registry import ExecutorInfo, ExecutorRegistry
 from repro.serving.metrics import (
@@ -48,7 +47,6 @@ from repro.serving.metrics import (
     FLEET_COMMITS,
     FLEET_HEARTBEAT_AGE_SECONDS,
     FLEET_LEASE_EXPIRIES,
-    FLEET_LOCAL_FALLBACKS,
     MetricsRegistry,
 )
 from repro.wire import WireMessage
@@ -106,43 +104,17 @@ class CommitOutcome(WireMessage):
     replayed: bool = False
 
 
-class _BatchGroup:
-    """The (task, graph) context shared by one run_batch's work items —
-    claims batch items only within a single group, so an executor always
-    receives one task and one graph per lease."""
-
-    __slots__ = ("task", "graph", "fingerprint")
-
-    def __init__(
-        self, task: TaskSpec, graph: CSRGraph, fingerprint: str
-    ) -> None:
-        self.task = task
-        self.graph = graph
-        self.fingerprint = fingerprint
-
-
-class _WorkItem:
-    """One pending candidate: its canonical config, lease state and result."""
-
-    __slots__ = ("key", "config", "group", "lease_id", "record", "local")
-
-    def __init__(self, key: str, config: TrainingConfig, group: _BatchGroup) -> None:
-        self.key = key
-        self.config = config
-        self.group = group
-        self.lease_id: str | None = None
-        self.record = None
-        self.local = False  # True: a local fallback took this key over
-
-
 class FleetDispatcher:
-    """Work-pull dispatcher between profiling batches and remote executors.
+    """Work-pull dispatcher between a service's pending queue and remote
+    executors.
 
     Parameters
     ----------
     service:
-        The :class:`~repro.runtime.parallel.ProfilingService` whose batches
-        this dispatcher takes over; attaching sets ``service.runner``.
+        The :class:`~repro.runtime.parallel.ProfilingService` whose queue
+        this dispatcher serves; attaching installs the registry's liveness
+        as ``service.fleet_live``, so the service's loop leaves pending keys
+        to the fleet while any executor is live.
     lease_ttl:
         Seconds a claimed batch stays leased without a heartbeat.  Also
         derives the heartbeat interval executors are told to use
@@ -169,15 +141,6 @@ class FleetDispatcher:
         self.leases = LeaseTable()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._items: dict[str, _WorkItem] = {}  # guarded-by: _lock
-        self._pending: list[str] = []  # guarded-by: _lock
-        #: graphs by fingerprint for /v1/fleet/graph/<fp> fetches; one entry
-        #: per distinct graph a server ever profiles on, so no eviction.
-        self._graphs: dict[str, CSRGraph] = {}  # guarded-by: _lock
-        #: keys whose record already landed via a fleet commit — the dedup
-        #: that keeps an expired lease's zombie commit from double-counting.
-        self._done: OrderedDict[str, bool] = OrderedDict()  # guarded-by: _lock
-        self._done_cap = 65536
         #: (executor, idempotency key) -> outcome, replayed on retried POSTs.
         self._replays: OrderedDict[tuple[str, str], CommitOutcome] = (
             OrderedDict()
@@ -187,7 +150,7 @@ class FleetDispatcher:
         #: fleets that never form pay nothing.  Created/read under _lock.
         self._sweeper: threading.Thread | None = None  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
-        service.runner = self
+        service.fleet_live = lambda: bool(self.registry.live(self.lease_ttl))
 
     # ----------------------------------------------------------- membership
     @property
@@ -206,7 +169,6 @@ class FleetDispatcher:
             )
         with self._cond:
             self._ensure_sweeper_locked()
-            self._cond.notify_all()  # run_batch loops re-check accepts()
         return info
 
     def heartbeat(self, executor_id: str) -> int:
@@ -219,149 +181,14 @@ class FleetDispatcher:
     def deregister(self, executor_id: str) -> bool:
         """Graceful exit: drop the executor and re-queue anything it holds."""
         existed = self.registry.deregister(executor_id)
-        with self._cond:
-            for lease in self.leases.active():
-                if lease.executor_id == executor_id:
-                    self.leases.release(lease.lease_id)
-                    self._requeue_locked(lease.lease_id, lease.keys)
-            self._cond.notify_all()
+        for lease in self.leases.active():
+            if lease.executor_id == executor_id and self.leases.release(
+                lease.lease_id
+            ):
+                self.service.requeue(lease.lease_id, lease.keys)
         if existed and self.metrics is not None:
             self.metrics.drop(executor=executor_id)
         return existed
-
-    # ------------------------------------------------------------ job side
-    def accepts(self, task, configs, graph) -> bool:
-        """Whether the fleet should take this batch: any live executor."""
-        return bool(self.registry.live(self.lease_ttl))
-
-    def run_batch(
-        self,
-        service,
-        task: TaskSpec,
-        configs: list[TrainingConfig],
-        graph: CSRGraph,
-        *,
-        keys: list,
-        cancel=None,
-        on_run=None,
-    ):
-        """Execute one pending batch through the fleet; blocks until done.
-
-        Same contract as ``ProfilingService._execute_local``: records come
-        back in input order, each is committed the moment it lands,
-        ``cancel`` is honoured at poll boundaries, and ``on_run(done)``
-        fires with this call's cumulative finished count.  If every
-        executor dies mid-batch the remainder is withdrawn and run on the
-        local pool — the job completes either way.
-        """
-        if cancel is not None:
-            cancel.raise_if_cancelled()
-        fingerprint = service._fingerprint(graph)
-        group = _BatchGroup(task, graph, fingerprint)
-        mine: dict[str, _WorkItem] = {}
-        with self._cond:
-            # ProfilingService.profile claims every key for one caller, so
-            # no two batches can hold the same key at once.
-            held = [key for key in keys if key in self._items]
-            if held:
-                raise ServingError(f"keys already in a fleet batch: {held}")
-            self._graphs[fingerprint] = graph
-            for key, config in zip(keys, configs, strict=True):
-                mine[key] = self._items[key] = _WorkItem(
-                    key, config.canonical(), group
-                )
-                self._pending.append(key)
-            self._cond.notify_all()  # wake claim long-polls
-
-        poll = max(0.05, min(self.lease_ttl / 4.0, 0.5))
-        reported = 0
-        try:
-            while True:
-                with self._cond:
-                    self._sweep_locked()
-                    unresolved = [
-                        key
-                        for key, item in mine.items()
-                        if self._resolved_locked(item) is None
-                    ]
-                    finished = len(mine) - len(unresolved)
-                    alive = bool(self.registry.live(self.lease_ttl))
-                    if unresolved and not alive:
-                        # Freeze the remainder before leaving the lock: out
-                        # of pending (no claim can grab it) and marked local
-                        # (a later lease expiry must not re-queue it).
-                        for key in unresolved:
-                            mine[key].local = True
-                            if key in self._pending:
-                                self._pending.remove(key)
-                if on_run is not None and finished > reported:
-                    reported = finished
-                    on_run(finished)
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-                if not unresolved:
-                    return self._collect(service, keys, mine)
-                if not alive:
-                    break
-                with self._cond:
-                    # Bounded by ``poll`` (a fraction of the lease TTL): the
-                    # loop must wake even if every executor dies silently
-                    # between commits, so the dead-fleet fallback below can
-                    # take over; commits notify_all() to end the wait early.
-                    self._cond.wait(poll)
-
-            # Dead-fleet fallback: run what's left on the local pool.  The
-            # records commit through the same service path, so waiters and
-            # the store see no difference from a fleet commit.
-            if self.metrics is not None:
-                self.metrics.inc(FLEET_LOCAL_FALLBACKS)
-            service._execute_local(
-                task,
-                [mine[key].config for key in unresolved],
-                graph,
-                cancel=cancel,
-                keys=unresolved,
-                on_run=(
-                    None
-                    if on_run is None
-                    else lambda done: on_run(reported + done)
-                ),
-            )
-            return self._collect(service, keys, mine)
-        finally:
-            self._withdraw(mine)
-
-    def _collect(self, service, keys: list, mine: dict):
-        """Records for ``keys`` in input order, from items or the service
-        memory (local-fallback commits land there)."""
-        records = []
-        with self._lock:
-            for key in keys:
-                item = mine[key]
-                record = (
-                    item.record
-                    if item.record is not None
-                    else service._memory.get(key)
-                )
-                if record is None:  # pragma: no cover — loop invariant
-                    raise ServingError(
-                        f"fleet batch finished without a record for {key!r}"
-                    )
-                records.append(record)
-        return records
-
-    def _withdraw(self, mine: dict) -> None:
-        """Drop this call's items (each belongs to exactly one batch)."""
-        with self._cond:
-            for key in mine:
-                del self._items[key]
-                if key in self._pending:
-                    self._pending.remove(key)
-
-    def _resolved_locked(self, item: _WorkItem):  # holds: _lock
-        if item.record is not None:
-            return item.record
-        return self.service._memory.get(item.key)
 
     # ------------------------------------------------------- executor side
     def claim(
@@ -381,70 +208,38 @@ class FleetDispatcher:
             limit = max(1, min(max_candidates, _MAX_BATCH))
         deadline = time.monotonic() + max(0.0, min(timeout, _MAX_CLAIM_POLL))
         poll = max(0.05, min(self.lease_ttl / 4.0, 0.5))
+
+        def issue(keys):
+            return self.leases.issue(executor_id, keys, self.lease_ttl).lease_id
+
         while True:
             # touch() every wake: raises UnknownExecutorError (re-register)
             # if the registry forgot us mid-poll, and keeps a long-polling
             # but otherwise idle executor alive.
             info = self.registry.touch(executor_id)
-            with self._cond:
-                self._sweep_locked()
-                selected = self._select_locked(limit)
-                if selected:
-                    lease = self.leases.issue(
-                        executor_id,
-                        [item.key for item in selected],
-                        self.lease_ttl,
-                    )
-                    for item in selected:
-                        item.lease_id = lease.lease_id
+            # Every wake re-runs the sweep, so keys of expired leases go
+            # back on the queue before this claim looks at it.
+            self._sweep()
+            remaining = deadline - time.monotonic()
+            batch = self.service.lease(
+                limit, issue, timeout=min(poll, max(0.0, remaining))
+            )
+            if batch is not None:
+                with self._lock:
                     info.claims += 1
-                    group = selected[0].group
-                    grant = ClaimGrant(
-                        lease_id=lease.lease_id,
-                        ttl=self.lease_ttl,
-                        task=group.task,
-                        dataset=group.task.dataset,
-                        fingerprint=group.fingerprint,
-                        keys=tuple(item.key for item in selected),
-                        configs=tuple(item.config for item in selected),
-                    )
-                else:
-                    grant = None
-                    remaining = deadline - time.monotonic()
-                    if remaining > 0:
-                        # Bounded by the long-poll deadline and by ``poll``
-                        # so every wake re-runs the sweep (expired leases
-                        # re-queue keys this claim may then grab) and
-                        # re-touches the registry before sleeping again.
-                        self._cond.wait(min(poll, remaining))
-            if grant is not None:
                 if self.metrics is not None:
                     self.metrics.inc(FLEET_CLAIMS, executor=executor_id)
-                return grant
+                return ClaimGrant(
+                    lease_id=batch.lease_id,
+                    ttl=self.lease_ttl,
+                    task=batch.task,
+                    dataset=batch.task.dataset,
+                    fingerprint=batch.fingerprint,
+                    keys=batch.keys,
+                    configs=batch.configs,
+                )
             if time.monotonic() >= deadline:
                 return ClaimGrant.none(self.lease_ttl)
-
-    def _select_locked(self, limit):  # holds: _lock
-        if not self._pending:
-            return []
-        group = self._items[self._pending[0]].group
-        chosen = [
-            key for key in self._pending if self._items[key].group is group
-        ][:limit]
-        # Longest-first within the claim batch: the executor runs its lease
-        # in grant order, so fronting the expensive candidates shortens the
-        # tail when a lease expires mid-batch (the cheap remainder re-queues
-        # and backfills elsewhere).  Pure arithmetic on already-loaded
-        # objects, so fine under the lock; the sort is stable, keeping the
-        # arrival order among cost ties deterministic.
-        chosen.sort(
-            key=lambda k: -predicted_cost(
-                group.task, self._items[k].config, group.graph
-            )
-        )
-        for key in chosen:
-            self._pending.remove(key)
-        return [self._items[key] for key in chosen]
 
     def commit(
         self,
@@ -455,14 +250,17 @@ class FleetDispatcher:
         *,
         idempotency_key: str | None = None,
     ) -> CommitOutcome:
-        """Publish finished records; idempotent against retries and zombies.
+        """Resolve finished records; idempotent against retries and zombies.
 
         A retried POST (same executor + idempotency key) replays the
-        recorded outcome without touching anything.  A key that already
-        landed — its lease expired and someone else committed it first —
-        counts as a duplicate: no store write, no ``executed`` bump.  The
-        runs themselves are deterministic functions of (task, config,
-        graph), so whichever commit wins, the bytes are identical.
+        recorded outcome without touching anything.  Each key resolves
+        through ``service.commit``, the dedup the service's own runs pass
+        too: a key that already has a record — its lease expired and the
+        caller or another executor landed it first — counts as a
+        duplicate: no store write, no ``executed`` bump.  The runs are
+        deterministic functions of (task, config, graph), so whichever
+        resolution wins, the bytes are identical.  Keys of the lease the
+        commit leaves out go back to the queue.
 
         Commits from executors the registry forgot are still accepted: the
         work is done and correct, refusing it would only re-run it.
@@ -480,93 +278,46 @@ class FleetDispatcher:
             if idempotency_key is None
             else (executor_id, idempotency_key)
         )
-        fresh: list = []
-        duplicates = 0
-        with self._cond:
-            if replay_key is not None:
+        if replay_key is not None:
+            with self._lock:
                 known = self._replays.get(replay_key)
-                if known is not None:
-                    return dataclasses.replace(known, replayed=True)
-            for key, record in zip(keys, records, strict=True):
-                if key in self._done:
-                    duplicates += 1
-                    continue
-                self._done[key] = True
-                while len(self._done) > self._done_cap:
-                    self._done.popitem(last=False)
-                fresh.append((key, record))
-
-        # Store I/O outside the dispatcher lock: a slow disk must not block
-        # claims and heartbeats.  Each publish bumps ``executed`` — the run
-        # really happened, just on another machine (whose own ``trainings``
-        # counts it: the wire carries records, not runs).
-        published = 0
-        try:
-            for key, record in fresh:
-                self.service.commit(key, record)
-                self.service.stats.bump("executed")
-                published += 1
-        except BaseException:
-            with self._cond:
-                # Un-reserve what never landed so re-claims can re-run it.
-                for key, _ in fresh[published:]:
-                    self._done.pop(key, None)
-                self._cond.notify_all()
-            raise
-
-        outcome = CommitOutcome(accepted=len(fresh), duplicates=duplicates)
-        with self._cond:
-            for key, record in fresh:
-                item = self._items.get(key)
-                if item is not None:
-                    item.record = record
-                    item.lease_id = None
-                    if key in self._pending:
-                        self._pending.remove(key)
-            if lease_id is not None:
-                self.leases.release(lease_id)
+            if known is not None:
+                return dataclasses.replace(known, replayed=True)
+        # Outside the lock: ``service.commit`` writes the store, and a slow
+        # disk must not block claims and heartbeats.
+        accepted = sum(
+            self.service.commit(key, record)
+            for key, record in zip(keys, records, strict=True)
+        )
+        outcome = CommitOutcome(accepted=accepted, duplicates=len(keys) - accepted)
+        lease = None if lease_id is None else self.leases.release(lease_id)
+        if lease is not None:
+            self.service.requeue(lease_id, lease.keys)
+        with self._lock:
             if info is not None:
                 info.commits += 1
             if replay_key is not None:
                 self._replays[replay_key] = outcome
                 while len(self._replays) > self._replay_cap:
                     self._replays.popitem(last=False)
-            self._cond.notify_all()
         if self.metrics is not None:
             # A forgotten executor bumps only the total: a labeled series
             # would outlive the prune that dropped its others.
             labels = {"executor": executor_id} if info is not None else {}
             self.metrics.inc(FLEET_COMMITS, **labels)
-            if duplicates:
-                self.metrics.inc(FLEET_COMMIT_DUPLICATES, duplicates)
+            if outcome.duplicates:
+                self.metrics.inc(FLEET_COMMIT_DUPLICATES, outcome.duplicates)
         return outcome
 
     def graph(self, fingerprint: str) -> CSRGraph:
-        """The graph behind one fingerprint (``/v1/fleet/graph/<fp>``)."""
-        with self._lock:
-            graph = self._graphs.get(fingerprint)
+        """The graph behind one fingerprint (``/v1/fleet/graph/<fp>``): any
+        graph the service has keyed candidates on."""
+        graph = self.service.graph_for(fingerprint)
         if graph is None:
             raise ServingError(f"unknown graph fingerprint {fingerprint!r}")
         return graph
 
     # ------------------------------------------------------------- plumbing
-    def _requeue_locked(self, lease_id, lease_keys):  # holds: _lock
-        """Put a dead lease's unfinished keys back on the pending queue."""
-        requeued = 0
-        for key in lease_keys:
-            item = self._items.get(key)
-            if item is None or item.record is not None or item.local:
-                continue
-            if key in self._done:
-                continue
-            if item.lease_id != lease_id:
-                continue  # already re-claimed under a newer lease
-            item.lease_id = None
-            if key not in self._pending:
-                self._pending.append(key)
-            requeued += 1
-        return requeued
-
     def _ensure_sweeper_locked(self) -> None:  # holds: _lock
         """Start the background lease sweeper on first fleet membership.
 
@@ -587,12 +338,12 @@ class FleetDispatcher:
             with self._cond:
                 if self._closed:
                     return
-                self._sweep_locked()
                 # Bounded by ``poll`` (a fraction of the lease TTL) so
                 # expiry/prune latency is bounded even when no claim is
                 # polling; close() flips _closed and notify_all()s, so
                 # shutdown never waits a full poll interval.
                 self._cond.wait(poll)
+            self._sweep()
 
     def close(self) -> None:
         """Stop the sweeper (idempotent).  Registered executors stay
@@ -605,20 +356,19 @@ class FleetDispatcher:
         if sweeper is not None:
             sweeper.join(timeout=5.0)  # outside the lock: the loop needs it
 
-    def _sweep_locked(self) -> None:  # holds: _lock
+    def _sweep(self) -> None:
         """Expire overdue leases (re-queue their keys) and prune executors
         silent past the horizon (their metrics go with them)."""
         for lease in self.leases.expired():
-            requeued = self._requeue_locked(lease.lease_id, lease.keys)
+            self.service.requeue(lease.lease_id, lease.keys)
             info = self.registry.get(lease.executor_id)
             if info is not None:
-                info.lease_expiries += 1
+                with self._lock:
+                    info.lease_expiries += 1
             if self.metrics is not None:
                 self.metrics.inc(
                     FLEET_LEASE_EXPIRIES, executor=lease.executor_id
                 )
-            if requeued:
-                self._cond.notify_all()
         for info in self.registry.prune(self.lease_ttl * 5.0):
             if self.metrics is not None:
                 self.metrics.drop(executor=info.executor_id)
@@ -626,17 +376,12 @@ class FleetDispatcher:
     # -------------------------------------------------------------- status
     @property
     def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending)
+        """Queued keys no lease holds."""
+        return self.service.queue_census()[0]
 
     @property
     def leased_count(self) -> int:
-        with self._lock:
-            return sum(
-                1
-                for item in self._items.values()
-                if item.lease_id is not None and item.record is None
-            )
+        return self.service.queue_census()[1]
 
     def status(self) -> dict:
         """Fleet census for ``GET /v1/fleet`` and ``repro fleet status``."""

@@ -81,7 +81,6 @@ FLEET_CLAIMS = _counter("fleet_claims", "executor")
 FLEET_COMMITS = _counter("fleet_commits", "executor")
 FLEET_COMMIT_DUPLICATES = _counter("fleet_commit_duplicates")
 FLEET_LEASE_EXPIRIES = _counter("fleet_lease_expiries", "executor")
-FLEET_LOCAL_FALLBACKS = _counter("fleet_local_fallbacks")
 TRANSFER_WARM_STARTS = _counter("transfer_warm_starts")
 TRANSFER_COLD_FALLBACKS = _counter("transfer_cold_fallbacks")
 TRANSFER_DONOR_RECORDS = _counter("transfer_donor_records")

@@ -160,9 +160,10 @@ class NavigationServer:
         explicit gap instead of a silent skip.
     fleet_lease_ttl:
         Lease TTL (seconds) of the distributed profiling fleet — how long
-        a remote executor may go silent before its claimed work is
-        re-issued.  Irrelevant until an executor registers; with an empty
-        fleet every batch runs on the local pool exactly as before.
+        a remote executor may go silent before its claimed work goes back
+        to the queue, and how long after its last word it still counts as
+        live.  While no executor is live, job threads train every pending
+        key themselves.
     """
 
     def __init__(
@@ -217,9 +218,9 @@ class NavigationServer:
         self._threads: list[threading.Thread] = []
         self._stopping = False  # guarded-by: _lock
         self.metrics = MetricsRegistry()
-        # Attaching the dispatcher sets ``service.runner``: profiling
-        # batches route to registered executors and fall back to the local
-        # pool when the fleet is empty — a local-only server never notices.
+        # Attaching the dispatcher sets ``service.fleet_live``: live
+        # executors claim pending profiling keys, and the job thread trains
+        # whatever none of them holds — a local-only server never waits.
         self.fleet = FleetDispatcher(
             self.service, lease_ttl=fleet_lease_ttl, metrics=self.metrics
         )

@@ -499,6 +499,41 @@ class TestBlockingUnderLock:
         )
         assert rules_fired(result) == {"LOCK003"}
 
+    def test_step2_loop_training_under_lock_fires(self, tmp_path):
+        # The shape of ``ProfilingService._execute``: it trains a class
+        # inline through ``profile_class`` or collects a pool future; both
+        # must stay outside the queue's lock.
+        result = analyze_source(
+            tmp_path,
+            """
+            import threading
+
+            class Service:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._cond = threading.Condition(self._lock)
+
+                def inline(self, task, members, prepared):
+                    with self._cond:
+                        return profile_class(task, members, prepared=prepared)
+
+                def pooled(self, future):
+                    with self._cond:
+                        return future.result()
+
+                def outside(self, task, members, future):
+                    with self._cond:
+                        self._cond.wait(0.1)
+                        future.result(timeout=0.1)
+                    profile_class(task, members)
+                    return future.result()
+            """,
+        )
+        assert [f.rule for f in result.findings] == ["LOCK003", "LOCK003"]
+        messages = [f.message for f in result.findings]
+        assert "'profile_class()'" in messages[0] and "Service.inline()" in messages[0]
+        assert "'.result()'" in messages[1] and "Service.pooled()" in messages[1]
+
 
 # -------------------------------------------------------------------- RES001
 class TestResourceLifecycle:

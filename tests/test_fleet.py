@@ -13,6 +13,7 @@ work to the survivor without losing or duplicating a run.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -176,26 +177,27 @@ class TestFleetPayloads:
 @pytest.fixture()
 def dispatcher():
     """A dispatcher over a bare in-memory service (fabricated records —
-    none of these tests run training)."""
+    only a caller left without a live executor trains)."""
     service = ProfilingService()
     return FleetDispatcher(service, lease_ttl=0.2, metrics=MetricsRegistry())
 
 
-def _start_batch(dispatcher, task, configs, graph, keys):
-    """Run run_batch on a thread; returns (thread, out-dict)."""
+def _start_batch(dispatcher, task, configs, graph):
+    """Run ``service.profile`` on a thread; returns (thread, out-dict, keys).
+
+    With a live executor registered the caller trains nothing: it waits
+    for the commits, so the tests below can hand it fabricated records."""
     out: dict = {}
 
-    def runner():
+    def caller():
         try:
-            out["records"] = dispatcher.run_batch(
-                dispatcher.service, task, configs, graph, keys=keys
-            )
+            out["records"] = dispatcher.service.profile(task, configs, graph=graph)
         except BaseException as exc:  # surfaced by the test, not swallowed
             out["error"] = exc
 
-    thread = threading.Thread(target=runner, daemon=True)
+    thread = threading.Thread(target=caller, daemon=True)
     thread.start()
-    return thread, out
+    return thread, out, dispatcher.service._keys(task, configs, graph)
 
 
 def _series_of(snapshot: dict, executor_id: str) -> list[str]:
@@ -205,21 +207,31 @@ def _series_of(snapshot: dict, executor_id: str) -> list[str]:
 
 def _finish(thread, out):
     thread.join(timeout=30.0)
-    assert not thread.is_alive(), "run_batch never completed"
+    assert not thread.is_alive(), "profile never completed"
     if "error" in out:
         raise out["error"]
     return out["records"]
 
 
 class TestFleetDispatcher:
-    def test_accepts_only_with_live_executors(
+    def test_live_executor_keeps_the_caller_from_training(
         self, dispatcher, tiny_task, tiny_config, small_graph
     ):
-        assert not dispatcher.accepts(tiny_task, [tiny_config], small_graph)
-        info = dispatcher.register(workers=1)
-        assert dispatcher.accepts(tiny_task, [tiny_config], small_graph)
-        dispatcher.deregister(info.executor_id)
-        assert not dispatcher.accepts(tiny_task, [tiny_config], small_graph)
+        info = dispatcher.register()
+        thread, out, keys = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
+        )
+        grant = dispatcher.claim(info.executor_id, timeout=5.0)
+        assert list(grant.keys) == keys
+        deadline = time.monotonic() + 0.6  # 3x the TTL, the executor beating
+        while time.monotonic() < deadline:
+            dispatcher.heartbeat(info.executor_id)
+            assert dispatcher.service.stats.trainings == 0
+            time.sleep(0.05)
+        dispatcher.commit(info.executor_id, grant.lease_id, keys, ["remote"])
+        assert _finish(thread, out) == ["remote"]
+        stats = dispatcher.service.stats
+        assert (stats.trainings, stats.executed) == (0, 1)
 
     def test_claim_commit_round_trip(
         self, dispatcher, tiny_task, tiny_config, small_graph
@@ -227,13 +239,12 @@ class TestFleetDispatcher:
         info = dispatcher.register(workers=2)
         assert dispatcher.claim(info.executor_id).empty  # nothing pending
         configs = [_config(tiny_config, batch_size=b) for b in (32, 64, 128)]
-        keys = ["k-0", "k-1", "k-2"]
-        thread, out = _start_batch(
-            dispatcher, tiny_task, configs, small_graph, keys
+        thread, out, keys = _start_batch(
+            dispatcher, tiny_task, configs, small_graph
         )
         grant = dispatcher.claim(info.executor_id, timeout=5.0)
         assert not grant.empty
-        assert sorted(grant.keys) == keys
+        assert sorted(grant.keys) == sorted(keys)
         assert grant.task == tiny_task
         assert grant.fingerprint == graph_fingerprint(small_graph)
         assert dispatcher.pending_count == 0
@@ -269,9 +280,8 @@ class TestFleetDispatcher:
         ]
         costs = [predicted_cost(tiny_task, c, small_graph) for c in configs]
         assert sorted(costs) == costs and len(set(costs)) == len(costs)
-        keys = [f"k-{i}" for i in range(len(configs))]
-        thread, out = _start_batch(
-            dispatcher, tiny_task, configs, small_graph, keys
+        thread, out, keys = _start_batch(
+            dispatcher, tiny_task, configs, small_graph
         )
         grant = dispatcher.claim(info.executor_id, timeout=5.0)
         granted_costs = [
@@ -295,9 +305,9 @@ class TestFleetDispatcher:
     ):
         # No affinity: whoever asks gets the oldest pending key.
         first, second = dispatcher.register(), dispatcher.register()
-        keys = [f"k-{i}" for i in range(4)]
-        thread, out = _start_batch(
-            dispatcher, tiny_task, [tiny_config] * 4, small_graph, keys
+        configs = [_config(tiny_config, batch_size=b) for b in (32, 64, 96, 128)]
+        thread, out, keys = _start_batch(
+            dispatcher, tiny_task, configs, small_graph
         )
         granted = []
         for info in (second, first, second, first):
@@ -315,8 +325,8 @@ class TestFleetDispatcher:
         self, dispatcher, tiny_task, tiny_config, small_graph
     ):
         info = dispatcher.register()
-        thread, out = _start_batch(
-            dispatcher, tiny_task, [tiny_config], small_graph, ["k-0"]
+        thread, out, _ = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
         )
         grant = dispatcher.claim(info.executor_id, timeout=5.0)
         first = dispatcher.commit(
@@ -347,8 +357,8 @@ class TestFleetDispatcher:
         self, dispatcher, tiny_task, tiny_config, small_graph
     ):
         zombie = dispatcher.register()
-        thread, out = _start_batch(
-            dispatcher, tiny_task, [tiny_config], small_graph, ["k-0"]
+        thread, out, _ = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
         )
         stale = dispatcher.claim(zombie.executor_id, timeout=5.0)
         assert not stale.empty
@@ -385,8 +395,8 @@ class TestFleetDispatcher:
         self, dispatcher, tiny_task, tiny_config, small_graph
     ):
         info = dispatcher.register()
-        thread, out = _start_batch(
-            dispatcher, tiny_task, [tiny_config], small_graph, ["k-0"]
+        thread, out, _ = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
         )
         grant = dispatcher.claim(info.executor_id, timeout=5.0)
         deadline = time.monotonic() + 0.6  # 3x the TTL
@@ -409,14 +419,16 @@ class TestFleetDispatcher:
         self, dispatcher, tiny_task, tiny_config, small_graph
     ):
         leaver = dispatcher.register()
-        thread, out = _start_batch(
-            dispatcher, tiny_task, [tiny_config], small_graph, ["k-0"]
+        thread, out, _ = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
         )
         grant = dispatcher.claim(leaver.executor_id, timeout=5.0)
         assert not grant.empty
+        # The taker joins first, so a live executor holds the fleet open and
+        # the caller leaves the handed-back key on the queue.
+        taker = dispatcher.register()
         dispatcher.deregister(leaver.executor_id)  # graceful: no TTL wait
         assert dispatcher.pending_count == 1
-        taker = dispatcher.register()
         regrant = dispatcher.claim(taker.executor_id, timeout=5.0)
         assert regrant.keys == grant.keys
         dispatcher.commit(
@@ -442,8 +454,8 @@ class TestFleetDispatcher:
         self, dispatcher, tiny_task, tiny_config, small_graph
     ):
         silent, other = dispatcher.register(), dispatcher.register()
-        thread, out = _start_batch(
-            dispatcher, tiny_task, [tiny_config], small_graph, ["k-0"]
+        thread, out, _ = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
         )
         stale = dispatcher.claim(silent.executor_id, timeout=5.0)
         grant = dispatcher.claim(other.executor_id, timeout=5.0)  # after expiry
@@ -458,21 +470,120 @@ class TestFleetDispatcher:
         assert snap["fleet_lease_expiries"] == 1
         assert snap["fleet_claims"] == 2
 
-    def test_dead_fleet_falls_back_to_local_pool(
+    def test_no_live_executor_means_the_caller_trains_every_class(
         self, dispatcher, tiny_task, tiny_config, small_graph
     ):
-        info = dispatcher.register()
-        info.last_seen -= 100.0  # the whole fleet went silent
-        key = dispatcher.service._keys(tiny_task, [tiny_config], small_graph)[0]
-        thread, out = _start_batch(
-            dispatcher, tiny_task, [tiny_config.canonical()], small_graph, [key]
+        # one executor left, the other went silent: none is live
+        dispatcher.deregister(dispatcher.register().executor_id)
+        dispatcher.register().last_seen -= 100.0
+        configs = [_config(tiny_config, batch_size=b) for b in (32, 64, 128)]
+        records = dispatcher.service.profile(tiny_task, configs, graph=small_graph)
+        assert records == ProfilingService().profile(
+            tiny_task, configs, graph=small_graph
         )
+        stats = dispatcher.service.stats
+        assert (stats.trainings, stats.executed) == (3, 3)
+        assert dispatcher.metrics.snapshot().get("fleet_claims", 0) == 0
+
+    def test_zombie_commit_after_the_caller_trained_its_key_is_a_duplicate(
+        self, tiny_task, tiny_config, small_graph, tmp_path
+    ):
+        service = ProfilingService(cache_dir=tmp_path)
+        dispatcher = FleetDispatcher(service, lease_ttl=0.2)
+        saves: list[str] = []
+        real_save = service.store.save
+
+        def save(key, record):
+            saves.append(key)
+            real_save(key, record)
+
+        service.store.save = save
+        zombie = dispatcher.register()
+        thread, out, keys = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
+        )
+        stale = dispatcher.claim(zombie.executor_id, timeout=5.0)
+        assert list(stale.keys) == keys
+        # silent past the TTL: the lease expires, no executor is live, and
+        # the caller trains the key itself
         records = _finish(thread, out)
-        assert len(records) == 1
-        assert records[0].accuracy >= 0.0  # a real training run happened
-        assert dispatcher.service.stats.executed == 1
-        snap = dispatcher.metrics.snapshot()
-        assert snap["fleet_local_fallbacks"] == 1
+        assert (service.stats.trainings, service.stats.executed) == (1, 1)
+        assert saves == keys
+        late = dispatcher.commit(
+            zombie.executor_id,
+            stale.lease_id,
+            list(stale.keys),
+            records,
+            idempotency_key=stale.lease_id,
+        )
+        assert (late.accepted, late.duplicates) == (0, 1)
+        assert service.stats.executed == 1
+        assert saves == keys  # no second store save
+        dispatcher.close()
+
+    def test_a_commit_whose_save_fails_lands_on_the_retry(
+        self, tiny_task, tiny_config, small_graph, tmp_path
+    ):
+        [record] = ProfilingService().profile(
+            tiny_task, [tiny_config], graph=small_graph
+        )
+        service = ProfilingService(cache_dir=tmp_path)
+        dispatcher = FleetDispatcher(service, lease_ttl=5.0)
+        real_save = service.store.save
+        failures = [OSError("disk full")]
+
+        def save(key, record):
+            if failures:
+                raise failures.pop()
+            real_save(key, record)
+
+        service.store.save = save
+        info = dispatcher.register()
+        thread, out, keys = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
+        )
+        grant = dispatcher.claim(info.executor_id, timeout=5.0)
+
+        def commit():
+            return dispatcher.commit(
+                info.executor_id,
+                grant.lease_id,
+                keys,
+                [record],
+                idempotency_key=grant.lease_id,
+            )
+
+        with pytest.raises(OSError):
+            commit()
+        assert (service.stats.executed, len(service.store)) == (0, 0)
+        retried = commit()  # the executor retries the same POST
+        assert (retried.accepted, retried.duplicates) == (1, 0)
+        assert not retried.replayed
+        assert service.store.load(keys[0]) == record
+        assert _finish(thread, out) == [record]
+        assert (service.stats.trainings, service.stats.executed) == (0, 1)
+        dispatcher.close()
+
+    def test_a_key_resolved_during_the_store_probe_is_not_trained(
+        self, tiny_task, tiny_config, small_graph, tmp_path
+    ):
+        configs = [tiny_config, _config(tiny_config, hidden_channels=8)]
+        expected = ProfilingService().profile(tiny_task, configs, graph=small_graph)
+        service = ProfilingService(cache_dir=tmp_path)
+        keys = service._keys(tiny_task, configs, small_graph)
+        real_load = service.store.load
+
+        def load(key):
+            record = real_load(key)
+            if key == keys[0]:
+                # an earlier, cancelled call's executor commits just after
+                # this probe missed
+                service.commit(key, expected[0])
+            return record
+
+        service.store.load = load
+        assert service.profile(tiny_task, configs, graph=small_graph) == expected
+        assert (service.stats.trainings, service.stats.executed) == (1, 2)
 
     def test_commit_rejects_misaligned_batch(self, dispatcher):
         info = dispatcher.register()
@@ -485,8 +596,8 @@ class TestFleetDispatcher:
         with pytest.raises(ServingError):
             dispatcher.graph("no-such-fingerprint")
         info = dispatcher.register()
-        thread, out = _start_batch(
-            dispatcher, tiny_task, [tiny_config], small_graph, ["k-0"]
+        thread, out, _ = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
         )
         grant = dispatcher.claim(info.executor_id, timeout=5.0)
         assert dispatcher.graph(grant.fingerprint) is small_graph
@@ -498,6 +609,70 @@ class TestFleetDispatcher:
             idempotency_key=grant.lease_id,
         )
         _finish(thread, out)
+
+    def test_many_callers_and_executors_resolve_each_key_once(
+        self, tiny_task, tiny_config, small_graph
+    ):
+        """Six callers on overlapping slices, three executors claiming and
+        committing off the one queue, a switch interval that preempts the
+        lock-free steps between them: every key is granted and published
+        once, and every caller reads the committed record."""
+        service = ProfilingService()
+        dispatcher = FleetDispatcher(service, lease_ttl=5.0)
+        configs = [
+            _config(tiny_config, batch_size=b, hidden_channels=h)
+            for b in (16, 32, 48, 64, 96, 128)
+            for h in (8, 16)
+        ]
+        keys = service._keys(tiny_task, configs, small_graph)
+        executors = [dispatcher.register().executor_id for _ in range(3)]
+        granted: list[str] = []
+        stop = threading.Event()
+
+        def executor(executor_id):
+            while not stop.is_set():
+                grant = dispatcher.claim(
+                    executor_id, max_candidates=2, timeout=0.05
+                )
+                granted.extend(grant.keys)
+                if not grant.empty:
+                    dispatcher.commit(
+                        executor_id,
+                        grant.lease_id,
+                        list(grant.keys),
+                        [f"rec-{key}" for key in grant.keys],
+                    )
+
+        out: dict = {}
+
+        def caller(slot):
+            part = configs[slot * 2 : slot * 2 + 6] + configs[: slot + 1]
+            out[slot] = (part, service.profile(tiny_task, part, graph=small_graph))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=executor, args=(e,)) for e in executors
+            ] + [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads[len(executors):]:
+                t.join(timeout=60)
+            stop.set()
+            for t in threads[: len(executors)]:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for part, records in out.values():
+            want = service._keys(tiny_task, part, small_graph)
+            assert records == [f"rec-{key}" for key in want]
+        assert len(out) == 6
+        assert sorted(granted) == sorted(keys)
+        assert (service.stats.executed, service.stats.trainings) == (len(keys), 0)
+        assert service._queue == {} and service._inflight == {}
+        dispatcher.close()
 
     def test_claim_grant_none_shape(self):
         empty = ClaimGrant.none(4.0)
@@ -580,8 +755,7 @@ class TestFleetHTTP:
         self, fleet_stack, small_graph
     ):
         server, http = fleet_stack
-        fingerprint = graph_fingerprint(small_graph)
-        server.fleet._graphs[fingerprint] = small_graph
+        fingerprint = server.service._fingerprint(small_graph)
         fetched = FleetClient(http.url).fetch_graph(fingerprint)
         assert graph_fingerprint(fetched) == fingerprint
 
@@ -606,7 +780,7 @@ class TestFleetHTTP:
             snap = server.metrics.snapshot()
             assert snap["fleet_claims"] >= 1
             assert snap["fleet_commits"] >= 1
-            assert snap.get("fleet_local_fallbacks", 0) == 0
+            assert snap["profiling_trainings"] == 0
             assert (
                 snap[labeled("fleet_claims", executor=executor.executor_id)]
                 >= 1

@@ -165,17 +165,18 @@ class TestCancellationToken:
 
 # Every way a profiling batch can execute.  ``fleet`` runs it on a live
 # in-process executor (a thread that claims one key at a time and commits
-# real records); ``fleet-fallback`` registers an executor that never claims,
-# so ``run_batch`` takes the batch and then hands it to the local pool when
-# the fleet goes silent.
-PATHS = ("serial", "pool", "fleet", "fleet-fallback")
+# real records); ``silent-executor`` registers an executor that never
+# claims, so the caller waits while it counts as live and then trains every
+# class itself.
+PATHS = ("serial", "pool", "fleet", "silent-executor")
 
 
 @pytest.fixture()
 def path_service(request, small_graph):
+    """``(service, dispatcher)`` for one path; no dispatcher off the fleet."""
     service = ProfilingService(max_workers=2 if request.param == "pool" else None)
-    if not request.param.startswith("fleet"):
-        yield service
+    if request.param in ("serial", "pool"):
+        yield service, None
         return
     dispatcher = FleetDispatcher(service, lease_ttl=0.3, metrics=MetricsRegistry())
     executor_id = dispatcher.register().executor_id
@@ -196,15 +197,17 @@ def path_service(request, small_graph):
     thread = threading.Thread(target=executor, daemon=True)
     if request.param == "fleet":
         thread.start()
-    yield service
+    yield service, dispatcher
     stop.set()
     if request.param == "fleet":
         thread.join(timeout=30)
         assert not thread.is_alive()
     dispatcher.close()
     # The batch really took the path under test.
-    ran = "fleet_commits" if request.param == "fleet" else "fleet_local_fallbacks"
-    assert dispatcher.metrics.counter(ran) >= 1
+    if request.param == "fleet":
+        assert dispatcher.metrics.counter("fleet_commits") >= 1
+    else:
+        assert service.stats.trainings >= 1
 
 
 @pytest.fixture(scope="module")
@@ -226,9 +229,10 @@ class TestSeatsReachEveryPath:
     the progress short of the total, or lets a cancelled batch finish."""
 
     def test_progress_reaches_the_total(self, path_service, three_classes, small_graph):
+        service, _ = path_service
         task, configs, reference = three_classes
         seen: list[tuple[int, int, int]] = []
-        records = path_service.profile(
+        records = service.profile(
             task, configs, graph=small_graph, on_progress=lambda *s: seen.append(s)
         )
         assert records == reference
@@ -236,6 +240,7 @@ class TestSeatsReachEveryPath:
         assert [done for done, _, _ in seen] == sorted({d for d, _, _ in seen})
 
     def test_cancel_stops_the_batch(self, path_service, three_classes, small_graph):
+        service, _ = path_service
         task, configs, _ = three_classes
         token = CancellationToken()
 
@@ -244,7 +249,7 @@ class TestSeatsReachEveryPath:
                 token.cancel()
 
         with pytest.raises(JobCancelled):
-            path_service.profile(
+            service.profile(
                 task,
                 configs,
                 graph=small_graph,
@@ -253,39 +258,46 @@ class TestSeatsReachEveryPath:
             )
 
 
-@pytest.mark.parametrize("path_service", ["fleet"], indirect=True)
-def test_overlapping_callers_give_each_key_one_grant(path_service, small_graph):
+@pytest.mark.parametrize("path_service", PATHS, indirect=True)
+def test_overlapping_callers_give_each_key_one_grant(
+    request, path_service, small_graph
+):
     """``profile`` claims every key for one caller, so two concurrent calls
-    on overlapping configs never put one key into two fleet batches: the
-    batches are disjoint, each key goes out in exactly one grant, and each
-    is measured once."""
+    on overlapping configs never publish one key twice: the batches are
+    disjoint, each key goes out in at most one grant (exactly one on the
+    fleet), and each is measured once, to the serial path's records."""
+    service, dispatcher = path_service
     task = TaskSpec(dataset="tiny", arch="sage", epochs=1, lr=0.02)
     configs = [
         TrainingConfig(batch_size=b, hop_list=(3,), hidden_channels=16)
         for b in (32, 64, 96, 128)
     ]
-    dispatcher = path_service.runner
+    serial = ProfilingService().profile(task, configs, graph=small_graph)
     batches: list[list[str]] = []
     granted: list[str] = []  # the keys of every grant, as its commit returns
-    real_run_batch, real_commit = dispatcher.run_batch, dispatcher.commit
+    real_execute = service._execute
 
-    def run_batch(service, task, configs, graph, *, keys, **kwargs):
+    def execute(task, configs, graph, *, keys, **kwargs):
         batches.append(list(keys))
-        return real_run_batch(service, task, configs, graph, keys=keys, **kwargs)
+        return real_execute(task, configs, graph, keys=keys, **kwargs)
 
-    def commit(executor_id, lease_id, keys, records, **kwargs):
-        granted.extend(keys)
-        return real_commit(executor_id, lease_id, keys, records, **kwargs)
+    service._execute = execute
+    if dispatcher is not None:
+        # The executor may sit in a claim long-poll already, so grants are
+        # counted where they come back; the lease TTL is far above one run.
+        real_commit = dispatcher.commit
 
-    # The executor may sit in a claim long-poll already, so grants are
-    # counted where they come back; the lease TTL is far above one run.
-    dispatcher.run_batch, dispatcher.commit = run_batch, commit
+        def commit(executor_id, lease_id, keys, records, **kwargs):
+            granted.extend(keys)
+            return real_commit(executor_id, lease_id, keys, records, **kwargs)
+
+        dispatcher.commit = commit
     barrier = threading.Barrier(2)
     out: dict = {}
 
     def call(slot: int, part: list) -> None:
         barrier.wait(10)
-        out[slot] = path_service.profile(task, part, graph=small_graph)
+        out[slot] = service.profile(task, part, graph=small_graph)
 
     threads = [
         threading.Thread(target=call, args=(0, configs[:3])),
@@ -296,11 +308,14 @@ def test_overlapping_callers_give_each_key_one_grant(path_service, small_graph):
     for t in threads:
         t.join(60)
 
-    keys = path_service._keys(task, configs, small_graph)
-    assert len(out[0]) == len(out[1]) == 3
+    keys = service._keys(task, configs, small_graph)
+    assert out[0] == serial[:3] and out[1] == serial[1:]
     assert sorted(k for batch in batches for k in batch) == sorted(keys)
-    assert sorted(granted) == sorted(keys)
-    assert path_service.stats.executed == len(keys)
+    if request.node.callspec.params["path_service"] == "fleet":
+        assert sorted(granted) == sorted(keys)
+    else:
+        assert granted == []
+    assert service.stats.executed == len(keys)
 
 
 class TestRunningJobCancellation:

@@ -7,7 +7,7 @@ keeps three finished jobs' results, so the two oldest expire), and a fleet
 batch that an
 executor claims and lets expire, a second executor claims and commits,
 the first commits late and deregisters — then a batch whose fleet goes
-silent and falls back to the local pool.
+silent, so the job's own thread trains it.
 
 Two checks read the outcome:
 
@@ -36,11 +36,13 @@ from repro.serving.metrics import FAMILIES
 from repro.serving.transport import NavigationHTTPServer
 from repro.transfer import TransferPolicy
 
-#: (held, acquired) pairs the serving stack takes in this order.
+#: (held, acquired) pairs the serving stack takes in this order.  The
+#: profiling service's pending queue is leased under the service's lock,
+#: which asks the executor registry whether the fleet is live and has the
+#: lease table issue the lease; the fleet dispatcher's own lock is a leaf.
 KNOWN_EDGES = {
-    ("FleetDispatcher._lock", "ExecutorRegistry._lock"),
-    ("FleetDispatcher._lock", "LeaseTable._lock"),
-    ("FleetDispatcher._lock", "MetricsRegistry._lock"),
+    ("ProfilingService._lock", "ExecutorRegistry._lock"),
+    ("ProfilingService._lock", "LeaseTable._lock"),
     ("NavigationHTTPServer._idempotency_lock", "EventBuffer._cond"),
     ("NavigationHTTPServer._idempotency_lock", "MetricsRegistry._lock"),
     ("NavigationHTTPServer._idempotency_lock", "NavigationServer._lock"),
@@ -160,14 +162,18 @@ def scenario(tmp_path_factory):
                 TrainingConfig(batch_size=b, hop_list=(4, 3), hidden_channels=16)
                 for b in (32, 64)
             ]
+            trainings = [server.service.stats.trainings]
             survivor = _fleet_batch(server, client, gcn, configs, graphs["fam-a"])
-            # The survivor beats once more, so the fleet accepts the next
-            # batch, then goes silent: the batch falls back to the local pool.
+            trainings.append(server.service.stats.trainings)
+            # The survivor beats once more, so the caller first leaves the
+            # next batch to the fleet; it then goes silent, and the caller
+            # trains both classes itself.
             client.heartbeat(survivor)
-            fallback = [
+            silent = [
                 TrainingConfig(batch_size=b, hidden_channels=16) for b in (48, 96)
             ]
-            server.profiler.profile(gcn, fallback, graph=graphs["fam-a"])
+            server.profiler.profile(gcn, silent, graph=graphs["fam-a"])
+            trainings.append(server.service.stats.trainings)
             client.register()  # a live executor at scrape time
             scrape = client.metrics()
         finally:
@@ -176,12 +182,15 @@ def scenario(tmp_path_factory):
     finally:
         patch.undo()
         sanitizer.disable()
-    return scrape, sanitizer
+    return scrape, sanitizer, trainings
 
 
 def test_every_declared_metric_family_is_scraped(scenario):
-    scrape, _ = scenario
-    assert scrape["fleet_local_fallbacks"] == 1
+    scrape, _, trainings = scenario
+    # the fleet batch trained nothing here; the silent one, its two classes
+    before, after_fleet, after_silent = trainings
+    assert (after_fleet - before, after_silent - after_fleet) == (0, 2)
+    assert scrape["profiling_trainings"] == after_silent
     assert scrape["fleet_lease_expiries"] >= 1
     assert scrape["jobs_cancelled"] == scrape["jobs_failed"] == 1
     assert scrape["estimator_fit_hits"] == 1  # the repeat
@@ -194,7 +203,7 @@ def test_every_declared_metric_family_is_scraped(scenario):
 
 
 def test_sanitizer_observes_every_known_lock_edge(scenario):
-    _, sanitizer = scenario
+    _, sanitizer, _ = scenario
     report = sanitizer.report()
     assert report["findings"] == []
     observed = {(edge["src"], edge["dst"]) for edge in report["edges"]}
