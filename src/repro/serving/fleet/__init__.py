@@ -12,7 +12,7 @@ Importing this package does not import the HTTP transport; the dispatcher
 is socket-free (it only ever sees Python calls), which is what keeps the
 in-process tests and the local serving path free of network machinery.
 :class:`ProfilingExecutor` is re-exported lazily for the same reason —
-pulling it in drags ``urllib`` along, and only actual executors need it.
+pulling it in drags the HTTP client along, and only actual executors need it.
 """
 
 from repro.serving.fleet.dispatcher import (

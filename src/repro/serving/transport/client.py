@@ -4,17 +4,18 @@
 :class:`~repro.serving.client.JobHandle` it hands out; it only answers the
 transport primitives by speaking the :mod:`.protocol` wire format to a
 :class:`~repro.serving.transport.server.NavigationHTTPServer` (stdlib
-``urllib``).  Callers swap the constructor and keep the code — typed
-errors included, since ``_call`` re-raises the server's error envelopes as
-the :mod:`repro.errors` types the in-process path raises.
+``http.client``, one kept-alive HTTP/1.1 connection per calling thread).
+Callers swap the constructor and keep the code — typed errors included,
+since ``_call`` re-raises the server's error envelopes as the
+:mod:`repro.errors` types the in-process path raises.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
 
 from repro.errors import ProtocolError, ServingError
@@ -33,6 +34,13 @@ from repro.serving.transport.protocol import (
 from repro.serving.types import JobResult, JobSnapshot, NavigationRequest
 
 __all__ = ["RemoteNavigationClient"]
+
+
+class _Connection(http.client.HTTPConnection):
+    """Closes its socket when the thread or client owning it goes away."""
+
+    def __del__(self) -> None:
+        self.close()
 
 
 class RemoteNavigationClient(NavigationClient):
@@ -65,9 +73,18 @@ class RemoteNavigationClient(NavigationClient):
         if retries < 0:
             raise ServingError("retries must be non-negative")
         self.url = url.rstrip("/")
+        scheme, sep, rest = self.url.partition("://")
+        if not sep or scheme.lower() != "http":
+            raise ServingError(f"server URL must be http://host[:port], got {url!r}")
+        host, _, base = rest.partition("/")
+        self._host = host
+        self._prefix = f"/{base}{API_PREFIX}" if base else API_PREFIX
         self.tenant = tenant
         self.request_timeout = request_timeout
         self.retries = retries
+        # One kept-alive connection per calling thread: a connection carries
+        # one request at a time, and per-thread storage needs no lock.
+        self._local = threading.local()
 
     # -------------------------------------------------------------- plumbing
     def _call(
@@ -89,14 +106,12 @@ class RemoteNavigationClient(NavigationClient):
         idempotent).
         """
         data = None if body is None else json.dumps(body).encode("utf-8")
-        request = urllib.request.Request(
-            f"{self.url}{API_PREFIX}{path}", data=data, method=method
-        )
-        request.add_header("Content-Type", "application/json")
+        fields = {"Content-Type": "application/json"}
         if self.tenant:
-            request.add_header(TENANT_HEADER, self.tenant)
-        for name, value in (headers or {}).items():
-            request.add_header(name, value)
+            fields[TENANT_HEADER] = self.tenant
+        fields.update(headers or {})
+        target = f"{self._prefix}{path}"
+        timeout = self.request_timeout + extra_timeout
 
         attempts = (self.retries if retry else 0) + 1
         last_exc: Exception | None = None
@@ -104,23 +119,22 @@ class RemoteNavigationClient(NavigationClient):
             if attempt:
                 time.sleep(min(0.05 * 2**attempt, 1.0))
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self.request_timeout + extra_timeout
-                ) as response:
-                    payload = json.loads(response.read().decode("utf-8"))
-                break
-            except urllib.error.HTTPError as exc:
-                # The server replied: decode its typed envelope (no retry —
-                # the request was received and rejected).
-                try:
-                    envelope = json.loads(exc.read().decode("utf-8"))
-                except ValueError:
-                    raise ProtocolError(
-                        f"non-protocol error response (HTTP {exc.code})"
-                    ) from None
-                raise decode_error(envelope.get("error", {})) from None
-            except (urllib.error.URLError, OSError, ValueError) as exc:
+                status, raw = self._exchange(method, target, data, fields, timeout)
+                if 200 <= status < 300:
+                    payload = json.loads(raw.decode("utf-8"))
+                    break
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 last_exc = exc
+                continue
+            # The server replied: decode its typed envelope (no retry — the
+            # request was received and rejected).
+            try:
+                envelope = json.loads(raw.decode("utf-8"))
+            except ValueError:
+                raise ProtocolError(
+                    f"non-protocol error response (HTTP {status})"
+                ) from None
+            raise decode_error(envelope.get("error", {})) from None
         else:
             raise ServingError(
                 f"cannot reach navigation server at {self.url}: {last_exc}"
@@ -132,6 +146,42 @@ class RemoteNavigationClient(NavigationClient):
                 f"{PROTOCOL_VERSION}, server replied {version!r}"
             )
         return payload
+
+    def _exchange(
+        self, method: str, target: str, data, fields: dict, timeout: float
+    ) -> tuple[int, bytes]:
+        """Send one request on this thread's connection; ``(status, body)``.
+
+        A kept connection the server closed while it sat idle fails the
+        next request before any response byte arrives — the server never
+        read it — so that request is resent once on a fresh connection (as
+        ``xmlrpc.client.Transport.request`` does).  Every other failure
+        propagates to ``_call``'s ``retry`` rule.  ``http.client`` drops
+        the connection after a reply that says it closes (every error
+        reply does) and opens a fresh one for the next request.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = _Connection(self._host)
+        reused = conn.sock is not None
+        conn.timeout = timeout
+        if reused:
+            conn.sock.settimeout(timeout)
+        try:
+            try:
+                conn.request(method, target, body=data, headers=fields)
+                response = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, target, body=data, headers=fields)
+                response = conn.getresponse()
+            raw = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        return response.status, raw
 
     def _rpc(self, name: str, request=None, *, wait: float = 0.0, **args):
         """One call of the :data:`ENDPOINTS` row ``name``: ``request`` is

@@ -1,7 +1,8 @@
 """HTTP front-end over an in-process :class:`NavigationServer`.
 
 :class:`NavigationHTTPServer` binds a ``ThreadingHTTPServer`` (stdlib; one
-handler thread per connection) in front of an existing navigation server,
+handler thread per connection, and a client keeps one HTTP/1.1 connection
+alive per calling thread) in front of an existing navigation server,
 translating the wire protocol of :mod:`.protocol` into the same calls a
 local :class:`~repro.serving.client.NavigationClient` would make.  The
 navigation server stays the single source of truth — the transport owns no
@@ -13,8 +14,9 @@ the row, decodes its request message, calls the ``NavigationHTTPServer``
 method named after the row and encodes the row's response message.
 
 Long-polls wait server-side up to ``min(timeout, MAX_POLL_SECONDS)`` per
-round and return ``done=False`` for the client to re-arm, so a dead client
-can never park a handler thread for more than one round.
+round and return ``done=False`` for the client to re-arm, and a kept
+connection that sends nothing for ``IDLE_TIMEOUT_SECONDS`` is closed, so a
+dead client can never park a handler thread indefinitely.
 
 Lifecycle::
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -73,6 +76,10 @@ from repro.serving.types import JobSnapshot, NavigationRequest
 
 __all__ = ["NavigationHTTPServer"]
 
+#: a kept-alive connection that sends no request for this long is closed;
+#: its client reconnects (and resends the request it was about to send).
+IDLE_TIMEOUT_SECONDS = 30.0
+
 
 def _http_status(exc: ReproError) -> int:
     """HTTP status code for a typed serving error."""
@@ -84,9 +91,15 @@ def _http_status(exc: ReproError) -> int:
 class _Handler(BaseHTTPRequestHandler):
     """One request: route, delegate to the navigation server, reply JSON."""
 
-    # HTTP/1.1 keeps client connections alive between long-poll rounds
-    # (every response carries an explicit Content-Length).
+    # HTTP/1.1 keeps client connections alive between calls (every
+    # response carries an explicit Content-Length).  On a kept connection
+    # Nagle's algorithm would hold a reply's body behind its headers until
+    # the client's delayed ACK (~40 ms per call), so it is switched off.
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    # The connection's socket timeout: waiting for the next request, or
+    # reading or writing one, past it ends the connection.
+    timeout = IDLE_TIMEOUT_SECONDS
     server: "_Server"
 
     # ------------------------------------------------------------- plumbing
@@ -127,6 +140,11 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------- dispatch
     def _dispatch(self, verb: str) -> None:
         """Answer one request through its :data:`ENDPOINTS` row."""
+        if self.server.stopping:
+            # Read off a kept connection after stop() ended its reading side:
+            # close it unanswered, as if the request had come a moment later.
+            self.close_connection = True
+            return
         try:
             url = urlparse(self.path)
             endpoint, args = match_endpoint(verb, url.path)
@@ -174,7 +192,37 @@ def _query_number(query: dict, name: str) -> float | int:
 class _Server(ThreadingHTTPServer):
     daemon_threads = True  # handler threads must not outlive shutdown
     allow_reuse_address = True
+    stopping = False
     transport: "NavigationHTTPServer"
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._connections_lock = threading.Lock()
+        self._connections: set[socket.socket] = set()  # guarded-by: _connections_lock
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """End every open connection's reading side: an idle handler's
+        wait for the next request returns at once and its thread exits; a
+        request in flight still writes its reply, then finds no next one.
+        A request read after this is closed on unanswered, never served."""
+        self.stopping = True
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed by its handler
+                pass
 
 
 class NavigationHTTPServer:
@@ -239,8 +287,12 @@ class NavigationHTTPServer:
         self._http.serve_forever()
 
     def stop(self) -> None:
-        """Stop accepting connections and release the socket (idempotent)."""
+        """Stop accepting connections, end the kept-alive ones and release
+        the socket (idempotent).  Idle connections' handler threads exit at
+        once; a request in flight finishes its reply first (a long-poll
+        round at its window, or when the navigation server stops)."""
         self._http.shutdown()
+        self._http.close_connections()
         self._http.server_close()
         if self._thread is not None:
             self._thread.join()

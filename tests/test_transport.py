@@ -9,7 +9,9 @@ real socket — so the two transports can only pass together.
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -36,6 +38,7 @@ from repro.serving.transport import (
     NavigationHTTPServer,
     RemoteNavigationClient,
 )
+from repro.serving.transport import server as transport_server
 from repro.serving.transport.protocol import (
     CancelResponse,
     decode_error,
@@ -308,6 +311,155 @@ class TestRemoteClient:
         assert server.stats.executed == results[0].report.num_ground_truth
         for result, priority in zip(results, priorities, strict=True):
             assert set(result.guidelines) == {priority}
+
+
+class TestConnections:
+    """One kept-alive connection per client thread, and what ends one."""
+
+    @pytest.fixture()
+    def accepted(self, stack, monkeypatch):
+        """Client addresses of the connections the server accepts from here on."""
+        _, http = stack
+        addresses: list = []
+        process_request = http._http.process_request
+
+        def counting(request, address):
+            addresses.append(address)
+            process_request(request, address)
+
+        monkeypatch.setattr(http._http, "process_request", counting)
+        return addresses
+
+    @pytest.fixture()
+    def idle_after(self, monkeypatch):
+        """The server closes a kept connection after 0.2 s without a request."""
+        monkeypatch.setattr(transport_server._Handler, "timeout", 0.2)
+        return 0.2
+
+    @staticmethod
+    def _done_job(http) -> tuple[RemoteNavigationClient, str]:
+        client = RemoteNavigationClient(http.url)
+        handle = client.submit(_task(), budget=8, profile_epochs=1)
+        handle.result(timeout=240)
+        return client, handle.job_id
+
+    def test_sequential_calls_ride_one_connection(self, stack, accepted):
+        """Fails if the server's replies stall behind Nagle's algorithm and
+        the client's delayed ACK (~40 ms a call) or the client reconnects."""
+        _, http = stack
+        client, job_id = self._done_job(http)
+        t0 = time.perf_counter()
+        for _ in range(50):
+            assert client.status(job_id) is JobStatus.DONE
+        elapsed = time.perf_counter() - t0
+        assert len(accepted) == 1, accepted
+        assert elapsed < 50 * 0.040 / 2, f"50 status calls took {elapsed:.3f}s"
+
+    def test_each_thread_keeps_its_own_connection(self, stack, accepted):
+        _, http = stack
+        client, job_id = self._done_job(http)
+
+        def calls() -> None:
+            for _ in range(5):
+                client.status(job_id)
+
+        threads = [threading.Thread(target=calls) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        calls()
+        assert len(accepted) == 3, accepted
+
+    def test_retried_call_survives_an_idle_close(
+        self, stack, accepted, idle_after
+    ):
+        _, http = stack
+        client, job_id = self._done_job(http)
+        accepted.clear()
+        time.sleep(3 * idle_after)
+        assert client.status(job_id) is JobStatus.DONE
+        assert len(accepted) == 1, accepted
+
+    def test_unretried_call_is_resent_once_after_an_idle_close(
+        self, stack, accepted, idle_after, monkeypatch
+    ):
+        """A request that met a connection the server had closed while idle
+        was never read, so even a ``retry=False`` call is resent — once."""
+        _, http = stack
+        client, job_id = self._done_job(http)
+        executed: list[str] = []
+        cancel = http._cancel
+
+        def counting(job_id: str) -> CancelResponse:
+            executed.append(job_id)
+            return cancel(job_id)
+
+        monkeypatch.setattr(http, "_cancel", counting)
+        accepted.clear()
+        time.sleep(3 * idle_after)
+        assert client.cancel(job_id) is False
+        assert executed == [job_id]
+        assert len(accepted) == 1, accepted
+
+    def test_error_reply_drops_the_connection(self, stack, accepted):
+        _, http = stack
+        client, job_id = self._done_job(http)
+        accepted.clear()
+        with pytest.raises(UnknownJobError):
+            client.status("job-9999")
+        assert not accepted
+        assert client.status(job_id) is JobStatus.DONE
+        assert client.status(job_id) is JobStatus.DONE
+        assert len(accepted) == 1, accepted
+
+    def test_unreachable_server_raises_after_retries(self, monkeypatch):
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client = RemoteNavigationClient(f"http://127.0.0.1:{port}")
+        exchanges: list[str] = []
+        exchange = client._exchange
+
+        def counting(method, target, *args):
+            exchanges.append(target)
+            return exchange(method, target, *args)
+
+        monkeypatch.setattr(client, "_exchange", counting)
+        with pytest.raises(ServingError, match="cannot reach"):
+            client.status("job-0000")
+        assert len(exchanges) == client.retries + 1
+        exchanges.clear()
+        with pytest.raises(ServingError, match="cannot reach"):
+            client.cancel("job-0000")
+        assert len(exchanges) == 1
+
+    def test_stop_ends_kept_connections(self, stack, monkeypatch):
+        """An idle kept connection must not keep its handler thread alive
+        past ``stop()`` until the idle timeout (30 s)."""
+        _, http = stack
+        handlers: list[threading.Thread] = []
+        handle = transport_server._Handler.handle
+
+        def recording(self) -> None:
+            handlers.append(threading.current_thread())
+            handle(self)
+
+        monkeypatch.setattr(transport_server._Handler, "handle", recording)
+        clients = [RemoteNavigationClient(http.url) for _ in range(3)]
+        for client in clients:
+            client.health()
+        assert len(handlers) == 3 and all(t.is_alive() for t in handlers)
+        t0 = time.perf_counter()
+        http.stop()
+        for thread in handlers:
+            thread.join(timeout=5)
+        assert not any(t.is_alive() for t in handlers)
+        assert time.perf_counter() - t0 < 2.0
+        # a kept connection is served no more after stop()
+        with pytest.raises(ServingError, match="cannot reach"):
+            clients[0].health()
 
 
 class TestWireProtocol:
