@@ -6,19 +6,19 @@ a navigation run, because every candidate is a full (short) training run on
 the runtime backend.  :class:`ProfilingService` turns that step into a
 service:
 
-* **one execution loop** — a call's pending candidates go on one queue
-  that remote fleet executors claim from; the calling thread trains
-  whatever no live executor holds, serially or across ``max_workers``
-  worker processes, and every record — its own or a fleet commit — lands
-  through one dedup (:meth:`ProfilingService.commit`).  Records come back
-  in input order, bit-identical to the serial path for the same seed;
+* **one execution loop over one queue** — a key is in flight exactly
+  while it is on the pending queue, which remote fleet executors claim
+  from.  A call publishes the keys nobody has queued, trains whatever of
+  its own no live executor holds, serially or across ``max_workers``
+  worker processes, and waits on keys another call queued instead of
+  retraining them, so one service trains each candidate once however many
+  threads (serving jobs) profile overlapping samples at the same time.
+  Every record — its own or a fleet commit — lands through one dedup
+  (:meth:`ProfilingService.commit`).  Records come back in input order,
+  bit-identical to the serial path for the same seed;
 * **deduplication** — repeated candidates (same task, same canonical
   config, same graph) are keyed by a content hash and executed once per
   call, whether they repeat within one request or across requests;
-* **in-flight sharing** — concurrent callers claim the keys nobody else is
-  measuring; a key another caller already has in flight is waited on, not
-  retrained, so one service trains each candidate once however many
-  threads (serving jobs) profile overlapping samples at the same time;
 * **sharing** — distinct candidates that train the *same trajectory* (the
   sampler, batch order and model cannot tell them apart:
   :func:`~repro.runtime.backend.training_key`) are one training run that
@@ -128,11 +128,12 @@ class CancellationToken:
 
     Profiling is a sequence of full training runs, so preemption is neither
     safe nor needed: the canceller flips the token from any thread and the
-    running side polls it at *batch boundaries* — between training runs in
-    :meth:`ProfilingService._execute` and between claim rounds in
-    :meth:`ProfilingService.profile` — via :meth:`raise_if_cancelled`,
-    which raises :class:`~repro.errors.JobCancelled`.  A candidate already
-    training runs to completion; nothing after the next checkpoint does.
+    running side polls it at *batch boundaries* — on entry to
+    :meth:`ProfilingService.profile`, then between training runs and on
+    every wake of :meth:`ProfilingService._execute`'s loop — via
+    :meth:`raise_if_cancelled`, which raises
+    :class:`~repro.errors.JobCancelled`.  A candidate already training runs
+    to completion; nothing after the next checkpoint does.
     """
 
     __slots__ = ("_event",)
@@ -533,17 +534,23 @@ def _training_classes(configs: list[TrainingConfig], graph: CSRGraph) -> list:
 _POLL_SECONDS = 0.1
 
 
+#: the holder of a queued key a local run of its publishing call trains.
+_LOCAL = object()
+
+
 class _Pending:
     """One published key awaiting its record: the config a claim hands out,
-    the ``(task, graph, fingerprint)`` group it shares with its call's other
-    keys (a grant never mixes two), and the lease an executor holds it under."""
+    the call that published it — its ``(task, graph, fingerprint)`` tuple,
+    one object per call, so a grant never mixes two calls' keys — and who
+    holds it: nobody (``None``), a fleet lease (its id) or a local run
+    (:data:`_LOCAL`)."""
 
-    __slots__ = ("config", "group", "lease_id")
+    __slots__ = ("config", "call", "holder")
 
-    def __init__(self, config: TrainingConfig, group: tuple) -> None:
+    def __init__(self, config: TrainingConfig, call: tuple) -> None:
         self.config = config
-        self.group = group
-        self.lease_id: str | None = None
+        self.call = call
+        self.holder: object = None
 
 
 class LeasedBatch(NamedTuple):
@@ -590,8 +597,8 @@ class ProfilingService:
     training run per *same trajectory*, one record per candidate.
 
     One instance may be shared by many threads (a server shares one across
-    its jobs): :meth:`profile` claims each key for one caller at a time, and
-    the training runs happen outside the lock, so claimed batches of
+    its jobs): each key goes on the pending queue for one caller at a time,
+    and the training runs happen outside the lock, so the batches of
     different callers execute concurrently.
 
     Parameters
@@ -643,16 +650,15 @@ class ProfilingService:
         #: resolution passes (:meth:`commit`).
         self._memory: dict = {}  # guarded-by: _lock
         self._lock = threading.Lock()
-        #: one condition for the queue: publications, resolutions and
-        #: requeues notify it; execution loops and claim long-polls wait.
+        #: one condition for the queue: publications, resolutions, requeues
+        #: and dropped keys notify it; execution loops and claim long-polls
+        #: wait.
         self._cond = threading.Condition(self._lock)
-        #: key -> event of the call measuring it; concurrent callers wait on
-        #: the event instead of training the key a second time.
-        self._inflight: dict[str, threading.Event] = {}  # guarded-by: _lock
-        #: the pending queue: key -> :class:`_Pending`, in publication
-        #: order, of every claimed key no run of its caller has taken yet.
-        #: The fleet dispatcher reaches it only through :meth:`lease` and
-        #: :meth:`requeue`.
+        #: the pending queue and the one in-flight record: key ->
+        #: :class:`_Pending`, in publication order, of every key some call
+        #: is resolving.  A concurrent caller waits on a queued key instead
+        #: of training it a second time.  The fleet dispatcher reaches it
+        #: only through :meth:`lease` and :meth:`requeue`.
         self._queue: dict[str, _Pending] = {}  # guarded-by: _lock
         #: id(graph) -> (graph, content hash); the graph is kept alive beside
         #: its hash, so its id can never be recycled onto a different graph.
@@ -731,54 +737,71 @@ class ProfilingService:
         self.stats.bump("executed")
         return True
 
-    def _take_locked(self, keys, classes, order):  # holds: _lock
-        """Take the queued members of the next class in ``order`` off the
-        queue; ``None`` once none is queued.  Called only while no executor
-        is live, so a lease still on a key is a dead executor's."""
+    def _take_locked(self, call, keys, classes, order):  # holds: _lock
+        """Hold for a local run the members ``call`` queued of the next class
+        in ``order`` no local run holds; ``None`` once there is none.
+        Called only while no executor is live, so a lease still on a key is
+        a dead executor's."""
         for c in order:
-            taken = [i for i in classes[c] if keys[i] in self._queue]
+            taken = [
+                i
+                for i in classes[c]
+                if (item := self._queue.get(keys[i])) is not None
+                and item.call is call
+                and item.holder is not _LOCAL
+            ]
             if taken:
                 for i in taken:
-                    del self._queue[keys[i]]
+                    self._queue[keys[i]].holder = _LOCAL
                 return taken
         return None
+
+    def _landed_locked(self, keys, unresolved: dict) -> list:  # holds: _lock
+        """Take the indices in ``unresolved`` whose key has a record off it;
+        returns them as ``(index, record)`` pairs."""
+        landed = [
+            (i, self._memory[keys[i]]) for i in unresolved if keys[i] in self._memory
+        ]
+        for i, _ in landed:
+            del unresolved[i]
+        return landed
 
     # ------------------------------------------------------ the fleet's side
     def lease(
         self, limit: int, issue, *, timeout: float = 0.0
     ) -> LeasedBatch | None:
-        """Hand up to ``limit`` unleased queued keys to a remote executor.
+        """Hand up to ``limit`` queued keys nobody holds to a remote executor.
 
         The keys come from the queue head's call (one task, one graph),
         longest first (:func:`predicted_cost`): the executor runs them in
         that order, so a lease expiring mid-batch hands back the cheap
         tail.  ``issue(keys)`` returns the lease id they are held under
         until a commit resolves them or :meth:`requeue` hands them back.
-        When nothing is unleased, waits up to ``timeout`` for a publication
-        or a requeue; ``None`` if still nothing.
+        When every queued key is held, waits up to ``timeout`` for a
+        publication or a requeue; ``None`` if still nothing.
         """
         with self._cond:
             if timeout > 0 and all(
-                item.lease_id is not None for item in self._queue.values()
+                item.holder is not None for item in self._queue.values()
             ):
                 self._cond.wait(timeout)
             pending = [
                 (key, item)
                 for key, item in self._queue.items()
-                if item.lease_id is None
+                if item.holder is None
             ]
             if not pending:
                 return None
-            group = pending[0][1].group
-            chosen = [pair for pair in pending if pair[1].group is group][:limit]
-            task, graph, fingerprint = group
+            call = pending[0][1].call
+            chosen = [pair for pair in pending if pair[1].call is call][:limit]
+            task, graph, fingerprint = call
             # Pure arithmetic on loaded objects, fine under the lock; the
             # sort is stable, so cost ties keep queue order.
             chosen.sort(key=lambda pair: -predicted_cost(task, pair[1].config, graph))
             keys = tuple(key for key, _ in chosen)
             lease_id = issue(keys)
             for _, item in chosen:
-                item.lease_id = lease_id
+                item.holder = lease_id
             return LeasedBatch(
                 lease_id,
                 task,
@@ -789,24 +812,26 @@ class ProfilingService:
 
     def requeue(self, lease_id: str, keys) -> int:
         """Hand ``keys`` still held under ``lease_id`` back to the queue
-        (resolved and locally taken keys are no longer on it); returns how
-        many went back."""
+        (resolved keys are off it, and a local run holds a key it took from
+        a dead executor); returns how many went back."""
         with self._cond:
             requeued = 0
             for key in keys:
                 item = self._queue.get(key)
-                if item is not None and item.lease_id == lease_id:
-                    item.lease_id = None
+                if item is not None and item.holder == lease_id:
+                    item.holder = None
                     requeued += 1
             if requeued:
                 self._cond.notify_all()
             return requeued
 
     def queue_census(self) -> tuple[int, int]:
-        """``(unleased, leased)`` counts of the pending queue."""
+        """``(unleased, leased)`` counts of the pending queue; a key a local
+        run holds is neither."""
         with self._lock:
-            leased = sum(item.lease_id is not None for item in self._queue.values())
-            return len(self._queue) - leased, leased
+            holders = [item.holder for item in self._queue.values()]
+        unleased = holders.count(None)
+        return unleased, len(holders) - unleased - holders.count(_LOCAL)
 
     def graph_for(self, fingerprint: str) -> CSRGraph | None:
         """A graph this service has keyed candidates on, by content hash."""
@@ -822,21 +847,25 @@ class ProfilingService:
         graph: CSRGraph,
         *,
         keys: list,
-        progress: bool = False,
+        waited: set,
+        on_resolve,
         cancel: CancellationToken | None = None,
-        on_run=None,
-    ) -> list[GroundTruthRecord]:
-        """Resolve this call's claimed ``keys`` — the one Step-2 loop.
+    ) -> None:
+        """Resolve ``keys`` (distinct) — the one Step-2 loop.
 
-        The keys go on the pending queue, where a fleet executor's claim
-        may take them.  Until each has a record, the loop trains the queued
-        members of the next *training class* (:func:`_training_classes`)
-        itself while no executor is live — a dead one's lease holds
-        nothing — and otherwise waits, at most :data:`_POLL_SECONDS`, for
-        remote commits, for expired leases to requeue keys, or for the
-        fleet to die.  One class is one run that lands one record per
-        member: ``stats.trainings`` counts the runs, ``stats.executed``
-        the records.
+        Each pass, under the queue's lock, publishes every key that is
+        neither resolved nor queued, where a fleet executor's claim may take
+        it, and waits on each key another call queued instead of training
+        it; a waited-on key that leaves the queue without a record lost its
+        owner, and the pass publishes it again.  Until each key has a
+        record, the loop trains the members this call queued of the next
+        *training class* (:func:`_training_classes`) itself while no
+        executor is live — a dead one's lease holds nothing — and the run
+        holds them on the queue meanwhile; otherwise it waits, at most
+        :data:`_POLL_SECONDS`, for commits, for expired leases to requeue
+        keys, for owners to drop theirs, or for the fleet to die.  One class
+        is one run that lands one record per member: ``stats.trainings``
+        counts the runs, ``stats.executed`` the records.
 
         Serially, classes go one reorder strategy after the other, so each
         :class:`PreparedGraph` is built once and only one permuted copy is
@@ -848,12 +877,15 @@ class ProfilingService:
         still claim the rest.
 
         Every record is :meth:`commit`-ted the moment it lands, so an
-        aborted batch keeps each run it finished.  ``cancel`` is polled
+        aborted batch keeps each run it finished, and on any exit the keys
+        this call still has queued are dropped.  ``cancel`` is polled
         between classes and on every wake; on the pool, runs already
         started finish and are committed before the abort.
-        ``on_run(finished)`` fires on the calling thread with the count of
-        this call's keys resolved so far, after each landed record; it must
-        not raise (a raising callback aborts the batch like a cancel).
+        ``on_resolve(key, record, shared)`` fires on the calling thread as
+        each key lands; ``shared`` says this call waited on it — it was in
+        ``waited`` (queued by another call when this call looked) or a pass
+        saw it so — and counts it in ``stats.shared_inflight``.  A raising
+        callback aborts the batch like a cancel.
         """
         classes = _training_classes(configs, graph)
         workers = min(self.max_workers or 1, len(classes))
@@ -869,42 +901,29 @@ class ProfilingService:
                 ),
                 reverse=True,
             )
-        group = (task, graph, self._fingerprint(graph))
-        reported = 0
+        # Members of a class go out adjacent (a claim keeps queue order), so
+        # an executor's own ``profile()`` shares one run over its part.
+        unresolved = dict.fromkeys(i for c in order for i in classes[c])
+        call = (task, graph, self._fingerprint(graph))
         prepared = pool = None
         running: dict = {}  # pool future -> the indices it trains
 
-        def report() -> None:
-            nonlocal reported
-            with self._lock:
-                finished = sum(key in self._memory for key in keys)
-            if finished > reported:
-                reported = finished
-                if on_run is not None:
-                    on_run(finished)
-                if progress and finished % 10 == 0:
-                    print(f"profiled {finished}/{len(keys)} candidates")
+        def resolve(landed: list) -> None:
+            for i, record in landed:
+                shared = keys[i] in waited
+                if shared:
+                    self.stats.bump("shared_inflight")
+                on_resolve(keys[i], record, shared)
 
         def land(indices: list, fresh: list, *, notify: bool = True) -> None:
             self.stats.bump("trainings")
             for i, record in zip(indices, fresh, strict=True):
                 self.commit(keys[i], record)
                 if notify:
-                    report()
+                    with self._lock:
+                        landed = self._landed_locked(keys, unresolved)
+                    resolve(landed)
 
-        # Members of a class go out adjacent (a claim keeps queue order), so
-        # an executor's own ``profile()`` shares one run over its part.
-        with self._cond:
-            if any(key in self._queue for key in keys):  # pragma: no cover
-                # profile() claims each key for one caller at a time.
-                raise RuntimeError("a key is already on the pending queue")
-            for c in order:
-                for i in classes[c]:
-                    # A zombie commit of an earlier, cancelled call may have
-                    # resolved a key since profile() claimed it.
-                    if keys[i] not in self._memory:
-                        self._queue[keys[i]] = _Pending(configs[i], group)
-            self._cond.notify_all()
         try:
             while True:
                 if cancel is not None and cancel.cancelled:
@@ -918,16 +937,27 @@ class ProfilingService:
                                 continue
                             land(indices, fresh, notify=False)
                     cancel.raise_if_cancelled()
-                report()
+                taken = None
                 with self._cond:
-                    if not running and all(key in self._memory for key in keys):
-                        break
-                    taken = None
-                    if len(running) < in_pool and not self.fleet_live():
-                        taken = self._take_locked(keys, classes, order)
-                    if taken is None and not running:
-                        self._cond.wait(_POLL_SECONDS)
-                        continue
+                    landed = self._landed_locked(keys, unresolved)
+                    if unresolved and not landed:
+                        published = False
+                        for i in unresolved:
+                            item = self._queue.get(keys[i])
+                            if item is None:
+                                self._queue[keys[i]] = _Pending(configs[i], call)
+                                waited.discard(keys[i])
+                                published = True
+                            elif item.call is not call:
+                                waited.add(keys[i])
+                        if published:
+                            self._cond.notify_all()
+                        if len(running) < in_pool and not self.fleet_live():
+                            taken = self._take_locked(call, keys, classes, order)
+                        if taken is None and not running:
+                            self._cond.wait(_POLL_SECONDS)
+                            continue
+                resolve(landed)
                 if taken is not None and workers <= 1:
                     members = [configs[i] for i in taken]
                     if prepared is None or prepared.reorder != members[0].reorder:
@@ -944,18 +974,25 @@ class ProfilingService:
                         )
                     members = [configs[i] for i in taken]
                     running[pool.submit(_worker_run, members)] = taken
-                else:
+                elif running:
                     done, _ = wait(
                         running, timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
                     )
                     for future in done:
                         land(running.pop(future), future.result())
-            with self._lock:
-                return [self._memory[key] for key in keys]
+                elif not unresolved:
+                    return
         finally:
             with self._cond:
-                for key in keys:
-                    self._queue.pop(key, None)
+                dropped = [
+                    key
+                    for key in keys
+                    if key in self._queue and self._queue[key].call is call
+                ]
+                for key in dropped:
+                    del self._queue[key]
+                if dropped:
+                    self._cond.notify_all()
             if pool is not None:
                 pool.shutdown()
 
@@ -966,7 +1003,6 @@ class ProfilingService:
         configs: list[TrainingConfig],
         *,
         graph: CSRGraph | None = None,
-        progress: bool = False,
         cancel: CancellationToken | None = None,
         on_progress=None,
     ) -> list[GroundTruthRecord]:
@@ -975,148 +1011,91 @@ class ProfilingService:
         Output order matches input order and values match the serial
         :func:`~repro.runtime.profiler.profile_one` path exactly.  Each
         unique candidate resolves from memory, the store, another caller's
-        in-flight run, or this call's :meth:`_execute` (a run of its own or
-        a fleet executor's commit) — never twice, however many threads ask
-        at once.
+        queued run, or this call's :meth:`_execute` (a run of its own or a
+        fleet executor's commit) — never twice, however many threads ask at
+        once.
 
         ``cancel`` makes the call cooperatively cancellable: the token is
-        polled at every claim-round boundary, between candidate runs, and
-        while waiting on another caller's in-flight keys.  Candidates that
-        completed before the abort are already committed, and an aborted
-        caller always releases its claims (the escape hatch below fires on
-        *any* exception), so waiters re-claim and measure the abandoned keys
-        themselves instead of hanging.
+        polled on entry, between candidate runs, and while waiting on
+        another caller's keys.  Candidates that completed before the abort
+        are already committed, and an aborted call always drops the keys it
+        queued (on *any* exception), so waiters publish and measure the
+        abandoned keys themselves instead of hanging.
 
         ``on_progress(runs_done, runs_total, cache_hits)`` streams this
         call's cumulative resolution over unique candidates (duplicates
         fold before they are counted): first ``(0, total, 0)``, then after
-        each claim round's cache hits, each landed run, and each record
+        the memory hits, the store hits, each landed run, and each record
         another caller's run supplied (those count as cache hits — work
         this call did not pay for).
         """
         graph = graph if graph is not None else load_dataset(task.dataset)
         keys = self._keys(task, configs, graph)
 
-        results: dict = {}
-        remaining: dict = {}  # key -> canonical config, insertion-ordered
+        wanted: dict = {}  # key -> canonical config, insertion-ordered
         for key, config in zip(keys, configs, strict=True):
-            if key in remaining:
+            if key in wanted:
                 self.stats.bump("deduplicated")
                 continue
-            remaining[key] = config.canonical()
+            wanted[key] = config.canonical()
 
-        total = len(remaining)
+        results: dict = {}
         hits = 0
         last_report: list = [None]
 
-        def report(extra_runs: int = 0) -> None:
+        def report() -> None:
             if on_progress is None:
                 return
-            state = (len(results) + extra_runs, total, hits)
-            if state != last_report[0]:  # claim rounds that landed nothing
+            state = (len(results), len(wanted), hits)
+            if state != last_report[0]:  # a step that landed nothing
                 last_report[0] = state
                 on_progress(*state)
 
+        def resolve(key, record, shared: bool) -> None:
+            nonlocal hits
+            results[key] = record
+            hits += shared
+            report()
+
         report()
-        while remaining:
-            if cancel is not None:
-                # Claim-round boundary: nothing is claimed right here, so
-                # aborting cannot strand a key other callers are waiting on.
-                cancel.raise_if_cancelled()
-            mine: dict = {}
-            waits: dict[str, threading.Event] = {}
-            # Claim phase touches only in-process state — the lock is never
-            # held across disk I/O, so callers don't serialize behind each
-            # other's store reads on a warm cache.
-            with self._lock:
-                for key in list(remaining):
-                    record = self._memory.get(key)
-                    if record is not None:
-                        self.stats.bump("cache_hits")
-                        results[key] = record
-                        del remaining[key]
-                        hits += 1
-                        continue
-                    other = self._inflight.get(key)
-                    if other is not None:
-                        waits[key] = other
-                    else:
-                        event = threading.Event()
-                        self._inflight[key] = event
-                        mine[key] = remaining.pop(key)
-            try:
-                report()
-                # Store probe outside the lock: these keys are claimed, so no
-                # concurrent caller can be measuring or probing them.
-                if mine and self.store is not None:
-                    for key in list(mine):
-                        record = self.store.load(key)
-                        if record is None:
-                            continue
-                        del mine[key]
-                        with self._lock:
-                            self._memory[key] = record
-                            self.stats.bump("cache_hits")
-                            results[key] = record
-                            self._inflight.pop(key).set()
-                        hits += 1
-                    report()
-                if mine:
-                    # _execute commits each record the moment it lands
-                    # (memory + store; store writes lock internally), so
-                    # events only ever flip on published records — and an
-                    # aborted batch keeps every run it finished.
-                    fresh = self._execute(
-                        task,
-                        list(mine.values()),
-                        graph,
-                        keys=list(mine),
-                        progress=progress,
-                        cancel=cancel,
-                        on_run=report if on_progress is not None else None,
-                    )
-                    with self._lock:
-                        for key, record in zip(mine, fresh, strict=True):
-                            results[key] = record
-                            self._inflight.pop(key).set()
-            except BaseException:
-                # Release the claims so waiters re-claim instead of hanging —
-                # on a cancel, a worker crash, a commit that died mid-publish
-                # (store I/O) or a raising ``on_progress``.  Keys committed
-                # before the abort are already in memory, so released
-                # waiters pick them up; the rest re-measure.
+        if cancel is not None:
+            cancel.raise_if_cancelled()
+        # In-process state only: the lock is never held across disk I/O, so
+        # callers don't serialize behind each other's store reads on a warm
+        # cache.
+        with self._lock:
+            for key in wanted:
+                record = self._memory.get(key)
+                if record is not None:
+                    self.stats.bump("cache_hits")
+                    results[key] = record
+                    hits += 1
+            queued = {key for key in wanted if key in self._queue}
+        report()
+        if self.store is not None:
+            # A queued key is its publisher's to resolve: this call waits.
+            for key in wanted:
+                if key in results or key in queued:
+                    continue
+                record = self.store.load(key)
+                if record is None:
+                    continue
                 with self._lock:
-                    for key in mine:
-                        event = self._inflight.pop(key, None)
-                        if event is not None:
-                            event.set()
-                raise
-
-            for key, event in waits.items():
-                # Block outside the lock until the owning caller lands (or
-                # abandons) this key; a cancelled waiter holds no claims, so
-                # bailing out here strands nobody.
-                if cancel is None:
-                    # Unbounded by design (and lock-free — see above): the
-                    # owning caller always sets the event, even when it dies,
-                    # via the BaseException release path, so this wait
-                    # cannot outlive the claim it watches.
-                    event.wait()
-                else:
-                    while not event.wait(0.05):
-                        cancel.raise_if_cancelled()
-                landed = False
-                with self._lock:
-                    record = self._memory.get(key)
-                    if record is not None:
-                        self.stats.bump("shared_inflight")
-                        results[key] = record
-                        del remaining[key]
-                        hits += 1
-                        landed = True
-                    # miss: the owner died before landing it — the key stays
-                    # in ``remaining`` and the next round re-claims it.
-                if landed:
-                    report()
-
+                    if key not in self._queue:  # else its publisher commits it
+                        self._memory.setdefault(key, record)
+                self.stats.bump("cache_hits")
+                results[key] = record
+                hits += 1
+            report()
+        rest = [key for key in wanted if key not in results]
+        if rest:
+            self._execute(
+                task,
+                [wanted[key] for key in rest],
+                graph,
+                keys=rest,
+                waited=queued,
+                cancel=cancel,
+                on_resolve=resolve,
+            )
         return [results[key] for key in keys]

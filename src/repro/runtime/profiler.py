@@ -119,7 +119,6 @@ def profile_configs(
     configs: list[TrainingConfig],
     *,
     graph: CSRGraph | None = None,
-    progress: bool = False,
     workers: int | None = None,
     cache_dir: str | None = None,
     cancel=None,
@@ -142,7 +141,6 @@ def profile_configs(
         task,
         configs,
         graph=graph,
-        progress=progress,
         cancel=cancel,
         on_progress=on_progress,
     )

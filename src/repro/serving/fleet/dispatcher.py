@@ -2,9 +2,9 @@
 
 :class:`FleetDispatcher` gives remote executors a hold on the pending queue
 of a :class:`~repro.runtime.parallel.ProfilingService`.  The service's own
-execution loop (``ProfilingService._execute``) publishes every claimed key
-there and trains whatever no live executor holds; the dispatcher only hands
-out, times and resolves keys:
+execution loop (``ProfilingService._execute``) publishes every key nobody
+has queued there and trains whatever of its own no live executor holds; the
+dispatcher only hands out, times and resolves keys:
 
 1. Executors long-poll :meth:`claim`, which leases a same-graph batch off
    the head of the queue (``ProfilingService.lease``) under a

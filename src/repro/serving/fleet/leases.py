@@ -1,11 +1,11 @@
 """Lease table: every claimed batch carries a deadline.
 
-PR 3's owner-death re-claim (a cancelled job's in-flight keys are released
-for waiters) generalizes here to process death: a claim hands the executor
-a :class:`Lease` over its keys with a TTL, heartbeats renew it, and a lease
-whose deadline passes without a commit is *expired* — the dispatcher puts
-the keys back on the pending queue for someone else.  A killed executor
-therefore loses wall-clock time, never runs.
+Owner death inside one process (a cancelled job's queued keys are dropped,
+and a waiter queues them again) generalizes here to process death: a claim
+hands the executor a :class:`Lease` over its keys with a TTL, heartbeats
+renew it, and a lease whose deadline passes without a commit is *expired* —
+the dispatcher puts the keys back on the pending queue for someone else.  A
+killed executor therefore loses wall-clock time, never runs.
 """
 
 from __future__ import annotations

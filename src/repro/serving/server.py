@@ -506,8 +506,8 @@ class NavigationServer:
 
         PENDING jobs drop out of the queue immediately.  RUNNING jobs are
         cancelled *cooperatively*: their token is flipped and the job
-        observes it at the next profiling-batch boundary, releasing any
-        in-flight profiling claims so concurrent waiters re-claim the keys.
+        observes it at the next profiling-batch boundary, dropping the keys
+        it has on the profiling queue so concurrent waiters queue them again.
         Best-effort by design — a RUNNING job past its last checkpoint
         still finishes DONE.  Terminal jobs return ``False``.
         """

@@ -248,6 +248,9 @@ class NavigationHTTPServer:
         self._http = _Server((host, port), _Handler)
         self._http.transport = self
         self._thread: threading.Thread | None = None
+        #: whether a serving loop began: ``shutdown()`` waits for the loop
+        #: to end, so on a transport that never served it would never return.
+        self._served = False
         self._idempotency_lock = threading.Lock()
         #: (tenant, key) -> the SubmitResponse to replay on a retried POST.
         #: FIFO-bounded: a key only matters during its submit's retry window
@@ -275,6 +278,7 @@ class NavigationHTTPServer:
         """Serve in a daemon background thread (idempotent)."""
         if self._thread is not None:
             return
+        self._served = True
         self._thread = threading.Thread(
             target=self._http.serve_forever,
             name="nav-http",
@@ -284,6 +288,7 @@ class NavigationHTTPServer:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`stop` (the CLI path)."""
+        self._served = True
         self._http.serve_forever()
 
     def stop(self) -> None:
@@ -291,7 +296,8 @@ class NavigationHTTPServer:
         the socket (idempotent).  Idle connections' handler threads exit at
         once; a request in flight finishes its reply first (a long-poll
         round at its window, or when the navigation server stops)."""
-        self._http.shutdown()
+        if self._served:
+            self._http.shutdown()
         self._http.close_connections()
         self._http.server_close()
         if self._thread is not None:

@@ -585,6 +585,81 @@ class TestFleetDispatcher:
         assert service.profile(tiny_task, configs, graph=small_graph) == expected
         assert (service.stats.trainings, service.stats.executed) == (1, 2)
 
+    def test_a_local_run_holds_its_keys_off_the_census_and_the_fleet(
+        self, tiny_task, tiny_config, small_graph, monkeypatch
+    ):
+        """While the calling thread trains a class, its keys stay queued but
+        held by the run: ``queue_census`` counts them neither pending nor
+        leased and no lease can grant them.  A second caller wanting them
+        queues nothing and counts them ``shared_inflight`` once they land."""
+        import repro.runtime.parallel as parallel_mod
+
+        service = ProfilingService()
+        # One training class: the cache knobs only reach the charge.
+        configs = [tiny_config, _config(tiny_config, cache_ratio=0.4)]
+        keys = service._keys(tiny_task, configs, small_graph)
+        real = parallel_mod.profile_class
+        training, release = threading.Event(), threading.Event()
+
+        def gated(task, members, **kwargs):
+            training.set()
+            release.wait(10)
+            return real(task, members, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "profile_class", gated)
+        out: dict = {}
+        seen: list = []
+        started = threading.Event()
+
+        def waiter_progress(*state):
+            seen.append(state)
+            started.set()
+
+        owner = threading.Thread(
+            target=lambda: out.setdefault(
+                "owner", service.profile(tiny_task, configs, graph=small_graph)
+            )
+        )
+        waiter = threading.Thread(
+            target=lambda: out.setdefault(
+                "waiter",
+                service.profile(
+                    tiny_task,
+                    configs,
+                    graph=small_graph,
+                    on_progress=waiter_progress,
+                ),
+            )
+        )
+        owner.start()
+        assert training.wait(10)
+        with service._lock:
+            queued = dict(service._queue)
+        assert list(queued) == keys
+        assert service.queue_census() == (0, 0)
+        issued: list = []
+        assert service.lease(8, lambda ks: issued.append(ks) or "l-1") is None
+        assert issued == []
+        waiter.start()
+        assert started.wait(10)
+        time.sleep(0.1)  # let the waiter park on the owner's keys
+        with service._lock:  # the waiter added nothing to the queue
+            assert service._queue == queued
+            assert all(service._queue[k] is queued[k] for k in keys)
+        assert service.queue_census() == (0, 0)
+        release.set()
+        owner.join(30)
+        waiter.join(30)
+        assert not owner.is_alive() and not waiter.is_alive()
+        assert out["waiter"] == out["owner"] == ProfilingService().profile(
+            tiny_task, configs, graph=small_graph
+        )
+        stats = service.stats
+        assert (stats.trainings, stats.executed) == (1, 2)
+        assert (stats.shared_inflight, stats.cache_hits) == (2, 0)
+        assert seen == [(0, 2, 0), (1, 2, 1), (2, 2, 2)]
+        assert service._queue == {}
+
     def test_commit_rejects_misaligned_batch(self, dispatcher):
         info = dispatcher.register()
         with pytest.raises(ServingError):
@@ -671,7 +746,7 @@ class TestFleetDispatcher:
         assert len(out) == 6
         assert sorted(granted) == sorted(keys)
         assert (service.stats.executed, service.stats.trainings) == (len(keys), 0)
-        assert service._queue == {} and service._inflight == {}
+        assert service._queue == {}
         dispatcher.close()
 
     def test_claim_grant_none_shape(self):

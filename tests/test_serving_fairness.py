@@ -262,10 +262,10 @@ class TestSeatsReachEveryPath:
 def test_overlapping_callers_give_each_key_one_grant(
     request, path_service, small_graph
 ):
-    """``profile`` claims every key for one caller, so two concurrent calls
-    on overlapping configs never publish one key twice: the batches are
-    disjoint, each key goes out in at most one grant (exactly one on the
-    fleet), and each is measured once, to the serial path's records."""
+    """A key is on the queue for one caller at a time, so two concurrent
+    calls on overlapping configs never publish one key twice: each key is
+    published once, goes out in at most one grant (exactly one on the
+    fleet), and is measured once, to the serial path's records."""
     service, dispatcher = path_service
     task = TaskSpec(dataset="tiny", arch="sage", epochs=1, lr=0.02)
     configs = [
@@ -273,15 +273,15 @@ def test_overlapping_callers_give_each_key_one_grant(
         for b in (32, 64, 96, 128)
     ]
     serial = ProfilingService().profile(task, configs, graph=small_graph)
-    batches: list[list[str]] = []
+    published: list[str] = []  # every key put on the queue, in order
     granted: list[str] = []  # the keys of every grant, as its commit returns
-    real_execute = service._execute
 
-    def execute(task, configs, graph, *, keys, **kwargs):
-        batches.append(list(keys))
-        return real_execute(task, configs, graph, keys=keys, **kwargs)
+    class RecordingQueue(dict):
+        def __setitem__(self, key, item):
+            published.append(key)
+            super().__setitem__(key, item)
 
-    service._execute = execute
+    service._queue = RecordingQueue()
     if dispatcher is not None:
         # The executor may sit in a claim long-poll already, so grants are
         # counted where they come back; the lease TTL is far above one run.
@@ -310,7 +310,7 @@ def test_overlapping_callers_give_each_key_one_grant(
 
     keys = service._keys(task, configs, small_graph)
     assert out[0] == serial[:3] and out[1] == serial[1:]
-    assert sorted(k for batch in batches for k in batch) == sorted(keys)
+    assert sorted(published) == sorted(keys)
     if request.node.callspec.params["path_service"] == "fleet":
         assert sorted(granted) == sorted(keys)
     else:
@@ -324,8 +324,8 @@ class TestRunningJobCancellation:
     ):
         server = server_factory(workers=2, cache_dir=None)
         task = TaskSpec(dataset="tiny", arch="sage", epochs=1)
-        # Same request twice: whichever job claims the keys first, the other
-        # waits on its in-flight events.
+        # Same request twice: whichever job queues the keys first, the other
+        # waits on them.
         victim = server.submit(_request(task))
         buddy = server.submit(_request(task))
         _wait_for(lambda: server.status(victim) is JobStatus.RUNNING)
@@ -333,9 +333,9 @@ class TestRunningJobCancellation:
         jobs = server.drain(timeout=240)
         assert server.status(victim) is JobStatus.CANCELLED
         # The concurrent waiter must still complete: the cancelled job's
-        # claims were released, re-claimed and measured by the survivor.
+        # keys were dropped, published again and measured by the survivor.
         assert server.status(buddy) is JobStatus.DONE
-        assert server.profiler.service._inflight == {}
+        assert server.profiler.service._queue == {}
         assert all(j.done for j in jobs)
         with pytest.raises(ServingError):
             server.result(victim)
@@ -351,30 +351,34 @@ class TestRunningJobCancellation:
 
 class TestOwnerDeath:
     def test_dead_owner_releases_claims_and_waiter_reclaims(
-        self, small_graph, tiny_task
+        self, small_graph, tiny_task, monkeypatch
     ):
-        """A claimed owner that raises mid-``_execute`` must release its
-        claims; a waiter re-claims and measures the keys itself."""
+        """An owner whose first training raises, with its keys queued, must
+        drop them; the waiter parked on them publishes and measures the
+        keys itself."""
+        import repro.runtime.parallel as parallel_mod
+
         svc = ProfilingService()
         shared = SharedProfilingService(svc)
         configs = [
             c.canonical()
             for c in default_space().sample(4, rng=np.random.default_rng(5))
         ]
-        real_execute = svc._execute
+        keys = set(svc._keys(tiny_task, configs, small_graph))
+        real = parallel_mod.profile_class
         owner_started = threading.Event()
         owner_release = threading.Event()
         calls: list[int] = []
 
-        def flaky_execute(task, pending, graph, **kwargs):
-            calls.append(len(pending))
+        def flaky_class(task, members, **kwargs):
+            calls.append(len(members))
             if len(calls) == 1:
                 owner_started.set()
                 owner_release.wait(10)
                 raise RuntimeError("owner died mid-measurement")
-            return real_execute(task, pending, graph, **kwargs)
+            return real(task, members, **kwargs)
 
-        svc._execute = flaky_execute
+        monkeypatch.setattr(parallel_mod, "profile_class", flaky_class)
         outcome: dict = {}
 
         def owner():
@@ -384,7 +388,6 @@ class TestOwnerDeath:
                 outcome["owner"] = exc
 
         def waiter():
-            owner_started.wait(10)
             outcome["waiter"] = shared.profile(
                 tiny_task, configs, graph=small_graph
             )
@@ -393,10 +396,13 @@ class TestOwnerDeath:
             threading.Thread(target=owner),
             threading.Thread(target=waiter),
         ]
-        for t in threads:
-            t.start()
-        owner_started.wait(10)
-        time.sleep(0.1)  # let the waiter park on the in-flight events
+        threads[0].start()
+        assert owner_started.wait(10)
+        with svc._lock:  # the owner trains with every key on the queue
+            assert set(svc._queue) == keys
+        threads[1].start()
+        time.sleep(0.1)  # let the waiter park on the owner's keys
+        assert len(calls) == 1  # the waiter trains none of them
         owner_release.set()
         for t in threads:
             t.join(30)
@@ -404,12 +410,13 @@ class TestOwnerDeath:
         assert isinstance(outcome.get("owner"), RuntimeError)
         unique = len(set(configs))
         assert len(outcome["waiter"]) == len(configs)
-        assert shared.service._inflight == {}  # no orphaned claims
+        assert shared.service._queue == {}  # no orphaned keys
         assert svc.stats.executed == unique  # waiter measured them itself
+        assert svc.stats.shared_inflight == 0  # no record came from the owner
 
     def test_commit_failure_releases_claims(self, small_graph, tiny_task):
-        """A commit that dies mid-publish (store I/O) must still release
-        the owner's claims; committed keys stay served from memory."""
+        """A commit that dies mid-publish (store I/O) must still drop the
+        owner's queued keys; committed keys stay served from memory."""
         svc = ProfilingService()
         shared = SharedProfilingService(svc)
         configs = [
@@ -428,7 +435,7 @@ class TestOwnerDeath:
         svc.commit = flaky_commit
         with pytest.raises(OSError):
             shared.profile(tiny_task, configs, graph=small_graph)
-        assert shared.service._inflight == {}  # no orphaned claims
+        assert shared.service._queue == {}  # no orphaned keys
         # a later caller is not hung and measures the unpublished keys
         records = shared.profile(tiny_task, configs, graph=small_graph)
         assert len(records) == len(configs)
@@ -436,9 +443,9 @@ class TestOwnerDeath:
     def test_raising_progress_callback_releases_claims(
         self, small_graph, tiny_task
     ):
-        """A progress callback that raises right after a claim round (here:
-        on the first cache hit, with the other keys claimed) must not strand
-        those claims; a later caller measures them instead of hanging."""
+        """A progress callback that raises on the first cache hit, before
+        the other keys are queued, must not strand them; a later caller
+        measures them instead of hanging."""
         svc = ProfilingService()
         configs = [
             c.canonical()
@@ -454,7 +461,7 @@ class TestOwnerDeath:
             svc.profile(
                 tiny_task, configs, graph=small_graph, on_progress=raise_on_a_hit
             )
-        assert svc._inflight == {}
+        assert svc._queue == {}
         records = svc.profile(tiny_task, configs, graph=small_graph)
         assert len(records) == len(configs)
         assert svc.stats.executed == len(set(configs))

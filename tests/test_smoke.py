@@ -280,8 +280,8 @@ def test_cancellation_smoke_running_job(capsys):
     assert all(
         server.status(job_id) is JobStatus.DONE for job_id in survivors
     )
-    assert not server.profiler.service._inflight, (
-        f"orphaned in-flight claims: {server.profiler.service._inflight}"
+    assert server.profiler.service._queue == {}, (
+        f"orphaned queued keys: {server.profiler.service._queue}"
     )
     # the victim's event stream ends with its cancellation
     batch = server.events(victim, timeout=0)

@@ -462,6 +462,28 @@ class TestConnections:
             clients[0].health()
 
 
+    def test_stop_without_start_returns_and_frees_the_port(
+        self, small_graph, tmp_path
+    ):
+        """A transport that never served must still stop: ``stop()`` on it
+        returns at once and releases the listening socket."""
+        server = NavigationServer(
+            workers=1,
+            graphs={"tiny": small_graph},
+            cache_dir=str(tmp_path / "store"),
+        )
+        try:
+            http = NavigationHTTPServer(server)
+            port = http.port
+            stopper = threading.Thread(target=http.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=2)
+            assert not stopper.is_alive(), "stop() hung on an unstarted transport"
+            with socket.socket() as probe:  # the port is free again
+                probe.bind(("127.0.0.1", port))
+        finally:
+            server.stop()
+
 class TestWireProtocol:
     def test_malformed_json_is_a_protocol_error(self, stack):
         _, http = stack
