@@ -72,7 +72,7 @@ def test_table1_overall_performance(run_once, emit, quick):
 
     # AR+GAT: the paper's testbed is compute-bound here (speedups ~1.0-1.2x).
     # Our ~20x-scaled testbed keeps feature transfer significant even for
-    # GAT (documented divergence in EXPERIMENTS.md), so we assert the
+    # GAT (DESIGN.md, "The ~20x dataset scaling"), so we assert the
     # invariants that do survive the scaling: baseline accuracy is flat and
     # baseline caching never exceeds the SAGE-task benefit it gives.
     gat_block = next(b for b in blocks if b.arch == "gat")
@@ -83,7 +83,7 @@ def test_table1_overall_performance(run_once, emit, quick):
     emit(
         "AR+GAT speedups (Pa-Full, 2P, Bal): "
         + ", ".join(f"{s:.2f}x" for s in gat_speedups.values())
-        + "  (paper: ~1.0-1.2x; see EXPERIMENTS.md on this divergence)"
+        + "  (paper: ~1.0-1.2x; DESIGN.md, 'The ~20x dataset scaling')"
     )
     baseline_accs = [
         gat_block.row(m).accuracy

@@ -40,6 +40,7 @@ import hashlib
 import json
 import os
 import threading
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -643,8 +644,8 @@ class ProfilingService:
         self.store = ResultStore(cache_dir) if cache_dir is not None else None
         self.stats = ProfilingStats()
         #: whether a live remote executor may claim from the pending queue;
-        #: the fleet dispatcher installs its registry's answer.  While it
-        #: says yes, :meth:`_execute` leaves its pending keys to the fleet.
+        #: the fleet dispatcher installs its answer.  While it says yes,
+        #: :meth:`_execute` leaves its pending keys to the fleet.
         self.fleet_live = lambda: False
         #: key -> record of every resolved key: the one dedup every
         #: resolution passes (:meth:`commit`).
@@ -741,7 +742,7 @@ class ProfilingService:
         """Hold for a local run the members ``call`` queued of the next class
         in ``order`` no local run holds; ``None`` once there is none.
         Called only while no executor is live, so a lease still on a key is
-        a dead executor's."""
+        a dead executor's: a lease lives exactly as long as its executor."""
         for c in order:
             taken = [
                 i
@@ -775,8 +776,8 @@ class ProfilingService:
         The keys come from the queue head's call (one task, one graph),
         longest first (:func:`predicted_cost`): the executor runs them in
         that order, so a lease expiring mid-batch hands back the cheap
-        tail.  ``issue(keys)`` returns the lease id they are held under
-        until a commit resolves them or :meth:`requeue` hands them back.
+        tail.  ``issue()`` returns the lease id they are held under until
+        a commit resolves them or :meth:`requeue` hands them back.
         When every queued key is held, waits up to ``timeout`` for a
         publication or a requeue; ``None`` if still nothing.
         """
@@ -799,7 +800,7 @@ class ProfilingService:
             # sort is stable, so cost ties keep queue order.
             chosen.sort(key=lambda pair: -predicted_cost(task, pair[1].config, graph))
             keys = tuple(key for key, _ in chosen)
-            lease_id = issue(keys)
+            lease_id = issue()
             for _, item in chosen:
                 item.holder = lease_id
             return LeasedBatch(
@@ -810,28 +811,25 @@ class ProfilingService:
                 tuple(item.config for _, item in chosen),
             )
 
-    def requeue(self, lease_id: str, keys) -> int:
-        """Hand ``keys`` still held under ``lease_id`` back to the queue
+    def requeue(self, lease_id: str) -> int:
+        """Hand every queued key held under ``lease_id`` back to the queue
         (resolved keys are off it, and a local run holds a key it took from
         a dead executor); returns how many went back."""
         with self._cond:
-            requeued = 0
-            for key in keys:
-                item = self._queue.get(key)
-                if item is not None and item.holder == lease_id:
-                    item.holder = None
-                    requeued += 1
-            if requeued:
+            held = [item for item in self._queue.values() if item.holder == lease_id]
+            for item in held:
+                item.holder = None
+            if held:
                 self._cond.notify_all()
-            return requeued
+            return len(held)
 
-    def queue_census(self) -> tuple[int, int]:
-        """``(unleased, leased)`` counts of the pending queue; a key a local
-        run holds is neither."""
+    def queue_census(self) -> tuple[int, Counter]:
+        """``(unleased, queued keys per lease id)`` of the pending queue; a
+        key a local run holds is neither."""
         with self._lock:
-            holders = [item.holder for item in self._queue.values()]
-        unleased = holders.count(None)
-        return unleased, len(holders) - unleased - holders.count(_LOCAL)
+            holders = Counter(item.holder for item in self._queue.values())
+        holders.pop(_LOCAL, None)
+        return holders.pop(None, 0), holders
 
     def graph_for(self, fingerprint: str) -> CSRGraph | None:
         """A graph this service has keyed candidates on, by content hash."""

@@ -1,9 +1,10 @@
 """Distributed profiling fleet: remote executors with lease-based work pull.
 
 The fleet generalizes the server's process pool across machines.  The
-server side (:class:`FleetDispatcher` + :class:`ExecutorRegistry` +
-:class:`LeaseTable`) hands leased batches off the profiling service's
-pending queue to whoever claims them; the client side
+server side (:class:`FleetDispatcher`) keeps the executors and which of them
+holds each lease in one table, and hands leased batches off the profiling
+service's pending queue to whoever claims them; a lease lives exactly as
+long as its executor is heard from.  The client side
 (:class:`ProfilingExecutor` over :class:`FleetClient`) pulls, runs and
 commits.  While no executor is live, the service's execution loop trains
 every pending key itself — a local-only server never waits on the fleet.
@@ -18,20 +19,16 @@ pulling it in drags the HTTP client along, and only actual executors need it.
 from repro.serving.fleet.dispatcher import (
     ClaimGrant,
     CommitOutcome,
+    ExecutorInfo,
     FleetDispatcher,
 )
-from repro.serving.fleet.leases import Lease, LeaseTable
-from repro.serving.fleet.registry import ExecutorInfo, ExecutorRegistry
 
 __all__ = [
     "ClaimGrant",
     "CommitOutcome",
     "ExecutorInfo",
-    "ExecutorRegistry",
     "FleetClient",
     "FleetDispatcher",
-    "Lease",
-    "LeaseTable",
     "ProfilingExecutor",
 ]
 

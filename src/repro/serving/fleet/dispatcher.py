@@ -7,8 +7,8 @@ has queued there and trains whatever of its own no live executor holds; the
 dispatcher only hands out, times and resolves keys:
 
 1. Executors long-poll :meth:`claim`, which leases a same-graph batch off
-   the head of the queue (``ProfilingService.lease``) under a
-   :class:`~repro.serving.fleet.leases.Lease`, first come first served.
+   the head of the queue (``ProfilingService.lease``), first come first
+   served.
 2. :meth:`commit` resolves each key through ``service.commit`` — the path
    the service's own runs take — so memory/store/budget invariants and the
    dedup cannot diverge.  Commits are idempotent twice over: a retried POST
@@ -16,16 +16,20 @@ dispatcher only hands out, times and resolves keys:
    already has a record (an expired lease's zombie finishing late, after
    the caller or another executor landed it) is counted as a duplicate and
    not published again.
-3. Missed heartbeats expire leases (:meth:`_sweep`): the keys go back to
-   the queue (``ProfilingService.requeue``), where another executor claims
-   them — or, once no executor is live, the calling thread trains them
-   itself.  A killed executor costs wall-clock, never runs, and a dead
-   fleet never stalls a batch.
+3. A lease has no clock of its own: it lives while its executor is live,
+   heard from within ``lease_ttl`` by a register, :meth:`touch` (the
+   wire's heartbeat), claim or commit.  :meth:`_sweep` hands every lease
+   of a silent executor back to the queue (``ProfilingService.requeue``),
+   where another executor claims its keys — or, once no executor is live,
+   the calling thread trains them itself.  A killed executor costs
+   wall-clock, never runs, and a dead fleet never stalls a batch.
 
-The queue and its format belong to the service, under the service's lock;
-a lease is issued under it (the lease table is a leaf).  The dispatcher's
-own lock guards only its replay table and sweeper, and is never held while
-another lock is taken.
+A lease's keys live only on the service's queue, under the service's lock.
+Everything else the fleet knows — the executors, which executor holds each
+lease, the replay table and the sweeper — sits under the dispatcher's one
+lock.  The service takes that lock inside its own (``fleet_live()`` and
+issuing a lease); the dispatcher never calls into the service, or into the
+metrics, while holding it.
 """
 
 from __future__ import annotations
@@ -33,14 +37,12 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 from repro.config.settings import TaskSpec, TrainingConfig
 from repro.errors import ProtocolError, ServingError, UnknownExecutorError
 from repro.graphs.csr import CSRGraph
-from repro.serving.fleet.leases import LeaseTable
-from repro.serving.fleet.registry import ExecutorInfo, ExecutorRegistry
 from repro.serving.metrics import (
     FLEET_CLAIMS,
     FLEET_COMMIT_DUPLICATES,
@@ -51,7 +53,7 @@ from repro.serving.metrics import (
 )
 from repro.wire import WireMessage
 
-__all__ = ["ClaimGrant", "CommitOutcome", "FleetDispatcher"]
+__all__ = ["ClaimGrant", "CommitOutcome", "ExecutorInfo", "FleetDispatcher"]
 
 #: ceiling on one claim long-poll's server-side wait (mirrors the
 #: transport's MAX_POLL_SECONDS without importing the wire layer).
@@ -104,6 +106,18 @@ class CommitOutcome(WireMessage):
     replayed: bool = False
 
 
+@dataclass
+class ExecutorInfo:
+    """One registered executor's row; the dispatcher's ``_lock`` guards it."""
+
+    executor_id: str
+    workers: int  # guarded-by: _lock
+    last_seen: float  # guarded-by: _lock
+    claims: int = 0  # guarded-by: _lock
+    commits: int = 0  # guarded-by: _lock
+    lease_expiries: int = 0  # guarded-by: _lock
+
+
 class FleetDispatcher:
     """Work-pull dispatcher between a service's pending queue and remote
     executors.
@@ -112,14 +126,14 @@ class FleetDispatcher:
     ----------
     service:
         The :class:`~repro.runtime.parallel.ProfilingService` whose queue
-        this dispatcher serves; attaching installs the registry's liveness
-        as ``service.fleet_live``, so the service's loop leaves pending keys
+        this dispatcher serves; attaching installs the fleet's liveness as
+        ``service.fleet_live``, so the service's loop leaves pending keys
         to the fleet while any executor is live.
     lease_ttl:
-        Seconds a claimed batch stays leased without a heartbeat.  Also
-        derives the heartbeat interval executors are told to use
-        (``ttl / 3``), the liveness horizon (``ttl``) and the registry
-        prune horizon (``5 * ttl``).
+        Seconds an executor — and every lease it holds — stays live
+        without being heard from.  Also derives the heartbeat interval
+        executors are told to use (``ttl / 3``) and the prune horizon of
+        silent executors (``5 * ttl``).
     metrics:
         Optional :class:`~repro.serving.metrics.MetricsRegistry` for the
         fleet counters (global and per-executor labeled).
@@ -137,20 +151,23 @@ class FleetDispatcher:
         self.service = service
         self.lease_ttl = float(lease_ttl)
         self.metrics = metrics
-        self.registry = ExecutorRegistry()
-        self.leases = LeaseTable()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
+        #: executor id -> its row, in registration order.
+        self._executors: dict[str, ExecutorInfo] = {}  # guarded-by: _lock
+        #: lease id -> the executor holding it; the keys are the queue's.
+        self._leases: dict[str, str] = {}  # guarded-by: _lock
+        self._admitted = self._issued = 0  # id counters; guarded-by: _lock
         #: (executor, idempotency key) -> outcome, replayed on retried POSTs.
         self._replays: OrderedDict[tuple[str, str], CommitOutcome] = (
             OrderedDict()
         )  # guarded-by: _lock
         self._replay_cap = 4096
         #: background lease sweeper; started lazily on first register() so
-        #: fleets that never form pay nothing.  Created/read under _lock.
+        #: fleets that never form pay nothing.
         self._sweeper: threading.Thread | None = None  # guarded-by: _lock
         self._closed = False  # guarded-by: _lock
-        service.fleet_live = lambda: bool(self.registry.live(self.lease_ttl))
+        service.fleet_live = self._live
 
     # ----------------------------------------------------------- membership
     @property
@@ -161,31 +178,50 @@ class FleetDispatcher:
     def register(
         self, *, workers: int = 1, executor_id: str | None = None
     ) -> ExecutorInfo:
-        """Admit (or refresh) an executor and bind its labeled gauges."""
-        info = self.registry.register(workers=workers, executor_id=executor_id)
+        """Admit an executor and bind its labeled gauge.
+
+        Re-registering a known id is the recovery path after a server
+        restart or a prune (:class:`UnknownExecutorError` sends the
+        executor back here): the row keeps its counters, and only its
+        worker count and liveness reset.
+        """
+        with self._cond:
+            if executor_id is None:
+                executor_id = f"ex-{self._admitted:04d}"
+                self._admitted += 1
+            info = self._executors.get(executor_id)
+            if info is None:
+                info = ExecutorInfo(executor_id, 1, 0.0)
+                self._executors[executor_id] = info
+            info.workers = max(1, workers)
+            info.last_seen = time.monotonic()
+            self._ensure_sweeper_locked()
         if self.metrics is not None:
             self.metrics.gauge(
-                FLEET_HEARTBEAT_AGE_SECONDS, info.age, executor=info.executor_id
+                FLEET_HEARTBEAT_AGE_SECONDS,
+                lambda: self._age(executor_id),
+                executor=executor_id,
             )
-        with self._cond:
-            self._ensure_sweeper_locked()
         return info
 
-    def heartbeat(self, executor_id: str) -> int:
-        """Refresh liveness and renew the executor's leases; returns how
-        many leases were renewed.  Raises :class:`UnknownExecutorError` for
-        executors the registry forgot (they must re-register)."""
-        self.registry.touch(executor_id)
-        return self.leases.renew_owner(executor_id, self.lease_ttl)
+    def touch(self, executor_id: str) -> int:
+        """Mark the executor heard from (the wire's heartbeat), keeping it
+        and its leases live; returns how many leases it holds.  Raises
+        :class:`UnknownExecutorError` for executors the dispatcher forgot
+        (they must re-register)."""
+        with self._lock:
+            self._touch_locked(executor_id)
+            return sum(owner == executor_id for owner in self._leases.values())
 
     def deregister(self, executor_id: str) -> bool:
-        """Graceful exit: drop the executor and re-queue anything it holds."""
-        existed = self.registry.deregister(executor_id)
-        for lease in self.leases.active():
-            if lease.executor_id == executor_id and self.leases.release(
-                lease.lease_id
-            ):
-                self.service.requeue(lease.lease_id, lease.keys)
+        """Graceful exit: drop the executor and re-queue its leases now."""
+        with self._lock:
+            existed = self._executors.pop(executor_id, None) is not None
+            held = [i for i, owner in self._leases.items() if owner == executor_id]
+            for lease_id in held:
+                del self._leases[lease_id]
+        for lease_id in held:
+            self.service.requeue(lease_id)
         if existed and self.metrics is not None:
             self.metrics.drop(executor=executor_id)
         return existed
@@ -209,14 +245,22 @@ class FleetDispatcher:
         deadline = time.monotonic() + max(0.0, min(timeout, _MAX_CLAIM_POLL))
         poll = max(0.05, min(self.lease_ttl / 4.0, 0.5))
 
-        def issue(keys):
-            return self.leases.issue(executor_id, keys, self.lease_ttl).lease_id
+        def issue() -> str:  # runs under the service's lock
+            with self._lock:
+                # A lease's executor is registered: a forgotten one gets
+                # UnknownExecutorError here and the queue stays untouched.
+                self._touch_locked(executor_id)
+                lease_id = f"lease-{self._issued:06d}"
+                self._issued += 1
+                self._leases[lease_id] = executor_id
+            return lease_id
 
         while True:
-            # touch() every wake: raises UnknownExecutorError (re-register)
-            # if the registry forgot us mid-poll, and keeps a long-polling
-            # but otherwise idle executor alive.
-            info = self.registry.touch(executor_id)
+            # Touch every wake: raises UnknownExecutorError (re-register)
+            # if the dispatcher forgot us mid-poll, and keeps a long-polling
+            # executor — and the leases it holds — live.
+            with self._lock:
+                info = self._touch_locked(executor_id)
             # Every wake re-runs the sweep, so keys of expired leases go
             # back on the queue before this claim looks at it.
             self._sweep()
@@ -262,27 +306,26 @@ class FleetDispatcher:
         resolution wins, the bytes are identical.  Keys of the lease the
         commit leaves out go back to the queue.
 
-        Commits from executors the registry forgot are still accepted: the
-        work is done and correct, refusing it would only re-run it.
+        Commits from executors the dispatcher forgot are still accepted:
+        the work is done and correct, refusing it would only re-run it.
         """
         if len(keys) != len(records):
             raise ServingError(
                 f"commit carries {len(keys)} keys but {len(records)} records"
             )
-        try:
-            info = self.registry.touch(executor_id)
-        except UnknownExecutorError:
-            info = None
         replay_key = (
             None
             if idempotency_key is None
             else (executor_id, idempotency_key)
         )
-        if replay_key is not None:
-            with self._lock:
-                known = self._replays.get(replay_key)
-            if known is not None:
-                return dataclasses.replace(known, replayed=True)
+        with self._lock:
+            try:
+                info = self._touch_locked(executor_id)
+            except UnknownExecutorError:
+                info = None
+            known = None if replay_key is None else self._replays.get(replay_key)
+        if known is not None:
+            return dataclasses.replace(known, replayed=True)
         # Outside the lock: ``service.commit`` writes the store, and a slow
         # disk must not block claims and heartbeats.
         accepted = sum(
@@ -290,16 +333,16 @@ class FleetDispatcher:
             for key, record in zip(keys, records, strict=True)
         )
         outcome = CommitOutcome(accepted=accepted, duplicates=len(keys) - accepted)
-        lease = None if lease_id is None else self.leases.release(lease_id)
-        if lease is not None:
-            self.service.requeue(lease_id, lease.keys)
         with self._lock:
+            released = self._leases.pop(lease_id, None) is not None
             if info is not None:
                 info.commits += 1
             if replay_key is not None:
                 self._replays[replay_key] = outcome
                 while len(self._replays) > self._replay_cap:
                     self._replays.popitem(last=False)
+        if released:
+            self.service.requeue(lease_id)
         if self.metrics is not None:
             # A forgotten executor bumps only the total: a labeled series
             # would outlive the prune that dropped its others.
@@ -318,12 +361,33 @@ class FleetDispatcher:
         return graph
 
     # ------------------------------------------------------------- plumbing
+    def _touch_locked(self, executor_id: str) -> ExecutorInfo:  # holds: _lock
+        info = self._executors.get(executor_id)
+        if info is None:
+            raise UnknownExecutorError(
+                f"unknown executor {executor_id!r}; re-register"
+            )
+        info.last_seen = time.monotonic()
+        return info
+
+    def _live(self) -> bool:
+        """``service.fleet_live``: some executor was heard from within the
+        TTL.  Called under the service's lock."""
+        horizon = time.monotonic() - self.lease_ttl
+        with self._lock:
+            return any(i.last_seen >= horizon for i in self._executors.values())
+
+    def _age(self, executor_id: str) -> float:
+        """Seconds since the executor was last heard from (its gauge)."""
+        with self._lock:
+            return time.monotonic() - self._executors[executor_id].last_seen
+
     def _ensure_sweeper_locked(self) -> None:  # holds: _lock
         """Start the background lease sweeper on first fleet membership.
 
         Claim long-polls sweep inline, but a fleet whose every executor
         died (or stopped polling) would otherwise never expire its leases
-        or prune its registry; the sweeper guarantees progress regardless.
+        or prune its executors; the sweeper guarantees progress regardless.
         """
         if self._sweeper is not None or self._closed:
             return
@@ -357,23 +421,49 @@ class FleetDispatcher:
             sweeper.join(timeout=5.0)  # outside the lock: the loop needs it
 
     def _sweep(self) -> None:
-        """Expire overdue leases (re-queue their keys) and prune executors
-        silent past the horizon (their metrics go with them)."""
-        for lease in self.leases.expired():
-            self.service.requeue(lease.lease_id, lease.keys)
-            info = self.registry.get(lease.executor_id)
-            if info is not None:
-                with self._lock:
-                    info.lease_expiries += 1
+        """Re-queue every lease whose executor is no longer live and prune
+        executors silent past ``5 * ttl`` (their metrics go with them).
+
+        Every lease's executor is registered — :meth:`claim` issues leases
+        only to registered executors, and dropping an executor drops its
+        leases in the same hold of the lock — so each expiry has a row to
+        count on."""
+        now = time.monotonic()
+        with self._lock:
+            live = {
+                executor_id
+                for executor_id, info in self._executors.items()
+                if now - info.last_seen <= self.lease_ttl
+            }
+            expired = [
+                (lease_id, owner)
+                for lease_id, owner in self._leases.items()
+                if owner not in live
+            ]
+            for lease_id, owner in expired:
+                del self._leases[lease_id]
+                self._executors[owner].lease_expiries += 1
+            pruned = [
+                executor_id
+                for executor_id, info in self._executors.items()
+                if now - info.last_seen > self.lease_ttl * 5.0
+            ]
+            for executor_id in pruned:
+                del self._executors[executor_id]
+        for lease_id, owner in expired:
+            self.service.requeue(lease_id)
             if self.metrics is not None:
-                self.metrics.inc(
-                    FLEET_LEASE_EXPIRIES, executor=lease.executor_id
-                )
-        for info in self.registry.prune(self.lease_ttl * 5.0):
-            if self.metrics is not None:
-                self.metrics.drop(executor=info.executor_id)
+                self.metrics.inc(FLEET_LEASE_EXPIRIES, executor=owner)
+        if self.metrics is not None:
+            for executor_id in pruned:
+                self.metrics.drop(executor=executor_id)
 
     # -------------------------------------------------------------- status
+    def __len__(self) -> int:
+        """Registered executors (the ``fleet_executors`` gauge)."""
+        with self._lock:
+            return len(self._executors)
+
     @property
     def pending_count(self) -> int:
         """Queued keys no lease holds."""
@@ -381,29 +471,28 @@ class FleetDispatcher:
 
     @property
     def leased_count(self) -> int:
-        return self.service.queue_census()[1]
+        return self.service.queue_census()[1].total()
 
     def status(self) -> dict:
         """Fleet census for ``GET /v1/fleet`` and ``repro fleet status``."""
-        held: dict[str, int] = {}
-        for lease in self.leases.active():
-            held[lease.executor_id] = held.get(lease.executor_id, 0) + len(
-                lease.keys
-            )
-        executors = [
-            {
-                "executor_id": info.executor_id,
-                "workers": info.workers,
-                "age_seconds": round(info.age(), 3),
-                "claims": info.claims,
-                "commits": info.commits,
-                "lease_expiries": info.lease_expiries,
-                "leased_keys": held.get(info.executor_id, 0),
-            }
-            for info in self.registry.all()
-        ]
-        return {
-            "executors": executors,
-            "pending": self.pending_count,
-            "leased": self.leased_count,
-        }
+        pending, held = self.service.queue_census()
+        now = time.monotonic()
+        with self._lock:
+            leased = Counter()
+            for lease_id, keys in held.items():
+                leased[self._leases.get(lease_id)] += keys
+            executors = [
+                {
+                    "executor_id": info.executor_id,
+                    "workers": info.workers,
+                    "age_seconds": round(now - info.last_seen, 3),
+                    "claims": info.claims,
+                    "commits": info.commits,
+                    "lease_expiries": info.lease_expiries,
+                    "leased_keys": leased[info.executor_id],
+                }
+                for info in sorted(
+                    self._executors.values(), key=lambda i: i.executor_id
+                )
+            ]
+        return {"executors": executors, "pending": pending, "leased": held.total()}

@@ -269,7 +269,7 @@ class NavigationServer:
         self.metrics.gauge(
             JOBS_RUNNING, lambda: self._census(JobStatus.RUNNING)
         )
-        self.metrics.gauge(FLEET_EXECUTORS, lambda: len(self.fleet.registry))
+        self.metrics.gauge(FLEET_EXECUTORS, lambda: len(self.fleet))
         self.metrics.gauge(FLEET_PENDING, lambda: self.fleet.pending_count)
         self.metrics.gauge(FLEET_LEASED, lambda: self.fleet.leased_count)
         corpus = self.profiler.corpus

@@ -459,7 +459,8 @@ class FleetHeartbeatRequest(WireMessage):
 
 @dataclass(frozen=True)
 class FleetHeartbeatResponse(WireMessage):
-    """Heartbeat ack: how many of the executor's leases were renewed."""
+    """Heartbeat ack: how many leases the executor holds (they live as
+    long as it does)."""
 
     renewed: int
 

@@ -409,7 +409,7 @@ class NavigationHTTPServer:
     def _fleet_heartbeat(
         self, request: FleetHeartbeatRequest
     ) -> FleetHeartbeatResponse:
-        renewed = self.navigation.fleet.heartbeat(request.executor_id)
+        renewed = self.navigation.fleet.touch(request.executor_id)
         return FleetHeartbeatResponse(renewed=renewed)
 
     def _fleet_claim(self, request: FleetClaimRequest) -> ClaimGrant:

@@ -1,7 +1,7 @@
 """Distributed profiling fleet tests.
 
-Covers the fleet bottom-up: the consistent-hash ring and lease table as
-units, the registry's membership/liveness rules, the wire shapes for the
+Covers the fleet bottom-up: the dispatcher's membership and liveness
+rules (a lease lives exactly as long as its executor), the wire shapes for the
 ``/v1/fleet/*`` endpoints, the dispatcher's claim/commit/expiry semantics
 driven in-process with fabricated records (no training), and finally real
 end-to-end navigations over HTTP — fleet-vs-local result parity, the
@@ -37,10 +37,8 @@ from repro.runtime.parallel import (
 from repro.serving import NavigationClient, NavigationServer
 from repro.serving.fleet import (
     ClaimGrant,
-    ExecutorRegistry,
     FleetClient,
     FleetDispatcher,
-    LeaseTable,
     ProfilingExecutor,
 )
 from repro.serving.metrics import MetricsRegistry, labeled
@@ -79,86 +77,46 @@ def _post(url: str, body, headers: dict | None = None):
         return exc.code, json.loads(exc.read().decode())
 
 
-# --------------------------------------------------------------- lease table
-class TestLeaseTable:
-    def test_issue_get_release(self):
-        table = LeaseTable()
-        lease = table.issue("ex-0", ["k1", "k2"], ttl=5.0)
-        assert lease.lease_id == "lease-000000"
-        assert lease.keys == ("k1", "k2")
-        assert table.get(lease.lease_id) is lease
-        assert len(table) == 1
-        assert table.release(lease.lease_id) is lease
-        assert table.release(lease.lease_id) is None
-        assert len(table) == 0
+# --------------------------------------------------------------- membership
+class TestFleetMembership:
+    def test_register_assigns_sequential_ids(self, dispatcher):
+        assert dispatcher.register(workers=2).executor_id == "ex-0000"
+        assert dispatcher.register(workers=1).executor_id == "ex-0001"
+        assert len(dispatcher) == 2
 
-    def test_expiry_pops_overdue_leases(self):
-        table = LeaseTable()
-        dead = table.issue("ex-0", ["k1"], ttl=0.01)
-        alive = table.issue("ex-1", ["k2"], ttl=60.0)
-        time.sleep(0.03)
-        expired = table.expired()
-        assert [lease.lease_id for lease in expired] == [dead.lease_id]
-        assert table.get(dead.lease_id) is None
-        assert table.get(alive.lease_id) is not None
-
-    def test_renew_owner_extends_only_that_owner(self):
-        table = LeaseTable()
-        mine = table.issue("ex-0", ["k1"], ttl=0.05)
-        other = table.issue("ex-1", ["k2"], ttl=0.05)
-        assert table.renew_owner("ex-0", ttl=60.0) == 1
-        time.sleep(0.1)
-        expired = {lease.lease_id for lease in table.expired()}
-        assert expired == {other.lease_id}
-        assert table.get(mine.lease_id) is not None
-
-    def test_renewal_never_shortens_a_deadline(self):
-        table = LeaseTable()
-        lease = table.issue("ex-0", ["k1"], ttl=60.0)
-        table.renew_owner("ex-0", ttl=0.001)
-        assert table.get(lease.lease_id).deadline == lease.deadline
-
-
-# ----------------------------------------------------------------- registry
-class TestExecutorRegistry:
-    def test_register_assigns_sequential_ids(self):
-        registry = ExecutorRegistry()
-        assert registry.register(workers=2).executor_id == "ex-0000"
-        assert registry.register(workers=1).executor_id == "ex-0001"
-        assert len(registry) == 2
-
-    def test_touch_unknown_raises(self):
-        registry = ExecutorRegistry()
+    def test_unknown_executor_raises(self, dispatcher):
         with pytest.raises(UnknownExecutorError):
-            registry.touch("ex-9999")
+            dispatcher.touch("ex-9999")
+        with pytest.raises(UnknownExecutorError):
+            dispatcher.claim("ex-9999")
 
-    def test_reregistration_keeps_counters_and_bumps_generation(self):
-        registry = ExecutorRegistry()
-        info = registry.register(workers=1)
+    def test_reregistration_keeps_counters(self, dispatcher):
+        info = dispatcher.register(workers=1)
         info.claims = 7
-        again = registry.register(workers=4, executor_id=info.executor_id)
+        again = dispatcher.register(workers=4, executor_id=info.executor_id)
         assert again is info
         assert again.claims == 7
         assert again.workers == 4
-        assert again.generation == 1
+        assert len(dispatcher) == 1
 
-    def test_deregister(self):
-        registry = ExecutorRegistry()
-        info = registry.register()
-        assert registry.deregister(info.executor_id) is True
-        assert registry.deregister(info.executor_id) is False
-        assert registry.get(info.executor_id) is None
+    def test_deregister(self, dispatcher):
+        info = dispatcher.register()
+        assert dispatcher.deregister(info.executor_id) is True
+        assert dispatcher.deregister(info.executor_id) is False
+        assert dispatcher.status()["executors"] == []
 
-    def test_live_and_prune_horizons(self):
-        registry = ExecutorRegistry()
-        stale = registry.register()
-        fresh = registry.register()
-        stale.last_seen -= 100.0
-        live = registry.live(horizon=10.0)
-        assert [info.executor_id for info in live] == [fresh.executor_id]
-        removed = registry.prune(horizon=10.0)
-        assert [info.executor_id for info in removed] == [stale.executor_id]
-        assert len(registry) == 1
+    def test_live_and_prune_horizons(self, dispatcher):
+        stale = dispatcher.register()
+        fresh = dispatcher.register()
+        stale.last_seen -= 100.0  # past the prune horizon (5 x the TTL)
+        assert dispatcher.service.fleet_live()  # the fresh one is live
+        dispatcher._sweep()
+        rows = dispatcher.status()["executors"]
+        assert [row["executor_id"] for row in rows] == [fresh.executor_id]
+        fresh.last_seen -= 0.3  # past the 0.2s TTL, inside the prune horizon
+        assert not dispatcher.service.fleet_live()
+        dispatcher._sweep()
+        assert len(dispatcher) == 1
 
 
 # ------------------------------------------------------------------- wire
@@ -225,7 +183,7 @@ class TestFleetDispatcher:
         assert list(grant.keys) == keys
         deadline = time.monotonic() + 0.6  # 3x the TTL, the executor beating
         while time.monotonic() < deadline:
-            dispatcher.heartbeat(info.executor_id)
+            dispatcher.touch(info.executor_id)
             assert dispatcher.service.stats.trainings == 0
             time.sleep(0.05)
         dispatcher.commit(info.executor_id, grant.lease_id, keys, ["remote"])
@@ -391,7 +349,7 @@ class TestFleetDispatcher:
         assert dispatcher.metrics.snapshot()["fleet_lease_expiries"] >= 1
         assert zombie.lease_expiries >= 1
 
-    def test_heartbeat_renews_leases(
+    def test_touch_keeps_the_executors_leases_live(
         self, dispatcher, tiny_task, tiny_config, small_graph
     ):
         info = dispatcher.register()
@@ -401,7 +359,7 @@ class TestFleetDispatcher:
         grant = dispatcher.claim(info.executor_id, timeout=5.0)
         deadline = time.monotonic() + 0.6  # 3x the TTL
         while time.monotonic() < deadline:
-            assert dispatcher.heartbeat(info.executor_id) == 1
+            assert dispatcher.touch(info.executor_id) == 1
             time.sleep(0.05)
         assert (
             dispatcher.metrics.snapshot().get("fleet_lease_expiries", 0) == 0
@@ -414,6 +372,93 @@ class TestFleetDispatcher:
             idempotency_key=grant.lease_id,
         )
         assert _finish(thread, out) == ["kept-alive"]
+
+    def test_lease_ids_are_sequential_and_a_commit_releases_its_lease(
+        self, dispatcher, tiny_task, tiny_config, small_graph
+    ):
+        info = dispatcher.register()
+        configs = [_config(tiny_config, batch_size=b) for b in (32, 64)]
+        thread, out, keys = _start_batch(
+            dispatcher, tiny_task, configs, small_graph
+        )
+        first = dispatcher.claim(info.executor_id, max_candidates=1, timeout=5.0)
+        second = dispatcher.claim(info.executor_id, max_candidates=1, timeout=5.0)
+        assert (first.lease_id, second.lease_id) == ("lease-000000", "lease-000001")
+        assert dispatcher.touch(info.executor_id) == 2
+        dispatcher.commit(info.executor_id, first.lease_id, list(first.keys), ["a"])
+        assert dispatcher.touch(info.executor_id) == 1
+        assert dispatcher.leased_count == 1
+        # a second commit on a released lease releases nothing more
+        again = dispatcher.commit(
+            info.executor_id, first.lease_id, list(first.keys), ["a"]
+        )
+        assert (again.accepted, again.duplicates) == (0, 1)
+        assert dispatcher.touch(info.executor_id) == 1
+        dispatcher.commit(info.executor_id, second.lease_id, list(second.keys), ["b"])
+        assert dispatcher.touch(info.executor_id) == 0
+        records = dict(zip(first.keys + second.keys, ["a", "b"], strict=True))
+        assert _finish(thread, out) == [records[key] for key in keys]
+
+    def test_sweep_expires_only_the_silent_executors_leases(
+        self, dispatcher, tiny_task, tiny_config, small_graph
+    ):
+        silent, beating = dispatcher.register(), dispatcher.register()
+        configs = [_config(tiny_config, batch_size=b) for b in (32, 64)]
+        thread, out, keys = _start_batch(
+            dispatcher, tiny_task, configs, small_graph
+        )
+        lost = dispatcher.claim(silent.executor_id, max_candidates=1, timeout=5.0)
+        kept = dispatcher.claim(beating.executor_id, max_candidates=1, timeout=5.0)
+        silent.last_seen -= 0.3  # past the 0.2s TTL, inside the prune horizon
+        dispatcher._sweep()
+        assert (silent.lease_expiries, beating.lease_expiries) == (1, 0)
+        assert dispatcher.leased_count == 1
+        assert dispatcher.touch(beating.executor_id) == 1
+        # the fleet is still live, so the expired key waits for a claim
+        regrant = dispatcher.claim(beating.executor_id, timeout=5.0)
+        assert regrant.keys == lost.keys
+        for grant, record in ((kept, "kept"), (regrant, "regranted")):
+            dispatcher.commit(
+                beating.executor_id, grant.lease_id, list(grant.keys), [record]
+            )
+        records = {kept.keys[0]: "kept", regrant.keys[0]: "regranted"}
+        assert _finish(thread, out) == [records[key] for key in keys]
+        assert dispatcher.service.stats.trainings == 0
+
+    def test_a_long_polling_executor_keeps_its_lease(
+        self, dispatcher, tiny_task, tiny_config, small_graph
+    ):
+        # No heartbeat at all: the claim long-poll alone keeps the executor,
+        # and so its lease, live; the held key is not granted a second time.
+        info = dispatcher.register()
+        thread, out, keys = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
+        )
+        grant = dispatcher.claim(info.executor_id, timeout=5.0)
+        assert dispatcher.claim(info.executor_id, timeout=0.6).empty  # 3x TTL
+        assert info.lease_expiries == 0
+        assert dispatcher.leased_count == 1
+        dispatcher.commit(info.executor_id, grant.lease_id, keys, ["polled"])
+        assert _finish(thread, out) == ["polled"]
+        assert dispatcher.service.stats.trainings == 0
+
+    def test_a_dead_fleet_holds_no_lease_after_the_next_sweep(
+        self, dispatcher, tiny_task, tiny_config, small_graph
+    ):
+        info = dispatcher.register()
+        thread, out, _ = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
+        )
+        dispatcher.claim(info.executor_id, timeout=5.0)
+        assert dispatcher.leased_count == 1
+        info.last_seen -= 0.5  # past the 0.2s TTL, inside the prune horizon
+        assert not dispatcher.service.fleet_live()
+        dispatcher._sweep()
+        assert dispatcher.leased_count == 0
+        assert info.lease_expiries == 1
+        assert dispatcher.touch(info.executor_id) == 0  # it holds nothing
+        [record] = _finish(thread, out)  # the caller trained the key itself
+        assert dispatcher.service.stats.trainings == 1
 
     def test_deregister_requeues_immediately(
         self, dispatcher, tiny_task, tiny_config, small_graph
@@ -636,9 +681,9 @@ class TestFleetDispatcher:
         with service._lock:
             queued = dict(service._queue)
         assert list(queued) == keys
-        assert service.queue_census() == (0, 0)
+        assert service.queue_census() == (0, {})
         issued: list = []
-        assert service.lease(8, lambda ks: issued.append(ks) or "l-1") is None
+        assert service.lease(8, lambda: issued.append(1) or "l-1") is None
         assert issued == []
         waiter.start()
         assert started.wait(10)
@@ -646,7 +691,7 @@ class TestFleetDispatcher:
         with service._lock:  # the waiter added nothing to the queue
             assert service._queue == queued
             assert all(service._queue[k] is queued[k] for k in keys)
-        assert service.queue_census() == (0, 0)
+        assert service.queue_census() == (0, {})
         release.set()
         owner.join(30)
         waiter.join(30)

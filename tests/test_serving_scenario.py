@@ -38,11 +38,10 @@ from repro.transfer import TransferPolicy
 
 #: (held, acquired) pairs the serving stack takes in this order.  The
 #: profiling service's pending queue is leased under the service's lock,
-#: which asks the executor registry whether the fleet is live and has the
-#: lease table issue the lease; the fleet dispatcher's own lock is a leaf.
+#: which asks the fleet dispatcher whether the fleet is live and has it
+#: issue the lease; the dispatcher never takes another lock inside its own.
 KNOWN_EDGES = {
-    ("ProfilingService._lock", "ExecutorRegistry._lock"),
-    ("ProfilingService._lock", "LeaseTable._lock"),
+    ("ProfilingService._lock", "FleetDispatcher._lock"),
     ("NavigationHTTPServer._idempotency_lock", "EventBuffer._cond"),
     ("NavigationHTTPServer._idempotency_lock", "MetricsRegistry._lock"),
     ("NavigationHTTPServer._idempotency_lock", "NavigationServer._lock"),

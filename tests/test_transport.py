@@ -513,6 +513,7 @@ class TestWireProtocol:
         # a wrong version prefix is outside the namespace entirely
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{http.url}/v0/jobs", timeout=10)
+        excinfo.value.close()  # the error holds the response's socket
         assert excinfo.value.code == 404
 
     def test_bad_request_spec_is_typed(self, stack):
