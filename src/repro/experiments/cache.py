@@ -45,8 +45,8 @@ def cache_dir() -> Path:
 def clear_cache() -> None:
     """Drop every cached record (memory and the shared store)."""
     _MEMORY.clear()
-    # Through the store, so each record goes with its ``meta_<key>.json``
-    # sidecar (a fresh instance holds no pins: everything is evictable).
+    # Through the store (a fresh instance holds no pins: everything is
+    # evictable).
     ResultStore(cache_dir()).prune(0)
 
 

@@ -54,7 +54,6 @@ from repro.graphs.csr import CSRGraph
 from repro.graphs.datasets import load_dataset
 from repro.runtime.backend import PreparedGraph, sampler_args, training_key
 from repro.runtime.profiler import GroundTruthRecord, profile_class
-from repro.transfer.fingerprint import record_fingerprint
 from repro.wire import decode, encode
 
 __all__ = [
@@ -74,11 +73,6 @@ __all__ = [
 #: bump when the serialised record layout changes; mismatched entries are
 #: silently discarded and re-measured.
 _STORE_VERSION = 1
-
-#: schema version of the per-record metadata sidecar (the task fingerprint
-#: the transfer corpus indexes); version-skewed sidecars are re-derived
-#: from the record they describe.
-_META_VERSION = 1
 
 #: semantic version of the measurements themselves — bump whenever the
 #: runtime backend or cost model changes what a profiling run would measure
@@ -241,14 +235,8 @@ class ResultStore:
     instance's view — a concurrent *process* writing the same directory is
     only picked up by :meth:`refresh`.
 
-    Every record carries a *metadata sidecar* (``meta_<key>.json``): a
-    schema-versioned envelope holding the record's task fingerprint, which
-    the transfer corpus indexes without parsing record payloads.  The
-    sidecar is renamed into place *before* the record on :meth:`save`, so a
-    crash mid-save can leave an orphan sidecar (harmless, ignored) but
-    never a record without its fingerprint entry.  Sidecars are a few
-    hundred bytes and excluded from the :attr:`nbytes`/``len`` budgets,
-    which keep counting records exactly as before.
+    Stores written by older versions may also hold ``meta_<key>.json``
+    files; nothing reads or counts them, and they can be deleted by hand.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
@@ -275,25 +263,12 @@ class ResultStore:
     def _path(self, key: str) -> Path:
         return self.root / f"gt_{key}.json"
 
-    def _meta_path(self, key: str) -> Path:
-        return self.root / f"meta_{key}.json"
-
-    @staticmethod
-    def _meta_payload(key: str, record: GroundTruthRecord) -> dict:
-        fingerprint = record_fingerprint(record)
-        return {
-            "version": _META_VERSION,
-            "key": key,
-            "fingerprint_id": fingerprint.fingerprint_id,
-            "fingerprint": fingerprint.to_dict(),
-        }
-
     @staticmethod
     def _stage(path: Path, payload: dict) -> Path:
         """Write ``payload`` beside ``path`` for the caller to rename into
         place, under a name no other writer shares: processes on one cache
-        dir *and* threads of one process (two jobs backfilling the same
-        sidecar) must not interleave into, or rename away, one staging file."""
+        dir *and* threads of one process (two jobs committing the same key)
+        must not interleave into, or rename away, one staging file."""
         tmp = path.with_suffix(f".{os.getpid()}.{threading.get_ident()}.tmp")
         with open(tmp, "w", encoding="utf-8") as f:
             json.dump(payload, f)
@@ -318,21 +293,13 @@ class ResultStore:
             return None
 
     def save(self, key: str, record: GroundTruthRecord) -> None:
-        """Persist one record (and its fingerprint sidecar) atomically.
-
-        Both files are staged tmp-then-rename; the sidecar rename lands
-        *first*, so no crash point can produce a record whose fingerprint
-        entry is missing — an interrupted save leaves either nothing or an
-        orphan sidecar the corpus ignores.
-        """
+        """Persist one record atomically (staged, then renamed into place)."""
         envelope = {
             "version": _STORE_VERSION,
             "key": key,
             "record": record_to_dict(record),
         }
         path = self._path(key)
-        meta_path = self._meta_path(key)
-        meta_tmp = self._stage(meta_path, self._meta_payload(key, record))
         tmp = self._stage(path, envelope)
         new_size = tmp.stat().st_size
         with self._lock:
@@ -340,59 +307,12 @@ class ResultStore:
                 old_size = path.stat().st_size
             except OSError:
                 old_size = None
-            os.replace(meta_tmp, meta_path)
             os.replace(tmp, path)
             if old_size is None:
                 self._count += 1
                 self._bytes += new_size
             else:
                 self._bytes += new_size - old_size
-
-    def load_meta(self, key: str) -> dict | None:
-        """The record's sidecar payload (fingerprint envelope), or ``None``.
-
-        Corrupt or version-skewed sidecars are deleted and reported as a
-        miss — :meth:`ensure_meta` re-derives them from the record.
-        """
-        meta_path = self._meta_path(key)
-        try:
-            with open(meta_path, encoding="utf-8") as f:
-                payload = json.load(f)
-            if payload.get("version") != _META_VERSION:
-                raise ValueError("sidecar version mismatch")
-            if not isinstance(payload.get("fingerprint"), dict):
-                raise ValueError("sidecar missing fingerprint")
-            return payload
-        except OSError:
-            return None
-        except Exception:
-            # Only the sidecar is suspect; the record stays untouched.
-            try:
-                meta_path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def ensure_meta(self, key: str) -> dict | None:
-        """Sidecar payload for ``key``, backfilling it from the record.
-
-        Stores written before the sidecar existed (or whose sidecar was
-        version-skewed) get their fingerprint entries re-derived here the
-        first time the transfer corpus scans them.  ``None`` when the
-        record itself is missing or unreadable.
-        """
-        payload = self.load_meta(key)
-        if payload is not None:
-            return payload
-        record = self.load(key)
-        if record is None:
-            return None
-        payload = self._meta_payload(key, record)
-        meta_path = self._meta_path(key)
-        meta_tmp = self._stage(meta_path, payload)
-        with self._lock:
-            os.replace(meta_tmp, meta_path)
-        return payload
 
     def _discard(self, path: Path) -> bool:
         """Delete one entry; ``True`` only if *this* caller removed it."""
@@ -404,12 +324,6 @@ class ResultStore:
                 return False
             self._count -= 1
             self._bytes -= size
-            # Record first, sidecar second: an interruption here leaves an
-            # orphan sidecar, never a record without one.
-            try:
-                self._meta_path(path.stem[len("gt_") :]).unlink()
-            except OSError:
-                pass
             return True
 
     def keys(self) -> list[str]:

@@ -8,7 +8,7 @@ dispatcher only hands out, times and resolves keys:
 
 1. Executors long-poll :meth:`claim`, which leases a same-graph batch off
    the head of the queue (``ProfilingService.lease``), first come first
-   served.
+   served, after requeuing any lease the idle claimer still holds.
 2. :meth:`commit` resolves each key through ``service.commit`` — the path
    the service's own runs take — so memory/store/budget invariants and the
    dedup cannot diverge.  Commits are idempotent twice over: a retried POST
@@ -183,10 +183,12 @@ class FleetDispatcher:
         Re-registering a known id is the recovery path after a server
         restart or a prune (:class:`UnknownExecutorError` sends the
         executor back here): the row keeps its counters, and only its
-        worker count and liveness reset.
+        worker count and liveness reset.  A fresh id skips ids already
+        registered.
         """
         with self._cond:
-            if executor_id is None:
+            fresh = executor_id is None
+            while fresh and (executor_id is None or executor_id in self._executors):
                 executor_id = f"ex-{self._admitted:04d}"
                 self._admitted += 1
             info = self._executors.get(executor_id)
@@ -217,9 +219,7 @@ class FleetDispatcher:
         """Graceful exit: drop the executor and re-queue its leases now."""
         with self._lock:
             existed = self._executors.pop(executor_id, None) is not None
-            held = [i for i, owner in self._leases.items() if owner == executor_id]
-            for lease_id in held:
-                del self._leases[lease_id]
+            held = self._release_locked(executor_id)
         for lease_id in held:
             self.service.requeue(lease_id)
         if existed and self.metrics is not None:
@@ -237,13 +237,21 @@ class FleetDispatcher:
         """Long-poll for a batch; empty grant when nothing lands in time.
 
         Grants come off the head of the pending queue; all keys in one
-        grant share a task and a graph.
+        grant share a task and a graph.  An executor claims only when it is
+        idle, so any lease it still holds is a batch it dropped — a failed
+        commit, a lost claim or commit reply — and goes back on the queue
+        first; otherwise it would stay held for as long as the executor
+        lives.
         """
         limit = _MAX_BATCH
         if max_candidates is not None:
             limit = max(1, min(max_candidates, _MAX_BATCH))
         deadline = time.monotonic() + max(0.0, min(timeout, _MAX_CLAIM_POLL))
         poll = max(0.05, min(self.lease_ttl / 4.0, 0.5))
+        with self._lock:
+            dropped = self._release_locked(executor_id)
+        for lease_id in dropped:
+            self.service.requeue(lease_id)
 
         def issue() -> str:  # runs under the service's lock
             with self._lock:
@@ -361,6 +369,14 @@ class FleetDispatcher:
         return graph
 
     # ------------------------------------------------------------- plumbing
+    def _release_locked(self, executor_id: str) -> list[str]:  # holds: _lock
+        """Forget the executor's leases; the caller requeues them once it
+        has let go of the lock."""
+        held = [i for i, owner in self._leases.items() if owner == executor_id]
+        for lease_id in held:
+            del self._leases[lease_id]
+        return held
+
     def _touch_locked(self, executor_id: str) -> ExecutorInfo:  # holds: _lock
         info = self._executors.get(executor_id)
         if info is None:

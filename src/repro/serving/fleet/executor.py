@@ -76,8 +76,8 @@ class FleetClient(RemoteNavigationClient):
         max_candidates: int | None = None,
         timeout: float = 0.0,
     ) -> ClaimGrant:
-        """One work-pull long-poll round (no retry — an unanswered claim's
-        lease simply expires; the loop just opens the next round)."""
+        """One work-pull long-poll round (no retry — the loop's next claim
+        hands an unanswered claim's lease back to the queue)."""
         request = FleetClaimRequest(executor_id, max_candidates, timeout)
         return self._rpc("fleet_claim", request, wait=timeout)
 
@@ -277,7 +277,7 @@ class ProfilingExecutor:
                 self._run_grant(grant)
             except ServingError:
                 # Commit failed or the batch is unrunnable: drop it — the
-                # lease expires server-side and someone else takes over.
+                # next claim hands its lease back to the queue.
                 continue
 
     def _run_grant(self, grant: ClaimGrant) -> None:

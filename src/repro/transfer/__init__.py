@@ -6,7 +6,7 @@ it into a *transfer source* so the deployment gets cheaper the more traffic
 it serves:
 
 ``fingerprint``  task identity (graph stats + arch/platform gates),
-                 persisted as a store metadata sidecar per record;
+                 derived from each stored record;
 ``corpus``       an index over the store with similarity search behind one
                  :class:`TaskSimilarity` interface;
 ``warmstart``    similarity-decayed donor records fed into
@@ -14,12 +14,24 @@ it serves:
 ``prerank``      corpus-guided candidate pre-ranking that shrinks the
                  Step-2 profiling budget as coverage grows.
 
-Submodules are resolved lazily (PEP 562): the runtime store imports
-``transfer.fingerprint`` while ``transfer.corpus`` imports the runtime
-store, so an eager package import would be circular.
+The package sits above the runtime: it imports the store, and nothing
+under ``repro.runtime`` imports it.
 """
 
-from __future__ import annotations
+from repro.transfer.corpus import (
+    AnchorRankSimilarity,
+    FeatureSpaceSimilarity,
+    TaskSimilarity,
+    TransferCorpus,
+)
+from repro.transfer.fingerprint import (
+    FINGERPRINT_VERSION,
+    TaskFingerprint,
+    record_fingerprint,
+    task_fingerprint,
+)
+from repro.transfer.policy import TransferPolicy
+from repro.transfer.warmstart import TransferContext, WarmStartPlan, donor_weights
 
 __all__ = [
     "FINGERPRINT_VERSION",
@@ -35,27 +47,3 @@ __all__ = [
     "WarmStartPlan",
     "donor_weights",
 ]
-
-_EXPORTS = {
-    "FINGERPRINT_VERSION": "repro.transfer.fingerprint",
-    "TaskFingerprint": "repro.transfer.fingerprint",
-    "task_fingerprint": "repro.transfer.fingerprint",
-    "record_fingerprint": "repro.transfer.fingerprint",
-    "TransferPolicy": "repro.transfer.policy",
-    "TaskSimilarity": "repro.transfer.corpus",
-    "FeatureSpaceSimilarity": "repro.transfer.corpus",
-    "AnchorRankSimilarity": "repro.transfer.corpus",
-    "TransferCorpus": "repro.transfer.corpus",
-    "TransferContext": "repro.transfer.warmstart",
-    "WarmStartPlan": "repro.transfer.warmstart",
-    "donor_weights": "repro.transfer.warmstart",
-}
-
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro.transfer' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)

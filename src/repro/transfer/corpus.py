@@ -1,9 +1,9 @@
 """The transfer corpus: a queryable cross-task index over the result store.
 
 The :class:`~repro.runtime.parallel.ResultStore` holds one JSON record per
-measured candidate plus a fingerprint sidecar per record; the corpus folds
-those sidecars into an in-memory index grouped by task family
-(``fingerprint_id``) and answers *"which stored tasks resemble this one?"*
+measured candidate; the corpus derives each record's task fingerprint and
+folds them into an in-memory index grouped by task family
+(``fingerprint_id``), and answers *"which stored tasks resemble this one?"*
 through a :class:`TaskSimilarity` metric.
 
 Two metrics ship, both behind the same interface:
@@ -17,8 +17,8 @@ Two metrics ship, both behind the same interface:
   query task's own anchor measurements, so it only refines the ranking for
   returning tasks and falls back to feature space otherwise.
 
-Locking: ``_lock`` guards only the in-memory index dict.  All store I/O —
-the directory scan, sidecar reads, record loads — happens outside it, so
+Locking: ``_lock`` guards only the in-memory index.  All store I/O — the
+directory scan and record loads — happens outside it, so
 the corpus lock is a leaf in the lock-order graph (no edge into the
 store's own lock).
 """
@@ -34,7 +34,7 @@ import numpy as np
 from repro.config.templates import TEMPLATES
 from repro.runtime.parallel import ResultStore
 from repro.runtime.profiler import GroundTruthRecord
-from repro.transfer.fingerprint import TaskFingerprint
+from repro.transfer.fingerprint import TaskFingerprint, record_fingerprint
 from repro.wire import encode
 
 __all__ = [
@@ -215,40 +215,48 @@ class TransferCorpus:
     """Similarity-searchable index of every task family in one store.
 
     The index maps ``fingerprint_id -> CorpusTask`` and is rebuilt by
-    :meth:`refresh` from the store's fingerprint sidecars (backfilling
-    sidecars for records written before they existed).  Queries are
-    deterministic: ties in similarity break on ``fingerprint_id``.
+    :meth:`refresh`, which derives each stored record's fingerprint once
+    (keys are content hashes: the record under a key never changes) and
+    keeps it across refreshes.  Queries are deterministic: ties in
+    similarity break on ``fingerprint_id``.
     """
 
     def __init__(self, store: ResultStore) -> None:
         self.store = store
         self._lock = threading.Lock()
         self._tasks: dict[str, CorpusTask] = {}  # guarded-by: _lock
+        #: store key -> its record's fingerprint, for every indexed key.
+        self._fingerprints: dict[str, TaskFingerprint] = {}  # guarded-by: _lock
 
     def refresh(self) -> int:
         """Re-index the store; returns the number of task families.
 
-        The scan (directory glob + sidecar reads) runs outside ``_lock``;
-        only the final index swap takes it.  Records whose sidecar cannot
-        be derived (record vanished mid-scan, corrupt payload) are skipped —
-        they re-appear on the next refresh if they come back.
+        Loads only the records of keys the last refresh did not index, and
+        drops the keys that left the store.  The scan runs outside
+        ``_lock``; only the final swap takes it.  A record that vanished
+        mid-scan or is corrupt is skipped — it re-appears on the next
+        refresh if it comes back.
         """
+        with self._lock:
+            known = self._fingerprints
+        fingerprints: dict[str, TaskFingerprint] = {}
         grouped: dict[str, tuple[TaskFingerprint, list[str]]] = {}
         for key in self.store.keys():
-            payload = self.store.ensure_meta(key)
-            if payload is None:
-                continue
-            try:
-                fingerprint = TaskFingerprint.from_dict(payload["fingerprint"])
-            except Exception:
-                continue
+            fingerprint = known.get(key)
+            if fingerprint is None:
+                record = self.store.load(key)
+                if record is None:
+                    continue
+                fingerprint = record_fingerprint(record)
+            fingerprints[key] = fingerprint
             entry = grouped.setdefault(fingerprint.fingerprint_id, (fingerprint, []))
             entry[1].append(key)
         tasks = {
-            fid: CorpusTask(fingerprint=fp, keys=tuple(sorted(keys)))
+            fid: CorpusTask(fingerprint=fp, keys=tuple(keys))
             for fid, (fp, keys) in grouped.items()
         }
         with self._lock:
+            self._fingerprints = fingerprints
             self._tasks = tasks
             return len(self._tasks)
 

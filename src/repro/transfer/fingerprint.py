@@ -8,20 +8,19 @@ estimator already consumes (:class:`~repro.graphs.profiling.GraphProfile`)
 plus the pre-determined task settings (architecture, platform) that gate
 whether records are comparable at all.
 
-Fingerprints are persisted next to every stored record (the
-:class:`~repro.runtime.parallel.ResultStore` metadata sidecar), so the
-transfer corpus can group and rank donor tasks without loading a single
-record payload.  This module deliberately imports nothing from the runtime
-layer — it sits below the store in the import graph.
+A fingerprint is never stored: :func:`record_fingerprint` derives it from
+a record alone, and the transfer corpus derives each stored record's once
+(the record under a content-hash key never changes).  This module imports
+nothing from the runtime layer.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,9 +31,9 @@ __all__ = [
     "record_fingerprint",
 ]
 
-#: bump when the fingerprint layout or feature semantics change; sidecars
-#: carrying an older version are treated as absent and re-derived from the
-#: record they describe.
+#: bump when the fingerprint layout or feature semantics change; it is
+#: hashed into :attr:`TaskFingerprint.fingerprint_id`, so a bump regroups
+#: every task family.
 FINGERPRINT_VERSION = 1
 
 #: graph-statistics fields copied from :class:`GraphProfile`, in the order
@@ -81,7 +80,7 @@ class TaskFingerprint:
     separability: float
     version: int = FINGERPRINT_VERSION
 
-    @property
+    @cached_property
     def fingerprint_id(self) -> str:
         """Stable content hash grouping records of one task family.
 
@@ -93,7 +92,7 @@ class TaskFingerprint:
             "version": self.version,
             "arch": self.arch,
             "platform": self.platform,
-            **{f: _json_safe(getattr(self, f)) for f in _PROFILE_FIELDS},
+            **{f: getattr(self, f) for f in _PROFILE_FIELDS},
         }
         text = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
@@ -125,37 +124,6 @@ class TaskFingerprint:
             dtype=np.float64,
         )
         return np.nan_to_num(raw, nan=0.0, posinf=1e3, neginf=-1e3)
-
-    # ---------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """JSON-friendly encoding (the sidecar payload)."""
-        out = dataclasses.asdict(self)
-        return {k: _json_safe(v) for k, v in out.items()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TaskFingerprint":
-        """Inverse of :meth:`to_dict`; raises on layout drift."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown fingerprint keys: {sorted(unknown)}")
-        payload = dict(data)
-        for f, value in payload.items():
-            # Undo the _json_safe string encoding of non-finite floats.
-            if f not in ("dataset", "arch", "platform") and isinstance(value, str):
-                payload[f] = float(value)
-        return cls(**payload)
-
-
-def _json_safe(value):
-    """Encode non-finite floats as strings json round-trips portably.
-
-    ``json.dumps`` would emit the non-standard ``Infinity`` literal; string
-    forms survive any strict JSON parser a sidecar might meet.
-    """
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)  # 'inf' / '-inf' / 'nan' — float() parses all
-    return value
 
 
 def _quantize(value):
@@ -191,8 +159,7 @@ def record_fingerprint(record) -> TaskFingerprint:
     """Fingerprint derived from a stored ground-truth record itself.
 
     Everything the fingerprint needs rides on the record (``task`` +
-    ``graph_profile``), which is what lets the store write the sidecar on
-    *every* commit path — local pool, fleet — without any caller
-    plumbing.
+    ``graph_profile``), so the corpus indexes any stored record, whichever
+    commit path — local pool, fleet — wrote it.
     """
     return task_fingerprint(record.task, record.graph_profile)

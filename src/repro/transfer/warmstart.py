@@ -120,8 +120,9 @@ class TransferContext:
     def plan(self, task, profile, *, full_budget: int) -> WarmStartPlan | None:
         """Build a warm-start plan for ``task``, or ``None`` to run cold.
 
-        Refreshes the corpus (cheap: sidecar reads only), ranks compatible
-        donor families under the policy's similarity metric, and — given
+        Refreshes the corpus (cheap: it loads only records it has not
+        indexed yet), ranks compatible donor families under the policy's
+        similarity metric, and — given
         enough donor records to fit an estimator — shrinks the profiling
         budget in proportion to how much of it the donors plausibly cover:
         ``coverage = min(1, Σ sim_i · min(1, n_i / full_budget))``.

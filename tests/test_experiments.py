@@ -86,8 +86,7 @@ class TestRecordCache:
     def test_clear_cache_empties_the_store_dir(
         self, small_graph, tmp_path, monkeypatch
     ):
-        """Records go with their ``meta_<key>.json`` sidecars, and the
-        in-process memo goes too."""
+        """One file per record goes, and the in-process memo goes too."""
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
         task = TaskSpec(dataset="tiny", arch="sage", epochs=1)
         kwargs = dict(
@@ -99,8 +98,8 @@ class TestRecordCache:
         )
         first = profiling_records(task, **kwargs)
         names = sorted(p.name for p in (tmp_path / "store").iterdir())
-        assert len(names) == 2 * len(first)
-        assert {n.split("_")[0] for n in names} == {"gt", "meta"}
+        assert len(names) == len(first)
+        assert {n.split("_")[0] for n in names} == {"gt"}
         clear_cache()
         assert list((tmp_path / "store").iterdir()) == []
         assert profiling_records(task, **kwargs) is not first

@@ -84,6 +84,16 @@ class TestFleetMembership:
         assert dispatcher.register(workers=1).executor_id == "ex-0001"
         assert len(dispatcher) == 2
 
+    def test_fresh_ids_skip_registered_ones(self, dispatcher):
+        named = dispatcher.register(executor_id="ex-0000")
+        fresh = dispatcher.register()
+        assert fresh is not named
+        assert fresh.executor_id == "ex-0001"
+        assert [row["executor_id"] for row in dispatcher.status()["executors"]] == [
+            "ex-0000",
+            "ex-0001",
+        ]
+
     def test_unknown_executor_raises(self, dispatcher):
         with pytest.raises(UnknownExecutorError):
             dispatcher.touch("ex-9999")
@@ -376,26 +386,24 @@ class TestFleetDispatcher:
     def test_lease_ids_are_sequential_and_a_commit_releases_its_lease(
         self, dispatcher, tiny_task, tiny_config, small_graph
     ):
-        info = dispatcher.register()
+        a, b = dispatcher.register().executor_id, dispatcher.register().executor_id
         configs = [_config(tiny_config, batch_size=b) for b in (32, 64)]
         thread, out, keys = _start_batch(
             dispatcher, tiny_task, configs, small_graph
         )
-        first = dispatcher.claim(info.executor_id, max_candidates=1, timeout=5.0)
-        second = dispatcher.claim(info.executor_id, max_candidates=1, timeout=5.0)
+        first = dispatcher.claim(a, max_candidates=1, timeout=5.0)
+        second = dispatcher.claim(b, max_candidates=1, timeout=5.0)
         assert (first.lease_id, second.lease_id) == ("lease-000000", "lease-000001")
-        assert dispatcher.touch(info.executor_id) == 2
-        dispatcher.commit(info.executor_id, first.lease_id, list(first.keys), ["a"])
-        assert dispatcher.touch(info.executor_id) == 1
+        assert (dispatcher.touch(a), dispatcher.touch(b)) == (1, 1)
+        dispatcher.commit(a, first.lease_id, list(first.keys), ["a"])
+        assert (dispatcher.touch(a), dispatcher.touch(b)) == (0, 1)
         assert dispatcher.leased_count == 1
         # a second commit on a released lease releases nothing more
-        again = dispatcher.commit(
-            info.executor_id, first.lease_id, list(first.keys), ["a"]
-        )
+        again = dispatcher.commit(a, first.lease_id, list(first.keys), ["a"])
         assert (again.accepted, again.duplicates) == (0, 1)
-        assert dispatcher.touch(info.executor_id) == 1
-        dispatcher.commit(info.executor_id, second.lease_id, list(second.keys), ["b"])
-        assert dispatcher.touch(info.executor_id) == 0
+        assert dispatcher.touch(b) == 1
+        dispatcher.commit(b, second.lease_id, list(second.keys), ["b"])
+        assert dispatcher.touch(b) == 0
         records = dict(zip(first.keys + second.keys, ["a", "b"], strict=True))
         assert _finish(thread, out) == [records[key] for key in keys]
 
@@ -414,32 +422,54 @@ class TestFleetDispatcher:
         assert (silent.lease_expiries, beating.lease_expiries) == (1, 0)
         assert dispatcher.leased_count == 1
         assert dispatcher.touch(beating.executor_id) == 1
+        dispatcher.commit(beating.executor_id, kept.lease_id, list(kept.keys), ["kept"])
         # the fleet is still live, so the expired key waits for a claim
         regrant = dispatcher.claim(beating.executor_id, timeout=5.0)
         assert regrant.keys == lost.keys
-        for grant, record in ((kept, "kept"), (regrant, "regranted")):
-            dispatcher.commit(
-                beating.executor_id, grant.lease_id, list(grant.keys), [record]
-            )
+        dispatcher.commit(
+            beating.executor_id, regrant.lease_id, list(regrant.keys), ["regranted"]
+        )
         records = {kept.keys[0]: "kept", regrant.keys[0]: "regranted"}
         assert _finish(thread, out) == [records[key] for key in keys]
         assert dispatcher.service.stats.trainings == 0
 
-    def test_a_long_polling_executor_keeps_its_lease(
+    def test_a_long_polling_executor_stays_live(
         self, dispatcher, tiny_task, tiny_config, small_graph
     ):
-        # No heartbeat at all: the claim long-poll alone keeps the executor,
-        # and so its lease, live; the held key is not granted a second time.
+        # No heartbeat at all: the claim long-poll alone keeps an idle
+        # executor live through 3x the TTL of inline sweeps, so the caller
+        # leaves its key to the fleet.
         info = dispatcher.register()
+        assert dispatcher.claim(info.executor_id, timeout=0.6).empty
+        assert dispatcher.service.fleet_live()
         thread, out, keys = _start_batch(
             dispatcher, tiny_task, [tiny_config], small_graph
         )
         grant = dispatcher.claim(info.executor_id, timeout=5.0)
-        assert dispatcher.claim(info.executor_id, timeout=0.6).empty  # 3x TTL
-        assert info.lease_expiries == 0
-        assert dispatcher.leased_count == 1
+        assert list(grant.keys) == keys
         dispatcher.commit(info.executor_id, grant.lease_id, keys, ["polled"])
         assert _finish(thread, out) == ["polled"]
+        assert dispatcher.service.stats.trainings == 0
+
+    def test_a_claim_hands_back_the_claimers_dropped_lease(
+        self, dispatcher, tiny_task, tiny_config, small_graph
+    ):
+        """A lost claim reply: the executor never saw its lease and claims
+        again.  The claim requeues the lease it still holds and grants the
+        keys anew, so the key is not held for as long as the executor lives."""
+        info = dispatcher.register()
+        thread, out, keys = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
+        )
+        lost = dispatcher.claim(info.executor_id, timeout=5.0)
+        again = dispatcher.claim(info.executor_id, timeout=5.0)
+        assert (lost.lease_id, again.lease_id) == ("lease-000000", "lease-000001")
+        assert list(again.keys) == keys
+        assert dispatcher.touch(info.executor_id) == 1
+        assert dispatcher.leased_count == 1
+        assert info.lease_expiries == 0
+        dispatcher.commit(info.executor_id, again.lease_id, keys, ["again"])
+        assert _finish(thread, out) == ["again"]
         assert dispatcher.service.stats.trainings == 0
 
     def test_a_dead_fleet_holds_no_lease_after_the_next_sweep(
@@ -607,6 +637,49 @@ class TestFleetDispatcher:
         assert service.store.load(keys[0]) == record
         assert _finish(thread, out) == [record]
         assert (service.stats.trainings, service.stats.executed) == (0, 1)
+        dispatcher.close()
+
+    def test_a_dropped_batch_after_a_failed_commit_is_claimed_again(
+        self, tiny_task, tiny_config, small_graph, tmp_path
+    ):
+        """The executor drops a batch whose commit failed server-side and
+        claims again.  That claim hands the batch back; the caller, left to
+        a live fleet, finishes once the batch lands."""
+        [record] = ProfilingService().profile(
+            tiny_task, [tiny_config], graph=small_graph
+        )
+        service = ProfilingService(cache_dir=tmp_path)
+        dispatcher = FleetDispatcher(service, lease_ttl=5.0)
+        real_save = service.store.save
+        failures = [OSError("disk full")]
+
+        def save(key, record):
+            if failures:
+                raise failures.pop()
+            real_save(key, record)
+
+        service.store.save = save
+        info = dispatcher.register()
+        thread, out, keys = _start_batch(
+            dispatcher, tiny_task, [tiny_config], small_graph
+        )
+        dropped = dispatcher.claim(info.executor_id, timeout=5.0)
+        with pytest.raises(OSError):
+            dispatcher.commit(
+                info.executor_id, dropped.lease_id, keys, [record],
+                idempotency_key=dropped.lease_id,
+            )
+        grant = dispatcher.claim(info.executor_id, timeout=5.0)
+        assert list(grant.keys) == keys
+        assert grant.lease_id != dropped.lease_id
+        assert dispatcher.status()["leased"] == 1
+        dispatcher.commit(
+            info.executor_id, grant.lease_id, keys, [record],
+            idempotency_key=grant.lease_id,
+        )
+        assert _finish(thread, out) == [record]
+        assert (service.stats.trainings, service.stats.executed) == (0, 1)
+        assert dispatcher.status()["leased"] == 0
         dispatcher.close()
 
     def test_a_key_resolved_during_the_store_probe_is_not_trained(

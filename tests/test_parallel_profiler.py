@@ -284,29 +284,27 @@ class TestStoreManagement:
         assert not victim.exists()
         assert len(store) == 1
 
-    def test_threads_backfilling_one_sidecar_do_not_collide(self, tmp_path, record):
-        """Two jobs of one server refreshing the corpus over a store whose
-        sidecars are gone stage the same ``meta_*.json``: each writer needs
-        its own staging file, or the loser's rename finds it already moved."""
+    def test_threads_saving_one_key_do_not_collide(self, tmp_path, record):
+        """Two jobs of one server committing the same key stage the same
+        ``gt_*.json``: each writer needs its own staging file, or the
+        loser's rename finds it already moved."""
         store = ResultStore(tmp_path)
-        keys = self._populate(store, record, 40)
-        for path in tmp_path.glob("meta_*.json"):
-            path.unlink()
+        key = f"{0:032x}"
         failures: list[BaseException] = []
         barrier = threading.Barrier(4)
 
-        def backfill():
+        def save():
             barrier.wait(timeout=30)
-            for key in keys:
+            for _ in range(40):
                 try:
-                    assert store.ensure_meta(key)["key"] == key
+                    store.save(key, record)
                 except BaseException as exc:  # noqa: BLE001 — reported below
                     failures.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=backfill) for _ in range(4)]
+            threads = [threading.Thread(target=save) for _ in range(4)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -315,8 +313,10 @@ class TestStoreManagement:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert len(list(tmp_path.glob("meta_*.json"))) == 40
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert [p.name for p in tmp_path.iterdir()] == [f"gt_{key}.json"]
+        assert store.load(key) == record
+        assert len(store) == 1
+        assert store.nbytes == (tmp_path / f"gt_{key}.json").stat().st_size
 
     def test_prune_evicts_oldest(self, tmp_path, record):
         store = ResultStore(tmp_path)

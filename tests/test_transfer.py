@@ -1,8 +1,8 @@
 """Cross-task estimator transfer tests (the ``repro.transfer`` subsystem).
 
 Covers the stack bottom-up: fingerprint identity and its noise-robust
-quantization, the store's fingerprint sidecar (including crash atomicity of
-the two-file write), similarity metrics and deterministic corpus search,
+quantization, similarity metrics, the corpus's incremental index over the
+store and its deterministic search,
 similarity-decayed donor weights, weighted estimator fitting, and the two
 system-level contracts — a warm start profiles measurably fewer candidates
 than a cold one on a sibling task, and an *empty* corpus leaves navigation
@@ -10,8 +10,6 @@ bit-identical to a navigator built without transfer at all.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -123,70 +121,12 @@ class TestTaskFingerprint:
         assert not sage.compatible(gcn)
         assert not sage.compatible(a100)
 
-    def test_dict_round_trip_including_non_finite(self):
+    def test_non_finite_statistics_keep_finite_features(self):
         task = TaskSpec(dataset="a", arch="sage", epochs=1)
         fp = task_fingerprint(task, _profile(powerlaw_exponent=float("inf")))
-        back = TaskFingerprint.from_dict(fp.to_dict())
-        assert back == fp
-        assert back.fingerprint_id == fp.fingerprint_id
-        assert np.isfinite(back.as_features()).all()
-
-    def test_from_dict_rejects_unknown_keys(self):
-        task = TaskSpec(dataset="a", arch="sage", epochs=1)
-        data = task_fingerprint(task, _profile()).to_dict()
-        data["surprise"] = 1
-        with pytest.raises(ValueError, match="unknown fingerprint keys"):
-            TaskFingerprint.from_dict(data)
-
-
-# -------------------------------------------------------------------- sidecar
-class TestStoreSidecar:
-    def test_save_writes_sidecar_and_discard_removes_both(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.save("k1", _record(TrainingConfig()))
-        assert (tmp_path / "gt_k1.json").exists()
-        assert (tmp_path / "meta_k1.json").exists()
-        meta = store.load_meta("k1")
-        assert meta["fingerprint_id"] == record_fingerprint(
-            store.load("k1")
-        ).fingerprint_id
-        store.prune(max_entries=0)
-        assert not (tmp_path / "gt_k1.json").exists()
-        assert not (tmp_path / "meta_k1.json").exists()
-
-    def test_ensure_meta_backfills_legacy_records(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.save("k1", _record(TrainingConfig()))
-        (tmp_path / "meta_k1.json").unlink()  # a record from before sidecars
-        assert store.load_meta("k1") is None
-        payload = store.ensure_meta("k1")
-        assert payload is not None
-        assert (tmp_path / "meta_k1.json").exists()
-        assert store.ensure_meta("missing") is None
-
-    def test_crash_between_renames_never_leaves_record_without_sidecar(
-        self, tmp_path, monkeypatch
-    ):
-        store = ResultStore(tmp_path)
-        real_replace = os.replace
-
-        def exploding_replace(src, dst):
-            if os.path.basename(str(dst)).startswith("gt_"):
-                raise OSError("simulated crash after sidecar, before record")
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", exploding_replace)
-        with pytest.raises(OSError, match="simulated crash"):
-            store.save("k1", _record(TrainingConfig()))
-        monkeypatch.undo()
-        # The invariant is one-directional: a record implies its sidecar.
-        # The crash window may leave an orphan sidecar (harmless: keyed
-        # storage, overwritten on the next save) but never a bare record.
-        assert store.load("k1") is None
-        assert len(store) == 0
-        store.save("k1", _record(TrainingConfig()))
-        assert store.load("k1") is not None
-        assert store.load_meta("k1") is not None
+        assert np.isfinite(fp.as_features()).all()
+        twin = task_fingerprint(task, _profile(powerlaw_exponent=float("inf")))
+        assert twin.fingerprint_id == fp.fingerprint_id
 
 
 # ------------------------------------------------------- similarity + corpus
@@ -246,10 +186,49 @@ class TestTransferCorpus:
         return store
 
     def test_refresh_groups_by_family(self, tmp_path):
-        corpus = TransferCorpus(self._seed_store(tmp_path))
+        store = self._seed_store(tmp_path)
+        corpus = TransferCorpus(store)
         assert corpus.refresh() == 3
         assert corpus.num_records == 12
         assert all(t.num_records == 4 for t in corpus.tasks())
+        for task in corpus.tasks():
+            for key in task.keys:
+                assert record_fingerprint(store.load(key)) == task.fingerprint
+        assert sorted(p.name.split("_")[0] for p in tmp_path.iterdir()) == ["gt"] * 12
+
+    def test_a_repeat_refresh_loads_only_new_keys(self, tmp_path, monkeypatch):
+        store = self._seed_store(tmp_path)
+        corpus = TransferCorpus(store)
+        corpus.refresh()
+        loaded = []
+        real_load = store.load
+
+        def load(key):
+            loaded.append(key)
+            return real_load(key)
+
+        monkeypatch.setattr(store, "load", load)
+        assert corpus.refresh() == 3
+        assert loaded == []
+        task = TaskSpec(dataset="a", arch="sage", epochs=1)
+        store.save("a-new", _record(TrainingConfig(), task=task, profile=_profile()))
+        assert corpus.refresh() == 3
+        assert loaded == ["a-new"]
+        assert corpus.num_records == 13
+
+    def test_a_key_that_leaves_the_store_leaves_the_index(self, tmp_path):
+        store = self._seed_store(tmp_path)
+        corpus = TransferCorpus(store)
+        corpus.refresh()
+        for key in ("c-0", "c-1", "c-2", "c-3", "a-0"):
+            (tmp_path / f"gt_{key}.json").unlink()
+        assert corpus.refresh() == 2
+        assert corpus.num_records == 7
+        assert all("a-0" not in t.keys for t in corpus.tasks())
+        store.refresh()
+        assert store.prune(max_entries=0) == 7
+        assert corpus.refresh() == 0
+        assert corpus.tasks() == []
 
     def test_similar_is_deterministic_and_excludes_self(self, tmp_path):
         store = self._seed_store(tmp_path)

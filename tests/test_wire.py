@@ -6,7 +6,8 @@
   (``messages``; the cases whose payload slots are now typed carry
   ``tests/wire_samples.py`` objects run through the old ``to_dict`` /
   ``record_to_dict`` / ``task_to_wire``), the bare domain payloads
-  (``payloads``), one candidate key, and one store entry with its sidecar.
+  (``payloads``), one candidate key, and one store entry with the
+  ``meta_`` fingerprint file older stores kept beside it.
   The codec must emit the same bytes and decode them to an equal object, so
   an old executor, an old client and an old store interoperate with it.
 * Every class that crosses a boundary round-trips from a sample that sets
@@ -71,6 +72,7 @@ from repro.serving.transport.protocol import (
     SubmitResponse,
     match_endpoint,
 )
+from repro.transfer.corpus import TransferCorpus
 from repro.transfer.policy import TransferPolicy
 from repro.wire import WireMessage, decode, encode
 
@@ -260,12 +262,22 @@ class TestGoldenWire:
             (tmp_path / "old" / name).write_text(text)
         old = ResultStore(tmp_path / "old")
         assert old.keys() == [key] and old.load(key) == RECORD
-        assert old.load_meta(key) is not None
+        [meta_name] = [name for name in GOLDEN["store"] if name.startswith("meta_")]
+        assert old.nbytes == len(GOLDEN["store"][f"gt_{key}.json"])
+        # The legacy ``meta_`` file is ignored; the corpus derives the same
+        # family from the record.
+        corpus = TransferCorpus(old)
+        assert corpus.refresh() == 1
+        [family] = corpus.tasks()
+        assert family.keys == (key,)
+        legacy = json.loads(GOLDEN["store"][meta_name])
+        assert family.fingerprint_id == legacy["fingerprint_id"]
         new = ResultStore(tmp_path / "new")
         new.save(key, RECORD)
-        for name, text in GOLDEN["store"].items():
-            written = json.loads((tmp_path / "new" / name).read_text())
-            assert _dumps(written) == _dumps(json.loads(text))
+        name = f"gt_{key}.json"
+        assert [p.name for p in (tmp_path / "new").iterdir()] == [name]
+        written = json.loads((tmp_path / "new" / name).read_text())
+        assert _dumps(written) == _dumps(json.loads(GOLDEN["store"][name]))
 
     def test_every_message_class_has_a_golden_case(self):
         assert {cls.__name__ for cls in ROUTED} == {
