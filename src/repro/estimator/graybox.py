@@ -16,7 +16,9 @@ baseline the ablation bench compares against.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from repro.hardware.memory import gamma_cache, gamma_model, gamma_runtime
 from repro.hardware.specs import Platform, get_platform
 from repro.nn.models import count_parameters
 
-__all__ = ["PredictedPerf", "GrayBoxEstimator", "BlackBoxEstimator"]
+__all__ = ["PredictedPerf", "PerfRows", "GrayBoxEstimator", "BlackBoxEstimator"]
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,49 @@ def _edge_features(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
     ).astype(np.float64)
 
 
-def _as_perf(table: np.ndarray) -> list[PredictedPerf]:
-    """Rows of ``(T, Γ, Acc)`` as estimator outputs."""
-    return [PredictedPerf(*row) for row in table.tolist()]
+_METRICS = attrgetter("time_s", "memory_bytes", "accuracy")
+
+
+class PerfRows(Sequence):
+    """A read-only ``Sequence[PredictedPerf]`` over an ``(n, 3)`` table of
+    ``(T, Γ, Acc)`` rows: a row becomes a :class:`PredictedPerf` only when
+    it is read, so the explore stage handles thousands of candidates as one
+    array (``DESIGN.md``, *The explore stage*).  Compares equal to any list
+    or tuple of the same predictions."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.table = np.asarray(table, dtype=np.float64).reshape(-1, 3)
+        self.table.flags.writeable = False
+
+    @classmethod
+    def of(cls, predictions) -> "PerfRows":
+        """The rows of ``predictions`` (any iterable of ``PredictedPerf``)."""
+        if isinstance(predictions, PerfRows):
+            return predictions
+        return cls(np.array(list(map(_METRICS, predictions)), dtype=np.float64))
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(PerfRows(self.table[index]))
+        return PredictedPerf(*self.table[index].tolist())
+
+    def __iter__(self):
+        return (PredictedPerf(*row) for row in self.table.tolist())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PerfRows):
+            return np.array_equal(self.table, other.table)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PerfRows({len(self)} rows)"
 
 
 class GrayBoxEstimator:
@@ -370,11 +412,12 @@ class GrayBoxEstimator:
         configs: list[TrainingConfig],
         profiles: list[GraphProfile],
         platform: Platform | str = "rtx4090",
-    ) -> list[PredictedPerf]:
-        """Estimate ``Perf(T, Γ, Acc)`` for each candidate (no execution)."""
+    ) -> PerfRows:
+        """Estimate ``Perf(T, Γ, Acc)`` for each candidate (no execution):
+        one ``PredictedPerf`` per candidate, made when it is read."""
         if isinstance(platform, str):
             platform = get_platform(platform)
-        return _as_perf(
+        return PerfRows(
             per_context(
                 [c.canonical() for c in configs],
                 profiles,
@@ -441,7 +484,7 @@ class BlackBoxEstimator:
         configs: list[TrainingConfig],
         profiles: list[GraphProfile],
         platform: Platform | str = "rtx4090",
-    ) -> list[PredictedPerf]:
+    ) -> PerfRows:
         if not self._fitted:
             raise EstimatorError("predict() before fit()")
         if isinstance(platform, str):
@@ -451,7 +494,7 @@ class BlackBoxEstimator:
             profiles,
             lambda columns, profile: encode_columns(columns, profile, platform),
         )
-        return _as_perf(
+        return PerfRows(
             np.column_stack(
                 [
                     np.exp(self._models["time"].predict(feats)),

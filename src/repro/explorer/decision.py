@@ -2,7 +2,9 @@
 
 Fig. 4, box 4: candidates surviving exploration are reduced to the Pareto
 front, normalised, and scalarised with the user's priority weights; the best
-scorer becomes the training guideline for that priority.
+scorer becomes the training guideline for that priority.  All of it runs on
+the exploration's ``(T, Γ, Acc)`` table; a :class:`PredictedPerf` is built
+only for a row the decision returns.
 """
 
 from __future__ import annotations
@@ -48,7 +50,13 @@ class DecisionMaker:
             raise ExplorationError("decision maker received no candidates")
         self.result = result
         self._objectives = result.objectives()
-        self._front = pareto_front_indices(self._objectives)
+        # A NaN or infinite estimate has no place on a normalised scale (one
+        # would turn every score NaN), so the front is taken over the
+        # finite rows.
+        finite = np.flatnonzero(np.isfinite(self._objectives).all(axis=1))
+        if not finite.size:
+            raise ExplorationError("no candidate has a finite predicted performance")
+        self._front = finite[pareto_front_indices(self._objectives[finite])]
 
     @property
     def front_indices(self) -> np.ndarray:
@@ -72,8 +80,6 @@ class DecisionMaker:
         behaviour (Table 1: Bal matches baselines, Ex-TM concedes ~3%).
         Falls back to the full front if the floor empties it.
         """
-        if self._front.size == 0:
-            raise ExplorationError("empty Pareto front")
         front = self._front
         if accuracy_drop is not None:
             accs = -self._objectives[front, 2]

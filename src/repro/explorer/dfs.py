@@ -13,22 +13,22 @@ tree node is a range of raw leaf numbers, a whole tree level is an integer
 array, and an optimistic completion is itself a leaf of the tree — so a
 level's bounds are one array lookup into the estimates, which a single
 ``predict_columns`` per level fills in from a row slice of the
-enumeration's columns, each candidate at most once.  Estimates stay a
-``(T, Γ, Acc)`` table; :class:`PredictedPerf` objects are made only for the
-candidates returned (``DESIGN.md``, *The explore stage*).
+enumeration's columns, each candidate at most once.  The result keeps the
+estimates as one ``(T, Γ, Acc)`` table
+(:class:`~repro.estimator.graybox.PerfRows`): a :class:`PredictedPerf` is
+made only when a caller reads one (``DESIGN.md``, *The explore stage*).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
 from repro.config.settings import TrainingConfig
 from repro.config.space import DesignSpace
 from repro.errors import ExplorationError
-from repro.estimator.graybox import GrayBoxEstimator, PredictedPerf, _as_perf
+from repro.estimator.graybox import GrayBoxEstimator, PerfRows, PredictedPerf
 from repro.explorer.constraints import RuntimeConstraint
 from repro.graphs.profiling import GraphProfile
 from repro.hardware.specs import Platform
@@ -46,28 +46,34 @@ _FILTER_SLACK = 0.25
 #: candidates at once.
 _PRUNE_MAX_REMAINING = 3
 
-_METRICS = attrgetter("time_s", "memory_bytes", "accuracy")
-
 
 @dataclass
 class ExplorationResult:
     """All surviving candidates with their estimated performance."""
 
     candidates: list[TrainingConfig]
+    #: one estimate per candidate, held as a :class:`PerfRows` over
+    #: :attr:`table` (a list passed in is read into one); the wire reads
+    #: and writes it as the list of ``PredictedPerf``.
     predictions: list[PredictedPerf]
     visited_leaves: int = 0
     pruned_subtrees: int = 0
     evaluated: int = 0
     stats: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.predictions = PerfRows.of(self.predictions)
+
+    @property
+    def table(self) -> np.ndarray:
+        """The ``(n, 3)`` read-only ``(T, Γ, Acc)`` rows of ``candidates``."""
+        return self.predictions.table
+
     def objectives(self) -> np.ndarray:
         """Stacked (T, Γ, -Acc) rows for Pareto analysis."""
-        if not self.predictions:
-            return np.zeros((0, 3))
-        return np.array(
-            [(p.time_s, p.memory_bytes, -p.accuracy) for p in self.predictions],
-            dtype=np.float64,
-        )
+        out = self.table.copy()
+        np.negative(out[:, 2], out=out[:, 2])
+        return out
 
 
 class DFSExplorer:
@@ -210,7 +216,7 @@ class DFSExplorer:
             preds = self.estimator.predict(
                 extras, [self.profile] * len(extras), self.platform
             )
-            rows = np.vstack([rows, list(map(_METRICS, preds))])
+            rows = np.vstack([rows, PerfRows.of(preds).table])
         # Final feasibility filter on the leaf estimates themselves.
         feasible = constraint.feasible(*rows.T, slack=_FILTER_SLACK)
         keep = np.flatnonzero(np.broadcast_to(feasible, len(survivors)))
@@ -220,7 +226,7 @@ class DFSExplorer:
             )
         return ExplorationResult(
             candidates=[survivors[i] for i in keep.tolist()],
-            predictions=_as_perf(rows[keep]),
+            predictions=PerfRows(rows[keep]),
             visited_leaves=len(leaves),
             pruned_subtrees=pruned,
             evaluated=len(survivors),

@@ -101,7 +101,9 @@ _FINISHED = {
 #: finished jobs whose result, event history and cancellation token a server
 #: keeps.  Older finished jobs keep only their snapshot (status, error,
 #: timestamps) and their terminal event.  A ``default_space()`` job's result
-#: holds ~0.9 MB of predictions, so this bounds a long-lived server's memory.
+#: holds ~0.16 MB of exploration (its ``(T, Γ, Acc)`` table and candidate
+#: list; ~0.9 MB while every prediction was an object), so this bounds a
+#: long-lived server's memory.
 _RETAINED_RESULTS = 256
 
 

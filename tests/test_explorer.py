@@ -263,6 +263,36 @@ class TestDecisionMaker:
         with pytest.raises(ExplorationError):
             DecisionMaker(ExplorationResult(candidates=[], predictions=[]))
 
+    #: light and accurate, fast, dominant but NaN-timed, middling
+    _ROWS = (
+        (32, 1.0, 100.0, 0.90),
+        (64, 0.2, 400.0, 0.70),
+        (128, float("nan"), 50.0, 0.95),
+        (256, 0.6, 200.0, 0.85),
+    )
+
+    def _rows(self, *picked: int) -> ExplorationResult:
+        rows = [self._ROWS[i] for i in picked]
+        return ExplorationResult(
+            candidates=[TrainingConfig(batch_size=b) for b, *_ in rows],
+            predictions=[PredictedPerf(*perf) for _, *perf in rows],
+        )
+
+    def test_a_nan_row_is_left_out_of_the_front(self):
+        """One NaN estimate used to turn every score NaN (the winner was
+        then the front's first row, or the NaN row itself)."""
+        targets = [get_target(p) for p in sorted(PRIORITY_PRESETS)]
+        dm = DecisionMaker(self._rows(0, 1, 2, 3))
+        assert 2 not in dm.front_indices.tolist()
+        guidelines = dm.choose_all(targets)
+        assert all(np.isfinite(g.score) for g in guidelines.values())
+        assert guidelines == DecisionMaker(self._rows(0, 1, 3)).choose_all(targets)
+        assert guidelines["balance"].config == TrainingConfig(batch_size=32)
+
+    def test_no_finite_row_is_rejected(self):
+        with pytest.raises(ExplorationError, match="finite"):
+            DecisionMaker(self._rows(2))
+
 
 class TestNavigator:
     def test_end_to_end_tiny(self, small_graph, tiny_space):
