@@ -16,21 +16,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.estimator import BlackBoxEstimator, GrayBoxEstimator, r2_score
-from repro.experiments import profiling_records, render_table
+from repro.experiments import render_table
 from repro.experiments.tasks import estimator_task
+from repro.explorer import GNNavigator
+from repro.runtime.parallel import ProfilingService, default_store_dir
 
 
 def _fold(quick: bool):
     budget, epochs = (16, 2) if quick else (40, 4)
+    service = ProfilingService(cache_dir=default_store_dir())
+
+    def ground_truth(dataset: str):
+        return GNNavigator(
+            estimator_task(dataset, epochs=epochs),
+            profile_budget=budget,
+            profile_epochs=epochs,
+            profiler=service,
+        ).ground_truth()
+
     train = []
     for ds in ("reddit", "ogbn-products"):
-        train.extend(
-            profiling_records(estimator_task(ds, epochs=epochs), budget=budget)
-        )
-    test = profiling_records(
-        estimator_task("reddit2", epochs=epochs), budget=budget
-    )
-    return train, test
+        train.extend(ground_truth(ds))
+    return train, ground_truth("reddit2")
 
 
 def _score(estimator, test):

@@ -13,21 +13,25 @@ from __future__ import annotations
 import time
 
 from repro.config import default_space
-from repro.experiments import profiling_records, render_table
+from repro.experiments import render_table
 from repro.experiments.tasks import estimator_task
-from repro.explorer import DFSExplorer, RuntimeConstraint
+from repro.explorer import DFSExplorer, GNNavigator, RuntimeConstraint
 from repro.estimator import GrayBoxEstimator
 from repro.graphs import load_dataset, profile_graph
 from repro.hardware import get_platform
+from repro.runtime.parallel import ProfilingService, default_store_dir
 
 
 def test_ablation_constraint_pruning(run_once, emit, quick):
     budget, epochs = (16, 2) if quick else (40, 4)
 
     def experiment():
-        records = profiling_records(
-            estimator_task("reddit2", epochs=epochs), budget=budget
-        )
+        records = GNNavigator(
+            estimator_task("reddit2", epochs=epochs),
+            profile_budget=budget,
+            profile_epochs=epochs,
+            profiler=ProfilingService(cache_dir=default_store_dir()),
+        ).ground_truth()
         estimator = GrayBoxEstimator().fit(records)
         profile = profile_graph(load_dataset("reddit2"))
         space = default_space()

@@ -4,7 +4,7 @@ Ground-truth profiling is the dominant wall-clock cost of a navigation run
 (Sec. 4.1 trains the estimator on measurements "covering the whole design
 space").  This bench profiles a 32-candidate workload three ways:
 
-(a) serial baseline (the old ``profile_configs`` loop),
+(a) serial baseline (a service without worker processes),
 (b) 4-worker process fan-out — expected >= 2x faster on >= 4 cores, with
     bit-identical records,
 (c) cold vs warm persistent cache — the warm rerun must finish with zero
@@ -21,7 +21,7 @@ import numpy as np
 from repro.config.settings import TaskSpec
 from repro.config.space import default_space
 from repro.graphs.generators import powerlaw_community_graph
-from repro.runtime import ProfilingService, profile_configs
+from repro.runtime import ProfilingService
 
 NUM_CANDIDATES = 32
 NUM_WORKERS = 4
@@ -54,7 +54,9 @@ def test_parallel_fanout_matches_serial(run_once, emit, quick):
     num_workers = 2 if quick else NUM_WORKERS
 
     t0 = time.perf_counter()
-    serial = run_once(lambda: profile_configs(task, configs, graph=graph))
+    serial = run_once(
+        lambda: ProfilingService().profile(task, configs, graph=graph)
+    )
     t_serial = time.perf_counter() - t0
 
     service = ProfilingService(max_workers=num_workers)

@@ -3,8 +3,10 @@
 Each bench regenerates one table/figure of the paper; the workloads are
 whole experiments (minutes, not microseconds), so every bench runs exactly
 once via ``benchmark.pedantic(..., rounds=1, iterations=1)`` and prints the
-paper-shaped output.  Ground-truth profiling records are cached under
-``.cache/`` (see ``repro.experiments.cache``) and shared between benches.
+paper-shaped output.  Ground-truth profiling records persist in the shared
+result store (``.cache/store/``, ``REPRO_STORE_DIR`` overrides; see
+``repro.runtime.parallel.default_store_dir``), one file per candidate, so
+benches that profile the same candidates share them.
 
 ``--quick`` runs every bench in smoke mode: the same code paths on a
 fraction of the workload (fewer epochs, smaller budgets), with the

@@ -14,9 +14,9 @@ callables under a lock (e.g. the ``wait_for`` predicate in
 * LOCK003 — a call that can block for unbounded or external time happens
   while *any* lock is held: ``time.sleep``, ``.wait()``/``.wait_for()``/
   ``.result()`` without a timeout, subprocess/socket/HTTP calls, or
-  profiling execution (``profile``/``profile_one``/``profile_configs``,
-  the Step-2 loop ``_execute`` and what it trains with: ``profile_class``
-  inline, a pool future's ``.result()``).
+  profiling execution (``profile``/``profile_one``, the Step-2 loop
+  ``_execute`` and what it trains with: ``profile_class`` inline, a pool
+  future's ``.result()``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ _PROFILING_CALLEES = {
     "profile",
     "profile_one",
     "profile_class",
-    "profile_configs",
     "_execute",
 }
 

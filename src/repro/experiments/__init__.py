@@ -1,11 +1,5 @@
 """Experiment harness regenerating every table and figure of the paper."""
 
-from repro.experiments.cache import (
-    cache_dir,
-    clear_cache,
-    exhaustive_records,
-    profiling_records,
-)
 from repro.experiments.fig1 import Fig1aPoint, Fig1bCurve, run_fig1a, run_fig1b
 from repro.experiments.fig5 import Fig5Result, augmentation_records, run_fig5
 from repro.experiments.fig6 import Fig6Result, run_fig6
@@ -29,10 +23,6 @@ from repro.experiments.tasks import (
 )
 
 __all__ = [
-    "cache_dir",
-    "clear_cache",
-    "exhaustive_records",
-    "profiling_records",
     "Fig1aPoint",
     "Fig1bCurve",
     "run_fig1a",

@@ -15,9 +15,10 @@ import numpy as np
 
 from repro.estimator.batchsize import BlackBoxBatchSizeModel, GrayBoxBatchSizeModel
 from repro.estimator.validation import r2_score
-from repro.experiments.cache import profiling_records
 from repro.experiments.tasks import TABLE2_DATASETS, estimator_task
+from repro.explorer.navigator import GNNavigator
 from repro.graphs.generators import powerlaw_community_graph
+from repro.runtime.parallel import ProfilingService, default_store_dir
 
 __all__ = ["Fig5Result", "run_fig5", "augmentation_records"]
 
@@ -82,15 +83,18 @@ def augmentation_graph(index: int, *, seed: int = 120):
 
 def augmentation_records(*, budget: int = 20, epochs: int = 2, seed: int = 120):
     """Random power-law graphs as estimator data enhancement (Sec. 4.1)."""
-    records = []
-    for i in range(len(_AUG_RECIPES)):
-        task = estimator_task(f"aug{i}", epochs=epochs)
-        records.append(
-            profiling_records(
-                task, budget=budget, seed=seed + i, graph=augmentation_graph(i, seed=seed)
-            )
-        )
-    return records
+    service = ProfilingService(cache_dir=default_store_dir())
+    return [
+        GNNavigator(
+            estimator_task(f"aug{i}", epochs=epochs),
+            graph=augmentation_graph(i, seed=seed),
+            profile_budget=budget,
+            profile_epochs=epochs,
+            seed=seed + i,
+            profiler=service,
+        ).ground_truth()
+        for i in range(len(_AUG_RECIPES))
+    ]
 
 
 def run_fig5(
@@ -101,19 +105,24 @@ def run_fig5(
     with_augmentation: bool = True,
 ) -> Fig5Result:
     """Train batch-size models leave-one-out, scatter-predict the target."""
+    service = ProfilingService(cache_dir=default_store_dir())
+
+    def ground_truth(dataset: str) -> list:
+        return GNNavigator(
+            estimator_task(dataset, epochs=epochs),
+            profile_budget=budget,
+            profile_epochs=epochs,
+            profiler=service,
+        ).ground_truth()
+
     train_records = []
     for dataset in TABLE2_DATASETS:
-        if dataset == target:
-            continue
-        train_records.extend(
-            profiling_records(estimator_task(dataset, epochs=epochs), budget=budget)
-        )
+        if dataset != target:
+            train_records.extend(ground_truth(dataset))
     if with_augmentation:
         for recs in augmentation_records():
             train_records.extend(recs)
-    test_records = profiling_records(
-        estimator_task(target, epochs=epochs), budget=budget
-    )
+    test_records = ground_truth(target)
 
     configs_tr = [r.config for r in train_records]
     profs_tr = [r.graph_profile for r in train_records]

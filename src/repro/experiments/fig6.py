@@ -14,11 +14,11 @@ import numpy as np
 
 from repro.config.settings import TaskSpec, TrainingConfig
 from repro.config.space import reduced_space
-from repro.experiments.cache import exhaustive_records
 from repro.experiments.tasks import NAVIGATOR_MODES
 from repro.explorer.navigator import GNNavigator
 from repro.explorer.pareto import pareto_front_indices
-from repro.runtime.profiler import GroundTruthRecord, profile_configs
+from repro.runtime.parallel import ProfilingService, default_store_dir
+from repro.runtime.profiler import GroundTruthRecord
 
 __all__ = ["Fig6Result", "run_fig6"]
 
@@ -96,7 +96,8 @@ def run_fig6(
     """
     space = reduced_space()
     task = TaskSpec(dataset=dataset, arch=arch, epochs=epochs)
-    records = list(exhaustive_records(task, space, workers=workers))
+    service = ProfilingService(max_workers=workers, cache_dir=default_store_dir())
+    records = service.profile(task, space.enumerate())
     by_config = {r.config: i for i, r in enumerate(records)}
 
     nav = GNNavigator(task, space=space)
@@ -107,12 +108,11 @@ def run_fig6(
     for mode, guideline in report.guidelines.items():
         config = guideline.config.canonical()
         result.guideline_configs[mode] = config
-        if config in by_config:
-            result.guideline_indices[mode] = by_config[config]
-        else:
+        if config not in by_config:
             # Guideline came from the initial template set outside the
-            # reduced space: execute it and append.
-            extra = profile_configs(task, [config], workers=workers)
-            records.append(extra[0])
-            result.guideline_indices[mode] = len(records) - 1
+            # reduced space: execute it once and append.
+            (extra,) = service.profile(task, [config])
+            by_config[config] = len(records)
+            records.append(extra)
+        result.guideline_indices[mode] = by_config[config]
     return result

@@ -13,18 +13,17 @@ from dataclasses import dataclass, field
 
 from repro.config.settings import TaskSpec
 from repro.config.templates import get_template
-from repro.experiments.cache import profiling_records
 from repro.experiments.tasks import (
     BASELINE_METHODS,
     METHOD_LABELS,
     NAVIGATOR_MODES,
     TABLE1_TASKS,
-    estimator_task,
     table1_task,
 )
 from repro.experiments.tables import format_delta_pct, format_ratio, render_table
 from repro.explorer.navigator import GNNavigator
 from repro.runtime.backend import RuntimeBackend
+from repro.runtime.parallel import ProfilingService, default_store_dir
 from repro.runtime.report import PerfReport
 
 __all__ = ["Table1Row", "Table1Block", "run_table1_task", "run_table1", "render_table1"]
@@ -91,15 +90,16 @@ def run_table1_task(
             )
         )
 
-    # GNNavigator: fit the estimator on cached ground truth, explore once,
-    # then measure each priority's guideline with the same epoch budget.
-    records = profiling_records(
-        estimator_task(dataset, arch, epochs=profile_epochs),
-        budget=profile_budget,
-        workers=workers,
+    # GNNavigator: the user's path (Step 2 on the shared store, then one
+    # explore), then measure each priority's guideline with the same epoch
+    # budget.
+    service = ProfilingService(max_workers=workers, cache_dir=default_store_dir())
+    nav = GNNavigator(
+        task,
+        profile_budget=profile_budget,
+        profile_epochs=profile_epochs,
+        profiler=service,
     )
-    nav = GNNavigator(task, profile_budget=profile_budget, workers=workers)
-    nav.fit_estimator(records)
     report = nav.explore(priorities=list(NAVIGATOR_MODES))
     for mode in NAVIGATOR_MODES:
         guideline = report.guidelines[mode]

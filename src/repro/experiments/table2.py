@@ -7,10 +7,11 @@ power-law graph augmentation (Sec. 4.1): R2 scores for T and Γ, MSE for Acc.
 from __future__ import annotations
 
 from repro.estimator.validation import EstimatorValidation, validate_leave_one_out
-from repro.experiments.cache import profiling_records
 from repro.experiments.fig5 import augmentation_records
 from repro.experiments.tables import render_table
 from repro.experiments.tasks import TABLE2_DATASETS, estimator_task
+from repro.explorer.navigator import GNNavigator
+from repro.runtime.parallel import ProfilingService, default_store_dir
 
 __all__ = ["run_table2", "render_table2"]
 
@@ -21,11 +22,16 @@ def run_table2(
     epochs: int = 4,
     with_augmentation: bool = True,
 ) -> list[EstimatorValidation]:
-    """Collect records per dataset and run the leave-one-out protocol."""
+    """Collect each dataset's Step-2 ground truth and run the leave-one-out
+    protocol."""
+    service = ProfilingService(cache_dir=default_store_dir())
     by_dataset = {
-        dataset: profiling_records(
-            estimator_task(dataset, epochs=epochs), budget=budget
-        )
+        dataset: GNNavigator(
+            estimator_task(dataset, epochs=epochs),
+            profile_budget=budget,
+            profile_epochs=epochs,
+            profiler=service,
+        ).ground_truth()
         for dataset in TABLE2_DATASETS
     }
     if with_augmentation:

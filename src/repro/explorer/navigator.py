@@ -131,51 +131,62 @@ class GNNavigator:
         )
 
     # ------------------------------------------------------------ step 2a/2b
+    def ground_truth(self) -> list[GroundTruthRecord]:
+        """Step 2's round 0: profile the seeded design-space sample plus the
+        baseline templates on :attr:`profiler`, one record per distinct
+        candidate, and keep them as :attr:`records`."""
+        self._checkpoint()
+        rng = np.random.default_rng(self.seed)
+        sample = self.space.sample(self.profile_budget, rng=rng)
+        if self.transfer is not None:
+            self.transfer_plan = self.transfer.plan(
+                self.task, self.profile, full_budget=self.profile_budget
+            )
+        if self.transfer_plan is not None:
+            plan = self.transfer_plan
+            sample = plan.select(self.task, self.profile, sample, seed=self.seed)
+            self._emit(
+                "profiling",
+                message=(
+                    f"warm start: {len(plan.donors)} donor task(s), "
+                    f"{len(plan.records)} records, "
+                    f"budget {plan.full_budget}->{plan.budget}"
+                ),
+            )
+        # Always include the baseline templates so the estimator sees the
+        # regions the initial set starts from.  (They double as the
+        # transfer anchor configs, so the warm path measures them too.)
+        # A sampled config may equal a template: it is measured, fitted on
+        # and counted once.
+        sample.extend(TEMPLATES.values())
+        configs = list(dict.fromkeys(c.canonical() for c in sample))
+        profile_task = TaskSpec(
+            dataset=self.task.dataset,
+            arch=self.task.arch,
+            platform=self.task.platform,
+            epochs=self.profile_epochs,
+            lr=self.task.lr,
+            seed=self.task.seed,
+            train_frac=self.task.train_frac,
+            val_frac=self.task.val_frac,
+        )
+        self.records = self.profiler.profile(
+            profile_task,
+            configs,
+            graph=self.graph,
+            cancel=self.cancel,
+            on_progress=self._on_profiling_progress,
+        )
+        return self.records
+
     def fit_estimator(
         self, records: list[GroundTruthRecord] | None = None
     ) -> GrayBoxEstimator:
-        """Fit the gray-box estimator (profiling a design-space sample on
-        :attr:`profiler` if no pre-collected ground truth is supplied)."""
+        """Fit the gray-box estimator on ``records``, or on
+        :meth:`ground_truth` when no pre-collected ground truth is given."""
         self._checkpoint()
         if records is None:
-            rng = np.random.default_rng(self.seed)
-            sample = self.space.sample(self.profile_budget, rng=rng)
-            if self.transfer is not None:
-                self.transfer_plan = self.transfer.plan(
-                    self.task, self.profile, full_budget=self.profile_budget
-                )
-            if self.transfer_plan is not None:
-                plan = self.transfer_plan
-                sample = plan.select(self.task, self.profile, sample, seed=self.seed)
-                self._emit(
-                    "profiling",
-                    message=(
-                        f"warm start: {len(plan.donors)} donor task(s), "
-                        f"{len(plan.records)} records, "
-                        f"budget {plan.full_budget}->{plan.budget}"
-                    ),
-                )
-            # Always include the baseline templates so the estimator sees the
-            # regions the initial set starts from.  (They double as the
-            # transfer anchor configs, so the warm path measures them too.)
-            sample.extend(TEMPLATES.values())
-            profile_task = TaskSpec(
-                dataset=self.task.dataset,
-                arch=self.task.arch,
-                platform=self.task.platform,
-                epochs=self.profile_epochs,
-                lr=self.task.lr,
-                seed=self.task.seed,
-                train_frac=self.task.train_frac,
-                val_frac=self.task.val_frac,
-            )
-            records = self.profiler.profile(
-                profile_task,
-                sample,
-                graph=self.graph,
-                cancel=self.cancel,
-                on_progress=self._on_profiling_progress,
-            )
+            records = self.ground_truth()
         self.records = list(records)
         fit_records, weights = self.records, None
         if self.transfer_plan is not None:

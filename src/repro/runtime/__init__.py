@@ -7,7 +7,7 @@ from repro.runtime.parallel import (
     ProfilingStats,
     ResultStore,
 )
-from repro.runtime.profiler import GroundTruthRecord, profile_configs, profile_one
+from repro.runtime.profiler import GroundTruthRecord, profile_one
 from repro.runtime.report import BatchRecord, EpochStats, PerfReport
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "ProfilingService",
     "ProfilingStats",
     "ResultStore",
-    "profile_configs",
     "profile_one",
     "BatchRecord",
     "EpochStats",

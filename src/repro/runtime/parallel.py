@@ -25,8 +25,9 @@ service:
   charges each member's cache and lands one record per candidate;
 * **persistence** — finished :class:`GroundTruthRecord`s are written to an
   on-disk JSON store keyed by the same content hash, so repeated
-  navigations, benchmarks and the Fig. 6 adaptability experiment reuse
-  measurements instead of retraining.  Corrupt or stale entries are
+  navigations, the paper experiments (each profiles through a service on
+  :func:`default_store_dir`) and benchmarks reuse measurements instead of
+  retraining.  Corrupt or stale entries are
   discarded, never fatal.
 
 The profiling runs themselves are deterministic functions of

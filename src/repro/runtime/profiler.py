@@ -2,9 +2,12 @@
 
 Fills the role of the PyTorch profiler in the paper's Sec. 4.1: the
 performance estimator "is trained on the ground-truth performance covering
-the whole design space".  :func:`profile_configs` executes candidates on the
-runtime backend and serialises one :class:`GroundTruthRecord` per candidate —
-the training set of the gray-box model and the raw data behind Fig. 6.
+the whole design space".  :func:`profile_class` executes one training class
+of candidates on the runtime backend and returns one
+:class:`GroundTruthRecord` per candidate — the training set of the gray-box
+model and the raw data behind Fig. 6.  Batches of candidates go through
+:class:`~repro.runtime.parallel.ProfilingService`, which dedups, shares,
+fans out and persists them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.hardware.specs import Platform, get_platform
 from repro.runtime.backend import PreparedGraph, RuntimeBackend
 from repro.runtime.report import PerfReport
 
-__all__ = ["GroundTruthRecord", "profile_class", "profile_configs", "profile_one"]
+__all__ = ["GroundTruthRecord", "profile_class", "profile_one"]
 
 
 @dataclass(frozen=True)
@@ -113,34 +116,3 @@ def profile_one(
     plus the full report."""
     return profile_class(task, [config], graph=graph)[0]
 
-
-def profile_configs(
-    task: TaskSpec,
-    configs: list[TrainingConfig],
-    *,
-    graph: CSRGraph | None = None,
-    workers: int | None = None,
-    cache_dir: str | None = None,
-    cancel=None,
-    on_progress=None,
-) -> list[GroundTruthRecord]:
-    """Execute every candidate on the backend (the Fig. 6 protocol).
-
-    Thin wrapper over :class:`~repro.runtime.parallel.ProfilingService`:
-    ``workers`` fans the runs out across processes, ``cache_dir`` persists
-    results so repeat profiling is free, ``cancel`` (a
-    :class:`~repro.runtime.parallel.CancellationToken`) aborts between
-    candidate runs, and ``on_progress(runs_done, runs_total, cache_hits)``
-    streams per-candidate completion.  Output is identical to the
-    one-:func:`profile_one`-per-config serial loop for the same seed.
-    """
-    from repro.runtime.parallel import ProfilingService
-
-    service = ProfilingService(max_workers=workers, cache_dir=cache_dir)
-    return service.profile(
-        task,
-        configs,
-        graph=graph,
-        cancel=cancel,
-        on_progress=on_progress,
-    )

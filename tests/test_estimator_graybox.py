@@ -19,10 +19,10 @@ from repro.estimator import (
 from repro.estimator.batchsize import BlackBoxBatchSizeModel, GrayBoxBatchSizeModel
 from repro.graphs.profiling import profile_graph
 from repro.hardware import get_platform
-from repro.runtime import profile_configs
+from repro.runtime import ProfilingService
 
 
-def _profiling_records(graph, *, n=14, epochs=2, seed=0, arch="sage"):
+def _measured_records(graph, *, n=14, epochs=2, seed=0, arch="sage"):
     """Ground-truth records over a small random config set."""
     rng = np.random.default_rng(seed)
     configs = []
@@ -42,12 +42,12 @@ def _profiling_records(graph, *, n=14, epochs=2, seed=0, arch="sage"):
         )
     configs = list(dict.fromkeys(configs))
     task = TaskSpec(dataset="tiny", arch=arch, epochs=epochs)
-    return profile_configs(task, configs, graph=graph)
+    return ProfilingService().profile(task, configs, graph=graph)
 
 
 @pytest.fixture(scope="module")
 def records(small_graph):
-    return _profiling_records(small_graph, n=16)
+    return _measured_records(small_graph, n=16)
 
 
 class TestEncode:
@@ -90,8 +90,8 @@ class TestBatchSizeModels:
 
     def test_graybox_beats_blackbox_out_of_sample(self, small_graph, medium_graph):
         """The Fig. 5 claim: theory-guided prediction generalises better."""
-        train = _profiling_records(small_graph, n=16, seed=1)
-        test = _profiling_records(medium_graph, n=10, seed=2)
+        train = _measured_records(small_graph, n=16, seed=1)
+        test = _measured_records(medium_graph, n=10, seed=2)
         configs_tr = [r.config for r in train]
         profs_tr = [r.graph_profile for r in train]
         y_tr = np.array([r.mean_batch_nodes for r in train])
@@ -188,8 +188,8 @@ class TestBlackBoxEstimator:
 class TestLeaveOneOut:
     def test_protocol_runs(self, small_graph, medium_graph):
         by_dataset = {
-            "tiny": _profiling_records(small_graph, n=12, seed=5),
-            "medium": _profiling_records(medium_graph, n=12, seed=6),
+            "tiny": _measured_records(small_graph, n=12, seed=5),
+            "medium": _measured_records(medium_graph, n=12, seed=6),
         }
         results = validate_leave_one_out(by_dataset)
         assert {r.dataset for r in results} == {"tiny", "medium"}
@@ -199,9 +199,9 @@ class TestLeaveOneOut:
 
     def test_augmentation_never_held_out(self, small_graph, medium_graph):
         by_dataset = {
-            "tiny": _profiling_records(small_graph, n=10, seed=7),
-            "medium": _profiling_records(medium_graph, n=10, seed=8),
-            "aug0": _profiling_records(small_graph, n=10, seed=9),
+            "tiny": _measured_records(small_graph, n=10, seed=7),
+            "medium": _measured_records(medium_graph, n=10, seed=8),
+            "aug0": _measured_records(small_graph, n=10, seed=9),
         }
         results = validate_leave_one_out(by_dataset)
         assert {r.dataset for r in results} == {"tiny", "medium"}
@@ -209,4 +209,4 @@ class TestLeaveOneOut:
 
     def test_needs_two_datasets(self, small_graph):
         with pytest.raises(EstimatorError):
-            validate_leave_one_out({"tiny": _profiling_records(small_graph, n=10)})
+            validate_leave_one_out({"tiny": _measured_records(small_graph, n=10)})

@@ -1,6 +1,9 @@
-"""Experiment-harness tests (fast paths: rendering, caching, task registry)."""
+"""Experiment-harness tests (fast paths: rendering, task registry, Step 2's
+ground truth, Fig. 6 bookkeeping)."""
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -15,9 +18,12 @@ from repro.experiments import (
     format_ratio,
     render_table,
 )
-from repro.experiments.cache import _recipe_key, clear_cache, profiling_records
-from repro.config.space import DesignSpace
+from repro.config.space import DesignSpace, default_space
 from repro.config.settings import TrainingConfig
+from repro.config.templates import TEMPLATES
+from repro.experiments import fig6
+from repro.explorer import GNNavigator
+from repro.runtime import ProfilingService, parallel
 
 
 class TestTables:
@@ -50,71 +56,104 @@ class TestTaskRegistry:
             assert m in METHOD_LABELS
 
 
-class TestRecordCache:
-    def _space(self) -> DesignSpace:
-        return DesignSpace(
-            {"batch_size": (32, 64), "hidden_channels": (8,)},
-            base=TrainingConfig(hop_list=(3, 2)),
-        )
+class TestGroundTruth:
+    """The experiments take Step 2's round 0 from the navigator."""
 
-    def test_recipe_key_stable(self):
-        task = TaskSpec(dataset="tiny", arch="sage", epochs=1)
-        k1 = _recipe_key(task, 4, 0, self._space())
-        k2 = _recipe_key(task, 4, 0, self._space())
-        assert k1 == k2
-
-    def test_recipe_key_sensitive_to_task(self):
-        space = self._space()
-        t1 = TaskSpec(dataset="tiny", arch="sage", epochs=1)
-        t2 = TaskSpec(dataset="tiny", arch="sage", epochs=2)
-        assert _recipe_key(t1, 4, 0, space) != _recipe_key(t2, 4, 0, space)
-
-    def test_memory_cache_hit(self, small_graph):
-        task = TaskSpec(dataset="tiny", arch="sage", epochs=1)
-        kwargs = dict(
-            budget=2,
-            seed=1,
-            space=self._space(),
+    def test_round_zero_holds_one_record_per_distinct_candidate(self, small_graph):
+        # At seed 15 one of the 40 sampled configs equals a template.
+        navigator = GNNavigator(
+            TaskSpec("tiny", epochs=1),
             graph=small_graph,
-            include_templates=False,
-            use_disk=False,
+            profile_budget=40,
+            profile_epochs=1,
+            seed=15,
         )
-        first = profiling_records(task, **kwargs)
-        second = profiling_records(task, **kwargs)
-        assert first is second  # memory-cached, not re-profiled
+        sample = default_space().sample(40, rng=np.random.default_rng(15))
+        sample.extend(TEMPLATES.values())
+        assert len({c.canonical() for c in sample}) == 44 < len(sample)
 
-    def test_clear_cache_empties_the_store_dir(
-        self, small_graph, tmp_path, monkeypatch
-    ):
-        """One file per record goes, and the in-process memo goes too."""
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
-        task = TaskSpec(dataset="tiny", arch="sage", epochs=1)
-        kwargs = dict(
-            budget=2,
-            seed=3,
-            space=self._space(),
-            graph=small_graph,
-            include_templates=False,
+        report = navigator.explore(priorities=["balance"])
+        configs = [r.config for r in navigator.records]
+        assert configs == list(dict.fromkeys(c.canonical() for c in sample))
+        assert len(set(configs)) == 44
+        assert report.num_ground_truth == 44
+
+    def test_fit_on_given_records_profiles_nothing(self, small_graph):
+        """``fit_estimator(records)`` fits what it is given, as it would fit
+        the same records from round 0 (Fig. 6 hands in its own)."""
+        task = TaskSpec("tiny", epochs=1)
+        kwargs = dict(graph=small_graph, profile_budget=8, profile_epochs=1)
+        measured = GNNavigator(task, **kwargs)
+        measured.fit_estimator()
+
+        class NoProfiler:
+            def profile(self, *args, **kwargs):
+                raise AssertionError("fit_estimator(records) profiled")
+
+        given = GNNavigator(task, profiler=NoProfiler(), **kwargs)
+        given.fit_estimator(measured.records)
+        assert given.records == measured.records
+        configs = [r.config for r in measured.records]
+        profiles = [small_graph.profile] * len(configs)
+        assert list(given.estimator.predict(configs, profiles)) == list(
+            measured.estimator.predict(configs, profiles)
         )
-        first = profiling_records(task, **kwargs)
-        names = sorted(p.name for p in (tmp_path / "store").iterdir())
-        assert len(names) == len(first)
-        assert {n.split("_")[0] for n in names} == {"gt"}
-        clear_cache()
-        assert list((tmp_path / "store").iterdir()) == []
-        assert profiling_records(task, **kwargs) is not first
 
     def test_records_have_targets(self, small_graph):
-        task = TaskSpec(dataset="tiny", arch="sage", epochs=1)
-        records = profiling_records(
-            task,
-            budget=2,
-            seed=2,
-            space=self._space(),
+        records = GNNavigator(
+            TaskSpec("tiny", epochs=1),
             graph=small_graph,
-            include_templates=False,
-            use_disk=False,
-        )
+            profile_budget=8,
+            profile_epochs=1,
+        ).ground_truth()
         for r in records:
             assert r.time_s > 0 and r.memory_bytes > 0
             assert np.isfinite(r.accuracy)
+
+    def test_store_holds_one_file_per_record(self, small_graph, tmp_path):
+        store = tmp_path / "store"
+        records = GNNavigator(
+            TaskSpec("tiny", epochs=1),
+            graph=small_graph,
+            profile_budget=8,
+            profile_epochs=1,
+            profiler=ProfilingService(cache_dir=store),
+        ).ground_truth()
+        names = sorted(p.name for p in store.iterdir())
+        assert len(names) == len(records)
+        assert {n.split("_")[0] for n in names} == {"gt"}
+
+
+class TestFig6:
+    def test_a_guideline_outside_the_space_is_measured_once(
+        self, small_graph, tmp_path, monkeypatch
+    ):
+        """Two priorities that pick one template outside the space share
+        one appended record."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        space = DesignSpace(
+            {"batch_size": (32, 64), "hidden_channels": (8,)},
+            base=TrainingConfig(hop_list=(3, 2)),
+        )
+        outside = TEMPLATES["pyg"].canonical()
+        assert outside not in {c.canonical() for c in space.enumerate()}
+
+        class Navigator:
+            def __init__(self, task, *, space):
+                pass
+
+            def fit_estimator(self, records):
+                pass
+
+            def explore(self, *, priorities):
+                pick = SimpleNamespace(config=outside)
+                return SimpleNamespace(guidelines={p: pick for p in priorities})
+
+        monkeypatch.setattr(fig6, "reduced_space", lambda: space)
+        monkeypatch.setattr(fig6, "GNNavigator", Navigator)
+        monkeypatch.setattr(parallel, "load_dataset", lambda name: small_graph)
+        result = fig6.run_fig6(dataset="tiny", epochs=1)
+
+        assert len(result.records) == len(space.enumerate()) + 1
+        assert set(result.guideline_indices.values()) == {len(result.records) - 1}
+        assert result.records[-1].config == outside

@@ -59,7 +59,7 @@ from repro.hardware.costmodel import (
 )
 from repro.hardware.memory import gamma_cache, gamma_model, gamma_runtime
 from repro.nn.models import count_parameters
-from tests.test_estimator_graybox import _profiling_records
+from tests.test_estimator_graybox import _measured_records
 
 ARCHS = ("sage", "gcn", "gat")
 _POLICIES = ("none", "static", "fifo", "lru")
@@ -453,7 +453,7 @@ def fitted(small_graph):
     """One fitted gray-box estimator per architecture, shared by every test."""
     return {
         arch: GrayBoxEstimator().fit(
-            _profiling_records(small_graph, n=16, epochs=1, seed=20, arch=arch)
+            _measured_records(small_graph, n=16, epochs=1, seed=20, arch=arch)
         )
         for arch in ARCHS
     }
@@ -506,7 +506,7 @@ def explore_census(estimator=None, profile=None) -> tuple[int, int]:
             300, num_classes=4, feature_dim=12, min_degree=3, max_degree=30, seed=3
         )
         estimator = GrayBoxEstimator().fit(
-            _profiling_records(graph, n=16, epochs=1, seed=20)
+            _measured_records(graph, n=16, epochs=1, seed=20)
         )
         profile = graph.profile
     explorer = DFSExplorer(default_space(), estimator, profile, get_platform("rtx4090"))
@@ -727,7 +727,7 @@ class TestSplitSearch:
 
     def test_estimator_fit_equals_reference_fit(self, small_graph, monkeypatch):
         """The gray-box estimator's 28 trees, fitted on profiled records."""
-        records = _profiling_records(small_graph, n=16, epochs=1, seed=20)
+        records = _measured_records(small_graph, n=16, epochs=1, seed=20)
 
         def nodes():
             est = GrayBoxEstimator().fit(records)
@@ -811,7 +811,7 @@ class TestBatchedPredict:
                 assert getattr(got, name).tobytes() == column.tobytes(), name
 
     def test_black_box_batches_like_singles(self, small_graph, profile, candidates):
-        records = _profiling_records(small_graph, n=16, epochs=1, seed=20)
+        records = _measured_records(small_graph, n=16, epochs=1, seed=20)
         estimator = BlackBoxEstimator().fit(records)
         picked = candidates[::211]
         batched = estimator.predict(picked, [profile] * len(picked))

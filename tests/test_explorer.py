@@ -26,12 +26,12 @@ from repro.explorer import (
 from repro.explorer.dfs import ExplorationResult
 from repro.graphs.profiling import profile_graph
 from repro.hardware import get_platform
-from tests.test_estimator_graybox import _profiling_records
+from tests.test_estimator_graybox import _measured_records
 
 
 @pytest.fixture(scope="module")
 def fitted_estimator(small_graph):
-    records = _profiling_records(small_graph, n=16, seed=20)
+    records = _measured_records(small_graph, n=16, seed=20)
     return GrayBoxEstimator().fit(records)
 
 

@@ -11,7 +11,7 @@ import pytest
 from wire_samples import key_with_kernel
 
 from repro.config import TaskSpec, TrainingConfig
-from repro.runtime import ProfilingService, profile_configs
+from repro.runtime import ProfilingService
 from repro.runtime.parallel import (
     ResultStore,
     candidate_key,
@@ -55,7 +55,9 @@ class TestKeys:
 
 class TestSerialization:
     def test_record_round_trip(self, small_graph, tiny_task, configs):
-        record = profile_configs(tiny_task, configs[:1], graph=small_graph)[0]
+        (record,) = ProfilingService().profile(
+            tiny_task, configs[:1], graph=small_graph
+        )
         clone = record_from_dict(json.loads(json.dumps(record_to_dict(record))))
         assert clone == record
         assert (clone.features() == record.features()).all()
@@ -63,7 +65,7 @@ class TestSerialization:
 
 class TestProfilingService:
     def test_parallel_identical_to_serial(self, small_graph, tiny_task, configs):
-        serial = profile_configs(tiny_task, configs, graph=small_graph)
+        serial = ProfilingService().profile(tiny_task, configs, graph=small_graph)
         service = ProfilingService(max_workers=2)
         parallel = service.profile(tiny_task, configs, graph=small_graph)
         assert parallel == serial
@@ -130,7 +132,9 @@ class TestProfilingService:
         (``"reference"`` by default): its entry decodes, but sits under a key
         this code never asks for, so the candidate is measured again — to
         the same record."""
-        (record,) = profile_configs(tiny_task, configs[:1], graph=small_graph)
+        (record,) = ProfilingService().profile(
+            tiny_task, configs[:1], graph=small_graph
+        )
         old_key = key_with_kernel(
             tiny_task, configs[0], graph_fingerprint(small_graph), "reference"
         )
@@ -243,7 +247,10 @@ class TestStoreManagement:
 
     @pytest.fixture()
     def record(self, small_graph, tiny_task, configs):
-        return profile_configs(tiny_task, configs[:1], graph=small_graph)[0]
+        (record,) = ProfilingService().profile(
+            tiny_task, configs[:1], graph=small_graph
+        )
+        return record
 
     def test_keys_lists_entries(self, tmp_path, record):
         store = ResultStore(tmp_path)
@@ -399,14 +406,14 @@ class TestStoreManagement:
 
 
 class TestIntegration:
-    def test_profile_configs_wrapper_with_cache(
+    def test_fresh_services_share_one_store(
         self, small_graph, tiny_task, configs, tmp_path
     ):
-        first = profile_configs(
-            tiny_task, configs, graph=small_graph, cache_dir=str(tmp_path)
+        first = ProfilingService(cache_dir=str(tmp_path)).profile(
+            tiny_task, configs, graph=small_graph
         )
-        second = profile_configs(
-            tiny_task, configs, graph=small_graph, cache_dir=str(tmp_path)
+        second = ProfilingService(cache_dir=str(tmp_path)).profile(
+            tiny_task, configs, graph=small_graph
         )
         assert second == first
         assert len(list(tmp_path.glob("gt_*.json"))) == 2

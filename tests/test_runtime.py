@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import TaskSpec, TrainingConfig, get_template
 from repro.errors import ConfigError
-from repro.runtime import RuntimeBackend, profile_configs, profile_one
+from repro.runtime import ProfilingService, RuntimeBackend, profile_one
 from repro.runtime.backend import make_sampler
 from repro.sampling import (
     BiasedNeighborSampler,
@@ -176,7 +176,7 @@ class TestProfiler:
         assert record.mean_batch_nodes > 0
         assert record.features().ndim == 1
 
-    def test_profile_configs_batch(self, small_graph, tiny_task):
+    def test_profile_batch(self, small_graph, tiny_task):
         configs = [
             TrainingConfig(batch_size=64, hop_list=(3, 2), hidden_channels=16),
             TrainingConfig(
@@ -187,7 +187,7 @@ class TestProfiler:
                 hidden_channels=16,
             ),
         ]
-        records = profile_configs(tiny_task, configs, graph=small_graph)
+        records = ProfilingService().profile(tiny_task, configs, graph=small_graph)
         assert len(records) == 2
         assert records[1].hit_rate > records[0].hit_rate
 
