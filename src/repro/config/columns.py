@@ -87,20 +87,6 @@ class ConfigColumns:
     def __len__(self) -> int:
         return len(self.configs)
 
-    def take(self, indices: np.ndarray) -> "ConfigColumns":
-        """The rows ``indices``, in that order, as columns of their own.
-
-        Every column is a function of its row alone, so this equals the
-        columns built from the same configs (up to ``hop_code``'s numbering)
-        without reading the configs again.
-        """
-        out = object.__new__(ConfigColumns)
-        for name, column in vars(self).items():
-            if name != "configs":
-                setattr(out, name, column[indices])
-        out.configs = [self.configs[i] for i in np.asarray(indices).tolist()]
-        return out
-
     def per_distinct(
         self, knobs: tuple[np.ndarray, ...], fn: Callable[[TrainingConfig], object]
     ) -> np.ndarray:

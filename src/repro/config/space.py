@@ -1,10 +1,10 @@
 """Design space: the set of all reconfigurable-setting assignments (Sec. 3.3).
 
-A :class:`DesignSpace` is an ordered mapping ``knob -> domain``.  The DFS
-explorer walks knobs in order, assigning one domain value per level, so the
-space doubles as the explorer's search tree.  Candidates are canonicalised
-(see :meth:`TrainingConfig.canonical`) and deduplicated, which is how the
-``bias_rate×sampler`` and ``cache_ratio×policy`` interactions prune
+A :class:`DesignSpace` is an ordered mapping ``knob -> domain``; its
+assignments, one domain value per knob in knob order, are the leaves of the
+paper's DFS tree.  Candidates are canonicalised (see
+:meth:`TrainingConfig.canonical`) and deduplicated, which is how the
+``bias_rate×sampler`` and ``cache_ratio×policy`` interactions fold
 redundant branches.
 
 The tree is never walked node by node.  Its leaves are the integers
@@ -44,8 +44,6 @@ class Enumeration:
 
     #: the distinct candidates, in the order a DFS first reaches them
     candidates: tuple[TrainingConfig, ...]
-    #: for every raw leaf, in DFS order, the index of its candidate
-    leaf_candidate: np.ndarray
     #: ``candidates`` as columns, row ``i`` being candidate ``i``
     columns: ConfigColumns
     #: candidate -> its index in ``candidates``
@@ -97,7 +95,7 @@ class DesignSpace:
 
     @cached_property
     def enumeration(self) -> Enumeration:
-        """Every distinct candidate, and which one each raw leaf folds onto.
+        """Every distinct candidate, in the order a DFS first reaches it.
 
         Two leaves are the same candidate exactly when they agree on the
         uncoupled knobs and their coupled knobs canonicalise alike, so only
@@ -134,13 +132,8 @@ class DesignSpace:
             [combo_class[leaf_combo], *(digits[k] for k in free)],
             [len(classes), *(len(self.domains[k]) for k in free)],
         )
-        _, first_leaf, leaf_key = np.unique(key, return_index=True, return_inverse=True)
-        # ``np.unique`` numbers the keys in sorted order; renumber them in the
-        # order the walk first meets them.
-        order = np.argsort(first_leaf)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        leaves = first_leaf[order]
+        # The first leaf of each distinct key, in the order a DFS meets them.
+        leaves = np.sort(np.unique(key, return_index=True)[1])
         free_values = [
             [self.domains[k][digit] for digit in digits[k][leaves].tolist()] for k in free
         ]
@@ -148,15 +141,13 @@ class DesignSpace:
             TrainingConfig(**{**vars(combos[combo]), **dict(zip(free, values, strict=True))})
             for combo, *values in zip(leaf_combo[leaves].tolist(), *free_values, strict=True)
         )
-        leaf_candidate = rank[leaf_key]
         columns = ConfigColumns(candidates)
         # shared by every reader of the space
-        for array in (leaf_candidate, *vars(columns).values()):
+        for array in vars(columns).values():
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
         return Enumeration(
             candidates=candidates,
-            leaf_candidate=leaf_candidate,
             columns=columns,
             index=MappingProxyType({c: i for i, c in enumerate(candidates)}),
         )

@@ -2,8 +2,7 @@
 
 Constraints come from the deployment scenario (device memory budget, epoch
 deadline, minimum acceptable accuracy — Fig. 4 "Runtime Constraints").  The
-DFS explorer prunes subtrees whose *optimistic* completion already violates a
-constraint.
+explorer keeps the candidates whose *estimated* performance satisfies them.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ class RuntimeConstraint:
         """Whether a (predicted or measured) performance is feasible.
 
         ``slack`` relaxes each bound by a relative margin — the explorer uses
-        a small slack when pruning on *estimates* so estimator error does not
-        discard feasible regions.
+        a small slack when filtering on *estimates* so estimator error does
+        not discard feasible candidates.
         """
         return bool(
             self.feasible(perf.time_s, perf.memory_bytes, perf.accuracy, slack=slack)

@@ -7,7 +7,8 @@ Given a task (dataset + model + platform + requirements):
 2. **Automatic guideline generation** — profile a sample of the design space
    on the runtime backend to fit the gray-box estimator (the paper trains on
    ground truth "covering the whole design space"; the sample size is the
-   budget knob), then run the constraint-pruned DFS and the decision maker.
+   budget knob), then estimate the whole space, filter it by the runtime
+   constraints and run the decision maker.
 3. **Training** — apply a guideline on the reconfigurable backend and return
    the measured ``Perf(T, Γ, Acc)``.
 """
@@ -215,9 +216,8 @@ class GNNavigator:
         *,
         constraint: RuntimeConstraint | None = None,
         priorities: list[str] | None = None,
-        prune: bool = True,
     ) -> NavigatorReport:
-        """Step 2: DFS exploration + decision making for each priority."""
+        """Step 2: exploration + decision making for each priority."""
         if self.estimator is None:
             self.fit_estimator()
         self._checkpoint()
@@ -225,7 +225,6 @@ class GNNavigator:
         explorer = DFSExplorer(self.space, self.estimator, self.profile, self.platform)
         result = explorer.explore(
             constraint=constraint,
-            prune=prune,
             initial_candidates=list(TEMPLATES.values()),
         )
         decision = DecisionMaker(result)

@@ -1,11 +1,12 @@
 """The explore stage at array speed, pinned to what it replaced.
 
-Enumeration, estimation, the Pareto filter and the pruned walk now run on
-columns (``docs/ARCHITECTURE.md``, *The life of an exploration*).  The code
-they replaced — one python object, tree walk or ``np.all`` per candidate — is
+Enumeration, estimation and the Pareto filter now run on columns
+(``docs/ARCHITECTURE.md``, *The life of an exploration*).  The code they
+replaced — one python object, recursion or ``np.all`` per candidate — is
 kept here as the *reference implementations*, and the array code must agree
 with it exactly: same candidates in the same order, same bits in every
-``PredictedPerf``, same front, same guidelines.
+``PredictedPerf``, same front, same guidelines.  A constrained explore is
+held to the unbounded explore's rows kept by the constraint's filter.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.estimator import BlackBoxEstimator, GrayBoxEstimator
 from repro.estimator import blackbox
 from repro.estimator.batchsize import analytic_batch_size
 from repro.estimator.blackbox import DecisionTreeRegressor, RandomForestRegressor
-from repro.estimator.graybox import PredictedPerf
+from repro.estimator.graybox import PerfRows, PredictedPerf
 from repro.explorer import (
     PRIORITY_PRESETS,
     DecisionMaker,
@@ -393,60 +394,6 @@ def reference_enumerate(space: DesignSpace) -> tuple[list[TrainingConfig], int]:
     return out, visited
 
 
-def reference_pruned_walk(explorer: DFSExplorer, constraint: RuntimeConstraint):
-    """The per-node pruned DFS: three-config ``predict`` at every internal node
-    of the prune zone, completed with per-knob probed optima."""
-    space = explorer.space
-    knobs = space.knobs
-
-    def predict(configs):
-        return explorer.estimator.predict(
-            configs, [explorer.profile] * len(configs), explorer.platform
-        )
-
-    centre = {k: v[len(v) // 2] for k, v in space.domains.items()}
-    best: dict[str, dict] = {"time": {}, "memory": {}, "accuracy": {}}
-    for knob, values in space.domains.items():
-        preds = predict([space.build({**centre, knob: v}) for v in values])
-        best["time"][knob] = values[int(np.argmin([p.time_s for p in preds]))]
-        best["memory"][knob] = values[int(np.argmin([p.memory_bytes for p in preds]))]
-        best["accuracy"][knob] = values[int(np.argmax([p.accuracy for p in preds]))]
-
-    survivors: list[TrainingConfig] = []
-    seen: set[TrainingConfig] = set()
-    pruned = visited = 0
-
-    def recurse(level: int, assignment: dict) -> None:
-        nonlocal pruned, visited
-        remaining = len(knobs) - level
-        if 0 < remaining <= dfs_module._PRUNE_MAX_REMAINING:
-            completions = [
-                space.build({**assignment, **{k: best[m][k] for k in knobs[level:]}})
-                for m in ("time", "memory", "accuracy")
-            ]
-            preds = predict(completions)
-            optimist = PredictedPerf(
-                preds[0].time_s, preds[1].memory_bytes, preds[2].accuracy
-            )
-            if not constraint.satisfied_by(optimist, slack=dfs_module._PRUNE_SLACK):
-                pruned += 1
-                return
-        if level == len(knobs):
-            visited += 1
-            candidate = space.build(assignment)
-            if candidate not in seen:
-                seen.add(candidate)
-                survivors.append(candidate)
-            return
-        for value in space.domains[knobs[level]]:
-            assignment[knobs[level]] = value
-            recurse(level + 1, assignment)
-        del assignment[knobs[level]]
-
-    recurse(0, {})
-    return survivors, visited, pruned
-
-
 # ==================================================================== fixtures
 @pytest.fixture(scope="session")
 def fitted(small_graph):
@@ -477,30 +424,39 @@ def _bits(preds: list[PredictedPerf]) -> np.ndarray:
 
 @contextlib.contextmanager
 def _counting():
-    """Counts of ``GrayBoxEstimator.predict_columns`` calls and of
+    """Counts of ``GrayBoxEstimator.predict_columns`` calls (the one inside
+    each ``predict`` included), of ``GrayBoxEstimator.predict`` calls and of
     ``PredictedPerf`` objects built inside the block."""
-    counts = {"calls": 0, "built": 0}
-    predict_columns, init = GrayBoxEstimator.predict_columns, PredictedPerf.__init__
+    counts = {"calls": 0, "predict": 0, "built": 0}
+    predict_columns, predict = GrayBoxEstimator.predict_columns, GrayBoxEstimator.predict
+    init = PredictedPerf.__init__
 
-    def counting_predict(self, *args, **kwargs):
+    def counting_columns(self, *args, **kwargs):
         counts["calls"] += 1
         return predict_columns(self, *args, **kwargs)
+
+    def counting_predict(self, *args, **kwargs):
+        counts["predict"] += 1
+        return predict(self, *args, **kwargs)
 
     def counting_init(self, *args, **kwargs):
         counts["built"] += 1
         init(self, *args, **kwargs)
 
     with (
-        mock.patch.object(GrayBoxEstimator, "predict_columns", counting_predict),
+        mock.patch.object(GrayBoxEstimator, "predict_columns", counting_columns),
+        mock.patch.object(GrayBoxEstimator, "predict", counting_predict),
         mock.patch.object(PredictedPerf, "__init__", counting_init),
     ):
         yield counts
 
 
-def explore_census(estimator=None, profile=None) -> tuple[int, int]:
-    """``predict_columns`` calls and ``PredictedPerf`` objects built by one
-    unbounded ``default_space()`` explore with the templates: ``(2, 0)``
-    while the explore stage stays a table (CI's analysis job prints it)."""
+def explore_census(estimator=None, profile=None, constraint=None) -> dict[str, int]:
+    """The :func:`_counting` counts of one ``default_space()`` explore with
+    the templates under ``constraint``.  Unbounded, ``calls`` / ``built``
+    reads ``2 / 0`` while the explore stage stays a table; constrained,
+    ``calls - predict`` / ``predict`` reads ``1 / 1`` while a constraint is a
+    filter over that table (CI's analysis job prints both)."""
     if estimator is None:
         graph = powerlaw_community_graph(
             300, num_classes=4, feature_dim=12, min_degree=3, max_degree=30, seed=3
@@ -511,8 +467,8 @@ def explore_census(estimator=None, profile=None) -> tuple[int, int]:
         profile = graph.profile
     explorer = DFSExplorer(default_space(), estimator, profile, get_platform("rtx4090"))
     with _counting() as counts:
-        explorer.explore(initial_candidates=list(TEMPLATES.values()))
-    return counts["calls"], counts["built"]
+        explorer.explore(constraint=constraint, initial_candidates=list(TEMPLATES.values()))
+    return counts
 
 
 # ====================================================================== pareto
@@ -791,25 +747,6 @@ class TestBatchedPredict:
             np.testing.assert_array_equal(row, reference_config_features(config))
             np.testing.assert_array_equal(row, config.as_features())
 
-    def test_column_slice_equals_columns_of_the_configs(self):
-        from repro.config.columns import ConfigColumns
-
-        enumeration = default_space().enumeration
-        rows = np.random.default_rng(3).permutation(len(enumeration.candidates))[:500]
-        got = enumeration.columns.take(rows)
-        want = ConfigColumns([enumeration.candidates[i] for i in rows.tolist()])
-        assert list(got.configs) == list(want.configs)
-        assert vars(got).keys() == vars(want).keys()
-        for name, column in vars(want).items():
-            if name == "hop_code":  # numbered per object: compare the partition
-                _, inverse = np.unique(got.hop_code, return_inverse=True)
-                _, reference = np.unique(column, return_inverse=True)
-                assert len(set(zip(inverse.tolist(), reference.tolist()))) == len(
-                    set(reference.tolist())
-                ) == len(set(inverse.tolist()))
-            elif name != "configs":
-                assert getattr(got, name).tobytes() == column.tobytes(), name
-
     def test_black_box_batches_like_singles(self, small_graph, profile, candidates):
         records = _measured_records(small_graph, n=16, epochs=1, seed=20)
         estimator = BlackBoxEstimator().fit(records)
@@ -860,15 +797,7 @@ class TestOneWalk:
         want, visited = reference_enumerate(space)
         assert space.enumerate() == want
         assert list(space) == want
-        assert visited == space.raw_size() == len(space.enumeration.leaf_candidate)
-        # every raw leaf folds onto the candidate its assignment builds
-        leaf = space.raw_size() // 3
-        digits = np.unravel_index(leaf, [len(v) for v in space.domains.values()])
-        assignment = {
-            k: v[d] for (k, v), d in zip(space.domains.items(), digits, strict=True)
-        }
-        folded = space.enumeration.candidates[space.enumeration.leaf_candidate[leaf]]
-        assert folded == space.build(assignment)
+        assert visited == space.raw_size()
 
     def test_unconstrained_explore_is_enumerate_plus_unseen_templates(
         self, fitted, profile, candidates
@@ -877,8 +806,6 @@ class TestOneWalk:
         explorer = DFSExplorer(space, fitted["sage"], profile, get_platform("rtx4090"))
         result = explorer.explore(initial_candidates=list(TEMPLATES.values()))
         assert result.candidates == candidates
-        assert result.visited_leaves == space.raw_size()
-        assert result.pruned_subtrees == 0
         assert result.evaluated == len(candidates)
         want = fitted["sage"].predict(
             candidates, [profile] * len(candidates), get_platform("rtx4090")
@@ -889,7 +816,7 @@ class TestOneWalk:
     def _boxes(free) -> dict[str, RuntimeConstraint]:
         times, memory, accuracy = free.objectives().T
         return {
-            "cuts nothing": RuntimeConstraint(max_memory_bytes=float(np.median(memory))),
+            "memory median": RuntimeConstraint(max_memory_bytes=float(np.median(memory))),
             "fast quarter": RuntimeConstraint(
                 max_time_s=float(np.percentile(times, 25)), min_accuracy=0.3
             ),
@@ -900,49 +827,51 @@ class TestOneWalk:
             ),
         }
 
-    @pytest.mark.parametrize("space_name", ["eight shallow knobs", "reduced"])
-    def test_pruned_walk_equals_per_node_reference(self, space_name, fitted, profile):
+    @pytest.mark.parametrize("arch", ARCHS)
+    @pytest.mark.parametrize("space_name", ["default", "reduced"])
+    def test_a_constraint_filters_the_unbounded_table(
+        self, space_name, arch, fitted, profile
+    ):
+        """A constrained explore is the unbounded explore's rows, templates
+        included, kept by the constraint's filter: same candidates in the same
+        order, same table bytes, same count evaluated, same guidelines.  The
+        last constraint is faster than every template outside the space, so
+        the filter must drop them too."""
         space = SPACES[space_name]()
-        explorer = DFSExplorer(space, fitted["sage"], profile, get_platform("rtx4090"))
+        explorer = DFSExplorer(space, fitted[arch], profile, get_platform("rtx4090"))
         templates = list(TEMPLATES.values())
-        cuts = 0
-        for constraint in self._boxes(explorer.explore()).values():
-            survivors, visited, pruned = reference_pruned_walk(explorer, constraint)
-            result = explorer.explore(constraint=constraint, initial_candidates=templates)
-            cuts += pruned
-            assert result.visited_leaves == visited
-            assert result.pruned_subtrees == pruned
-            seen = set(survivors)
-            survivors += [
-                t.canonical() for t in templates if t.canonical() not in seen
-            ]
-            assert result.evaluated == len(survivors)
-            # the final filter keeps the reference's survivors, in its order
-            kept = [c for c in survivors if c in set(result.candidates)]
-            assert result.candidates == kept
-            plain = explorer.explore(
-                constraint=constraint, prune=False, initial_candidates=templates
+        targets = list(PRIORITY_PRESETS.values())
+        free = explorer.explore(initial_candidates=templates)
+        outside = len(space.enumerate())
+        assert len(free.candidates) > outside, "no template outside the space"
+        fastest_template = float(free.table[outside:, 0].min())
+        faster = RuntimeConstraint(
+            max_time_s=0.999 * fastest_template / (1 + dfs_module._FILTER_SLACK)
+        )
+        cut = 0
+        for constraint in [*self._boxes(free).values(), faster]:
+            got = explorer.explore(constraint=constraint, initial_candidates=templates)
+            keep = np.flatnonzero(
+                constraint.feasible(*free.table.T, slack=dfs_module._FILTER_SLACK)
             )
-            assert set(result.candidates) <= set(plain.candidates)
-            lookup = dict(zip(plain.candidates, plain.predictions, strict=True))
-            assert result.predictions == [lookup[c] for c in result.candidates]
-            if pruned == 0:
-                targets = list(PRIORITY_PRESETS.values())
-                assert (
-                    DecisionMaker(result).choose_all(targets)
-                    == DecisionMaker(plain).choose_all(targets)
-                )
-        assert cuts > 0, "no box exercised a subtree cut"
+            want = ExplorationResult(
+                candidates=[free.candidates[i] for i in keep.tolist()],
+                predictions=PerfRows(free.table[keep]),
+            )
+            assert got.candidates == want.candidates
+            assert got.table.tobytes() == want.table.tobytes()
+            assert got.evaluated == free.evaluated
+            assert DecisionMaker(got).choose_all(targets) == DecisionMaker(
+                want
+            ).choose_all(targets)
+            cut += len(free.candidates) - len(got.candidates)
+        assert cut > 0, "no box filtered a candidate out"
+        assert set(got.candidates).isdisjoint(free.candidates[outside:])
 
     def test_predict_calls_per_explore_are_counted_in_levels(self, fitted, profile):
-        """A constrained explore costs a handful of batched calls, not one
-        three-config call per internal node (thousands on this space); an
-        unbounded one costs one column call, and one ``predict`` when there
-        are initial candidates outside the space.
-
-        The walk estimates through ``predict_columns`` on row slices of the
-        enumeration; initial candidates outside the space, or cut by the
-        walk, go through one ``predict``."""
+        """Constrained or not, an explore costs one column call over the
+        enumeration, and one ``predict`` when there are initial candidates
+        outside the space."""
 
         class Counting:
             calls = rows = 0
@@ -966,27 +895,21 @@ class TestOneWalk:
         free = explorer.explore()
         assert (Counting.calls, Counting.rows) == (1, len(space.enumerate()))
         assert Counting.template_calls == 0
-        Counting.calls = Counting.rows = 0
-        explorer.explore(initial_candidates=templates)
-        assert (Counting.calls, Counting.rows) == (1, len(space.enumerate()))
-        assert (Counting.template_calls, Counting.template_rows) == (1, len(outside))
-        for constraint in self._boxes(free).values():
-            fresh = DFSExplorer(space, Counting(), profile, get_platform("rtx4090"))
+        for constraint in [None, *self._boxes(free).values()]:
             Counting.calls = Counting.rows = 0
             Counting.template_calls = Counting.template_rows = 0
-            fresh.explore(constraint=constraint, initial_candidates=templates)
-            probe_calls, final_call = 1, 1
-            assert Counting.calls <= dfs_module._PRUNE_MAX_REMAINING + probe_calls + final_call
-            assert Counting.template_calls == 1
-            # no candidate is estimated twice
-            assert Counting.rows + Counting.template_rows <= len(space.enumerate()) + len(
-                TEMPLATES
-            )
+            explorer.explore(constraint=constraint, initial_candidates=templates)
+            assert (Counting.calls, Counting.rows) == (1, len(space.enumerate()))
+            assert (Counting.template_calls, Counting.template_rows) == (1, len(outside))
 
     def test_explore_census_builds_no_objects(self, fitted, profile):
         """One column call for the space and one inside ``predict`` for
-        the two templates outside it; no ``PredictedPerf`` at all."""
-        assert explore_census(fitted["sage"], profile) == (2, 0)
+        the two templates outside it; no ``PredictedPerf`` at all, whether
+        or not a constraint filters the table."""
+        census = {"calls": 2, "predict": 1, "built": 0}
+        assert explore_census(fitted["sage"], profile) == census
+        bounded = RuntimeConstraint(min_accuracy=0.56)
+        assert explore_census(fitted["sage"], profile, bounded) == census
 
     def test_a_navigation_builds_a_predicted_perf_only_where_one_is_read(
         self, fitted, small_graph
@@ -995,7 +918,7 @@ class TestOneWalk:
         navigator.estimator = fitted["sage"]
         with _counting() as counts:
             report = navigator.explore()
-            assert counts == {"calls": 2, "built": len(report.guidelines)}
+            assert counts == {"calls": 2, "predict": 1, "built": len(report.guidelines)}
             front = DecisionMaker(report.exploration).front()
         assert counts["built"] == len(report.guidelines) + len(front)
         assert len(front) < len(report.exploration.candidates) // 10
@@ -1055,11 +978,7 @@ class TestOneWalk:
             assert got.candidates == want.candidates
             assert got.objectives().tobytes() == want.objectives().tobytes()
             assert got.predictions == want.predictions
-            assert (got.visited_leaves, got.pruned_subtrees, got.evaluated) == (
-                want.visited_leaves,
-                want.pruned_subtrees,
-                want.evaluated,
-            )
+            assert got.evaluated == want.evaluated
             assert DecisionMaker(got).choose_all(targets) == DecisionMaker(
                 want
             ).choose_all(targets)

@@ -253,6 +253,23 @@ class TestGoldenWire:
         (tmp_path / name).write_text(json.dumps(envelope))
         assert ResultStore(tmp_path).load(GOLDEN["candidate_key"]) == RECORD
 
+    def test_a_report_that_counts_walked_leaves_decodes(self):
+        """Servers from before the pruned DFS walk was deleted still send
+        ``visited_leaves`` and ``pruned_subtrees`` in every exploration.  They
+        are unknown keys now, so they are ignored."""
+        retired = {"visited_leaves": 48, "pruned_subtrees": 6}
+        report = encode(REPORT)
+        report["exploration"] = {**report["exploration"], **retired}
+        assert decode(type(REPORT), report) == REPORT
+        response = next(
+            json.loads(case["wire"])
+            for case in GOLDEN["messages"]
+            if case.get("sample") == "result_done"
+        )
+        exploration = response["result"]["report"]["exploration"]
+        response["result"]["report"]["exploration"] = {**exploration, **retired}
+        assert protocol.ResultResponse.from_wire(response) == MESSAGES["result_done"]
+
     def test_a_store_written_before_the_codec_loads_and_is_rewritten_equal(
         self, tmp_path
     ):

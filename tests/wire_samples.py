@@ -103,8 +103,6 @@ REPORT = NavigatorReport(
     exploration=ExplorationResult(
         candidates=[CONFIG, OTHER_CONFIG],
         predictions=[PREDICTED, PredictedPerf(0.5, 4096.0, 0.5)],
-        visited_leaves=48,
-        pruned_subtrees=6,
         evaluated=40,
         stats={"dfs_s": 0.25, "levels": [1, 2, 3]},
     ),
