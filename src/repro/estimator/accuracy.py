@@ -16,8 +16,8 @@ import numpy as np
 from repro.config.columns import ConfigColumns
 from repro.config.settings import SAMPLER_NAMES, TrainingConfig
 from repro.errors import EstimatorError
-from repro.estimator.blackbox import RandomForestRegressor
-from repro.estimator.features import per_context
+from repro.estimator.blackbox import RandomForestRegressor, TreeFit, fit_together
+from repro.estimator.features import ContextGroups, per_context
 from repro.graphs.profiling import GraphProfile
 
 __all__ = ["AccuracyModel", "accuracy_features"]
@@ -67,23 +67,30 @@ class AccuracyModel:
             min_samples_leaf=3,
             random_state=random_state,
         )
-        self._fitted = False
 
     def fit(self, records, sample_weight=None) -> "AccuracyModel":
         """Fit from :class:`~repro.runtime.profiler.GroundTruthRecord` list."""
         if not records:
             raise EstimatorError("no records to fit on")
-        x = per_context(
-            [r.config for r in records],
-            [r.graph_profile for r in records],
+        groups = ContextGroups.of(
+            [r.config for r in records], [r.graph_profile for r in records]
+        )
+        fit_together(self.tree_fits(groups, records, sample_weight))
+        return self
+
+    def tree_fits(
+        self, groups: ContextGroups, records, sample_weight=None
+    ) -> list[TreeFit]:
+        """The forest's trees and their bootstrap samples, for the records'
+        configs already grouped by graph profile: what :meth:`fit` grows,
+        for a caller that grows them with other trees."""
+        x = groups.table(
             accuracy_features,
             np.array([r.mean_batch_nodes for r in records], dtype=np.float64),
             np.array([r.mean_batch_edges for r in records], dtype=np.float64),
         )
         y = np.array([r.accuracy for r in records])
-        self._forest.fit(x, y, sample_weight=sample_weight)
-        self._fitted = True
-        return self
+        return self._forest.tree_fits(x, y, sample_weight)
 
     def predict(
         self,
@@ -104,8 +111,7 @@ class AccuracyModel:
         batch_nodes: np.ndarray,
         batch_edges: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`predict` for candidates that share one graph."""
-        if not self._fitted:
-            raise EstimatorError("predict() before fit()")
+        """:meth:`predict` for candidates that share one graph (the forest
+        refuses to predict before it is fitted)."""
         x = accuracy_features(columns, profile, batch_nodes, batch_edges)
         return np.clip(self._forest.predict(x), 0.0, 1.0)

@@ -16,8 +16,8 @@ import numpy as np
 from repro.config.columns import ConfigColumns
 from repro.config.settings import SAMPLER_NAMES, TrainingConfig
 from repro.errors import EstimatorError
-from repro.estimator.blackbox import DecisionTreeRegressor
-from repro.estimator.features import per_context
+from repro.estimator.blackbox import DecisionTreeRegressor, TreeFit, fit_together
+from repro.estimator.features import ContextGroups, per_context
 from repro.graphs.profiling import GraphProfile
 from repro.sampling.expectation import saturating_expectation, tree_growth_bound
 
@@ -87,7 +87,6 @@ class GrayBoxBatchSizeModel:
         self._tree = DecisionTreeRegressor(
             max_depth=max_depth, min_samples_leaf=3, random_state=random_state
         )
-        self._fitted = False
 
     def fit(
         self,
@@ -99,13 +98,24 @@ class GrayBoxBatchSizeModel:
         measured = np.asarray(measured, dtype=np.float64)
         if not (len(configs) == len(profiles) == measured.size):
             raise EstimatorError("configs, profiles and targets must align")
-        table = per_context(configs, profiles, _prior_and_features)
+        groups = ContextGroups.of(configs, profiles)
+        fit_together(self.tree_fits(groups, measured, sample_weight))
+        return self
+
+    def tree_fits(
+        self,
+        groups: ContextGroups,
+        measured: np.ndarray,
+        sample_weight: np.ndarray | None = None,
+    ) -> list[TreeFit]:
+        """The correction tree and what it fits on, for candidates already
+        grouped by graph profile: what :meth:`fit` grows, for a caller that
+        grows it with other trees."""
+        table = groups.table(_prior_and_features)
         residual = np.log(np.maximum(measured, 1.0)) - np.log(
             np.maximum(table[:, 0], 1.0)
         )
-        self._tree.fit(table[:, 1:], residual, sample_weight=sample_weight)
-        self._fitted = True
-        return self
+        return [(self._tree, table[:, 1:], residual, sample_weight)]
 
     def predict(
         self, configs: list[TrainingConfig], profiles: list[GraphProfile]
@@ -115,9 +125,8 @@ class GrayBoxBatchSizeModel:
     def predict_columns(
         self, columns: ConfigColumns, profile: GraphProfile
     ) -> np.ndarray:
-        """E[|V_i|] of every candidate in ``columns`` on one graph."""
-        if not self._fitted:
-            raise EstimatorError("predict() before fit()")
+        """E[|V_i|] of every candidate in ``columns`` on one graph (the tree
+        refuses to predict before it is fitted)."""
         table = _prior_and_features(columns, profile)
         pred = table[:, 0] * np.exp(self._tree.predict(table[:, 1:]))
         return np.minimum(pred, float(profile.num_nodes))

@@ -19,7 +19,76 @@ from repro.errors import EstimatorError
 from repro.graphs.profiling import GraphProfile
 from repro.hardware.specs import Platform
 
-__all__ = ["encode", "encode_columns", "encode_names", "encode_records", "per_context"]
+__all__ = [
+    "ContextGroups",
+    "encode",
+    "encode_columns",
+    "encode_names",
+    "encode_records",
+    "per_context",
+]
+
+
+class ContextGroups:
+    """Candidates grouped by the pre-determined setting each runs under,
+    each group's rows as one :class:`ConfigColumns`: built once however
+    many tables :meth:`table` evaluates on them (a gray-box fit evaluates
+    five over its records)."""
+
+    def __init__(
+        self, size: int, groups: list[tuple[ConfigColumns, object, list[int] | None]]
+    ) -> None:
+        #: ``(columns, context, rows)`` per group; ``rows`` is ``None`` when
+        #: one group holds every candidate in input order
+        self.size = size
+        self.groups = groups
+
+    @classmethod
+    def of(
+        cls, configs: Sequence[TrainingConfig], contexts: Sequence[object]
+    ) -> "ContextGroups":
+        """``contexts[i]`` is the setting ``configs[i]`` runs under — its
+        graph profile, or a ``(profile, platform)`` pair.  Exploration passes
+        one profile object ``n`` times and a store hands out equal copies;
+        both collapse to a single group."""
+        if len(configs) != len(contexts):
+            raise EstimatorError("configs and their contexts must align")
+        if not len(configs):
+            raise EstimatorError("no candidates to evaluate")
+        if len(set(map(id, contexts))) == 1:  # one object n times: skip the hashing
+            return cls(len(configs), [(ConfigColumns(configs), contexts[0], None)])
+        rows_of: dict[object, list[int]] = {}
+        for i, context in enumerate(contexts):
+            rows_of.setdefault(context, []).append(i)
+        return cls(
+            len(configs),
+            [
+                (ConfigColumns([configs[i] for i in rows]), context, rows)
+                for context, rows in rows_of.items()
+            ],
+        )
+
+    def with_contexts(self, view: Callable[[object], object]) -> "ContextGroups":
+        """The same groups and columns, each context read through ``view``."""
+        return ContextGroups(
+            self.size,
+            [(columns, view(context), rows) for columns, context, rows in self.groups],
+        )
+
+    def table(self, fn: Callable[..., np.ndarray], *aligned: np.ndarray) -> np.ndarray:
+        """``fn(columns, context, *aligned_rows)`` on each group, which
+        returns one output row per candidate; the rows go back in input
+        order."""
+        columns, context, rows = self.groups[0]
+        if rows is None:
+            return fn(columns, context, *aligned)
+        out = None
+        for columns, context, rows in self.groups:
+            part = fn(columns, context, *(np.asarray(a)[rows] for a in aligned))
+            if out is None:
+                out = np.empty((self.size, *part.shape[1:]), dtype=part.dtype)
+            out[rows] = part
+        return out
 
 
 def per_context(
@@ -28,36 +97,9 @@ def per_context(
     fn: Callable[..., np.ndarray],
     *aligned: np.ndarray,
 ) -> np.ndarray:
-    """Evaluate ``fn`` on each distinct context's candidates as columns.
-
-    ``contexts[i]`` is the pre-determined setting ``configs[i]`` runs under —
-    its graph profile, or a ``(profile, platform)`` pair.  The rows sharing a
-    context become one :class:`ConfigColumns`, ``fn(columns, context,
-    *aligned_rows)`` returns one output row per candidate, and the rows go
-    back in input order.  Exploration passes one profile object ``n`` times
-    and a store hands out equal copies; both collapse to a single group, so
-    the common case is one call on all the candidates.
-    """
-    if len(configs) != len(contexts):
-        raise EstimatorError("configs and their contexts must align")
-    if not len(configs):
-        raise EstimatorError("no candidates to evaluate")
-    if len(set(map(id, contexts))) == 1:  # one object n times: skip the hashing
-        return fn(ConfigColumns(configs), contexts[0], *aligned)
-    groups: dict[object, list[int]] = {}
-    for i, context in enumerate(contexts):
-        groups.setdefault(context, []).append(i)
-    out = None
-    for context, rows in groups.items():
-        part = fn(
-            ConfigColumns([configs[i] for i in rows]),
-            context,
-            *(np.asarray(a)[rows] for a in aligned),
-        )
-        if out is None:
-            out = np.empty((len(configs), *part.shape[1:]), dtype=part.dtype)
-        out[rows] = part
-    return out
+    """Evaluate ``fn`` on each distinct context's candidates as columns:
+    :meth:`ContextGroups.table` of a one-off grouping."""
+    return ContextGroups.of(configs, contexts).table(fn, *aligned)
 
 
 def encode_columns(

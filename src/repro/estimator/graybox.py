@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -27,8 +27,12 @@ from repro.config.settings import _CACHE_POLICIES, TrainingConfig
 from repro.errors import EstimatorError
 from repro.estimator.accuracy import AccuracyModel
 from repro.estimator.batchsize import BlackBoxBatchSizeModel, GrayBoxBatchSizeModel
-from repro.estimator.blackbox import DecisionTreeRegressor, RandomForestRegressor
-from repro.estimator.features import encode_columns, per_context
+from repro.estimator.blackbox import (
+    DecisionTreeRegressor,
+    RandomForestRegressor,
+    fit_together,
+)
+from repro.estimator.features import ContextGroups, encode_columns, per_context
 from repro.graphs.profiling import GraphProfile
 from repro.hardware.costmodel import (
     batch_time,
@@ -279,34 +283,42 @@ class GrayBoxEstimator:
             w = np.asarray(sample_weight, dtype=np.float64).ravel()
             if w.size != len(records):
                 raise EstimatorError("sample_weight must align with records")
-        configs = [r.config for r in records]
-        profiles = [r.graph_profile for r in records]
+        # One grouping of the records by (profile, platform), built once: the
+        # five tables below are evaluated on its columns.
+        contexts = ContextGroups.of(
+            [r.config for r in records],
+            [(r.graph_profile, get_platform(r.task.platform)) for r in records],
+        )
+        profiles = contexts.with_contexts(itemgetter(0))
         self._arch = records[0].task.arch
 
         measured_v = np.array([r.mean_batch_nodes for r in records])
         measured_e = np.array([r.mean_batch_edges for r in records])
         measured_hit = np.array([r.hit_rate for r in records])
 
-        self._batch_model.fit(configs, profiles, measured_v, sample_weight=w)
-        # Edges per node regress on degree/config features (log-ratio).
-        self._edge_model.fit(
-            per_context(configs, profiles, _edge_features),
-            np.log(measured_e / np.maximum(measured_v, 1.0)),
-            sample_weight=w,
+        # The components' trees need nothing of each other, so they grow in
+        # lockstep; the residual trees need their predictions, so they grow
+        # after them.
+        fit_together(
+            [
+                *self._batch_model.tree_fits(profiles, measured_v, w),
+                (
+                    self._edge_model,
+                    profiles.table(_edge_features),
+                    # edges per node regress on degree/config features (log-ratio)
+                    np.log(measured_e / np.maximum(measured_v, 1.0)),
+                    w,
+                ),
+                (self._hit_model, profiles.table(_hit_features), measured_hit, w),
+                *self._acc_model.tree_fits(profiles, records, w),
+            ]
         )
-        self._hit_model.fit(
-            per_context(configs, profiles, _hit_features),
-            measured_hit,
-            sample_weight=w,
-        )
-
         if self.use_residuals:
-            self._fit_residuals(records, configs, profiles, w)
-        self._acc_model.fit(records, sample_weight=w)
+            self._fit_residuals(records, contexts, w)
         self._fitted = True
         return self
 
-    def _fit_residuals(self, records, configs, profiles, w=None) -> None:
+    def _fit_residuals(self, records, contexts: ContextGroups, w=None) -> None:
         """Learn log-ratio corrections measured/analytic per phase."""
 
         def analytics(columns, context):
@@ -324,25 +336,22 @@ class GrayBoxEstimator:
                 ]
             )
 
-        table = per_context(
-            configs,
-            [
-                (profile, get_platform(r.task.platform))
-                for profile, r in zip(profiles, records, strict=True)
-            ],
-            analytics,
-        )
+        table = contexts.table(analytics)
         feats = table[:, : -len(self._PHASES) - 1]
         *analytic_phases, analytic_mem = table[:, feats.shape[1] :].T
         floor = 1e-7
-        for phase, analytic in zip(self._PHASES, analytic_phases, strict=True):
-            measured = np.array([getattr(r, f"t_{phase}") for r in records])
-            ratio = np.log(np.maximum(measured, floor) / np.maximum(analytic, floor))
-            self._residual_models[phase].fit(feats, ratio, sample_weight=w)
-
+        targets = [
+            np.log(
+                np.maximum([getattr(r, f"t_{phase}") for r in records], floor)
+                / np.maximum(analytic, floor)
+            )
+            for phase, analytic in zip(self._PHASES, analytic_phases, strict=True)
+        ]
         measured_mem = np.array([r.memory_bytes for r in records])
-        self._memory_residual.fit(
-            feats, np.log(measured_mem / analytic_mem), sample_weight=w
+        targets.append(np.log(measured_mem / analytic_mem))
+        models = [*self._residual_models.values(), self._memory_residual]
+        fit_together(
+            [(model, feats, y, w) for model, y in zip(models, targets, strict=True)]
         )
 
     def _analytic_memory(

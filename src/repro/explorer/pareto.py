@@ -42,6 +42,14 @@ def pareto_mask(objectives: np.ndarray) -> np.ndarray:
     what is left of it against itself — O(n log n + n*f) for a front of f
     rows, and never an n x n array.  Every copy of a non-dominated row stays;
     rows holding a NaN neither dominate nor are dominated.
+
+    More rows than one block are prefiltered first.  A row strictly below
+    every earlier row in some objective has no dominator (a dominator would
+    sort before it, and no earlier row is as good in that objective), so it
+    is on the front; one pass with these rows removes every row they
+    dominate.  Only the rest enter the sweep, and the sweep stays exact on
+    them: a row dominated by a removed row is dominated by what removed it,
+    since dominance is transitive, so it was removed too.
     """
     objectives = np.atleast_2d(np.asarray(objectives, dtype=np.float64))
     n, width = objectives.shape
@@ -49,10 +57,40 @@ def pareto_mask(objectives: np.ndarray) -> np.ndarray:
         return np.ones(n, dtype=bool)
     mask = np.zeros(n, dtype=bool)
     order = np.lexsort(objectives.T[::-1])
-    front = np.empty_like(objectives)  # its first ``found`` rows are the front
+    if n > _BLOCK_ROWS:
+        order = _prefilter(objectives, order, mask)
+    _sweep(objectives, order, mask)
+    return mask
+
+
+def _prefilter(objectives: np.ndarray, order: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mark the rows below every earlier row in some objective; return the
+    rest of ``order`` that none of them dominates."""
+    ranked = objectives[order]
+    # the least of the earlier rows, per objective (NaN entries skipped: a
+    # row holding one dominates nothing)
+    earlier = np.empty_like(ranked)
+    earlier[0] = np.inf
+    np.fmin.accumulate(ranked[:-1], axis=0, out=earlier[1:])
+    leads = (ranked < earlier).any(axis=1)
+    mask[order[leads]] = True
+    leaders, rest = ranked[leads], order[~leads]
+    size = max(1, _BLOCK_CELLS // (objectives.shape[1] * max(len(leaders), 1)))
+    return np.concatenate(
+        [
+            rows[~_dominated(objectives[rows], leaders)]
+            for rows in np.split(rest, range(size, len(rest), size))
+        ]
+    )
+
+
+def _sweep(objectives: np.ndarray, order: np.ndarray, mask: np.ndarray) -> None:
+    """Mark the rows of ``order`` (lexicographic) that no row of it dominates."""
+    width = objectives.shape[1]
+    front = np.empty((len(order), width))  # its first ``found`` rows are the front
     found = 0
     start = 0
-    while start < n:
+    while start < len(order):
         size = min(_BLOCK_ROWS, max(1, _BLOCK_CELLS // (width * max(found, _BLOCK_ROWS))))
         rows = order[start : start + size]
         rows = rows[~_dominated(objectives[rows], front[:found])]
@@ -63,7 +101,6 @@ def pareto_mask(objectives: np.ndarray) -> np.ndarray:
         front[found : found + len(survivors)] = survivors
         found += len(survivors)
         start += size
-    return mask
 
 
 def pareto_front_indices(objectives: np.ndarray) -> np.ndarray:
