@@ -21,7 +21,12 @@ from repro.estimator.features import ContextGroups, per_context
 from repro.graphs.profiling import GraphProfile
 from repro.sampling.expectation import saturating_expectation, tree_growth_bound
 
-__all__ = ["GrayBoxBatchSizeModel", "BlackBoxBatchSizeModel", "analytic_batch_size"]
+__all__ = [
+    "GrayBoxBatchSizeModel",
+    "BlackBoxBatchSizeModel",
+    "analytic_batch_size",
+    "prior_and_features",
+]
 
 
 def _effective_fanouts(config: TrainingConfig) -> list[float]:
@@ -52,7 +57,7 @@ def analytic_batch_size(config: TrainingConfig, profile: GraphProfile) -> float:
     return float(saturating_expectation(bound, profile.num_nodes))
 
 
-def _prior_and_features(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
+def prior_and_features(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
     """Column 0: the analytic prior.  The rest: features of where it is off."""
     prior, log_fanout_sum, num_fanouts = columns.per_distinct(
         (columns.sampler, columns.hop_code, columns.batch_size),
@@ -98,20 +103,19 @@ class GrayBoxBatchSizeModel:
         measured = np.asarray(measured, dtype=np.float64)
         if not (len(configs) == len(profiles) == measured.size):
             raise EstimatorError("configs, profiles and targets must align")
-        groups = ContextGroups.of(configs, profiles)
-        fit_together(self.tree_fits(groups, measured, sample_weight))
+        table = ContextGroups.of(configs, profiles).table(prior_and_features)
+        fit_together(self.tree_fits(table, measured, sample_weight))
         return self
 
     def tree_fits(
         self,
-        groups: ContextGroups,
+        table: np.ndarray,
         measured: np.ndarray,
         sample_weight: np.ndarray | None = None,
     ) -> list[TreeFit]:
-        """The correction tree and what it fits on, for candidates already
-        grouped by graph profile: what :meth:`fit` grows, for a caller that
-        grows it with other trees."""
-        table = groups.table(_prior_and_features)
+        """The correction tree and what it fits on, given the candidates'
+        :func:`prior_and_features` table: what :meth:`fit` grows, for a
+        caller that grows it with other trees."""
         residual = np.log(np.maximum(measured, 1.0)) - np.log(
             np.maximum(table[:, 0], 1.0)
         )
@@ -120,14 +124,18 @@ class GrayBoxBatchSizeModel:
     def predict(
         self, configs: list[TrainingConfig], profiles: list[GraphProfile]
     ) -> np.ndarray:
-        return per_context(configs, profiles, self.predict_columns)
+        return per_context(
+            configs,
+            profiles,
+            lambda columns, profile: self.predict_table(
+                prior_and_features(columns, profile), profile
+            ),
+        )
 
-    def predict_columns(
-        self, columns: ConfigColumns, profile: GraphProfile
-    ) -> np.ndarray:
-        """E[|V_i|] of every candidate in ``columns`` on one graph (the tree
-        refuses to predict before it is fitted)."""
-        table = _prior_and_features(columns, profile)
+    def predict_table(self, table: np.ndarray, profile: GraphProfile) -> np.ndarray:
+        """E[|V_i|] of every candidate on one graph, from the candidates'
+        :func:`prior_and_features` table (the tree refuses to predict
+        before it is fitted)."""
         pred = table[:, 0] * np.exp(self._tree.predict(table[:, 1:]))
         return np.minimum(pred, float(profile.num_nodes))
 

@@ -26,7 +26,11 @@ from repro.config.columns import ConfigColumns
 from repro.config.settings import _CACHE_POLICIES, TrainingConfig
 from repro.errors import EstimatorError
 from repro.estimator.accuracy import AccuracyModel
-from repro.estimator.batchsize import BlackBoxBatchSizeModel, GrayBoxBatchSizeModel
+from repro.estimator.batchsize import (
+    BlackBoxBatchSizeModel,
+    GrayBoxBatchSizeModel,
+    prior_and_features,
+)
 from repro.estimator.blackbox import (
     DecisionTreeRegressor,
     RandomForestRegressor,
@@ -205,16 +209,21 @@ class GrayBoxEstimator:
 
     # -------------------------------------------------------------- analytics
     def _intermediates(
-        self, columns: ConfigColumns, profile: GraphProfile
+        self, columns: ConfigColumns, profile: GraphProfile, tables=None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Predicted ``(E[|V_i|], E[|E_i|], hit rate)`` of every candidate."""
-        v_hat = self._batch_model.predict_columns(columns, profile)
-        e_hat = v_hat * np.exp(
-            self._edge_model.predict(_edge_features(columns, profile))
+        """Predicted ``(E[|V_i|], E[|E_i|], hit rate)`` of every candidate.
+
+        ``tables`` are the candidates' batch-size, edge and hit feature
+        tables, when the caller has evaluated them already.
+        """
+        prior, edge_x, hit_x = tables or (
+            prior_and_features(columns, profile),
+            _edge_features(columns, profile),
+            _hit_features(columns, profile),
         )
-        hit_hat = np.clip(
-            self._hit_model.predict(_hit_features(columns, profile)), 0.0, 1.0
-        )
+        v_hat = self._batch_model.predict_table(prior, profile)
+        e_hat = v_hat * np.exp(self._edge_model.predict(edge_x))
+        hit_hat = np.clip(self._hit_model.predict(hit_x), 0.0, 1.0)
         return v_hat, e_hat, hit_hat
 
     def _analytic_phases(
@@ -284,7 +293,7 @@ class GrayBoxEstimator:
             if w.size != len(records):
                 raise EstimatorError("sample_weight must align with records")
         # One grouping of the records by (profile, platform), built once: the
-        # five tables below are evaluated on its columns.
+        # tables below are evaluated on its columns, each once per context.
         contexts = ContextGroups.of(
             [r.config for r in records],
             [(r.graph_profile, get_platform(r.task.platform)) for r in records],
@@ -295,36 +304,43 @@ class GrayBoxEstimator:
         measured_v = np.array([r.mean_batch_nodes for r in records])
         measured_e = np.array([r.mean_batch_edges for r in records])
         measured_hit = np.array([r.hit_rate for r in records])
+        prior = profiles.table(prior_and_features)
+        edge_x = profiles.table(_edge_features)
+        hit_x = profiles.table(_hit_features)
 
         # The components' trees need nothing of each other, so they grow in
         # lockstep; the residual trees need their predictions, so they grow
         # after them.
         fit_together(
             [
-                *self._batch_model.tree_fits(profiles, measured_v, w),
+                *self._batch_model.tree_fits(prior, measured_v, w),
                 (
                     self._edge_model,
-                    profiles.table(_edge_features),
+                    edge_x,
                     # edges per node regress on degree/config features (log-ratio)
                     np.log(measured_e / np.maximum(measured_v, 1.0)),
                     w,
                 ),
-                (self._hit_model, profiles.table(_hit_features), measured_hit, w),
+                (self._hit_model, hit_x, measured_hit, w),
                 *self._acc_model.tree_fits(profiles, records, w),
             ]
         )
         if self.use_residuals:
-            self._fit_residuals(records, contexts, w)
+            self._fit_residuals(records, contexts, (prior, edge_x, hit_x), w)
         self._fitted = True
         return self
 
-    def _fit_residuals(self, records, contexts: ContextGroups, w=None) -> None:
-        """Learn log-ratio corrections measured/analytic per phase."""
+    def _fit_residuals(
+        self, records, contexts: ContextGroups, tables, w=None
+    ) -> None:
+        """Learn log-ratio corrections measured/analytic per phase.  The
+        intermediates are predicted from ``tables``, the records' batch-size,
+        edge and hit feature tables the first trees were fitted on."""
 
-        def analytics(columns, context):
+        def analytics(columns, context, *group_tables):
             """Encoding, then the four phase times, then memory, by column."""
             profile, platform = context
-            v_hat, e_hat, hit_hat = self._intermediates(columns, profile)
+            v_hat, e_hat, hit_hat = self._intermediates(columns, profile, group_tables)
             phases = self._analytic_phases(
                 columns, profile, platform, v_hat, e_hat, hit_hat
             )
@@ -336,7 +352,7 @@ class GrayBoxEstimator:
                 ]
             )
 
-        table = contexts.table(analytics)
+        table = contexts.table(analytics, *tables)
         feats = table[:, : -len(self._PHASES) - 1]
         *analytic_phases, analytic_mem = table[:, feats.shape[1] :].T
         floor = 1e-7

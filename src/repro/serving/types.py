@@ -162,6 +162,20 @@ class NavigationRequest:
             raise ServingError(f"unknown request keys: {sorted(unknown)}")
         if "dataset" not in spec:
             raise ServingError("request spec needs at least a 'dataset'")
+        policy = spec.get("transfer_policy")
+        if policy is not None and not isinstance(policy, dict):
+            raise ServingError(
+                f"transfer_policy must be an object, not {type(policy).__name__}"
+            )
+        # A value of the wrong type or range is the client's mistake too:
+        # it fails here, typed, rather than as a server error.
+        try:
+            return cls._from_known_keys(spec)
+        except (ValueError, TypeError) as exc:
+            raise ServingError(f"invalid request spec: {exc}") from exc
+
+    @classmethod
+    def _from_known_keys(cls, spec: dict) -> "NavigationRequest":
         task_kwargs = {"dataset": spec["dataset"]}
         for key in ("arch", "platform", "epochs", "lr", "train_frac", "val_frac"):
             if key in spec:

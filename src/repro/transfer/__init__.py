@@ -7,8 +7,8 @@ it serves:
 
 ``fingerprint``  task identity (graph stats + arch/platform gates),
                  derived from each stored record;
-``corpus``       an index over the store with similarity search behind one
-                 :class:`TaskSimilarity` interface;
+``corpus``       an index over the store, searched for donors by
+                 :meth:`TaskFingerprint.similarity`;
 ``warmstart``    similarity-decayed donor records fed into
                  ``GrayBoxEstimator.fit(sample_weight=)``;
 ``prerank``      corpus-guided candidate pre-ranking that shrinks the
@@ -18,12 +18,7 @@ The package sits above the runtime: it imports the store, and nothing
 under ``repro.runtime`` imports it.
 """
 
-from repro.transfer.corpus import (
-    AnchorRankSimilarity,
-    FeatureSpaceSimilarity,
-    TaskSimilarity,
-    TransferCorpus,
-)
+from repro.transfer.corpus import TransferCorpus
 from repro.transfer.fingerprint import (
     FINGERPRINT_VERSION,
     TaskFingerprint,
@@ -39,9 +34,6 @@ __all__ = [
     "task_fingerprint",
     "record_fingerprint",
     "TransferPolicy",
-    "TaskSimilarity",
-    "FeatureSpaceSimilarity",
-    "AnchorRankSimilarity",
     "TransferCorpus",
     "TransferContext",
     "WarmStartPlan",

@@ -4,18 +4,9 @@ The :class:`~repro.runtime.parallel.ResultStore` holds one JSON record per
 measured candidate; the corpus derives each record's task fingerprint and
 folds them into an in-memory index grouped by task family
 (``fingerprint_id``), and answers *"which stored tasks resemble this one?"*
-through a :class:`TaskSimilarity` metric.
-
-Two metrics ship, both behind the same interface:
-
-* :class:`FeatureSpaceSimilarity` — distance in fingerprint feature space
-  (graph statistics).  Always answerable, even for a task the corpus has
-  never seen.
-* :class:`AnchorRankSimilarity` — Spearman rank correlation of measured
-  time over shared *anchor configs* (the baseline templates every
-  navigation profiles), the *Design Space for GNNs* recipe.  It needs the
-  query task's own anchor measurements, so it only refines the ranking for
-  returning tasks and falls back to feature space otherwise.
+by :meth:`TaskFingerprint.similarity`, a distance in fingerprint feature
+space.  The score reads the two fingerprints alone, so a search loads
+only the records of the donors it returns, never the query's own.
 
 Locking: ``_lock`` guards only the in-memory index.  All store I/O — the
 directory scan and record loads — happens outside it, so
@@ -25,26 +16,14 @@ store's own lock).
 
 from __future__ import annotations
 
-import abc
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.config.templates import TEMPLATES
 from repro.runtime.parallel import ResultStore
 from repro.runtime.profiler import GroundTruthRecord
 from repro.transfer.fingerprint import TaskFingerprint, record_fingerprint
-from repro.wire import encode
 
-__all__ = [
-    "CorpusTask",
-    "TaskSimilarity",
-    "FeatureSpaceSimilarity",
-    "AnchorRankSimilarity",
-    "get_similarity",
-    "TransferCorpus",
-]
+__all__ = ["CorpusTask", "TransferCorpus"]
 
 
 @dataclass(frozen=True)
@@ -61,153 +40,6 @@ class CorpusTask:
     @property
     def num_records(self) -> int:
         return len(self.keys)
-
-
-# ---------------------------------------------------------------- similarity
-class TaskSimilarity(abc.ABC):
-    """Scores how transferable one stored task's records are to a query.
-
-    Implementations return a score in ``[0, 1]`` (1 = same task).  They may
-    consult the query task's *own* stored records (``query_records``) when
-    the corpus has seen it before; a brand-new task passes an empty list.
-    """
-
-    name = "base"
-
-    @abc.abstractmethod
-    def score(
-        self,
-        query: TaskFingerprint,
-        donor: TaskFingerprint,
-        *,
-        query_records: list[GroundTruthRecord],
-        donor_records: list[GroundTruthRecord],
-    ) -> float:
-        """Similarity of ``donor`` to ``query`` in ``[0, 1]``."""
-
-
-class FeatureSpaceSimilarity(TaskSimilarity):
-    """Distance in fingerprint feature space mapped to ``exp(-k * d)``.
-
-    ``d`` is the mean relative per-feature difference, so graphs ten times
-    larger are far, and statistically-identical graphs of any name score 1.
-    """
-
-    name = "feature"
-
-    def __init__(self, *, sharpness: float = 4.0) -> None:
-        if sharpness <= 0:
-            raise ValueError("sharpness must be positive")
-        self.sharpness = sharpness
-
-    def score(
-        self,
-        query: TaskFingerprint,
-        donor: TaskFingerprint,
-        *,
-        query_records: list[GroundTruthRecord],
-        donor_records: list[GroundTruthRecord],
-    ) -> float:
-        a, b = query.as_features(), donor.as_features()
-        rel = np.abs(a - b) / (1.0 + 0.5 * (np.abs(a) + np.abs(b)))
-        return float(np.exp(-self.sharpness * float(rel.mean())))
-
-
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks: ties share their average rank.
-
-    Naive argsort-of-argsort ranks break ties by position, which makes a
-    constant vector look perfectly ordered — and a donor whose anchor times
-    are all equal would then correlate perfectly with anything.  Average
-    ranks leave a constant vector with zero rank variance instead, which the
-    caller treats as "no signal".
-    """
-    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    starts = np.cumsum(counts) - counts
-    average = starts + (counts - 1) / 2.0
-    return average[inverse].astype(np.float64)
-
-
-def _spearman(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rank correlation without scipy (tie-aware fractional ranks)."""
-    ra = _ranks(a)
-    rb = _ranks(b)
-    if ra.std() == 0.0 or rb.std() == 0.0:
-        return 0.0
-    return float(np.corrcoef(ra, rb)[0, 1])
-
-
-class AnchorRankSimilarity(TaskSimilarity):
-    """Rank correlation of measured time over shared anchor configs.
-
-    The anchors are the baseline templates — every navigation profiles
-    them, so returning tasks always share them with every donor.  With
-    fewer than ``min_anchors`` shared measurements the metric is undefined
-    and the feature-space fallback answers instead.
-    """
-
-    name = "anchor"
-
-    def __init__(
-        self,
-        *,
-        min_anchors: int = 3,
-        fallback: TaskSimilarity | None = None,
-    ) -> None:
-        self.min_anchors = min_anchors
-        self.fallback = fallback or FeatureSpaceSimilarity()
-        self._anchors = frozenset(c.canonical() for c in TEMPLATES.values())
-
-    def _anchor_times(self, records: list[GroundTruthRecord]) -> dict:
-        times: dict = {}
-        for record in records:
-            config = record.config.canonical()
-            if config in self._anchors and config not in times:
-                times[config] = record.time_s
-        return times
-
-    def score(
-        self,
-        query: TaskFingerprint,
-        donor: TaskFingerprint,
-        *,
-        query_records: list[GroundTruthRecord],
-        donor_records: list[GroundTruthRecord],
-    ) -> float:
-        mine = self._anchor_times(query_records)
-        theirs = self._anchor_times(donor_records)
-        shared = sorted(
-            (c for c in mine if c in theirs),
-            key=lambda c: repr(sorted(encode(c).items())),
-        )
-        if len(shared) < self.min_anchors:
-            return self.fallback.score(
-                query,
-                donor,
-                query_records=query_records,
-                donor_records=donor_records,
-            )
-        rho = _spearman(
-            np.array([mine[c] for c in shared]),
-            np.array([theirs[c] for c in shared]),
-        )
-        return float(np.clip(rho, 0.0, 1.0))
-
-
-_SIMILARITIES = {
-    FeatureSpaceSimilarity.name: FeatureSpaceSimilarity,
-    AnchorRankSimilarity.name: AnchorRankSimilarity,
-}
-
-
-def get_similarity(name: str) -> TaskSimilarity:
-    """Instantiate a registered similarity metric by policy name."""
-    try:
-        return _SIMILARITIES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown similarity {name!r}; known: {sorted(_SIMILARITIES)}"
-        ) from None
 
 
 # -------------------------------------------------------------------- corpus
@@ -304,47 +136,38 @@ class TransferCorpus:
         self,
         query: TaskFingerprint,
         *,
-        similarity: TaskSimilarity,
         min_similarity: float = 0.0,
         max_donors: int | None = None,
         max_donor_records: int | None = None,
-        query_records: list[GroundTruthRecord] | None = None,
     ) -> list[tuple[CorpusTask, float, list[GroundTruthRecord]]]:
         """Donor task families ranked by similarity to ``query``.
 
         Hard gates first: the query's own family is excluded (its records
         are exact cache hits, not transfer donors) and donors must be
-        arch/platform-compatible.  Survivors are scored, thresholded at
-        ``min_similarity`` and returned best-first with their loaded
-        records — deterministically, ties broken by ``fingerprint_id``.
+        arch/platform-compatible.  Survivors are scored by
+        ``query.similarity``, thresholded at ``min_similarity`` and
+        returned best-first with their loaded records — deterministically,
+        ties broken by ``fingerprint_id``.  The score needs no record, so
+        records are loaded only for the donors returned (and for any that
+        turn out to have none left in the store, which are skipped).
         """
-        if query_records is None:
-            query_records = self.load_records(
-                query.fingerprint_id, limit=max_donor_records
-            )
-        scored: list[tuple[CorpusTask, float, list[GroundTruthRecord]]] = []
-        for entry in self.tasks():
-            if entry.fingerprint_id == query.fingerprint_id:
-                continue
-            if not query.compatible(entry.fingerprint):
-                continue
-            donor_records = self.load_records(
-                entry.fingerprint_id, limit=max_donor_records
-            )
-            if not donor_records:
-                continue
-            value = similarity.score(
-                query,
-                entry.fingerprint,
-                query_records=query_records,
-                donor_records=donor_records,
-            )
-            if value >= min_similarity:
-                scored.append((entry, float(value), donor_records))
-        scored.sort(key=lambda item: (-item[1], item[0].fingerprint_id))
-        if max_donors is not None:
-            scored = scored[:max_donors]
-        return scored
+        ranked = sorted(
+            (
+                (query.similarity(entry.fingerprint), entry)
+                for entry in self.tasks()
+                if entry.fingerprint_id != query.fingerprint_id
+                and query.compatible(entry.fingerprint)
+            ),
+            key=lambda item: (-item[0], item[1].fingerprint_id),
+        )
+        donors: list[tuple[CorpusTask, float, list[GroundTruthRecord]]] = []
+        for value, entry in ranked:
+            if value < min_similarity or len(donors) == max_donors:
+                break
+            records = self.load_records(entry.fingerprint_id, limit=max_donor_records)
+            if records:
+                donors.append((entry, value, records))
+        return donors
 
     def stats(self) -> dict:
         """Corpus summary for the CLI / metrics (no store I/O)."""

@@ -36,6 +36,9 @@ __all__ = [
 #: every task family.
 FINGERPRINT_VERSION = 1
 
+#: how fast :meth:`TaskFingerprint.similarity` decays with feature distance.
+SIMILARITY_SHARPNESS = 4.0
+
 #: graph-statistics fields copied from :class:`GraphProfile`, in the order
 #: they appear in :meth:`TaskFingerprint.as_features`.
 _PROFILE_FIELDS = (
@@ -59,7 +62,7 @@ class TaskFingerprint:
 
     ``arch`` and ``platform`` are hard comparability gates (an estimator is
     fitted per architecture and times are platform-scaled); the graph
-    statistics feed the soft similarity metrics.  ``dataset`` is carried for
+    statistics feed the soft :meth:`similarity`.  ``dataset`` is carried for
     reporting only — two datasets with identical statistics are identical
     donors.
     """
@@ -124,6 +127,18 @@ class TaskFingerprint:
             dtype=np.float64,
         )
         return np.nan_to_num(raw, nan=0.0, posinf=1e3, neginf=-1e3)
+
+    def similarity(self, other: "TaskFingerprint") -> float:
+        """How transferable ``other``'s records are to this task, in ``(0, 1]``.
+
+        ``exp(-SIMILARITY_SHARPNESS * d)``, where ``d`` is the mean relative
+        per-feature difference of :meth:`as_features`: graphs ten times
+        larger are far, and statistically identical graphs of any name
+        score 1.  The arch/platform gate is :meth:`compatible`'s, not this.
+        """
+        a, b = self.as_features(), other.as_features()
+        rel = np.abs(a - b) / (1.0 + 0.5 * (np.abs(a) + np.abs(b)))
+        return float(np.exp(-SIMILARITY_SHARPNESS * float(rel.mean())))
 
 
 def _quantize(value):

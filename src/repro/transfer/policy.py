@@ -12,17 +12,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-__all__ = ["TransferPolicy", "SIMILARITY_NAMES"]
-
-#: registered TaskSimilarity implementations (see transfer/corpus.py).
-SIMILARITY_NAMES = ("feature", "anchor")
+__all__ = ["TransferPolicy"]
 
 
 @dataclass(frozen=True)
 class TransferPolicy:
     """How aggressively one navigation may lean on the corpus.
 
-    ``similarity`` names the :class:`TaskSimilarity` metric; donors scoring
+    Donors whose :meth:`TaskFingerprint.similarity` to the task scores
     below ``min_similarity`` are ignored.  ``decay`` shapes the donor sample
     weights (``similarity ** decay`` — higher decay trusts only near-twins).
     ``max_shrink`` caps how much of the Step-2 profiling budget corpus
@@ -31,7 +28,6 @@ class TransferPolicy:
     """
 
     enabled: bool = True
-    similarity: str = "feature"
     min_similarity: float = 0.35
     max_donors: int = 4
     max_donor_records: int = 64
@@ -40,11 +36,6 @@ class TransferPolicy:
     max_shrink: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.similarity not in SIMILARITY_NAMES:
-            raise ValueError(
-                f"unknown similarity {self.similarity!r}; "
-                f"known: {list(SIMILARITY_NAMES)}"
-            )
         if not 0.0 <= self.min_similarity <= 1.0:
             raise ValueError("min_similarity must lie in [0, 1]")
         if self.max_donors < 1:

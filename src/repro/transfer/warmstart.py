@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.runtime.profiler import GroundTruthRecord
-from repro.transfer.corpus import TransferCorpus, get_similarity
+from repro.transfer.corpus import TransferCorpus
 from repro.transfer.fingerprint import TaskFingerprint, task_fingerprint
 from repro.transfer.policy import TransferPolicy
 
@@ -121,10 +121,10 @@ class TransferContext:
         """Build a warm-start plan for ``task``, or ``None`` to run cold.
 
         Refreshes the corpus (cheap: it loads only records it has not
-        indexed yet), ranks compatible donor families under the policy's
-        similarity metric, and — given
-        enough donor records to fit an estimator — shrinks the profiling
-        budget in proportion to how much of it the donors plausibly cover:
+        indexed yet), ranks compatible donor families by fingerprint
+        similarity, and — given enough donor records to fit an estimator —
+        shrinks the profiling budget in proportion to how much of it the
+        donors plausibly cover:
         ``coverage = min(1, Σ sim_i · min(1, n_i / full_budget))``.
         """
         # Imported here, not at module level: the serving package imports
@@ -142,7 +142,6 @@ class TransferContext:
         fingerprint = task_fingerprint(task, profile)
         donors = self.corpus.similar(
             fingerprint,
-            similarity=get_similarity(self.policy.similarity),
             min_similarity=self.policy.min_similarity,
             max_donors=self.policy.max_donors,
             max_donor_records=self.policy.max_donor_records,

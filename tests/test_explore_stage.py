@@ -36,7 +36,7 @@ from repro.config import (
 from repro.config import space as space_module
 from repro.errors import EstimatorError
 from repro.estimator import BlackBoxEstimator, GrayBoxEstimator
-from repro.estimator import blackbox
+from repro.estimator import blackbox, graybox
 from repro.estimator.batchsize import analytic_batch_size
 from repro.estimator.blackbox import DecisionTreeRegressor, RandomForestRegressor
 from repro.estimator.graybox import PerfRows, PredictedPerf
@@ -1297,6 +1297,27 @@ class TestOneWalk:
         census = fit_census()
         assert census["scans"] < census["nodes"] // 4
         assert census["swept"] < census["rows"] // 2
+
+    def test_a_fit_evaluates_each_intermediate_table_once_per_context(
+        self, small_graph
+    ):
+        """The batch-size, edge and hit trees are fitted on three feature
+        tables, and the residual stage predicts the same records from the
+        same tables: a fit evaluates each once per context, not twice."""
+        records = _measured_records(small_graph, n=12, epochs=1, seed=20)
+        moved = replace(records[0].graph_profile, degree_skew=-1.0)
+        two_contexts = records[:8] + [replace(r, graph_profile=moved) for r in records[8:]]
+        tables = ("prior_and_features", "_edge_features", "_hit_features")
+        for batch, contexts in ((records, 1), (two_contexts, 2)):
+            with contextlib.ExitStack() as stack:
+                counted = [
+                    stack.enter_context(
+                        mock.patch.object(graybox, name, wraps=getattr(graybox, name))
+                    )
+                    for name in tables
+                ]
+                GrayBoxEstimator().fit(batch)
+            assert [m.call_count for m in counted] == [contexts] * 3
 
     def test_a_navigation_builds_a_predicted_perf_only_where_one_is_read(
         self, fitted, small_graph

@@ -1,8 +1,9 @@
 """Cross-task estimator transfer tests (the ``repro.transfer`` subsystem).
 
 Covers the stack bottom-up: fingerprint identity and its noise-robust
-quantization, similarity metrics, the corpus's incremental index over the
-store and its deterministic search,
+quantization, fingerprint similarity, the corpus's incremental index over
+the store and its deterministic search (which reads no record of the query's
+own task),
 similarity-decayed donor weights, weighted estimator fitting, and the two
 system-level contracts — a warm start profiles measurably fewer candidates
 than a cold one on a sibling task, and an *empty* corpus leaves navigation
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.config.settings import TaskSpec, TrainingConfig
-from repro.errors import EstimatorError
+from repro.errors import EstimatorError, ServingError
 from repro.estimator.blackbox import DecisionTreeRegressor, RandomForestRegressor
 from repro.estimator.graybox import GrayBoxEstimator
 from repro.explorer.navigator import GNNavigator
@@ -25,8 +26,6 @@ from repro.runtime.parallel import ResultStore
 from repro.runtime.profiler import GroundTruthRecord
 from repro.serving.types import NavigationRequest
 from repro.transfer import (
-    AnchorRankSimilarity,
-    FeatureSpaceSimilarity,
     TaskFingerprint,
     TransferContext,
     TransferCorpus,
@@ -34,7 +33,6 @@ from repro.transfer import (
     donor_weights,
     task_fingerprint,
 )
-from repro.transfer.corpus import _spearman, get_similarity
 from repro.transfer.fingerprint import record_fingerprint
 
 
@@ -133,41 +131,14 @@ class TestTaskFingerprint:
 class TestSimilarity:
     def test_feature_similarity_is_one_for_identical_tasks(self):
         fp = task_fingerprint(TaskSpec(dataset="a", arch="sage", epochs=1), _profile())
-        sim = FeatureSpaceSimilarity()
-        assert sim.score(fp, fp, query_records=[], donor_records=[]) == pytest.approx(1.0)
+        assert fp.similarity(fp) == pytest.approx(1.0)
 
     def test_feature_similarity_decreases_with_distance(self):
         task = TaskSpec(dataset="a", arch="sage", epochs=1)
         fp = task_fingerprint(task, _profile(num_nodes=2000))
         near = task_fingerprint(task, _profile(num_nodes=2200))
         far = task_fingerprint(task, _profile(num_nodes=200000, avg_degree=40.0))
-        sim = FeatureSpaceSimilarity()
-        s_near = sim.score(fp, near, query_records=[], donor_records=[])
-        s_far = sim.score(fp, far, query_records=[], donor_records=[])
-        assert 0.0 < s_far < s_near < 1.0
-
-    def test_spearman_rank_correlation(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        assert _spearman(a, a * 10.0) == pytest.approx(1.0)
-        assert _spearman(a, -a) == pytest.approx(-1.0)
-        assert _spearman(a, np.ones(4)) == 0.0
-
-    def test_anchor_similarity_falls_back_without_shared_anchors(self):
-        task = TaskSpec(dataset="a", arch="sage", epochs=1)
-        fp = task_fingerprint(task, _profile())
-        sim = AnchorRankSimilarity()
-        fallback = FeatureSpaceSimilarity().score(
-            fp, fp, query_records=[], donor_records=[]
-        )
-        assert sim.score(fp, fp, query_records=[], donor_records=[]) == pytest.approx(
-            fallback
-        )
-
-    def test_get_similarity_registry(self):
-        assert isinstance(get_similarity("feature"), FeatureSpaceSimilarity)
-        assert isinstance(get_similarity("anchor"), AnchorRankSimilarity)
-        with pytest.raises(ValueError, match="unknown similarity"):
-            get_similarity("nope")
+        assert 0.0 < fp.similarity(far) < fp.similarity(near) < 1.0
 
 
 class TestTransferCorpus:
@@ -239,7 +210,7 @@ class TestTransferCorpus:
         for _ in range(2):
             corpus = TransferCorpus(store)
             corpus.refresh()
-            found = corpus.similar(query, similarity=get_similarity("feature"))
+            found = corpus.similar(query)
             runs.append([(t.fingerprint_id, s) for t, s, _ in found])
         assert runs[0] == runs[1]
         ids = [fid for fid, _ in runs[0]]
@@ -252,7 +223,7 @@ class TestTransferCorpus:
         query = task_fingerprint(
             TaskSpec(dataset="q", arch="sage", epochs=1), _profile(num_nodes=2100)
         )
-        found = corpus.similar(query, similarity=get_similarity("feature"))
+        found = corpus.similar(query)
         datasets = [t.fingerprint.dataset for t, _, _ in found]
         assert datasets[0] in ("a", "b")
         assert datasets[-1] == "c"
@@ -263,7 +234,43 @@ class TestTransferCorpus:
         query = task_fingerprint(
             TaskSpec(dataset="q", arch="gcn", epochs=1), _profile()
         )
-        assert corpus.similar(query, similarity=get_similarity("feature")) == []
+        assert corpus.similar(query) == []
+
+
+def test_a_plan_loads_no_record_of_the_query_task(tmp_path, monkeypatch):
+    """A donor is scored on its fingerprint alone, so a plan reads only the
+    records of the donors it returns: none of the query task's own 64, and
+    none of a family too far to qualify."""
+    store = ResultStore(tmp_path)
+    query_task = TaskSpec(dataset="q", arch="sage", epochs=1)
+    donor_task = TaskSpec(dataset="d", arch="sage", epochs=1)
+    far_task = TaskSpec(dataset="far", arch="sage", epochs=1)
+    query_profile = _profile("q", num_nodes=2000)
+    donor_profile = _profile("d", num_nodes=2200)
+    far_profile = _profile("far", num_nodes=200000, avg_degree=40.0, num_classes=40)
+    for i in range(64):
+        config = TrainingConfig(batch_size=64 + i)
+        store.save(f"q-{i:02d}", _record(config, task=query_task, profile=query_profile))
+        store.save(f"d-{i:02d}", _record(config, task=donor_task, profile=donor_profile))
+        store.save(f"far-{i:02d}", _record(config, task=far_task, profile=far_profile))
+    corpus = TransferCorpus(store)
+    assert corpus.refresh() == 3
+    query = task_fingerprint(query_task, query_profile)
+    assert corpus.task(query.fingerprint_id).num_records == 64
+    loaded = []
+    real_load = store.load
+
+    def load(key):
+        loaded.append(key)
+        return real_load(key)
+
+    monkeypatch.setattr(store, "load", load)
+    plan = TransferContext(corpus).plan(query_task, query_profile, full_budget=16)
+    assert plan is not None and [d["dataset"] for d in plan.donors] == ["d"]
+    assert [key for key in loaded if key.startswith("q-")] == []
+    far = task_fingerprint(far_task, far_profile)
+    assert query.similarity(far) < TransferPolicy().min_similarity
+    assert sorted(loaded) == [f"d-{i:02d}" for i in range(64)]
 
 
 # ------------------------------------------------------------------ warmstart
@@ -470,9 +477,7 @@ class TestTransferPolicyWire:
     def test_request_round_trips_transfer_policy(self):
         request = NavigationRequest(
             task=TaskSpec(dataset="tiny", arch="sage", epochs=1),
-            transfer_policy=TransferPolicy(
-                similarity="anchor", min_similarity=0.5, max_donors=2, decay=3.0
-            ),
+            transfer_policy=TransferPolicy(min_similarity=0.5, max_donors=2, decay=3.0),
         )
         back = NavigationRequest.from_dict(request.to_dict())
         assert back.transfer_policy == request.transfer_policy
@@ -492,12 +497,15 @@ class TestTransferPolicyWire:
             transfer_policy=TransferPolicy(),
         ).to_dict()
         spec["transfer_policy"]["surprise"] = 1
-        with pytest.raises(ValueError, match="unknown transfer policy keys"):
+        with pytest.raises(ServingError, match="unknown transfer policy keys"):
+            NavigationRequest.from_dict(spec)
+        # Donors are scored on their fingerprint alone: a policy that still
+        # names a similarity metric is a typo too.
+        spec["transfer_policy"] = {"similarity": "feature"}
+        with pytest.raises(ServingError, match=r"policy keys: \['similarity'\]"):
             NavigationRequest.from_dict(spec)
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError, match="similarity"):
-            TransferPolicy(similarity="nope")
         with pytest.raises(ValueError, match="min_similarity"):
             TransferPolicy(min_similarity=1.5)
         with pytest.raises(ValueError, match="max_donors"):

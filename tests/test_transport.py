@@ -524,6 +524,23 @@ class TestWireProtocol:
         assert payload["error"]["kind"] == "ServingError"
         assert "budgetx" in payload["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("transfer_policy", {"similarity": "feature"}, "['similarity']"),
+            ("transfer_policy", "x", "transfer_policy must be an object"),
+            ("budget", "x", "invalid request spec"),
+        ],
+        ids=["policy-naming-similarity", "non-object-policy", "mistyped-budget"],
+    )
+    def test_a_malformed_field_is_a_400_not_a_500(self, stack, field, value, message):
+        _, http = stack
+        body = {"request": {"dataset": "tiny", field: value}}
+        code, payload = _post(f"{http.url}/v1/jobs", body)
+        assert code == 400
+        assert payload["error"]["kind"] == "ServingError"
+        assert message in payload["error"]["message"]
+
     def test_idempotent_submit_replays_original_job(self, stack):
         server, http = stack
         body = {

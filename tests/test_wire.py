@@ -107,7 +107,6 @@ REQUEST = NavigationRequest(
     tenant="team-a",
     transfer_policy=TransferPolicy(
         enabled=False,
-        similarity="anchor",
         min_similarity=0.5,
         max_donors=2,
         max_donor_records=16,
