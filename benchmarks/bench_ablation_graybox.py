@@ -16,9 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.estimator import BlackBoxEstimator, GrayBoxEstimator, r2_score
+from repro.estimator.features import predict_configs
 from repro.experiments import render_table
 from repro.experiments.tasks import estimator_task
 from repro.explorer import GNNavigator
+from repro.hardware.specs import get_platform
 from repro.runtime.parallel import ProfilingService, default_store_dir
 
 
@@ -41,16 +43,14 @@ def _fold(quick: bool):
 
 
 def _score(estimator, test):
-    preds = estimator.predict(
-        [r.config for r in test], [r.graph_profile for r in test]
-    )
-    r2_t = r2_score(
-        np.array([r.time_s for r in test]), np.array([p.time_s for p in preds])
-    )
-    r2_m = r2_score(
-        np.array([r.memory_bytes for r in test]),
-        np.array([p.memory_bytes for p in preds]),
-    )
+    configs = [r.config for r in test]
+    profiles = [r.graph_profile for r in test]
+    if isinstance(estimator, BlackBoxEstimator):
+        table = estimator.predict(configs, profiles).table
+    else:
+        table = predict_configs(estimator, configs, profiles, get_platform("rtx4090"))
+    r2_t = r2_score(np.array([r.time_s for r in test]), table[:, 0])
+    r2_m = r2_score(np.array([r.memory_bytes for r in test]), table[:, 1])
     return r2_t, r2_m
 
 

@@ -5,18 +5,35 @@ knob of each :class:`TrainingConfig` once, into an array per knob, lets
 every later step — feature matrices, the analytic Eqs. 4-10, constraint
 checks — run as array arithmetic instead of a python loop over candidates
 (``DESIGN.md``, *The explore stage*).
+
+The columns never change once built, so what is computed from them alone —
+the estimator's model-free feature tables under one graph profile and
+platform — is computed once per object and kept with it (:meth:`memo`).
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from collections.abc import Hashable
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from repro.config.settings import _CACHE_POLICIES, SAMPLER_NAMES, TrainingConfig
 
-__all__ = ["ConfigColumns"]
+__all__ = ["MEMO_ENTRIES", "ConfigColumns"]
+
+#: values one :class:`ConfigColumns` keeps in its memo; past it the least
+#: recently used goes.  The estimator's tables over ``default_space()`` with
+#: the templates take 2.6 MiB per (graph profile, platform), so a server
+#: keeps 4 datasets' tables in ~10.5 MiB; a fifth in turn misses every job
+#: (``benchmarks/bench_serving_contexts.py``).
+MEMO_ENTRIES = 4
+
+_T = TypeVar("_T")
+_MISSING = object()
 
 _KNOBS = attrgetter(
     "batch_size",
@@ -44,6 +61,7 @@ class ConfigColumns:
     form: ``hop_code`` numbers the distinct lists, its three summaries
     (``num_hops``, ``fanout_sum``, ``fanout_product``) are columns, and
     anything else that depends on it goes through :meth:`per_distinct`.
+    Every array is read-only: a memoised value stays true to its rows.
     """
 
     def __init__(self, configs: Sequence[TrainingConfig]) -> None:
@@ -83,9 +101,42 @@ class ConfigColumns:
                 float(np.prod([1.0 + k for k in c.hop_list])),
             ),
         ).T
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        self._memo: OrderedDict = OrderedDict()  # guarded-by: _memo_lock
+        self._memo_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self.configs)
+
+    def memo(self, fn: Callable[..., _T], *args: Hashable) -> _T:
+        """``fn(self, *args)``, computed once per ``(fn, *args)`` by value
+        while these columns live, for at most :data:`MEMO_ENTRIES` keys (the
+        least recently used goes first).
+
+        ``fn`` runs outside the lock, so two threads missing one key at once
+        both compute it and both return the value inserted first; the lock
+        guards only the dict and no call is made under it.
+        """
+        key = (fn, *args)
+        with self._memo_lock:
+            value = self._memo.get(key, _MISSING)
+            if value is not _MISSING:
+                self._memo.move_to_end(key)
+                return value
+        value = fn(self, *args)
+        with self._memo_lock:
+            value = self._memo.setdefault(key, value)
+            self._memo.move_to_end(key)
+            while len(self._memo) > MEMO_ENTRIES:
+                self._memo.popitem(last=False)
+        return value
+
+    def extended(self, extras: tuple[TrainingConfig, ...]) -> "ConfigColumns":
+        """These rows followed by ``extras``, built once per ``extras``: an
+        explored space's candidates with the templates outside it."""
+        return self.memo(_extended, extras) if extras else self
 
     def per_distinct(
         self, knobs: tuple[np.ndarray, ...], fn: Callable[[TrainingConfig], object]
@@ -126,3 +177,9 @@ class ConfigColumns:
                 *(self.cache_policy == p for p in _CACHE_POLICIES),
             ]
         ).astype(np.float64)
+
+
+def _extended(
+    columns: ConfigColumns, extras: tuple[TrainingConfig, ...]
+) -> ConfigColumns:
+    return ConfigColumns((*columns.configs, *extras))

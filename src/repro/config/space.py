@@ -17,8 +17,9 @@ fallback and the explorer all read that one enumeration (``DESIGN.md``,
 
 A space is immutable once built, so :func:`default_space` and
 :func:`reduced_space` each hand every caller one shared instance, and the
-enumeration — with the column view of its candidates — is computed once
-per process.
+enumeration — with the column view of its candidates, and that view with
+the templates an explore adds (:meth:`ConfigColumns.extended`) — is
+computed once per process.
 """
 
 from __future__ import annotations
@@ -141,14 +142,9 @@ class DesignSpace:
             TrainingConfig(**{**vars(combos[combo]), **dict(zip(free, values, strict=True))})
             for combo, *values in zip(leaf_combo[leaves].tolist(), *free_values, strict=True)
         )
-        columns = ConfigColumns(candidates)
-        # shared by every reader of the space
-        for array in vars(columns).values():
-            if isinstance(array, np.ndarray):
-                array.setflags(write=False)
         return Enumeration(
             candidates=candidates,
-            columns=columns,
+            columns=ConfigColumns(candidates),
             index=MappingProxyType({c: i for i, c in enumerate(candidates)}),
         )
 

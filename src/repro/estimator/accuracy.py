@@ -14,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config.columns import ConfigColumns
-from repro.config.settings import SAMPLER_NAMES, TrainingConfig
+from repro.config.settings import SAMPLER_NAMES
 from repro.errors import EstimatorError
 from repro.estimator.blackbox import RandomForestRegressor, TreeFit, fit_together
-from repro.estimator.features import ContextGroups, per_context
+from repro.estimator.features import ContextGroups
 from repro.graphs.profiling import GraphProfile
 
 __all__ = ["AccuracyModel", "accuracy_features"]
@@ -94,24 +94,13 @@ class AccuracyModel:
 
     def predict(
         self,
-        configs: list[TrainingConfig],
-        profiles: list[GraphProfile],
-        batch_nodes: np.ndarray,
-        batch_edges: np.ndarray,
-    ) -> np.ndarray:
-        """Predict accuracy given (predicted) batch statistics."""
-        return per_context(
-            configs, profiles, self.predict_columns, batch_nodes, batch_edges
-        )
-
-    def predict_columns(
-        self,
         columns: ConfigColumns,
         profile: GraphProfile,
         batch_nodes: np.ndarray,
         batch_edges: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`predict` for candidates that share one graph (the forest
-        refuses to predict before it is fitted)."""
+        """Accuracy of candidates that share one graph, given their
+        (predicted) batch statistics (the forest refuses to predict before
+        it is fitted)."""
         x = accuracy_features(columns, profile, batch_nodes, batch_edges)
         return np.clip(self._forest.predict(x), 0.0, 1.0)

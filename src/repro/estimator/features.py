@@ -9,7 +9,8 @@ stable column names so trees trained on one dataset transfer to another
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -19,6 +20,9 @@ from repro.errors import EstimatorError
 from repro.graphs.profiling import GraphProfile
 from repro.hardware.specs import Platform
 
+if TYPE_CHECKING:
+    from repro.estimator.graybox import GrayBoxEstimator
+
 __all__ = [
     "ContextGroups",
     "encode",
@@ -26,6 +30,7 @@ __all__ = [
     "encode_names",
     "encode_records",
     "per_context",
+    "predict_configs",
 ]
 
 
@@ -100,6 +105,22 @@ def per_context(
     """Evaluate ``fn`` on each distinct context's candidates as columns:
     :meth:`ContextGroups.table` of a one-off grouping."""
     return ContextGroups.of(configs, contexts).table(fn, *aligned)
+
+
+def predict_configs(
+    estimator: GrayBoxEstimator,
+    configs: Sequence[TrainingConfig],
+    profiles: Sequence[GraphProfile],
+    platform: Platform,
+) -> np.ndarray:
+    """``(n, 3)`` rows of ``(T, Γ, Acc)`` for configs that each carry their
+    own graph profile: one :meth:`GrayBoxEstimator.predict` per distinct
+    profile over its canonical candidates, rows in the configs' order."""
+    return per_context(
+        [c.canonical() for c in configs],
+        profiles,
+        partial(estimator.predict, platform=platform),
+    )
 
 
 def encode_columns(

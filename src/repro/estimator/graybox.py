@@ -61,12 +61,6 @@ class PredictedPerf:
     memory_bytes: float
     accuracy: float
 
-    def objective_vector(self) -> np.ndarray:
-        """(T, Γ, -Acc), all minimised — mirrors PerfReport."""
-        return np.array(
-            [self.time_s, self.memory_bytes, -self.accuracy], dtype=np.float64
-        )
-
 
 def _hit_features(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
     """Inputs explaining the average cache hit rate, one row per candidate."""
@@ -102,6 +96,23 @@ def _edge_features(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
             columns.sampler == "fastgcn",
         ]
     ).astype(np.float64)
+
+
+def _feature_tables(
+    columns: ConfigColumns, profile: GraphProfile, platform: Platform
+) -> tuple[np.ndarray, ...]:
+    """The tables :meth:`GrayBoxEstimator.predict` reads that no fitted
+    model enters — batch-size, edge, hit and residual features — read-only,
+    as :meth:`ConfigColumns.memo` shares them between calls and threads."""
+    tables = (
+        prior_and_features(columns, profile),
+        _edge_features(columns, profile),
+        _hit_features(columns, profile),
+        encode_columns(columns, profile, platform),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 _METRICS = attrgetter("time_s", "memory_bytes", "accuracy")
@@ -209,18 +220,14 @@ class GrayBoxEstimator:
 
     # -------------------------------------------------------------- analytics
     def _intermediates(
-        self, columns: ConfigColumns, profile: GraphProfile, tables=None
+        self,
+        profile: GraphProfile,
+        prior: np.ndarray,
+        edge_x: np.ndarray,
+        hit_x: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Predicted ``(E[|V_i|], E[|E_i|], hit rate)`` of every candidate.
-
-        ``tables`` are the candidates' batch-size, edge and hit feature
-        tables, when the caller has evaluated them already.
-        """
-        prior, edge_x, hit_x = tables or (
-            prior_and_features(columns, profile),
-            _edge_features(columns, profile),
-            _hit_features(columns, profile),
-        )
+        """Predicted ``(E[|V_i|], E[|E_i|], hit rate)`` of every candidate,
+        from the candidates' batch-size, edge and hit feature tables."""
         v_hat = self._batch_model.predict_table(prior, profile)
         e_hat = v_hat * np.exp(self._edge_model.predict(edge_x))
         hit_hat = np.clip(self._hit_model.predict(hit_x), 0.0, 1.0)
@@ -340,7 +347,7 @@ class GrayBoxEstimator:
         def analytics(columns, context, *group_tables):
             """Encoding, then the four phase times, then memory, by column."""
             profile, platform = context
-            v_hat, e_hat, hit_hat = self._intermediates(columns, profile, group_tables)
+            v_hat, e_hat, hit_hat = self._intermediates(profile, *group_tables)
             phases = self._analytic_phases(
                 columns, profile, platform, v_hat, e_hat, hit_hat
             )
@@ -406,20 +413,23 @@ class GrayBoxEstimator:
         )
 
     # --------------------------------------------------------------- predict
-    def predict_columns(
+    def predict(
         self, columns: ConfigColumns, profile: GraphProfile, platform: Platform
     ) -> np.ndarray:
-        """``(n, 3)`` rows of ``(T, Γ, Acc)`` for canonical candidates that
-        share one graph profile: the estimator's one evaluation path."""
+        """Estimate ``Perf(T, Γ, Acc)`` of canonical candidates that share
+        one graph profile and platform, without executing them: ``(n, 3)``
+        rows of ``(T, Γ, Acc)``, the estimator's one evaluation path.  The
+        model-free feature tables come from the columns' memo, so a warm
+        explore pays only for the trees and the analytic formulas."""
         if not self._fitted:
             raise EstimatorError("predict() before fit()")
-        v_hat, e_hat, hit_hat = self._intermediates(columns, profile)
+        prior, edge_x, hit_x, feats = columns.memo(_feature_tables, profile, platform)
+        v_hat, e_hat, hit_hat = self._intermediates(profile, prior, edge_x, hit_x)
         phases = self._analytic_phases(
             columns, profile, platform, v_hat, e_hat, hit_hat
         )
         memory = self._analytic_memory(columns, profile, v_hat, e_hat)
         if self.use_residuals:
-            feats = encode_columns(columns, profile, platform)
             for phase, model in self._residual_models.items():
                 phases[phase] = phases[phase] * np.exp(model.predict(feats))
             memory = memory * np.exp(self._memory_residual.predict(feats))
@@ -428,28 +438,8 @@ class GrayBoxEstimator:
             [
                 self._num_iters(columns.batch_size, profile) * per_batch,
                 memory,
-                self._acc_model.predict_columns(columns, profile, v_hat, e_hat),
+                self._acc_model.predict(columns, profile, v_hat, e_hat),
             ]
-        )
-
-    def predict(
-        self,
-        configs: list[TrainingConfig],
-        profiles: list[GraphProfile],
-        platform: Platform | str = "rtx4090",
-    ) -> PerfRows:
-        """Estimate ``Perf(T, Γ, Acc)`` for each candidate (no execution):
-        one ``PredictedPerf`` per candidate, made when it is read."""
-        if isinstance(platform, str):
-            platform = get_platform(platform)
-        return PerfRows(
-            per_context(
-                [c.canonical() for c in configs],
-                profiles,
-                lambda columns, profile: self.predict_columns(
-                    columns, profile, platform
-                ),
-            )
         )
 
     # Convenience accessors used by benches/tests.

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import EstimatorError
+from repro.estimator.features import predict_configs
 from repro.estimator.graybox import GrayBoxEstimator
+from repro.hardware.specs import get_platform
 
 __all__ = ["r2_score", "mse", "EstimatorValidation", "validate_leave_one_out"]
 
@@ -80,25 +82,23 @@ def validate_leave_one_out(
         test_records = records_by_dataset[target]
         estimator = GrayBoxEstimator(random_state=random_state)
         estimator.fit(train_records)
-        preds = estimator.predict(
+        time_s, memory_bytes, accuracy = predict_configs(
+            estimator,
             [r.config for r in test_records],
             [r.graph_profile for r in test_records],
-            platform,
-        )
+            get_platform(platform),
+        ).T
         results.append(
             EstimatorValidation(
                 dataset=target,
                 r2_time=r2_score(
-                    np.array([r.time_s for r in test_records]),
-                    np.array([p.time_s for p in preds]),
+                    np.array([r.time_s for r in test_records]), time_s
                 ),
                 r2_memory=r2_score(
-                    np.array([r.memory_bytes for r in test_records]),
-                    np.array([p.memory_bytes for p in preds]),
+                    np.array([r.memory_bytes for r in test_records]), memory_bytes
                 ),
                 mse_accuracy=mse(
-                    np.array([r.accuracy for r in test_records]),
-                    np.array([p.accuracy for p in preds]),
+                    np.array([r.accuracy for r in test_records]), accuracy
                 ),
                 num_train=len(train_records),
                 num_test=len(test_records),

@@ -4,10 +4,10 @@ The explorer consults the performance estimator instead of executing
 candidates.  The paper walks the design space depth-first and prunes
 subtrees whose optimistic completion violates a runtime constraint, because
 it scores candidates one at a time.  Here every candidate of the space's
-:class:`~repro.config.space.Enumeration` is scored by one
-``predict_columns`` call on its columns, which costs less than the walk's
-bounds did, so a runtime constraint is a filter over that table.  The
-result keeps the estimates as one ``(T, Γ, Acc)`` table
+:class:`~repro.config.space.Enumeration`, followed by the initial candidates
+outside it, is scored by one ``predict`` call on their columns, which costs
+less than the walk's bounds did, so a runtime constraint is a filter over
+that table.  The result keeps the estimates as one ``(T, Γ, Acc)`` table
 (:class:`~repro.estimator.graybox.PerfRows`): a :class:`PredictedPerf` is
 made only when a caller reads one (``DESIGN.md``, *The explore stage*).
 """
@@ -88,22 +88,14 @@ class DFSExplorer:
         """
         constraint = constraint or RuntimeConstraint()
         enumeration = self.space.enumeration
-        candidates = list(enumeration.candidates)
-        extras: list[TrainingConfig] = []
-        for extra in initial_candidates or []:
-            canonical = extra.canonical()
-            if canonical not in enumeration.index and canonical not in extras:
-                extras.append(canonical)
-        rows = self.estimator.predict_columns(
-            enumeration.columns, self.profile, self.platform
+        extras = (c.canonical() for c in initial_candidates or ())
+        # The joined columns, and their feature tables, are built once per
+        # space and extras, and kept with the space's columns.
+        columns = enumeration.columns.extended(
+            tuple(dict.fromkeys(c for c in extras if c not in enumeration.index))
         )
-        # Initial candidates outside the space go through ``predict``.
-        if extras:
-            preds = self.estimator.predict(
-                extras, [self.profile] * len(extras), self.platform
-            )
-            rows = np.vstack([rows, PerfRows.of(preds).table])
-        candidates += extras
+        candidates = columns.configs
+        rows = self.estimator.predict(columns, self.profile, self.platform)
         # An unbounded constraint answers one ``True`` for every row.
         feasible = constraint.feasible(*rows.T, slack=_FILTER_SLACK)
         keep = np.flatnonzero(np.broadcast_to(feasible, len(candidates)))

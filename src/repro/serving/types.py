@@ -162,6 +162,12 @@ class NavigationRequest:
             raise ServingError(f"unknown request keys: {sorted(unknown)}")
         if "dataset" not in spec:
             raise ServingError("request spec needs at least a 'dataset'")
+        # Names a job looks up only once it runs; nothing earlier reads them.
+        for key in ("dataset", "platform"):
+            if key in spec and not isinstance(spec[key], str):
+                raise ServingError(
+                    f"{key} must be a string, not {type(spec[key]).__name__}"
+                )
         policy = spec.get("transfer_policy")
         if policy is not None and not isinstance(policy, dict):
             raise ServingError(

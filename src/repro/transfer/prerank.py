@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config.columns import ConfigColumns
 from repro.estimator.graybox import GrayBoxEstimator
+from repro.hardware.specs import get_platform
 
 __all__ = ["select_candidates"]
 
@@ -53,8 +55,12 @@ def select_candidates(plan, task, profile, pool, *, budget: int, seed: int = 0):
         estimator.fit(
             list(plan.records), sample_weight=np.asarray(plan.weights)
         )
-        preds = estimator.predict(pool, [profile] * len(pool), task.platform)
-        objectives = np.stack([p.objective_vector() for p in preds])
+        table = estimator.predict(
+            ConfigColumns([c.canonical() for c in pool]),
+            profile,
+            get_platform(task.platform),
+        )
+        objectives = table * [1.0, 1.0, -1.0]  # (T, Γ, -Acc), all minimised
         lo = objectives.min(axis=0)
         span = objectives.max(axis=0) - lo
         span[span == 0.0] = 1.0

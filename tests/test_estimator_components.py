@@ -121,9 +121,9 @@ class TestAccuracyModel:
         records = self._records()
         model = AccuracyModel().fit(records)
         profile = _profile()
-        cfgs = [TrainingConfig(), TrainingConfig()]
+        cfgs = ConfigColumns([TrainingConfig(), TrainingConfig()])
         preds = model.predict(
-            cfgs, [profile, profile], np.array([200.0, 1800.0]), np.array([1600.0, 14400.0])
+            cfgs, profile, np.array([200.0, 1800.0]), np.array([1600.0, 14400.0])
         )
         assert preds[1] > preds[0] + 0.1
 
@@ -131,7 +131,7 @@ class TestAccuracyModel:
         records = self._records()
         model = AccuracyModel().fit(records)
         preds = model.predict(
-            [TrainingConfig()], [_profile()], np.array([1.0]), np.array([8.0])
+            ConfigColumns([TrainingConfig()]), _profile(), np.array([1.0]), np.array([8.0])
         )
         assert 0.0 <= preds[0] <= 1.0
 
@@ -142,5 +142,5 @@ class TestAccuracyModel:
     def test_predict_before_fit(self):
         with pytest.raises(EstimatorError):
             AccuracyModel().predict(
-                [TrainingConfig()], [_profile()], np.array([1.0]), np.array([8.0])
+                ConfigColumns([TrainingConfig()]), _profile(), np.array([1.0]), np.array([8.0])
             )

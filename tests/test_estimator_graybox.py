@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import TaskSpec, TrainingConfig
+from repro.config.columns import ConfigColumns
 from repro.errors import EstimatorError
 from repro.estimator import (
     BlackBoxEstimator,
@@ -17,9 +18,18 @@ from repro.estimator import (
     validate_leave_one_out,
 )
 from repro.estimator.batchsize import BlackBoxBatchSizeModel, GrayBoxBatchSizeModel
+from repro.estimator.features import predict_configs
+from repro.estimator.graybox import PerfRows
 from repro.graphs.profiling import profile_graph
-from repro.hardware import get_platform
+from repro.hardware import Platform, get_platform
 from repro.runtime import ProfilingService
+
+
+def _predict_rows(estimator, configs, profiles, platform="rtx4090") -> PerfRows:
+    """:func:`predict_configs` as rows, with the platform by name or value."""
+    if not isinstance(platform, Platform):
+        platform = get_platform(platform)
+    return PerfRows(predict_configs(estimator, configs, profiles, platform))
 
 
 def _measured_records(graph, *, n=14, epochs=2, seed=0, arch="sage"):
@@ -121,8 +131,8 @@ class TestBatchSizeModels:
 class TestGrayBoxEstimator:
     def test_fit_predict_shapes(self, records):
         est = GrayBoxEstimator().fit(records)
-        preds = est.predict(
-            [r.config for r in records], [r.graph_profile for r in records]
+        preds = _predict_rows(
+            est, [r.config for r in records], [r.graph_profile for r in records]
         )
         assert len(preds) == len(records)
         for p in preds:
@@ -130,8 +140,8 @@ class TestGrayBoxEstimator:
 
     def test_in_sample_time_correlates(self, records):
         est = GrayBoxEstimator().fit(records)
-        preds = est.predict(
-            [r.config for r in records], [r.graph_profile for r in records]
+        preds = _predict_rows(
+            est, [r.config for r in records], [r.graph_profile for r in records]
         )
         measured = np.array([r.time_s for r in records])
         predicted = np.array([p.time_s for p in preds])
@@ -139,8 +149,8 @@ class TestGrayBoxEstimator:
 
     def test_in_sample_memory_correlates(self, records):
         est = GrayBoxEstimator().fit(records)
-        preds = est.predict(
-            [r.config for r in records], [r.graph_profile for r in records]
+        preds = _predict_rows(
+            est, [r.config for r in records], [r.graph_profile for r in records]
         )
         measured = np.array([r.memory_bytes for r in records])
         predicted = np.array([p.memory_bytes for p in preds])
@@ -153,12 +163,16 @@ class TestGrayBoxEstimator:
     def test_predict_before_fit(self, records):
         est = GrayBoxEstimator()
         with pytest.raises(EstimatorError):
-            est.predict([records[0].config], [records[0].graph_profile])
+            est.predict(
+                ConfigColumns([records[0].config]),
+                records[0].graph_profile,
+                get_platform("rtx4090"),
+            )
 
     def test_white_box_only_mode(self, records):
         est = GrayBoxEstimator(use_residuals=False).fit(records)
-        preds = est.predict(
-            [r.config for r in records], [r.graph_profile for r in records]
+        preds = _predict_rows(
+            est, [r.config for r in records], [r.graph_profile for r in records]
         )
         assert all(np.isfinite(p.time_s) for p in preds)
 

@@ -18,11 +18,13 @@ from repro.experiments import (
     format_ratio,
     render_table,
 )
+from repro.config.columns import ConfigColumns
 from repro.config.space import DesignSpace, default_space
 from repro.config.settings import TrainingConfig
 from repro.config.templates import TEMPLATES
 from repro.experiments import fig6
 from repro.explorer import GNNavigator
+from repro.hardware import get_platform
 from repro.runtime import ProfilingService, parallel
 
 
@@ -93,10 +95,11 @@ class TestGroundTruth:
         given = GNNavigator(task, profiler=NoProfiler(), **kwargs)
         given.fit_estimator(measured.records)
         assert given.records == measured.records
-        configs = [r.config for r in measured.records]
-        profiles = [small_graph.profile] * len(configs)
-        assert list(given.estimator.predict(configs, profiles)) == list(
-            measured.estimator.predict(configs, profiles)
+        columns = ConfigColumns([r.config for r in measured.records])
+        platform = get_platform("rtx4090")
+        assert np.array_equal(
+            given.estimator.predict(columns, small_graph.profile, platform),
+            measured.estimator.predict(columns, small_graph.profile, platform),
         )
 
     def test_records_have_targets(self, small_graph):

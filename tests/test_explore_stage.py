@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -34,6 +36,7 @@ from repro.config import (
     reduced_space,
 )
 from repro.config import space as space_module
+from repro.config.columns import MEMO_ENTRIES, ConfigColumns
 from repro.errors import EstimatorError
 from repro.estimator import BlackBoxEstimator, GrayBoxEstimator
 from repro.estimator import blackbox, graybox
@@ -66,7 +69,7 @@ from repro.hardware.costmodel import (
 )
 from repro.hardware.memory import gamma_cache, gamma_model, gamma_runtime
 from repro.nn.models import count_parameters
-from tests.test_estimator_graybox import _measured_records
+from tests.test_estimator_graybox import _measured_records, _predict_rows
 
 ARCHS = ("sage", "gcn", "gat")
 _POLICIES = ("none", "static", "fifo", "lru")
@@ -525,27 +528,21 @@ def _bits(preds: list[PredictedPerf]) -> np.ndarray:
 
 @contextlib.contextmanager
 def _counting():
-    """Counts of ``GrayBoxEstimator.predict_columns`` calls (the one inside
-    each ``predict`` included), of ``GrayBoxEstimator.predict`` calls and of
-    ``PredictedPerf`` objects built inside the block."""
-    counts = {"calls": 0, "predict": 0, "built": 0}
-    predict_columns, predict = GrayBoxEstimator.predict_columns, GrayBoxEstimator.predict
-    init = PredictedPerf.__init__
+    """Counts of ``GrayBoxEstimator.predict`` calls, of the rows they score
+    and of ``PredictedPerf`` objects built inside the block."""
+    counts = {"calls": 0, "rows": 0, "built": 0}
+    predict, init = GrayBoxEstimator.predict, PredictedPerf.__init__
 
-    def counting_columns(self, *args, **kwargs):
+    def counting_predict(self, columns, *args, **kwargs):
         counts["calls"] += 1
-        return predict_columns(self, *args, **kwargs)
-
-    def counting_predict(self, *args, **kwargs):
-        counts["predict"] += 1
-        return predict(self, *args, **kwargs)
+        counts["rows"] += len(columns)
+        return predict(self, columns, *args, **kwargs)
 
     def counting_init(self, *args, **kwargs):
         counts["built"] += 1
         init(self, *args, **kwargs)
 
     with (
-        mock.patch.object(GrayBoxEstimator, "predict_columns", counting_columns),
         mock.patch.object(GrayBoxEstimator, "predict", counting_predict),
         mock.patch.object(PredictedPerf, "__init__", counting_init),
     ):
@@ -554,10 +551,11 @@ def _counting():
 
 def explore_census(estimator=None, profile=None, constraint=None) -> dict[str, int]:
     """The :func:`_counting` counts of one ``default_space()`` explore with
-    the templates under ``constraint``.  Unbounded, ``calls`` / ``built``
-    reads ``2 / 0`` while the explore stage stays a table; constrained,
-    ``calls - predict`` / ``predict`` reads ``1 / 1`` while a constraint is a
-    filter over that table (CI's analysis job prints both)."""
+    the templates under ``constraint``: ``calls`` / ``rows`` reads
+    ``1 / 4682`` while an explore is one ``predict`` over the space and the
+    two templates outside it, and ``built`` reads ``0`` while the explore
+    stage stays a table, constrained or not (CI's analysis job prints
+    both)."""
     if estimator is None:
         graph = powerlaw_community_graph(
             300, num_classes=4, feature_dim=12, min_degree=3, max_degree=30, seed=3
@@ -1054,14 +1052,14 @@ class TestLockstepGrowth:
         def fit():
             est = GrayBoxEstimator().fit(records)
             trees = _nodes_bits(tree._nodes for tree in _estimator_trees(est))
-            return trees, est.predict_columns(columns, profile, platform).tobytes()
+            return trees, est.predict(columns, profile, platform).tobytes()
 
         got = fit()
         with mock.patch.object(blackbox, "_grow", reference_grow_each):
             want = fit()
         assert got == want
 
-    #: sha256 of ``predict_columns`` over ``default_space()`` by the
+    #: sha256 of ``predict`` over ``default_space()`` by the
     #: ``fitted`` estimators, computed before the trees grew in lockstep —
     #: with numpy 2.4.6 on an AVX-512 x86-64 host: numpy's vectorised
     #: ``exp``/``log`` differ in the last bit from one instruction set to
@@ -1078,7 +1076,7 @@ class TestLockstepGrowth:
     )
     @pytest.mark.parametrize("arch", ARCHS)
     def test_predictions_keep_their_pinned_bytes(self, arch, fitted, profile):
-        rows = fitted[arch].predict_columns(
+        rows = fitted[arch].predict(
             default_space().enumeration.columns, profile, get_platform("rtx4090")
         )
         digest = hashlib.sha256(np.ascontiguousarray(rows).tobytes()).hexdigest()
@@ -1092,15 +1090,15 @@ class TestBatchedPredict:
         """default_space() + the templates: every ``PredictedPerf`` bit for bit."""
         platform = get_platform("rtx4090")
         profiles = [profile] * len(candidates)
-        got = fitted[arch].predict(candidates, profiles, platform)
+        got = _predict_rows(fitted[arch], candidates, profiles, platform)
         want = reference_predict(fitted[arch], candidates, profiles, platform)
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
     @pytest.mark.parametrize("arch", ARCHS)
     def test_equals_one_candidate_at_a_time(self, arch, fitted, profile, candidates):
         picked = candidates[::23] + [t.canonical() for t in TEMPLATES.values()]
-        batched = fitted[arch].predict(picked, [profile] * len(picked), "a100")
-        singles = [fitted[arch].predict([c], [profile], "a100")[0] for c in picked]
+        batched = _predict_rows(fitted[arch], picked, [profile] * len(picked), "a100")
+        singles = [_predict_rows(fitted[arch], [c], [profile], "a100")[0] for c in picked]
         assert batched == singles
 
     def test_mixed_profiles_and_uncanonical_configs(self, fitted, profile, medium_graph):
@@ -1114,13 +1112,11 @@ class TestBatchedPredict:
         ] * 2
         profiles = [profile, other, other, profile, replace(profile)] * 2
         platform = get_platform("a100")
-        got = fitted["gat"].predict(configs, profiles, platform)
+        got = _predict_rows(fitted["gat"], configs, profiles, platform)
         want = reference_predict(fitted["gat"], configs, profiles, platform)
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
     def test_feature_matrix_rows_are_the_per_config_encoding(self, candidates):
-        from repro.config.columns import ConfigColumns
-
         picked = candidates[::97] + [TEMPLATES["2pgraph"]]
         matrix = ConfigColumns(picked).features()
         for row, config in zip(matrix, picked, strict=True):
@@ -1187,8 +1183,8 @@ class TestOneWalk:
         result = explorer.explore(initial_candidates=list(TEMPLATES.values()))
         assert result.candidates == candidates
         assert result.evaluated == len(candidates)
-        want = fitted["sage"].predict(
-            candidates, [profile] * len(candidates), get_platform("rtx4090")
+        want = _predict_rows(
+            fitted["sage"], candidates, [profile] * len(candidates), "rtx4090"
         )
         assert result.predictions == want
 
@@ -1249,44 +1245,36 @@ class TestOneWalk:
         assert set(got.candidates).isdisjoint(free.candidates[outside:])
 
     def test_predict_calls_per_explore_are_counted_in_levels(self, fitted, profile):
-        """Constrained or not, an explore costs one column call over the
-        enumeration, and one ``predict`` when there are initial candidates
-        outside the space."""
+        """Constrained or not, an explore costs exactly one ``predict``,
+        whose rows are the space's candidates followed by the initial
+        candidates outside it."""
 
         class Counting:
-            calls = rows = 0
-            template_calls = template_rows = 0
+            scored: list[list[TrainingConfig]] = []
 
-            def predict_columns(self, columns, profile, platform):
-                Counting.calls += 1
-                Counting.rows += len(columns)
-                return fitted["sage"].predict_columns(columns, profile, platform)
-
-            def predict(self, configs, profiles, platform):
-                Counting.template_calls += 1
-                Counting.template_rows += len(configs)
-                return fitted["sage"].predict(configs, profiles, platform)
+            def predict(self, columns, profile, platform):
+                Counting.scored.append(list(columns.configs))
+                return fitted["sage"].predict(columns, profile, platform)
 
         space = default_space()
         templates = list(TEMPLATES.values())
-        outside = {t.canonical() for t in templates} - set(space.enumerate())
-        assert outside, "every template is in the space: predict is not exercised"
+        canonical = dict.fromkeys(t.canonical() for t in templates)
+        outside = [c for c in canonical if c not in space.enumeration.index]
+        assert outside, "every template is in the space: no row is joined"
         explorer = DFSExplorer(space, Counting(), profile, get_platform("rtx4090"))
         free = explorer.explore()
-        assert (Counting.calls, Counting.rows) == (1, len(space.enumerate()))
-        assert Counting.template_calls == 0
+        assert Counting.scored == [space.enumerate()]
         for constraint in [None, *self._boxes(free).values()]:
-            Counting.calls = Counting.rows = 0
-            Counting.template_calls = Counting.template_rows = 0
+            Counting.scored = []
             explorer.explore(constraint=constraint, initial_candidates=templates)
-            assert (Counting.calls, Counting.rows) == (1, len(space.enumerate()))
-            assert (Counting.template_calls, Counting.template_rows) == (1, len(outside))
+            assert Counting.scored == [space.enumerate() + outside]
 
     def test_explore_census_builds_no_objects(self, fitted, profile):
-        """One column call for the space and one inside ``predict`` for
-        the two templates outside it; no ``PredictedPerf`` at all, whether
-        or not a constraint filters the table."""
-        census = {"calls": 2, "predict": 1, "built": 0}
+        """One ``predict`` over the space and the two templates outside it;
+        no ``PredictedPerf`` at all, whether or not a constraint filters the
+        table."""
+        rows = len(default_space().enumerate()) + 2
+        census = {"calls": 1, "rows": rows, "built": 0}
         assert explore_census(fitted["sage"], profile) == census
         bounded = RuntimeConstraint(min_accuracy=0.56)
         assert explore_census(fitted["sage"], profile, bounded) == census
@@ -1326,7 +1314,9 @@ class TestOneWalk:
         navigator.estimator = fitted["sage"]
         with _counting() as counts:
             report = navigator.explore()
-            assert counts == {"calls": 2, "predict": 1, "built": len(report.guidelines)}
+            assert counts["calls"] == 1
+            assert counts["rows"] == report.exploration.evaluated
+            assert counts["built"] == len(report.guidelines)
             front = DecisionMaker(report.exploration).front()
         assert counts["built"] == len(report.guidelines) + len(front)
         assert len(front) < len(report.exploration.candidates) // 10
@@ -1364,14 +1354,9 @@ class TestOneWalk:
         configs: same candidates, bitwise objectives, same guidelines."""
 
         class PerConfig:
-            def predict_columns(self, columns, profile, platform):
-                preds = fitted[arch].predict(
-                    list(columns.configs), [profile] * len(columns), platform
-                )
-                return _bits(preds)
-
-            def predict(self, configs, profiles, platform):
-                return fitted[arch].predict(configs, profiles, platform)
+            def predict(self, columns, profile, platform):
+                fresh = ConfigColumns(list(columns.configs))
+                return fitted[arch].predict(fresh, profile, platform)
 
         space = default_space()
         platform = get_platform("rtx4090")
@@ -1390,6 +1375,143 @@ class TestOneWalk:
             assert DecisionMaker(got).choose_all(targets) == DecisionMaker(
                 want
             ).choose_all(targets)
+
+
+class TestFeatureMemo:
+    """A warm explore runs only the fitted trees and the analytic formulas:
+    the model-free feature tables are built once per (profile, platform)
+    and kept with the columns, and the space keeps its columns joined with
+    the templates outside it."""
+
+    _TABLES = ("prior_and_features", "_edge_features", "_hit_features", "encode_columns")
+
+    @contextlib.contextmanager
+    def _tables_built(self):
+        with contextlib.ExitStack() as stack:
+            yield {
+                name: stack.enter_context(
+                    mock.patch.object(graybox, name, wraps=getattr(graybox, name))
+                )
+                for name in self._TABLES
+            }
+
+    @staticmethod
+    def _explore(space, estimator, profile) -> ExplorationResult:
+        return DFSExplorer(space, estimator, profile, get_platform("rtx4090")).explore(
+            initial_candidates=list(TEMPLATES.values())
+        )
+
+    def test_a_warm_explore_builds_no_feature_table(self, fitted, profile):
+        """An equal profile (another object) hits, whichever model predicts."""
+        space = SPACES["eight shallow knobs"]()
+        first = self._explore(space, fitted["sage"], profile)
+        with self._tables_built() as built:
+            again = self._explore(space, fitted["sage"], replace(profile))
+            self._explore(space, fitted["gat"], replace(profile))
+        assert {name: m.call_count for name, m in built.items()} == dict.fromkeys(
+            self._TABLES, 0
+        )
+        assert again.candidates == first.candidates
+        assert again.table.tobytes() == first.table.tobytes()
+
+    def test_a_new_profile_builds_each_table_once(self, fitted, profile):
+        space = SPACES["eight shallow knobs"]()
+        self._explore(space, fitted["sage"], profile)
+        moved = replace(profile, degree_skew=profile.degree_skew + 1.0)
+        with self._tables_built() as built:
+            for _ in range(3):
+                self._explore(space, fitted["sage"], moved)
+        assert {name: m.call_count for name, m in built.items()} == dict.fromkeys(
+            self._TABLES, 1
+        )
+
+    def test_the_bound_evicts_the_least_recently_used_entry(self):
+        """A hit makes a key the newest: a key every job reads stays while
+        keys read once come and go."""
+        columns = ConfigColumns([TrainingConfig()])
+        calls = []
+
+        def build(_, key):
+            calls.append(key)
+            return [key]
+
+        kept = [columns.memo(build, key) for key in range(MEMO_ENTRIES)]
+        assert columns.memo(build, 0) is kept[0]  # 0 is now the newest
+        columns.memo(build, MEMO_ENTRIES)  # evicts 1, the least recent
+        assert all(
+            columns.memo(build, key) is kept[key]
+            for key in (0, *range(2, MEMO_ENTRIES))
+        )
+        assert calls == list(range(MEMO_ENTRIES + 1))
+        assert columns.memo(build, 1) is not kept[1]
+        assert calls[-1] == 1 and len(calls) == MEMO_ENTRIES + 2
+
+    def test_threads_exploring_one_space_at_once_get_identical_bytes(
+        self, fitted, profile
+    ):
+        """More threads than cores race on a cold space's two memos: every
+        explore scores the same joined columns with the same tables (the
+        first insert wins, and no thread keeps one a later insert replaced)
+        and reads the bytes a lone explore reads."""
+        space = SPACES["eight shallow knobs"]()  # a new space: its memos are cold
+        start = threading.Barrier(4)
+        scored: list[tuple] = []
+        tables: list[bytes] = []
+
+        class Recording:
+            """The ``sage`` estimator, noting what each explore scored."""
+
+            def predict(self, columns, profile, platform):
+                memo = columns.memo(graybox._feature_tables, profile, platform)
+                scored.append((columns, memo))
+                return fitted["sage"].predict(columns, profile, platform)
+
+        def run():
+            start.wait(timeout=60)
+            tables.append(self._explore(space, Recording(), profile).table.tobytes())
+
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the misses finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        alone = self._explore(SPACES["eight shallow knobs"](), fitted["sage"], profile)
+        assert tables == [alone.table.tobytes()] * 4
+        assert all(columns is scored[0][0] for columns, _ in scored)
+        assert all(memo is scored[0][1] for _, memo in scored)
+
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_the_joined_table_is_the_space_and_the_extras_stacked(
+        self, arch, fitted, profile
+    ):
+        enumeration = default_space().enumeration
+        extras = tuple(
+            dict.fromkeys(
+                c
+                for c in (t.canonical() for t in TEMPLATES.values())
+                if c not in enumeration.index
+            )
+        )
+        assert extras, "every template is in the space: nothing is joined"
+        joined = enumeration.columns.extended(extras)
+        assert joined is enumeration.columns.extended(extras)
+        assert enumeration.columns.extended(()) is enumeration.columns
+        platform = get_platform("rtx4090")
+        stacked = np.vstack(
+            [
+                fitted[arch].predict(enumeration.columns, profile, platform),
+                fitted[arch].predict(ConfigColumns(extras), profile, platform),
+            ]
+        )
+        assert fitted[arch].predict(joined, profile, platform).tobytes() == (
+            stacked.tobytes()
+        )
 
 
 class TestSharedSpace:

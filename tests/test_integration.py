@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.config import DesignSpace, TaskSpec, TrainingConfig, template_names, get_template
+from repro.config.columns import ConfigColumns
 from repro.explorer import GNNavigator, RuntimeConstraint, get_target
 from repro.runtime import RuntimeBackend
 
@@ -107,14 +108,14 @@ class TestEstimatorDecisionQuality:
         )
         nav.fit_estimator()
         candidates = space.sample(8, rng=np.random.default_rng(3))
-        preds = nav.estimator.predict(
-            candidates, [nav.profile] * len(candidates), nav.platform
+        table = nav.estimator.predict(
+            ConfigColumns([c.canonical() for c in candidates]), nav.profile, nav.platform
         )
         measured = [
             RuntimeBackend(task, c, graph=small_graph).train().time_s
             for c in candidates
         ]
-        pred_times = [p.time_s for p in preds]
+        pred_times = table[:, 0]
         # Spearman-like check: correlation of ranks must be positive.
         pr = np.argsort(np.argsort(pred_times))
         mr = np.argsort(np.argsort(measured))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.config import TaskSpec
+from repro.config.columns import ConfigColumns
 from repro.config.space import default_space
 from repro.config.templates import TEMPLATES
 from repro.errors import EstimatorError, ResultExpiredError, UnknownJobError
@@ -23,6 +24,7 @@ from repro.estimator.graybox import GrayBoxEstimator
 from repro.explorer import GNNavigator
 from repro.graphs import profiling as profiling_mod
 from repro.graphs.csr import CSRGraph
+from repro.hardware import get_platform
 from repro.runtime import ProfilingService
 from repro.serving import (
     JobStatus,
@@ -63,8 +65,13 @@ def records(small_graph, task):
 
 
 @pytest.fixture(scope="module")
-def candidates():
-    return list(default_space()) + list(TEMPLATES.values())
+def candidates() -> ConfigColumns:
+    configs = [*default_space(), *TEMPLATES.values()]
+    return ConfigColumns([c.canonical() for c in configs])
+
+
+def _predict(estimator, candidates, graph) -> np.ndarray:
+    return estimator.predict(candidates, graph.profile, get_platform("rtx4090"))
 
 
 @pytest.fixture()
@@ -88,9 +95,8 @@ class TestEstimatorMemo:
         assert shared.estimator_fits == 1
         assert shared.estimator_fit_hits == 1
         fresh = GrayBoxEstimator(train_frac=0.6, random_state=0).fit(records)
-        profiles = [small_graph.profile] * len(candidates)
-        got = _table(hit.predict(candidates, profiles))
-        want = _table(fresh.predict(candidates, profiles))
+        got = _predict(hit, candidates, small_graph)
+        want = _predict(fresh, candidates, small_graph)
         for column in range(3):  # T, Γ, Acc
             assert np.array_equal(got[:, column], want[:, column])
 
@@ -103,10 +109,9 @@ class TestEstimatorMemo:
         fresh = GrayBoxEstimator(train_frac=0.6, random_state=0).fit(
             records, sample_weight=weights
         )
-        profiles = [small_graph.profile] * len(candidates)
         assert np.array_equal(
-            _table(first.predict(candidates, profiles)),
-            _table(fresh.predict(candidates, profiles)),
+            _predict(first, candidates, small_graph),
+            _predict(fresh, candidates, small_graph),
         )
 
     @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.config.columns import ConfigColumns
 from repro.config.settings import TaskSpec, TrainingConfig
 from repro.errors import EstimatorError, ServingError
 from repro.estimator.blackbox import DecisionTreeRegressor, RandomForestRegressor
@@ -22,6 +23,7 @@ from repro.estimator.graybox import GrayBoxEstimator
 from repro.explorer.navigator import GNNavigator
 from repro.graphs.generators import powerlaw_community_graph
 from repro.graphs.profiling import GraphProfile
+from repro.hardware import get_platform
 from repro.runtime.parallel import ResultStore
 from repro.runtime.profiler import GroundTruthRecord
 from repro.serving.types import NavigationRequest
@@ -356,10 +358,12 @@ class TestWeightedEstimators:
         ]
         est = GrayBoxEstimator(random_state=0)
         est.fit(records, sample_weight=np.linspace(0.2, 1.0, 12))
-        preds = est.predict(
-            [records[0].config], [records[0].graph_profile], "rtx4090"
+        table = est.predict(
+            ConfigColumns([records[0].config]),
+            records[0].graph_profile,
+            get_platform("rtx4090"),
         )
-        assert len(preds) == 1 and preds[0].time_s > 0
+        assert table.shape == (1, 3) and table[0, 0] > 0
 
     def test_graybox_rejects_misaligned_weights(self):
         records = [_record(TrainingConfig(batch_size=64)) for _ in range(8)]

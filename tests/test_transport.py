@@ -530,8 +530,16 @@ class TestWireProtocol:
             ("transfer_policy", {"similarity": "feature"}, "['similarity']"),
             ("transfer_policy", "x", "transfer_policy must be an object"),
             ("budget", "x", "invalid request spec"),
+            ("dataset", 5, "dataset must be a string, not int"),
+            ("platform", ["a100"], "platform must be a string, not list"),
         ],
-        ids=["policy-naming-similarity", "non-object-policy", "mistyped-budget"],
+        ids=[
+            "policy-naming-similarity",
+            "non-object-policy",
+            "mistyped-budget",
+            "non-string-dataset",
+            "non-string-platform",
+        ],
     )
     def test_a_malformed_field_is_a_400_not_a_500(self, stack, field, value, message):
         _, http = stack
