@@ -83,9 +83,9 @@ def _round(graph, task, cache_dir, quick: bool, count: int):
                 executor = ProfilingExecutor(
                     http.url,
                     # the bench hosts its executors as threads of one
-                    # process, so each needs a process *pool* (workers>=2):
-                    # training itself is process-isolated but not
-                    # thread-concurrent (autograd's grad-mode is global)
+                    # process, so each trains on its own local workers
+                    # (workers>=2): threads of one process would share
+                    # its GIL
                     workers=2,
                     max_candidates=MAX_CANDIDATES,
                     claim_timeout=0.5,

@@ -4,9 +4,11 @@ Ground-truth profiling is the dominant wall-clock cost of a navigation run
 (Sec. 4.1 trains the estimator on measurements "covering the whole design
 space").  This bench profiles a 32-candidate workload three ways:
 
-(a) serial baseline (a service without worker processes),
-(b) 4-worker process fan-out — expected >= 2x faster on >= 4 cores, with
-    bit-identical records,
+(a) serial baseline (a service without local workers),
+(b) 4 local workers — spawned processes that lease training classes from
+    the service's queue, longest first; their one-time start is inside the
+    timing — expected >= 2x faster on >= 4 cores, with bit-identical
+    records,
 (c) cold vs warm persistent cache — the warm rerun must finish with zero
     training runs.
 """
@@ -59,10 +61,10 @@ def test_parallel_fanout_matches_serial(run_once, emit, quick):
     )
     t_serial = time.perf_counter() - t0
 
-    service = ProfilingService(max_workers=num_workers)
-    t0 = time.perf_counter()
-    parallel = service.profile(task, configs, graph=graph)
-    t_parallel = time.perf_counter() - t0
+    with ProfilingService(max_workers=num_workers) as service:
+        t0 = time.perf_counter()
+        parallel = service.profile(task, configs, graph=graph)
+        t_parallel = time.perf_counter() - t0
 
     speedup = t_serial / t_parallel
     emit()
@@ -74,7 +76,7 @@ def test_parallel_fanout_matches_serial(run_once, emit, quick):
 
     assert parallel == serial, "parallel records must be bit-identical to serial"
     if quick:
-        pass  # pool startup dominates an 8-candidate batch; identity is the check
+        pass  # worker start-up dominates an 8-candidate batch; identity is the check
     elif (os.cpu_count() or 1) >= num_workers:
         assert speedup >= 2.0, f"expected >=2x speedup, got {speedup:.2f}x"
     else:

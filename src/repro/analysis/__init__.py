@@ -2,8 +2,8 @@
 
 ``repro.analysis`` keeps two kinds of check.  The static ones encode the
 lock and lifecycle invariants the serving system lives by — guarded-field
-discipline, no blocking work under a lock, threads and pools with a
-shutdown path — as AST checkers (stdlib ``ast`` only, no third-party
+discipline, no blocking work under a lock, threads, processes and pools
+with a shutdown path — as AST checkers (stdlib ``ast`` only, no third-party
 deps).  The runtime one, :mod:`repro.analysis.sanitizer`, watches real
 executions and is the one lock-order check.
 

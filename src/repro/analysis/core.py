@@ -42,7 +42,7 @@ __all__ = [
 RULES: dict[str, tuple[str, str]] = {
     "LOCK001": ("error", "guarded field accessed outside its lock"),
     "LOCK003": ("warning", "blocking call inside a held-lock region"),
-    "RES001": ("error", "thread or pool without join/daemon/shutdown path"),
+    "RES001": ("error", "thread, process or pool without a join/daemon/shutdown path"),
 }
 
 

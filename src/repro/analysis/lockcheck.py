@@ -15,8 +15,7 @@ callables under a lock (e.g. the ``wait_for`` predicate in
   while *any* lock is held: ``time.sleep``, ``.wait()``/``.wait_for()``/
   ``.result()`` without a timeout, subprocess/socket/HTTP calls, or
   profiling execution (``profile``/``profile_one``, the Step-2 loop
-  ``_execute`` and what it trains with: ``profile_class`` inline, a pool
-  future's ``.result()``).
+  ``_execute`` and what it trains with: ``profile_class`` inline).
 """
 
 from __future__ import annotations

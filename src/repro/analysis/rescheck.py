@@ -1,14 +1,18 @@
-"""RES001: thread and executor-pool lifecycle discipline.
+"""RES001: thread, process and executor-pool lifecycle discipline.
 
 A thread that is neither ``daemon=True`` nor ever joined outlives every
-shutdown path and hangs interpreter exit; a process/thread pool without
-a ``shutdown()`` (or ``with``-block) leaks workers.  The serving layer
-spawns both — server workers, executor heartbeat/work loops, the fleet
-lease sweeper, profiling pools — so the invariant is machine-checked:
+shutdown path and hangs interpreter exit; a process nobody joins is never
+reaped; a process/thread pool without a ``shutdown()`` (or
+``with``-block) leaks workers.  The serving layer starts threads — server
+workers, executor heartbeat/work loops, the fleet lease sweeper — and the
+profiling service its local worker processes, so the invariant is
+machine-checked:
 
 * every ``threading.Thread(...)`` construction must either pass
   ``daemon=True`` or have join evidence — a ``.join(`` call in the same
   function or (for ``self.<attr>`` storage) anywhere in the same class;
+* every ``Process(...)`` construction (``multiprocessing`` or a context's)
+  must have join evidence, ``daemon=True`` or not;
 * every ``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` construction
   must be used as a context manager or have a ``.shutdown(`` call in
   the same function or class.
@@ -73,45 +77,34 @@ def check_resources(project: Project, collector: Collector) -> None:
         for func in models:
             cls = project.class_named(func.cls)
             wrapped = _with_wrapped(func.node)
+            scope = func.qualname.split("::")[-1]
             for node in ast.walk(func.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                simple = name.rsplit(".", maxsplit=1)[-1]
-                if simple == "Thread" and name in (
-                    "Thread",
-                    "threading.Thread",
-                ):
+                name = dotted_name(node.func) if isinstance(node, ast.Call) else None
+                simple = (name or "").rsplit(".", maxsplit=1)[-1]
+                if name in ("Thread", "threading.Thread"):
                     if _keyword_true(node, "daemon"):
                         continue
-                    if _calls_attr(func.node, "join") or _class_evidence(
-                        cls, "join"
-                    ):
-                        continue
-                    scope = func.qualname.split("::")[-1]
-                    collector.emit(
-                        func.module,
-                        node.lineno,
-                        "RES001",
-                        f"thread created in {scope} without daemon=True "
-                        f"and with no join() in scope — it outlives every "
-                        f"shutdown path",
+                    evidence = "join"
+                    message = (
+                        f"thread created in {scope} without daemon=True and "
+                        f"with no join() in scope — it outlives every shutdown path"
                     )
-                elif simple in _POOLS:
-                    if id(node) in wrapped:
-                        continue
-                    if _calls_attr(func.node, "shutdown") or _class_evidence(
-                        cls, "shutdown"
-                    ):
-                        continue
-                    scope = func.qualname.split("::")[-1]
-                    collector.emit(
-                        func.module,
-                        node.lineno,
-                        "RES001",
-                        f"{simple} created in {scope} without a shutdown "
-                        f"path (no `with` block and no .shutdown() in "
-                        f"scope) — worker processes/threads leak",
+                elif simple == "Process":
+                    evidence = "join"
+                    message = (
+                        f"process created in {scope} with no join() in scope — "
+                        f"it is never reaped"
                     )
+                elif simple in _POOLS and id(node) not in wrapped:
+                    evidence = "shutdown"
+                    message = (
+                        f"{simple} created in {scope} without a shutdown path "
+                        f"(no `with` block and no .shutdown() in scope) — "
+                        f"worker processes/threads leak"
+                    )
+                else:
+                    continue
+                if not _calls_attr(func.node, evidence) and not _class_evidence(
+                    cls, evidence
+                ):
+                    collector.emit(func.module, node.lineno, "RES001", message)

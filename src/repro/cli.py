@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run the project-specific static analysis pass "
-        "(lock discipline, blocking under locks, thread/pool lifecycle)",
+        "(lock discipline, blocking under locks, thread/process/pool lifecycle)",
     )
     add_lint_arguments(lint)
 

@@ -27,8 +27,8 @@ __all__ = ["MEMO_ENTRIES", "ConfigColumns"]
 
 #: values one :class:`ConfigColumns` keeps in its memo; past it the least
 #: recently used goes.  The estimator's tables over ``default_space()`` with
-#: the templates take 2.6 MiB per (graph profile, platform), so a server
-#: keeps 4 datasets' tables in ~10.5 MiB; a fifth in turn misses every job
+#: the templates take 2.7 MiB per (graph profile, platform), so a server
+#: keeps 4 datasets' tables in ~10.9 MiB; a fifth in turn misses every job
 #: (``benchmarks/bench_serving_contexts.py``).
 MEMO_ENTRIES = 4
 

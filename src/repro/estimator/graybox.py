@@ -48,7 +48,7 @@ from repro.hardware.costmodel import (
 )
 from repro.hardware.memory import gamma_cache, gamma_model, gamma_runtime
 from repro.hardware.specs import Platform, get_platform
-from repro.nn.models import count_parameters
+from repro.nn.models import MODEL_NAMES, count_parameters
 
 __all__ = ["PredictedPerf", "PerfRows", "GrayBoxEstimator", "BlackBoxEstimator"]
 
@@ -98,21 +98,50 @@ def _edge_features(columns: ConfigColumns, profile: GraphProfile) -> np.ndarray:
     ).astype(np.float64)
 
 
+def _analytic_inputs(columns: ConfigColumns, profile: GraphProfile) -> tuple:
+    """What the analytic phases and memory read that no fitted model
+    enters: the dynamic-policy rows, each depth with its rows, and each
+    row's parameter count per architecture (a column per ``MODEL_NAMES``)."""
+    dynamic = np.isin(columns.cache_policy, ("fifo", "lru"))
+    depths = tuple(
+        (int(depth), columns.num_layers == depth)
+        for depth in np.unique(columns.num_layers)
+    )
+    out_dim = max(profile.num_classes, 2)
+    params = columns.per_distinct(
+        (columns.hidden_channels, columns.num_layers, columns.heads),
+        lambda c: tuple(
+            count_parameters(
+                arch,
+                profile.feature_dim,
+                out_dim,
+                hidden_channels=c.hidden_channels,
+                num_layers=c.num_layers,
+                heads=c.heads,
+            )
+            for arch in MODEL_NAMES
+        ),
+    )
+    return dynamic, depths, params
+
+
 def _feature_tables(
     columns: ConfigColumns, profile: GraphProfile, platform: Platform
-) -> tuple[np.ndarray, ...]:
+) -> tuple:
     """The tables :meth:`GrayBoxEstimator.predict` reads that no fitted
-    model enters — batch-size, edge, hit and residual features — read-only,
-    as :meth:`ConfigColumns.memo` shares them between calls and threads."""
+    model enters — batch-size, edge, hit and residual features, then the
+    analytic inputs — read-only, as :meth:`ConfigColumns.memo` shares them
+    between calls and threads."""
     tables = (
         prior_and_features(columns, profile),
         _edge_features(columns, profile),
         _hit_features(columns, profile),
         encode_columns(columns, profile, platform),
     )
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    dynamic, depths, params = _analytic_inputs(columns, profile)
+    for array in (*tables, dynamic, params, *(rows for _, rows in depths)):
+        array.setflags(write=False)
+    return (*tables, (dynamic, depths, params))
 
 
 _METRICS = attrgetter("time_s", "memory_bytes", "accuracy")
@@ -238,20 +267,21 @@ class GrayBoxEstimator:
         columns: ConfigColumns,
         profile: GraphProfile,
         platform: Platform,
+        analytic: tuple,
         v_hat: np.ndarray,
         e_hat: np.ndarray,
         hit_hat: np.ndarray,
     ) -> dict[str, np.ndarray]:
-        """White-box per-batch phase times at the predicted intermediates."""
+        """White-box per-batch phase times at the predicted intermediates
+        (``analytic`` is :func:`_analytic_inputs` of the columns)."""
+        dynamic, depths, _ = analytic
         nodes, edges = v_hat.astype(np.int64), e_hat.astype(np.int64)
         missed = v_hat * (1.0 - hit_hat)
         # Dynamic policies admit roughly what they miss; static admits none.
-        dynamic = np.isin(columns.cache_policy, ("fifo", "lru"))
         admitted = np.where(dynamic, missed, 0.0).astype(np.int64)
         compute = np.empty(len(columns))
         # The layer loop of ``model_costing`` needs one depth per call.
-        for depth in np.unique(columns.num_layers):
-            rows = columns.num_layers == depth
+        for depth, rows in depths:
             costing = model_costing(
                 self._arch,
                 nodes[rows],
@@ -259,7 +289,7 @@ class GrayBoxEstimator:
                 in_dim=profile.feature_dim,
                 hidden_dim=columns.hidden_channels[rows],
                 out_dim=max(profile.num_classes, 2),
-                num_layers=int(depth),
+                num_layers=depth,
                 heads=columns.heads[rows],
             )
             compute[rows] = t_compute(costing, platform)
@@ -347,15 +377,16 @@ class GrayBoxEstimator:
         def analytics(columns, context, *group_tables):
             """Encoding, then the four phase times, then memory, by column."""
             profile, platform = context
+            analytic = _analytic_inputs(columns, profile)
             v_hat, e_hat, hit_hat = self._intermediates(profile, *group_tables)
             phases = self._analytic_phases(
-                columns, profile, platform, v_hat, e_hat, hit_hat
+                columns, profile, platform, analytic, v_hat, e_hat, hit_hat
             )
             return np.column_stack(
                 [
                     encode_columns(columns, profile, platform),
                     *(phases[phase] for phase in self._PHASES),
-                    self._analytic_memory(columns, profile, v_hat, e_hat),
+                    self._analytic_memory(columns, profile, analytic, v_hat, e_hat),
                 ]
             )
 
@@ -381,21 +412,12 @@ class GrayBoxEstimator:
         self,
         columns: ConfigColumns,
         profile: GraphProfile,
+        analytic: tuple,
         v_hat: np.ndarray,
         e_hat: np.ndarray,
     ) -> np.ndarray:
         out_dim = max(profile.num_classes, 2)
-        params = columns.per_distinct(
-            (columns.hidden_channels, columns.num_layers, columns.heads),
-            lambda c: count_parameters(
-                self._arch,
-                profile.feature_dim,
-                out_dim,
-                hidden_channels=c.hidden_channels,
-                num_layers=c.num_layers,
-                heads=c.heads,
-            ),
-        )
+        params = analytic[2][:, MODEL_NAMES.index(self._arch)]
         capacity = (columns.cache_ratio * profile.num_nodes).astype(np.int64)
         return (
             gamma_model(params)
@@ -423,12 +445,14 @@ class GrayBoxEstimator:
         explore pays only for the trees and the analytic formulas."""
         if not self._fitted:
             raise EstimatorError("predict() before fit()")
-        prior, edge_x, hit_x, feats = columns.memo(_feature_tables, profile, platform)
+        prior, edge_x, hit_x, feats, analytic = columns.memo(
+            _feature_tables, profile, platform
+        )
         v_hat, e_hat, hit_hat = self._intermediates(profile, prior, edge_x, hit_x)
         phases = self._analytic_phases(
-            columns, profile, platform, v_hat, e_hat, hit_hat
+            columns, profile, platform, analytic, v_hat, e_hat, hit_hat
         )
-        memory = self._analytic_memory(columns, profile, v_hat, e_hat)
+        memory = self._analytic_memory(columns, profile, analytic, v_hat, e_hat)
         if self.use_residuals:
             for phase, model in self._residual_models.items():
                 phases[phase] = phases[phase] * np.exp(model.predict(feats))

@@ -96,23 +96,23 @@ def run_fig6(
     """
     space = reduced_space()
     task = TaskSpec(dataset=dataset, arch=arch, epochs=epochs)
-    service = ProfilingService(max_workers=workers, cache_dir=default_store_dir())
-    records = service.profile(task, space.enumerate())
-    by_config = {r.config: i for i, r in enumerate(records)}
+    with ProfilingService(max_workers=workers, cache_dir=default_store_dir()) as service:
+        records = service.profile(task, space.enumerate())
+        by_config = {r.config: i for i, r in enumerate(records)}
 
-    nav = GNNavigator(task, space=space)
-    nav.fit_estimator(records)
-    report = nav.explore(priorities=list(NAVIGATOR_MODES))
+        nav = GNNavigator(task, space=space)
+        nav.fit_estimator(records)
+        report = nav.explore(priorities=list(NAVIGATOR_MODES))
 
-    result = Fig6Result(records=records, guideline_configs={})
-    for mode, guideline in report.guidelines.items():
-        config = guideline.config.canonical()
-        result.guideline_configs[mode] = config
-        if config not in by_config:
-            # Guideline came from the initial template set outside the
-            # reduced space: execute it once and append.
-            (extra,) = service.profile(task, [config])
-            by_config[config] = len(records)
-            records.append(extra)
-        result.guideline_indices[mode] = by_config[config]
+        result = Fig6Result(records=records, guideline_configs={})
+        for mode, guideline in report.guidelines.items():
+            config = guideline.config.canonical()
+            result.guideline_configs[mode] = config
+            if config not in by_config:
+                # Guideline came from the initial template set outside the
+                # reduced space: execute it once and append.
+                (extra,) = service.profile(task, [config])
+                by_config[config] = len(records)
+                records.append(extra)
+            result.guideline_indices[mode] = by_config[config]
     return result

@@ -93,14 +93,14 @@ def run_table1_task(
     # GNNavigator: the user's path (Step 2 on the shared store, then one
     # explore), then measure each priority's guideline with the same epoch
     # budget.
-    service = ProfilingService(max_workers=workers, cache_dir=default_store_dir())
-    nav = GNNavigator(
-        task,
-        profile_budget=profile_budget,
-        profile_epochs=profile_epochs,
-        profiler=service,
-    )
-    report = nav.explore(priorities=list(NAVIGATOR_MODES))
+    with ProfilingService(max_workers=workers, cache_dir=default_store_dir()) as service:
+        nav = GNNavigator(
+            task,
+            profile_budget=profile_budget,
+            profile_epochs=profile_epochs,
+            profiler=service,
+        )
+        report = nav.explore(priorities=list(NAVIGATOR_MODES))
     for mode in NAVIGATOR_MODES:
         guideline = report.guidelines[mode]
         measured = _measure(task, guideline.config)

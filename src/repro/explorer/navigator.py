@@ -82,11 +82,13 @@ class GNNavigator:
         self.profile_epochs = profile_epochs
         self.seed = seed
         #: Step-2 profiler: a private :class:`ProfilingService` (``workers``
-        #: processes, persisted under ``cache_dir``) unless one is injected —
+        #: local workers, persisted under ``cache_dir``, closed once
+        #: :meth:`ground_truth` has profiled) unless one is injected —
         #: the serving layer passes its shared service here so Step 2 rides
         #: the multi-tenant cache.  A profiler that also offers
         #: ``fit_estimator(records, weights, train_frac=, random_state=)``
         #: supplies the fitted estimator too (the server's memo).
+        self._owns_profiler = profiler is None
         self.profiler = profiler or ProfilingService(
             max_workers=workers, cache_dir=cache_dir
         )
@@ -171,13 +173,17 @@ class GNNavigator:
             train_frac=self.task.train_frac,
             val_frac=self.task.val_frac,
         )
-        self.records = self.profiler.profile(
-            profile_task,
-            configs,
-            graph=self.graph,
-            cancel=self.cancel,
-            on_progress=self._on_profiling_progress,
-        )
+        try:
+            self.records = self.profiler.profile(
+                profile_task,
+                configs,
+                graph=self.graph,
+                cancel=self.cancel,
+                on_progress=self._on_profiling_progress,
+            )
+        finally:
+            if self._owns_profiler:
+                self.profiler.close()
         return self.records
 
     def fit_estimator(

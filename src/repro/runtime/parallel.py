@@ -7,15 +7,14 @@ the runtime backend.  :class:`ProfilingService` turns that step into a
 service:
 
 * **one execution loop over one queue** — a key is in flight exactly
-  while it is on the pending queue, which remote fleet executors claim
-  from.  A call publishes the keys nobody has queued, trains whatever of
-  its own no live executor holds, serially or across ``max_workers``
-  worker processes, and waits on keys another call queued instead of
-  retraining them, so one service trains each candidate once however many
-  threads (serving jobs) profile overlapping samples at the same time.
-  Every record — its own or a fleet commit — lands through one dedup
-  (:meth:`ProfilingService.commit`).  Records come back in input order,
-  bit-identical to the serial path for the same seed;
+  while it is on the pending queue, which lessees — ``max_workers`` local
+  worker processes and remote fleet executors — lease from.  A call
+  publishes the keys nobody has queued, trains its own while no lessee is
+  live, and waits on keys another call queued instead of retraining them,
+  so one service trains each candidate once however many threads (serving
+  jobs) profile overlapping samples at the same time.  Every record lands
+  through one dedup (:meth:`ProfilingService.commit`).  Records come back
+  in input order, bit-identical to the serial path for the same seed;
 * **deduplication** — repeated candidates (same task, same canonical
   config, same graph) are keyed by a content hash and executed once per
   call, whether they repeat within one request or across requests;
@@ -39,10 +38,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
 import threading
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -389,21 +389,60 @@ class ResultStore:
 
 
 # ------------------------------------------------------------------ workers
-# Worker processes receive the (task, graph) pair once via the pool
-# initializer instead of re-pickling the graph with every candidate.
-_WORKER_TASK: TaskSpec | None = None
-_WORKER_GRAPH: CSRGraph | None = None
+def _serve(conn) -> None:
+    """A local worker process: train each ``(task, graph, configs)`` class
+    its lessee sends, send back one record per member.  A class that
+    raises ends the process, which its lessee treats as a dead worker."""
+    # Ctrl-C reaches the whole process group; the parent stops its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            task, graph, configs = conn.recv()
+        except EOFError:
+            return
+        runs = profile_class(task, configs, graph=graph)
+        conn.send([record for record, _ in runs])
 
 
-def _worker_init(task: TaskSpec, graph: CSRGraph) -> None:
-    global _WORKER_TASK, _WORKER_GRAPH
-    _WORKER_TASK = task
-    _WORKER_GRAPH = graph
+class _LocalWorker:
+    """A process started by ``spawn`` (never forked from a process whose
+    threads hold locks) running :func:`_serve`, and the lessee thread that
+    drives it; also the holder of the keys it leased."""
 
+    __slots__ = ("process", "thread")
 
-def _worker_run(members: list[TrainingConfig]) -> list[GroundTruthRecord]:
-    runs = profile_class(_WORKER_TASK, members, graph=_WORKER_GRAPH)
-    return [record for record, _ in runs]
+    def __init__(self, service: "ProfilingService") -> None:
+        self.process = None
+        self.thread = threading.Thread(
+            target=self._lessee, args=(service,), name="profile-worker", daemon=True
+        )
+
+    def _lessee(self, service: "ProfilingService") -> None:
+        """Lease a class, send it with its graph, commit the records that
+        come back, until :meth:`ProfilingService.close`.  A worker that dies
+        is a dead executor: what it leased goes back on the queue."""
+        context = multiprocessing.get_context("spawn")
+        conn, child = context.Pipe()
+        try:
+            process = context.Process(target=_serve, args=(child,), daemon=True)
+            process.start()
+            self.process = process
+            child.close()  # the reads below end when the process does
+            while (lease := service._lease_class(self)) is not None:
+                task, graph, keys, configs = lease
+                try:
+                    conn.send((task, graph, configs))
+                    records = conn.recv()
+                except (EOFError, OSError):
+                    return
+                service.stats.bump("trainings")
+                for key, record in zip(keys, records, strict=True):
+                    service.commit(key, record)
+        finally:
+            conn.close()  # an idle process reads the end of its pipe and exits
+            if self.process is not None:
+                self.process.join()
+            service.requeue(self)
 
 
 # ------------------------------------------------------------------ service
@@ -413,7 +452,7 @@ def predicted_cost(
     """Cheap monotone proxy for the cost of training ``config``'s class
     with ``members`` candidates charged alongside.
 
-    Only the *ordering* matters (longest-first dispatch): epochs times the
+    Only the *ordering* matters (longest-first leases): epochs times the
     per-epoch work, which scales with how many batches run, how many nodes
     each mini-batch touches (bounded by the graph) and, per touched node,
     the dense compute of the one training plus one cache pass per member.
@@ -450,7 +489,7 @@ def _training_classes(configs: list[TrainingConfig], graph: CSRGraph) -> list:
 _POLL_SECONDS = 0.1
 
 
-#: the holder of a queued key a local run of its publishing call trains.
+#: the holder of a queued key its publishing call trains on its own thread.
 _LOCAL = object()
 
 
@@ -458,19 +497,20 @@ class _Pending:
     """One published key awaiting its record: the config a claim hands out,
     the call that published it — its ``(task, graph, fingerprint)`` tuple,
     one object per call, so a grant never mixes two calls' keys — and who
-    holds it: nobody (``None``), a fleet lease (its id) or a local run
-    (:data:`_LOCAL`)."""
+    holds it: nobody (``None``), a fleet lease (its id, a string), a local
+    worker (its :class:`_LocalWorker`) or the calling thread (:data:`_LOCAL`).
+    ``call`` is ``None`` once the call ended while a lessee trained the key."""
 
     __slots__ = ("config", "call", "holder")
 
     def __init__(self, config: TrainingConfig, call: tuple) -> None:
         self.config = config
-        self.call = call
+        self.call: tuple | None = call
         self.holder: object = None
 
 
 class LeasedBatch(NamedTuple):
-    """Queued keys :meth:`ProfilingService.lease` handed to a remote
+    """Queued keys :meth:`ProfilingService.lease` handed to a fleet
     executor, with what it needs to run them."""
 
     lease_id: str
@@ -515,14 +555,16 @@ class ProfilingService:
     One instance may be shared by many threads (a server shares one across
     its jobs): each key goes on the pending queue for one caller at a time,
     and the training runs happen outside the lock, so the batches of
-    different callers execute concurrently.
+    different callers execute concurrently.  Whoever builds a service
+    :meth:`close`-s it.
 
     Parameters
     ----------
     max_workers:
-        ``None``/``0``/``1`` runs candidates serially in-process (no pool
-        overhead — the right default for small budgets and tests); ``>= 2``
-        fans out across that many worker processes.
+        ``None``/``0``/``1`` trains on the calling thread (no process
+        start-up — the right default for small budgets and tests); ``>= 2``
+        starts that many local workers, once, for the first batch of more
+        than one training class; they live until :meth:`close`.
     cache_dir:
         Directory for the persistent :class:`ResultStore`; ``None`` disables
         persistence (dedup and in-memory reuse still apply).
@@ -579,6 +621,10 @@ class ProfilingService:
         #: id(graph) -> (graph, content hash); the graph is kept alive beside
         #: its hash, so its id can never be recycled onto a different graph.
         self._fingerprints: dict[int, tuple[CSRGraph, str]] = {}
+        #: the live local workers: started once (``_started``, which
+        #: :meth:`close` sets too), dropped by close or by their death.
+        self._workers: list[_LocalWorker] = []  # guarded-by: _lock
+        self._started = False  # guarded-by: _lock
 
     # ------------------------------------------------------------- plumbing
     def _fingerprint(self, graph: CSRGraph) -> str:
@@ -618,30 +664,19 @@ class ProfilingService:
             if key in self._memory:
                 return False
         if self.store is not None:
-            self.store.save(key, record)
-            if (
-                self.store_budget is not None
-                and len(self.store) > self.store_budget
+            store = self.store
+            store.save(key, record)
+            for budget, size, prune in (
+                (self.store_budget, len, store.prune),
+                (self.store_budget_bytes, lambda s: s.nbytes, store.prune_bytes),
             ):
-                # 10% hysteresis: pruning slightly below the budget keeps a
-                # full store from paying prune's directory scan on every
-                # subsequent commit (no-op for budgets under 10, where the
-                # slack rounds to zero).
-                target = self.store_budget - self.store_budget // 10
-                removed = self.store.prune(target)
-                if removed:
-                    self.stats.bump("evictions", removed)
-            if (
-                self.store_budget_bytes is not None
-                and self.store.nbytes > self.store_budget_bytes
-            ):
-                # Same hysteresis, in bytes.
-                target = (
-                    self.store_budget_bytes - self.store_budget_bytes // 10
-                )
-                removed = self.store.prune_bytes(target)
-                if removed:
-                    self.stats.bump("evictions", removed)
+                if budget is not None and size(store) > budget:
+                    # 10% hysteresis: pruning slightly below the budget keeps
+                    # a full store from paying prune's directory scan on every
+                    # later commit (no slack for budgets under 10).
+                    removed = prune(budget - budget // 10)
+                    if removed:
+                        self.stats.bump("evictions", removed)
         with self._cond:
             if key in self._memory:
                 return False
@@ -653,15 +688,16 @@ class ProfilingService:
         self.stats.bump("executed")
         return True
 
-    def _take_locked(self, call, keys, classes, order):  # holds: _lock
-        """Hold for a local run the members ``call`` queued of the next class
-        in ``order`` no local run holds; ``None`` once there is none.
-        Called only while no executor is live, so a lease still on a key is
-        a dead executor's: a lease lives exactly as long as its executor."""
-        for c in order:
+    def _take_locked(self, call, keys, classes):  # holds: _lock
+        """Hold for the calling thread the members ``call`` queued of the
+        next of ``classes`` it does not hold; ``None`` once there is none.
+        Called only while no lessee is live, so a lease still on a key is a
+        dead executor's: a lease lives exactly as long as its executor, and
+        a local worker's until its lessee exits."""
+        for members in classes:
             taken = [
                 i
-                for i in classes[c]
+                for i in members
                 if (item := self._queue.get(keys[i])) is not None
                 and item.call is call
                 and item.holder is not _LOCAL
@@ -682,11 +718,27 @@ class ProfilingService:
             del unresolved[i]
         return landed
 
-    # ------------------------------------------------------ the fleet's side
+    # ------------------------------------------------------ the lessees' side
+    def _head_locked(self, timeout: float):  # holds: _lock
+        """``(call, [(key, item), ...])`` of the queued keys nobody holds of
+        the queue head's call, in queue order (``None`` if none), after
+        waiting up to ``timeout`` while every queued key is held."""
+        if timeout > 0 and all(
+            item.holder is not None for item in self._queue.values()
+        ):
+            self._cond.wait(timeout)
+        pending = [
+            (key, item) for key, item in self._queue.items() if item.holder is None
+        ]
+        if not pending:
+            return None
+        call = pending[0][1].call
+        return call, [pair for pair in pending if pair[1].call is call]
+
     def lease(
         self, limit: int, issue, *, timeout: float = 0.0
     ) -> LeasedBatch | None:
-        """Hand up to ``limit`` queued keys nobody holds to a remote executor.
+        """Hand up to ``limit`` queued keys nobody holds to a fleet executor.
 
         The keys come from the queue head's call (one task, one graph),
         longest first (:func:`predicted_cost`): the executor runs them in
@@ -697,24 +749,14 @@ class ProfilingService:
         publication or a requeue; ``None`` if still nothing.
         """
         with self._cond:
-            if timeout > 0 and all(
-                item.holder is not None for item in self._queue.values()
-            ):
-                self._cond.wait(timeout)
-            pending = [
-                (key, item)
-                for key, item in self._queue.items()
-                if item.holder is None
-            ]
-            if not pending:
+            head = self._head_locked(timeout)
+            if head is None:
                 return None
-            call = pending[0][1].call
-            chosen = [pair for pair in pending if pair[1].call is call][:limit]
-            task, graph, fingerprint = call
+            (task, graph, fingerprint), pending = head
+            chosen = pending[:limit]
             # Pure arithmetic on loaded objects, fine under the lock; the
             # sort is stable, so cost ties keep queue order.
             chosen.sort(key=lambda pair: -predicted_cost(task, pair[1].config, graph))
-            keys = tuple(key for key, _ in chosen)
             lease_id = issue()
             for _, item in chosen:
                 item.holder = lease_id
@@ -722,29 +764,92 @@ class ProfilingService:
                 lease_id,
                 task,
                 fingerprint,
-                keys,
+                tuple(key for key, _ in chosen),
                 tuple(item.config for _, item in chosen),
             )
 
-    def requeue(self, lease_id: str) -> int:
-        """Hand every queued key held under ``lease_id`` back to the queue
-        (resolved keys are off it, and a local run holds a key it took from
-        a dead executor); returns how many went back."""
+    def _lease_class(self, worker: _LocalWorker):
+        """A local worker's lease, ``(task, graph, keys, configs)``: the
+        unheld members of the queue head call's longest training class
+        (:func:`predicted_cost`, ties in queue order), so one run charges
+        them all.  Waits for one; ``None`` once :meth:`close` dropped it."""
         with self._cond:
-            held = [item for item in self._queue.values() if item.holder == lease_id]
-            for item in held:
-                item.holder = None
-            if held:
-                self._cond.notify_all()
+            head = None
+            while head is None and worker in self._workers:
+                head = self._head_locked(_POLL_SECONDS)
+            if worker not in self._workers:
+                return None
+            (task, graph, _), pending = head
+            configs = [item.config for _, item in pending]
+            chosen = max(
+                _training_classes(configs, graph),
+                key=lambda c: predicted_cost(
+                    task, configs[c[0]], graph, members=len(c)
+                ),
+            )
+            for i in chosen:
+                pending[i][1].holder = worker
+            keys = [pending[i][0] for i in chosen]
+            return task, graph, keys, [configs[i] for i in chosen]
+
+    def requeue(self, holder) -> int:
+        """Hand every queued key ``holder`` holds back to the queue — a fleet
+        lease id, or a local worker whose lessee ended, which leaves the live
+        list — and return how many it held (resolved keys are off the queue,
+        the calling thread holds a key it took from a dead one, and a key
+        whose call ended leaves the queue, so a waiter publishes it again)."""
+        with self._cond:
+            if holder in self._workers:
+                self._workers.remove(holder)
+            held = [
+                (key, item)
+                for key, item in self._queue.items()
+                if item.holder == holder
+            ]
+            for key, item in held:
+                if item.call is None:
+                    del self._queue[key]
+                else:
+                    item.holder = None
+            self._cond.notify_all()
             return len(held)
 
     def queue_census(self) -> tuple[int, Counter]:
-        """``(unleased, queued keys per lease id)`` of the pending queue; a
-        key a local run holds is neither."""
+        """``(unleased, queued keys per fleet lease id)`` of the pending
+        queue; a key a local worker or the calling thread holds is neither."""
         with self._lock:
             holders = Counter(item.holder for item in self._queue.values())
-        holders.pop(_LOCAL, None)
-        return holders.pop(None, 0), holders
+        fleet = Counter({h: n for h, n in holders.items() if isinstance(h, str)})
+        return holders[None], fleet
+
+    # ------------------------------------------------------ the local workers
+    def _start_workers(self) -> None:
+        """Start the ``max_workers`` local workers, once per service.  Each
+        lessee thread spawns its process, so the caller does not wait; the
+        threads start under the lock, so a :meth:`close` joins started ones."""
+        with self._lock:
+            if self._started or (self.max_workers or 0) < 2:
+                return
+            self._started = True
+            self._workers = [_LocalWorker(self) for _ in range(self.max_workers)]
+            for worker in self._workers:
+                worker.thread.start()
+
+    def close(self) -> None:
+        """Stop the local workers once each has committed the class it is
+        training, and reap them (idempotent); the callers train from here on."""
+        with self._cond:
+            self._started = True
+            workers, self._workers = self._workers, []
+            self._cond.notify_all()
+        for worker in workers:
+            worker.thread.join()
+
+    def __enter__(self) -> "ProfilingService":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def graph_for(self, fingerprint: str) -> CSRGraph | None:
         """A graph this service has keyed candidates on, by content hash."""
@@ -767,59 +872,40 @@ class ProfilingService:
         """Resolve ``keys`` (distinct) — the one Step-2 loop.
 
         Each pass, under the queue's lock, publishes every key that is
-        neither resolved nor queued, where a fleet executor's claim may take
-        it, and waits on each key another call queued instead of training
-        it; a waited-on key that leaves the queue without a record lost its
-        owner, and the pass publishes it again.  Until each key has a
-        record, the loop trains the members this call queued of the next
-        *training class* (:func:`_training_classes`) itself while no
-        executor is live — a dead one's lease holds nothing — and the run
-        holds them on the queue meanwhile; otherwise it waits, at most
-        :data:`_POLL_SECONDS`, for commits, for expired leases to requeue
-        keys, for owners to drop theirs, or for the fleet to die.  One class
-        is one run that lands one record per member: ``stats.trainings``
-        counts the runs, ``stats.executed`` the records.
-
-        Serially, classes go one reorder strategy after the other, so each
-        :class:`PreparedGraph` is built once and only one permuted copy is
-        alive.  With ``max_workers >= 2`` they go to a process pool,
-        longest first (:func:`predicted_cost`), so a skewed batch cannot
-        park a worker on a late giant.  The pool holds at most two classes
-        per worker — one running, one queued behind it, so no worker waits
-        for this thread to land a record — and a fleet that comes back can
-        still claim the rest.
+        neither resolved nor queued, where a lessee (a local worker or a
+        fleet executor) may take it, and waits on each key another call
+        queued instead of training it; a waited-on key that leaves the queue
+        without a record lost its owner, and the pass publishes it again.
+        Until each key has a record, the loop trains the members this call
+        queued of the next *training class* (:func:`_training_classes`)
+        itself while no lessee is live — a dead one's lease holds nothing —
+        holding them on the queue meanwhile, one reorder strategy after the
+        other, so each :class:`PreparedGraph` is built once; otherwise it
+        waits, at most :data:`_POLL_SECONDS`, for commits, for dead lessees'
+        keys to come back, for owners to drop theirs.  One class is one run
+        that lands one record per member: ``stats.trainings`` counts the
+        runs, ``stats.executed`` the records.  A batch of more than one
+        class starts the local workers (:meth:`_start_workers`).
 
         Every record is :meth:`commit`-ted the moment it lands, so an
         aborted batch keeps each run it finished, and on any exit the keys
-        this call still has queued are dropped.  ``cancel`` is polled
-        between classes and on every wake; on the pool, runs already
-        started finish and are committed before the abort.
-        ``on_resolve(key, record, shared)`` fires on the calling thread as
-        each key lands; ``shared`` says this call waited on it — it was in
-        ``waited`` (queued by another call when this call looked) or a pass
-        saw it so — and counts it in ``stats.shared_inflight``.  A raising
-        callback aborts the batch like a cancel.
+        this call still has queued are dropped, save those a lessee is
+        training: they stay queued, so no call trains them again, until it
+        commits them or dies (:meth:`requeue`).  ``cancel`` is polled
+        between classes and on every wake.  ``on_resolve(key, record,
+        shared)`` fires on the calling thread as each key lands; ``shared``
+        says this call waited on it — it was in ``waited`` (queued by another
+        call when this call looked) or a pass saw it so — and counts it in
+        ``stats.shared_inflight``.  A raising callback aborts the batch like
+        a cancel.
         """
         classes = _training_classes(configs, graph)
-        workers = min(self.max_workers or 1, len(classes))
-        in_pool = 2 * workers  # one running and one queued class per worker
-        firsts = [configs[indices[0]] for indices in classes]
-        if workers <= 1:
-            order = sorted(range(len(classes)), key=lambda c: firsts[c].reorder)
-        else:
-            order = sorted(
-                range(len(classes)),
-                key=lambda c: predicted_cost(
-                    task, firsts[c], graph, members=len(classes[c])
-                ),
-                reverse=True,
-            )
-        # Members of a class go out adjacent (a claim keeps queue order), so
-        # an executor's own ``profile()`` shares one run over its part.
-        unresolved = dict.fromkeys(i for c in order for i in classes[c])
+        if len(classes) > 1:
+            self._start_workers()
+        classes.sort(key=lambda members: configs[members[0]].reorder)
+        unresolved = dict.fromkeys(i for members in classes for i in members)
         call = (task, graph, self._fingerprint(graph))
-        prepared = pool = None
-        running: dict = {}  # pool future -> the indices it trains
+        prepared = None
 
         def resolve(landed: list) -> None:
             for i, record in landed:
@@ -828,27 +914,9 @@ class ProfilingService:
                     self.stats.bump("shared_inflight")
                 on_resolve(keys[i], record, shared)
 
-        def land(indices: list, fresh: list, *, notify: bool = True) -> None:
-            self.stats.bump("trainings")
-            for i, record in zip(indices, fresh, strict=True):
-                self.commit(keys[i], record)
-                if notify:
-                    with self._lock:
-                        landed = self._landed_locked(keys, unresolved)
-                    resolve(landed)
-
         try:
             while True:
-                if cancel is not None and cancel.cancelled:
-                    for future in running:
-                        future.cancel()
-                    for future, indices in running.items():
-                        if not future.cancelled():
-                            try:
-                                fresh = future.result()
-                            except BaseException:
-                                continue
-                            land(indices, fresh, notify=False)
+                if cancel is not None:
                     cancel.raise_if_cancelled()
                 taken = None
                 with self._cond:
@@ -865,49 +933,37 @@ class ProfilingService:
                                 waited.add(keys[i])
                         if published:
                             self._cond.notify_all()
-                        if len(running) < in_pool and not self.fleet_live():
-                            taken = self._take_locked(call, keys, classes, order)
-                        if taken is None and not running:
+                        if not self._workers and not self.fleet_live():
+                            taken = self._take_locked(call, keys, classes)
+                        if taken is None:
                             self._cond.wait(_POLL_SECONDS)
                             continue
                 resolve(landed)
-                if taken is not None and workers <= 1:
+                if taken is not None:
                     members = [configs[i] for i in taken]
                     if prepared is None or prepared.reorder != members[0].reorder:
                         prepared = None  # free the last strategy's copy first
                         prepared = PreparedGraph(graph, members[0].reorder)
                     runs = profile_class(task, members, prepared=prepared)
-                    land(taken, [record for record, _ in runs])
-                elif taken is not None:
-                    if pool is None:
-                        pool = ProcessPoolExecutor(
-                            max_workers=workers,
-                            initializer=_worker_init,
-                            initargs=(task, graph),
-                        )
-                    members = [configs[i] for i in taken]
-                    running[pool.submit(_worker_run, members)] = taken
-                elif running:
-                    done, _ = wait(
-                        running, timeout=_POLL_SECONDS, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        land(running.pop(future), future.result())
+                    self.stats.bump("trainings")
+                    for i, (record, _) in zip(taken, runs, strict=True):
+                        self.commit(keys[i], record)
+                        with self._lock:
+                            landed = self._landed_locked(keys, unresolved)
+                        resolve(landed)
                 elif not unresolved:
                     return
         finally:
             with self._cond:
-                dropped = [
-                    key
-                    for key in keys
-                    if key in self._queue and self._queue[key].call is call
-                ]
-                for key in dropped:
-                    del self._queue[key]
-                if dropped:
-                    self._cond.notify_all()
-            if pool is not None:
-                pool.shutdown()
+                for key in keys:
+                    item = self._queue.get(key)
+                    if item is None or item.call is not call:
+                        continue
+                    if item.holder is None or item.holder is _LOCAL:
+                        del self._queue[key]
+                    else:  # a lessee trains it: queued until it commits
+                        item.call = None
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------ API
     def profile(
@@ -924,9 +980,9 @@ class ProfilingService:
         Output order matches input order and values match the serial
         :func:`~repro.runtime.profiler.profile_one` path exactly.  Each
         unique candidate resolves from memory, the store, another caller's
-        queued run, or this call's :meth:`_execute` (a run of its own or a
-        fleet executor's commit) — never twice, however many threads ask at
-        once.
+        queued run, or this call's :meth:`_execute` (a run of its own, a
+        local worker's or a fleet executor's) — never twice, however many
+        threads ask at once.
 
         ``cancel`` makes the call cooperatively cancellable: the token is
         polled on entry, between candidate runs, and while waiting on

@@ -1,12 +1,13 @@
 """Distributed profiling fleet: remote executors with lease-based work pull.
 
-The fleet generalizes the server's process pool across machines.  The
+Fleet executors are lessees of a profiling service's pending queue, like
+the service's own local workers, but on other processes or machines.  The
 server side (:class:`FleetDispatcher`) keeps the executors and which of them
 holds each lease in one table, and hands leased batches off the profiling
 service's pending queue to whoever claims them; a lease lives exactly as
 long as its executor is heard from.  The client side
 (:class:`ProfilingExecutor` over :class:`FleetClient`) pulls, runs and
-commits.  While no executor is live, the service's execution loop trains
+commits.  While no lessee is live, the service's execution loop trains
 every pending key itself — a local-only server never waits on the fleet.
 
 Importing this package does not import the HTTP transport; the dispatcher

@@ -3,10 +3,10 @@
 :class:`ProfilingExecutor` is the process behind ``repro executor``.  It
 registers with a navigation server over the ``/v1`` transport, then loops:
 claim a leased batch, resolve the graph, run the candidates on its own
-local :class:`~repro.runtime.parallel.ProfilingService` (the same
-process-pool runner the server uses), and commit the records back —
-idempotently, keyed by the lease id, so a retried POST can never
-double-count.
+local :class:`~repro.runtime.parallel.ProfilingService` (serially, or on
+that service's local workers, as a server's job threads would), and commit
+the records back — idempotently, keyed by the lease id, so a retried POST
+can never double-count.
 
 Graph resolution is fingerprint-first: the claim names the dataset and the
 graph's content hash, the executor tries to load the dataset locally and
@@ -24,7 +24,6 @@ surviving.
 
 from __future__ import annotations
 
-import os
 import threading
 
 from repro.errors import ServingError, UnknownExecutorError
@@ -120,8 +119,9 @@ class ProfilingExecutor:
     server_url:
         Base URL of the navigation server (``http://host:port``).
     workers:
-        Local process-pool width for running claimed candidates
-        (``None``: CPU count, like the server's own pool).
+        Local workers of the executor's own service (``None``/``0``/``1``:
+        claimed candidates train serially on the work thread); the width it
+        registers with.
     executor_id:
         Rejoin under a previously-assigned id; ``None`` asks the server
         for a fresh one.
@@ -173,8 +173,7 @@ class ProfilingExecutor:
     def register(self) -> FleetRegisterResponse:
         """Join the fleet (idempotent; used for initial join and rejoin)."""
         response = self.client.register(
-            workers=self.workers or os.cpu_count() or 1,
-            executor_id=self.executor_id,
+            workers=self.workers or 1, executor_id=self.executor_id
         )
         self.executor_id = response.executor_id
         self.heartbeat_seconds = response.heartbeat_seconds
@@ -207,13 +206,15 @@ class ProfilingExecutor:
             self._deregister_quietly()
 
     def stop(self) -> None:
-        """Graceful shutdown: finish the in-flight batch, deregister."""
+        """Graceful shutdown: finish the in-flight batch, deregister, stop
+        the service's local workers."""
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout=30.0)
         self._threads.clear()
         if not self._killed:
             self._deregister_quietly()
+        self.service.close()
 
     def kill(self) -> None:
         """Chaos shutdown: vanish without deregistering or committing.

@@ -113,11 +113,11 @@ class NavigationServer:
     Parameters
     ----------
     workers:
-        Concurrent navigation jobs (worker threads).  Each job's profiling
-        additionally fans out across ``profile_workers`` processes.
+        Concurrent navigation jobs (worker threads).
     profile_workers:
-        Process fan-out inside the shared profiling service (``None``/``0``/
-        ``1`` = in-process serial runs).
+        Local worker processes of the shared profiling service (``None``/
+        ``0``/``1`` = job threads train), leasing training classes like
+        fleet executors; :meth:`stop` stops them for good.
     cache_dir:
         Directory of the shared persistent :class:`ResultStore`; ``None``
         keeps sharing in-memory only (still deduped across jobs).
@@ -330,6 +330,7 @@ class NavigationServer:
         for thread in self._threads:
             thread.join()
         self._threads = []
+        self.service.close()
         with self._terminal:
             for job in self._jobs.values():
                 if job.status is JobStatus.PENDING:

@@ -175,6 +175,6 @@ def record_fingerprint(record) -> TaskFingerprint:
 
     Everything the fingerprint needs rides on the record (``task`` +
     ``graph_profile``), so the corpus indexes any stored record, whichever
-    commit path — local pool, fleet — wrote it.
+    commit path — local workers, fleet — wrote it.
     """
     return task_fingerprint(record.task, record.graph_profile)

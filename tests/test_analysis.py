@@ -585,6 +585,44 @@ class TestResourceLifecycle:
         )
         assert rules_fired(result) == set()
 
+    @pytest.mark.parametrize(
+        "construct", ["multiprocessing.Process", "context.Process"]
+    )
+    def test_unjoined_process_fires_even_as_a_daemon(self, tmp_path, construct):
+        result = analyze_source(
+            tmp_path,
+            f"""
+            import multiprocessing
+
+            class Worker:
+                def spawn(self, target):
+                    context = multiprocessing.get_context("spawn")
+                    self.process = {construct}(target=target, daemon=True)
+                    self.process.start()
+            """,
+        )
+        assert rules_fired(result) == {"RES001"}
+        assert "never reaped" in result.findings[0].message
+
+    def test_process_joined_elsewhere_in_class_passes(self, tmp_path):
+        result = analyze_source(
+            tmp_path,
+            """
+            import multiprocessing
+
+            class Worker:
+                def spawn(self, target):
+                    context = multiprocessing.get_context("spawn")
+                    self.process = context.Process(target=target, daemon=True)
+                    self.process.start()
+
+                def stop(self):
+                    self.process.terminate()
+                    self.process.join()
+            """,
+        )
+        assert rules_fired(result) == set()
+
     @pytest.mark.parametrize("pool", ["ThreadPoolExecutor", "ProcessPoolExecutor"])
     def test_unshutdown_pool_fires(self, tmp_path, pool):
         result = analyze_source(

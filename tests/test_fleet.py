@@ -867,6 +867,46 @@ class TestFleetDispatcher:
         assert service._queue == {}
         dispatcher.close()
 
+    def test_local_workers_hold_keys_off_the_census_and_the_gauges(
+        self, small_graph
+    ):
+        """A class a local worker holds is neither pending nor leased:
+        ``fleet status`` and the ``fleet_leased`` / ``fleet_pending`` gauges
+        count only what fleet executors can claim or hold."""
+        server = NavigationServer(
+            workers=1, profile_workers=2, graphs={"tiny": small_graph}
+        )
+        service = server.service
+        real_commit = service.commit
+        held, release = threading.Event(), threading.Event()
+
+        def gated(key, record):
+            if threading.current_thread().name == "profile-worker":
+                held.set()
+                release.wait(60)
+            return real_commit(key, record)
+
+        service.commit = gated
+        try:
+            job_id = NavigationClient(server).submit(
+                _task(), budget=8, profile_epochs=1
+            ).job_id
+            assert held.wait(120)
+            with service._lock:
+                holders = [item.holder for item in service._queue.values()]
+            assert any(holder in service._workers for holder in holders)
+            status = server.fleet.status()
+            snap = server.metrics.snapshot()
+            assert status["leased"] == snap["fleet_leased"] == 0
+            assert status["pending"] == snap["fleet_pending"]
+            assert status["pending"] <= holders.count(None)
+            release.set()
+            server.result(job_id, timeout=240)
+        finally:
+            release.set()
+            server.stop()
+        assert service._workers == []
+
     def test_claim_grant_none_shape(self):
         empty = ClaimGrant.none(4.0)
         assert empty.empty
@@ -925,6 +965,21 @@ class TestFleetHTTP:
         assert client.deregister(granted.executor_id) is True
         with pytest.raises(UnknownExecutorError):
             client.heartbeat(granted.executor_id)
+
+    def test_a_default_executor_registers_the_width_it_trains_with(
+        self, fleet_stack
+    ):
+        """``workers=None`` trains serially, so its ``fleet status`` row
+        reads one worker, not the host's CPU count."""
+        _, http = fleet_stack
+        executor = ProfilingExecutor(http.url)
+        executor.register()
+        try:
+            (row,) = FleetClient(http.url).fleet_status().executors
+            assert row["executor_id"] == executor.executor_id
+            assert row["workers"] == 1
+        finally:
+            executor.stop()
 
     def test_unknown_executor_maps_to_404(self, fleet_stack):
         _, http = fleet_stack

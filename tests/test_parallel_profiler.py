@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import signal
 import sys
 import threading
+import time
 
+import numpy as np
 import pytest
 from wire_samples import key_with_kernel
 
 from repro.config import TaskSpec, TrainingConfig
-from repro.runtime import ProfilingService
+from repro.config.space import default_space
+from repro.runtime import ProfilingService, profile_one
 from repro.runtime.parallel import (
     ResultStore,
     candidate_key,
@@ -66,8 +71,8 @@ class TestSerialization:
 class TestProfilingService:
     def test_parallel_identical_to_serial(self, small_graph, tiny_task, configs):
         serial = ProfilingService().profile(tiny_task, configs, graph=small_graph)
-        service = ProfilingService(max_workers=2)
-        parallel = service.profile(tiny_task, configs, graph=small_graph)
+        with ProfilingService(max_workers=2) as service:
+            parallel = service.profile(tiny_task, configs, graph=small_graph)
         assert parallel == serial
 
     def test_deduplicates_repeated_candidates(self, small_graph, tiny_task, configs):
@@ -236,6 +241,211 @@ class TestProfilingService:
         three = predicted_cost(tiny_task, tiny_config, small_graph, members=3)
         assert one < two < three < 2 * one  # far cheaper than training again
         assert three - two == pytest.approx(two - one)
+
+
+def _classes(graph, count: int, seed: int) -> list[TrainingConfig]:
+    """Canonical configs of ``count`` distinct training classes."""
+    from repro.runtime.backend import training_key
+
+    chosen: dict = {}
+    for config in default_space().sample(64, rng=np.random.default_rng(seed)):
+        config = config.canonical()
+        chosen.setdefault(training_key(config, graph.num_nodes), config)
+        if len(chosen) == count:
+            return list(chosen.values())
+    raise AssertionError("the sample holds too few training classes")
+
+
+def _reaped(workers) -> bool:
+    return all(
+        not worker.thread.is_alive()
+        and worker.process.exitcode is not None
+        and worker.process not in multiprocessing.active_children()
+        for worker in workers
+    )
+
+
+class TestLocalWorkers:
+    """``max_workers >= 2``: spawned processes that lease training classes
+    from the queue like fleet executors, started once per service."""
+
+    def test_workers_start_once_by_spawn_and_close_reaps_them(
+        self, small_graph, tiny_task, tiny_config
+    ):
+        configs = _classes(small_graph, 4, seed=1)
+        serial = ProfilingService().profile(tiny_task, configs, graph=small_graph)
+        service = ProfilingService(max_workers=2)
+        try:
+            # One training class starts nothing: the calling thread trains it.
+            service.profile(tiny_task, [tiny_config], graph=small_graph)
+            assert service._workers == []
+            assert service.profile(tiny_task, configs, graph=small_graph) == serial
+            workers = list(service._workers)
+            assert len(workers) == 2
+            assert {type(w.process).__name__ for w in workers} == {"SpawnProcess"}
+            more = _classes(small_graph, 3, seed=2)
+            assert service.profile(tiny_task, more, graph=small_graph) == (
+                ProfilingService().profile(tiny_task, more, graph=small_graph)
+            )
+            assert service._workers == workers  # not started a second time
+        finally:
+            service.close()
+        assert _reaped(workers)
+        # A closed service trains on the calling thread and starts nothing.
+        again = _classes(small_graph, 3, seed=3)
+        records = service.profile(tiny_task, again, graph=small_graph)
+        assert records == ProfilingService().profile(
+            tiny_task, again, graph=small_graph
+        )
+        assert service._workers == []
+
+    def test_a_worker_killed_mid_class_is_a_dead_executor(
+        self, small_graph, tiny_config
+    ):
+        """Its lease goes back on the queue, and the survivor (or the
+        calling thread) trains the class: the call still returns the serial
+        path's records, each candidate measured once."""
+        task = TaskSpec(dataset="tiny", arch="sage", epochs=6, lr=0.02)
+        configs = _classes(small_graph, 4, seed=4)
+        serial = ProfilingService().profile(task, configs, graph=small_graph)
+        service = ProfilingService(max_workers=2)
+        out: dict = {}
+        caller = threading.Thread(
+            target=lambda: out.setdefault(
+                "records", service.profile(task, configs, graph=small_graph)
+            ),
+            daemon=True,
+        )
+        killed = None
+        try:
+            caller.start()
+            deadline = time.monotonic() + 60
+            while killed is None and time.monotonic() < deadline:
+                with service._lock:
+                    held = [
+                        (key, item.holder)
+                        for key, item in service._queue.items()
+                        if item.holder in service._workers
+                    ]
+                    for key, holder in held:
+                        if key not in service._memory:
+                            killed = holder
+                            os.kill(holder.process.pid, signal.SIGKILL)
+                            break
+                time.sleep(0.005)
+            assert killed is not None, "no worker was seen holding a class"
+            caller.join(120)
+            assert not caller.is_alive()
+            assert out["records"] == serial
+            assert service.stats.executed == len(configs)
+            with service._lock:
+                assert killed not in service._workers
+                assert service._queue == {}
+            assert killed.process.exitcode == -signal.SIGKILL
+            survivors = list(service._workers)
+        finally:
+            service.close()
+        assert _reaped([killed, *survivors])
+
+    def test_more_workers_than_cores_lease_each_class_once(
+        self, small_graph, tiny_task
+    ):
+        """Three lessees on two cores and two callers asking for the same
+        classes, switching threads every 10 µs: every class is leased and
+        trained exactly once (a lost update on the queue would train one
+        twice, or never), and both callers get the serial records."""
+        configs = _classes(small_graph, 6, seed=6)
+        serial = ProfilingService().profile(tiny_task, configs, graph=small_graph)
+        out: dict = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ProfilingService(max_workers=3) as service:
+                callers = [
+                    threading.Thread(
+                        target=lambda slot=slot: out.setdefault(
+                            slot,
+                            service.profile(tiny_task, configs, graph=small_graph),
+                        ),
+                        daemon=True,
+                    )
+                    for slot in range(2)
+                ]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(120)
+                assert not any(caller.is_alive() for caller in callers)
+                assert len(service._workers) == 3
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == {0: serial, 1: serial}
+        assert (service.stats.trainings, service.stats.executed) == (6, 6)
+        # one caller published every key; the other waited on each
+        assert service.stats.shared_inflight + service.stats.cache_hits == 6
+
+    def test_a_navigator_closes_only_the_service_it_built(self, small_graph):
+        from repro.explorer import GNNavigator
+
+        task = TaskSpec(dataset="tiny", arch="sage", epochs=1, lr=0.02)
+
+        def navigator(**kwargs):
+            return GNNavigator(
+                task, graph=small_graph, profile_budget=8, profile_epochs=1, **kwargs
+            )
+
+        serial = navigator().ground_truth()
+        own = navigator(workers=2)
+        assert own.ground_truth() == serial
+        assert own.profiler._started and own.profiler._workers == []
+        with ProfilingService(max_workers=2) as shared:
+            assert navigator(profiler=shared).ground_truth() == serial
+            assert len(shared._workers) == 2  # an injected service stays up
+
+    def test_profile_one_threads_beside_two_worker_services_never_hang(
+        self, small_graph, tiny_task, tiny_config
+    ):
+        """Two threads train in a loop while the main path starts two-worker
+        services and profiles on them, round after round: a worker forked
+        from this process could inherit a lock one of those threads holds
+        and hang.  Each join is bounded, so a hang fails here."""
+        stop = threading.Event()
+        failures: list[BaseException] = []
+
+        def train() -> None:
+            while not stop.is_set():
+                try:
+                    profile_one(tiny_task, tiny_config, graph=small_graph)
+                except BaseException as exc:  # noqa: BLE001 — reported below
+                    failures.append(exc)
+                    return
+
+        rounds: list[bool] = []
+
+        def profile_rounds() -> None:
+            configs = _classes(small_graph, 3, seed=5)
+            serial = ProfilingService().profile(tiny_task, configs, graph=small_graph)
+            for _ in range(2):
+                with ProfilingService(max_workers=2) as service:
+                    records = service.profile(tiny_task, configs, graph=small_graph)
+                    workers = list(service._workers)
+                rounds.append(
+                    records == serial and len(workers) == 2 and _reaped(workers)
+                )
+
+        trainers = [threading.Thread(target=train, daemon=True) for _ in range(2)]
+        main = threading.Thread(target=profile_rounds, daemon=True)
+        for thread in trainers:
+            thread.start()
+        main.start()
+        main.join(180)
+        stop.set()
+        for thread in trainers:
+            thread.join(60)
+        assert not main.is_alive(), "the profiling rounds hung"
+        assert not any(thread.is_alive() for thread in trainers)
+        assert failures == []
+        assert rounds == [True, True]
 
 
 class TestStoreManagement:

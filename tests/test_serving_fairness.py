@@ -14,6 +14,7 @@ from repro.config import TaskSpec, TrainingConfig
 from repro.config.space import default_space
 from repro.errors import JobCancelled, ServingError
 from repro.runtime import CancellationToken, ProfilingService
+from repro.runtime.backend import training_key
 from repro.serving.fleet import FleetDispatcher
 from repro.serving.metrics import MetricsRegistry
 from repro.serving import (
@@ -132,51 +133,70 @@ class TestCancellationToken:
         assert service.stats.executed == unique
         assert service.stats.cache_hits == finished
 
-    def test_pool_path_cancellation_commits_finished_futures(
-        self, small_graph, tiny_task, slow_profiling
+    def test_local_worker_cancellation_commits_finished_runs(
+        self, small_graph, tiny_task
     ):
-        """Cancelling a pool batch publishes every run that finished
-        (collected or not) before aborting; the retry completes cleanly.
+        """Cancelling a batch the local workers train aborts it mid-batch;
+        every run a worker finished is committed and counted exactly once,
+        and the retry completes cleanly.
 
-        ``slow_profiling`` stretches each run to ~0.1s (inherited by the
-        fork-started pool workers), so the 0.25s timer lands mid-batch.
+        A spawned worker runs the real ``profile_class`` (a monkeypatch
+        does not reach it), so the cancel fires from the progress callback
+        as the first record lands: the batch is mid-way by construction.
         """
-        service = ProfilingService(max_workers=2)
-        token = CancellationToken()
         configs = [
             c.canonical()
             for c in default_space().sample(10, rng=np.random.default_rng(4))
         ]
-        timer = threading.Timer(0.25, token.cancel)
-        timer.start()
-        try:
+        unique = len(set(configs))
+        token = CancellationToken()
+        seen: list[int] = []
+
+        def cancel_on_the_first_record(done, total, hits):
+            seen.append(done)
+            if done:
+                token.cancel()
+
+        with ProfilingService(max_workers=2) as service:
             with pytest.raises(JobCancelled):
                 service.profile(
-                    tiny_task, configs, graph=small_graph, cancel=token
+                    tiny_task,
+                    configs,
+                    graph=small_graph,
+                    cancel=token,
+                    on_progress=cancel_on_the_first_record,
                 )
-        finally:
-            timer.cancel()
-        # every salvaged/collected commit was counted exactly once
-        assert service.stats.executed == len(service._memory)
-        records = service.profile(tiny_task, configs, graph=small_graph)
-        assert len(records) == len(configs)
-        assert service.stats.executed == len(set(configs))  # nothing twice
+            assert 0 < seen[-1] < unique  # aborted mid-batch
+            records = service.profile(tiny_task, configs, graph=small_graph)
+            assert len(records) == len(configs)
+            # every commit was counted exactly once, nothing measured twice:
+            # a class a worker still trained when the call was cancelled
+            # stayed queued, so the retry waited on it instead of retraining
+            assert service.stats.executed == len(service._memory) == unique
+            classes = {training_key(c, small_graph.num_nodes) for c in configs}
+            assert service.stats.trainings == len(classes)
 
 
-# Every way a profiling batch can execute.  ``fleet`` runs it on a live
-# in-process executor (a thread that claims one key at a time and commits
-# real records); ``silent-executor`` registers an executor that never
-# claims, so the caller waits while it counts as live and then trains every
-# class itself.
-PATHS = ("serial", "pool", "fleet", "silent-executor")
+# Every way a profiling batch can execute.  ``local-workers`` runs it on
+# the service's two spawned workers; ``fleet`` on a live in-process executor
+# (a thread that claims one key at a time and commits real records);
+# ``silent-executor`` registers an executor that never claims, so the caller
+# waits while it counts as live and then trains every class itself.
+PATHS = ("serial", "local-workers", "fleet", "silent-executor")
 
 
 @pytest.fixture()
 def path_service(request, small_graph):
     """``(service, dispatcher)`` for one path; no dispatcher off the fleet."""
-    service = ProfilingService(max_workers=2 if request.param == "pool" else None)
-    if request.param in ("serial", "pool"):
+    local = request.param == "local-workers"
+    service = ProfilingService(max_workers=2 if local else None)
+    if request.param in ("serial", "local-workers"):
         yield service, None
+        workers = list(service._workers)
+        service.close()
+        # The batch really took the path under test.
+        assert len(workers) == (2 if local else 0)
+        assert service.stats.trainings >= 1
         return
     dispatcher = FleetDispatcher(service, lease_ttl=0.3, metrics=MetricsRegistry())
     executor_id = dispatcher.register().executor_id

@@ -344,7 +344,9 @@ def test_fleet_chaos_smoke_sigkill_mid_job(tmp_path, capsys):
         k: SMOKE_SPEC[k] for k in ("dataset", "arch", "epochs")
     })
     store = str(tmp_path / "chaos-store")
-    with _Server(store, "--workers", "2", "--lease-ttl", "2") as server:
+    # No local workers on the server: they would lease from the same queue
+    # as the executors, so the dead executor's lease could go to them.
+    with _Server(store, "--lease-ttl", "2") as server:
         with _Executor(
             server.url, "--workers", "1", "--max-candidates", "2"
         ) as victim, _Executor(server.url, "--workers", "2") as survivor:
